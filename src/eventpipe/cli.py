@@ -102,13 +102,7 @@ def cmd_ablate(args) -> int:
     ontology = load_ontology(config.ontology)
     gold = _events_by_id(load_gold(config.gold, ontology))
     predictions = _events_by_id(load_gold(result.predictions_path, ontology))
-    table = run_ablation(
-        gold,
-        verdicts,
-        {policy.name: predictions for policy in policies},
-        policies,
-        set_semantics=config.set_semantics,
-    )
+    table = run_ablation(gold, verdicts, predictions, policies, set_semantics=config.set_semantics)
     print(table.render())
     out_path = Path(ablation_config.output_dir) / "ablation.json"
     out_path.write_text(json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n", "utf-8")

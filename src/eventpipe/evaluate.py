@@ -187,16 +187,13 @@ class AblationTable:
     """Per-policy scores over a fixed prediction set, plus gated-in counts."""
 
     policies: tuple[str, ...]
-    reports: dict[str, ScoreReport | None] = field(default_factory=dict)
+    reports: dict[str, ScoreReport] = field(default_factory=dict)
     gated_in: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "policies": list(self.policies),
-            "by_policy": {
-                name: (report.to_dict() if report is not None else None)
-                for name, report in self.reports.items()
-            },
+            "by_policy": {name: report.to_dict() for name, report in self.reports.items()},
             "gated_in": dict(self.gated_in),
         }
 
@@ -204,13 +201,10 @@ class AblationTable:
         header = f"{'policy':<10} {'TC F1(%)':>9} {'AC F1(%)':>9} {'gated_in':>9}"
         lines = [header]
         for name in self.policies:
-            report = self.reports.get(name)
-            if report is None:
-                lines.append(f"{name:<10} {'-':>9} {'-':>9} {'-':>9}")
-                continue
+            report = self.reports[name]
             lines.append(
                 f"{name:<10} {report.tc.f1 * 100:>9.1f} {report.ac.f1 * 100:>9.1f} "
-                f"{self.gated_in.get(name, 0):>9}"
+                f"{self.gated_in[name]:>9}"
             )
         nested = [p for p in ("all", "two+", "one+") if p in self.gated_in]
         if nested:
@@ -222,18 +216,14 @@ class AblationTable:
 def run_ablation(
     gold: Mapping[str, Sequence[EventMention]],
     verdicts: Mapping[str, VerdictTriple],
-    predictions_by_policy: Mapping[str, Mapping[str, Sequence[EventMention]] | None],
+    predictions: Mapping[str, Sequence[EventMention]],
     policies: Sequence[VotePolicy],
     *,
     set_semantics: bool = False,
 ) -> AblationTable:
-    """Score each policy's surviving predictions; missing runs become absent cells."""
+    """Score the predictions that survive each policy's gate."""
     table = AblationTable(policies=tuple(p.name for p in policies))
     for policy in policies:
-        predictions = predictions_by_policy.get(policy.name)
-        if predictions is None:
-            table.reports[policy.name] = None
-            continue
         kept = filter_by_policy(predictions, verdicts, policy)
         table.gated_in[policy.name] = len(kept)
         table.reports[policy.name] = score(kept, gold, set_semantics=set_semantics)

@@ -32,6 +32,7 @@ __all__ = [
     "parse_trigger_reply",
     "postprocess",
     "recover_json_tail",
+    "repair_arguments",
     "retrieve_examples",
 ]
 
@@ -77,11 +78,18 @@ class TriggerStageResult:
 
 @dataclass(frozen=True)
 class ArgumentStageResult:
+    """Events of the accepted reply, or trigger-only events when every attempt failed.
+
+    recovered holds the canonical records that the verifier recovered from
+    raw (None: no usable JSON), so repair never parses the reply again.
+    """
+
     segment_id: str
     events: tuple[EventMention, ...]
     raw: RawStageOutput
     failed: bool
     example_ids: tuple[str, ...] = ()
+    recovered: list[dict] | None = None
 
 
 # --- JSON recovery -----------------------------------------------------------
@@ -114,7 +122,8 @@ def _last_json_value(text: str):
         if text[i] in "[{":
             try:
                 value, end = decoder.raw_decode(text, i)
-            except ValueError:
+            except (ValueError, RecursionError):
+                # Nesting deeper than the decoder's recursion limit counts as non-JSON.
                 i += 1
                 continue
             best = value
@@ -306,12 +315,17 @@ def parse_argument_reply(
     raw: str, triggers: Sequence[TriggerPrediction], ontology: Ontology
 ) -> list[EventMention] | None:
     """Parse an argument-stage reply against the predicted triggers; None = retry."""
-    canonical = recover_json_tail(raw)
+    return _argument_events(raw, recover_json_tail(raw), triggers, ontology)
+
+
+def _argument_events(
+    raw: str, canonical: list[dict] | None, triggers: Sequence[TriggerPrediction], ontology: Ontology
+) -> list[EventMention] | None:
+    """Strictly match raw's recovered records; a no-argument answer without JSON is empty."""
+    if canonical is None and _NO_ARGUMENT.search(raw):
+        canonical = []
     if canonical is None:
-        if _NO_ARGUMENT.search(raw):
-            canonical = []
-        else:
-            return None
+        return None
     return _match_entries_to_triggers(canonical, triggers, ontology, strict=True)
 
 
@@ -411,11 +425,9 @@ def extract_arguments(
     parsed: dict = {}
 
     def verifier(text: str) -> bool:
-        result = parse_argument_reply(text, triggers, ontology)
-        if result is None:
-            return False
-        parsed["value"] = result
-        return True
+        parsed["recovered"] = recover_json_tail(text)
+        parsed["events"] = _argument_events(text, parsed["recovered"], triggers, ontology)
+        return parsed["events"] is not None
 
     example_ids = tuple(ex.example_id for ex in examples)
     try:
@@ -427,9 +439,13 @@ def extract_arguments(
             EventMention(trigger=t.trigger, event_type=t.event_type, arguments=()) for t in triggers
         )
         raw = RawStageOutput(segment.id, "argument", exc.last_response, exc.attempts)
-        return ArgumentStageResult(segment.id, events, raw, True, example_ids)
+        return ArgumentStageResult(
+            segment.id, events, raw, True, example_ids, parsed["recovered"]
+        )
     raw = RawStageOutput(segment.id, "argument", completion.text, completion.attempts)
-    return ArgumentStageResult(segment.id, tuple(parsed["value"]), raw, False, example_ids)
+    return ArgumentStageResult(
+        segment.id, tuple(parsed["events"]), raw, False, example_ids, parsed["recovered"]
+    )
 
 
 # --- post-processing ----------------------------------------------------------
@@ -451,13 +467,6 @@ class PostprocessReport:
     @property
     def excluded_ids(self) -> list[str]:
         return [e.segment_id for e in self.entries if e.excluded]
-
-    @property
-    def formatting_attempts(self) -> int:
-        return sum(e.formatting_attempts for e in self.entries)
-
-    def events_by_segment(self) -> dict[str, tuple[EventMention, ...]]:
-        return {e.segment_id: e.events for e in self.entries if not e.excluded}
 
 
 def _validated_events(canonical: list[dict], ontology: Ontology) -> list[EventMention] | None:
@@ -483,84 +492,81 @@ def postprocess(
     ontology: Ontology,
     provider: LlmProvider | None,
     *,
-    triggers_by_segment: dict[str, Sequence[TriggerPrediction]] | None = None,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
     templates_dir=None,
 ) -> PostprocessReport:
-    """Turn raw stage replies into validated events.
+    """Turn standalone raw replies into validated events.
 
     Deterministic JSON-tail recovery is tried first; only when it fails (or
-    yields ontology-invalid records) is the reformatting prompt sent. When the
-    segment's predicted triggers are known, irrecoverable output degrades to
-    trigger-only events; otherwise the segment is excluded and reported.
+    yields ontology-invalid records) is the reformatting prompt sent. A reply
+    that stays unusable excludes its segment, which the report lists.
     """
+
+    def validated(canonical):
+        return None if canonical is None else _validated_events(canonical, ontology)
+
     report = PostprocessReport()
     for raw in raw_outputs:
-        triggers = None
-        if triggers_by_segment is not None:
-            triggers = list(triggers_by_segment.get(raw.segment_id, ()))
-        entry = _postprocess_one(
-            raw,
-            ontology,
-            provider,
-            triggers=triggers,
-            cache=cache,
-            max_attempts=max_attempts,
-            templates_dir=templates_dir,
+        events, attempts = validated(recover_json_tail(raw.raw_text)), 0
+        if events is None:
+            events, attempts = _format_repair(
+                raw, validated, provider, cache, max_attempts, templates_dir
+            )
+        report.entries.append(
+            PostprocessEntry(raw.segment_id, tuple(events or ()), attempts, events is None, False)
         )
-        report.entries.append(entry)
     return report
 
 
-def _postprocess_one(
-    raw: RawStageOutput,
+def repair_arguments(
+    result: ArgumentStageResult,
+    triggers: Sequence[TriggerPrediction],
     ontology: Ontology,
     provider: LlmProvider | None,
     *,
-    triggers: list[TriggerPrediction] | None,
-    cache: ResponseCache | None,
-    max_attempts: int,
-    templates_dir,
+    cache: ResponseCache | None = None,
+    max_attempts: int = 3,
+    templates_dir=None,
 ) -> PostprocessEntry:
-    canonical = recover_json_tail(raw.raw_text)
-    if triggers is not None:
-        # Pipeline path: triggers are committed, so usable means structurally
-        # recoverable; the matcher drops invalid roles and unmatched entries.
-        usable = canonical is not None
-        accept = lambda c: c is not None
-    else:
-        usable = canonical is not None and _validated_events(canonical, ontology) is not None
-        accept = lambda c: c is not None and _validated_events(c, ontology) is not None
-    formatting_attempts = 0
-    if not usable and provider is not None and raw.raw_text.strip():
-        bundle = build_format_prompt(raw.raw_text, raw.segment_id, templates_dir=templates_dir)
-        recovered: dict = {}
+    """Final events for one segment's argument result, without parsing a reply again.
 
-        def verifier(text: str) -> bool:
-            candidate = recover_json_tail(text)
-            if not accept(candidate):
-                return False
-            recovered["value"] = candidate
-            return True
-
-        try:
-            completion = complete_with_retry(
-                provider, bundle, verifier, max_attempts=max_attempts, cache=cache
-            )
-            formatting_attempts = completion.attempts
-            canonical = recovered["value"]
-            usable = True
-        except FormatFailureError as exc:
-            formatting_attempts = exc.attempts
-            canonical = None
-            usable = False
-    if triggers is not None:
-        events = _match_entries_to_triggers(canonical, triggers, ontology, strict=False)
-        return PostprocessEntry(
-            raw.segment_id, tuple(events or ()), formatting_attempts, False, not usable
+    An accepted reply's events are returned as parsed. A failed reply's
+    recovered records are matched to the committed triggers non-strictly:
+    disallowed roles and unmatched entries are dropped. Only a failed reply
+    with no recoverable JSON goes through the formatting prompt; if that fails
+    as well, the segment is degraded to its triggers with empty argument lists.
+    """
+    if not result.failed:
+        return PostprocessEntry(result.segment_id, result.events, 0, False, False)
+    canonical, attempts = result.recovered, 0
+    if canonical is None:
+        canonical, attempts = _format_repair(
+            result.raw, lambda c: c, provider, cache, max_attempts, templates_dir
         )
-    if not usable:
-        return PostprocessEntry(raw.segment_id, (), formatting_attempts, True, False)
-    events = _validated_events(canonical or [], ontology)
-    return PostprocessEntry(raw.segment_id, tuple(events or ()), formatting_attempts, False, False)
+    events = _match_entries_to_triggers(canonical, triggers, ontology, strict=False)
+    return PostprocessEntry(result.segment_id, tuple(events), attempts, False, canonical is None)
+
+
+def _format_repair(raw: RawStageOutput, convert, provider, cache, max_attempts, templates_dir):
+    """(convert(records) of the first formatting reply it accepts, or None; attempts).
+
+    convert rejects a reply by returning None. Blank text, or no provider,
+    sends nothing and recovers nothing.
+    """
+    if provider is None or not raw.raw_text.strip():
+        return None, 0
+    bundle = build_format_prompt(raw.raw_text, raw.segment_id, templates_dir=templates_dir)
+    converted: dict = {}
+
+    def verifier(text: str) -> bool:
+        converted["value"] = convert(recover_json_tail(text))
+        return converted["value"] is not None
+
+    try:
+        completion = complete_with_retry(
+            provider, bundle, verifier, max_attempts=max_attempts, cache=cache
+        )
+    except FormatFailureError as exc:
+        return None, exc.attempts
+    return converted["value"], completion.attempts

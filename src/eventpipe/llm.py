@@ -154,7 +154,6 @@ class ScriptedMockLlm(LlmProvider):
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
         self.call_count = 0
-        self.calls_by_key: dict[str, int] = {}
 
     @classmethod
     def from_script_file(cls, path: str | Path, *, provider_name: str = "mock") -> "ScriptedMockLlm":
@@ -179,7 +178,6 @@ class ScriptedMockLlm(LlmProvider):
                     f"no scripted response for {bundle.segment_id!r} stage {bundle.stage!r}"
                 )
             self.call_count += 1
-            self.calls_by_key[key] = self.calls_by_key.get(key, 0) + 1
             idx = self._cursor.get(key, 0)
             self._cursor[key] = idx + 1
             return seq[min(idx, len(seq) - 1)]

@@ -23,7 +23,6 @@ __all__ = [
     "Segment",
     "ValidationError",
     "default_ontology_path",
-    "join_on_id",
     "load_gold",
     "load_ontology",
     "load_transcripts",
@@ -121,10 +120,6 @@ class Ontology:
     def roles_for(self, event_type: str) -> tuple[str, ...]:
         """Permitted roles in file order."""
         return self.roles_by_type.get(event_type, ())
-
-    @property
-    def all_roles(self) -> frozenset[str]:
-        return frozenset(r for roles in self.roles_by_type.values() for r in roles)
 
 
 @dataclass(frozen=True)
@@ -259,24 +254,3 @@ def load_transcripts(path: str | Path) -> list[Segment]:
         out.append(Segment(id=rid, text=text))
     return out
 
-
-def join_on_id(
-    gold: list[LabeledSegment], transcripts: list[Segment]
-) -> tuple[list[LabeledSegment], list[str], list[str]]:
-    """Pair gold records with transcripts by id.
-
-    Returns (joined, gold_only_ids, transcript_only_ids); segments missing from
-    either side are excluded from the join and reported. Joined segments carry
-    the transcript text.
-    """
-    by_id = {s.id: s for s in transcripts}
-    joined: list[LabeledSegment] = []
-    gold_only: list[str] = []
-    for ls in gold:
-        seg = by_id.pop(ls.segment.id, None)
-        if seg is None:
-            gold_only.append(ls.segment.id)
-        else:
-            joined.append(LabeledSegment(segment=seg, gold_events=ls.gold_events))
-    transcript_only = sorted(by_id.keys())
-    return joined, gold_only, transcript_only

@@ -1,10 +1,15 @@
-"""Stage-wise pipeline execution: gate, triggers, arguments, final, score.
+"""Pipeline execution: gate, triggers, arguments, final, score.
 
-Each stage writes one JSONL artifact whose header line records the stage name
-and the config hash. Under --resume a stage with a matching artifact is loaded
-instead of recomputed; a hash mismatch aborts rather than silently mixing
-runs. Artifacts carry no wall-clock data, so two identical runs produce
-byte-identical stage files (timestamps live only in run.json).
+One pool task per segment runs every stage up to the requested one: gate,
+trigger recognition, argument extraction and repair, each argument reply
+parsed once. Each stage has one JSONL artifact whose header line records the
+stage name and the config hash; its rows are projections of the per-segment
+records, written in stage order once the pool finishes, so a crash mid-run
+leaves only the completion cache to resume from. Under --resume a stage with
+a matching artifact is replayed instead of recomputed; a hash mismatch aborts
+rather than silently mixing runs. Artifacts carry no wall-clock data, so two
+identical runs produce byte-identical stage files (timestamps live only in
+run.json).
 """
 from __future__ import annotations
 
@@ -26,11 +31,14 @@ from .config import (
 )
 from .evaluate import ScoreReport, score
 from .extract import (
+    ArgumentStageResult,
+    PostprocessEntry,
     RawStageOutput,
     TriggerPrediction,
     extract_arguments,
     extract_triggers,
-    postprocess,
+    recover_json_tail,
+    repair_arguments,
 )
 from .gate import (
     FileVerdictProvider,
@@ -154,12 +162,33 @@ class RunResult:
     report_path: Path | None = None
 
 
+@dataclass
+class SegmentRecord:
+    """One segment's artifact row per stage (None: not reached), and its repair outcome."""
+
+    rows: dict[str, dict | None]
+    repair: PostprocessEntry | None = None
+
+
 def _event_obj(ev: EventMention) -> dict:
     return {
         "trigger": ev.trigger,
         "type": ev.event_type,
         "arguments": [{"name": a.name, "role": a.role} for a in ev.arguments],
     }
+
+
+def _argument_result(row: dict) -> ArgumentStageResult:
+    """Rebuild a replayed argument row's result; only a failed row's reply is parsed again."""
+    raw = RawStageOutput(row["id"], "argument", row["raw"], row["attempts"])
+    return ArgumentStageResult(
+        row["id"],
+        tuple(_parse_event(obj, row["id"]) for obj in row["events"]),
+        raw,
+        row["failed"],
+        tuple(row["examples"]),
+        recover_json_tail(row["raw"]) if row["failed"] else None,
+    )
 
 
 class Pipeline:
@@ -238,7 +267,7 @@ class Pipeline:
                     save_index(self._index, index_path)
         return self._index
 
-    # --- stages -----------------------------------------------------------
+    # --- per-segment flow ----------------------------------------------------
 
     def _artifact(self, stage: str) -> Path:
         return self.out_dir / ARTIFACT_NAMES[stage]
@@ -257,18 +286,31 @@ class Pipeline:
         with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
             return list(pool.map(fn, items))
 
-    def run_gate(self, segments: list[Segment]) -> list[dict]:
-        rows = self._load_if_resuming("gate")
-        if rows is not None:
-            return rows
-        cfg = self.config
-        lexicon = build_lexicon(self.support)
-        learned_provider = build_verdict_provider(cfg.learned) if cfg.learned else None
-        llm_file = FileVerdictProvider(cfg.gate_llm_file) if cfg.gate_llm_file else None
-        presence_llm = None if llm_file is not None else self.llm_for("presence")
-        policy = cfg.policy
+    def _segment_task(self, computed: set[str], replayed: dict[str, dict[str, dict]]):
+        """The pool task: one segment's replayed rows, then its computed stages in order.
 
-        def classify(seg: Segment) -> dict:
+        Every shared resource is resolved here, before the pool starts: the
+        lazy properties and llm_for are check-then-set, so resolving them
+        inside pool threads could build a second cache or provider.
+        """
+        cfg = self.config
+        ontology = self.ontology
+        cache = self.cache if computed else None
+        if "gate" in computed:
+            lexicon = build_lexicon(self.support)
+            learned_provider = build_verdict_provider(cfg.learned) if cfg.learned else None
+            llm_file = FileVerdictProvider(cfg.gate_llm_file) if cfg.gate_llm_file else None
+            presence_llm = None if llm_file is not None else self.llm_for("presence")
+        # Only a retrieving stage builds the index, so replaying both embeds nothing.
+        index = self.index if computed & {"triggers", "arguments"} else None
+        embedder = self.embedder if index is not None else None
+        trigger_llm = self.llm_for("trigger") if "triggers" in computed else None
+        argument_llm = self.llm_for("argument") if "arguments" in computed else None
+        format_llm = self.llm_for("format") if "final" in computed else None
+        retry = dict(cache=cache, max_attempts=cfg.max_attempts, templates_dir=cfg.templates)
+        extraction = dict(k=cfg.retrieval_k, corrective=cfg.corrective, **retry)
+
+        def gate(seg: Segment) -> dict:
             rule = rule_classify(seg, lexicon)
             learned = (
                 learned_classify(seg, learned_provider, threshold=cfg.gate_threshold)
@@ -281,8 +323,8 @@ class Pipeline:
                 llm = llm_classify(
                     seg,
                     presence_llm,
-                    self.ontology,
-                    cache=self.cache,
+                    ontology,
+                    cache=cache,
                     lenient=cfg.gate_lenient_llm,
                     templates_dir=cfg.templates,
                 )
@@ -292,131 +334,66 @@ class Pipeline:
                 "rule": rule,
                 "learned": learned,
                 "llm": llm,
-                "gated_in": vote(triple, policy),
+                "gated_in": vote(triple, cfg.policy),
             }
 
-        rows = sorted(self._map(classify, segments), key=lambda r: r["id"])
-        write_artifact(self._artifact("gate"), "gate", self.config_hash, rows)
-        return rows
+        def process(seg: Segment) -> SegmentRecord:
+            # A segment missing from a replayed artifact never reached that stage.
+            rows = {stage: by_id.get(seg.id) for stage, by_id in replayed.items()}
+            record = SegmentRecord(rows)
+            if "gate" in computed:
+                rows["gate"] = gate(seg)
+            if "triggers" in computed and rows["gate"] and rows["gate"]["gated_in"]:
+                found = extract_triggers(seg, index, ontology, trigger_llm, embedder, **extraction)
+                rows["triggers"] = {
+                    "id": seg.id,
+                    "predictions": [
+                        {"trigger": p.trigger, "type": p.event_type} for p in found.predictions
+                    ],
+                    "raw": found.raw.raw_text,
+                    "attempts": found.raw.attempts,
+                    "failed": found.failed,
+                    "examples": list(found.example_ids),
+                }
+            trigger_row = rows.get("triggers")
+            triggers = []
+            if trigger_row and not trigger_row["failed"]:
+                triggers = [
+                    TriggerPrediction(seg.id, p["trigger"], p["type"])
+                    for p in trigger_row["predictions"]
+                ]
+            result = None
+            if "arguments" in computed and triggers:
+                result = extract_arguments(
+                    seg,
+                    triggers,
+                    index,
+                    ontology,
+                    argument_llm,
+                    embedder,
+                    same_type_filter=cfg.same_type_filter,
+                    **extraction,
+                )
+                rows["arguments"] = {
+                    "id": seg.id,
+                    "events": [_event_obj(ev) for ev in result.events],
+                    "raw": result.raw.raw_text,
+                    "attempts": result.raw.attempts,
+                    "failed": result.failed,
+                    "examples": list(result.example_ids),
+                }
+            elif "final" in computed and rows.get("arguments"):
+                result = _argument_result(rows["arguments"])
+            if "final" in computed:
+                if result is not None:
+                    record.repair = repair_arguments(
+                        result, triggers, ontology, format_llm, **retry
+                    )
+                events = record.repair.events if record.repair else ()
+                rows["final"] = {"id": seg.id, "event": [_event_obj(ev) for ev in events]}
+            return record
 
-    def run_triggers(self, segments: list[Segment], gate_rows: list[dict]) -> list[dict]:
-        rows = self._load_if_resuming("triggers")
-        if rows is not None:
-            return rows
-        cfg = self.config
-        by_id = {s.id: s for s in segments}
-        gated_in = [by_id[r["id"]] for r in gate_rows if r["gated_in"]]
-        provider = self.llm_for("trigger")
-        index = self.index
-
-        def work(seg: Segment) -> dict:
-            result = extract_triggers(
-                seg,
-                index,
-                self.ontology,
-                provider,
-                self.embedder if index is not None else None,
-                k=cfg.retrieval_k,
-                cache=self.cache,
-                max_attempts=cfg.max_attempts,
-                corrective=cfg.corrective,
-                templates_dir=cfg.templates,
-            )
-            return {
-                "id": result.segment_id,
-                "predictions": [
-                    {"trigger": p.trigger, "type": p.event_type} for p in result.predictions
-                ],
-                "raw": result.raw.raw_text,
-                "attempts": result.raw.attempts,
-                "failed": result.failed,
-                "examples": list(result.example_ids),
-            }
-
-        rows = sorted(self._map(work, gated_in), key=lambda r: r["id"])
-        write_artifact(self._artifact("triggers"), "triggers", self.config_hash, rows)
-        return rows
-
-    def run_arguments(self, segments: list[Segment], trigger_rows: list[dict]) -> list[dict]:
-        rows = self._load_if_resuming("arguments")
-        if rows is not None:
-            return rows
-        cfg = self.config
-        by_id = {s.id: s for s in segments}
-        inputs = [r for r in trigger_rows if r["predictions"] and not r["failed"]]
-        provider = self.llm_for("argument")
-        index = self.index
-
-        def work(row: dict) -> dict:
-            seg = by_id[row["id"]]
-            triggers = [
-                TriggerPrediction(row["id"], p["trigger"], p["type"]) for p in row["predictions"]
-            ]
-            result = extract_arguments(
-                seg,
-                triggers,
-                index,
-                self.ontology,
-                provider,
-                self.embedder if index is not None else None,
-                k=cfg.retrieval_k,
-                cache=self.cache,
-                max_attempts=cfg.max_attempts,
-                corrective=cfg.corrective,
-                same_type_filter=cfg.same_type_filter,
-                templates_dir=cfg.templates,
-            )
-            return {
-                "id": result.segment_id,
-                "events": [_event_obj(ev) for ev in result.events],
-                "raw": result.raw.raw_text,
-                "attempts": result.raw.attempts,
-                "failed": result.failed,
-                "examples": list(result.example_ids),
-            }
-
-        rows = sorted(self._map(work, inputs), key=lambda r: r["id"])
-        write_artifact(self._artifact("arguments"), "arguments", self.config_hash, rows)
-        return rows
-
-    def run_final(
-        self, segments: list[Segment], trigger_rows: list[dict], argument_rows: list[dict]
-    ) -> list[dict]:
-        rows = self._load_if_resuming("final")
-        if rows is not None:
-            return rows
-        cfg = self.config
-        raws = [
-            RawStageOutput(r["id"], "argument", r["raw"], r["attempts"]) for r in argument_rows
-        ]
-        triggers_by_segment = {
-            r["id"]: [TriggerPrediction(r["id"], p["trigger"], p["type"]) for p in r["predictions"]]
-            for r in trigger_rows
-            if r["predictions"] and not r["failed"]
-        }
-        report = postprocess(
-            raws,
-            self.ontology,
-            self.llm_for("format"),
-            triggers_by_segment=triggers_by_segment,
-            cache=self.cache,
-            max_attempts=cfg.max_attempts,
-            templates_dir=cfg.templates,
-        )
-        self._result.argument_degraded = sorted(
-            e.segment_id for e in report.entries if e.degraded
-        )
-        self._result.formatting_attempts = report.formatting_attempts
-        events_by_id = report.events_by_segment()
-        rows = [
-            {
-                "id": seg.id,
-                "event": [_event_obj(ev) for ev in events_by_id.get(seg.id, ())],
-            }
-            for seg in sorted(segments, key=lambda s: s.id)
-        ]
-        write_artifact(self._artifact("final"), "final", self.config_hash, rows)
-        return rows
+        return process
 
     # --- orchestration ------------------------------------------------------
 
@@ -435,17 +412,32 @@ class Pipeline:
         result = self._result
         started = time.time()
 
-        gate_rows = self.run_gate(segments)
+        stop = STAGE_ORDER.index(until)
+        stages = [stage for stage in ARTIFACT_NAMES if STAGE_ORDER.index(stage) <= stop]
+        replayed = {}
+        for stage in stages:
+            rows = self._load_if_resuming(stage)
+            if rows is not None:
+                replayed[stage] = {row["id"]: row for row in rows}
+        computed = {stage for stage in stages if stage not in replayed}
+        records = self._map(self._segment_task(computed, replayed), segments)
+        artifacts = {
+            stage: [rec.rows[stage] for rec in records if rec.rows.get(stage)] for stage in stages
+        }
+        for stage in stages:
+            if stage in computed:
+                write_artifact(self._artifact(stage), stage, self.config_hash, artifacts[stage])
+
+        gate_rows = artifacts["gate"]
         result.gated_in = sum(1 for r in gate_rows if r["gated_in"])
         result.gated_out = len(gate_rows) - result.gated_in
-        stop = STAGE_ORDER.index(until)
-        if stop >= STAGE_ORDER.index("triggers"):
-            trigger_rows = self.run_triggers(segments, gate_rows)
-            result.trigger_failures = sorted(r["id"] for r in trigger_rows if r["failed"])
-        if stop >= STAGE_ORDER.index("arguments"):
-            argument_rows = self.run_arguments(segments, trigger_rows)
-        if stop >= STAGE_ORDER.index("final"):
-            final_rows = self.run_final(segments, trigger_rows, argument_rows)
+        if "triggers" in artifacts:
+            result.trigger_failures = [r["id"] for r in artifacts["triggers"] if r["failed"]]
+        repairs = [rec.repair for rec in records if rec.repair is not None]
+        result.argument_degraded = [e.segment_id for e in repairs if e.degraded]
+        result.formatting_attempts = sum(e.formatting_attempts for e in repairs)
+        if "final" in artifacts:
+            final_rows = artifacts["final"]
             predictions_path = self.out_dir / "predictions.jsonl"
             predictions_path.write_text(
                 "".join(json.dumps(row, sort_keys=True, ensure_ascii=True) + "\n" for row in final_rows),

@@ -150,9 +150,6 @@ class SupportIndex:
     def __len__(self) -> int:
         return len(self.example_ids)
 
-    def example_by_id(self, example_id: str) -> FewShotExample:
-        return self.examples[self.example_ids.index(example_id)]
-
 
 def build_index(
     examples: Sequence[FewShotExample],

@@ -25,10 +25,17 @@ import conftest
 from conftest import build_golden_corpus
 from eventpipe.cli import main
 from eventpipe.evaluate import prf
-from eventpipe.extract import RawStageOutput, TriggerPrediction, postprocess, recover_json_tail
+from eventpipe.extract import (
+    RawStageOutput,
+    TriggerPrediction,
+    extract_arguments,
+    postprocess,
+    recover_json_tail,
+    repair_arguments,
+)
 from eventpipe.gate import POLICY_NAMES, VerdictTriple, VotePolicy, vote
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.model import load_gold
+from eventpipe.model import Segment, load_gold
 from eventpipe.retrieval import search
 from test_evaluate import assert_matches_reference, random_instance
 from test_extract import A3_EXAMPLE_REPLY, RECOVERY_CASES
@@ -404,17 +411,20 @@ class TestCriterion9ValidationTotality:
     def test_no_invalid_event_survives_postprocessing(
         self, ontology, raw, repair, with_triggers
     ):
-        provider = ScriptedMockLlm({"s1/format": repair})
-        triggers = (
-            {"s1": [TriggerPrediction("s1", "war", "Attack")]} if with_triggers else None
-        )
-        report = postprocess(
-            [RawStageOutput("s1", "argument", raw, 1)],
-            ontology,
-            provider,
-            triggers_by_segment=triggers,
-        )
-        for entry in report.entries:
+        provider = ScriptedMockLlm({"s1/argument": raw, "s1/format": repair})
+        if with_triggers:
+            # Pipeline path: the argument step's reply, repaired against the
+            # committed triggers.
+            triggers = [TriggerPrediction("s1", "war", "Attack")]
+            result = extract_arguments(
+                Segment(id="s1", text="a war broke out"), triggers, None, ontology, provider, k=0
+            )
+            entries = [repair_arguments(result, triggers, ontology, provider)]
+        else:
+            entries = postprocess(
+                [RawStageOutput("s1", "argument", raw, 1)], ontology, provider
+            ).entries
+        for entry in entries:
             if entry.excluded:
                 assert entry.events == ()
                 continue

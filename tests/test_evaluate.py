@@ -333,12 +333,7 @@ class TestRunAblation:
     def test_scores_by_policy(self):
         gold, predictions, verdicts = self._fixture()
         policies = [VotePolicy.parse(name) for name in ("without", "rule", "all")]
-        table = run_ablation(
-            gold,
-            verdicts,
-            {"without": predictions, "rule": predictions, "all": predictions},
-            policies,
-        )
+        table = run_ablation(gold, verdicts, predictions, policies)
         assert table.gated_in == {"without": 2, "rule": 2, "all": 1}
         # "all" drops the wrong s2 prediction, lifting precision.
         assert table.reports["all"].tc.precision == 1.0
@@ -347,22 +342,10 @@ class TestRunAblation:
         assert table.reports["all"].tc.recall == 0.5
         assert table.reports["without"].tc.recall == 0.5
 
-    def test_missing_run_renders_as_absent_cell(self):
-        gold, predictions, verdicts = self._fixture()
-        policies = [VotePolicy.parse(name) for name in ("without", "all")]
-        table = run_ablation(
-            gold, verdicts, {"without": predictions, "all": None}, policies
-        )
-        assert table.reports["all"] is None
-        rendered = table.render()
-        all_row = [line for line in rendered.splitlines() if line.startswith("all")][0]
-        assert all_row.split() == ["all", "-", "-", "-"]
-
     def test_render_header_and_nesting_footer(self):
         gold, predictions, verdicts = self._fixture()
         policies = [VotePolicy.parse(name) for name in ("without", "one+", "two+", "all")]
-        by_policy = {name: predictions for name in ("without", "one+", "two+", "all")}
-        table = run_ablation(gold, verdicts, by_policy, policies)
+        table = run_ablation(gold, verdicts, predictions, policies)
         lines = table.render().splitlines()
         assert lines[0] == f"{'policy':<10} {'TC F1(%)':>9} {'AC F1(%)':>9} {'gated_in':>9}"
         assert lines[-1] == "gated-in nesting: all:1 <= two+:1 <= one+:2"
@@ -370,13 +353,12 @@ class TestRunAblation:
     def test_to_dict_shape(self):
         gold, predictions, verdicts = self._fixture()
         policies = [VotePolicy.parse("without"), VotePolicy.parse("all")]
-        table = run_ablation(
-            gold, verdicts, {"without": predictions, "all": None}, policies
-        )
+        table = run_ablation(gold, verdicts, predictions, policies)
         payload = table.to_dict()
         assert set(payload) == {"policies", "by_policy", "gated_in"}
         assert payload["policies"] == ["without", "all"]
-        assert payload["by_policy"]["all"] is None
+        assert set(payload["by_policy"]) == {"without", "all"}
+        assert payload["by_policy"]["all"]["tc"]["n_pred"] == 1
         assert payload["by_policy"]["without"]["tc"]["n_pred"] == 2
 
     def test_nesting_counts_monotone_on_random_verdicts(self):
@@ -395,9 +377,7 @@ class TestRunAblation:
                 for i in range(n)
             }
             policies = [VotePolicy.parse(p) for p in ("without", "one+", "two+", "all")]
-            table = run_ablation(
-                gold, verdicts, {p.name: predictions for p in policies}, policies
-            )
+            table = run_ablation(gold, verdicts, predictions, policies)
             g = table.gated_in
             assert g["all"] <= g["two+"] <= g["one+"] <= g["without"]
 

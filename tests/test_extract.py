@@ -16,6 +16,7 @@ from eventpipe.extract import (
     parse_trigger_reply,
     postprocess,
     recover_json_tail,
+    repair_arguments,
     retrieve_examples,
 )
 from eventpipe.llm import ScriptedMockLlm
@@ -173,6 +174,11 @@ class TestRecoverJsonTail:
 
     def test_suite_has_at_least_twenty_cases(self):
         assert len(RECOVERY_CASES) >= 20
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_openers_nested_past_the_recursion_limit_are_skipped(self, depth):
+        raw = "[" * depth + ' answer: [{"trigger": "met", "type": "Meet"}]'
+        assert recover_json_tail(raw) == [{"trigger": "met", "type": "Meet", "arguments": []}]
 
     def test_recovery_is_idempotent_on_its_own_output(self):
         for _, raw, expected in RECOVERY_CASES:
@@ -476,25 +482,30 @@ class TestExtractArguments:
 
 
 class TestPostprocess:
+    # Pipeline path: the argument step's reply, repaired against the
+    # committed triggers.
+    def _repair(self, ontology, reply: str, format_provider):
+        triggers = [TriggerPrediction("s1", "war", "Attack")]
+        result = extract_arguments(
+            Segment(id="s1", text="a war broke out"),
+            triggers,
+            None,
+            ontology,
+            ScriptedMockLlm({"s1/argument": reply}),
+            k=0,
+        )
+        return repair_arguments(result, triggers, ontology, format_provider)
+
     def test_recoverable_raw_needs_no_provider(self, ontology):
-        raws = [
-            RawStageOutput(
-                "s1",
-                "argument",
-                'noise [{"trigger": "war", "type": "Attack", "arguments": []}]',
-                1,
-            )
-        ]
-        triggers = {"s1": [TriggerPrediction("s1", "war", "Attack")]}
         provider = ScriptedMockLlm({})  # any request would raise MockMissError
-        report = postprocess(raws, ontology, provider, triggers_by_segment=triggers)
-        assert report.entries[0].events[0].trigger == "war"
-        assert report.formatting_attempts == 0
+        entry = self._repair(
+            ontology, 'noise [{"trigger": "war", "type": "Attack", "arguments": []}]', provider
+        )
+        assert entry.events[0].trigger == "war"
+        assert entry.formatting_attempts == 0
         assert provider.call_count == 0
 
     def test_unrecoverable_raw_goes_through_format_prompt(self, ontology):
-        raws = [RawStageOutput("s1", "argument", "prose about the war only", 3)]
-        triggers = {"s1": [TriggerPrediction("s1", "war", "Attack")]}
         provider = ScriptedMockLlm(
             {
                 "s1/format": (
@@ -503,42 +514,38 @@ class TestPostprocess:
                 )
             }
         )
-        report = postprocess(raws, ontology, provider, triggers_by_segment=triggers)
-        entry = report.entries[0]
+        entry = self._repair(ontology, "prose about the war only", provider)
         assert not entry.degraded
         assert not entry.excluded
         assert entry.events[0].arguments[0].name == "rebels"
-        assert report.formatting_attempts == 1
+        assert entry.formatting_attempts == 1
 
     def test_invalid_roles_dropped_when_triggers_known(self, ontology):
-        raws = [
-            RawStageOutput(
-                "s1",
-                "argument",
-                '[{"trigger": "war", "type": "Attack", "arguments": '
-                '[{"name": "rebels", "role": "Attacker"}, {"name": "monday", "role": "Time"}]}]',
-                3,
-            )
-        ]
-        triggers = {"s1": [TriggerPrediction("s1", "war", "Attack")]}
         provider = ScriptedMockLlm({})
-        report = postprocess(raws, ontology, provider, triggers_by_segment=triggers)
-        events = report.entries[0].events
-        assert [a.name for a in events[0].arguments] == ["rebels"]
+        entry = self._repair(
+            ontology,
+            '[{"trigger": "war", "type": "Attack", "arguments": '
+            '[{"name": "rebels", "role": "Attacker"}, {"name": "monday", "role": "Time"}]}]',
+            provider,
+        )
+        assert [a.name for a in entry.events[0].arguments] == ["rebels"]
         assert provider.call_count == 0
 
     def test_degraded_when_format_model_also_fails(self, ontology):
-        raws = [RawStageOutput("s1", "argument", "prose that never parses", 3)]
-        triggers = {"s1": [TriggerPrediction("s1", "war", "Attack")]}
         provider = ScriptedMockLlm({"s1/format": "still prose"})
-        report = postprocess(raws, ontology, provider, triggers_by_segment=triggers)
-        entry = report.entries[0]
+        entry = self._repair(ontology, "prose that never parses", provider)
         assert entry.degraded
         assert not entry.excluded
         # Committed triggers survive as events with no arguments.
         assert entry.events == (
             EventMention(trigger="war", event_type="Attack", arguments=()),
         )
+
+    def test_blank_raw_with_triggers_degrades_without_provider_call(self, ontology):
+        provider = ScriptedMockLlm({})
+        entry = self._repair(ontology, "", provider)
+        assert entry.degraded
+        assert provider.call_count == 0
 
     def test_standalone_mode_excludes_invalid_segments(self, ontology):
         raws = [
@@ -548,9 +555,9 @@ class TestPostprocess:
         provider = ScriptedMockLlm({"bad/format": "still nothing"})
         report = postprocess(raws, ontology, provider)
         assert report.excluded_ids == ["bad"]
-        by_id = report.events_by_segment()
-        assert "bad" not in by_id
-        assert by_id["good"][0].event_type == "Attack"
+        good, bad = report.entries
+        assert bad.events == ()
+        assert good.events[0].event_type == "Attack"
 
     def test_standalone_mode_requires_full_validity(self, ontology):
         # Without committed triggers there is nothing to salvage: a reply
@@ -571,12 +578,4 @@ class TestPostprocess:
         entry = report.entries[0]
         assert not entry.excluded
         assert entry.events[0].arguments == ()
-        assert report.formatting_attempts == 1
-
-    def test_blank_raw_with_triggers_degrades_without_provider_call(self, ontology):
-        raws = [RawStageOutput("s1", "argument", "", 1)]
-        triggers = {"s1": [TriggerPrediction("s1", "war", "Attack")]}
-        provider = ScriptedMockLlm({})
-        report = postprocess(raws, ontology, provider, triggers_by_segment=triggers)
-        assert report.entries[0].degraded
-        assert provider.call_count == 0
+        assert entry.formatting_attempts == 1

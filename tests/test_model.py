@@ -14,7 +14,6 @@ from eventpipe.model import (
     Ontology,
     Segment,
     ValidationError,
-    join_on_id,
     load_gold,
     load_ontology,
     load_transcripts,
@@ -47,7 +46,7 @@ class TestNormalize:
 class TestOntology:
     def test_default_ontology_shape(self, ontology):
         assert len(ontology.event_types) == 33
-        assert len(ontology.all_roles) == 22
+        assert len({r for roles in ontology.roles_by_type.values() for r in roles}) == 22
         # Types are unique and every type has at least one role.
         assert len(set(ontology.event_types)) == 33
         for event_type in ontology.event_types:
@@ -201,22 +200,3 @@ class TestLoaders:
         with pytest.raises((DatasetError, FileNotFoundError, OSError)):
             load_gold(tmp_path / "nope.jsonl", ontology)
 
-
-class TestJoin:
-    def test_join_reports_both_sides(self, ontology):
-        gold = [
-            _labeled("a", ontology),
-            _labeled("b", ontology),
-        ]
-        transcripts = [Segment(id="b", text="text b"), Segment(id="c", text="text c")]
-        joined, gold_only, transcript_only = join_on_id(gold, transcripts)
-        assert [ls.segment.id for ls in joined] == ["b"]
-        assert joined[0].segment.text == "text b"
-        assert gold_only == ["a"]
-        assert transcript_only == ["c"]
-
-
-def _labeled(segment_id, ontology):
-    from eventpipe.model import LabeledSegment
-
-    return LabeledSegment(segment=Segment(id=segment_id, text=""), gold_events=())

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import build_golden_corpus
 from eventpipe.config import ConfigError
+from eventpipe.llm import ResponseCache
 from eventpipe.model import DatasetError, load_gold
 from eventpipe.pipeline import (
     Pipeline,
@@ -23,6 +26,27 @@ ARTIFACTS = ("gate.jsonl", "triggers.jsonl", "arguments.jsonl", "final.jsonl")
 def snapshot(out_dir: Path) -> dict[str, bytes]:
     names = ARTIFACTS + ("predictions.jsonl", "report.json")
     return {name: (out_dir / name).read_bytes() for name in names}
+
+
+# sha256 prefixes of the golden run's outputs. Artifact headers are left out
+# because the config hash covers the corpus's temporary paths.
+GOLDEN_DIGESTS = {
+    "gate.jsonl": "d4c8ebafae3e9959",
+    "triggers.jsonl": "698f1a42b1afef89",
+    "arguments.jsonl": "e21060ea949f2049",
+    "final.jsonl": "879acdb8561a9aa5",
+    "predictions.jsonl": "879acdb8561a9aa5",
+    "report.json": "3eeecbee4e3b6d55",
+}
+
+
+def digests(out_dir: Path) -> dict[str, str]:
+    out = {}
+    for name, data in snapshot(out_dir).items():
+        if name in ARTIFACTS:
+            data = data.split(b"\n", 1)[1]
+        out[name] = hashlib.sha256(data).hexdigest()[:16]
+    return out
 
 
 class TestArtifactIO:
@@ -95,6 +119,24 @@ class TestGoldenRun:
         # 12 support examples plus one query embedding per extraction call
         # that actually retrieved (10 trigger segments, 9 argument segments).
         assert result.texts_embedded == 31
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_outputs_match_pinned_digests(self, tmp_path, workers):
+        corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
+        Pipeline(corpus.config).run()
+        assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+
+    def test_accepted_no_argument_reply_is_not_repaired(self, golden_corpus):
+        script = json.loads(golden_corpus.script_path.read_text(encoding="utf-8"))
+        script["seg-001/argument"] = "There are no arguments."
+        golden_corpus.script_path.write_text(json.dumps(script), encoding="utf-8")
+        result = Pipeline(golden_corpus.config).run()
+        # The only formatting call is seg-005's, whose reply holds no JSON.
+        assert result.provider_calls["format"] == 1
+        assert result.argument_degraded == []
+        lines = result.predictions_path.read_text(encoding="utf-8").splitlines()
+        events = {row["id"]: row["event"] for row in map(json.loads, lines)}
+        assert events["seg-001"] == [{"trigger": "election", "type": "Elect", "arguments": []}]
 
     def test_all_artifacts_written_with_matching_headers(self, golden_corpus):
         pipeline = Pipeline(golden_corpus.config)
@@ -180,6 +222,32 @@ class TestDeterminismAndResume:
         assert snapshot(golden_corpus.output_dir) == bytes_first
         tc = resumed.report.tc
         assert (tc.tp, tc.n_pred, tc.n_gold) == golden_corpus.tc_counts
+
+    def test_stage_by_stage_resume_matches_one_shot_run(self, tmp_path):
+        corpus = build_golden_corpus(tmp_path / "steps", with_cache=False)
+        steps = []
+        for until in ("gate", "triggers", "arguments", "final", "score"):
+            result = Pipeline(corpus.config, resume=True).run(until=until)
+            steps.append((result.provider_calls["total"], result.texts_embedded))
+        # Each step replays the earlier stages and pays only for its own; the
+        # index (12 support texts) is built only by the retrieving stages.
+        assert steps == [(31, 0), (13, 22), (13, 21), (1, 0), (0, 0)]
+        assert result.resumed_stages == ["gate", "triggers", "arguments", "final"]
+        assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+
+    def test_cache_is_opened_once_per_run(self, golden_corpus, monkeypatch):
+        opened = []
+        original = ResponseCache.__init__
+
+        def slow_init(self, path):
+            # Widens the window in which a second thread could build its own cache.
+            time.sleep(0.05)
+            opened.append(path)
+            original(self, path)
+
+        monkeypatch.setattr(ResponseCache, "__init__", slow_init)
+        Pipeline(golden_corpus.config).run(until="gate")
+        assert len(opened) == 1
 
     def test_resume_rejects_artifacts_from_other_config(self, golden_corpus):
         Pipeline(golden_corpus.config).run()

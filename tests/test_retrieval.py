@@ -217,7 +217,8 @@ class TestPersistence:
         path = tmp_path / "index.jsonl"
         save_index(index, path)
         loaded = load_index(path, examples)
-        assert loaded.example_by_id("ex-002").text == "text number 2"
+        by_id = dict(zip(loaded.example_ids, loaded.examples))
+        assert by_id["ex-002"].text == "text number 2"
 
     def test_missing_example_for_stored_id_rejected(self, tmp_path):
         examples = _examples(4)
