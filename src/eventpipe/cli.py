@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,16 @@ from .gate import (
     load_verdict_triples,
 )
 from .llm import CacheError, FormatFailureError, MockMissError
-from .model import DatasetError, ValidationError, load_gold, load_ontology
+from .model import (
+    DatasetError,
+    ValidationError,
+    event_to_dict,
+    load_gold,
+    load_ontology,
+    read_rows,
+    write_json,
+    write_rows,
+)
 from .pipeline import Pipeline, read_artifact
 from .prompts import TemplateError
 from .retrieval import EmbeddingError, build_index, save_index
@@ -67,9 +75,7 @@ def cmd_score(args) -> int:
     )
     print(report.render())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.out, report.to_dict())
     return EXIT_OK
 
 
@@ -105,7 +111,7 @@ def cmd_ablate(args) -> int:
     table = run_ablation(gold, verdicts, predictions, policies, set_semantics=config.set_semantics)
     print(table.render())
     out_path = Path(ablation_config.output_dir) / "ablation.json"
-    out_path.write_text(json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n", "utf-8")
+    write_json(out_path, table.to_dict())
     print(f"ablation report: {out_path}")
     return EXIT_OK
 
@@ -160,16 +166,10 @@ def cmd_format(args) -> int:
     config = PipelineConfig.load(args.config)
     ontology = load_ontology(config.ontology)
     pipe = Pipeline(config)
-    raws = []
-    for lineno, line in enumerate(
-        Path(args.raw_file).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if "id" not in rec or "raw" not in rec:
-            raise DatasetError(f"{args.raw_file}:{lineno}: raw record needs 'id' and 'raw'")
-        raws.append(RawStageOutput(rec["id"], "argument", rec["raw"], int(rec.get("attempts", 1))))
+    raws = [
+        RawStageOutput(rec["id"], "argument", rec["raw"], int(rec.get("attempts", 1)))
+        for _, rec in read_rows(args.raw_file, ("raw",))
+    ]
     report = postprocess(
         raws,
         ontology,
@@ -179,25 +179,13 @@ def cmd_format(args) -> int:
         templates_dir=config.templates,
     )
     rows = [
-        {
-            "id": entry.segment_id,
-            "event": [
-                {
-                    "trigger": ev.trigger,
-                    "type": ev.event_type,
-                    "arguments": [{"name": a.name, "role": a.role} for a in ev.arguments],
-                }
-                for ev in entry.events
-            ],
-        }
+        {"id": entry.segment_id, "event": [event_to_dict(ev) for ev in entry.events]}
         for entry in report.entries
         if not entry.excluded
     ]
     out = Path(args.out) if args.out else Path(config.output_dir) / "formatted.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        "".join(json.dumps(r, sort_keys=True, ensure_ascii=True) + "\n" for r in rows), "utf-8"
-    )
+    write_rows(out, rows)
     excluded = report.excluded_ids
     print(f"formatted: {out} ({len(rows)} segments, {len(excluded)} excluded)")
     if excluded:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .gate import VotePolicy
@@ -63,26 +63,7 @@ class ProviderConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "ProviderConfig":
-        _take(
-            data,
-            (
-                "kind",
-                "endpoint",
-                "model",
-                "api_key_env",
-                "timeout",
-                "max_retries",
-                "max_in_flight",
-                "min_interval",
-                "sampling",
-                "batch_size",
-                "script",
-                "name",
-                "dimension",
-                "path",
-            ),
-            where,
-        )
+        _take(data, tuple(f.name for f in fields(cls)), where)
         if "kind" not in data:
             raise ConfigError(f"{where}: provider needs a 'kind'")
         try:
@@ -91,22 +72,7 @@ class ProviderConfig:
             raise ConfigError(f"{where}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "api_key_env": self.api_key_env,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "max_in_flight": self.max_in_flight,
-            "min_interval": self.min_interval,
-            "sampling": self.sampling,
-            "batch_size": self.batch_size,
-            "script": self.script,
-            "name": self.name,
-            "dimension": self.dimension,
-            "path": self.path,
-        }
+        return asdict(self)
 
 
 def _provider_or_none(data, where: str) -> ProviderConfig | None:

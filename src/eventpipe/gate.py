@@ -10,14 +10,21 @@ package's job.
 """
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Protocol
 
-from .model import DatasetError, LabeledSegment, Segment, normalize
+from .model import (
+    DatasetError,
+    LabeledSegment,
+    Segment,
+    check_rows,
+    iter_json_records,
+    normalize,
+    read_rows,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .llm import LlmProvider
@@ -160,23 +167,13 @@ class VerdictProvider(Protocol):
 
 
 class FileVerdictProvider:
-    """Precomputed verdicts: JSON-lines {"id", "present": bool} or {"id", "p": number}."""
+    """Precomputed verdicts: rows {"id", "present": bool} or {"id", "p": number}."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._by_id: dict[str, float] = {}
-        for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{self.path}: invalid JSON at line {lineno}") from exc
-            if not isinstance(rec, dict) or "id" not in rec:
-                raise DatasetError(f"{self.path}: line {lineno} has no 'id' field")
+        for lineno, rec in read_rows(self.path):
             rid = str(rec["id"])
-            if rid in self._by_id:
-                raise DatasetError(f"{self.path}: duplicate id {rid!r}")
             if "present" in rec:
                 self._by_id[rid] = 1.0 if rec["present"] else 0.0
             elif "p" in rec:
@@ -329,28 +326,18 @@ def agreement_table(verdicts: Iterable[VerdictTriple]) -> AgreementTable:
 def load_verdict_triples(path: str | Path) -> dict[str, VerdictTriple]:
     """Load full verdict triples from a gate-stage artifact or a fixture file.
 
-    Accepts JSON-lines records {"id", "rule", "learned", "llm", ...}; extra
-    fields (such as "gated_in") are ignored. Duplicate ids are rejected.
+    Accepts records {"id", "rule", "learned", "llm", ...} as JSON lines or one
+    JSON array; extra fields (such as "gated_in") are ignored. Duplicate ids
+    are rejected.
     """
-    path = Path(path)
+    records = (
+        (lineno, rec)
+        for lineno, rec in iter_json_records(path)
+        if not (isinstance(rec, dict) and "stage" in rec and "id" not in rec)  # artifact header
+    )
     out: dict[str, VerdictTriple] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
-        if not isinstance(rec, dict):
-            raise DatasetError(f"{path}: line {lineno} is not an object")
-        if "stage" in rec and "id" not in rec:
-            continue  # artifact header line
-        missing = [k for k in ("id", "rule", "learned", "llm") if k not in rec]
-        if missing:
-            raise DatasetError(f"{path}: line {lineno} is missing {missing}")
+    for _, rec in check_rows(path, records, ("rule", "learned", "llm")):
         rid = str(rec["id"])
-        if rid in out:
-            raise DatasetError(f"{path}: duplicate id {rid!r}")
         out[rid] = VerdictTriple(
             rule=bool(rec["rule"]), learned=bool(rec["learned"]), llm=bool(rec["llm"])
         )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -93,8 +94,9 @@ class ResponseCache:
     """Append-only JSONL store of completion responses, keyed by request hash.
 
     Each line is {"key": <sha256 hex>, "response": <string>}. Entries are
-    loaded once at open; writes append and flush under a lock, so the file
-    stays valid after a crash mid-run.
+    loaded once at open; writes append and flush under a lock. A crash
+    mid-append leaves a torn last line, which the next open cuts off; a
+    malformed complete line raises CacheError.
     """
 
     def __init__(self, path: str | Path):
@@ -103,10 +105,15 @@ class ResponseCache:
         self._entries: dict[str, str] = {}
         if self.path.exists():
             try:
-                text = self.path.read_text(encoding="utf-8")
+                data = self.path.read_bytes()
+                # A last line without its newline is a put that a crash cut
+                # short: drop it so the next append starts on a fresh line.
+                end = data.rfind(b"\n") + 1
+                if end < len(data):
+                    os.truncate(self.path, end)
             except OSError as exc:
-                raise CacheError(f"cannot read cache file {self.path}: {exc}") from exc
-            for lineno, line in enumerate(text.splitlines(), start=1):
+                raise CacheError(f"cannot open cache file {self.path}: {exc}") from exc
+            for lineno, line in enumerate(data[:end].decode("utf-8").splitlines(), start=1):
                 if not line.strip():
                     continue
                 try:
@@ -216,13 +223,15 @@ class HttpLlmProvider(LlmProvider):
 
     @property
     def provider_id(self) -> str:
-        return f"http:{self.model}@{self.endpoint}"
+        """Model and endpoint, plus the sampling settings when any are set."""
+        base = f"http:{self.model}@{self.endpoint}"
+        if not self.sampling:
+            return base
+        return f"{base}#{json.dumps(self.sampling, sort_keys=True, separators=(',', ':'))}"
 
     def _headers(self) -> dict[str, str] | None:
         if not self.api_key_env:
             return None
-        import os
-
         key = os.environ.get(self.api_key_env)
         if not key:
             raise ProviderError(
@@ -318,27 +327,25 @@ def complete_with_retry(
 ) -> CompletionResult:
     """Re-issue a bundle until the verifier accepts a response.
 
-    By default each retry sends the identical bundle; with corrective=True a
-    fixed corrective user message is appended for retries. The original bundle
-    is never mutated. Exhaustion raises FormatFailureError carrying the last
-    raw response.
+    By default each retry sends the identical bundle; with corrective=True
+    each retry appends one user message holding a fixed correction and the
+    reply just rejected. The original bundle is never mutated. Exhaustion
+    raises FormatFailureError carrying the last raw response.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    retry_bundle = bundle
-    if corrective:
-        retry_bundle = PromptBundle(
-            bundle.messages + (PromptMessage("user", _CORRECTIVE_NOTE),),
-            bundle.stage,
-            bundle.segment_id,
-        )
+    request = bundle
     raws: list[str] = []
     for attempt in range(1, max_attempts + 1):
-        request = bundle if attempt == 1 else retry_bundle
         text = cached_complete(provider, cache, request, attempt=attempt)
         raws.append(text)
         if verifier(text):
             return CompletionResult(text=text, attempts=attempt, raws=tuple(raws))
+        if corrective:
+            note = f"{_CORRECTIVE_NOTE}\nYour previous reply was:\n{text}"
+            request = PromptBundle(
+                bundle.messages + (PromptMessage("user", note),), bundle.stage, bundle.segment_id
+            )
     raise FormatFailureError(
         f"all {max_attempts} completion attempts rejected for segment "
         f"{bundle.segment_id!r} stage {bundle.stage!r}",

@@ -1,18 +1,21 @@
-"""Domain types, the event ontology, and dataset/transcript loading.
+"""Domain types, the event ontology, dataset loading and the row-file codec.
 
 Every record that enters the pipeline passes through here: gold annotations,
 raw transcripts, and the ontology that defines which event types and argument
 roles are legal. All types are immutable after load and safe to share across
-workers.
+workers. Every row file (JSON lines or one JSON array) is read through
+``iter_json_records`` and ``check_rows``, and every row or report file is
+written through ``write_rows`` or ``write_json``, which replace the file whole.
 """
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "Argument",
@@ -22,11 +25,17 @@ __all__ = [
     "Ontology",
     "Segment",
     "ValidationError",
+    "check_rows",
     "default_ontology_path",
+    "event_to_dict",
+    "iter_json_records",
     "load_gold",
     "load_ontology",
     "load_transcripts",
     "normalize",
+    "read_rows",
+    "write_json",
+    "write_rows",
 ]
 
 _WS_RUN = re.compile(r"\s+")
@@ -156,8 +165,13 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     return Ontology(event_types=tuple(raw.keys()), roles_by_type=roles_by_type)
 
 
-def _iter_json_records(path: Path) -> Iterable[tuple[int, Any]]:
-    """Yield (line_number, record) from a JSON array or JSON-lines file."""
+def iter_json_records(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Yield (line_number, record) from a JSON array or JSON-lines file.
+
+    Array elements are numbered from 1. Invalid JSON raises DatasetError
+    naming the path and line.
+    """
+    path = Path(path)
     text = path.read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -175,6 +189,55 @@ def _iter_json_records(path: Path) -> Iterable[tuple[int, Any]]:
             yield lineno, json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
+
+
+def check_rows(
+    path: str | Path, records: Iterable[tuple[int, Any]], fields: tuple[str, ...] = ()
+) -> Iterator[tuple[int, dict]]:
+    """Yield records that are objects holding every named field and an 'id' not seen before."""
+    required = ("id",) + fields
+    required_set = frozenset(required)
+    seen: set[str] = set()
+    for lineno, rec in records:
+        if not isinstance(rec, dict) or not rec.keys() >= required_set:
+            names = " and ".join(repr(key) for key in required)
+            raise DatasetError(f"{path}: record at line {lineno} needs {names}")
+        rid = str(rec["id"])
+        if rid in seen:
+            raise DatasetError(f"{path}: duplicate id {rid!r} at line {lineno}")
+        seen.add(rid)
+        yield lineno, rec
+
+
+def read_rows(path: str | Path, fields: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+    """Read a headerless row file: iter_json_records, then check_rows."""
+    return check_rows(path, iter_json_records(path), fields)
+
+
+def _replace(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write chunks to a temporary file beside path, then rename it over path.
+
+    An error or crash mid-write leaves the previous file whole.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
+    """Replace path with one sorted-key JSON line per row."""
+    _replace(path, (json.dumps(row, sort_keys=True, ensure_ascii=True) + "\n" for row in rows))
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Replace path with one indented, sorted-key JSON document."""
+    _replace(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
 def _parse_event(obj: Any, record_id: str) -> EventMention:
@@ -202,6 +265,15 @@ def _parse_event(obj: Any, record_id: str) -> EventMention:
     return EventMention(trigger=trigger, event_type=etype, arguments=tuple(args))
 
 
+def event_to_dict(ev: EventMention) -> dict:
+    """The row form of an event; _parse_event reads it back."""
+    return {
+        "trigger": ev.trigger,
+        "type": ev.event_type,
+        "arguments": [{"name": a.name, "role": a.role} for a in ev.arguments],
+    }
+
+
 def load_gold(path: str | Path, ontology: Ontology) -> list[LabeledSegment]:
     """Load and validate a gold file (JSON array or JSON-lines of id/event records).
 
@@ -209,16 +281,9 @@ def load_gold(path: str | Path, ontology: Ontology) -> list[LabeledSegment]:
     a ``text`` field; absent text defaults to the empty string and is expected
     to be joined from a transcript file by id.
     """
-    path = Path(path)
     out: list[LabeledSegment] = []
-    seen: set[str] = set()
-    for lineno, rec in _iter_json_records(path):
-        if not isinstance(rec, dict) or "id" not in rec:
-            raise DatasetError(f"{path}: record at line {lineno} has no 'id' field")
+    for _, rec in read_rows(path):
         rid = str(rec["id"])
-        if rid in seen:
-            raise DatasetError(f"{path}: duplicate id {rid!r}")
-        seen.add(rid)
         raw_events = rec.get("event", [])
         if not isinstance(raw_events, list):
             raise DatasetError(f"record {rid!r}: 'event' must be a list")
@@ -236,18 +301,9 @@ def load_gold(path: str | Path, ontology: Ontology) -> list[LabeledSegment]:
 
 def load_transcripts(path: str | Path) -> list[Segment]:
     """Load a transcript file: JSON-lines {"id": string, "text": string}."""
-    path = Path(path)
     out: list[Segment] = []
-    seen: set[str] = set()
-    for lineno, rec in _iter_json_records(path):
-        if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
-            raise DatasetError(
-                f"{path}: record at line {lineno} needs 'id' and 'text' fields"
-            )
+    for _, rec in read_rows(path, ("text",)):
         rid = str(rec["id"])
-        if rid in seen:
-            raise DatasetError(f"{path}: duplicate id {rid!r}")
-        seen.add(rid)
         text = rec["text"]
         if not isinstance(text, str):
             raise DatasetError(f"{path}: record {rid!r}: 'text' must be a string")

@@ -52,13 +52,17 @@ from .gate import (
 from .llm import LlmProvider, ResponseCache
 from .model import (
     DatasetError,
-    EventMention,
     LabeledSegment,
     Segment,
     _parse_event,
+    check_rows,
+    event_to_dict,
+    iter_json_records,
     load_gold,
     load_ontology,
     load_transcripts,
+    write_json,
+    write_rows,
 )
 from .prompts import PromptBundle
 from .retrieval import FewShotExample, SupportIndex, build_index, load_index, save_index
@@ -90,19 +94,17 @@ class ResumeError(ConfigError):
 
 def write_artifact(path: Path, stage: str, config_hash: str, rows: Sequence[dict]) -> None:
     """Write a stage artifact: self-describing header line, then sorted rows."""
-    lines = [json.dumps({"stage": stage, "config_hash": config_hash}, sort_keys=True)]
-    lines.extend(json.dumps(row, sort_keys=True, ensure_ascii=True) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, [{"stage": stage, "config_hash": config_hash}, *rows])
 
 
 def read_artifact(path: Path, stage: str, config_hash: str) -> list[dict] | None:
     """Load a stage artifact if present; raise ResumeError on a foreign header."""
     if not path.exists():
         return None
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    records = iter_json_records(path)
+    _, header = next(records, (0, None))
+    if header is None:
         raise ResumeError(f"{path}: empty artifact")
-    header = json.loads(lines[0])
     if header.get("stage") != stage:
         raise ResumeError(f"{path}: artifact is for stage {header.get('stage')!r}, not {stage!r}")
     if header.get("config_hash") != config_hash:
@@ -110,7 +112,7 @@ def read_artifact(path: Path, stage: str, config_hash: str) -> list[dict] | None
             f"{path}: artifact config hash {header.get('config_hash')!r} does not match "
             f"this configuration ({config_hash!r}); delete the output directory or fix the config"
         )
-    return [json.loads(line) for line in lines[1:] if line.strip()]
+    return [row for _, row in check_rows(path, records)]
 
 
 class CountingLlm(LlmProvider):
@@ -168,14 +170,6 @@ class SegmentRecord:
 
     rows: dict[str, dict | None]
     repair: PostprocessEntry | None = None
-
-
-def _event_obj(ev: EventMention) -> dict:
-    return {
-        "trigger": ev.trigger,
-        "type": ev.event_type,
-        "arguments": [{"name": a.name, "role": a.role} for a in ev.arguments],
-    }
 
 
 def _argument_result(row: dict) -> ArgumentStageResult:
@@ -376,7 +370,7 @@ class Pipeline:
                 )
                 rows["arguments"] = {
                     "id": seg.id,
-                    "events": [_event_obj(ev) for ev in result.events],
+                    "events": [event_to_dict(ev) for ev in result.events],
                     "raw": result.raw.raw_text,
                     "attempts": result.raw.attempts,
                     "failed": result.failed,
@@ -390,7 +384,7 @@ class Pipeline:
                         result, triggers, ontology, format_llm, **retry
                     )
                 events = record.repair.events if record.repair else ()
-                rows["final"] = {"id": seg.id, "event": [_event_obj(ev) for ev in events]}
+                rows["final"] = {"id": seg.id, "event": [event_to_dict(ev) for ev in events]}
             return record
 
         return process
@@ -439,10 +433,7 @@ class Pipeline:
         if "final" in artifacts:
             final_rows = artifacts["final"]
             predictions_path = self.out_dir / "predictions.jsonl"
-            predictions_path.write_text(
-                "".join(json.dumps(row, sort_keys=True, ensure_ascii=True) + "\n" for row in final_rows),
-                encoding="utf-8",
-            )
+            write_rows(predictions_path, final_rows)
             result.predictions_path = predictions_path
         if stop >= STAGE_ORDER.index("score"):
             predictions = {
@@ -458,10 +449,7 @@ class Pipeline:
                 extraction_failed=len(result.trigger_failures),
             )
             report_path = self.out_dir / "report.json"
-            report_path.write_text(
-                json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
+            write_json(report_path, result.report.to_dict())
             result.report_path = report_path
 
         result.provider_calls = self._collect_calls()
@@ -481,9 +469,7 @@ class Pipeline:
             "formatting_attempts": result.formatting_attempts,
             "score": result.report.to_dict() if result.report else None,
         }
-        (self.out_dir / "run.json").write_text(
-            json.dumps(run_meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(self.out_dir / "run.json", run_meta)
         return result
 
     def _collect_calls(self) -> dict:

@@ -8,14 +8,14 @@ vectors; ties break by ascending example id.
 from __future__ import annotations
 
 import hashlib
-import json
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .model import EventMention, normalize
+from .model import EventMention, check_rows, iter_json_records, normalize, write_rows
 
 __all__ = [
     "EmbeddingError",
@@ -221,30 +221,28 @@ def save_index(index: SupportIndex, path: str | Path) -> None:
     Example texts and gold events are not stored; load_index re-attaches them
     from the support set by id.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"dimension": index.dimension, "count": len(index)}) + "\n")
-        for example_id, row in zip(index.example_ids, index.vectors):
-            fh.write(json.dumps({"id": example_id, "vector": row.tolist()}) + "\n")
+    header = {"dimension": index.dimension, "count": len(index)}
+    rows = (
+        {"id": example_id, "vector": row.tolist()}
+        for example_id, row in zip(index.example_ids, index.vectors)
+    )
+    write_rows(path, itertools.chain([header], rows))
 
 
 def load_index(path: str | Path, examples: Sequence[FewShotExample]) -> SupportIndex:
     """Load a persisted index, re-attaching examples by id."""
     path = Path(path)
     by_id = {ex.example_id: ex for ex in examples}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    records = iter_json_records(path)
+    _, header = next(records, (0, None))
+    if header is None:
         raise EmbeddingError(f"{path}: empty index file")
-    header = json.loads(lines[0])
     dimension = int(header["dimension"])
     count = int(header["count"])
     ids: list[str] = []
     rows: list[np.ndarray] = []
     attached: list[FewShotExample] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
+    for _, rec in check_rows(path, records, ("vector",)):
         vec = np.asarray(rec["vector"], dtype=np.float64)
         if vec.shape != (dimension,):
             raise EmbeddingError(f"{path}: vector for {rec['id']!r} has wrong dimension")

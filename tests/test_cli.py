@@ -276,6 +276,16 @@ class TestFormatStandalone:
         assert code == 3
         assert "needs 'id' and 'raw'" in err
 
+    def test_malformed_raw_line_is_an_input_error(self, tmp_path, capsys):
+        config_path = self._config(tmp_path, {})
+        raw_file = tmp_path / "raws.jsonl"
+        raw_file.write_text(json.dumps({"id": "ok-1", "raw": "[]"}) + "\n{oops\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "format", "--config", str(config_path), "--raw-file", str(raw_file)
+        )
+        assert code == 3
+        assert f"{raw_file}: invalid JSON at line 2" in err
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -310,6 +320,16 @@ class TestExitCodes:
         )
         assert code == 3
         assert "id" in err
+
+    def test_torn_artifact_under_resume_is_an_input_error(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "gate", "--config", str(corpus.config_path))[0] == 0
+        gate = corpus.output_dir / "gate.jsonl"
+        lines = gate.read_text(encoding="utf-8").splitlines(keepends=True)
+        gate.write_text("".join(lines[:3]) + lines[3][:10], encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
+        assert code == 3
+        assert err == f"error: {gate}: invalid JSON at line 4\n"
 
     def test_mock_script_miss_is_a_provider_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")

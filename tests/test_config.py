@@ -212,6 +212,23 @@ class TestHashing:
         mutate(data)
         assert PipelineConfig.from_dict(data).config_hash() != baseline
 
+    def test_known_config_hashes_are_pinned(self):
+        # Every ProviderConfig field, in declaration order, feeds the hash.
+        data = minimal_config()
+        data["gate"] = {"learned": {"kind": "file", "path": "data/verdicts.jsonl"}}
+        data["retrieval"] = {
+            "embedding": {"kind": "remote", "endpoint": "http://127.0.0.1:9/embed", "batch_size": 16}
+        }
+        data["llm"]["trigger"] = {
+            "kind": "remote",
+            "endpoint": "http://127.0.0.1:9/chat",
+            "model": "m",
+            "api_key_env": "KEY",
+            "sampling": {"temperature": 0.2},
+        }
+        assert PipelineConfig.from_dict(minimal_config()).config_hash() == "00ecf4c0c5bdb784"
+        assert PipelineConfig.from_dict(data).config_hash() == "421144d77bb90203"
+
     def test_round_trip_through_to_dict(self):
         data = minimal_config()
         data["gate"] = {"policy": "two+", "learned": {"kind": "file", "path": "l.jsonl"}}

@@ -127,6 +127,19 @@ class TestResponseCache:
         with pytest.raises(CacheError, match="2"):
             ResponseCache(path)
 
+    def test_torn_last_line_is_dropped_at_open(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = ResponseCache(path)
+        cache.put("k1", "v1")
+        cache.put("k2", "v2")
+        data = path.read_bytes()
+        path.write_bytes(data[:-7])  # a crash cut k2's record mid-line
+        reopened = ResponseCache(path)
+        assert (reopened.get("k1"), reopened.get("k2")) == ("v1", None)
+        reopened.put("k3", "v3")
+        again = ResponseCache(path)
+        assert (again.get("k1"), again.get("k2"), again.get("k3")) == ("v1", None, "v3")
+
     def test_responses_stored_verbatim(self, tmp_path):
         cache = ResponseCache(tmp_path / "c.jsonl")
         weird = 'line1\nline2 with "quotes" and {braces}'
@@ -179,6 +192,21 @@ class TestCompleteWithRetry:
         assert len(seen[0].messages) == len(before)
         assert len(seen[1].messages) == len(before) + 1
         assert seen[1].messages[-1].role == "user"
+
+    def test_corrective_retry_quotes_the_rejected_reply(self):
+        seen = []
+
+        class Spy(ScriptedMockLlm):
+            def complete(self, bundle):
+                seen.append(bundle)
+                return super().complete(bundle)
+
+        mock = Spy({"s1/trigger": ["first bad", "second bad", "good"]})
+        complete_with_retry(mock, _bundle(), lambda t: t == "good", corrective=True)
+        assert [len(b.messages) for b in seen] == [2, 3, 3]
+        assert "first bad" in seen[1].messages[-1].content
+        assert "second bad" in seen[2].messages[-1].content
+        assert "first bad" not in seen[2].messages[-1].content
 
     def test_plain_retries_resend_identical_bundle(self):
         seen = []
@@ -243,6 +271,15 @@ class TestHttpProvider:
         assert http_server.requests[0]["headers"]["Authorization"] == "Bearer sekret-value"
         # The key never leaks into the provider identity used for cache keys.
         assert "sekret-value" not in provider.provider_id
+
+    def test_sampling_settings_are_part_of_the_cache_key(self):
+        cold = HttpLlmProvider("http://127.0.0.1:9/chat", "m", sampling={"temperature": 0.0})
+        warm = HttpLlmProvider("http://127.0.0.1:9/chat", "m", sampling={"temperature": 0.7})
+        assert cache_key(cold.provider_id, _bundle(), 1) != cache_key(warm.provider_id, _bundle(), 1)
+        # Without sampling settings the id, and so every existing cache key, is unchanged.
+        assert HttpLlmProvider("http://127.0.0.1:9/chat", "m").provider_id == (
+            "http:m@http://127.0.0.1:9/chat"
+        )
 
     def test_missing_api_key_raises_without_leaking(self, http_server, monkeypatch):
         monkeypatch.delenv("TEST_LLM_KEY", raising=False)

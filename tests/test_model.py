@@ -1,12 +1,15 @@
 """Data model, normalization, and corpus loaders."""
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eventpipe.cli import cmd_format
+from eventpipe.gate import FileVerdictProvider, load_verdict_triples
 from eventpipe.model import (
     Argument,
     DatasetError,
@@ -19,6 +22,8 @@ from eventpipe.model import (
     load_transcripts,
     normalize,
 )
+from eventpipe.pipeline import read_artifact
+from eventpipe.retrieval import FewShotExample, load_index
 
 
 class TestNormalize:
@@ -200,3 +205,64 @@ class TestLoaders:
         with pytest.raises((DatasetError, FileNotFoundError, OSError)):
             load_gold(tmp_path / "nope.jsonl", ontology)
 
+
+
+def _format_raw_file(path):
+    """Run `format --raw-file` on path; return the formatted rows' text."""
+    script = path.with_name("script.json")
+    script.write_text("{}", encoding="utf-8")
+    config = path.with_name("config.json")
+    out = path.with_name("formatted.jsonl")
+    files = {name: str(path.with_name(f"{name}.jsonl")) for name in ("gold", "transcripts", "support")}
+    config.write_text(
+        json.dumps(
+            {
+                "paths": {**files, "output_dir": str(path.with_name("out"))},
+                "llm": {"default": {"kind": "mock", "script": str(script)}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    cmd_format(argparse.Namespace(config=str(config), raw_file=str(path), out=str(out)))
+    return out.read_text(encoding="utf-8")
+
+
+# Every row-file loader: a valid row list (header first where the format has
+# one) and a call that loads the file at a path and returns something nonempty.
+ROW_LOADERS = {
+    "gold": ([{"id": "a", "event": []}], lambda p: load_gold(p, load_ontology())),
+    "transcripts": ([{"id": "a", "text": "x"}], load_transcripts),
+    "learned verdicts": (
+        [{"id": "a", "p": 0.5}],
+        lambda p: FileVerdictProvider(p).presence_probability(Segment(id="a", text="")),
+    ),
+    "verdict triples": (
+        [{"id": "a", "rule": True, "learned": False, "llm": True}],
+        load_verdict_triples,
+    ),
+    "raw replies": (
+        [{"id": "a", "raw": '[{"trigger": "war", "type": "Attack"}]'}],
+        _format_raw_file,
+    ),
+    "stage artifact": (
+        [{"stage": "gate", "config_hash": "h"}, {"id": "a", "gated_in": True}],
+        lambda p: read_artifact(p, "gate", "h"),
+    ),
+    "index": (
+        [{"count": 1, "dimension": 2}, {"id": "a", "vector": [0.6, 0.8]}],
+        lambda p: load_index(p, [FewShotExample(example_id="a", text="x")]).example_ids,
+    ),
+}
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("kind", sorted(ROW_LOADERS))
+    def test_loader_reads_arrays_and_names_malformed_lines(self, tmp_path, kind):
+        rows, load = ROW_LOADERS[kind]
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        assert load(path)
+        path.write_text(json.dumps(rows[0]) + "\n{oops\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}: invalid JSON at line 2"

@@ -83,6 +83,31 @@ class TestArtifactIO:
         with pytest.raises(ResumeError, match="empty artifact"):
             read_artifact(path, "gate", "abc")
 
+    def test_failed_rewrite_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        path = tmp_path / "gate.jsonl"
+        rows = [{"id": "s1", "rule": True}, {"id": "s2", "rule": False}]
+        write_artifact(path, "gate", "abc", rows)
+        real_open = Path.open
+
+        def disk_fills_up(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            if "w" in (args[0] if args else kwargs.get("mode", "r")):
+                real_write = fh.write
+
+                def torn_write(text):
+                    real_write(text[: len(text) // 2])
+                    raise OSError(28, "No space left on device")
+
+                fh.write = torn_write
+            return fh
+
+        monkeypatch.setattr(Path, "open", disk_fills_up)
+        with pytest.raises(OSError, match="No space left"):
+            write_artifact(path, "gate", "abc", [{"id": "s3", "rule": True}])
+        monkeypatch.undo()
+        assert read_artifact(path, "gate", "abc") == rows
+        assert [p.name for p in tmp_path.iterdir()] == ["gate.jsonl"]
+
     def test_rows_serialized_with_sorted_keys(self, tmp_path):
         path = tmp_path / "x.jsonl"
         write_artifact(path, "gate", "abc", [{"zeta": 1, "alpha": 2}])
