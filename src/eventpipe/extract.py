@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from importlib import resources
+
+import numpy as np
 
 from .llm import FormatFailureError, LlmProvider, ResponseCache, complete_with_retry
 from .model import Argument, EventMention, Ontology, Segment, normalize
@@ -338,17 +340,19 @@ def retrieve_examples(
     embedding_provider: EmbeddingProvider | None,
     k: int,
     *,
-    where: Callable[[FewShotExample], bool] | None = None,
+    mask: np.ndarray | None = None,
 ) -> list[FewShotExample]:
-    """Top-k support examples for a segment; empty for k=0 or blank text."""
+    """Top-k support examples for a segment; empty for k=0 or blank text.
+
+    The optional boolean row `mask` restricts candidates (see search).
+    """
     if index is None or embedding_provider is None or k <= 0:
         return []
     if not normalize(segment.text):
         return []
     query = embed(segment.text, embedding_provider)
-    hits = search(index, query, k, where=where)
-    by_id = dict(zip(index.example_ids, index.examples))
-    return [by_id[example_id] for example_id, _ in hits]
+    hits = search(index, query, k, mask=mask)
+    return [index.examples[index.row_of[example_id]] for example_id, _ in hits]
 
 
 # --- stages -------------------------------------------------------------------
@@ -414,11 +418,8 @@ def extract_arguments(
     if not triggers:
         raise ValueError("extract_arguments requires at least one predicted trigger")
     predicted_types = [t.event_type for t in triggers]
-    where = None
-    if same_type_filter:
-        wanted = set(predicted_types)
-        where = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
-    examples = retrieve_examples(segment, index, embedding_provider, k, where=where)
+    mask = index.type_mask(predicted_types) if same_type_filter and index is not None else None
+    examples = retrieve_examples(segment, index, embedding_provider, k, mask=mask)
     bundle = build_argument_prompt(
         segment, predicted_types, examples, ontology, templates_dir=templates_dir
     )

@@ -102,9 +102,11 @@ def read_artifact(path: Path, stage: str, config_hash: str) -> list[dict] | None
     if not path.exists():
         return None
     records = iter_json_records(path)
-    _, header = next(records, (0, None))
+    lineno, header = next(records, (0, None))
     if header is None:
         raise ResumeError(f"{path}: empty artifact")
+    if not isinstance(header, dict):
+        raise DatasetError(f"{path}: header at line {lineno} is not an object")
     if header.get("stage") != stage:
         raise ResumeError(f"{path}: artifact is for stage {header.get('stage')!r}, not {stage!r}")
     if header.get("config_hash") != config_hash:

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import eventpipe
 from conftest import build_golden_corpus
 from eventpipe.cli import main
 
@@ -331,6 +333,16 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {gate}: invalid JSON at line 4\n"
 
+    def test_artifact_header_that_is_not_an_object_is_an_input_error(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "gate", "--config", str(corpus.config_path))[0] == 0
+        gate = corpus.output_dir / "gate.jsonl"
+        lines = gate.read_text(encoding="utf-8").splitlines(keepends=True)
+        gate.write_text("5\n" + "".join(lines[1:]), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
+        assert code == 3
+        assert err == f"error: {gate}: header at line 1 is not an object\n"
+
     def test_mock_script_miss_is_a_provider_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")
         corpus.script_path.write_text("{}", encoding="utf-8")
@@ -357,10 +369,14 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_module_help_via_console_entry(self):
+        # The child imports the same eventpipe as this process, installed or not.
+        package_root = str(Path(eventpipe.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", "from eventpipe.cli import main; raise SystemExit(main(['--help']))"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "Structured event extraction" in proc.stdout

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS
 from eventpipe.extract import (
     RawStageOutput,
     TriggerPrediction,
@@ -21,7 +22,9 @@ from eventpipe.extract import (
 )
 from eventpipe.llm import ScriptedMockLlm
 from eventpipe.model import Argument, EventMention, Segment
-from eventpipe.retrieval import FewShotExample, HashedBagEmbedder, build_index
+from eventpipe.pipeline import Pipeline
+from eventpipe.retrieval import FewShotExample, HashedBagEmbedder, build_index, embed
+from test_retrieval import brute_force_top_k
 
 # ---------------------------------------------------------------------------
 # recovery fixture suite (shared with the acceptance test)
@@ -370,13 +373,7 @@ class TestRetrieveExamples:
     def test_where_filter_applies(self, ontology):
         index, embedder = _support_index()
         seg = Segment(id="q", text="a war broke out somewhere")
-        only_meet = retrieve_examples(
-            seg,
-            index,
-            embedder,
-            3,
-            where=lambda ex: any(ev.event_type == "Meet" for ev in ex.gold_events),
-        )
+        only_meet = retrieve_examples(seg, index, embedder, 3, mask=index.type_mask(["Meet"]))
         assert [ex.example_id for ex in only_meet] == ["ex-1"]
 
 
@@ -475,6 +472,36 @@ class TestExtractArguments:
             same_type_filter=True,
         )
         assert result.example_ids == ("ex-1",)
+
+    def test_same_type_filter_matches_the_gold_type_predicate(self, golden_corpus, ontology):
+        # The type masks pick what a per-row predicate over gold event types
+        # picks, on the golden support set, for every single predicted type
+        # and for every segment's gold type set.
+        pipeline = Pipeline(golden_corpus.config)
+        index, embedder = pipeline.index, pipeline.embedder
+        type_sets = [[t] for t in ontology.event_types]
+        type_sets += [[ev["type"] for ev in events] for events in GOLD_EVENTS.values() if events]
+        picked = 0
+        for types in type_sets:
+            wanted = set(types)
+            keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+            for sid, text in TRANSCRIPT_TEXTS.items():
+                triggers = [TriggerPrediction(sid, "x", t) for t in types]
+                result = extract_arguments(
+                    Segment(id=sid, text=text),
+                    triggers,
+                    index,
+                    ontology,
+                    ScriptedMockLlm({f"{sid}/argument": "no arguments"}),
+                    embedder,
+                    k=3,
+                    same_type_filter=True,
+                )
+                query = embed(text, embedder)
+                want = brute_force_top_k(index, query, 3, where=keep)
+                assert result.example_ids == tuple(example_id for example_id, _ in want)
+                picked += len(want)
+        assert picked > 0
 
 
 # ---------------------------------------------------------------------------

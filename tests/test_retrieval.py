@@ -1,9 +1,14 @@
 """Embedding providers, the flat support index, and exact top-k search."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eventpipe.model import DatasetError, EventMention
 from eventpipe.retrieval import (
     DEFAULT_DIMENSION,
     EmbeddingError,
@@ -53,6 +58,52 @@ def brute_force_top_k(index, query, k, where=None):
         out.append(best)
         remaining.remove(best)
     return out
+
+
+_TYPES = ("A", "B", "C", "D")
+
+
+@st.composite
+def _search_cases(draw):
+    """(index, query, k, wanted types or None) with rows that stress the candidate cut.
+
+    Rows may repeat exactly, sit one ulp apart, be non-unit (zero, tiny enough
+    for subnormal products, or large enough to overflow the norm bound), and
+    ids are shuffled against row order so ties must break by id.
+    """
+    dimension = draw(st.integers(1, 512))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(n, dimension))
+    if draw(st.booleans()):
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    if draw(st.booleans()):
+        query = vectors[draw(st.integers(0, n - 1))].copy()
+    else:
+        query = rng.normal(size=dimension)
+    scales = st.sampled_from([0.0, 1e-300, 1e-3, 7.5, 1e200])
+    for row, scale in draw(st.dictionaries(st.integers(0, n - 1), scales, max_size=3)).items():
+        vectors[row] *= scale
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        vectors[dst] = vectors[src]
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        vectors[dst] = np.nextafter(vectors[src], draw(st.sampled_from([np.inf, -np.inf])))
+    vectors.setflags(write=False)
+    ids = [f"v-{i:04d}" for i in rng.permutation(n)]
+    examples = tuple(
+        FewShotExample(
+            example_id=example_id,
+            text=example_id,
+            gold_events=tuple(
+                EventMention(trigger="t", event_type=t, arguments=())
+                for t in draw(st.sets(st.sampled_from(_TYPES)))
+            ),
+        )
+        for example_id in ids
+    )
+    index = SupportIndex(example_ids=tuple(ids), vectors=vectors, examples=examples)
+    wanted = draw(st.none() | st.sets(st.sampled_from(_TYPES + ("E",))))
+    return index, query, draw(st.integers(1, n + 3)), wanted
 
 
 class TestHashedBagEmbedder:
@@ -176,7 +227,7 @@ class TestSearch:
 
     def test_where_filter_restricts_candidates(self):
         index = _index_from_vectors(np.eye(3), ids=["a", "b", "c"])
-        hits = search(index, np.array([1.0, 0, 0]), 3, where=lambda ex: ex.example_id != "a")
+        hits = search(index, np.array([1.0, 0, 0]), 3, mask=np.array([False, True, True]))
         assert [h[0] for h in hits] == ["b", "c"]
 
     def test_where_filter_matches_brute_force(self):
@@ -185,7 +236,38 @@ class TestSearch:
         keep = lambda ex: ex.example_id.endswith(("0", "2", "4", "6", "8"))
         q = rng.normal(size=8)
         q /= np.linalg.norm(q)
-        assert search(index, q, 5, where=keep) == brute_force_top_k(index, q, 5, where=keep)
+        mask = np.array([keep(ex) for ex in index.examples])
+        assert search(index, q, 5, mask=mask) == brute_force_top_k(index, q, 5, where=keep)
+
+    def test_mask_of_wrong_shape_rejected(self):
+        index = _index_from_vectors(np.eye(3))
+        with pytest.raises(EmbeddingError):
+            search(index, np.array([1.0, 0, 0]), 2, mask=np.ones(2, dtype=bool))
+
+    def test_non_finite_rows_fall_back_to_the_exact_scan(self):
+        vectors = np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])
+        vectors.setflags(write=False)
+        ids = ("a", "b", "c", "d")
+        examples = tuple(FewShotExample(example_id=i, text=i) for i in ids)
+        index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
+        q = np.array([1.0, 0.0])
+        finite = np.array([False, True, True, False])
+        assert search(index, q, 1, mask=finite) == [("b", 1.0)]
+        assert search(index, q, 1, mask=~np.array([False, False, False, True])) == [("a", np.inf)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_search_cases())
+    def test_exact_against_brute_force_on_adversarial_rows(self, case):
+        index, query, k, wanted = case
+        if wanted is None:
+            assert search(index, query, k) == brute_force_top_k(index, query, k)
+            return
+        keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+        got = search(index, query, k, mask=index.type_mask(wanted))
+        want = brute_force_top_k(index, query, k, where=keep)
+        assert got == want
+        if not any(keep(ex) for ex in index.examples):
+            assert got == []
 
     def test_dimension_mismatch_rejected(self):
         index = _index_from_vectors(np.eye(4))
@@ -227,6 +309,23 @@ class TestPersistence:
         save_index(index, path)
         with pytest.raises(EmbeddingError, match="ex-003"):
             load_index(path, examples[:3])
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '{"dim": 3}',
+            '{"dimension": 3}',
+            '{"count": 1}',
+            '{"count": "many", "dimension": 3}',
+            "5",
+            '"dimension"',
+        ],
+    )
+    def test_malformed_header_is_an_input_error(self, tmp_path, header):
+        path = tmp_path / "index.jsonl"
+        path.write_text(header + '\n{"id": "ex-000", "vector": [1.0, 0.0, 0.0]}\n')
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: header at line 1")):
+            load_index(path, _examples(1))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "index.jsonl"
