@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -114,24 +115,63 @@ def _lookup(obj: dict, canonical: str):
     return None
 
 
+# An opener followed by what can start its first member: raw_decode fails at
+# every "[" or "{" this does not match.
+_VALUE_START = re.compile(
+    r'\[[ \t\n\r]*(?:[\]"\[{0-9-]|true|false|null|NaN|Infinity)|\{[ \t\n\r]*["}]'
+)
+_DECODE_WINDOW = 2048
+_LOOKAHEAD_MARGIN = 16
+
+
 def _last_json_value(text: str):
-    """The last top-level balanced JSON array or object in text, else None."""
+    """The last top-level balanced JSON array or object in text, else None.
+
+    Scanning left to right, the value decoded at an opener is kept and the
+    scan resumes after it; an opener that does not decode is skipped. Two
+    things keep the cost linear in len(text) while the result stays exactly
+    that of json's raw_decode at every opener:
+
+    - Value-start filter: only openers matched by _VALUE_START are decoded.
+      Its match is a necessary condition for raw_decode to succeed, so every
+      skipped opener would have failed.
+    - Windowed decode: an opener at i is decoded in text[i:j] + NUL, with
+      j = min(i + W, len(text)) and W starting at _DECODE_WINDOW. NUL ends
+      every scanner state (it is not JSON, and strict decoding rejects it
+      inside strings), so the decoder never reads past j and a failed decode
+      costs O(W), not the O(i) of a JSONDecodeError built over the whole
+      text. A success closed inside the window and is exact. A failure
+      reported more than _LOOKAHEAD_MARGIN characters before the NUL is exact
+      too: the decoder reads past the position it reports by at most the
+      length of "-Infinity" or of a "\\uXXXX\\uXXXX" surrogate pair, so it
+      read nothing the window cut off. Any later failure doubles W, and once
+      j reaches the end of the text the window decodes as the whole text does.
+
+    A ValueError that is not a decode error (the int-digits limit) or a
+    RecursionError (nesting past the recursion limit) marks the opener as
+    non-JSON.
+    """
     decoder = json.JSONDecoder()
     best = None
-    i = 0
     n = len(text)
-    while i < n:
-        if text[i] in "[{":
+    match = _VALUE_START.search(text)
+    while match is not None:
+        i = match.start()
+        resume = i + 1
+        width = _DECODE_WINDOW
+        while True:
+            j = min(i + width, n)
             try:
-                value, end = decoder.raw_decode(text, i)
+                best, end = decoder.raw_decode(text[i:j] + "\x00")
+                resume = i + end
+            except json.JSONDecodeError as exc:
+                if j < n and exc.pos >= (j - i) - _LOOKAHEAD_MARGIN:
+                    width *= 2
+                    continue
             except (ValueError, RecursionError):
-                # Nesting deeper than the decoder's recursion limit counts as non-JSON.
-                i += 1
-                continue
-            best = value
-            i = max(end, i + 1)
-        else:
-            i += 1
+                pass
+            break
+        match = _VALUE_START.search(text, resume)
     return best
 
 
@@ -277,24 +317,21 @@ def _match_entries_to_triggers(
     strict=True a disallowed role rejects the reply; otherwise the offending
     argument is dropped.
     """
-    queues: dict[tuple[str, str], list[list[dict]]] = {}
-    single_occurrence = {}
     keys = [(normalize(t.trigger), t.event_type) for t in triggers]
-    for key in keys:
-        single_occurrence[key] = keys.count(key) == 1
+    occurrences = Counter(keys)
+    queues: defaultdict[tuple[str, str], deque[list[dict]]] = defaultdict(deque)
     for entry in canonical or []:
-        key = (normalize(entry["trigger"]), entry["type"])
-        queues.setdefault(key, []).append(entry["arguments"])
+        queues[(normalize(entry["trigger"]), entry["type"])].append(entry["arguments"])
     events: list[EventMention] = []
     for trig, key in zip(triggers, keys):
-        queue = queues.get(key, [])
-        if single_occurrence[key]:
+        queue = queues[key]
+        if occurrences[key] == 1:
             # One predicted occurrence: merge every matching entry's arguments,
             # since models often emit one object per argument.
             raw_args = [a for entry_args in queue for a in entry_args]
             queue.clear()
         else:
-            raw_args = queue.pop(0) if queue else []
+            raw_args = queue.popleft() if queue else []
         args: list[Argument] = []
         for a in raw_args:
             role = _canonical_role(a["role"], trig.event_type, ontology)

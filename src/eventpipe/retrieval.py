@@ -310,13 +310,18 @@ def save_index(index: SupportIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path, examples: Sequence[FewShotExample]) -> SupportIndex:
-    """Load a persisted index, re-attaching examples by id."""
+    """Load a persisted index, re-attaching examples by id.
+
+    Every defect of the file (empty, bad header, a vector of the wrong
+    dimension, an id with no support example, a row count that differs from
+    the header) is a DatasetError naming it.
+    """
     path = Path(path)
     by_id = {ex.example_id: ex for ex in examples}
     records = iter_json_records(path)
     lineno, header = next(records, (0, None))
     if header is None:
-        raise EmbeddingError(f"{path}: empty index file")
+        raise DatasetError(f"{path}: empty index file")
     try:
         dimension = int(header["dimension"])
         count = int(header["count"])
@@ -330,15 +335,15 @@ def load_index(path: str | Path, examples: Sequence[FewShotExample]) -> SupportI
     for _, rec in check_rows(path, records, ("vector",)):
         vec = np.asarray(rec["vector"], dtype=np.float64)
         if vec.shape != (dimension,):
-            raise EmbeddingError(f"{path}: vector for {rec['id']!r} has wrong dimension")
+            raise DatasetError(f"{path}: vector for {rec['id']!r} has wrong dimension")
         example_id = str(rec["id"])
         if example_id not in by_id:
-            raise EmbeddingError(f"{path}: no support example with id {example_id!r}")
+            raise DatasetError(f"{path}: no support example with id {example_id!r}")
         ids.append(example_id)
         rows.append(vec)
         attached.append(by_id[example_id])
     if len(ids) != count:
-        raise EmbeddingError(f"{path}: header count {count} != {len(ids)} rows")
+        raise DatasetError(f"{path}: header count {count} != {len(ids)} rows")
     matrix = np.vstack(rows)
     matrix.setflags(write=False)
     return SupportIndex(example_ids=tuple(ids), vectors=matrix, examples=tuple(attached))

@@ -343,6 +343,17 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {gate}: header at line 1 is not an object\n"
 
+    def test_empty_index_file_is_an_input_error(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        index = tmp_path / "index.jsonl"
+        index.write_text("", encoding="utf-8")
+        config["paths"]["index"] = str(index)
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err == f"error: {index}: empty index file\n"
+
     def test_mock_script_miss_is_a_provider_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")
         corpus.script_path.write_text("{}", encoding="utf-8")

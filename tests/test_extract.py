@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS
+from eventpipe import extract
 from eventpipe.extract import (
     RawStageOutput,
     TriggerPrediction,
@@ -167,6 +170,63 @@ RECOVERY_CASES = [
 ]
 
 
+def _reference_last_json_value(text: str):
+    """The character-by-character scan that _last_json_value must agree with."""
+    decoder = json.JSONDecoder()
+    best = None
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in "[{":
+            try:
+                value, end = decoder.raw_decode(text, i)
+            except (ValueError, RecursionError):
+                i += 1
+                continue
+            best = value
+            i = max(end, i + 1)
+        else:
+            i += 1
+    return best
+
+
+def _reference_recovery(raw: str):
+    with mock.patch.object(extract, "_last_json_value", _reference_last_json_value):
+        return recover_json_tail(raw)
+
+
+def _best_time(fn, arg, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.process_time()
+        fn(arg)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+# Pieces that reach every decoder state: structure, numbers and their
+# truncations, literals and their truncations, string escapes (lone and paired
+# surrogates, cut \u escapes), NUL and other control characters, non-ASCII text.
+_RECOVERY_TOKENS = [
+    "[", "]", "{", "}", '"', ",", ":", " ", "\t", "\n", "\r",
+    "0", "1", "7", "-", ".", "e", "E", "+", "1.5", "-0", "2e3", "1e", "-.",
+    "true", "false", "null", "NaN", "Infinity", "-Infinity",
+    "tru", "fals", "nul", "Na", "Infin", "-Inf",
+    "\\", '\\"', "\\n", "\\u00e9", "\\ud800", "\\udc00", "\\ud83d\\ude00", "\\u12", "\\x",
+    "\x00", "\x1f", "é", "日本", "\u2028",
+    "the", "answer", " so ", '"trigger"', '"type"', '"Meet"', '"met"', '"arguments"',
+]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-99, 99) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["trigger", "type", "a"]), children, max_size=3),
+    max_leaves=6,
+)
+_recovery_texts = st.lists(
+    st.sampled_from(_RECOVERY_TOKENS) | _json_values.map(json.dumps), max_size=40
+).map("".join)
+
+
 class TestRecoverJsonTail:
     @pytest.mark.parametrize(
         "raw,expected", [(raw, exp) for _, raw, exp in RECOVERY_CASES],
@@ -182,6 +242,36 @@ class TestRecoverJsonTail:
     def test_openers_nested_past_the_recursion_limit_are_skipped(self, depth):
         raw = "[" * depth + ' answer: [{"trigger": "met", "type": "Meet"}]'
         assert recover_json_tail(raw) == [{"trigger": "met", "type": "Meet", "arguments": []}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_recovery_texts, window=st.integers(1, 64))
+    def test_matches_the_reference_scan(self, text, window):
+        with mock.patch.object(extract, "_DECODE_WINDOW", window):
+            assert repr(extract._last_json_value(text)) == repr(_reference_last_json_value(text))
+            assert repr(recover_json_tail(text)) == repr(_reference_recovery(text))
+
+    @pytest.mark.parametrize("window", [1, 7, 64, extract._DECODE_WINDOW])
+    def test_fixture_cases_match_the_reference_scan(self, window):
+        with mock.patch.object(extract, "_DECODE_WINDOW", window):
+            for _, raw, _ in RECOVERY_CASES:
+                assert repr(recover_json_tail(raw)) == repr(_reference_recovery(raw))
+
+    @pytest.mark.parametrize(
+        "opener", ["{", "[word ", "[1 ", '{"a": 1 '], ids=["brace", "word", "number", "member"]
+    )
+    def test_cost_is_linear_in_stray_openers(self, opener):
+        answer = ' [{"trigger": "met", "type": "Meet"}]'
+        small, large = opener * 16_000 + answer, opener * 64_000 + answer
+        assert recover_json_tail(large) == [{"trigger": "met", "type": "Meet", "arguments": []}]
+        # Linear growth gives a ratio of 4; a scan quadratic in openers gives 16.
+        assert _best_time(recover_json_tail, large) <= 8 * _best_time(recover_json_tail, small)
+
+    def test_long_stray_bracket_reply_keeps_its_answer(self, ontology):
+        words = [f"{'[{'[k % 2]}note{k} filler" for k in range(3000)]
+        prose = "\n".join(" ".join(words[k : k + 6]) for k in range(0, len(words), 6))
+        raw = prose + '\nAnswer: [{"trigger": "met", "type": "Meet"}]'
+        assert len(raw) > 45_000
+        assert parse_trigger_reply(raw, "s1", ontology) == [TriggerPrediction("s1", "met", "Meet")]
 
     def test_recovery_is_idempotent_on_its_own_output(self):
         for _, raw, expected in RECOVERY_CASES:
@@ -317,6 +407,61 @@ class TestParseArgumentReply:
         assert [a.name for e in events for a in e.arguments] == ["rebels", "village"]
         assert len(events[0].arguments) == 1
         assert len(events[1].arguments) == 1
+
+    def test_single_keys_merge_and_repeated_keys_consume_in_order(self, ontology):
+        triggers = [
+            TriggerPrediction("s1", "war", "Attack"),
+            TriggerPrediction("s1", "met", "Meet"),
+            TriggerPrediction("s1", "died", "Die"),
+            TriggerPrediction("s1", "War", "Attack"),
+            TriggerPrediction("s1", "died", "Die"),
+        ]
+        entries = [
+            ("war", "Attack", "rebels", "Attacker"),
+            ("met", "Meet", "leaders", "Entity"),
+            ("war", "Attack", "village", "Place"),
+            ("met", "Meet", "Ankara", "Place"),
+            ("war", "Attack", "convoy", "Target"),
+            ("died", "Die", "soldier", "Victim"),
+        ]
+        raw = json.dumps(
+            [
+                {"trigger": t, "type": ty, "arguments": [{"name": n, "role": r}]}
+                for t, ty, n, r in entries
+            ]
+        )
+        events = parse_argument_reply(raw, triggers, ontology)
+        # met occurs once and merges both of its entries; war and died occur
+        # twice and take one entry each in reply order, so the third war entry
+        # is dropped and the second died keeps no arguments.
+        assert [(e.trigger, [a.name for a in e.arguments]) for e in events] == [
+            ("war", ["rebels"]),
+            ("met", ["leaders", "Ankara"]),
+            ("died", ["soldier"]),
+            ("War", ["village"]),
+            ("died", []),
+        ]
+
+    def test_matching_cost_is_linear_in_triggers(self, ontology):
+        def reply_and_triggers(n):
+            # Half the triggers are distinct, half repeat one key.
+            words = [f"w{k}" for k in range(n // 2)] + ["war"] * (n // 2)
+            triggers = [TriggerPrediction("s1", w, "Attack") for w in words]
+            raw = json.dumps(
+                [
+                    {"trigger": w, "type": "Attack", "arguments": [{"name": "rebels", "role": "Attacker"}]}
+                    for w in words
+                ]
+            )
+            return raw, triggers
+
+        def parse(case):
+            return parse_argument_reply(case[0], case[1], ontology)
+
+        small, large = reply_and_triggers(2_000), reply_and_triggers(8_000)
+        assert all(len(e.arguments) == 1 for e in parse(large))
+        # Linear growth gives a ratio of 4; a quadratic match gives 16.
+        assert _best_time(parse, large) <= 8 * _best_time(parse, small)
 
     def test_trigger_with_no_entry_keeps_empty_arguments(self, ontology):
         triggers = [

@@ -307,8 +307,22 @@ class TestPersistence:
         index = build_index(examples, HashedBagEmbedder(dimension=8))
         path = tmp_path / "index.jsonl"
         save_index(index, path)
-        with pytest.raises(EmbeddingError, match="ex-003"):
+        with pytest.raises(DatasetError, match="ex-003"):
             load_index(path, examples[:3])
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ('{"id": "ex-000", "vector": [1.0, 0.0]}', "wrong dimension"),
+            ('{"id": "ex-000", "vector": [1.0, 0.0, 0.0]}', "header count 2 != 1 rows"),
+        ],
+        ids=["wrong-dimension", "count-mismatch"],
+    )
+    def test_rows_that_disagree_with_the_header_are_an_input_error(self, tmp_path, rows, message):
+        path = tmp_path / "index.jsonl"
+        path.write_text('{"count": 2, "dimension": 3}\n' + rows + "\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: ") + ".*" + message):
+            load_index(path, _examples(1))
 
     @pytest.mark.parametrize(
         "header",
@@ -330,5 +344,5 @@ class TestPersistence:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "index.jsonl"
         path.write_text("")
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(DatasetError):
             load_index(path, _examples(1))
