@@ -198,8 +198,8 @@ class SupportIndex:
         return mask
 
     @cached_property
-    def _max_row_norm(self) -> float:
-        return float(np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors).max()))
+    def _max_row_square(self) -> float:
+        return float(np.einsum("ij,ij->i", self.vectors, self.vectors).max())
 
 
 def build_index(
@@ -237,19 +237,24 @@ def build_index(
     )
 
 
-def _dot_error_bound(dimension: int, max_row_norm: float, query_norm: float) -> float:
+def _dot_error_bound(dimension: int, max_row_square: float, query_square: float) -> float:
     """Bound on |computed - exact| for a D-term float64 dot product, any summation order.
 
     Each product and partial sum rounds once: at most D roundings, so the
     relative error of the sum of |products| is gamma_D = D*u / (1 - D*u), and
-    that sum is at most |row|*|query| (Cauchy-Schwarz). The norms are doubled
-    to cover their own rounding, and each product may underflow by at most
-    one subnormal spacing.
+    that sum is at most |row|*|query| (Cauchy-Schwarz). The norms come from
+    computed sums of squares, where each square may underflow by less than the
+    smallest normal float (so D of them are added back) and the rest round
+    (so the norms are doubled). Each product may underflow by at most one
+    subnormal spacing.
     """
     u = np.finfo(np.float64).eps / 2
     gamma = dimension * u / (1 - dimension * u)
+    lost = dimension * float(np.finfo(np.float64).tiny)
+    row_norm = np.sqrt(max_row_square + lost)
+    query_norm = np.sqrt(query_square + lost)
     subnormal = float(np.finfo(np.float64).smallest_subnormal)
-    return gamma * (2 * max_row_norm) * (2 * query_norm) + dimension * subnormal
+    return gamma * (2 * row_norm) * (2 * query_norm) + dimension * subnormal
 
 
 def search(
@@ -286,7 +291,7 @@ def search(
         # than 4*error below the k-th best is beaten by k rows under np.dot too.
         approx = np.einsum("ij,j->i", index.vectors, q)[rows]
         kth = np.partition(approx, len(rows) - k)[len(rows) - k]
-        error = _dot_error_bound(index.dimension, index._max_row_norm, float(np.linalg.norm(q)))
+        error = _dot_error_bound(index.dimension, index._max_row_square, float(np.dot(q, q)))
         cut = kth - 4 * error
         if np.isfinite(cut) and np.isfinite(approx).all():
             rows = rows[approx >= cut]

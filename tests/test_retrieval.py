@@ -255,6 +255,23 @@ class TestSearch:
         assert search(index, q, 1, mask=finite) == [("b", 1.0)]
         assert search(index, q, 1, mask=~np.array([False, False, False, True])) == [("a", np.inf)]
 
+    def test_rows_whose_squares_underflow_keep_the_top_row(self):
+        # Squares of 1e-300 entries underflow to 0, yet the dot products with
+        # a unit-scale query round at the 1e-316 level: the candidate cut must
+        # not treat these rows as exactly scored.
+        ids = ("d", "c", "b", "a")
+        examples = tuple(FewShotExample(example_id=i, text=i) for i in ids)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            row = rng.normal(size=64) * 1e-300
+            neighbours = [np.nextafter(row, np.inf), np.nextafter(row, -np.inf)]
+            vectors = np.array([row, *neighbours, np.zeros(64)])
+            vectors.setflags(write=False)
+            index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
+            q = rng.normal(size=64)
+            assert search(index, q, 1) == brute_force_top_k(index, q, 1)
+            assert search(index, row, 1) == brute_force_top_k(index, row, 1)
+
     @settings(max_examples=300, deadline=None)
     @given(case=_search_cases())
     def test_exact_against_brute_force_on_adversarial_rows(self, case):
