@@ -130,7 +130,7 @@ def cmd_build_index(args) -> int:
         raise ConfigError("no index path: pass --out or set config.paths.index")
     pipe = Pipeline(config)
     index = build_index(pipe.support_examples(), pipe.embedder)
-    save_index(index, out)
+    save_index(index, out, embedding=config.embedding.to_dict())
     print(f"index: {out} ({len(index)} examples, dimension {index.dimension})")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, defaultdict, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -122,15 +123,60 @@ _VALUE_START = re.compile(
 )
 _DECODE_WINDOW = 2048
 _LOOKAHEAD_MARGIN = 16
+_MAX_DEPTH = 256  # deepest nesting of a recovered value; an event list nests about 4 deep
+# A bracket, or a whole string (an unterminated one runs to the end of the scan).
+_STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
+
+
+def _flag_too_deep(text: str, i: int, j: int, too_deep: set[int]) -> None:
+    """Add the openers that text[i:j] shows nest deeper than _MAX_DEPTH to too_deep.
+
+    Scans brackets and strings from the opener at i as a decoder starting
+    there reads them. A decoder starting at any opener this scan reads outside
+    a string reads the same tokens from there on, so one pass judges all of
+    them: an opener with more than _MAX_DEPTH containers open from it onwards
+    starts a value that is invalid or nests deeper than the cap, non-JSON
+    either way. A long run of nested openers is flagged in one pass.
+    """
+    if text.count("[", i, j) + text.count("{", i, j) <= _MAX_DEPTH:
+        return
+    stack: list[int] = []
+    flagged = 0  # stack[:flagged] are in too_deep
+    for token in _STRUCTURE.finditer(text, i, j):
+        char = text[token.start()]
+        if char in "[{":
+            stack.append(token.start())
+            if len(stack) - flagged > _MAX_DEPTH:
+                too_deep.add(stack[flagged])
+                flagged += 1
+        elif char in "]}":
+            stack.pop()
+            if not stack:
+                return
+            flagged = min(flagged, len(stack))
+
+
+def _raw_decode(decoder: json.JSONDecoder, chunk: str):
+    """decoder.raw_decode(chunk), finished on a fresh thread if the caller's stack runs out.
+
+    A value within _MAX_DEPTH needs a few hundred frames at most, so whether
+    it decodes does not depend on how deep the caller already is.
+    """
+    try:
+        return decoder.raw_decode(chunk)
+    except RecursionError:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(decoder.raw_decode, chunk).result()
 
 
 def _last_json_value(text: str):
     """The last top-level balanced JSON array or object in text, else None.
 
     Scanning left to right, the value decoded at an opener is kept and the
-    scan resumes after it; an opener that does not decode is skipped. Two
-    things keep the cost linear in len(text) while the result stays exactly
-    that of json's raw_decode at every opener:
+    scan resumes after it; an opener that does not decode, or whose value
+    nests deeper than _MAX_DEPTH, is skipped. Three things keep the cost
+    linear in len(text) while the result stays exactly that of json's
+    raw_decode at every opener, under that cap:
 
     - Value-start filter: only openers matched by _VALUE_START are decoded.
       Its match is a necessary condition for raw_decode to succeed, so every
@@ -146,23 +192,31 @@ def _last_json_value(text: str):
       length of "-Infinity" or of a "\\uXXXX\\uXXXX" surrogate pair, so it
       read nothing the window cut off. Any later failure doubles W, and once
       j reaches the end of the text the window decodes as the whole text does.
+    - Depth cap: a window with more than _MAX_DEPTH openers is first scanned
+      by _flag_too_deep, which flags every opener it proves too deep, a whole
+      nested run at once; flagged openers are skipped without decoding. The
+      cap, not the recursion limit, decides, so the result does not depend
+      on the caller's stack or thread (see _raw_decode).
 
-    A ValueError that is not a decode error (the int-digits limit) or a
-    RecursionError (nesting past the recursion limit) marks the opener as
-    non-JSON.
+    A ValueError that is not a decode error (the int-digits limit) marks the
+    opener as non-JSON.
     """
     decoder = json.JSONDecoder()
     best = None
     n = len(text)
+    too_deep: set[int] = set()
     match = _VALUE_START.search(text)
     while match is not None:
         i = match.start()
         resume = i + 1
         width = _DECODE_WINDOW
-        while True:
+        while i not in too_deep:
             j = min(i + width, n)
+            _flag_too_deep(text, i, j, too_deep)
+            if i in too_deep:
+                break
             try:
-                best, end = decoder.raw_decode(text[i:j] + "\x00")
+                best, end = _raw_decode(decoder, text[i:j] + "\x00")
                 resume = i + end
             except json.JSONDecodeError as exc:
                 if j < n and exc.pos >= (j - i) - _LOOKAHEAD_MARGIN:

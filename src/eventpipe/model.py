@@ -74,9 +74,11 @@ class Argument:
     role: str
 
     def __post_init__(self) -> None:
-        if not normalize(self.name):
+        # strip() empties exactly the strings normalize() empties: both use
+        # one whitespace table, and lower() never empties a string.
+        if not self.name.strip():
             raise ValidationError("argument name must be nonempty")
-        if not normalize(self.role):
+        if not self.role.strip():
             raise ValidationError("argument role must be nonempty")
 
 

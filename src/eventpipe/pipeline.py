@@ -237,30 +237,34 @@ class Pipeline:
         return self._embedder
 
     def support_examples(self) -> list[FewShotExample]:
-        from .model import normalize
-
+        """Support segments whose text normalizes to something (strip() tells the same)."""
         return [
             FewShotExample(
                 example_id=ls.segment.id, text=ls.segment.text, gold_events=ls.gold_events
             )
             for ls in self.support
-            if normalize(ls.segment.text)
+            if ls.segment.text.strip()
         ]
 
     @property
     def index(self) -> SupportIndex | None:
-        """Built (or loaded) on first use so fully resumed runs embed nothing."""
+        """Built (or loaded) on first use so fully resumed runs embed nothing.
+
+        A saved index built with another embedding config or from other
+        support ids or texts is rebuilt and saved again.
+        """
         if self.config.retrieval_k <= 0:
             return None
         if self._index is None:
             examples = self.support_examples()
             index_path = self.config.index
+            embedding = self.config.embedding.to_dict()
             if index_path and Path(index_path).exists():
-                self._index = load_index(index_path, examples)
-            else:
+                self._index = load_index(index_path, examples, embedding=embedding)
+            if self._index is None:
                 self._index = build_index(examples, self.embedder)
                 if index_path:
-                    save_index(self._index, index_path)
+                    save_index(self._index, index_path, embedding=embedding)
         return self._index
 
     # --- per-segment flow ----------------------------------------------------

@@ -5,9 +5,9 @@ The index is a flat scan, and it is exact: a query's score for a row is
 retrieval is deterministic, which the golden-run tests rely on. A search runs
 in two phases and takes milliseconds over ~19k rows:
 
-1. One ``np.einsum`` mat-vec gives every row an approximate score. Its
-   summation order differs from the per-row ``np.dot``, so its scores may
-   differ in the last bits.
+1. One ``np.einsum`` mat-vec gives every candidate row (every row, or the
+   rows of a mask) an approximate score. Its summation order differs from the
+   per-row ``np.dot``, so its scores may differ in the last bits.
 2. The two scores of a row differ by at most a proven forward-error bound
    (about ``2 * gamma_D * max|row| * |query|``). Every row whose approximate
    score is within twice that bound of the k-th best approximate score is
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -35,7 +36,6 @@ from .model import (
     EventMention,
     check_rows,
     iter_json_records,
-    normalize,
     write_rows,
 )
 
@@ -55,6 +55,7 @@ __all__ = [
 
 DEFAULT_DIMENSION = 384
 _NORM_TOL = 1e-6
+_SCAN_CHUNK = 4096  # masked rows gathered per einsum call: 12 MB at 384 dimensions
 
 
 class EmbeddingError(RuntimeError):
@@ -73,12 +74,19 @@ class HashedBagEmbedder:
     digest, with a digest-chosen sign, and the count vector is L2-normalized.
     Similar token bags get similar vectors, which is all the retrieval tests
     need; no model weights are involved.
+
+    Each instance memoizes the bucket and sign of every distinct token it has
+    seen, so a support set hashes its vocabulary once rather than every token
+    occurrence. A batch becomes one count matrix built by ``np.bincount``:
+    every entry is a sum of +1s and -1s, an exact integer in float64, so the
+    vectors are bit-identical to adding the tokens one by one in any order.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
         if dimension < 1:
             raise EmbeddingError(f"dimension must be positive, got {dimension}")
         self.dimension = dimension
+        self._codes: dict[str, int] = {}  # token -> bucket, or ~bucket for sign -1
 
     def _bucket(self, token: str) -> tuple[int, float]:
         digest = hashlib.sha1(token.encode("utf-8")).digest()
@@ -87,14 +95,27 @@ class HashedBagEmbedder:
         return idx, sign
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        out = []
-        for text in texts:
-            vec = np.zeros(self.dimension, dtype=np.float64)
-            for token in normalize(text).split():
-                idx, sign = self._bucket(token)
-                vec[idx] += sign
-            out.append(vec)
-        return out
+        codes = self._codes
+        # Equal to normalize(text).split(): lower() keeps whitespace as it is
+        # and never makes any, and no whitespace is cased or case-ignorable, so
+        # the final-sigma rule of lower() never looks across a whitespace run.
+        tokens = [text.lower().split() for text in texts]
+        flat = list(itertools.chain.from_iterable(tokens))
+        # Pool threads may fill the memo at once without a lock: entries are
+        # never removed, and a token's entry is the same whoever writes it.
+        for token in set(flat).difference(codes):
+            idx, sign = self._bucket(token)
+            codes[token] = idx if sign > 0 else ~idx
+        code = np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
+        negative = code < 0
+        rows = np.repeat(np.arange(len(texts)), [len(row) for row in tokens])
+        counts = np.bincount(
+            rows * self.dimension + np.where(negative, ~code, code),
+            weights=np.where(negative, -1.0, 1.0),
+            minlength=len(texts) * self.dimension,
+        )
+        # bincount returns integers when no text has a token.
+        return list(counts.astype(np.float64, copy=False).reshape(len(texts), self.dimension))
 
 
 class HttpEmbeddingProvider:
@@ -211,6 +232,10 @@ def build_index(
     """Embed every support example and assemble the flat index.
 
     Repeatable: the same examples and provider produce identical contents.
+    Each row is made unit-norm by ``_unit``, one row at a time (a vectorized
+    norm can round differently for arbitrary float embeddings), and written
+    straight into one preallocated (N, D) matrix, so the support set is held
+    once and never stacked.
     """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
@@ -219,16 +244,24 @@ def build_index(
         if ex.example_id in seen:
             raise EmbeddingError(f"duplicate example_id {ex.example_id!r}")
         seen.add(ex.example_id)
-    rows: list[np.ndarray] = []
+    matrix: np.ndarray | None = None
+    dims: set[int] = set()
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]
         vecs = embedding_provider.embed_batch([ex.text for ex in chunk])
-        for ex, vec in zip(chunk, vecs):
-            rows.append(_unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}"))
-    dims = {row.shape[0] for row in rows}
+        if len(vecs) != len(chunk):
+            raise EmbeddingError(
+                f"embedding provider returned {len(vecs)} vectors for {len(chunk)} texts"
+            )
+        for row, (ex, vec) in enumerate(zip(chunk, vecs), start):
+            unit = _unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}")
+            dims.add(unit.shape[0])
+            if matrix is None:
+                matrix = np.empty((len(examples), unit.shape[0]))
+            if unit.shape == matrix.shape[1:]:
+                matrix[row] = unit
     if len(dims) != 1:
         raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
-    matrix = np.vstack(rows)
     matrix.setflags(write=False)
     return SupportIndex(
         example_ids=tuple(ex.example_id for ex in examples),
@@ -257,6 +290,17 @@ def _dot_error_bound(dimension: int, max_row_square: float, query_square: float)
     return gamma * (2 * row_norm) * (2 * query_norm) + dimension * subnormal
 
 
+def _approx_scores(vectors: np.ndarray, rows: np.ndarray | None, q: np.ndarray) -> np.ndarray:
+    """einsum scores of the given rows (all rows if None), gathered _SCAN_CHUNK at a time."""
+    if rows is None:
+        return np.einsum("ij,j->i", vectors, q)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), _SCAN_CHUNK):
+        chunk = rows[start : start + _SCAN_CHUNK]
+        out[start : start + len(chunk)] = np.einsum("ij,j->i", vectors[chunk], q)
+    return out
+
+
 def search(
     index: SupportIndex,
     query_vector: np.ndarray,
@@ -269,7 +313,10 @@ def search(
     Returns min(k, candidates) (example_id, score) pairs sorted by descending
     score, ties broken by ascending example_id. The optional boolean row
     `mask` restricts candidates (used for the same-event-type retrieval
-    filter; see SupportIndex.type_mask).
+    filter; see SupportIndex.type_mask). With a mask, the einsum pass scores
+    only the masked rows, copied out _SCAN_CHUNK rows at a time so that a
+    dense mask never copies the whole matrix; the error bound, a maximum over
+    all rows, holds for any subset of them.
     """
     if k < 1:
         raise EmbeddingError(f"k must be >= 1, got {k}")
@@ -289,7 +336,7 @@ def search(
         # Both primitives err from the true dot product by at most `error`, so
         # they differ by at most 2*error: a row whose approximate score is more
         # than 4*error below the k-th best is beaten by k rows under np.dot too.
-        approx = np.einsum("ij,j->i", index.vectors, q)[rows]
+        approx = _approx_scores(index.vectors, None if mask is None else rows, q)
         kth = np.partition(approx, len(rows) - k)[len(rows) - k]
         error = _dot_error_bound(index.dimension, index._max_row_square, float(np.dot(q, q)))
         cut = kth - 4 * error
@@ -300,13 +347,27 @@ def search(
     return scored[:k]
 
 
-def save_index(index: SupportIndex, path: str | Path) -> None:
-    """Persist (id, vector) pairs with a dimension header; round-trips bit-exactly.
+def _support_digest(examples: Sequence[FewShotExample]) -> str:
+    """sha256 over the example ids and texts, in order."""
+    blob = json.dumps([[ex.example_id, ex.text] for ex in examples], ensure_ascii=True)
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+def save_index(index: SupportIndex, path: str | Path, *, embedding: dict | None = None) -> None:
+    """Persist (id, vector) pairs under a header; round-trips bit-exactly.
 
     Example texts and gold events are not stored; load_index re-attaches them
-    from the support set by id.
+    from the support set by id. Besides dimension and count, the header
+    records the embedding provider's config (`embedding`) and a digest of the
+    indexed ids and texts (`support_digest`), so that a load can tell when
+    the file was built from other inputs.
     """
-    header = {"dimension": index.dimension, "count": len(index)}
+    header = {
+        "dimension": index.dimension,
+        "count": len(index),
+        "embedding": embedding,
+        "support_digest": _support_digest(index.examples),
+    }
     rows = (
         {"id": example_id, "vector": row.tolist()}
         for example_id, row in zip(index.example_ids, index.vectors)
@@ -314,12 +375,17 @@ def save_index(index: SupportIndex, path: str | Path) -> None:
     write_rows(path, itertools.chain([header], rows))
 
 
-def load_index(path: str | Path, examples: Sequence[FewShotExample]) -> SupportIndex:
+def load_index(
+    path: str | Path, examples: Sequence[FewShotExample], *, embedding: dict | None = None
+) -> SupportIndex | None:
     """Load a persisted index, re-attaching examples by id.
 
     Every defect of the file (empty, bad header, a vector of the wrong
     dimension, an id with no support example, a row count that differs from
-    the header) is a DatasetError naming it.
+    the header) is a DatasetError naming it. Given the `embedding` config,
+    returns None, before reading any row, when the header's embedding config
+    or support digest differs from `embedding` and `examples` or is missing:
+    the file is stale and the caller rebuilds it.
     """
     path = Path(path)
     by_id = {ex.example_id: ex for ex in examples}
@@ -334,6 +400,11 @@ def load_index(path: str | Path, examples: Sequence[FewShotExample]) -> SupportI
         raise DatasetError(
             f"{path}: header at line {lineno} needs integer 'dimension' and 'count'"
         ) from exc
+    if embedding is not None and (
+        header.get("embedding") != embedding
+        or header.get("support_digest") != _support_digest(examples)
+    ):
+        return None
     ids: list[str] = []
     rows: list[np.ndarray] = []
     attached: list[FewShotExample] = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -170,8 +171,22 @@ RECOVERY_CASES = [
 ]
 
 
+def _nesting(value) -> int:
+    """How deep containers nest in a decoded JSON value, found level by level."""
+    depth, level = 0, [value]
+    while True:
+        containers = [v for v in level if isinstance(v, (list, dict))]
+        if not containers:
+            return depth
+        depth += 1
+        level = [c for v in containers for c in (v.values() if isinstance(v, dict) else v)]
+
+
 def _reference_last_json_value(text: str):
-    """The character-by-character scan that _last_json_value must agree with."""
+    """The character-by-character scan that _last_json_value must agree with.
+
+    A value nested deeper than extract._MAX_DEPTH counts as non-JSON.
+    """
     decoder = json.JSONDecoder()
     best = None
     i = 0
@@ -181,6 +196,9 @@ def _reference_last_json_value(text: str):
             try:
                 value, end = decoder.raw_decode(text, i)
             except (ValueError, RecursionError):
+                i += 1
+                continue
+            if _nesting(value) > extract._MAX_DEPTH:
                 i += 1
                 continue
             best = value
@@ -243,12 +261,50 @@ class TestRecoverJsonTail:
         raw = "[" * depth + ' answer: [{"trigger": "met", "type": "Meet"}]'
         assert recover_json_tail(raw) == [{"trigger": "met", "type": "Meet", "arguments": []}]
 
+    def test_result_does_not_depend_on_the_callers_stack(self):
+        text = "[" * 900 + "1" + "]" * 900
+
+        def under(frames):
+            return under(frames - 1) if frames else extract._last_json_value(text)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            in_pool = pool.submit(extract._last_json_value, text).result()
+        results = [under(0), under(200), under(900), in_pool]
+        # Compared here, at a shallow stack: comparing nested lists recurses.
+        assert [_nesting(value) for value in results] == [extract._MAX_DEPTH] * 4
+        assert all(value == results[0] for value in results)
+
+    @pytest.mark.parametrize("depth", [extract._MAX_DEPTH, extract._MAX_DEPTH + 1])
+    def test_an_opener_nested_past_the_cap_is_skipped(self, depth):
+        cap = extract._MAX_DEPTH
+        raw = "[" * depth + "1" + "]" * depth
+        # One level too deep: the outermost opener is skipped, the value inside it kept.
+        got = extract._last_json_value(raw)
+        assert got == json.loads("[" * cap + "1" + "]" * cap)
+        assert repr(got) == repr(_reference_last_json_value(raw))
+
+    def test_long_nested_run_costs_milliseconds(self):
+        raw = "[" * 20_000 + ' answer: [{"trigger": "met", "type": "Meet"}]'
+        assert recover_json_tail(raw) == [{"trigger": "met", "type": "Meet", "arguments": []}]
+        # Decoding each opener down to the recursion limit took seconds.
+        assert _best_time(recover_json_tail, raw) < 0.5
+        assert _best_time(extract._last_json_value, "[" * 20_000) < 0.5
+
     @settings(max_examples=300, deadline=None)
     @given(text=_recovery_texts, window=st.integers(1, 64))
     def test_matches_the_reference_scan(self, text, window):
         with mock.patch.object(extract, "_DECODE_WINDOW", window):
             assert repr(extract._last_json_value(text)) == repr(_reference_last_json_value(text))
             assert repr(recover_json_tail(text)) == repr(_reference_recovery(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_recovery_texts, window=st.integers(1, 64), cap=st.integers(1, 6))
+    def test_a_low_depth_cap_matches_the_reference_scan(self, text, window, cap):
+        # A cap this low sends most texts through the bracket scan.
+        with mock.patch.object(extract, "_DECODE_WINDOW", window), mock.patch.object(
+            extract, "_MAX_DEPTH", cap
+        ):
+            assert repr(extract._last_json_value(text)) == repr(_reference_last_json_value(text))
 
     @pytest.mark.parametrize("window", [1, 7, 64, extract._DECODE_WINDOW])
     def test_fixture_cases_match_the_reference_scan(self, window):

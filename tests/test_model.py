@@ -26,6 +26,16 @@ from eventpipe.pipeline import read_artifact
 from eventpipe.retrieval import FewShotExample, load_index
 
 
+# Every whitespace character, and characters whose lowercasing depends on
+# their neighbours (final sigma) or changes their length (dotted capital I).
+_WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+_tricky_texts = st.text(
+    alphabet=st.sampled_from(_WHITESPACE + ["Σ", "σ", "A", "b", "İ", "\u0301", "'", "."])
+    | st.characters(),
+    max_size=40,
+)
+
+
 class TestNormalize:
     def test_lowercases_and_collapses_whitespace(self):
         assert normalize("  The  Election\tof   May ") == "the election of may"
@@ -46,6 +56,17 @@ class TestNormalize:
         out = normalize(text)
         assert out == out.strip()
         assert "  " not in out
+
+    def test_alphabet_holds_every_whitespace_character(self):
+        assert not any(chr(c).isspace() for c in range(0x3001, 0x110000))
+
+    @given(_tricky_texts)
+    def test_strip_empties_exactly_what_normalize_empties(self, text):
+        assert bool(normalize(text)) == bool(text.strip())
+
+    @given(_tricky_texts)
+    def test_tokens_are_those_of_the_lowercased_text(self, text):
+        assert normalize(text).split() == text.lower().split()
 
 
 class TestOntology:

@@ -7,10 +7,11 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_golden_corpus
-from eventpipe.config import ConfigError
+from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import ResponseCache
 from eventpipe.model import DatasetError, load_gold
 from eventpipe.pipeline import (
@@ -19,6 +20,7 @@ from eventpipe.pipeline import (
     read_artifact,
     write_artifact,
 )
+from eventpipe.retrieval import HashedBagEmbedder, build_index, load_index
 
 ARTIFACTS = ("gate.jsonl", "triggers.jsonl", "arguments.jsonl", "final.jsonl")
 
@@ -337,3 +339,52 @@ class TestPolicyVariants:
             expected = corpus.verdicts[row["id"]]
             assert (row["rule"], row["learned"], row["llm"]) == expected
             assert row["gated_in"] == row["rule"]
+
+
+class TestSupportIndex:
+    """A saved index is reused only with the embedding config and support set it was built from."""
+
+    @staticmethod
+    def _indexed(tmp_path):
+        corpus = build_golden_corpus(tmp_path / "indexed", with_cache=False)
+        return corpus, dataclasses.replace(corpus.config, index=str(tmp_path / "support.index"))
+
+    @staticmethod
+    def _assert_saved_index_is_fresh(config):
+        examples = Pipeline(config).support_examples()
+        fresh = build_index(examples, HashedBagEmbedder(config.embedding.dimension))
+        saved = load_index(config.index, examples)
+        assert saved.example_ids == fresh.example_ids
+        assert np.array_equal(saved.vectors, fresh.vectors)
+
+    def test_current_index_is_loaded_without_embedding(self, tmp_path):
+        _, config = self._indexed(tmp_path)
+        built = Pipeline(config)
+        assert len(built.index) == 12 and built.embedder.texts_embedded == 12
+        loaded = Pipeline(config)
+        assert np.array_equal(loaded.index.vectors, built.index.vectors)
+        assert loaded.embedder.texts_embedded == 0
+
+    def test_swapped_support_texts_make_the_run_rebuild(self, tmp_path):
+        corpus, config = self._indexed(tmp_path)
+        Pipeline(config).index  # noqa: B018 - builds and saves the index
+        rows = [json.loads(line) for line in corpus.support_path.read_text().splitlines()]
+        assert rows[0]["text"] != rows[1]["text"]
+        rows[0]["text"], rows[1]["text"] = rows[1]["text"], rows[0]["text"]
+        corpus.support_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        # 12 support texts, then 19 trigger and argument queries.
+        assert Pipeline(config).run().texts_embedded == 31
+        self._assert_saved_index_is_fresh(config)
+
+    def test_changed_embedding_config_makes_the_run_rebuild(self, tmp_path):
+        _, config = self._indexed(tmp_path)
+        Pipeline(config).index  # noqa: B018 - builds and saves the index
+        config = dataclasses.replace(config, embedding=ProviderConfig(kind="mock", dimension=32))
+        assert Pipeline(config).run().texts_embedded == 31
+        self._assert_saved_index_is_fresh(config)
+
+    def test_pipelines_do_not_share_the_token_memo(self, golden_corpus):
+        first, second = Pipeline(golden_corpus.config), Pipeline(golden_corpus.config)
+        first.index  # noqa: B018 - embeds the support set
+        assert first.embedder.inner._codes
+        assert second.embedder.inner._codes == {}

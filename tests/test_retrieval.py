@@ -1,14 +1,19 @@
 """Embedding providers, the flat support index, and exact top-k search."""
 from __future__ import annotations
 
+import hashlib
+import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventpipe.model import DatasetError, EventMention
+from eventpipe import retrieval
+from eventpipe.model import DatasetError, EventMention, normalize
 from eventpipe.retrieval import (
     DEFAULT_DIMENSION,
     EmbeddingError,
@@ -106,7 +111,112 @@ def _search_cases(draw):
     return index, query, draw(st.integers(1, n + 3)), wanted
 
 
+def _per_token_embed_batch(dimension, texts):
+    """The embedder's original loop: one sha1 and one vector update per token occurrence."""
+    out = []
+    for text in texts:
+        vec = np.zeros(dimension, dtype=np.float64)
+        for token in normalize(text).split():
+            digest = hashlib.sha1(token.encode("utf-8")).digest()
+            vec[int.from_bytes(digest[:8], "big") % dimension] += 1.0 if digest[8] & 1 else -1.0
+        out.append(vec)
+    return out
+
+
+def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
+    """build_index's original assembly: a list of _unit rows, then np.vstack."""
+    if not examples:
+        raise EmbeddingError("cannot build an index over an empty support set")
+    seen = set()
+    for ex in examples:
+        if ex.example_id in seen:
+            raise EmbeddingError(f"duplicate example_id {ex.example_id!r}")
+        seen.add(ex.example_id)
+    rows = []
+    for start in range(0, len(examples), batch_size):
+        chunk = examples[start : start + batch_size]
+        vecs = embedding_provider.embed_batch([ex.text for ex in chunk])
+        for ex, vec in zip(chunk, vecs):
+            rows.append(
+                retrieval._unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}")
+            )
+    dims = {row.shape[0] for row in rows}
+    if len(dims) != 1:
+        raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
+    return np.vstack(rows)
+
+
+def _outcome(build):
+    """The built matrix, or the message of the EmbeddingError raised instead."""
+    try:
+        return build()
+    except EmbeddingError as exc:
+        return f"EmbeddingError: {exc}"
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+# Every whitespace kind the tokenizer must split on, case-changing and
+# length-changing letters, punctuation, and arbitrary short text.
+_EMBED_PIECES = [
+    " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u202f", "\u3000",
+    "war", "WAR", "War", "İstanbul", "İ", "ΟΔΥΣΣΕΥΣ", "Σ", "straße", "ǅ", "a", "1", "war.", "\u0301",
+]
+_embed_texts = st.lists(
+    st.sampled_from(_EMBED_PIECES) | st.text(max_size=4), max_size=12
+).map("".join)
+
+
+class _VectorsByText:
+    """An embedding provider that looks each text up in a table."""
+
+    def __init__(self, table, default=(1.0, 0.0, 0.0)):
+        self.table = table
+        self.default = default
+
+    def embed_batch(self, texts):
+        return [np.asarray(self.table.get(t, self.default), dtype=np.float64) for t in texts]
+
+
 class TestHashedBagEmbedder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2, 7, 64, 384]),
+        batches=st.lists(st.lists(_embed_texts, max_size=6), max_size=3),
+    )
+    def test_batches_match_the_per_token_loop(self, dimension, batches):
+        # One instance across batches: later batches reuse the memo.
+        embedder = HashedBagEmbedder(dimension=dimension)
+        for batch in batches:
+            got = embedder.embed_batch(batch)
+            want = _per_token_embed_batch(dimension, batch)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w)
+
+    def test_threads_sharing_one_memo_embed_exactly(self):
+        texts = [f"w{k % 50} W{k % 7} x{k} word{k % 13}" for k in range(400)]
+        want = _per_token_embed_batch(64, texts)
+        embedder = HashedBagEmbedder(dimension=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(embedder.embed_batch, texts[start::8]) for start in range(8)
+                ]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for start, vecs in enumerate(got):
+            assert all(np.array_equal(g, w) for g, w in zip(vecs, want[start::8]))
+
     def test_deterministic_across_instances(self):
         a = HashedBagEmbedder(dimension=32).embed_batch(["the war began"])[0]
         b = HashedBagEmbedder(dimension=32).embed_batch(["the war began"])[0]
@@ -194,6 +304,53 @@ class TestBuildIndex:
         with pytest.raises(EmbeddingError):
             build_index(examples, HashedBagEmbedder(dimension=8))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 3, 64, 384]),
+        pool=st.lists(_embed_texts, min_size=1, max_size=5),
+        n=st.sampled_from([255, 256, 257, 512, 513, 600]) | st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_unit_and_vstack_reference(self, dimension, pool, n, seed):
+        # Up to three 256-row chunks; texts repeat, and a blank or cancelling
+        # text must fail with the same message in both.
+        rng = random.Random(seed)
+        examples = [FewShotExample(f"ex-{k:04d}", rng.choice(pool)) for k in range(n)]
+        got = _outcome(lambda: build_index(examples, HashedBagEmbedder(dimension)).vectors)
+        want = _outcome(lambda: _unit_and_vstack_index(examples, HashedBagEmbedder(dimension)))
+        assert _same_outcome(got, want)
+
+    @pytest.mark.parametrize(
+        "texts,table",
+        [
+            ([], {}),
+            (["a", "b", "a"], {}),
+            (["t"] * 300 + ["blank"] + ["t"] * 10, {"blank": (0.0, 0.0, 0.0)}),
+            (["t"] * 300 + ["short"], {"short": (1.0, 2.0)}),
+            (["short"] + ["t"] * 300 + ["blank"], {"short": (1.0, 2.0), "blank": (0.0, 0.0, 0.0)}),
+            (["long", "t", "short"], {"short": (1.0, 2.0), "long": (1.0,) * 5}),
+        ],
+        ids=[
+            "empty", "duplicate-id", "zero-vector-in-second-chunk", "dimension-mismatch",
+            "zero-vector-after-a-mismatch", "three-dimensions",
+        ],
+    )
+    def test_error_paths_match_the_reference(self, texts, table):
+        ids = [f"ex-{k:04d}" if t != "a" else "dup" for k, t in enumerate(texts)]
+        examples = [FewShotExample(i, t) for i, t in zip(ids, texts)]
+        provider = _VectorsByText(table)
+        got = _outcome(lambda: build_index(examples, provider).vectors)
+        want = _outcome(lambda: _unit_and_vstack_index(examples, provider))
+        assert isinstance(want, str) and got == want
+
+    def test_a_provider_that_drops_vectors_is_rejected(self):
+        class Short:
+            def embed_batch(self, texts):
+                return [np.ones(3)] * (len(texts) - 1)
+
+        with pytest.raises(EmbeddingError, match="returned 1 vectors for 2 texts"):
+            build_index(_examples(2), Short())
+
 
 class TestSearch:
     def test_exact_against_brute_force_on_random_vectors(self):
@@ -238,6 +395,26 @@ class TestSearch:
         q /= np.linalg.norm(q)
         mask = np.array([keep(ex) for ex in index.examples])
         assert search(index, q, 5, mask=mask) == brute_force_top_k(index, q, 5, where=keep)
+
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    def test_masked_scan_in_small_chunks_matches_brute_force(self, monkeypatch, chunk):
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        vectors = rng.normal(size=(60, 12))
+        vectors[30:40] = vectors[20:30]  # exact ties, broken by id
+        index = _index_from_vectors(vectors)
+        masks = [
+            np.ones(60, dtype=bool),
+            rng.random(60) < 0.1,
+            np.arange(60) % 7 == 3,
+            np.arange(60) == 59,
+            np.zeros(60, dtype=bool),
+        ]
+        for mask in masks:
+            keep = lambda ex, mask=mask: mask[index.row_of[ex.example_id]]
+            for q in (rng.normal(size=12), index.vectors[25]):
+                for k in (1, 3, 10, 60):
+                    assert search(index, q, k, mask=mask) == brute_force_top_k(index, q, k, where=keep)
 
     def test_mask_of_wrong_shape_rejected(self):
         index = _index_from_vectors(np.eye(3))
