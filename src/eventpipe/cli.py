@@ -99,7 +99,10 @@ def cmd_ablate(args) -> int:
     pipe = Pipeline(ablation_config, resume=True)
     result = pipe.run()
     gate_rows = read_artifact(
-        Path(ablation_config.output_dir) / "gate.jsonl", "gate", ablation_config.config_hash()
+        Path(ablation_config.output_dir) / "gate.jsonl",
+        "gate",
+        ablation_config.config_hash(),
+        result.inputs,
     )
     verdicts = {
         r["id"]: VerdictTriple(rule=r["rule"], learned=r["learned"], llm=r["llm"])

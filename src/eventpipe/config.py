@@ -242,6 +242,41 @@ class PipelineConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
+    def inputs_digest(self) -> str:
+        """Fingerprint of the contents of every input file that shapes a stage artifact.
+
+        config_hash covers paths only; this covers what the files hold: the
+        transcripts, the support set, the ontology, the prompt templates, the
+        verdict files and the mock scripts. A missing file counts as absent;
+        the stage that reads it reports it.
+        """
+        files = {
+            "transcripts": self.transcripts,
+            "support": self.support,
+            "ontology": self.ontology,
+            "learned": self.learned.path if self.learned else None,
+            "llm_file": self.gate_llm_file,
+        }
+        for stage in LLM_STAGES:
+            files[f"script/{stage}"] = self.llm_for_stage(stage).script
+            if self.templates:
+                files[f"templates/{stage}"] = str(Path(self.templates) / f"{stage}.json")
+        digests = {name: _file_sha256(path) for name, path in files.items() if path}
+        blob = json.dumps(digests, sort_keys=True)
+        return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
+
+
+def _file_sha256(path: str) -> str | None:
+    """sha256 of a file's bytes, read a block at a time; None if it does not exist."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
+
 
 def build_llm_provider(cfg: ProviderConfig):
     """Instantiate a chat provider from its config."""
@@ -296,5 +331,10 @@ def build_verdict_provider(cfg: ProviderConfig):
     if cfg.kind == "remote":
         if not cfg.endpoint:
             raise ConfigError("remote verdict provider needs an 'endpoint'")
-        return HttpVerdictProvider(cfg.endpoint, timeout=cfg.timeout, max_retries=cfg.max_retries)
+        return HttpVerdictProvider(
+            cfg.endpoint,
+            timeout=cfg.timeout,
+            max_retries=cfg.max_retries,
+            batch_size=cfg.batch_size,
+        )
     raise ConfigError(f"verdict provider kind {cfg.kind!r} is not usable")

@@ -21,7 +21,7 @@ import numpy as np
 from .llm import FormatFailureError, LlmProvider, ResponseCache, complete_with_retry
 from .model import Argument, EventMention, Ontology, Segment, normalize
 from .prompts import build_argument_prompt, build_format_prompt, build_trigger_prompt
-from .retrieval import EmbeddingProvider, FewShotExample, SupportIndex, embed, search
+from .retrieval import FewShotExample, SupportIndex, search
 
 __all__ = [
     "ArgumentStageResult",
@@ -426,22 +426,19 @@ def _argument_events(
 
 
 def retrieve_examples(
-    segment: Segment,
     index: SupportIndex | None,
-    embedding_provider: EmbeddingProvider | None,
+    query: np.ndarray | None,
     k: int,
     *,
     mask: np.ndarray | None = None,
 ) -> list[FewShotExample]:
-    """Top-k support examples for a segment; empty for k=0 or blank text.
+    """Top-k support examples for a unit query vector; empty for k=0 or no query.
 
-    The optional boolean row `mask` restricts candidates (see search).
+    A segment whose text is blank has no query vector. The optional boolean
+    row `mask` restricts candidates (see search).
     """
-    if index is None or embedding_provider is None or k <= 0:
+    if index is None or query is None or k <= 0:
         return []
-    if not normalize(segment.text):
-        return []
-    query = embed(segment.text, embedding_provider)
     hits = search(index, query, k, mask=mask)
     return [index.examples[index.row_of[example_id]] for example_id, _ in hits]
 
@@ -454,7 +451,7 @@ def extract_triggers(
     index: SupportIndex | None,
     ontology: Ontology,
     provider: LlmProvider,
-    embedding_provider: EmbeddingProvider | None = None,
+    query: np.ndarray | None = None,
     *,
     k: int = 10,
     cache: ResponseCache | None = None,
@@ -462,8 +459,8 @@ def extract_triggers(
     corrective: bool = False,
     templates_dir=None,
 ) -> TriggerStageResult:
-    """Run trigger recognition for one gated-in segment."""
-    examples = retrieve_examples(segment, index, embedding_provider, k)
+    """Run trigger recognition for one gated-in segment; query is its text's vector."""
+    examples = retrieve_examples(index, query, k)
     bundle = build_trigger_prompt(segment, examples, ontology, templates_dir=templates_dir)
     parsed: dict = {}
 
@@ -492,7 +489,7 @@ def extract_arguments(
     index: SupportIndex | None,
     ontology: Ontology,
     provider: LlmProvider,
-    embedding_provider: EmbeddingProvider | None = None,
+    query: np.ndarray | None = None,
     *,
     k: int = 10,
     cache: ResponseCache | None = None,
@@ -510,7 +507,7 @@ def extract_arguments(
         raise ValueError("extract_arguments requires at least one predicted trigger")
     predicted_types = [t.event_type for t in triggers]
     mask = index.type_mask(predicted_types) if same_type_filter and index is not None else None
-    examples = retrieve_examples(segment, index, embedding_provider, k, mask=mask)
+    examples = retrieve_examples(index, query, k, mask=mask)
     bundle = build_argument_prompt(
         segment, predicted_types, examples, ontology, templates_dir=templates_dir
     )

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .model import (
     DatasetError,
@@ -161,9 +161,14 @@ def rule_classify(segment: Segment, lexicon: TriggerLexicon) -> bool:
 class VerdictProvider(Protocol):
     """Source of learned-classifier presence verdicts."""
 
-    def presence_probability(self, segment: Segment) -> float:
-        """Probability in [0, 1] that the segment contains an event."""
+    def presence_probabilities(self, segments: Sequence[Segment]) -> list[float]:
+        """Probability in [0, 1] that each segment contains an event, in order."""
         ...
+
+
+def _is_probability(value) -> bool:
+    """A JSON number in [0, 1]: not a bool, a string or null. NaN fails the range test."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 class FileVerdictProvider:
@@ -177,53 +182,78 @@ class FileVerdictProvider:
             if "present" in rec:
                 self._by_id[rid] = 1.0 if rec["present"] else 0.0
             elif "p" in rec:
-                p = float(rec["p"])
-                if not 0.0 <= p <= 1.0:
-                    raise DatasetError(f"{self.path}: id {rid!r} has probability {p} outside [0, 1]")
-                self._by_id[rid] = p
+                if not _is_probability(rec["p"]):
+                    raise DatasetError(
+                        f"{self.path}: id {rid!r} has probability {rec['p']!r}, "
+                        "not a number in [0, 1]"
+                    )
+                self._by_id[rid] = float(rec["p"])
             else:
                 raise DatasetError(f"{self.path}: line {lineno} needs 'present' or 'p'")
 
-    def presence_probability(self, segment: Segment) -> float:
+    def presence_probabilities(self, segments: Sequence[Segment]) -> list[float]:
         try:
-            return self._by_id[segment.id]
-        except KeyError:
+            return [self._by_id[seg.id] for seg in segments]
+        except KeyError as exc:
             raise VerdictError(
-                f"verdict file {self.path} has no entry for segment {segment.id!r}"
+                f"verdict file {self.path} has no entry for segment {exc.args[0]!r}"
             ) from None
 
 
 class HttpVerdictProvider:
-    """Remote scoring endpoint: POST {"texts": [...]} -> {"probabilities": [...]}."""
+    """Remote scoring endpoint: POST {"texts": [...]} -> {"probabilities": [...]}.
 
-    def __init__(self, endpoint: str, *, timeout: float = 30.0, max_retries: int = 3):
+    Segments are posted batch_size texts per request.
+    """
+
+    def __init__(
+        self,
+        endpoint: str,
+        *,
+        timeout: float = 30.0,
+        max_retries: int = 3,
+        batch_size: int = 64,
+    ):
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
+        self.batch_size = batch_size
 
-    def presence_probability(self, segment: Segment) -> float:
+    def presence_probabilities(self, segments: Sequence[Segment]) -> list[float]:
         from ._http import post_json
 
-        payload = post_json(
-            self.endpoint,
-            {"texts": [segment.text]},
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            what="learned-classifier endpoint",
-        )
-        probs = payload.get("probabilities") if isinstance(payload, dict) else None
-        if not isinstance(probs, list) or len(probs) != 1:
-            raise VerdictError(
-                f"learned-classifier endpoint returned no probability for {segment.id!r}"
+        out: list[float] = []
+        for start in range(0, len(segments), self.batch_size):
+            chunk = segments[start : start + self.batch_size]
+            payload = post_json(
+                self.endpoint,
+                {"texts": [seg.text for seg in chunk]},
+                timeout=self.timeout,
+                max_retries=self.max_retries,
+                what="learned-classifier endpoint",
             )
-        return float(probs[0])
+            probs = payload.get("probabilities") if isinstance(payload, dict) else None
+            if not isinstance(probs, list) or len(probs) != len(chunk):
+                raise VerdictError(
+                    f"learned-classifier endpoint returned "
+                    f"{len(probs) if isinstance(probs, list) else 'no'} probabilities for "
+                    f"{len(chunk)} segments ({chunk[0].id!r} to {chunk[-1].id!r})"
+                )
+            for seg, p in zip(chunk, probs):
+                if not _is_probability(p):
+                    raise VerdictError(
+                        f"learned-classifier endpoint returned {p!r} for segment {seg.id!r}, "
+                        "not a probability in [0, 1]"
+                    )
+                out.append(float(p))
+        return out
 
 
 def learned_classify(
-    segment: Segment, provider: VerdictProvider, *, threshold: float = 0.5
-) -> bool:
-    """Learned-classifier verdict: true iff presence probability >= threshold."""
-    return provider.presence_probability(segment) >= threshold
+    segments: Sequence[Segment], provider: VerdictProvider, *, threshold: float = 0.5
+) -> list[bool]:
+    """Learned-classifier verdicts, in segment order: probability >= threshold."""
+    return [p >= threshold for p in provider.presence_probabilities(segments)]
 
 
 _FIRST_TOKEN = re.compile(r"[A-Za-z0-9]+")

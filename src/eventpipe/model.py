@@ -9,6 +9,7 @@ written through ``write_rows`` or ``write_json``, which replace the file whole.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -167,26 +168,48 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     return Ontology(event_types=tuple(raw.keys()), roles_by_type=roles_by_type)
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) as str.splitlines numbers them, decoded as they are read.
+
+    The file is split at each newline byte first (UTF-8 never puts one inside
+    a character), then each piece by splitlines, so the lines are exactly
+    those of the decoded whole file. Invalid UTF-8 raises DatasetError.
+    """
+    lineno = 0
+    with path.open("rb") as fh:
+        for piece in fh:
+            try:
+                text = piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}: invalid UTF-8 at line {lineno + 1}") from exc
+            for line in text.splitlines():
+                lineno += 1
+                yield lineno, line
+
+
 def iter_json_records(path: str | Path) -> Iterator[tuple[int, Any]]:
     """Yield (line_number, record) from a JSON array or JSON-lines file.
 
-    Array elements are numbered from 1. Invalid JSON raises DatasetError
-    naming the path and line.
+    Array elements are numbered from 1. A JSON-lines file is read only as far
+    as the records taken, so a caller can judge a header without reading the
+    body. Invalid JSON or UTF-8 raises DatasetError naming the path and, for
+    JSON lines, the line.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    lines = ((lineno, line) for lineno, line in _lines(path) if line.strip())
+    first = next(lines, None)
+    if first is None:
+        return
+    if first[1].lstrip().startswith("["):
         try:
-            records = json.loads(text)
+            records = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: invalid UTF-8") from exc
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-        for i, rec in enumerate(records, start=1):
-            yield i, rec
+        yield from enumerate(records, start=1)
         return
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in itertools.chain([first], lines):
         try:
             yield lineno, json.loads(line)
         except json.JSONDecodeError as exc:

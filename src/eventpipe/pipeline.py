@@ -1,15 +1,21 @@
 """Pipeline execution: gate, triggers, arguments, final, score.
 
-One pool task per segment runs every stage up to the requested one: gate,
-trigger recognition, argument extraction and repair, each argument reply
-parsed once. Each stage has one JSONL artifact whose header line records the
-stage name and the config hash; its rows are projections of the per-segment
-records, written in stage order once the pool finishes, so a crash mid-run
-leaves only the completion cache to resume from. Under --resume a stage with
-a matching artifact is replayed instead of recomputed; a hash mismatch aborts
-rather than silently mixing runs. Artifacts carry no wall-clock data, so two
-identical runs produce byte-identical stage files (timestamps live only in
-run.json).
+A run has two phases over the segments, both on one worker pool. The gate
+phase fetches every learned verdict in batches, then runs each segment's
+rule, learned and LLM verdicts. Between the phases, every segment that will
+retrieve few-shot examples has its text embedded, all in one embed_batch
+call. The extraction phase then runs trigger recognition, argument
+extraction and repair per segment from the stored query vector, each
+argument reply parsed once. Each stage has one JSONL artifact whose header
+line records the stage name, the config hash and the inputs digest (the
+contents of the input files); its rows are projections of the per-segment
+records, written in stage order once both phases finish, so a crash mid-run
+leaves only the completion cache to resume from. Under --resume a stage
+with a matching artifact is replayed instead of recomputed; an artifact
+built from other input contents is recomputed, and a config hash mismatch
+aborts rather than silently mixing runs. Artifacts carry no wall-clock
+data, so two identical runs produce byte-identical stage files (timestamps
+live only in run.json).
 """
 from __future__ import annotations
 
@@ -21,6 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .config import (
     ConfigError,
@@ -65,7 +73,14 @@ from .model import (
     write_rows,
 )
 from .prompts import PromptBundle
-from .retrieval import FewShotExample, SupportIndex, build_index, load_index, save_index
+from .retrieval import (
+    FewShotExample,
+    SupportIndex,
+    build_index,
+    embed_texts,
+    load_index,
+    save_index,
+)
 
 __all__ = [
     "CountingEmbedder",
@@ -92,13 +107,20 @@ class ResumeError(ConfigError):
     """A resumed artifact does not belong to this configuration."""
 
 
-def write_artifact(path: Path, stage: str, config_hash: str, rows: Sequence[dict]) -> None:
+def write_artifact(
+    path: Path, stage: str, config_hash: str, inputs: str, rows: Sequence[dict]
+) -> None:
     """Write a stage artifact: self-describing header line, then sorted rows."""
-    write_rows(path, [{"stage": stage, "config_hash": config_hash}, *rows])
+    write_rows(path, [{"stage": stage, "config_hash": config_hash, "inputs": inputs}, *rows])
 
 
-def read_artifact(path: Path, stage: str, config_hash: str) -> list[dict] | None:
-    """Load a stage artifact if present; raise ResumeError on a foreign header."""
+def read_artifact(path: Path, stage: str, config_hash: str, inputs: str) -> list[dict] | None:
+    """Load a stage artifact's rows; raise ResumeError on a foreign header.
+
+    None if the file is absent or was built from other input contents
+    (another inputs digest): the stage is then recomputed. Only the header
+    is read in that case.
+    """
     if not path.exists():
         return None
     records = iter_json_records(path)
@@ -114,6 +136,8 @@ def read_artifact(path: Path, stage: str, config_hash: str) -> list[dict] | None
             f"{path}: artifact config hash {header.get('config_hash')!r} does not match "
             f"this configuration ({config_hash!r}); delete the output directory or fix the config"
         )
+    if header.get("inputs") != inputs:
+        return None
     return [row for _, row in check_rows(path, records)]
 
 
@@ -154,6 +178,7 @@ class RunResult:
     report: ScoreReport | None
     config_hash: str
     output_dir: Path
+    inputs: str = ""
     provider_calls: dict = field(default_factory=dict)
     texts_embedded: int = 0
     gated_in: int = 0
@@ -185,6 +210,16 @@ def _argument_result(row: dict) -> ArgumentStageResult:
         tuple(row["examples"]),
         recover_json_tail(row["raw"]) if row["failed"] else None,
     )
+
+
+def _gated_in(rows: dict[str, dict | None]) -> bool:
+    return bool(rows.get("gate") and rows["gate"]["gated_in"])
+
+
+def _has_triggers(rows: dict[str, dict | None]) -> bool:
+    """Whether the segment's trigger row exists, did not fail and holds predictions."""
+    row = rows.get("triggers")
+    return bool(row and not row["failed"] and row["predictions"])
 
 
 class Pipeline:
@@ -267,7 +302,7 @@ class Pipeline:
                     save_index(self._index, index_path, embedding=embedding)
         return self._index
 
-    # --- per-segment flow ----------------------------------------------------
+    # --- two-phase flow ------------------------------------------------------
 
     def _artifact(self, stage: str) -> Path:
         return self.out_dir / ARTIFACT_NAMES[stage]
@@ -275,51 +310,30 @@ class Pipeline:
     def _load_if_resuming(self, stage: str) -> list[dict] | None:
         if not self.resume:
             return None
-        rows = read_artifact(self._artifact(stage), stage, self.config_hash)
+        rows = read_artifact(self._artifact(stage), stage, self.config_hash, self._result.inputs)
         if rows is not None:
             self._result.resumed_stages.append(stage)
         return rows
 
-    def _map(self, fn, items):
-        if len(items) <= 1 or self.config.workers == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            return list(pool.map(fn, items))
-
-    def _segment_task(self, computed: set[str], replayed: dict[str, dict[str, dict]]):
-        """The pool task: one segment's replayed rows, then its computed stages in order.
-
-        Every shared resource is resolved here, before the pool starts: the
-        lazy properties and llm_for are check-then-set, so resolving them
-        inside pool threads could build a second cache or provider.
-        """
+    def _gate(self, segments: list[Segment], pool: ThreadPoolExecutor) -> list[dict]:
+        """The gate phase: learned verdicts fetched in batches, then a verdict triple per segment."""
         cfg = self.config
-        ontology = self.ontology
-        cache = self.cache if computed else None
-        if "gate" in computed:
-            lexicon = build_lexicon(self.support)
-            learned_provider = build_verdict_provider(cfg.learned) if cfg.learned else None
-            llm_file = FileVerdictProvider(cfg.gate_llm_file) if cfg.gate_llm_file else None
-            presence_llm = None if llm_file is not None else self.llm_for("presence")
-        # Only a retrieving stage builds the index, so replaying both embeds nothing.
-        index = self.index if computed & {"triggers", "arguments"} else None
-        embedder = self.embedder if index is not None else None
-        trigger_llm = self.llm_for("trigger") if "triggers" in computed else None
-        argument_llm = self.llm_for("argument") if "arguments" in computed else None
-        format_llm = self.llm_for("format") if "final" in computed else None
-        retry = dict(cache=cache, max_attempts=cfg.max_attempts, templates_dir=cfg.templates)
-        extraction = dict(k=cfg.retrieval_k, corrective=cfg.corrective, **retry)
+        ontology, cache = self.ontology, self.cache
+        lexicon = build_lexicon(self.support)
+        learned = [False] * len(segments)
+        if cfg.learned:
+            provider = build_verdict_provider(cfg.learned)
+            learned = learned_classify(segments, provider, threshold=cfg.gate_threshold)
+        # A precomputed LLM verdict file replaces the presence prompt.
+        llm_file: list[bool | None] = [None] * len(segments)
+        if cfg.gate_llm_file:
+            probabilities = FileVerdictProvider(cfg.gate_llm_file).presence_probabilities(segments)
+            llm_file = [p >= 0.5 for p in probabilities]
+        presence_llm = None if cfg.gate_llm_file else self.llm_for("presence")
 
-        def gate(seg: Segment) -> dict:
+        def gate(seg: Segment, learned: bool, llm: bool | None) -> dict:
             rule = rule_classify(seg, lexicon)
-            learned = (
-                learned_classify(seg, learned_provider, threshold=cfg.gate_threshold)
-                if learned_provider is not None
-                else False
-            )
-            if llm_file is not None:
-                llm = llm_file.presence_probability(seg) >= 0.5
-            else:
+            if llm is None:
                 llm = llm_classify(
                     seg,
                     presence_llm,
@@ -337,14 +351,48 @@ class Pipeline:
                 "gated_in": vote(triple, cfg.policy),
             }
 
-        def process(seg: Segment) -> SegmentRecord:
-            # A segment missing from a replayed artifact never reached that stage.
-            rows = {stage: by_id.get(seg.id) for stage, by_id in replayed.items()}
-            record = SegmentRecord(rows)
-            if "gate" in computed:
-                rows["gate"] = gate(seg)
-            if "triggers" in computed and rows["gate"] and rows["gate"]["gated_in"]:
-                found = extract_triggers(seg, index, ontology, trigger_llm, embedder, **extraction)
+        return list(pool.map(gate, segments, learned, llm_file))
+
+    def _queries(
+        self, segments: list[Segment], records: list[SegmentRecord], computed: set[str]
+    ) -> dict[str, np.ndarray]:
+        """Unit query vectors of the segments that will retrieve, from one embed_batch call.
+
+        With triggers computed, those are the gated-in segments; with only
+        arguments computed, the segments whose trigger row holds predictions.
+        A blank text retrieves nothing and is not embedded. Only a retrieving
+        stage builds the index, so replaying both embeds nothing.
+        """
+        if not computed & {"triggers", "arguments"} or self.index is None:
+            return {}
+        retrieves = _gated_in if "triggers" in computed else _has_triggers
+        wanted = [
+            seg
+            for seg, record in zip(segments, records)
+            if seg.text.strip() and retrieves(record.rows)
+        ]
+        if not wanted:
+            return {}
+        vectors = embed_texts([seg.text for seg in wanted], self.embedder)
+        return {seg.id: vec for seg, vec in zip(wanted, vectors)}
+
+    def _extraction_task(self, computed: set[str], queries: dict[str, np.ndarray]):
+        """The extraction phase's pool task: one segment's triggers, arguments and repair."""
+        cfg = self.config
+        ontology, cache = self.ontology, self.cache
+        # queries is empty unless a retrieving stage built the index.
+        index = self.index if queries else None
+        trigger_llm = self.llm_for("trigger") if "triggers" in computed else None
+        argument_llm = self.llm_for("argument") if "arguments" in computed else None
+        format_llm = self.llm_for("format") if "final" in computed else None
+        retry = dict(cache=cache, max_attempts=cfg.max_attempts, templates_dir=cfg.templates)
+        extraction = dict(k=cfg.retrieval_k, corrective=cfg.corrective, **retry)
+
+        def process(seg: Segment, record: SegmentRecord) -> None:
+            rows = record.rows
+            query = queries.get(seg.id)
+            if "triggers" in computed and _gated_in(rows):
+                found = extract_triggers(seg, index, ontology, trigger_llm, query, **extraction)
                 rows["triggers"] = {
                     "id": seg.id,
                     "predictions": [
@@ -355,12 +403,11 @@ class Pipeline:
                     "failed": found.failed,
                     "examples": list(found.example_ids),
                 }
-            trigger_row = rows.get("triggers")
             triggers = []
-            if trigger_row and not trigger_row["failed"]:
+            if _has_triggers(rows):
                 triggers = [
                     TriggerPrediction(seg.id, p["trigger"], p["type"])
-                    for p in trigger_row["predictions"]
+                    for p in rows["triggers"]["predictions"]
                 ]
             result = None
             if "arguments" in computed and triggers:
@@ -370,7 +417,7 @@ class Pipeline:
                     index,
                     ontology,
                     argument_llm,
-                    embedder,
+                    query,
                     same_type_filter=cfg.same_type_filter,
                     **extraction,
                 )
@@ -391,7 +438,6 @@ class Pipeline:
                     )
                 events = record.repair.events if record.repair else ()
                 rows["final"] = {"id": seg.id, "event": [event_to_dict(ev) for ev in events]}
-            return record
 
         return process
 
@@ -410,6 +456,7 @@ class Pipeline:
             raise DatasetError(f"transcript ids missing from gold: {stray[:5]}")
         segments = sorted(transcripts, key=lambda s: s.id)
         result = self._result
+        result.inputs = cfg.inputs_digest()
         started = time.time()
 
         stop = STAGE_ORDER.index(until)
@@ -420,13 +467,30 @@ class Pipeline:
             if rows is not None:
                 replayed[stage] = {row["id"]: row for row in rows}
         computed = {stage for stage in stages if stage not in replayed}
-        records = self._map(self._segment_task(computed, replayed), segments)
+        # A segment missing from a replayed artifact never reached that stage.
+        records = [
+            SegmentRecord({stage: by_id.get(seg.id) for stage, by_id in replayed.items()})
+            for seg in segments
+        ]
+        # One pool serves both phases. Each phase resolves its shared
+        # resources before it maps: the lazy properties and llm_for are
+        # check-then-set, so resolving them in pool threads could build a
+        # second cache or provider.
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            if "gate" in computed:
+                for record, row in zip(records, self._gate(segments, pool)):
+                    record.rows["gate"] = row
+            if computed - {"gate"}:
+                queries = self._queries(segments, records, computed)
+                list(pool.map(self._extraction_task(computed, queries), segments, records))
         artifacts = {
             stage: [rec.rows[stage] for rec in records if rec.rows.get(stage)] for stage in stages
         }
         for stage in stages:
             if stage in computed:
-                write_artifact(self._artifact(stage), stage, self.config_hash, artifacts[stage])
+                write_artifact(
+                    self._artifact(stage), stage, self.config_hash, result.inputs, artifacts[stage]
+                )
 
         gate_rows = artifacts["gate"]
         result.gated_in = sum(1 for r in gate_rows if r["gated_in"])
@@ -462,6 +526,7 @@ class Pipeline:
         result.texts_embedded = self._embedder.texts_embedded if self._embedder else 0
         run_meta = {
             "config_hash": self.config_hash,
+            "inputs": result.inputs,
             "started_at": started,
             "finished_at": time.time(),
             "until": until,

@@ -47,7 +47,7 @@ __all__ = [
     "HttpEmbeddingProvider",
     "SupportIndex",
     "build_index",
-    "embed",
+    "embed_texts",
     "load_index",
     "save_index",
     "search",
@@ -164,9 +164,14 @@ def _unit(vec: np.ndarray, what: str) -> np.ndarray:
     return vec / norm
 
 
-def embed(text: str, embedding_provider: EmbeddingProvider) -> np.ndarray:
-    """Embed one text to a unit-norm vector."""
-    return _unit(embedding_provider.embed_batch([text])[0], f"text {text[:40]!r}")
+def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
+    """Embed texts with one embed_batch call, each to a unit-norm vector."""
+    vecs = embedding_provider.embed_batch(list(texts))
+    if len(vecs) != len(texts):
+        raise EmbeddingError(
+            f"embedding provider returned {len(vecs)} vectors for {len(texts)} texts"
+        )
+    return [_unit(vec, f"text {text[:40]!r}") for text, vec in zip(texts, vecs)]
 
 
 @dataclass(frozen=True)
@@ -383,9 +388,9 @@ def load_index(
     Every defect of the file (empty, bad header, a vector of the wrong
     dimension, an id with no support example, a row count that differs from
     the header) is a DatasetError naming it. Given the `embedding` config,
-    returns None, before reading any row, when the header's embedding config
-    or support digest differs from `embedding` and `examples` or is missing:
-    the file is stale and the caller rebuilds it.
+    returns None when the header's embedding config or support digest
+    differs from `embedding` and `examples` or is missing: the file is stale
+    and the caller rebuilds it. Only the header line is read to decide that.
     """
     path = Path(path)
     by_id = {ex.example_id: ex for ex in examples}

@@ -368,6 +368,34 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
         assert code == 5
 
+    @pytest.mark.parametrize("name", ["transcripts", "gold", "learned verdicts"])
+    def test_invalid_utf8_in_a_row_file_is_an_input_error(self, tmp_path, capsys, name):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        path = {
+            "transcripts": corpus.transcripts_path,
+            "gold": corpus.gold_path,
+            "learned verdicts": corpus.learned_path,
+        }[name]
+        lineno = len(path.read_bytes().splitlines()) + 1
+        with path.open("ab") as fh:
+            fh.write(b'{"id": "seg-999", "text": "caf\xff"}\n')
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err == f"error: {path}: invalid UTF-8 at line {lineno}\n"
+
+    @pytest.mark.parametrize("value", [1.7, "0.4", None], ids=repr)
+    def test_remote_verdict_that_is_not_a_probability_is_a_verification_error(
+        self, tmp_path, capsys, http_server, value
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["gate"]["learned"] = {"kind": "remote", "endpoint": http_server.url}
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        http_server.default_response = (200, {"probabilities": [0.5] * 3 + [value] * 27})
+        code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
+        assert code == 5
+        assert f"returned {value!r} for segment 'seg-004'" in err
+
     def test_prediction_id_outside_gold_is_a_verification_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"

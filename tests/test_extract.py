@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS
+from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS, build_golden_corpus
 from eventpipe import extract
 from eventpipe.extract import (
     RawStageOutput,
@@ -27,7 +27,7 @@ from eventpipe.extract import (
 from eventpipe.llm import ScriptedMockLlm
 from eventpipe.model import Argument, EventMention, Segment
 from eventpipe.pipeline import Pipeline
-from eventpipe.retrieval import FewShotExample, HashedBagEmbedder, build_index, embed
+from eventpipe.retrieval import FewShotExample, HashedBagEmbedder, build_index, embed_texts
 from test_retrieval import brute_force_top_k
 
 # ---------------------------------------------------------------------------
@@ -552,29 +552,55 @@ def _support_index(dim=16):
     return build_index(examples, embedder), embedder
 
 
+def _query(text, embedder):
+    return embed_texts([text], embedder)[0]
+
+
 class TestRetrieveExamples:
     def test_returns_ranked_examples(self, ontology):
         index, embedder = _support_index()
-        seg = Segment(id="q", text="a war broke out somewhere")
-        examples = retrieve_examples(seg, index, embedder, 2)
+        examples = retrieve_examples(index, _query("a war broke out somewhere", embedder), 2)
         assert len(examples) == 2
         assert examples[0].example_id == "ex-0"
 
     def test_k_zero_or_missing_index_means_no_examples(self, ontology):
         index, embedder = _support_index()
-        seg = Segment(id="q", text="anything")
-        assert retrieve_examples(seg, index, embedder, 0) == []
-        assert retrieve_examples(seg, None, embedder, 3) == []
-        assert retrieve_examples(seg, index, None, 3) == []
+        query = _query("anything", embedder)
+        assert retrieve_examples(index, query, 0) == []
+        assert retrieve_examples(None, query, 3) == []
+        assert retrieve_examples(index, None, 3) == []
 
-    def test_blank_text_retrieves_nothing(self, ontology):
-        index, embedder = _support_index()
-        assert retrieve_examples(Segment(id="q", text="   "), index, embedder, 3) == []
+    def test_blank_text_retrieves_nothing(self, tmp_path):
+        # A gated-in segment whose text is blank is never embedded, and its
+        # trigger stage retrieves no examples.
+        corpus = build_golden_corpus(tmp_path / "blank", policy="learned", with_cache=False)
+        rows = [json.loads(line) for line in corpus.transcripts_path.read_text().splitlines()]
+        rows[0]["text"] = " \t "
+        corpus.transcripts_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        pipeline = Pipeline(corpus.config)
+        pipeline.index  # noqa: B018 - embeds the support set first
+        queries = []
+        embed_batch = pipeline.embedder.inner.embed_batch
+        pipeline.embedder.inner.embed_batch = lambda texts: queries.append(texts) or embed_batch(texts)
+        pipeline.run(until="triggers")
+        gated_in = [
+            json.loads(line) for line in (corpus.output_dir / "gate.jsonl").read_text().splitlines()[1:]
+        ]
+        gated_in = [row["id"] for row in gated_in if row["gated_in"]]
+        assert rows[0]["id"] in gated_in
+        assert len(queries) == 1 and len(queries[0]) == len(gated_in) - 1
+        assert all(text.strip() for text in queries[0])
+        triggers = {
+            row["id"]: row
+            for row in map(json.loads, (corpus.output_dir / "triggers.jsonl").read_text().splitlines()[1:])
+        }
+        assert triggers[rows[0]["id"]]["examples"] == []
+        assert all(triggers[sid]["examples"] for sid in gated_in if sid != rows[0]["id"])
 
     def test_where_filter_applies(self, ontology):
         index, embedder = _support_index()
-        seg = Segment(id="q", text="a war broke out somewhere")
-        only_meet = retrieve_examples(seg, index, embedder, 3, mask=index.type_mask(["Meet"]))
+        query = _query("a war broke out somewhere", embedder)
+        only_meet = retrieve_examples(index, query, 3, mask=index.type_mask(["Meet"]))
         assert [ex.example_id for ex in only_meet] == ["ex-1"]
 
 
@@ -620,7 +646,7 @@ class TestExtractTriggers:
         index, embedder = _support_index()
         provider = ScriptedMockLlm({"s1/trigger": "[]"})
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_triggers(seg, index, ontology, provider, embedder, k=2)
+        result = extract_triggers(seg, index, ontology, provider, _query(seg.text, embedder), k=2)
         assert len(result.example_ids) == 2
 
 
@@ -668,7 +694,7 @@ class TestExtractArguments:
             index,
             ontology,
             provider,
-            embedder,
+            _query(seg.text, embedder),
             k=3,
             same_type_filter=True,
         )
@@ -688,17 +714,17 @@ class TestExtractArguments:
             keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
             for sid, text in TRANSCRIPT_TEXTS.items():
                 triggers = [TriggerPrediction(sid, "x", t) for t in types]
+                query = _query(text, embedder)
                 result = extract_arguments(
                     Segment(id=sid, text=text),
                     triggers,
                     index,
                     ontology,
                     ScriptedMockLlm({f"{sid}/argument": "no arguments"}),
-                    embedder,
+                    query,
                     k=3,
                     same_type_filter=True,
                 )
-                query = embed(text, embedder)
                 want = brute_force_top_k(index, query, 3, where=keep)
                 assert result.example_ids == tuple(example_id for example_id, _ in want)
                 picked += len(want)

@@ -86,19 +86,19 @@ class TestLearnedClassifier:
         provider = self._provider(
             tmp_path, [{"id": "a", "p": 0.7}, {"id": "b", "present": False}]
         )
-        assert provider.presence_probability(Segment(id="a", text="")) == 0.7
-        assert provider.presence_probability(Segment(id="b", text="")) == 0.0
+        segments = [Segment(id="b", text=""), Segment(id="a", text="")]
+        assert provider.presence_probabilities(segments) == [0.0, 0.7]
 
     def test_threshold_is_inclusive(self, tmp_path):
         provider = self._provider(tmp_path, [{"id": "a", "p": 0.5}])
         seg = Segment(id="a", text="")
-        assert learned_classify(seg, provider, threshold=0.5) is True
-        assert learned_classify(seg, provider, threshold=0.51) is False
+        assert learned_classify([seg], provider, threshold=0.5) == [True]
+        assert learned_classify([seg], provider, threshold=0.51) == [False]
 
     def test_missing_segment_raises(self, tmp_path):
         provider = self._provider(tmp_path, [{"id": "a", "p": 0.5}])
         with pytest.raises(VerdictError, match="zzz"):
-            provider.presence_probability(Segment(id="zzz", text=""))
+            provider.presence_probabilities([Segment(id="a", text=""), Segment(id="zzz", text="")])
 
     def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="dup"):
@@ -108,18 +108,50 @@ class TestLearnedClassifier:
         with pytest.raises(DatasetError):
             self._provider(tmp_path, [{"id": "a", "p": 1.5}])
 
+    @pytest.mark.parametrize("value", [None, "0.4", True, [0.5]], ids=repr)
+    def test_probability_that_is_not_a_number_is_rejected(self, tmp_path, value):
+        with pytest.raises(DatasetError, match=r"id 'a' has probability .*not a number in \[0, 1\]"):
+            self._provider(tmp_path, [{"id": "a", "p": value}])
+
     def test_http_provider_posts_text_and_reads_probability(self, http_server):
         http_server.default_response = (200, {"probabilities": [0.8]})
         provider = HttpVerdictProvider(http_server.url)
-        p = provider.presence_probability(Segment(id="a", text="some text"))
-        assert p == 0.8
+        p = provider.presence_probabilities([Segment(id="a", text="some text")])
+        assert p == [0.8]
         assert http_server.requests[0]["body"] == {"texts": ["some text"]}
 
     def test_http_provider_rejects_malformed_payload(self, http_server):
         http_server.default_response = (200, {"probabilities": []})
         provider = HttpVerdictProvider(http_server.url)
-        with pytest.raises(VerdictError):
-            provider.presence_probability(Segment(id="a", text="x"))
+        with pytest.raises(VerdictError, match="0 probabilities for 1 segments"):
+            provider.presence_probabilities([Segment(id="a", text="x")])
+
+    def test_http_provider_posts_batches_in_segment_order(self, http_server):
+        http_server.enqueue({"probabilities": [0.1, 0.2, 0.3]})
+        http_server.enqueue({"probabilities": [0.4, 0.5, 0.6]})
+        http_server.enqueue({"probabilities": [1]})
+        provider = HttpVerdictProvider(http_server.url, batch_size=3)
+        segments = [Segment(id=f"s{i}", text=f"text {i}") for i in range(7)]
+        assert provider.presence_probabilities(segments) == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0]
+        assert [r["body"]["texts"] for r in http_server.requests] == [
+            ["text 0", "text 1", "text 2"],
+            ["text 3", "text 4", "text 5"],
+            ["text 6"],
+        ]
+        assert provider.presence_probabilities([]) == []
+        assert len(http_server.requests) == 3
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.7, -0.1, "0.4", None, True, False, [0.5], {"p": 0.5}, float("nan"), float("inf")],
+        ids=repr,
+    )
+    def test_http_provider_rejects_a_value_that_is_not_a_probability(self, http_server, value):
+        http_server.default_response = (200, {"probabilities": [0.5, value]})
+        provider = HttpVerdictProvider(http_server.url)
+        segments = [Segment(id="ok", text="a"), Segment(id="seg-7", text="b")]
+        with pytest.raises(VerdictError, match="segment 'seg-7'"):
+            provider.presence_probabilities(segments)
 
 
 class TestParseYesNo:

@@ -255,7 +255,7 @@ ROW_LOADERS = {
     "transcripts": ([{"id": "a", "text": "x"}], load_transcripts),
     "learned verdicts": (
         [{"id": "a", "p": 0.5}],
-        lambda p: FileVerdictProvider(p).presence_probability(Segment(id="a", text="")),
+        lambda p: FileVerdictProvider(p).presence_probabilities([Segment(id="a", text="")]),
     ),
     "verdict triples": (
         [{"id": "a", "rule": True, "learned": False, "llm": True}],
@@ -266,8 +266,8 @@ ROW_LOADERS = {
         _format_raw_file,
     ),
     "stage artifact": (
-        [{"stage": "gate", "config_hash": "h"}, {"id": "a", "gated_in": True}],
-        lambda p: read_artifact(p, "gate", "h"),
+        [{"stage": "gate", "config_hash": "h", "inputs": "i"}, {"id": "a", "gated_in": True}],
+        lambda p: read_artifact(p, "gate", "h", "i"),
     ),
     "index": (
         [{"count": 1, "dimension": 2}, {"id": "a", "vector": [0.6, 0.8]}],

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_golden_corpus
+from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus
 from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import ResponseCache
 from eventpipe.model import DatasetError, load_gold
@@ -42,6 +42,11 @@ GOLDEN_DIGESTS = {
 }
 
 
+def digests_of(artifact: Path) -> str:
+    """sha256 prefix of an artifact's rows, without its header."""
+    return hashlib.sha256(artifact.read_bytes().split(b"\n", 1)[1]).hexdigest()[:16]
+
+
 def digests(out_dir: Path) -> dict[str, str]:
     out = {}
     for name, data in snapshot(out_dir).items():
@@ -55,40 +60,40 @@ class TestArtifactIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gate.jsonl"
         rows = [{"id": "s1", "rule": True}, {"id": "s2", "rule": False}]
-        write_artifact(path, "gate", "abc123", rows)
-        assert read_artifact(path, "gate", "abc123") == rows
+        write_artifact(path, "gate", "abc123", "in1", rows)
+        assert read_artifact(path, "gate", "abc123", "in1") == rows
 
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "gate.jsonl"
-        write_artifact(path, "gate", "abc123", [{"id": "s1"}])
+        write_artifact(path, "gate", "abc123", "in1", [{"id": "s1"}])
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert first == {"stage": "gate", "config_hash": "abc123"}
+        assert first == {"stage": "gate", "config_hash": "abc123", "inputs": "in1"}
 
     def test_missing_file_returns_none(self, tmp_path):
-        assert read_artifact(tmp_path / "nope.jsonl", "gate", "abc") is None
+        assert read_artifact(tmp_path / "nope.jsonl", "gate", "abc", "in1") is None
 
     def test_stage_mismatch(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        write_artifact(path, "gate", "abc", [])
+        write_artifact(path, "gate", "abc", "in1", [])
         with pytest.raises(ResumeError, match="stage 'gate', not 'triggers'"):
-            read_artifact(path, "triggers", "abc")
+            read_artifact(path, "triggers", "abc", "in1")
 
     def test_hash_mismatch_names_the_remedy(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        write_artifact(path, "gate", "abc", [])
+        write_artifact(path, "gate", "abc", "in1", [])
         with pytest.raises(ResumeError, match="delete the output directory"):
-            read_artifact(path, "gate", "def")
+            read_artifact(path, "gate", "def", "in1")
 
     def test_empty_artifact_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(ResumeError, match="empty artifact"):
-            read_artifact(path, "gate", "abc")
+            read_artifact(path, "gate", "abc", "in1")
 
     def test_failed_rewrite_keeps_previous_artifact(self, tmp_path, monkeypatch):
         path = tmp_path / "gate.jsonl"
         rows = [{"id": "s1", "rule": True}, {"id": "s2", "rule": False}]
-        write_artifact(path, "gate", "abc", rows)
+        write_artifact(path, "gate", "abc", "in1", rows)
         real_open = Path.open
 
         def disk_fills_up(self, *args, **kwargs):
@@ -105,16 +110,26 @@ class TestArtifactIO:
 
         monkeypatch.setattr(Path, "open", disk_fills_up)
         with pytest.raises(OSError, match="No space left"):
-            write_artifact(path, "gate", "abc", [{"id": "s3", "rule": True}])
+            write_artifact(path, "gate", "abc", "in1", [{"id": "s3", "rule": True}])
         monkeypatch.undo()
-        assert read_artifact(path, "gate", "abc") == rows
+        assert read_artifact(path, "gate", "abc", "in1") == rows
         assert [p.name for p in tmp_path.iterdir()] == ["gate.jsonl"]
 
     def test_rows_serialized_with_sorted_keys(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        write_artifact(path, "gate", "abc", [{"zeta": 1, "alpha": 2}])
+        write_artifact(path, "gate", "abc", "in1", [{"zeta": 1, "alpha": 2}])
         body = path.read_text(encoding="utf-8").splitlines()[1]
         assert body == '{"alpha": 2, "zeta": 1}'
+
+    def test_artifact_from_other_inputs_is_not_replayed(self, tmp_path):
+        # Only the header is read: the body after it is not even valid UTF-8.
+        path = tmp_path / "gate.jsonl"
+        write_artifact(path, "gate", "abc", "in1", [{"id": "s1", "rule": True}])
+        with path.open("ab") as fh:
+            fh.write(b'{"id": "s2", "rule": "\xff"}\n')
+        assert read_artifact(path, "gate", "abc", "in2") is None
+        with pytest.raises(DatasetError, match="invalid UTF-8 at line 3"):
+            read_artifact(path, "gate", "abc", "in1")
 
 
 class TestGoldenRun:
@@ -143,11 +158,11 @@ class TestGoldenRun:
             "trigger": 13,
             "total": 58,
         }
-        # 12 support examples plus one query embedding per extraction call
-        # that actually retrieved (10 trigger segments, 9 argument segments).
-        assert result.texts_embedded == 31
+        # 12 support examples plus one query embedding per gated-in segment
+        # (10), which its trigger and argument stages share.
+        assert result.texts_embedded == 22
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_outputs_match_pinned_digests(self, tmp_path, workers):
         corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
         Pipeline(corpus.config).run()
@@ -167,12 +182,16 @@ class TestGoldenRun:
 
     def test_all_artifacts_written_with_matching_headers(self, golden_corpus):
         pipeline = Pipeline(golden_corpus.config)
-        pipeline.run()
+        result = pipeline.run()
+        assert result.inputs == golden_corpus.config.inputs_digest()
         for name in ARTIFACTS:
             lines = (golden_corpus.output_dir / name).read_text(encoding="utf-8").splitlines()
             header = json.loads(lines[0])
             assert header["stage"] == name.removesuffix(".jsonl")
             assert header["config_hash"] == pipeline.config_hash
+            assert header["inputs"] == result.inputs
+        run_meta = json.loads((golden_corpus.output_dir / "run.json").read_text())
+        assert run_meta["inputs"] == result.inputs
 
     def test_artifacts_carry_no_timestamps(self, golden_corpus):
         Pipeline(golden_corpus.config).run()
@@ -312,6 +331,86 @@ class TestDeterminismAndResume:
         assert second.provider_calls["total"] == 58
 
 
+class TestStaleInputs:
+    """--resume replays an artifact only if the input files still hold what built it."""
+
+    def test_rewritten_verdict_file_makes_resume_recompute_the_gate(self, golden_corpus):
+        Pipeline(golden_corpus.config).run()
+        golden_corpus.learned_path.write_text(
+            "".join(json.dumps({"id": sid, "p": 0.0}) + "\n" for sid in sorted(TRANSCRIPT_TEXTS))
+        )
+        resumed = Pipeline(golden_corpus.config, resume=True).run()
+        # Under the unanimous policy a learned p=0 vetoes every segment.
+        assert resumed.resumed_stages == []
+        assert resumed.gated_in == 0
+        gate_rows = read_artifact(
+            golden_corpus.output_dir / "gate.jsonl", "gate", resumed.config_hash, resumed.inputs
+        )
+        assert not any(row["learned"] or row["gated_in"] for row in gate_rows)
+
+    @pytest.mark.parametrize("name", ["transcripts", "support", "script"])
+    def test_any_changed_input_changes_the_digest(self, golden_corpus, name):
+        path = getattr(golden_corpus, f"{name}_path")
+        config_hash, before = golden_corpus.config.config_hash(), golden_corpus.config.inputs_digest()
+        path.write_bytes(path.read_bytes() + b"\n")
+        assert golden_corpus.config.inputs_digest() != before
+        assert golden_corpus.config.config_hash() == config_hash
+
+
+class TestTwoPhases:
+    """Verdicts are fetched in batches before the gate, and queries embedded once after it."""
+
+    def test_queries_are_embedded_in_one_call_after_the_gate(self, golden_corpus):
+        pipeline = Pipeline(golden_corpus.config)
+        pipeline.index  # noqa: B018 - embeds the support set first
+        calls = []
+        embed_batch = pipeline.embedder.inner.embed_batch
+        pipeline.embedder.inner.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
+        result = pipeline.run()
+        gate_rows = read_artifact(
+            golden_corpus.output_dir / "gate.jsonl", "gate", result.config_hash, result.inputs
+        )
+        gated_in = [row["id"] for row in gate_rows if row["gated_in"]]
+        assert len(gated_in) == 10
+        # Gated-out segments are not embedded; the argument stage reuses the
+        # trigger stage's vector.
+        assert calls == [[TRANSCRIPT_TEXTS[sid] for sid in gated_in]]
+        assert result.texts_embedded == 12 + 10
+
+    def test_argument_only_run_embeds_segments_with_triggers(self, tmp_path):
+        corpus = build_golden_corpus(tmp_path / "steps", with_cache=False)
+        Pipeline(corpus.config, resume=True).run(until="triggers")
+        pipeline = Pipeline(corpus.config, resume=True)
+        pipeline.index  # noqa: B018 - embeds the support set first
+        calls = []
+        embed_batch = pipeline.embedder.inner.embed_batch
+        pipeline.embedder.inner.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
+        result = pipeline.run(until="arguments")
+        assert result.resumed_stages == ["gate", "triggers"]
+        trigger_rows = read_artifact(
+            corpus.output_dir / "triggers.jsonl", "triggers", result.config_hash, result.inputs
+        )
+        with_triggers = [row["id"] for row in trigger_rows if not row["failed"] and row["predictions"]]
+        assert len(with_triggers) == 9
+        assert calls == [[TRANSCRIPT_TEXTS[sid] for sid in with_triggers]]
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 64])
+    def test_learned_verdicts_are_posted_in_batches(self, tmp_path, http_server, batch_size):
+        corpus = build_golden_corpus(tmp_path / "remote")
+        ids = sorted(TRANSCRIPT_TEXTS)
+        for start in range(0, len(ids), batch_size):
+            chunk = ids[start : start + batch_size]
+            http_server.enqueue({"probabilities": [LEARNED_P[sid] for sid in chunk]})
+        learned = ProviderConfig(kind="remote", endpoint=http_server.url, batch_size=batch_size)
+        config = dataclasses.replace(corpus.config, learned=learned)
+        result = Pipeline(config).run(until="gate")
+        assert len(http_server.requests) == -(-len(ids) // batch_size)
+        posted = [text for r in http_server.requests for text in r["body"]["texts"]]
+        assert posted == [TRANSCRIPT_TEXTS[sid] for sid in ids]
+        assert result.gated_in == corpus.gated_in_all
+        assert digests_of(corpus.output_dir / "gate.jsonl") == GOLDEN_DIGESTS["gate.jsonl"]
+
+
 class TestPolicyVariants:
     @pytest.mark.parametrize("policy", ["without", "rule", "one+"])
     def test_gated_in_matches_designed_matrix(self, tmp_path, policy):
@@ -372,15 +471,29 @@ class TestSupportIndex:
         assert rows[0]["text"] != rows[1]["text"]
         rows[0]["text"], rows[1]["text"] = rows[1]["text"], rows[0]["text"]
         corpus.support_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        # 12 support texts, then 19 trigger and argument queries.
-        assert Pipeline(config).run().texts_embedded == 31
+        # 12 support texts, then 10 queries shared by the trigger and argument stages.
+        assert Pipeline(config).run().texts_embedded == 22
         self._assert_saved_index_is_fresh(config)
 
     def test_changed_embedding_config_makes_the_run_rebuild(self, tmp_path):
         _, config = self._indexed(tmp_path)
         Pipeline(config).index  # noqa: B018 - builds and saves the index
         config = dataclasses.replace(config, embedding=ProviderConfig(kind="mock", dimension=32))
-        assert Pipeline(config).run().texts_embedded == 31
+        assert Pipeline(config).run().texts_embedded == 22
+        self._assert_saved_index_is_fresh(config)
+
+    def test_stale_header_is_judged_without_reading_the_body(self, tmp_path):
+        _, config = self._indexed(tmp_path)
+        Pipeline(config).index  # noqa: B018 - builds and saves the index
+        path = Path(config.index)
+        header, body = path.read_bytes().split(b"\n", 1)
+        stale = json.loads(header)
+        stale["support_digest"] = "0" * 64
+        path.write_bytes(json.dumps(stale).encode() + b"\n" + body[:100] + b"\xff" + body[100:])
+        examples = Pipeline(config).support_examples()
+        assert load_index(path, examples, embedding=config.embedding.to_dict()) is None
+        rebuilt = Pipeline(config)
+        assert len(rebuilt.index) == 12 and rebuilt.embedder.texts_embedded == 12
         self._assert_saved_index_is_fresh(config)
 
     def test_pipelines_do_not_share_the_token_memo(self, golden_corpus):

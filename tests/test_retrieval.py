@@ -22,7 +22,7 @@ from eventpipe.retrieval import (
     HttpEmbeddingProvider,
     SupportIndex,
     build_index,
-    embed,
+    embed_texts,
     load_index,
     save_index,
     search,
@@ -237,12 +237,35 @@ class TestHashedBagEmbedder:
         assert vec.shape == (DEFAULT_DIMENSION,)
 
     def test_embed_returns_unit_norm(self):
-        vec = embed("the war began", HashedBagEmbedder(dimension=32))
+        (vec,) = embed_texts(["the war began"], HashedBagEmbedder(dimension=32))
         assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-12
 
     def test_empty_text_embeds_to_zero_and_is_rejected(self):
-        with pytest.raises(EmbeddingError):
-            embed("   ", HashedBagEmbedder(dimension=32))
+        with pytest.raises(EmbeddingError, match="text '   ': zero embedding vector"):
+            embed_texts(["a war", "   "], HashedBagEmbedder(dimension=32))
+
+    @settings(max_examples=150, deadline=None)
+    @given(dimension=st.sampled_from([1, 7, 64]), texts=st.lists(_embed_texts, max_size=8))
+    def test_batched_queries_equal_one_text_embeddings(self, dimension, texts):
+        # The reference is the one-text-per-call path that retrieval took
+        # before queries were batched, on a fresh embedder for every text.
+        want = [HashedBagEmbedder(dimension=dimension).embed_batch([t])[0] for t in texts]
+        if any(float(np.linalg.norm(w)) <= 1e-6 for w in want):
+            with pytest.raises(EmbeddingError, match="zero embedding vector"):
+                embed_texts(texts, HashedBagEmbedder(dimension=dimension))
+            return
+        got = embed_texts(texts, HashedBagEmbedder(dimension=dimension))
+        assert len(got) == len(texts)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w / float(np.linalg.norm(w)))
+
+    def test_a_provider_that_drops_query_vectors_is_rejected(self):
+        class Short:
+            def embed_batch(self, texts):
+                return [np.ones(3)] * (len(texts) - 1)
+
+        with pytest.raises(EmbeddingError, match="returned 1 vectors for 2 texts"):
+            embed_texts(["a", "b"], Short())
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(EmbeddingError):
@@ -484,7 +507,7 @@ class TestPersistence:
         assert loaded.example_ids == index.example_ids
         assert np.array_equal(loaded.vectors, index.vectors)  # not just allclose
         # Search results must match exactly too.
-        q = embed("text number 3", HashedBagEmbedder(dimension=24))
+        (q,) = embed_texts(["text number 3"], HashedBagEmbedder(dimension=24))
         assert search(index, q, 5) == search(loaded, q, 5)
 
     def test_loaded_examples_are_reattached_by_id(self, tmp_path):
