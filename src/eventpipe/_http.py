@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import time
-from typing import Any
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Sequence, TypeVar
 
 import requests
 
-__all__ = ["ProviderError", "post_json"]
+__all__ = ["ProviderError", "post_batches", "post_json"]
+
+T = TypeVar("T")
 
 
 class ProviderError(RuntimeError):
@@ -47,3 +50,35 @@ def post_json(
         if attempt < max_retries:
             time.sleep(backoff * attempt)
     raise ProviderError(f"{what} failed after {max_retries} attempts ({last_error})")
+
+
+def post_batches(
+    url: str,
+    payloads: Sequence[dict[str, Any]],
+    parse: Callable[[int, Any], T],
+    *,
+    max_in_flight: int,
+    timeout: float = 30.0,
+    max_retries: int = 3,
+    what: str = "provider",
+) -> list[T]:
+    """POST every payload, at most max_in_flight at a time; results in payload order.
+
+    Each worker runs ``parse(i, reply)`` on the decoded reply of payload i, so
+    a raw reply lives only until its worker has turned it into a result. The
+    error raised is the one of the earliest failing payload; payloads not yet
+    started when it surfaces are never sent.
+    """
+    if not payloads:
+        return []
+
+    def call(i: int) -> T:
+        reply = post_json(url, payloads[i], timeout=timeout, max_retries=max_retries, what=what)
+        return parse(i, reply)
+
+    pool = ThreadPoolExecutor(max_workers=min(max_in_flight, len(payloads)))
+    try:
+        futures = [pool.submit(call, i) for i in range(len(payloads))]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)

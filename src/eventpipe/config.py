@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -28,6 +29,14 @@ LLM_STAGES = ("presence", "trigger", "argument", "format")
 
 class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _take(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -60,6 +69,16 @@ class ProviderConfig:
     def __post_init__(self):
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}")
+        for name in ("batch_size", "max_in_flight", "max_retries"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"provider {name} must be an integer >= 1, got {value!r}")
+        if not _is_number(self.timeout) or not 0 < self.timeout < math.inf:
+            raise ConfigError(f"provider timeout must be a number > 0, got {self.timeout!r}")
+        if not _is_number(self.min_interval) or not 0 <= self.min_interval < math.inf:
+            raise ConfigError(
+                f"provider min_interval must be a number >= 0, got {self.min_interval!r}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "ProviderConfig":
@@ -68,7 +87,7 @@ class ProviderConfig:
             raise ConfigError(f"{where}: provider needs a 'kind'")
         try:
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -199,6 +218,8 @@ class PipelineConfig:
             data = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: invalid UTF-8") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -316,6 +337,7 @@ def build_embedding_provider(cfg: ProviderConfig):
             timeout=cfg.timeout,
             max_retries=cfg.max_retries,
             batch_size=cfg.batch_size,
+            max_in_flight=cfg.max_in_flight,
         )
     raise ConfigError(f"embedding provider kind {cfg.kind!r} is not usable")
 
@@ -336,5 +358,6 @@ def build_verdict_provider(cfg: ProviderConfig):
             timeout=cfg.timeout,
             max_retries=cfg.max_retries,
             batch_size=cfg.batch_size,
+            max_in_flight=cfg.max_in_flight,
         )
     raise ConfigError(f"verdict provider kind {cfg.kind!r} is not usable")

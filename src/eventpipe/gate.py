@@ -203,7 +203,8 @@ class FileVerdictProvider:
 class HttpVerdictProvider:
     """Remote scoring endpoint: POST {"texts": [...]} -> {"probabilities": [...]}.
 
-    Segments are posted batch_size texts per request.
+    Segments are posted batch_size texts per request, up to max_in_flight
+    requests at a time, and the probabilities come back in segment order.
     """
 
     def __init__(
@@ -213,25 +214,23 @@ class HttpVerdictProvider:
         timeout: float = 30.0,
         max_retries: int = 3,
         batch_size: int = 64,
+        max_in_flight: int = 4,
     ):
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
         self.batch_size = batch_size
+        self.max_in_flight = max_in_flight
 
     def presence_probabilities(self, segments: Sequence[Segment]) -> list[float]:
-        from ._http import post_json
+        from ._http import post_batches
 
-        out: list[float] = []
-        for start in range(0, len(segments), self.batch_size):
-            chunk = segments[start : start + self.batch_size]
-            payload = post_json(
-                self.endpoint,
-                {"texts": [seg.text for seg in chunk]},
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                what="learned-classifier endpoint",
-            )
+        chunks = [
+            segments[i : i + self.batch_size] for i in range(0, len(segments), self.batch_size)
+        ]
+
+        def parse(i: int, payload) -> list[float]:
+            chunk = chunks[i]
             probs = payload.get("probabilities") if isinstance(payload, dict) else None
             if not isinstance(probs, list) or len(probs) != len(chunk):
                 raise VerdictError(
@@ -245,8 +244,18 @@ class HttpVerdictProvider:
                         f"learned-classifier endpoint returned {p!r} for segment {seg.id!r}, "
                         "not a probability in [0, 1]"
                     )
-                out.append(float(p))
-        return out
+            return [float(p) for p in probs]
+
+        parts = post_batches(
+            self.endpoint,
+            [{"texts": [seg.text for seg in chunk]} for chunk in chunks],
+            parse,
+            max_in_flight=self.max_in_flight,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            what="learned-classifier endpoint",
+        )
+        return [p for part in parts for p in part]
 
 
 def learned_classify(

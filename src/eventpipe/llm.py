@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._http import ProviderError, post_json
+from .model import DatasetError
 from .prompts import PromptBundle, PromptMessage
 
 __all__ = [
@@ -164,9 +165,14 @@ class ScriptedMockLlm(LlmProvider):
 
     @classmethod
     def from_script_file(cls, path: str | Path, *, provider_name: str = "mock") -> "ScriptedMockLlm":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"mock script {path}: invalid UTF-8") from exc
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"mock script {path}: invalid JSON at line {exc.lineno}") from exc
         if not isinstance(data, dict):
-            raise ValueError(f"mock script {path} must be a JSON object")
+            raise DatasetError(f"mock script {path} must be a JSON object")
         return cls(data, provider_name=provider_name)
 
     @property
@@ -216,8 +222,8 @@ class HttpLlmProvider(LlmProvider):
         self.timeout = timeout
         self.max_retries = max_retries
         self.sampling = dict(sampling or {})
-        self._gate = threading.Semaphore(max(1, max_in_flight))
-        self._min_interval = max(0.0, min_interval)
+        self._gate = threading.Semaphore(max_in_flight)
+        self._min_interval = min_interval
         self._pace_lock = threading.Lock()
         self._last_request = 0.0
 

@@ -152,6 +152,8 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     p = Path(path) if path is not None else default_ontology_path()
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"ontology file {p}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"ontology file {p}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(raw, dict) or not raw:

@@ -119,7 +119,11 @@ class HashedBagEmbedder:
 
 
 class HttpEmbeddingProvider:
-    """Remote embedding endpoint: POST {"texts": [...]} -> {"vectors": [[...]]}."""
+    """Remote embedding endpoint: POST {"texts": [...]} -> {"vectors": [[...]]}.
+
+    Texts are posted batch_size per request, up to max_in_flight requests at a
+    time, and the vectors come back in text order.
+    """
 
     def __init__(
         self,
@@ -128,33 +132,41 @@ class HttpEmbeddingProvider:
         timeout: float = 30.0,
         max_retries: int = 3,
         batch_size: int = 64,
+        max_in_flight: int = 4,
     ):
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
         self.batch_size = batch_size
+        self.max_in_flight = max_in_flight
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        from ._http import post_json
+        from ._http import post_batches
 
-        out: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            chunk = list(texts[start : start + self.batch_size])
-            payload = post_json(
-                self.endpoint,
-                {"texts": chunk},
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                what="embedding endpoint",
-            )
+        chunks = [
+            list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)
+        ]
+
+        def parse(i: int, payload) -> list[np.ndarray]:
+            chunk = chunks[i]
             vectors = payload.get("vectors") if isinstance(payload, dict) else None
             if not isinstance(vectors, list) or len(vectors) != len(chunk):
                 raise EmbeddingError(
                     f"embedding endpoint returned {0 if not isinstance(vectors, list) else len(vectors)} "
                     f"vectors for {len(chunk)} texts"
                 )
-            out.extend(np.asarray(v, dtype=np.float64) for v in vectors)
-        return out
+            return [np.asarray(v, dtype=np.float64) for v in vectors]
+
+        parts = post_batches(
+            self.endpoint,
+            [{"texts": chunk} for chunk in chunks],
+            parse,
+            max_in_flight=self.max_in_flight,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            what="embedding endpoint",
+        )
+        return [vec for part in parts for vec in part]
 
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:

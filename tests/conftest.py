@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -645,7 +646,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError:
             body = {"_raw": raw.decode("utf-8", "replace")}
         self.server.record(self.path, dict(self.headers), body)
-        status, payload = self.server.next_response()
+        status, payload = self.server.next_response(body)
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -658,13 +659,21 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer(ThreadingHTTPServer):
-    """Scriptable POST endpoint: queue (status, payload) pairs, read requests."""
+    """Scriptable POST endpoint: answer by request content or from a queue, read requests.
+
+    When ``responder`` is set, each request body is answered with
+    ``responder(body) -> (status, payload)``, called on the request's own
+    thread, so concurrent requests can be answered in any order. Otherwise
+    queued (status, payload) pairs are served in arrival order, then
+    ``default_response``.
+    """
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.requests: list[dict] = []
         self.queue: deque = deque()
         self.default_response = (200, {})
+        self.responder: Callable[[dict], tuple[int, Any]] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -675,7 +684,9 @@ class StubServer(ThreadingHTTPServer):
         with self._lock:
             self.requests.append({"path": path, "headers": headers, "body": body})
 
-    def next_response(self):
+    def next_response(self, body: dict):
+        if self.responder is not None:
+            return self.responder(body)
         with self._lock:
             if self.queue:
                 return self.queue.popleft()
@@ -689,7 +700,7 @@ class StubServer(ThreadingHTTPServer):
 @pytest.fixture
 def http_server():
     server = StubServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server
     server.shutdown()

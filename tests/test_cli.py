@@ -383,6 +383,59 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {path}: invalid UTF-8 at line {lineno}\n"
 
+    def test_invalid_utf8_in_the_config_file_is_a_config_error(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        with corpus.config_path.open("ab") as fh:
+            fh.write(b"\xff")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err == f"error: {corpus.config_path}: invalid UTF-8\n"
+
+    def test_invalid_utf8_in_the_ontology_file_is_an_input_error(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        ontology = tmp_path / "ontology.json"
+        ontology.write_bytes(b'{"Die": ["Victim"], "caf\xff": []}')
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["paths"]["ontology"] = str(ontology)
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err == f"error: ontology file {ontology}: invalid UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b'{"seg-001/presence": "caf\xff"}', "invalid UTF-8"),
+            (b'{"seg-001/presence": ', "invalid JSON at line 1"),
+            (b'["YES"]', "must be a JSON object"),
+        ],
+        ids=["utf-8", "json", "not-an-object"],
+    )
+    def test_bad_mock_script_is_an_input_error(self, tmp_path, capsys, content, message):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        corpus.script_path.write_bytes(content)
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err.startswith(f"error: mock script {corpus.script_path}")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "name,value", [("batch_size", 0), ("max_retries", 0), ("max_in_flight", 0)]
+    )
+    def test_bad_remote_provider_setting_is_a_config_error(
+        self, tmp_path, capsys, http_server, name, value
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["gate"]["learned"] = {"kind": "remote", "endpoint": http_server.url, name: value}
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err == (
+            f"error: config.gate.learned: provider {name} must be an integer >= 1, got {value}\n"
+        )
+        assert http_server.requests == []
+
     @pytest.mark.parametrize("value", [1.7, "0.4", None], ids=repr)
     def test_remote_verdict_that_is_not_a_probability_is_a_verification_error(
         self, tmp_path, capsys, http_server, value

@@ -161,6 +161,32 @@ class TestBounds:
         with pytest.raises(ConfigError, match=r"threshold must be in \[0, 1\]"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            (name, value)
+            for name in ("batch_size", "max_in_flight", "max_retries")
+            for value in (0, -1, 1.5, True, "4", None)
+        ]
+        + [("timeout", value) for value in (0, -1.0, float("nan"), float("inf"), "60", True)]
+        + [("min_interval", value) for value in (-0.5, float("nan"), float("inf"), "0", None)],
+        ids=repr,
+    )
+    def test_provider_numeric_field_rejected(self, name, value):
+        data = minimal_config()
+        data["retrieval"] = {"embedding": {"kind": "remote", "endpoint": "http://x", name: value}}
+        with pytest.raises(ConfigError, match=f"^config.retrieval.embedding: provider {name} "):
+            PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("batch_size", 1), ("max_in_flight", 1), ("max_retries", 1), ("timeout", 0.5),
+         ("min_interval", 0), ("min_interval", 0.25)],
+        ids=repr,
+    )
+    def test_provider_numeric_field_at_its_bound_accepted(self, name, value):
+        assert getattr(ProviderConfig(kind="remote", **{name: value}), name) == value
+
     def test_unknown_gate_policy_rejected(self):
         data = minimal_config()
         data["gate"] = {"policy": "majority"}
@@ -262,6 +288,12 @@ class TestLoad:
         with pytest.raises(ConfigError, match="must be a JSON object"):
             PipelineConfig.load(path)
 
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"paths": "caf\xff"}')
+        with pytest.raises(ConfigError, match="invalid UTF-8"):
+            PipelineConfig.load(path)
+
 
 class TestBuilders:
     def test_mock_llm_provider(self, tmp_path):
@@ -298,6 +330,11 @@ class TestBuilders:
             ProviderConfig(kind="remote", endpoint="http://127.0.0.1:1/embed")
         )
         assert isinstance(remote, HttpEmbeddingProvider)
+        assert (remote.batch_size, remote.max_in_flight) == (64, 4)
+        remote = build_embedding_provider(
+            ProviderConfig(kind="remote", endpoint="http://x", batch_size=8, max_in_flight=2)
+        )
+        assert (remote.batch_size, remote.max_in_flight) == (8, 2)
         with pytest.raises(ConfigError, match="endpoint"):
             build_embedding_provider(ProviderConfig(kind="remote"))
         with pytest.raises(ConfigError, match="not usable"):
@@ -312,6 +349,11 @@ class TestBuilders:
             ProviderConfig(kind="remote", endpoint="http://127.0.0.1:1/classify")
         )
         assert isinstance(remote, HttpVerdictProvider)
+        assert (remote.batch_size, remote.max_in_flight) == (64, 4)
+        remote = build_verdict_provider(
+            ProviderConfig(kind="remote", endpoint="http://x", batch_size=8, max_in_flight=2)
+        )
+        assert (remote.batch_size, remote.max_in_flight) == (8, 2)
         with pytest.raises(ConfigError, match="path"):
             build_verdict_provider(ProviderConfig(kind="file"))
         with pytest.raises(ConfigError, match="endpoint"):

@@ -127,13 +127,14 @@ class TestLearnedClassifier:
             provider.presence_probabilities([Segment(id="a", text="x")])
 
     def test_http_provider_posts_batches_in_segment_order(self, http_server):
-        http_server.enqueue({"probabilities": [0.1, 0.2, 0.3]})
-        http_server.enqueue({"probabilities": [0.4, 0.5, 0.6]})
-        http_server.enqueue({"probabilities": [1]})
+        p_of = {f"text {i}": p for i, p in enumerate([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1])}
+        http_server.responder = lambda body: (
+            200, {"probabilities": [p_of[text] for text in body["texts"]]}
+        )
         provider = HttpVerdictProvider(http_server.url, batch_size=3)
         segments = [Segment(id=f"s{i}", text=f"text {i}") for i in range(7)]
         assert provider.presence_probabilities(segments) == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0]
-        assert [r["body"]["texts"] for r in http_server.requests] == [
+        assert sorted(r["body"]["texts"] for r in http_server.requests) == [
             ["text 0", "text 1", "text 2"],
             ["text 3", "text 4", "text 5"],
             ["text 6"],

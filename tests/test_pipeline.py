@@ -398,15 +398,17 @@ class TestTwoPhases:
     def test_learned_verdicts_are_posted_in_batches(self, tmp_path, http_server, batch_size):
         corpus = build_golden_corpus(tmp_path / "remote")
         ids = sorted(TRANSCRIPT_TEXTS)
-        for start in range(0, len(ids), batch_size):
-            chunk = ids[start : start + batch_size]
-            http_server.enqueue({"probabilities": [LEARNED_P[sid] for sid in chunk]})
+        p_of = {TRANSCRIPT_TEXTS[sid]: LEARNED_P[sid] for sid in ids}
+        http_server.responder = lambda body: (
+            200, {"probabilities": [p_of[text] for text in body["texts"]]}
+        )
         learned = ProviderConfig(kind="remote", endpoint=http_server.url, batch_size=batch_size)
         config = dataclasses.replace(corpus.config, learned=learned)
         result = Pipeline(config).run(until="gate")
         assert len(http_server.requests) == -(-len(ids) // batch_size)
-        posted = [text for r in http_server.requests for text in r["body"]["texts"]]
-        assert posted == [TRANSCRIPT_TEXTS[sid] for sid in ids]
+        texts = [TRANSCRIPT_TEXTS[sid] for sid in ids]
+        expected = [texts[start : start + batch_size] for start in range(0, len(ids), batch_size)]
+        assert sorted(r["body"]["texts"] for r in http_server.requests) == sorted(expected)
         assert result.gated_in == corpus.gated_in_all
         assert digests_of(corpus.output_dir / "gate.jsonl") == GOLDEN_DIGESTS["gate.jsonl"]
 

@@ -281,12 +281,14 @@ class TestHttpEmbeddingProvider:
         assert http_server.requests[0]["body"] == {"texts": ["a", "b"]}
 
     def test_batching_splits_requests(self, http_server):
-        http_server.enqueue({"vectors": [[1.0, 0.0], [0.0, 1.0]]})
-        http_server.enqueue({"vectors": [[1.0, 1.0]]})
+        vector_of = {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]}
+        http_server.responder = lambda body: (
+            200, {"vectors": [vector_of[text] for text in body["texts"]]}
+        )
         provider = HttpEmbeddingProvider(http_server.url, batch_size=2)
         vecs = provider.embed_batch(["a", "b", "c"])
-        assert len(vecs) == 3
-        assert [len(r["body"]["texts"]) for r in http_server.requests] == [2, 1]
+        assert [vec.tolist() for vec in vecs] == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        assert sorted(r["body"]["texts"] for r in http_server.requests) == [["a", "b"], ["c"]]
 
     def test_wrong_vector_count_rejected(self, http_server):
         http_server.default_response = (200, {"vectors": [[1.0, 0.0]]})
@@ -365,6 +367,25 @@ class TestBuildIndex:
         got = _outcome(lambda: build_index(examples, provider).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, provider))
         assert isinstance(want, str) and got == want
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_remote_index_is_bit_identical_at_any_max_in_flight(self, http_server, batch_size):
+        local = HashedBagEmbedder(dimension=64)
+        http_server.responder = lambda body: (
+            200, {"vectors": [vec.tolist() for vec in local.embed_batch(body["texts"])]}
+        )
+        examples = [
+            FewShotExample(f"ex-{i:03d}", f"text {i % 37} row {i}") for i in range(300)
+        ]
+        want = build_index(examples, HashedBagEmbedder(dimension=64)).vectors
+        for max_in_flight in (1, 4):
+            provider = HttpEmbeddingProvider(
+                http_server.url, batch_size=batch_size, max_in_flight=max_in_flight
+            )
+            assert build_index(examples, provider).vectors.tobytes() == want.tobytes()
+        # build_index embeds 256 texts at a time: chunks of 256 and 44 here.
+        per_build = -(-256 // batch_size) + -(-44 // batch_size)
+        assert len(http_server.requests) == 2 * per_build
 
     def test_a_provider_that_drops_vectors_is_rejected(self):
         class Short:
