@@ -1,11 +1,13 @@
 """Shared HTTP plumbing for the remote provider clients."""
 from __future__ import annotations
 
+import http.client
+import json
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
-
-import requests
 
 __all__ = ["ProviderError", "post_batches", "post_json"]
 
@@ -28,28 +30,49 @@ def post_json(
 ) -> Any:
     """POST JSON and return the decoded JSON response, retrying transient failures.
 
+    Each attempt opens one connection (urllib sends ``Connection: close``).
     Retries transport errors and 5xx/429 responses up to max_retries attempts
-    with linear backoff; anything else raises ProviderError immediately.
+    with linear backoff; any other status but 200 raises ProviderError
+    immediately.
     """
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json", **(headers or {})},
+        method="POST",
+    )
     last_error: str = "no attempt made"
     for attempt in range(1, max_retries + 1):
         try:
-            resp = requests.post(url, json=payload, timeout=timeout, headers=headers)
-        except requests.RequestException as exc:
+            status, body = _post_once(request, timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            # OSError covers URLError and timeouts; HTTPException (a truncated
+            # body, a garbage status line) is not an OSError.
             last_error = f"transport error: {exc}"
         else:
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    return resp.json()
+                    return json.loads(body)
                 except ValueError as exc:
                     raise ProviderError(f"{what} returned non-JSON response: {exc}") from exc
-            if resp.status_code in (429,) or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
             else:
-                raise ProviderError(f"{what} returned HTTP {resp.status_code}")
+                raise ProviderError(f"{what} returned HTTP {status}")
         if attempt < max_retries:
             time.sleep(backoff * attempt)
     raise ProviderError(f"{what} failed after {max_retries} attempts ({last_error})")
+
+
+def _post_once(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
+    """Send one request and return its status and, for a 2xx reply, its body."""
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        # urllib raises for statuses outside 2xx; only the status matters.
+        exc.close()
+        return exc.code, b""
 
 
 def post_batches(

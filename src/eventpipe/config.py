@@ -127,14 +127,19 @@ class PipelineConfig:
 
     def __post_init__(self):
         VotePolicy.parse(self.gate_policy)  # raises GateError on a bad name
-        if self.retrieval_k < 0:
-            raise ConfigError(f"retrieval k must be >= 0, got {self.retrieval_k}")
-        if self.max_attempts < 1:
-            raise ConfigError(f"retry max_attempts must be >= 1, got {self.max_attempts}")
-        if self.workers < 1:
-            raise ConfigError(f"concurrency workers must be >= 1, got {self.workers}")
-        if not 0.0 <= self.gate_threshold <= 1.0:
-            raise ConfigError(f"gate threshold must be in [0, 1], got {self.gate_threshold}")
+        for name, key, low in (
+            ("retrieval_k", "retrieval.k", 0),
+            ("max_attempts", "retry.max_attempts", 1),
+            ("workers", "concurrency.workers", 1),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"config.{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"config.{key} must be >= {low}, got {value}")
+        threshold = self.gate_threshold
+        if not _is_number(threshold) or not 0.0 <= threshold <= 1.0:
+            raise ConfigError(f"config.gate.threshold must be in [0, 1], got {threshold!r}")
         for stage in self.llm_overrides:
             if stage not in LLM_STAGES:
                 raise ConfigError(f"llm override for unknown stage {stage!r}")
@@ -196,7 +201,7 @@ class PipelineConfig:
             gate_lenient_llm=bool(gate.get("lenient_llm", False)),
             learned=_provider_or_none(gate.get("learned"), "config.gate.learned"),
             gate_llm_file=gate.get("llm_file"),
-            retrieval_k=int(retrieval.get("k", 10)),
+            retrieval_k=retrieval.get("k", 10),
             embedding=(
                 ProviderConfig.from_dict(embedding, "config.retrieval.embedding")
                 if embedding is not None
@@ -205,9 +210,9 @@ class PipelineConfig:
             same_type_filter=bool(retrieval.get("same_type_filter", False)),
             llm_default=ProviderConfig.from_dict(llm["default"], "config.llm.default"),
             llm_overrides=overrides,
-            max_attempts=int(retry.get("max_attempts", 3)),
+            max_attempts=retry.get("max_attempts", 3),
             corrective=bool(retry.get("corrective", False)),
-            workers=int(concurrency.get("workers", 4)),
+            workers=concurrency.get("workers", 4),
             set_semantics=bool(scoring.get("set_semantics", False)),
         )
 

@@ -155,10 +155,12 @@ class ScriptedMockLlm(LlmProvider):
         self._provider_name = provider_name
         self._sequences: dict[str, list[str]] = {}
         for key, value in script.items():
-            seq = [value] if isinstance(value, str) else list(value)
-            if not seq or not all(isinstance(item, str) for item in seq):
-                raise ValueError(f"mock script entry {key!r} must be a string or list of strings")
-            self._sequences[key] = seq
+            seq = [value] if isinstance(value, str) else value
+            if not isinstance(seq, list) or not seq or not all(isinstance(i, str) for i in seq):
+                raise ValueError(
+                    f"mock script entry {key!r} must be a string or a nonempty list of strings"
+                )
+            self._sequences[key] = list(seq)
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
         self.call_count = 0
@@ -173,7 +175,10 @@ class ScriptedMockLlm(LlmProvider):
             raise DatasetError(f"mock script {path}: invalid JSON at line {exc.lineno}") from exc
         if not isinstance(data, dict):
             raise DatasetError(f"mock script {path} must be a JSON object")
-        return cls(data, provider_name=provider_name)
+        try:
+            return cls(data, provider_name=provider_name)
+        except ValueError as exc:
+            raise DatasetError(f"mock script {path}: {exc}") from exc
 
     @property
     def provider_id(self) -> str:

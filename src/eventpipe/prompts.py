@@ -79,22 +79,40 @@ class PromptBundle:
 
 
 def load_template(stage: str, templates_dir: str | Path | None = None) -> list[PromptMessage]:
-    """Load a stage's message template, from a directory override or package data."""
+    """Load a stage's message template, from a directory override or package data.
+
+    Every defect of the file, from its encoding to a message's fields, is a
+    TemplateError naming the file.
+    """
     if stage not in STAGES:
         raise TemplateError(f"unknown stage {stage!r}")
     if templates_dir is not None:
-        raw = (Path(templates_dir) / f"{stage}.json").read_text(encoding="utf-8")
+        source = Path(templates_dir) / f"{stage}.json"
     else:
-        raw = (
-            resources.files("eventpipe").joinpath(f"templates/{stage}.json").read_text("utf-8")
-        )
-    data = json.loads(raw)
+        source = resources.files("eventpipe").joinpath(f"templates/{stage}.json")
+    where = f"template file {source}"
+    try:
+        data = json.loads(source.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TemplateError(f"{where}: invalid UTF-8") from exc
+    except json.JSONDecodeError as exc:
+        raise TemplateError(f"{where}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(data, dict):
+        raise TemplateError(f"{where}: must be a JSON object")
     if data.get("stage") != stage:
-        raise TemplateError(f"template file for {stage!r} declares stage {data.get('stage')!r}")
+        raise TemplateError(f"{where}: declares stage {data.get('stage')!r}, not {stage!r}")
     messages = data.get("messages")
     if not isinstance(messages, list) or not messages:
-        raise TemplateError(f"template for {stage!r} has no messages")
-    return [PromptMessage(role=m["role"], content=m["content"]) for m in messages]
+        raise TemplateError(f"{where}: has no messages")
+    loaded = []
+    for i, m in enumerate(messages, 1):
+        if not (isinstance(m, dict) and all(isinstance(m.get(k), str) for k in ("role", "content"))):
+            raise TemplateError(f"{where}: message {i} needs string 'role' and 'content'")
+        try:
+            loaded.append(PromptMessage(role=m["role"], content=m["content"]))
+        except TemplateError as exc:
+            raise TemplateError(f"{where}: message {i}: {exc}") from exc
+    return loaded
 
 
 def _fill(content: str, values: dict[str, str]) -> str:

@@ -408,8 +408,12 @@ class TestExitCodes:
             (b'{"seg-001/presence": "caf\xff"}', "invalid UTF-8"),
             (b'{"seg-001/presence": ', "invalid JSON at line 1"),
             (b'["YES"]', "must be a JSON object"),
+            (b'{"seg-001/presence": 5}', "entry 'seg-001/presence' must be a string"),
+            (b'{"seg-001/presence": [1]}', "entry 'seg-001/presence' must be a string"),
+            (b'{"seg-001/presence": []}', "entry 'seg-001/presence' must be a string"),
+            (b'{"seg-001/presence": {"YES": 1}}', "entry 'seg-001/presence' must be a string"),
         ],
-        ids=["utf-8", "json", "not-an-object"],
+        ids=["utf-8", "json", "not-an-object", "int-entry", "int-in-list", "empty-list", "object"],
     )
     def test_bad_mock_script_is_an_input_error(self, tmp_path, capsys, content, message):
         corpus = build_golden_corpus(tmp_path / "corpus")
@@ -418,6 +422,62 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith(f"error: mock script {corpus.script_path}")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b'{"stage": "presence", "messages": [{"role": "system", "content": "caf\xff"}]}',
+             "invalid UTF-8"),
+            (b'{"stage": "presence",\n "messages": [', "invalid JSON at line 2"),
+            (b"[1]", "must be a JSON object"),
+            (b'{"stage": "presence", "messages": [1]}',
+             "message 1 needs string 'role' and 'content'"),
+            (b'{"stage": "presence", "messages": [{"role": "system", "content": "x"}, {"role": 1}]}',
+             "message 2 needs string 'role' and 'content'"),
+            (b'{"stage": "presence", "messages": [{"role": "system", "content": ["x"]}]}',
+             "message 1 needs string 'role' and 'content'"),
+            (b'{"stage": "presence", "messages": [{"role": "robot", "content": "x"}]}',
+             "message 1: unsupported message role 'robot'"),
+            (b'{"stage": "trigger", "messages": [{"role": "system", "content": "x"}]}',
+             "declares stage 'trigger', not 'presence'"),
+        ],
+        ids=["utf-8", "json", "not-an-object", "message-not-an-object", "role-not-a-string",
+             "content-not-a-string", "unknown-role", "wrong-stage"],
+    )
+    def test_bad_template_override_is_a_config_error(self, tmp_path, capsys, content, message):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        for stage in ("trigger", "argument", "format"):
+            (templates / f"{stage}.json").write_text(
+                json.dumps({"stage": stage, "messages": [{"role": "system", "content": stage}]}),
+                encoding="utf-8",
+            )
+        path = templates / "presence.json"
+        path.write_bytes(content)
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["paths"]["templates"] = str(templates)
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err.startswith(f"error: template file {path}: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("concurrency", "workers", "four"), ("concurrency", "workers", None),
+         ("retrieval", "k", 2.7), ("retry", "max_attempts", True), ("gate", "threshold", "0.5")],
+        ids=repr,
+    )
+    def test_bad_pipeline_setting_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config[section][key] = value
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err.startswith(f"error: config.{section}.{key} must be ")
+        assert repr(value) in err
 
     @pytest.mark.parametrize(
         "name,value", [("batch_size", 0), ("max_retries", 0), ("max_in_flight", 0)]

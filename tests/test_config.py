@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -160,6 +161,37 @@ class TestBounds:
         data["gate"] = {"threshold": threshold}
         with pytest.raises(ConfigError, match=r"threshold must be in \[0, 1\]"):
             PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            (section, key, value)
+            for section, key in (("retrieval", "k"), ("retry", "max_attempts"),
+                                 ("concurrency", "workers"))
+            for value in ("four", None, 2.7, True, "3", [2])
+        ],
+        ids=repr,
+    )
+    def test_pipeline_integer_field_rejected(self, section, key, value):
+        data = minimal_config()
+        data[section] = {key: value}
+        with pytest.raises(
+            ConfigError, match=f"^config.{section}.{key} must be an integer, got {re.escape(repr(value))}$"
+        ):
+            PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize("threshold", ["0.5", True, None, float("nan"), float("inf")], ids=repr)
+    def test_threshold_must_be_a_finite_number(self, threshold):
+        data = minimal_config()
+        data["gate"] = {"threshold": threshold}
+        with pytest.raises(ConfigError, match=r"^config.gate.threshold must be in \[0, 1\], got "):
+            PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize("threshold", [0, 1, 0.0, 1.0, 0.25])
+    def test_threshold_at_its_bounds_accepted(self, threshold):
+        data = minimal_config()
+        data["gate"] = {"threshold": threshold}
+        assert PipelineConfig.from_dict(data).gate_threshold == threshold
 
     @pytest.mark.parametrize(
         "name,value",

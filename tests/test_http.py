@@ -1,16 +1,202 @@
-"""Remote batches: embedding and verdict chunks posted up to max_in_flight at a time."""
+"""Remote HTTP: the transport contract of one POST, and remote batches posted
+up to max_in_flight at a time."""
 from __future__ import annotations
 
+import functools
+import json
+import os
 import re
+import socket
+import subprocess
+import sys
 import threading
 import time
+import traceback
+from pathlib import Path
 
 import pytest
 
-from eventpipe._http import ProviderError
+import eventpipe
+from eventpipe._http import ProviderError, post_json
 from eventpipe.gate import HttpVerdictProvider, VerdictError
+from eventpipe.llm import HttpLlmProvider
 from eventpipe.model import Segment
+from eventpipe.prompts import build_presence_prompt
 from eventpipe.retrieval import EmbeddingError, HttpEmbeddingProvider
+
+TESTS_DIR = Path(__file__).resolve().parent
+
+# The transport tests never wait between attempts.
+post = functools.partial(post_json, backoff=0.0, what="test endpoint")
+
+
+class RawServer:
+    """Loopback TCP server that answers each connection with ``reply(conn)``.
+
+    Each connection runs on its own thread once its request has been read in
+    full, so a reply can be any bytes at all, or none.
+    """
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.connections = 0
+        self.stop = threading.Event()
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._threads: list[threading.Thread] = []
+        self._accepter = threading.Thread(target=self._accept, daemon=True)
+        self._accepter.start()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self._sock.getsockname()[1]}/"
+
+    def _accept(self) -> None:
+        self._sock.settimeout(0.05)
+        while not self.stop.is_set():
+            try:
+                conn, _ = self._sock.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        with conn:
+            conn.settimeout(5)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(4096)
+            head, body = data.split(b"\r\n\r\n", 1)
+            length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+            while len(body) < length:
+                body += conn.recv(4096)
+            self.reply(conn)
+
+    def close(self) -> None:
+        self.stop.set()
+        self._accepter.join(timeout=5)
+        self._sock.close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+        assert not self._accepter.is_alive()
+        assert not any(thread.is_alive() for thread in self._threads)
+
+
+@pytest.fixture
+def raw_server():
+    servers: list[RawServer] = []
+
+    def start(reply) -> RawServer:
+        servers.append(RawServer(reply))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def _refused_url() -> str:
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/"
+
+
+def test_refused_port_is_a_transport_error():
+    with pytest.raises(ProviderError) as info:
+        post(_refused_url(), {}, max_retries=2)
+    message = str(info.value)
+    assert re.fullmatch(r"test endpoint failed after 2 attempts \(transport error: .+\)", message)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"text\": ",
+        b"garbage\r\n\r\n",
+    ],
+    ids=["closed-mid-body", "garbage-status-line"],
+)
+def test_broken_reply_is_retried_then_a_provider_error(raw_server, reply):
+    server = raw_server(lambda conn: conn.sendall(reply))
+    with pytest.raises(ProviderError, match=r"failed after 3 attempts \(transport error: "):
+        post(server.url, {"x": 1}, max_retries=3)
+    assert server.connections == 3
+
+
+def test_read_timeout_is_retried(raw_server):
+    server = raw_server(lambda conn: server.stop.wait(5))
+    with pytest.raises(ProviderError, match=r"failed after 2 attempts \(transport error: "):
+        post(server.url, {}, timeout=0.2, max_retries=2)
+    assert server.connections == 2
+
+
+def test_reply_that_is_not_json_keeps_its_message(raw_server):
+    server = raw_server(
+        lambda conn: conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
+    )
+    with pytest.raises(ProviderError) as info:
+        post(server.url, {}, max_retries=3)
+    assert str(info.value) == (
+        "test endpoint returned non-JSON response: Expecting value: line 1 column 1 (char 0)"
+    )
+    assert server.connections == 1
+
+
+@pytest.mark.parametrize("status", [400, 201])
+def test_status_other_than_200_429_5xx_is_not_retried(http_server, status):
+    http_server.default_response = (status, {"text": "ok"})
+    with pytest.raises(ProviderError, match=f"^test endpoint returned HTTP {status}$"):
+        post(http_server.url, {}, max_retries=3)
+    assert len(http_server.requests) == 1
+
+
+@pytest.mark.parametrize("status", [503, 429])
+def test_retryable_status_is_tried_max_retries_times(http_server, status):
+    http_server.default_response = (status, {})
+    message = rf"^test endpoint failed after 3 attempts \(HTTP {status}\)$"
+    with pytest.raises(ProviderError, match=message):
+        post(http_server.url, {}, max_retries=3)
+    assert len(http_server.requests) == 3
+
+
+def test_payload_is_json_and_success_decodes(http_server):
+    http_server.default_response = (200, {"text": "ok"})
+    assert post(http_server.url, {"texts": ["café"]}, headers={"X-Extra": "1"}) == {"text": "ok"}
+    (request,) = http_server.requests
+    assert request["body"] == {"texts": ["café"]}
+    headers = {k.lower(): v for k, v in request["headers"].items()}
+    assert headers["content-type"] == "application/json"
+    assert headers["x-extra"] == "1"
+    assert headers["connection"] == "close"
+
+
+def test_api_key_arrives_and_never_appears_in_an_error(http_server, raw_server, monkeypatch):
+    monkeypatch.setenv("TEST_HTTP_KEY", "sekret-value")
+    bundle = build_presence_prompt(Segment(id="s1", text="a text"), eventpipe.load_ontology())
+    http_server.default_response = (200, {"text": "ok"})
+    assert HttpLlmProvider(http_server.url, "m", api_key_env="TEST_HTTP_KEY").complete(bundle) == "ok"
+    assert http_server.requests[0]["headers"]["Authorization"] == "Bearer sekret-value"
+
+    garbage = raw_server(lambda conn: conn.sendall(b"garbage\r\n\r\n"))
+    for url, status in [
+        (http_server.url, 400),
+        (http_server.url, 503),
+        (garbage.url, None),
+        (_refused_url(), None),
+    ]:
+        if status is not None:
+            http_server.default_response = (status, {})
+        provider = HttpLlmProvider(url, "m", api_key_env="TEST_HTTP_KEY", max_retries=1)
+        with pytest.raises(ProviderError) as info:
+            provider.complete(bundle)
+        text = "".join(traceback.format_exception(info.type, info.value, info.tb))
+        assert "sekret-value" not in text
+
+
+# ---------------------------------------------------------------------------
+# remote batches
 
 TEXTS = [f"t{i:02d}" for i in range(10)]  # batch_size 2 makes chunks of 2 texts
 
@@ -175,3 +361,103 @@ def test_chunks_not_started_are_never_posted(http_server, kind):
 def test_no_texts_make_no_request(http_server, kind):
     assert kind(http_server.url).run([]) == []
     assert http_server.requests == []
+
+
+# ---------------------------------------------------------------------------
+# no third-party HTTP client
+
+_CHILD = """
+import importlib, json, pkgutil, sys
+sys.modules["requests"] = None  # any import of requests now fails
+import eventpipe
+for module in pkgutil.walk_packages(eventpipe.__path__, "eventpipe."):
+    importlib.import_module(module.name)
+
+import dataclasses
+from pathlib import Path
+from conftest import build_golden_corpus
+from eventpipe.config import ProviderConfig
+from eventpipe.pipeline import Pipeline
+from test_pipeline import digests
+
+chat, embed, verdict = sys.argv[1:4]
+corpus = build_golden_corpus(Path(sys.argv[4]))
+config = dataclasses.replace(
+    corpus.config,
+    learned=ProviderConfig(kind="remote", endpoint=verdict, batch_size=8),
+    embedding=ProviderConfig(kind="remote", endpoint=embed, batch_size=5),
+    llm_overrides={"presence": ProviderConfig(kind="remote", endpoint=chat, model="m")},
+)
+result = Pipeline(config).run()
+print(json.dumps({"digests": digests(corpus.output_dir), "calls": result.provider_calls}))
+"""
+
+
+def test_golden_run_over_http_needs_no_third_party_client(tmp_path):
+    from conftest import LEARNED_P, TRANSCRIPT_TEXTS, StubServer, _mock_script
+    from eventpipe.llm import ScriptedMockLlm
+    from eventpipe.prompts import PromptBundle, PromptMessage
+    from eventpipe.retrieval import HashedBagEmbedder
+    from test_pipeline import GOLDEN_DIGESTS
+
+    segment_of = {text: sid for sid, text in TRANSCRIPT_TEXTS.items()}
+    presence = ScriptedMockLlm(_mock_script())
+    embedder = HashedBagEmbedder(dimension=64)
+
+    def chat(body):
+        messages = tuple(PromptMessage(m["role"], m["content"]) for m in body["messages"])
+        text = messages[-1].content.removeprefix("TEXT: ")
+        reply = presence.complete(PromptBundle(messages, "presence", segment_of[text]))
+        return 200, {"choices": [{"message": {"content": reply}}]}
+
+    responders = {
+        "chat": chat,
+        "embed": lambda body: (
+            200, {"vectors": [v.tolist() for v in embedder.embed_batch(body["texts"])]}
+        ),
+        "verdict": lambda body: (
+            200, {"probabilities": [LEARNED_P[segment_of[t]] for t in body["texts"]]}
+        ),
+    }
+    servers = {}
+    threads = []
+    try:
+        for name, responder in responders.items():
+            servers[name] = StubServer()
+            servers[name].responder = responder
+            threads.append(threading.Thread(target=servers[name].serve_forever, args=(0.05,)))
+            threads[-1].start()
+        package_root = str(Path(eventpipe.__file__).parents[1])
+        pythonpath = os.pathsep.join([package_root, str(TESTS_DIR)])
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, *(servers[n].url for n in responders),
+             str(tmp_path / "corpus")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath, "no_proxy": "127.0.0.1",
+                 "NO_PROXY": "127.0.0.1"},
+        )
+    finally:
+        for server in servers.values():
+            server.shutdown()
+            server.server_close()
+        for thread in threads:
+            thread.join(timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert not any(thread.is_alive() for thread in threads)
+    out = json.loads(proc.stdout)
+    assert out["digests"] == GOLDEN_DIGESTS
+    assert out["calls"] == {"argument": 13, "format": 1, "presence": 31, "trigger": 13, "total": 58}
+    assert len(servers["verdict"].requests) == 4  # 30 segments, 8 per request
+    assert sum(len(r["body"]["texts"]) for r in servers["embed"].requests) == 22
+    assert len(servers["chat"].requests) == 31
+
+
+def test_requests_is_not_a_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS_DIR.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    dependencies = project["project"]["dependencies"]
+    names = [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0].lower() for dep in dependencies]
+    assert "numpy" in names
+    assert "requests" not in names
