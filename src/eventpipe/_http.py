@@ -5,6 +5,7 @@ import http.client
 import json
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
@@ -32,19 +33,20 @@ def post_json(
 
     Each attempt opens one connection (urllib sends ``Connection: close``).
     Retries transport errors and 5xx/429 responses up to max_retries attempts
-    with linear backoff; any other status but 200 raises ProviderError
-    immediately.
+    with linear backoff; any other status but 200, a redirect included,
+    raises ProviderError immediately.
     """
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json", **(headers or {})},
-        method="POST",
-    )
+    scheme = urllib.parse.urlsplit(url).scheme
+    if scheme not in ("http", "https"):
+        raise ProviderError(f"{what} endpoint must be an http or https URL, got scheme {scheme!r}")
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json", **(headers or {})}
     last_error: str = "no attempt made"
     for attempt in range(1, max_retries + 1):
         try:
-            status, body = _post_once(request, timeout)
+            # A fresh Request per attempt: a proxy handler rewrites the one it sends.
+            request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+            status, reply = _post_once(request, timeout)
         except (OSError, http.client.HTTPException) as exc:
             # OSError covers URLError and timeouts; HTTPException (a truncated
             # body, a garbage status line) is not an OSError.
@@ -52,7 +54,7 @@ def post_json(
         else:
             if status == 200:
                 try:
-                    return json.loads(body)
+                    return json.loads(reply)
                 except ValueError as exc:
                     raise ProviderError(f"{what} returned non-JSON response: {exc}") from exc
             if status == 429 or status >= 500:
@@ -64,10 +66,24 @@ def post_json(
     raise ProviderError(f"{what} failed after {max_retries} attempts ({last_error})")
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect, so the 3xx reply itself ends as an HTTPError.
+
+    urllib would turn a redirected POST into a GET without a body and carry
+    every header, the API key's too, to whatever host the reply names.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
 def _post_once(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
     """Send one request and return its status and, for a 2xx reply, its body."""
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
+        with _OPENER.open(request, timeout=timeout) as resp:
             return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         # urllib raises for statuses outside 2xx; only the status matters.

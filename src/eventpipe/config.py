@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .gate import VotePolicy
 
@@ -37,6 +38,10 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_http_url(value) -> bool:
+    return isinstance(value, str) and urlsplit(value).scheme in ("http", "https")
 
 
 def _take(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -78,6 +83,10 @@ class ProviderConfig:
         if not _is_number(self.min_interval) or not 0 <= self.min_interval < math.inf:
             raise ConfigError(
                 f"provider min_interval must be a number >= 0, got {self.min_interval!r}"
+            )
+        if self.kind == "remote" and self.endpoint and not _is_http_url(self.endpoint):
+            raise ConfigError(
+                f"provider endpoint must be an http or https URL, got {self.endpoint!r}"
             )
 
     @classmethod

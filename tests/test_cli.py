@@ -496,6 +496,21 @@ class TestExitCodes:
         )
         assert http_server.requests == []
 
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:8000/v1/verdicts", "file:///verdicts.json", "data:,{}"]
+    )
+    def test_remote_endpoint_that_is_not_http_is_a_config_error(self, tmp_path, capsys, endpoint):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["gate"]["learned"] = {"kind": "remote", "endpoint": endpoint}
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err == (
+            "error: config.gate.learned: provider endpoint must be an http or https URL,"
+            f" got {endpoint!r}\n"
+        )
+
     @pytest.mark.parametrize("value", [1.7, "0.4", None], ids=repr)
     def test_remote_verdict_that_is_not_a_probability_is_a_verification_error(
         self, tmp_path, capsys, http_server, value

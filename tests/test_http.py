@@ -6,7 +6,9 @@ import functools
 import json
 import os
 import re
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -40,6 +42,7 @@ class RawServer:
     def __init__(self, reply):
         self.reply = reply
         self.connections = 0
+        self.heads: list[bytes] = []  # the request line and headers of each request
         self.stop = threading.Event()
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._threads: list[threading.Thread] = []
@@ -69,7 +72,9 @@ class RawServer:
             while b"\r\n\r\n" not in data:
                 data += conn.recv(4096)
             head, body = data.split(b"\r\n\r\n", 1)
-            length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+            self.heads.append(head)
+            match = re.search(rb"(?i)content-length: *(\d+)", head)
+            length = int(match.group(1)) if match else 0
             while len(body) < length:
                 body += conn.recv(4096)
             self.reply(conn)
@@ -193,6 +198,93 @@ def test_api_key_arrives_and_never_appears_in_an_error(http_server, raw_server, 
             provider.complete(bundle)
         text = "".join(traceback.format_exception(info.type, info.value, info.tb))
         assert "sekret-value" not in text
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_not_followed(raw_server, status):
+    elsewhere = raw_server(lambda conn: conn.sendall(b"HTTP/1.1 200 OK\r\n\r\n{}"))
+    location = f"Location: {elsewhere.url}".encode()
+    server = raw_server(
+        lambda conn: conn.sendall(
+            b"HTTP/1.1 %d Moved\r\n%s\r\nContent-Length: 0\r\n\r\n" % (status, location)
+        )
+    )
+    with pytest.raises(ProviderError) as info:
+        post(server.url, {}, headers={"Authorization": "Bearer sekret-value"}, max_retries=3)
+    assert str(info.value) == f"test endpoint returned HTTP {status}"
+    assert server.connections == 1
+    assert b"Bearer sekret-value" in server.heads[0]
+    assert elsewhere.connections == 0
+
+
+@pytest.mark.parametrize(
+    "url", ["localhost:8000/v1/chat", "127.0.0.1:8000/v1/chat", "file:///nowhere.json", "data:,{}"]
+)
+def test_endpoint_that_is_not_http_is_refused_before_any_attempt(url):
+    with pytest.raises(ProviderError, match=r"^test endpoint endpoint must be an http or https URL"):
+        post(url, {})
+
+
+_PROXIED_CHILD = """
+from eventpipe._http import ProviderError, post_json
+try:
+    post_json(
+        "https://localhost/v1/chat", {}, headers={"Authorization": "Bearer sekret-value"},
+        max_retries=2, backoff=0.0, timeout=5,
+    )
+except ProviderError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs openssl to make a certificate")
+def test_every_attempt_through_a_proxy_is_the_same(raw_server, tmp_path):
+    # The proxy opens each tunnel itself and answers the request inside it
+    # with a 503, so the request is retried through a second tunnel.
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-subj", "/CN=localhost", "-addext", "subjectAltName=DNS:localhost",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    inner_heads: list[bytes] = []
+
+    def tunnel(conn):
+        conn.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+        with context.wrap_socket(conn, server_side=True) as tls:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += tls.recv(4096)
+            head, body = data.split(b"\r\n\r\n", 1)
+            inner_heads.append(head)
+            length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+            while len(body) < length:
+                body += tls.recv(4096)
+            tls.sendall(b"HTTP/1.1 503 Busy\r\nContent-Length: 0\r\n\r\n")
+
+    proxy = raw_server(tunnel)
+    env = {k: v for k, v in os.environ.items() if k.lower() not in ("no_proxy", "https_proxy")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROXIED_CHILD],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**env, "https_proxy": proxy.url.rstrip("/"), "SSL_CERT_FILE": str(cert),
+             "PYTHONPATH": str(Path(eventpipe.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "provider failed after 2 attempts (HTTP 503)\n"
+    assert proxy.connections == 2
+    for head in proxy.heads:
+        assert head.startswith(b"CONNECT localhost:443 ")
+        assert b"sekret-value" not in head
+    assert len(inner_heads) == 2
+    for head in inner_heads:
+        assert head.startswith(b"POST /v1/chat HTTP/1.1\r\n")
+        assert b"Authorization: Bearer sekret-value" in head
 
 
 # ---------------------------------------------------------------------------
