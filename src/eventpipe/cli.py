@@ -17,7 +17,6 @@ from .extract import RawStageOutput, postprocess
 from .gate import (
     GateError,
     VerdictError,
-    VerdictTriple,
     VotePolicy,
     agreement_table,
     load_verdict_triples,
@@ -33,7 +32,7 @@ from .model import (
     write_json,
     write_rows,
 )
-from .pipeline import Pipeline, read_artifact
+from .pipeline import Pipeline
 from .prompts import TemplateError
 from .retrieval import EmbeddingError, build_index, save_index
 
@@ -98,16 +97,7 @@ def cmd_ablate(args) -> int:
     )
     pipe = Pipeline(ablation_config, resume=True)
     result = pipe.run()
-    gate_rows = read_artifact(
-        Path(ablation_config.output_dir) / "gate.jsonl",
-        "gate",
-        ablation_config.config_hash(),
-        result.inputs,
-    )
-    verdicts = {
-        r["id"]: VerdictTriple(rule=r["rule"], learned=r["learned"], llm=r["llm"])
-        for r in gate_rows
-    }
+    verdicts = load_verdict_triples(Path(ablation_config.output_dir) / "gate.jsonl")
     ontology = load_ontology(config.ontology)
     gold = _events_by_id(load_gold(config.gold, ontology))
     predictions = _events_by_id(load_gold(result.predictions_path, ontology))
@@ -169,10 +159,15 @@ def cmd_format(args) -> int:
     config = PipelineConfig.load(args.config)
     ontology = load_ontology(config.ontology)
     pipe = Pipeline(config)
-    raws = [
-        RawStageOutput(rec["id"], "argument", rec["raw"], int(rec.get("attempts", 1)))
-        for _, rec in read_rows(args.raw_file, ("raw",))
-    ]
+    raws = []
+    for lineno, rec in read_rows(args.raw_file, ("raw",)):
+        attempts = rec.get("attempts", 1)
+        if not isinstance(rec["raw"], str) or type(attempts) is not int or attempts < 1:
+            raise DatasetError(
+                f"{args.raw_file}: line {lineno} needs a string 'raw' and, if given, "
+                "an integer 'attempts' >= 1"
+            )
+        raws.append(RawStageOutput(rec["id"], "argument", rec["raw"], attempts))
     report = postprocess(
         raws,
         ontology,

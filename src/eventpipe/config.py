@@ -1,16 +1,18 @@
 """Run configuration: a single JSON file, strictly validated, stably hashable.
 
 Unknown keys are rejected everywhere so a typo cannot silently fall back to a
-default. API keys never live in the config, only the names of environment
-variables that hold them.
+default, and every value must have its field's declared type. API keys never
+live in the config, only the names of environment variables that hold them.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
 from .gate import VotePolicy
@@ -32,19 +34,47 @@ class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# The config file's shape: section -> {JSON key: PipelineConfig field}. A stage
+# key under "llm" fills llm_overrides[stage]; the stages are listed sorted
+# because to_dict writes the overrides in this order.
+_LAYOUT = {
+    "paths": {key: key for key in ("gold", "transcripts", "support", "output_dir",
+                                   "ontology", "templates", "cache", "index")},
+    "gate": {
+        "policy": "gate_policy",
+        "threshold": "gate_threshold",
+        "lenient_llm": "gate_lenient_llm",
+        "learned": "learned",
+        "llm_file": "gate_llm_file",
+    },
+    "retrieval": {
+        "k": "retrieval_k",
+        "embedding": "embedding",
+        "same_type_filter": "same_type_filter",
+    },
+    "llm": {"default": "llm_default", **dict.fromkeys(sorted(LLM_STAGES), "llm_overrides")},
+    "retry": {"max_attempts": "max_attempts", "corrective": "corrective"},
+    "concurrency": {"workers": "workers"},
+    "scoring": {"set_semantics": "set_semantics"},
+}
+# PipelineConfig field -> "section.key", as messages name it.
+_KEYS = {
+    name: f"{section}.{key}" for section, keys in _LAYOUT.items() for key, name in keys.items()
+}
+_KEYS["llm_overrides"] = "llm"
+_REQUIRED = ("gold", "transcripts", "support", "output_dir", "llm_default")
+_PROVIDERS = ("learned", "embedding", "llm_default", "llm_overrides")
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_http_url(value) -> bool:
-    return isinstance(value, str) and urlsplit(value).scheme in ("http", "https")
+def _is_http_url(value: str) -> bool:
+    return urlsplit(value).scheme in ("http", "https")
 
 
-def _take(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
+def _take(mapping: dict, allowed, where: str) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = sorted(set(mapping) - set(allowed))
@@ -72,15 +102,16 @@ class ProviderConfig:
     path: str = ""
 
     def __post_init__(self):
+        _check_types(self, lambda name: f"provider {name}")
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}")
-        for name in ("batch_size", "max_in_flight", "max_retries"):
+        for name in ("batch_size", "dimension", "max_in_flight", "max_retries"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if value < 1:
                 raise ConfigError(f"provider {name} must be an integer >= 1, got {value!r}")
-        if not _is_number(self.timeout) or not 0 < self.timeout < math.inf:
+        if not 0 < self.timeout < math.inf:
             raise ConfigError(f"provider timeout must be a number > 0, got {self.timeout!r}")
-        if not _is_number(self.min_interval) or not 0 <= self.min_interval < math.inf:
+        if not 0 <= self.min_interval < math.inf:
             raise ConfigError(
                 f"provider min_interval must be a number >= 0, got {self.min_interval!r}"
             )
@@ -91,22 +122,50 @@ class ProviderConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "ProviderConfig":
-        _take(data, tuple(f.name for f in fields(cls)), where)
+        _take(data, [f.name for f in fields(cls)], where)
         if "kind" not in data:
             raise ConfigError(f"{where}: provider needs a 'kind'")
         try:
             return cls(**data)
-        except (TypeError, ConfigError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _provider_or_none(data, where: str) -> ProviderConfig | None:
-    if data is None:
-        return None
-    return ProviderConfig.from_dict(data, where)
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    ProviderConfig: "a provider object",
+    type(None): "null",
+}
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, tuple[type, ...]]:
+    """Each field of a dataclass -> the types its annotation admits (each member of a union)."""
+    return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+
+
+def _check_types(obj, label) -> None:
+    """Raise ConfigError unless every field of the dataclass obj holds its declared type.
+
+    A bool passes only a bool field, and an int passes a float field too.
+    label maps a field name to the name the message gives it.
+    """
+    for name, allowed in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if isinstance(value, bool):
+            ok = bool in allowed
+        else:
+            ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+        if not ok:
+            expected = " or ".join(_TYPE_NAMES[t] for t in allowed)
+            raise ConfigError(f"{label(name)} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,20 +194,15 @@ class PipelineConfig:
     set_semantics: bool = False
 
     def __post_init__(self):
-        VotePolicy.parse(self.gate_policy)  # raises GateError on a bad name
-        for name, key, low in (
-            ("retrieval_k", "retrieval.k", 0),
-            ("max_attempts", "retry.max_attempts", 1),
-            ("workers", "concurrency.workers", 1),
-        ):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"config.{key} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"config.{key} must be >= {low}, got {value}")
         threshold = self.gate_threshold
         if not _is_number(threshold) or not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"config.gate.threshold must be in [0, 1], got {threshold!r}")
+        _check_types(self, lambda name: f"config.{_KEYS[name]}")
+        VotePolicy.parse(self.gate_policy)  # raises GateError on a bad name
+        for name, low in (("retrieval_k", 0), ("max_attempts", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"config.{_KEYS[name]} must be >= {low}, got {value}")
         for stage in self.llm_overrides:
             if stage not in LLM_STAGES:
                 raise ConfigError(f"llm override for unknown stage {stage!r}")
@@ -162,68 +216,25 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        _take(
-            data,
-            ("paths", "gate", "retrieval", "llm", "retry", "concurrency", "scoring"),
-            "config",
-        )
-        paths = data.get("paths", {})
-        _take(
-            paths,
-            ("gold", "transcripts", "support", "output_dir", "ontology", "templates", "cache", "index"),
-            "config.paths",
-        )
-        for required in ("gold", "transcripts", "support", "output_dir"):
-            if not paths.get(required):
-                raise ConfigError(f"config.paths.{required} is required")
-        gate = data.get("gate", {})
-        _take(gate, ("policy", "threshold", "lenient_llm", "learned", "llm_file"), "config.gate")
-        retrieval = data.get("retrieval", {})
-        _take(retrieval, ("k", "embedding", "same_type_filter"), "config.retrieval")
-        llm = data.get("llm", {})
-        _take(llm, ("default",) + LLM_STAGES, "config.llm")
-        if not llm.get("default"):
-            raise ConfigError("config.llm.default is required")
-        retry = data.get("retry", {})
-        _take(retry, ("max_attempts", "corrective"), "config.retry")
-        concurrency = data.get("concurrency", {})
-        _take(concurrency, ("workers",), "config.concurrency")
-        scoring = data.get("scoring", {})
-        _take(scoring, ("set_semantics",), "config.scoring")
-        overrides = {
-            stage: ProviderConfig.from_dict(llm[stage], f"config.llm.{stage}")
-            for stage in LLM_STAGES
-            if llm.get(stage) is not None
-        }
-        embedding = retrieval.get("embedding")
-        return cls(
-            gold=paths["gold"],
-            transcripts=paths["transcripts"],
-            support=paths["support"],
-            output_dir=paths["output_dir"],
-            ontology=paths.get("ontology"),
-            templates=paths.get("templates"),
-            cache=paths.get("cache"),
-            index=paths.get("index"),
-            gate_policy=gate.get("policy", "all"),
-            gate_threshold=gate.get("threshold", 0.5),
-            gate_lenient_llm=bool(gate.get("lenient_llm", False)),
-            learned=_provider_or_none(gate.get("learned"), "config.gate.learned"),
-            gate_llm_file=gate.get("llm_file"),
-            retrieval_k=retrieval.get("k", 10),
-            embedding=(
-                ProviderConfig.from_dict(embedding, "config.retrieval.embedding")
-                if embedding is not None
-                else ProviderConfig(kind="mock")
-            ),
-            same_type_filter=bool(retrieval.get("same_type_filter", False)),
-            llm_default=ProviderConfig.from_dict(llm["default"], "config.llm.default"),
-            llm_overrides=overrides,
-            max_attempts=retry.get("max_attempts", 3),
-            corrective=bool(retry.get("corrective", False)),
-            workers=concurrency.get("workers", 4),
-            set_semantics=bool(scoring.get("set_semantics", False)),
-        )
+        _take(data, _LAYOUT, "config")
+        given: dict = {}
+        for section, keys in _LAYOUT.items():
+            values = data.get(section, {})
+            _take(values, keys, f"config.{section}")
+            for key, value in values.items():
+                name = keys[key]
+                if name in _PROVIDERS:
+                    if value is None:  # a provider set to null keeps its default
+                        continue
+                    value = ProviderConfig.from_dict(value, f"config.{section}.{key}")
+                if name == "llm_overrides":
+                    given.setdefault(name, {})[key] = value
+                else:
+                    given[name] = value
+        for name in _REQUIRED:
+            if not given.get(name):
+                raise ConfigError(f"config.{_KEYS[name]} is required")
+        return cls(**given)
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -241,37 +252,17 @@ class PipelineConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "paths": {
-                "gold": self.gold,
-                "transcripts": self.transcripts,
-                "support": self.support,
-                "output_dir": self.output_dir,
-                "ontology": self.ontology,
-                "templates": self.templates,
-                "cache": self.cache,
-                "index": self.index,
-            },
-            "gate": {
-                "policy": self.gate_policy,
-                "threshold": self.gate_threshold,
-                "lenient_llm": self.gate_lenient_llm,
-                "learned": self.learned.to_dict() if self.learned else None,
-                "llm_file": self.gate_llm_file,
-            },
-            "retrieval": {
-                "k": self.retrieval_k,
-                "embedding": self.embedding.to_dict(),
-                "same_type_filter": self.same_type_filter,
-            },
-            "llm": {
-                "default": self.llm_default.to_dict(),
-                **{stage: cfg.to_dict() for stage, cfg in sorted(self.llm_overrides.items())},
-            },
-            "retry": {"max_attempts": self.max_attempts, "corrective": self.corrective},
-            "concurrency": {"workers": self.workers},
-            "scoring": {"set_semantics": self.set_semantics},
-        }
+        out: dict = {}
+        for section, keys in _LAYOUT.items():
+            out[section] = {}
+            for key, name in keys.items():
+                value = getattr(self, name)
+                if name == "llm_overrides":
+                    if key not in value:
+                        continue
+                    value = value[key]
+                out[section][key] = value.to_dict() if isinstance(value, ProviderConfig) else value
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)

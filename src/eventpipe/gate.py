@@ -171,6 +171,13 @@ def _is_probability(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
+def _flag(path, rid: str, name: str, value) -> bool:
+    """value if it is a JSON boolean; a DatasetError naming the file and the id otherwise."""
+    if not isinstance(value, bool):
+        raise DatasetError(f"{path}: id {rid!r} has {name} {value!r}, not true or false")
+    return value
+
+
 class FileVerdictProvider:
     """Precomputed verdicts: rows {"id", "present": bool} or {"id", "p": number}."""
 
@@ -180,7 +187,7 @@ class FileVerdictProvider:
         for lineno, rec in read_rows(self.path):
             rid = str(rec["id"])
             if "present" in rec:
-                self._by_id[rid] = 1.0 if rec["present"] else 0.0
+                self._by_id[rid] = float(_flag(self.path, rid, "present", rec["present"]))
             elif "p" in rec:
                 if not _is_probability(rec["p"]):
                     raise DatasetError(
@@ -298,21 +305,25 @@ def llm_classify(
     event-free.
     """
     # Late imports: llm and prompts build on top of this module's consumers.
-    from .llm import cached_complete
+    from .llm import FormatFailureError, complete_with_retry
     from .prompts import build_presence_prompt
 
     bundle = build_presence_prompt(segment, ontology, templates_dir=templates_dir)
-    # The attempt ordinal keeps the re-ask from replaying a cached bad reply.
-    for attempt in (1, 2):
-        reply = cached_complete(llm_provider, cache, bundle, attempt=attempt)
-        verdict = parse_yes_no(reply)
-        if verdict is not None:
-            return verdict
-    if lenient:
-        return False
-    raise VerdictError(
-        f"segment {segment.id!r}: unparseable presence verdict after retry"
-    )
+    verdicts: list[bool | None] = []
+
+    def parsed(reply: str) -> bool:
+        verdicts.append(parse_yes_no(reply))
+        return verdicts[-1] is not None
+
+    try:
+        complete_with_retry(llm_provider, bundle, parsed, max_attempts=2, cache=cache)
+    except FormatFailureError:
+        if lenient:
+            return False
+        raise VerdictError(
+            f"segment {segment.id!r}: unparseable presence verdict after retry"
+        ) from None
+    return verdicts[-1]
 
 
 def vote(triple: VerdictTriple, policy: VotePolicy) -> bool:
@@ -378,6 +389,6 @@ def load_verdict_triples(path: str | Path) -> dict[str, VerdictTriple]:
     for _, rec in check_rows(path, records, ("rule", "learned", "llm")):
         rid = str(rec["id"])
         out[rid] = VerdictTriple(
-            rule=bool(rec["rule"]), learned=bool(rec["learned"]), llm=bool(rec["llm"])
+            *(_flag(path, rid, name, rec[name]) for name in ("rule", "learned", "llm"))
         )
     return out

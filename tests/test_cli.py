@@ -288,6 +288,27 @@ class TestFormatStandalone:
         assert code == 3
         assert f"{raw_file}: invalid JSON at line 2" in err
 
+    @pytest.mark.parametrize(
+        "record",
+        [{"id": "r2", "raw": "[]", "attempts": "x"}, {"id": "r2", "raw": "[]", "attempts": 0},
+         {"id": "r2", "raw": "[]", "attempts": True}, {"id": "r2", "raw": "[]", "attempts": 2.0},
+         {"id": "r2", "raw": 5}, {"id": "r2", "raw": None}],
+        ids=repr,
+    )
+    def test_raw_record_with_a_bad_field_is_an_input_error(self, tmp_path, capsys, record):
+        config_path = self._config(tmp_path, {})
+        raw_file = tmp_path / "raws.jsonl"
+        good = {"id": "r1", "raw": "[]", "attempts": 2}
+        raw_file.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "format", "--config", str(config_path), "--raw-file", str(raw_file)
+        )
+        assert code == 3
+        assert err == (
+            f"error: {raw_file}: line 2 needs a string 'raw' and, if given, "
+            "an integer 'attempts' >= 1\n"
+        )
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -466,7 +487,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "section,key,value",
         [("concurrency", "workers", "four"), ("concurrency", "workers", None),
-         ("retrieval", "k", 2.7), ("retry", "max_attempts", True), ("gate", "threshold", "0.5")],
+         ("retrieval", "k", 2.7), ("retry", "max_attempts", True), ("gate", "threshold", "0.5")]
+        + [
+            (section, key, value)
+            for section, key in (("gate", "lenient_llm"), ("retrieval", "same_type_filter"),
+                                 ("retry", "corrective"), ("scoring", "set_semantics"))
+            for value in ("false", 0, None)
+        ]
+        + [("paths", "cache", 5), ("gate", "policy", 5)],
         ids=repr,
     )
     def test_bad_pipeline_setting_is_a_config_error(self, tmp_path, capsys, section, key, value):
@@ -495,6 +523,52 @@ class TestExitCodes:
             f"error: config.gate.learned: provider {name} must be an integer >= 1, got {value}\n"
         )
         assert http_server.requests == []
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("dimension", "384"), ("dimension", 0), ("dimension", True), ("sampling", "x"),
+         ("api_key_env", 5), ("script", 5), ("path", 5)],
+        ids=repr,
+    )
+    def test_provider_field_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, capsys, name, value
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["retrieval"]["embedding"][name] = value
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err.startswith(f"error: config.retrieval.embedding: provider {name} must be ")
+        assert repr(value) in err
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+    def test_learned_verdict_that_is_not_a_boolean_is_an_input_error(
+        self, tmp_path, capsys, value
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        lines = corpus.learned_path.read_text(encoding="utf-8").splitlines()
+        rid = json.loads(lines[0])["id"]
+        lines[0] = json.dumps({"id": rid, "present": value})
+        corpus.learned_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err == (
+            f"error: {corpus.learned_path}: id {rid!r} has present {value!r}, not true or false\n"
+        )
+
+    @pytest.mark.parametrize("name,value", [("rule", "no"), ("learned", 0), ("llm", None)])
+    def test_verdict_triple_that_is_not_a_boolean_is_an_input_error(
+        self, tmp_path, capsys, name, value
+    ):
+        path = tmp_path / "verdicts.jsonl"
+        rows = [{"id": "s1", "rule": True, "learned": False, "llm": True},
+                {"id": "s2", "rule": False, "learned": True, "llm": False, name: value}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        code, out, err = run_cli(capsys, "agreement", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: id 's2' has {name} {value!r}, not true or false\n"
 
     @pytest.mark.parametrize(
         "endpoint", ["localhost:8000/v1/verdicts", "file:///verdicts.json", "data:,{}"]

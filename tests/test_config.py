@@ -1,8 +1,10 @@
 """Configuration loading, strict validation, and provider construction."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -197,7 +199,7 @@ class TestBounds:
         "name,value",
         [
             (name, value)
-            for name in ("batch_size", "max_in_flight", "max_retries")
+            for name in ("batch_size", "dimension", "max_in_flight", "max_retries")
             for value in (0, -1, 1.5, True, "4", None)
         ]
         + [("timeout", value) for value in (0, -1.0, float("nan"), float("inf"), "60", True)]
@@ -212,12 +214,35 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("batch_size", 1), ("max_in_flight", 1), ("max_retries", 1), ("timeout", 0.5),
-         ("min_interval", 0), ("min_interval", 0.25)],
+        [("batch_size", 1), ("dimension", 1), ("max_in_flight", 1), ("max_retries", 1),
+         ("timeout", 0.5), ("min_interval", 0), ("min_interval", 0.25)],
         ids=repr,
     )
     def test_provider_numeric_field_at_its_bound_accepted(self, name, value):
         assert getattr(ProviderConfig(kind="remote", **{name: value}), name) == value
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"corrective": "false"}, "config.retry.corrective must be true or false, got 'false'"),
+            ({"same_type_filter": 1},
+             "config.retrieval.same_type_filter must be true or false, got 1"),
+            ({"cache": 5}, "config.paths.cache must be a string or null, got 5"),
+            ({"learned": {"kind": "file"}},
+             "config.gate.learned must be a provider object or null, got {'kind': 'file'}"),
+            ({"llm_overrides": []}, "config.llm must be an object, got []"),
+        ],
+        ids=repr,
+    )
+    def test_replace_is_type_checked(self, changes, message):
+        cfg = PipelineConfig.from_dict(minimal_config())
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **changes)
+
+    def test_provider_replace_is_type_checked(self):
+        provider = PipelineConfig.from_dict(minimal_config()).llm_default
+        with pytest.raises(ConfigError, match=r"^provider sampling must be an object, got 'x'$"):
+            dataclasses.replace(provider, sampling="x")
 
     def test_unknown_gate_policy_rejected(self):
         data = minimal_config()
@@ -295,6 +320,25 @@ class TestHashing:
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
+
+
+class TestReadme:
+    def test_configuration_block_shows_the_defaults(self):
+        # Every key README's Configuration block shows exists, and every optional
+        # value it shows is the default.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        data = json.loads(re.sub(r"//[^\n]*", "", block))
+        paths = data["paths"]
+        bare = PipelineConfig(
+            gold=paths["gold"],
+            transcripts=paths["transcripts"],
+            support=paths["support"],
+            output_dir=paths["output_dir"],
+            llm_default=ProviderConfig(**data["llm"]["default"]),
+        )
+        assert PipelineConfig.from_dict(data) == bare
 
 
 class TestLoad:
