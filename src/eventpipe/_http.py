@@ -1,16 +1,26 @@
-"""Shared HTTP plumbing for the remote provider clients."""
+"""One remote endpoint and the transport every remote request goes through.
+
+``Endpoint`` holds all a remote service needs beyond its payloads: the URL,
+the API key's environment variable, the timeout, the retries, the bound on
+requests in flight and the pacing between them. The chat, embedding and
+learned-verdict providers each send through one. ``post_json`` is the one
+function every request passes through.
+"""
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import KW_ONLY, dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
-__all__ = ["ProviderError", "post_batches", "post_json"]
+__all__ = ["Endpoint", "ProviderError", "post_json"]
 
 T = TypeVar("T")
 
@@ -19,12 +29,93 @@ class ProviderError(RuntimeError):
     """A remote provider failed after bounded retries."""
 
 
+@dataclass
+class Endpoint:
+    """A remote service: where it is, how to authenticate, and how hard to press it.
+
+    The API key is read from the environment variable api_key_env when a call
+    starts and appears only in the Authorization header, never in an id, a
+    log or an error; an unset variable fails before any request is sent. At
+    most max_in_flight requests are open at once, and their starts are spaced
+    at least min_interval seconds apart. what names the service in errors.
+    """
+
+    url: str
+    _: KW_ONLY
+    what: str
+    api_key_env: str | None
+    timeout: float
+    max_retries: int
+    max_in_flight: int
+    min_interval: float
+
+    def __post_init__(self):
+        self._slots = threading.Semaphore(self.max_in_flight)
+        self._pace_lock = threading.Lock()
+        self._last_start = 0.0
+
+    def _headers(self) -> dict[str, str] | None:
+        if not self.api_key_env:
+            return None
+        key = os.environ.get(self.api_key_env)
+        if not key:
+            raise ProviderError(
+                f"environment variable {self.api_key_env} is not set (API key required)"
+            )
+        return {"Authorization": f"Bearer {key}"}
+
+    def _send(self, payload: dict[str, Any], headers: dict[str, str] | None) -> Any:
+        with self._slots:
+            if self.min_interval > 0:
+                with self._pace_lock:
+                    wait = self._last_start + self.min_interval - time.monotonic()
+                    if wait > 0:
+                        time.sleep(wait)
+                    self._last_start = time.monotonic()
+            return post_json(
+                self.url,
+                payload,
+                timeout=self.timeout,
+                max_retries=self.max_retries,
+                headers=headers,
+                what=self.what,
+            )
+
+    def post(self, payload: dict[str, Any]) -> Any:
+        """POST one payload and return the decoded JSON reply."""
+        return self._send(payload, self._headers())
+
+    def post_batches(
+        self, payloads: Sequence[dict[str, Any]], parse: Callable[[int, Any], T]
+    ) -> list[T]:
+        """POST every payload, at most max_in_flight at a time; results in payload order.
+
+        Each worker runs ``parse(i, reply)`` on the decoded reply of payload i,
+        so a raw reply lives only until its worker has turned it into a
+        result. The error raised is the one of the earliest failing payload;
+        payloads not yet started when it surfaces are never sent.
+        """
+        if not payloads:
+            return []
+        headers = self._headers()
+
+        def call(i: int) -> T:
+            return parse(i, self._send(payloads[i], headers))
+
+        pool = ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(payloads)))
+        try:
+            futures = [pool.submit(call, i) for i in range(len(payloads))]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
 def post_json(
     url: str,
     payload: dict[str, Any],
     *,
-    timeout: float = 30.0,
-    max_retries: int = 3,
+    timeout: float,
+    max_retries: int,
     headers: dict[str, str] | None = None,
     what: str = "provider",
     backoff: float = 0.5,
@@ -90,34 +181,3 @@ def _post_once(request: urllib.request.Request, timeout: float) -> tuple[int, by
         exc.close()
         return exc.code, b""
 
-
-def post_batches(
-    url: str,
-    payloads: Sequence[dict[str, Any]],
-    parse: Callable[[int, Any], T],
-    *,
-    max_in_flight: int,
-    timeout: float = 30.0,
-    max_retries: int = 3,
-    what: str = "provider",
-) -> list[T]:
-    """POST every payload, at most max_in_flight at a time; results in payload order.
-
-    Each worker runs ``parse(i, reply)`` on the decoded reply of payload i, so
-    a raw reply lives only until its worker has turned it into a result. The
-    error raised is the one of the earliest failing payload; payloads not yet
-    started when it surfaces are never sent.
-    """
-    if not payloads:
-        return []
-
-    def call(i: int) -> T:
-        reply = post_json(url, payloads[i], timeout=timeout, max_retries=max_retries, what=what)
-        return parse(i, reply)
-
-    pool = ThreadPoolExecutor(max_workers=min(max_in_flight, len(payloads)))
-    try:
-        futures = [pool.submit(call, i) for i in range(len(payloads))]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)

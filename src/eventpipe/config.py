@@ -115,6 +115,9 @@ class ProviderConfig:
             raise ConfigError(
                 f"provider min_interval must be a number >= 0, got {self.min_interval!r}"
             )
+        for key in ("messages", "model"):
+            if key in self.sampling:
+                raise ConfigError(f"provider sampling must not set {key!r}: the request sets it")
         if self.kind == "remote" and self.endpoint and not _is_http_url(self.endpoint):
             raise ConfigError(
                 f"provider endpoint must be an http or https URL, got {self.endpoint!r}"
@@ -304,6 +307,23 @@ def _file_sha256(path: str) -> str | None:
     return digest.hexdigest()
 
 
+def _endpoint(cfg: ProviderConfig, role: str, what: str):
+    """The remote service a provider config names, with every policy for reaching it."""
+    from ._http import Endpoint
+
+    if not cfg.endpoint:
+        raise ConfigError(f"remote {role} provider needs an 'endpoint'")
+    return Endpoint(
+        cfg.endpoint,
+        what=what,
+        api_key_env=cfg.api_key_env,
+        timeout=cfg.timeout,
+        max_retries=cfg.max_retries,
+        max_in_flight=cfg.max_in_flight,
+        min_interval=cfg.min_interval,
+    )
+
+
 def build_llm_provider(cfg: ProviderConfig):
     """Instantiate a chat provider from its config."""
     from .llm import HttpLlmProvider, ScriptedMockLlm
@@ -313,18 +333,10 @@ def build_llm_provider(cfg: ProviderConfig):
             raise ConfigError("mock llm provider needs a 'script' path")
         return ScriptedMockLlm.from_script_file(cfg.script, provider_name=cfg.name)
     if cfg.kind == "remote":
-        if not cfg.endpoint or not cfg.model:
-            raise ConfigError("remote llm provider needs 'endpoint' and 'model'")
-        return HttpLlmProvider(
-            cfg.endpoint,
-            cfg.model,
-            api_key_env=cfg.api_key_env,
-            timeout=cfg.timeout,
-            max_retries=cfg.max_retries,
-            max_in_flight=cfg.max_in_flight,
-            min_interval=cfg.min_interval,
-            sampling=cfg.sampling,
-        )
+        if not cfg.model:
+            raise ConfigError("remote llm provider needs a 'model'")
+        endpoint = _endpoint(cfg, "llm", "completion endpoint")
+        return HttpLlmProvider(endpoint, cfg.model, cfg.sampling)
     raise ConfigError(f"llm provider kind {cfg.kind!r} is not usable for completion")
 
 
@@ -335,15 +347,8 @@ def build_embedding_provider(cfg: ProviderConfig):
     if cfg.kind == "mock":
         return HashedBagEmbedder(dimension=cfg.dimension)
     if cfg.kind == "remote":
-        if not cfg.endpoint:
-            raise ConfigError("remote embedding provider needs an 'endpoint'")
-        return HttpEmbeddingProvider(
-            cfg.endpoint,
-            timeout=cfg.timeout,
-            max_retries=cfg.max_retries,
-            batch_size=cfg.batch_size,
-            max_in_flight=cfg.max_in_flight,
-        )
+        endpoint = _endpoint(cfg, "embedding", "embedding endpoint")
+        return HttpEmbeddingProvider(endpoint, cfg.batch_size)
     raise ConfigError(f"embedding provider kind {cfg.kind!r} is not usable")
 
 
@@ -356,13 +361,6 @@ def build_verdict_provider(cfg: ProviderConfig):
             raise ConfigError("file verdict provider needs a 'path'")
         return FileVerdictProvider(cfg.path)
     if cfg.kind == "remote":
-        if not cfg.endpoint:
-            raise ConfigError("remote verdict provider needs an 'endpoint'")
-        return HttpVerdictProvider(
-            cfg.endpoint,
-            timeout=cfg.timeout,
-            max_retries=cfg.max_retries,
-            batch_size=cfg.batch_size,
-            max_in_flight=cfg.max_in_flight,
-        )
+        endpoint = _endpoint(cfg, "verdict", "learned-classifier endpoint")
+        return HttpVerdictProvider(endpoint, cfg.batch_size)
     raise ConfigError(f"verdict provider kind {cfg.kind!r} is not usable")

@@ -27,6 +27,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ._http import Endpoint
     from .llm import LlmProvider
 
 __all__ = [
@@ -210,28 +211,15 @@ class FileVerdictProvider:
 class HttpVerdictProvider:
     """Remote scoring endpoint: POST {"texts": [...]} -> {"probabilities": [...]}.
 
-    Segments are posted batch_size texts per request, up to max_in_flight
-    requests at a time, and the probabilities come back in segment order.
+    Segments are posted batch_size texts per request through the Endpoint,
+    and the probabilities come back in segment order.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        batch_size: int = 64,
-        max_in_flight: int = 4,
-    ):
+    def __init__(self, endpoint: Endpoint, batch_size: int):
         self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_retries = max_retries
         self.batch_size = batch_size
-        self.max_in_flight = max_in_flight
 
     def presence_probabilities(self, segments: Sequence[Segment]) -> list[float]:
-        from ._http import post_batches
-
         chunks = [
             segments[i : i + self.batch_size] for i in range(0, len(segments), self.batch_size)
         ]
@@ -253,14 +241,8 @@ class HttpVerdictProvider:
                     )
             return [float(p) for p in probs]
 
-        parts = post_batches(
-            self.endpoint,
-            [{"texts": [seg.text for seg in chunk]} for chunk in chunks],
-            parse,
-            max_in_flight=self.max_in_flight,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            what="learned-classifier endpoint",
+        parts = self.endpoint.post_batches(
+            [{"texts": [seg.text for seg in chunk]} for chunk in chunks], parse
         )
         return [p for part in parts for p in part]
 

@@ -10,12 +10,11 @@ import hashlib
 import json
 import os
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._http import ProviderError, post_json
+from ._http import Endpoint, ProviderError
 from .model import DatasetError
 from .prompts import PromptBundle, PromptMessage
 
@@ -202,80 +201,26 @@ class ScriptedMockLlm(LlmProvider):
 
 
 class HttpLlmProvider(LlmProvider):
-    """Remote chat endpoint client with bounded concurrency and pacing.
+    """Remote chat model: one conversation per request, sent through its Endpoint."""
 
-    The API key is read from the configured environment variable at request
-    time and appears only in the Authorization header, never in ids, logs,
-    errors, or artifacts.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        *,
-        api_key_env: str | None = None,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        max_in_flight: int = 4,
-        min_interval: float = 0.0,
-        sampling: dict | None = None,
-    ):
+    def __init__(self, endpoint: Endpoint, model: str, sampling: dict):
         self.endpoint = endpoint
         self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.sampling = dict(sampling or {})
-        self._gate = threading.Semaphore(max_in_flight)
-        self._min_interval = min_interval
-        self._pace_lock = threading.Lock()
-        self._last_request = 0.0
+        self.sampling = dict(sampling)
 
     @property
     def provider_id(self) -> str:
         """Model and endpoint, plus the sampling settings when any are set."""
-        base = f"http:{self.model}@{self.endpoint}"
+        base = f"http:{self.model}@{self.endpoint.url}"
         if not self.sampling:
             return base
         return f"{base}#{json.dumps(self.sampling, sort_keys=True, separators=(',', ':'))}"
 
-    def _headers(self) -> dict[str, str] | None:
-        if not self.api_key_env:
-            return None
-        key = os.environ.get(self.api_key_env)
-        if not key:
-            raise ProviderError(
-                f"environment variable {self.api_key_env} is not set (API key required)"
-            )
-        return {"Authorization": f"Bearer {key}"}
-
-    def _pace(self) -> None:
-        if self._min_interval <= 0:
-            return
-        with self._pace_lock:
-            wait = self._last_request + self._min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
-
     def complete(self, bundle: PromptBundle) -> str:
-        payload = {
-            "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in bundle.messages],
-        }
-        payload.update(self.sampling)
-        with self._gate:
-            self._pace()
-            data = post_json(
-                self.endpoint,
-                payload,
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                headers=self._headers(),
-                what="completion endpoint",
-            )
-        text = _extract_reply(data)
+        messages = [{"role": m.role, "content": m.content} for m in bundle.messages]
+        text = _extract_reply(
+            self.endpoint.post({"model": self.model, "messages": messages, **self.sampling})
+        )
         if text is None:
             raise ProviderError("completion endpoint returned no usable text field")
         return text

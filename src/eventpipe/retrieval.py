@@ -24,10 +24,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .model import (
     iter_json_records,
     write_rows,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ._http import Endpoint
 
 __all__ = [
     "EmbeddingError",
@@ -121,28 +125,16 @@ class HashedBagEmbedder:
 class HttpEmbeddingProvider:
     """Remote embedding endpoint: POST {"texts": [...]} -> {"vectors": [[...]]}.
 
-    Texts are posted batch_size per request, up to max_in_flight requests at a
-    time, and the vectors come back in text order.
+    Texts are posted batch_size per request through the Endpoint, and the
+    vectors come back in text order. Each vector must be a non-empty list of
+    finite JSON numbers.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        batch_size: int = 64,
-        max_in_flight: int = 4,
-    ):
+    def __init__(self, endpoint: Endpoint, batch_size: int):
         self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_retries = max_retries
         self.batch_size = batch_size
-        self.max_in_flight = max_in_flight
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        from ._http import post_batches
-
         chunks = [
             list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)
         ]
@@ -155,24 +147,35 @@ class HttpEmbeddingProvider:
                     f"embedding endpoint returned {0 if not isinstance(vectors, list) else len(vectors)} "
                     f"vectors for {len(chunk)} texts"
                 )
-            return [np.asarray(v, dtype=np.float64) for v in vectors]
+            first = i * self.batch_size
+            return [_reply_vector(v, first + j) for j, v in enumerate(vectors)]
 
-        parts = post_batches(
-            self.endpoint,
-            [{"texts": chunk} for chunk in chunks],
-            parse,
-            max_in_flight=self.max_in_flight,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            what="embedding endpoint",
-        )
+        parts = self.endpoint.post_batches([{"texts": chunk} for chunk in chunks], parse)
         return [vec for part in parts for vec in part]
+
+
+def _reply_vector(value, position: int) -> np.ndarray:
+    """A reply's vector as float64: a non-empty list of finite JSON numbers, or EmbeddingError."""
+    # type() rather than isinstance: a JSON boolean is a bool, which isinstance takes for an int.
+    if isinstance(value, list) and value and set(map(type, value)) <= {int, float}:
+        try:
+            vec = np.fromiter(value, np.float64, len(value))
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(vec).all():
+                return vec
+    raise EmbeddingError(
+        f"embedding endpoint returned no vector of finite numbers for text {position}"
+    )
 
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm <= _NORM_TOL:
         raise EmbeddingError(f"{what}: zero embedding vector")
+    if not math.isfinite(norm):
+        raise EmbeddingError(f"{what}: embedding vector norm is not finite")
     return vec / norm
 
 

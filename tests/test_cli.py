@@ -542,6 +542,21 @@ class TestExitCodes:
         assert err.startswith(f"error: config.retrieval.embedding: provider {name} must be ")
         assert repr(value) in err
 
+    def test_sampling_that_sets_the_messages_is_a_config_error(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["llm"]["presence"] = {
+            "kind": "remote", "endpoint": "http://127.0.0.1:9/chat", "model": "m",
+            "sampling": {"messages": []},
+        }
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err == (
+            "error: config.llm.presence: provider sampling must not set 'messages': "
+            "the request sets it\n"
+        )
+
     @pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
     def test_learned_verdict_that_is_not_a_boolean_is_an_input_error(
         self, tmp_path, capsys, value

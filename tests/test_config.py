@@ -212,6 +212,17 @@ class TestBounds:
         with pytest.raises(ConfigError, match=f"^config.retrieval.embedding: provider {name} "):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("key", ["messages", "model"])
+    def test_sampling_that_would_replace_a_request_field_is_rejected(self, key):
+        data = minimal_config()
+        data["llm"]["default"] = {
+            "kind": "remote", "endpoint": "http://x", "model": "m",
+            "sampling": {"temperature": 0, key: []},
+        }
+        message = f"^config.llm.default: provider sampling must not set '{key}'"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict(data)
+
     @pytest.mark.parametrize(
         "name,value",
         [("batch_size", 1), ("dimension", 1), ("max_in_flight", 1), ("max_retries", 1),
@@ -394,6 +405,26 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_llm_provider(ProviderConfig(kind="remote", endpoint="http://x"))
 
+    @pytest.mark.parametrize(
+        "build,what",
+        [(build_llm_provider, "completion endpoint"),
+         (build_embedding_provider, "embedding endpoint"),
+         (build_verdict_provider, "learned-classifier endpoint")],
+        ids=["chat", "embed", "verdict"],
+    )
+    def test_every_remote_kind_reaches_its_endpoint_as_configured(self, build, what):
+        default = build(ProviderConfig(kind="remote", endpoint="http://x/1", model="m")).endpoint
+        assert (default.timeout, default.max_retries, default.max_in_flight) == (60.0, 3, 4)
+        assert (default.api_key_env, default.min_interval) == (None, 0.0)
+        cfg = ProviderConfig(
+            kind="remote", endpoint="http://x/2", model="m", api_key_env="KEY", timeout=5,
+            max_retries=2, max_in_flight=3, min_interval=0.5,
+        )
+        endpoint = build(cfg).endpoint
+        assert (endpoint.url, endpoint.what, endpoint.api_key_env) == ("http://x/2", what, "KEY")
+        assert (endpoint.timeout, endpoint.max_retries) == (5, 2)
+        assert (endpoint.max_in_flight, endpoint.min_interval) == (3, 0.5)
+
     def test_file_kind_not_usable_for_llm(self):
         with pytest.raises(ConfigError, match="not usable"):
             build_llm_provider(ProviderConfig(kind="file", path="x"))
@@ -406,11 +437,11 @@ class TestBuilders:
             ProviderConfig(kind="remote", endpoint="http://127.0.0.1:1/embed")
         )
         assert isinstance(remote, HttpEmbeddingProvider)
-        assert (remote.batch_size, remote.max_in_flight) == (64, 4)
+        assert (remote.batch_size, remote.endpoint.max_in_flight) == (64, 4)
         remote = build_embedding_provider(
             ProviderConfig(kind="remote", endpoint="http://x", batch_size=8, max_in_flight=2)
         )
-        assert (remote.batch_size, remote.max_in_flight) == (8, 2)
+        assert (remote.batch_size, remote.endpoint.max_in_flight) == (8, 2)
         with pytest.raises(ConfigError, match="endpoint"):
             build_embedding_provider(ProviderConfig(kind="remote"))
         with pytest.raises(ConfigError, match="not usable"):
@@ -425,11 +456,11 @@ class TestBuilders:
             ProviderConfig(kind="remote", endpoint="http://127.0.0.1:1/classify")
         )
         assert isinstance(remote, HttpVerdictProvider)
-        assert (remote.batch_size, remote.max_in_flight) == (64, 4)
+        assert (remote.batch_size, remote.endpoint.max_in_flight) == (64, 4)
         remote = build_verdict_provider(
             ProviderConfig(kind="remote", endpoint="http://x", batch_size=8, max_in_flight=2)
         )
-        assert (remote.batch_size, remote.max_in_flight) == (8, 2)
+        assert (remote.batch_size, remote.endpoint.max_in_flight) == (8, 2)
         with pytest.raises(ConfigError, match="path"):
             build_verdict_provider(ProviderConfig(kind="file"))
         with pytest.raises(ConfigError, match="endpoint"):

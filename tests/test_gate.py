@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eventpipe.config import ProviderConfig, build_verdict_provider
 from eventpipe.gate import (
     AgreementTable,
     FileVerdictProvider,
     GateError,
-    HttpVerdictProvider,
     POLICY_NAMES,
     TriggerLexicon,
     VerdictError,
@@ -76,6 +76,11 @@ class TestRuleClassifier:
         assert not rule_classify(Segment(id="a", text="anything at all"), lexicon)
 
 
+def _remote(url: str, **fields):
+    config = ProviderConfig(kind="remote", endpoint=url, **fields)
+    return build_verdict_provider(config)
+
+
 class TestLearnedClassifier:
     def _provider(self, tmp_path, rows):
         path = tmp_path / "verdicts.jsonl"
@@ -115,14 +120,14 @@ class TestLearnedClassifier:
 
     def test_http_provider_posts_text_and_reads_probability(self, http_server):
         http_server.default_response = (200, {"probabilities": [0.8]})
-        provider = HttpVerdictProvider(http_server.url)
+        provider = _remote(http_server.url)
         p = provider.presence_probabilities([Segment(id="a", text="some text")])
         assert p == [0.8]
         assert http_server.requests[0]["body"] == {"texts": ["some text"]}
 
     def test_http_provider_rejects_malformed_payload(self, http_server):
         http_server.default_response = (200, {"probabilities": []})
-        provider = HttpVerdictProvider(http_server.url)
+        provider = _remote(http_server.url)
         with pytest.raises(VerdictError, match="0 probabilities for 1 segments"):
             provider.presence_probabilities([Segment(id="a", text="x")])
 
@@ -131,7 +136,7 @@ class TestLearnedClassifier:
         http_server.responder = lambda body: (
             200, {"probabilities": [p_of[text] for text in body["texts"]]}
         )
-        provider = HttpVerdictProvider(http_server.url, batch_size=3)
+        provider = _remote(http_server.url, batch_size=3)
         segments = [Segment(id=f"s{i}", text=f"text {i}") for i in range(7)]
         assert provider.presence_probabilities(segments) == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0]
         assert sorted(r["body"]["texts"] for r in http_server.requests) == [
@@ -149,7 +154,7 @@ class TestLearnedClassifier:
     )
     def test_http_provider_rejects_a_value_that_is_not_a_probability(self, http_server, value):
         http_server.default_response = (200, {"probabilities": [0.5, value]})
-        provider = HttpVerdictProvider(http_server.url)
+        provider = _remote(http_server.url)
         segments = [Segment(id="ok", text="a"), Segment(id="seg-7", text="b")]
         with pytest.raises(VerdictError, match="segment 'seg-7'"):
             provider.presence_probabilities(segments)

@@ -14,22 +14,30 @@ import sys
 import threading
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import eventpipe
 from eventpipe._http import ProviderError, post_json
-from eventpipe.gate import HttpVerdictProvider, VerdictError
-from eventpipe.llm import HttpLlmProvider
+from eventpipe.config import (
+    ProviderConfig,
+    build_embedding_provider,
+    build_llm_provider,
+    build_verdict_provider,
+)
+from eventpipe.gate import VerdictError
 from eventpipe.model import Segment
-from eventpipe.prompts import build_presence_prompt
-from eventpipe.retrieval import EmbeddingError, HttpEmbeddingProvider
+from eventpipe.prompts import PromptBundle, PromptMessage
+from eventpipe.retrieval import EmbeddingError, embed_texts
 
 TESTS_DIR = Path(__file__).resolve().parent
 
 # The transport tests never wait between attempts.
-post = functools.partial(post_json, backoff=0.0, what="test endpoint")
+post = functools.partial(
+    post_json, backoff=0.0, what="test endpoint", timeout=5.0, max_retries=1
+)
 
 
 class RawServer:
@@ -177,29 +185,6 @@ def test_payload_is_json_and_success_decodes(http_server):
     assert headers["connection"] == "close"
 
 
-def test_api_key_arrives_and_never_appears_in_an_error(http_server, raw_server, monkeypatch):
-    monkeypatch.setenv("TEST_HTTP_KEY", "sekret-value")
-    bundle = build_presence_prompt(Segment(id="s1", text="a text"), eventpipe.load_ontology())
-    http_server.default_response = (200, {"text": "ok"})
-    assert HttpLlmProvider(http_server.url, "m", api_key_env="TEST_HTTP_KEY").complete(bundle) == "ok"
-    assert http_server.requests[0]["headers"]["Authorization"] == "Bearer sekret-value"
-
-    garbage = raw_server(lambda conn: conn.sendall(b"garbage\r\n\r\n"))
-    for url, status in [
-        (http_server.url, 400),
-        (http_server.url, 503),
-        (garbage.url, None),
-        (_refused_url(), None),
-    ]:
-        if status is not None:
-            http_server.default_response = (status, {})
-        provider = HttpLlmProvider(url, "m", api_key_env="TEST_HTTP_KEY", max_retries=1)
-        with pytest.raises(ProviderError) as info:
-            provider.complete(bundle)
-        text = "".join(traceback.format_exception(info.type, info.value, info.tb))
-        assert "sekret-value" not in text
-
-
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
 def test_redirect_is_not_followed(raw_server, status):
     elsewhere = raw_server(lambda conn: conn.sendall(b"HTTP/1.1 200 OK\r\n\r\n{}"))
@@ -288,7 +273,7 @@ def test_every_attempt_through_a_proxy_is_the_same(raw_server, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# remote batches
+# the three remote kinds
 
 TEXTS = [f"t{i:02d}" for i in range(10)]  # batch_size 2 makes chunks of 2 texts
 
@@ -297,13 +282,52 @@ def _number(text: str) -> int:
     return int(text[1:])
 
 
+def _texts(body) -> list[str]:
+    """The texts a request carries: a batch's texts, or the words of a chat's message."""
+    if "texts" in body:
+        return body["texts"]
+    return body["messages"][-1]["content"].split()
+
+
+def _pairs(texts) -> list[str]:
+    return [" ".join(texts[i : i + 2]) for i in range(0, len(texts), 2)]
+
+
+class _Chat:
+    """One conversation per request: run() completes one per pair of texts, all at once."""
+
+    def __init__(self, url: str, **kwargs):
+        config = ProviderConfig(kind="remote", endpoint=url, model="m", max_retries=1, **kwargs)
+        self.provider = build_llm_provider(config)
+
+    def run(self, texts):
+        def complete(text: str) -> str:
+            return self.provider.complete(
+                PromptBundle(
+                    (PromptMessage("system", "s"), PromptMessage("user", text)), "presence", "s1"
+                )
+            )
+
+        with ThreadPoolExecutor(max_workers=5) as pool:
+            return list(pool.map(complete, _pairs(texts)))
+
+    @staticmethod
+    def answer(texts):
+        return {"text": " ".join(texts)}
+
+    @staticmethod
+    def expected(texts):
+        return _pairs(texts)
+
+
 class _Embed:
     error = EmbeddingError
     short_message = "embedding endpoint returned 1 vectors for 2 texts"
     provider_error = "embedding endpoint returned HTTP 400"
 
     def __init__(self, url: str, **kwargs):
-        self.provider = HttpEmbeddingProvider(url, max_retries=1, batch_size=2, **kwargs)
+        config = ProviderConfig(kind="remote", endpoint=url, max_retries=1, batch_size=2, **kwargs)
+        self.provider = build_embedding_provider(config)
 
     def run(self, texts):
         return [vec.tolist() for vec in self.provider.embed_batch(texts)]
@@ -325,7 +349,8 @@ class _Verdict:
     provider_error = "learned-classifier endpoint returned HTTP 400"
 
     def __init__(self, url: str, **kwargs):
-        self.provider = HttpVerdictProvider(url, max_retries=1, batch_size=2, **kwargs)
+        config = ProviderConfig(kind="remote", endpoint=url, max_retries=1, batch_size=2, **kwargs)
+        self.provider = build_verdict_provider(config)
 
     def run(self, texts):
         segments = [Segment(id=f"s{_number(t):02d}", text=t) for t in texts]
@@ -338,6 +363,12 @@ class _Verdict:
     @staticmethod
     def expected(texts):
         return [_number(t) / 10 for t in texts]
+
+
+# Every kind, for what all three share; the kind fixture gives the two batched ones.
+every_kind = pytest.mark.parametrize(
+    "kind", [_Chat, _Embed, _Verdict], ids=["chat", "embed", "verdict"]
+)
 
 
 @pytest.fixture(params=[_Embed, _Verdict], ids=["embed", "verdict"])
@@ -370,6 +401,7 @@ def test_requests_overlap_up_to_max_in_flight(http_server, kind):
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 3])
+@every_kind
 def test_requests_in_flight_never_exceed_the_bound(http_server, kind, max_in_flight):
     lock = threading.Lock()
     state = {"open": 0, "peak": 0}
@@ -381,12 +413,59 @@ def test_requests_in_flight_never_exceed_the_bound(http_server, kind, max_in_fli
         time.sleep(0.02)
         with lock:
             state["open"] -= 1
-        return 200, kind.answer(body["texts"])
+        return 200, kind.answer(_texts(body))
 
     http_server.responder = respond
     assert kind(http_server.url, max_in_flight=max_in_flight).run(TEXTS) == kind.expected(TEXTS)
     assert len(http_server.requests) == 5
     assert 1 <= state["peak"] <= max_in_flight
+
+
+@every_kind
+def test_request_arrivals_are_spaced_min_interval_apart(http_server, kind):
+    arrivals: list[float] = []
+
+    def respond(body):
+        arrivals.append(time.monotonic())
+        return 200, kind.answer(_texts(body))
+
+    http_server.responder = respond
+    provider = kind(http_server.url, max_in_flight=5, min_interval=0.1)
+    assert provider.run(TEXTS) == kind.expected(TEXTS)
+    arrivals.sort()
+    gaps = [later - earlier for earlier, later in zip(arrivals, arrivals[1:])]
+    assert len(gaps) == 4
+    # Requests leave min_interval apart; each arrival time adds the jitter of
+    # one loopback send and one server thread wake-up, a few ms at most.
+    assert min(gaps) >= 0.1 - 0.02
+
+
+@every_kind
+def test_api_key_arrives_and_never_appears_in_an_error(http_server, raw_server, monkeypatch, kind):
+    texts = TEXTS[:2]
+    monkeypatch.delenv("TEST_HTTP_KEY", raising=False)
+    with pytest.raises(ProviderError, match="^environment variable TEST_HTTP_KEY is not set"):
+        kind(http_server.url, api_key_env="TEST_HTTP_KEY").run(texts)
+    assert http_server.requests == []
+
+    monkeypatch.setenv("TEST_HTTP_KEY", "sekret-value")
+    http_server.default_response = (200, kind.answer(texts))
+    assert kind(http_server.url, api_key_env="TEST_HTTP_KEY").run(texts) == kind.expected(texts)
+    assert http_server.requests[0]["headers"]["Authorization"] == "Bearer sekret-value"
+
+    garbage = raw_server(lambda conn: conn.sendall(b"garbage\r\n\r\n"))
+    for url, status in [
+        (http_server.url, 400),
+        (http_server.url, 503),
+        (garbage.url, None),
+        (_refused_url(), None),
+    ]:
+        if status is not None:
+            http_server.default_response = (status, {})
+        with pytest.raises(ProviderError) as info:
+            kind(url, api_key_env="TEST_HTTP_KEY").run(texts)
+        text = "".join(traceback.format_exception(info.type, info.value, info.tb))
+        assert "sekret-value" not in text
 
 
 def test_later_chunks_answered_first_come_back_in_text_order(http_server, kind):
@@ -453,6 +532,34 @@ def test_chunks_not_started_are_never_posted(http_server, kind):
 def test_no_texts_make_no_request(http_server, kind):
     assert kind(http_server.url).run([]) == []
     assert http_server.requests == []
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [None, "0.5", 3.0, [], [True, 1.0], [1.0, None], [1.0, "2"], [[1.0], [2.0]],
+     [float("nan"), 1.0], [1.0, float("inf")], [10**400, 1.0]],
+    ids=["null", "string", "number", "empty", "bool", "null-entry", "string-entry", "nested",
+         "nan", "inf", "huge-int"],
+)
+def test_embedding_that_is_not_a_list_of_finite_numbers_is_rejected(http_server, vector):
+    def respond(body):
+        vectors = _Embed.answer(body["texts"])["vectors"]
+        if body["texts"][0] == "t02":
+            vectors[1] = vector
+        return 200, {"vectors": vectors}
+
+    http_server.responder = respond
+    message = "^embedding endpoint returned no vector of finite numbers for text 3$"
+    with pytest.raises(EmbeddingError, match=message):
+        embed_texts(TEXTS, _Embed(http_server.url, max_in_flight=2).provider)
+
+
+def test_embedding_whose_norm_overflows_is_rejected(http_server):
+    # Each entry is finite, but the norm is not: divided by it the vector
+    # would come out all zeros.
+    http_server.responder = lambda body: (200, {"vectors": [[1e308, 1e308]] * len(body["texts"])})
+    with pytest.raises(EmbeddingError, match="^text 't00': embedding vector norm is not finite$"):
+        embed_texts(TEXTS, _Embed(http_server.url).provider)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import json
 import pytest
 
 from eventpipe._http import ProviderError
+from eventpipe.config import ProviderConfig, build_llm_provider
 from eventpipe.llm import (
     CacheError,
     CompletionResult,
     FormatFailureError,
-    HttpLlmProvider,
     MockMissError,
     ResponseCache,
     ScriptedMockLlm,
@@ -239,10 +239,15 @@ class TestCompleteWithRetry:
             complete_with_retry(mock, _bundle(), lambda t: True, max_attempts=0)
 
 
+def _remote(url: str, *, model: str = "m", **fields):
+    config = ProviderConfig(kind="remote", endpoint=url, model=model, **fields)
+    return build_llm_provider(config)
+
+
 class TestHttpProvider:
     def test_posts_model_messages_and_parses_text(self, http_server):
         http_server.default_response = (200, {"text": "the reply"})
-        provider = HttpLlmProvider(http_server.url, "test-model")
+        provider = _remote(http_server.url, model="test-model")
         assert provider.complete(_bundle("hi")) == "the reply"
         body = http_server.requests[0]["body"]
         assert body["model"] == "test-model"
@@ -254,36 +259,36 @@ class TestHttpProvider:
             200,
             {"choices": [{"message": {"role": "assistant", "content": "nested"}}]},
         )
-        provider = HttpLlmProvider(http_server.url, "m")
+        provider = _remote(http_server.url)
         assert provider.complete(_bundle()) == "nested"
 
     def test_sampling_parameters_merged_into_payload(self, http_server):
         http_server.default_response = (200, {"text": "ok"})
-        provider = HttpLlmProvider(http_server.url, "m", sampling={"temperature": 0.0})
+        provider = _remote(http_server.url, sampling={"temperature": 0.0})
         provider.complete(_bundle())
         assert http_server.requests[0]["body"]["temperature"] == 0.0
 
     def test_api_key_read_from_environment(self, http_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sekret-value")
         http_server.default_response = (200, {"text": "ok"})
-        provider = HttpLlmProvider(http_server.url, "m", api_key_env="TEST_LLM_KEY")
+        provider = _remote(http_server.url, api_key_env="TEST_LLM_KEY")
         provider.complete(_bundle())
         assert http_server.requests[0]["headers"]["Authorization"] == "Bearer sekret-value"
         # The key never leaks into the provider identity used for cache keys.
         assert "sekret-value" not in provider.provider_id
 
     def test_sampling_settings_are_part_of_the_cache_key(self):
-        cold = HttpLlmProvider("http://127.0.0.1:9/chat", "m", sampling={"temperature": 0.0})
-        warm = HttpLlmProvider("http://127.0.0.1:9/chat", "m", sampling={"temperature": 0.7})
+        cold = _remote("http://127.0.0.1:9/chat", sampling={"temperature": 0.0})
+        warm = _remote("http://127.0.0.1:9/chat", sampling={"temperature": 0.7})
         assert cache_key(cold.provider_id, _bundle(), 1) != cache_key(warm.provider_id, _bundle(), 1)
         # Without sampling settings the id, and so every existing cache key, is unchanged.
-        assert HttpLlmProvider("http://127.0.0.1:9/chat", "m").provider_id == (
+        assert _remote("http://127.0.0.1:9/chat").provider_id == (
             "http:m@http://127.0.0.1:9/chat"
         )
 
     def test_missing_api_key_raises_without_leaking(self, http_server, monkeypatch):
         monkeypatch.delenv("TEST_LLM_KEY", raising=False)
-        provider = HttpLlmProvider(http_server.url, "m", api_key_env="TEST_LLM_KEY")
+        provider = _remote(http_server.url, api_key_env="TEST_LLM_KEY")
         with pytest.raises(ProviderError, match="TEST_LLM_KEY"):
             provider.complete(_bundle())
         assert http_server.requests == []
@@ -291,19 +296,19 @@ class TestHttpProvider:
     def test_retries_on_server_error_then_succeeds(self, http_server):
         http_server.enqueue({"oops": True}, status=500)
         http_server.enqueue({"text": "recovered"})
-        provider = HttpLlmProvider(http_server.url, "m", max_retries=3)
+        provider = _remote(http_server.url, max_retries=3)
         assert provider.complete(_bundle()) == "recovered"
         assert len(http_server.requests) == 2
 
     def test_exhausted_retries_raise_provider_error(self, http_server):
         for _ in range(5):
             http_server.enqueue({}, status=503)
-        provider = HttpLlmProvider(http_server.url, "m", max_retries=2)
+        provider = _remote(http_server.url, max_retries=2)
         with pytest.raises(ProviderError):
             provider.complete(_bundle())
 
     def test_unusable_payload_raises(self, http_server):
         http_server.default_response = (200, {"unexpected": "shape"})
-        provider = HttpLlmProvider(http_server.url, "m")
+        provider = _remote(http_server.url)
         with pytest.raises(ProviderError):
             provider.complete(_bundle())

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventpipe import retrieval
+from eventpipe.config import ProviderConfig, build_embedding_provider
 from eventpipe.model import DatasetError, EventMention, normalize
 from eventpipe.retrieval import (
     DEFAULT_DIMENSION,
     EmbeddingError,
     FewShotExample,
     HashedBagEmbedder,
-    HttpEmbeddingProvider,
     SupportIndex,
     build_index,
     embed_texts,
@@ -272,10 +272,14 @@ class TestHashedBagEmbedder:
             HashedBagEmbedder(dimension=0)
 
 
+def _remote(url: str, **fields):
+    return build_embedding_provider(ProviderConfig(kind="remote", endpoint=url, **fields))
+
+
 class TestHttpEmbeddingProvider:
     def test_posts_texts_and_parses_vectors(self, http_server):
         http_server.default_response = (200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]})
-        provider = HttpEmbeddingProvider(http_server.url)
+        provider = _remote(http_server.url)
         vecs = provider.embed_batch(["a", "b"])
         assert len(vecs) == 2
         assert http_server.requests[0]["body"] == {"texts": ["a", "b"]}
@@ -285,14 +289,14 @@ class TestHttpEmbeddingProvider:
         http_server.responder = lambda body: (
             200, {"vectors": [vector_of[text] for text in body["texts"]]}
         )
-        provider = HttpEmbeddingProvider(http_server.url, batch_size=2)
+        provider = _remote(http_server.url, batch_size=2)
         vecs = provider.embed_batch(["a", "b", "c"])
         assert [vec.tolist() for vec in vecs] == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         assert sorted(r["body"]["texts"] for r in http_server.requests) == [["a", "b"], ["c"]]
 
     def test_wrong_vector_count_rejected(self, http_server):
         http_server.default_response = (200, {"vectors": [[1.0, 0.0]]})
-        provider = HttpEmbeddingProvider(http_server.url)
+        provider = _remote(http_server.url)
         with pytest.raises(EmbeddingError):
             provider.embed_batch(["a", "b"])
 
@@ -379,7 +383,7 @@ class TestBuildIndex:
         ]
         want = build_index(examples, HashedBagEmbedder(dimension=64)).vectors
         for max_in_flight in (1, 4):
-            provider = HttpEmbeddingProvider(
+            provider = _remote(
                 http_server.url, batch_size=batch_size, max_in_flight=max_in_flight
             )
             assert build_index(examples, provider).vectors.tobytes() == want.tobytes()
