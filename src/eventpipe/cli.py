@@ -33,7 +33,7 @@ from .model import (
     write_rows,
 )
 from .pipeline import Pipeline
-from .prompts import TemplateError
+from .prompts import TemplateError, load_template
 from .retrieval import EmbeddingError, build_index, save_index
 
 __all__ = ["main"]
@@ -158,6 +158,7 @@ def cmd_format(args) -> int:
         return _cmd_stage(args, "final")
     config = PipelineConfig.load(args.config)
     ontology = load_ontology(config.ontology)
+    template = load_template("format", config.templates)
     pipe = Pipeline(config)
     raws = []
     for lineno, rec in read_rows(args.raw_file, ("raw",)):
@@ -174,7 +175,7 @@ def cmd_format(args) -> int:
         pipe.llm_for("format"),
         cache=pipe.cache,
         max_attempts=config.max_attempts,
-        templates_dir=config.templates,
+        template=template,
     )
     rows = [
         {"id": entry.segment_id, "event": [event_to_dict(ev) for ev in entry.events]}

@@ -271,13 +271,11 @@ class PipelineConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
-    def inputs_digest(self) -> str:
-        """Fingerprint of the contents of every input file that shapes a stage artifact.
+    def input_files(self) -> dict[str, str]:
+        """Every input file that shapes a stage artifact, by its name in inputs_digest.
 
-        config_hash covers paths only; this covers what the files hold: the
-        transcripts, the support set, the ontology, the prompt templates, the
-        verdict files and the mock scripts. A missing file counts as absent;
-        the stage that reads it reports it.
+        The prompt templates are listed only under a templates override:
+        packaged templates are part of the program, not of its input.
         """
         files = {
             "transcripts": self.transcripts,
@@ -290,7 +288,23 @@ class PipelineConfig:
             files[f"script/{stage}"] = self.llm_for_stage(stage).script
             if self.templates:
                 files[f"templates/{stage}"] = str(Path(self.templates) / f"{stage}.json")
-        digests = {name: _file_sha256(path) for name, path in files.items() if path}
+        return {name: path for name, path in files.items() if path}
+
+    def inputs_digest(self, given: dict[str, str | None] | None = None) -> str:
+        """Fingerprint of the contents of every input file that shapes a stage artifact.
+
+        config_hash covers paths only; this covers what the files hold: the
+        transcripts, the support set, the ontology, the prompt templates, the
+        verdict files and the mock scripts. given maps a name of input_files
+        to the sha256 already taken of the bytes that were parsed (None: the
+        file was absent); only the files it lacks are hashed from disk. A
+        missing file counts as absent; the stage that reads it reports it.
+        """
+        given = given or {}
+        digests = {
+            name: given[name] if name in given else _file_sha256(path)
+            for name, path in self.input_files().items()
+        }
         blob = json.dumps(digests, sort_keys=True)
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 

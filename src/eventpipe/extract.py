@@ -20,7 +20,7 @@ import numpy as np
 
 from .llm import FormatFailureError, LlmProvider, ResponseCache, complete_with_retry
 from .model import Argument, EventMention, Ontology, Segment, normalize
-from .prompts import build_argument_prompt, build_format_prompt, build_trigger_prompt
+from .prompts import Template, build_argument_prompt, build_format_prompt, build_trigger_prompt
 from .retrieval import FewShotExample, SupportIndex, search
 
 __all__ = [
@@ -457,11 +457,11 @@ def extract_triggers(
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
     corrective: bool = False,
-    templates_dir=None,
+    template: Template | None = None,
 ) -> TriggerStageResult:
     """Run trigger recognition for one gated-in segment; query is its text's vector."""
     examples = retrieve_examples(index, query, k)
-    bundle = build_trigger_prompt(segment, examples, ontology, templates_dir=templates_dir)
+    bundle = build_trigger_prompt(segment, examples, ontology, template=template)
     parsed: dict = {}
 
     def verifier(text: str) -> bool:
@@ -496,7 +496,7 @@ def extract_arguments(
     max_attempts: int = 3,
     corrective: bool = False,
     same_type_filter: bool = False,
-    templates_dir=None,
+    template: Template | None = None,
 ) -> ArgumentStageResult:
     """Run argument extraction for one segment's predicted triggers.
 
@@ -508,9 +508,7 @@ def extract_arguments(
     predicted_types = [t.event_type for t in triggers]
     mask = index.type_mask(predicted_types) if same_type_filter and index is not None else None
     examples = retrieve_examples(index, query, k, mask=mask)
-    bundle = build_argument_prompt(
-        segment, predicted_types, examples, ontology, templates_dir=templates_dir
-    )
+    bundle = build_argument_prompt(segment, predicted_types, examples, ontology, template=template)
     parsed: dict = {}
 
     def verifier(text: str) -> bool:
@@ -583,7 +581,7 @@ def postprocess(
     *,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
-    templates_dir=None,
+    template: Template | None = None,
 ) -> PostprocessReport:
     """Turn standalone raw replies into validated events.
 
@@ -600,7 +598,7 @@ def postprocess(
         events, attempts = validated(recover_json_tail(raw.raw_text)), 0
         if events is None:
             events, attempts = _format_repair(
-                raw, validated, provider, cache, max_attempts, templates_dir
+                raw, validated, provider, cache, max_attempts, template
             )
         report.entries.append(
             PostprocessEntry(raw.segment_id, tuple(events or ()), attempts, events is None, False)
@@ -616,7 +614,7 @@ def repair_arguments(
     *,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
-    templates_dir=None,
+    template: Template | None = None,
 ) -> PostprocessEntry:
     """Final events for one segment's argument result, without parsing a reply again.
 
@@ -631,13 +629,13 @@ def repair_arguments(
     canonical, attempts = result.recovered, 0
     if canonical is None:
         canonical, attempts = _format_repair(
-            result.raw, lambda c: c, provider, cache, max_attempts, templates_dir
+            result.raw, lambda c: c, provider, cache, max_attempts, template
         )
     events = _match_entries_to_triggers(canonical, triggers, ontology, strict=False)
     return PostprocessEntry(result.segment_id, tuple(events), attempts, False, canonical is None)
 
 
-def _format_repair(raw: RawStageOutput, convert, provider, cache, max_attempts, templates_dir):
+def _format_repair(raw: RawStageOutput, convert, provider, cache, max_attempts, template):
     """(convert(records) of the first formatting reply it accepts, or None; attempts).
 
     convert rejects a reply by returning None. Blank text, or no provider,
@@ -645,7 +643,7 @@ def _format_repair(raw: RawStageOutput, convert, provider, cache, max_attempts, 
     """
     if provider is None or not raw.raw_text.strip():
         return None, 0
-    bundle = build_format_prompt(raw.raw_text, raw.segment_id, templates_dir=templates_dir)
+    bundle = build_format_prompt(raw.raw_text, raw.segment_id, template=template)
     converted: dict = {}
 
     def verifier(text: str) -> bool:

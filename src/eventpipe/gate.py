@@ -29,6 +29,7 @@ from .model import (
 if TYPE_CHECKING:  # pragma: no cover
     from ._http import Endpoint
     from .llm import LlmProvider
+    from .prompts import Template
 
 __all__ = [
     "AgreementTable",
@@ -131,13 +132,14 @@ class VotePolicy:
 
 
 def build_lexicon(training: Iterable[LabeledSegment]) -> TriggerLexicon:
-    """Collect normalize(trigger) over every gold event in the training split."""
-    entries = {
-        normalize(ev.trigger)
-        for ls in training
-        for ev in ls.gold_events
-        if normalize(ev.trigger)
-    }
+    """Collect normalize(trigger) over every gold event in the training split.
+
+    Each distinct trigger string is normalized once: a large support set
+    repeats a few hundred triggers across tens of thousands of events.
+    """
+    triggers = {ev.trigger for ls in training for ev in ls.gold_events}
+    entries = {normalize(trigger) for trigger in triggers}
+    entries.discard("")
     return TriggerLexicon(entries=frozenset(entries))
 
 
@@ -277,20 +279,21 @@ def llm_classify(
     *,
     cache=None,
     lenient: bool = False,
-    templates_dir=None,
+    template: Template | None = None,
 ) -> bool:
     """Ask the LLM judge whether the segment contains an event.
 
     The reply's first alphanumeric token decides (YES/NO). An unparseable
     reply triggers exactly one re-ask; a second unparseable reply raises
     VerdictError unless lenient, in which case the segment counts as
-    event-free.
+    event-free. template is the parsed presence template (the packaged one
+    if None).
     """
     # Late imports: llm and prompts build on top of this module's consumers.
     from .llm import FormatFailureError, complete_with_retry
     from .prompts import build_presence_prompt
 
-    bundle = build_presence_prompt(segment, ontology, templates_dir=templates_dir)
+    bundle = build_presence_prompt(segment, ontology, template=template)
     verdicts: list[bool | None] = []
 
     def parsed(reply: str) -> bool:

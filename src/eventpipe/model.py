@@ -9,6 +9,7 @@ written through ``write_rows`` or ``write_json``, which replace the file whole.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -16,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator
 
 __all__ = [
     "Argument",
@@ -170,52 +171,78 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
     return Ontology(event_types=tuple(raw.keys()), roles_by_type=roles_by_type)
 
 
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
+def _pieces(fh: BinaryIO, digest) -> Iterator[bytes]:
+    """fh split after each newline byte, each piece added to digest (if any) as it is read."""
+    for piece in fh:
+        if digest is not None:
+            digest.update(piece)
+        yield piece
+
+
+def _lines(path: Path, pieces: Iterable[bytes]) -> Iterator[tuple[int, str]]:
     """(line number, line) as str.splitlines numbers them, decoded as they are read.
 
-    The file is split at each newline byte first (UTF-8 never puts one inside
-    a character), then each piece by splitlines, so the lines are exactly
-    those of the decoded whole file. Invalid UTF-8 raises DatasetError.
+    The file comes split at each newline byte (UTF-8 never puts one inside a
+    character), and each piece is split by splitlines, so the lines are
+    exactly those of the decoded whole file. Invalid UTF-8 raises DatasetError.
     """
     lineno = 0
-    with path.open("rb") as fh:
-        for piece in fh:
-            try:
-                text = piece.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"{path}: invalid UTF-8 at line {lineno + 1}") from exc
-            for line in text.splitlines():
-                lineno += 1
-                yield lineno, line
+    for piece in pieces:
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: invalid UTF-8 at line {lineno + 1}") from exc
+        for line in text.splitlines():
+            lineno += 1
+            yield lineno, line
 
 
-def iter_json_records(path: str | Path) -> Iterator[tuple[int, Any]]:
+def iter_json_records(
+    path: str | Path, data: bytes | None = None, digest=None
+) -> Iterator[tuple[int, Any]]:
     """Yield (line_number, record) from a JSON array or JSON-lines file.
 
     Array elements are numbered from 1. A JSON-lines file is read only as far
     as the records taken, so a caller can judge a header without reading the
-    body. Invalid JSON or UTF-8 raises DatasetError naming the path and, for
-    JSON lines, the line.
+    body. Either way the file is read once. data, if given, is the file's
+    content already read: it is parsed and path only names the file in
+    messages. digest, if given (a hashlib object), is updated with the bytes
+    as they are read: once every record is taken, it has hashed exactly the
+    bytes that were parsed. Invalid JSON or UTF-8 raises DatasetError naming
+    the path and, for JSON lines, the line.
     """
     path = Path(path)
-    lines = ((lineno, line) for lineno, line in _lines(path) if line.strip())
-    first = next(lines, None)
-    if first is None:
-        return
-    if first[1].lstrip().startswith("["):
-        try:
-            records = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path}: invalid UTF-8") from exc
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-        yield from enumerate(records, start=1)
-        return
-    for lineno, line in itertools.chain([first], lines):
-        try:
-            yield lineno, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
+    with path.open("rb") if data is None else io.BytesIO(data) as fh:
+        pieces = _pieces(fh, digest)
+        head = []  # the pieces up to the first one that is not blank
+        for piece in pieces:
+            head.append(piece)
+            if piece.decode("utf-8", "replace").strip():
+                break
+        lines = (
+            (lineno, line)
+            for lineno, line in _lines(path, itertools.chain(head, pieces))
+            if line.strip()
+        )
+        first = next(lines, None)  # the first non-blank line is in head's last piece
+        if first is None:
+            return
+        if first[1].lstrip().startswith("["):
+            whole = io.BytesIO(b"".join(itertools.chain(head, pieces)))
+            try:
+                with io.TextIOWrapper(whole, encoding="utf-8") as text:
+                    records = json.loads(text.read())
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}: invalid UTF-8") from exc
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+            yield from enumerate(records, start=1)
+            return
+        for lineno, line in itertools.chain([first], lines):
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
 
 
 def check_rows(
@@ -236,9 +263,11 @@ def check_rows(
         yield lineno, rec
 
 
-def read_rows(path: str | Path, fields: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
-    """Read a headerless row file: iter_json_records, then check_rows."""
-    return check_rows(path, iter_json_records(path), fields)
+def read_rows(
+    path: str | Path, fields: tuple[str, ...] = (), data: bytes | None = None, digest=None
+) -> Iterator[tuple[int, dict]]:
+    """Read a headerless row file: iter_json_records (data, digest), then check_rows."""
+    return check_rows(path, iter_json_records(path, data, digest), fields)
 
 
 def _replace(path: str | Path, chunks: Iterable[str]) -> None:
@@ -301,15 +330,18 @@ def event_to_dict(ev: EventMention) -> dict:
     }
 
 
-def load_gold(path: str | Path, ontology: Ontology) -> list[LabeledSegment]:
+def load_gold(
+    path: str | Path, ontology: Ontology, *, data: bytes | None = None, digest=None
+) -> list[LabeledSegment]:
     """Load and validate a gold file (JSON array or JSON-lines of id/event records).
 
     Gold event lists are preserved in file order. A record may optionally carry
     a ``text`` field; absent text defaults to the empty string and is expected
-    to be joined from a transcript file by id.
+    to be joined from a transcript file by id. data and digest are those of
+    iter_json_records.
     """
     out: list[LabeledSegment] = []
-    for _, rec in read_rows(path):
+    for _, rec in read_rows(path, data=data, digest=digest):
         rid = str(rec["id"])
         raw_events = rec.get("event", [])
         if not isinstance(raw_events, list):
@@ -326,10 +358,13 @@ def load_gold(path: str | Path, ontology: Ontology) -> list[LabeledSegment]:
     return out
 
 
-def load_transcripts(path: str | Path) -> list[Segment]:
-    """Load a transcript file: JSON-lines {"id": string, "text": string}."""
+def load_transcripts(path: str | Path, *, digest=None) -> list[Segment]:
+    """Load a transcript file: JSON-lines {"id": string, "text": string}.
+
+    digest is that of iter_json_records.
+    """
     out: list[Segment] = []
-    for _, rec in read_rows(path, ("text",)):
+    for _, rec in read_rows(path, ("text",), digest=digest):
         rid = str(rec["id"])
         text = rec["text"]
         if not isinstance(text, str):

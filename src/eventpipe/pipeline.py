@@ -16,9 +16,15 @@ built from other input contents is recomputed, and a config hash mismatch
 aborts rather than silently mixing runs. Artifacts carry no wall-clock
 data, so two identical runs produce byte-identical stage files (timestamps
 live only in run.json).
+
+The transcripts, the support set and the override prompt templates are read
+once and hashed from the bytes that are parsed. Each computed stage's
+template is parsed once, before the first provider call, so a template
+edited during a run takes effect at the next run.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -72,7 +78,7 @@ from .model import (
     write_json,
     write_rows,
 )
-from .prompts import PromptBundle
+from .prompts import PromptBundle, Template, load_template
 from .retrieval import (
     FewShotExample,
     SupportIndex,
@@ -94,6 +100,9 @@ __all__ = [
 ]
 
 STAGE_ORDER = ("gate", "triggers", "arguments", "final", "score")
+
+# The prompt stage whose template each artifact stage fills in.
+PROMPT_STAGES = {"gate": "presence", "triggers": "trigger", "arguments": "argument", "final": "format"}
 
 ARTIFACT_NAMES = {
     "gate": "gate.jsonl",
@@ -236,6 +245,9 @@ class Pipeline:
         self._cache: ResponseCache | None = None
         self._ontology = None
         self._support: list[LabeledSegment] | None = None
+        self._support_data: bytes | None = None
+        # sha256 of the bytes parsed from each input file, by its input_files name.
+        self._digests: dict[str, str | None] = {}
         self._result = RunResult(None, self.config_hash, self.out_dir)
 
     # --- lazy shared resources -------------------------------------------
@@ -246,10 +258,33 @@ class Pipeline:
             self._ontology = load_ontology(self.config.ontology)
         return self._ontology
 
+    def _read(self, name: str) -> bytes | None:
+        """The bytes of the input file of that name (see PipelineConfig.input_files).
+
+        Their sha256 is kept for the inputs digest, to be parsed from these
+        same bytes. A missing file is hashed as absent and None is returned:
+        its loader then reads the path and reports it, and a file that
+        appears meanwhile can only make a later --resume recompute.
+        """
+        try:
+            data = Path(self.config.input_files()[name]).read_bytes()
+        except FileNotFoundError:
+            self._digests[name] = None
+            return None
+        self._digests[name] = hashlib.sha256(data).hexdigest()
+        return data
+
     @property
     def support(self) -> list[LabeledSegment]:
+        """Parsed once, from the bytes run() holds if any, else as the file is read.
+
+        Either way the digest is taken of the bytes that are parsed.
+        """
         if self._support is None:
-            self._support = load_gold(self.config.support, self.ontology)
+            data, self._support_data = self._support_data, None
+            digest = hashlib.sha256()
+            self._support = load_gold(self.config.support, self.ontology, data=data, digest=digest)
+            self._digests["support"] = digest.hexdigest()
         return self._support
 
     @property
@@ -315,8 +350,13 @@ class Pipeline:
             self._result.resumed_stages.append(stage)
         return rows
 
-    def _gate(self, segments: list[Segment], pool: ThreadPoolExecutor) -> list[dict]:
-        """The gate phase: learned verdicts fetched in batches, then a verdict triple per segment."""
+    def _gate(
+        self, segments: list[Segment], pool: ThreadPoolExecutor, template: Template | None
+    ) -> list[dict]:
+        """The gate phase: learned verdicts fetched in batches, then a verdict triple per segment.
+
+        template is the presence template, None when a verdict file replaces the prompt.
+        """
         cfg = self.config
         ontology, cache = self.ontology, self.cache
         lexicon = build_lexicon(self.support)
@@ -340,7 +380,7 @@ class Pipeline:
                     ontology,
                     cache=cache,
                     lenient=cfg.gate_lenient_llm,
-                    templates_dir=cfg.templates,
+                    template=template,
                 )
             triple = VerdictTriple(rule=rule, learned=learned, llm=llm)
             return {
@@ -376,8 +416,13 @@ class Pipeline:
         vectors = embed_texts([seg.text for seg in wanted], self.embedder)
         return {seg.id: vec for seg, vec in zip(wanted, vectors)}
 
-    def _extraction_task(self, computed: set[str], queries: dict[str, np.ndarray]):
-        """The extraction phase's pool task: one segment's triggers, arguments and repair."""
+    def _extraction_task(
+        self, computed: set[str], queries: dict[str, np.ndarray], templates: dict[str, Template]
+    ):
+        """The extraction phase's pool task: one segment's triggers, arguments and repair.
+
+        templates holds the prompt template of each computed stage.
+        """
         cfg = self.config
         ontology, cache = self.ontology, self.cache
         # queries is empty unless a retrieving stage built the index.
@@ -385,14 +430,17 @@ class Pipeline:
         trigger_llm = self.llm_for("trigger") if "triggers" in computed else None
         argument_llm = self.llm_for("argument") if "arguments" in computed else None
         format_llm = self.llm_for("format") if "final" in computed else None
-        retry = dict(cache=cache, max_attempts=cfg.max_attempts, templates_dir=cfg.templates)
+        retry = dict(cache=cache, max_attempts=cfg.max_attempts)
         extraction = dict(k=cfg.retrieval_k, corrective=cfg.corrective, **retry)
 
         def process(seg: Segment, record: SegmentRecord) -> None:
             rows = record.rows
             query = queries.get(seg.id)
             if "triggers" in computed and _gated_in(rows):
-                found = extract_triggers(seg, index, ontology, trigger_llm, query, **extraction)
+                found = extract_triggers(
+                    seg, index, ontology, trigger_llm, query,
+                    template=templates["trigger"], **extraction,
+                )
                 rows["triggers"] = {
                     "id": seg.id,
                     "predictions": [
@@ -419,6 +467,7 @@ class Pipeline:
                     argument_llm,
                     query,
                     same_type_filter=cfg.same_type_filter,
+                    template=templates["argument"],
                     **extraction,
                 )
                 rows["arguments"] = {
@@ -434,7 +483,8 @@ class Pipeline:
             if "final" in computed:
                 if result is not None:
                     record.repair = repair_arguments(
-                        result, triggers, ontology, format_llm, **retry
+                        result, triggers, ontology, format_llm,
+                        template=templates["format"], **retry,
                     )
                 events = record.repair.events if record.repair else ()
                 rows["final"] = {"id": seg.id, "event": [event_to_dict(ev) for ev in events]}
@@ -448,15 +498,28 @@ class Pipeline:
             raise ConfigError(f"unknown stage {until!r}; expected one of {STAGE_ORDER}")
         cfg = self.config
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        transcripts = load_transcripts(cfg.transcripts)
+        digest = hashlib.sha256()
+        transcripts = load_transcripts(cfg.transcripts, digest=digest)
+        self._digests["transcripts"] = digest.hexdigest()
         gold = load_gold(cfg.gold, self.ontology)
         gold_ids = {ls.segment.id for ls in gold}
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
             raise DatasetError(f"transcript ids missing from gold: {stray[:5]}")
         segments = sorted(transcripts, key=lambda s: s.id)
+        # Each input is read once. Without --resume every stage computes and
+        # the gate needs the support set now; with it, the support set is
+        # parsed only if a stage recomputes, from the bytes hashed here.
+        # Every override template is hashed now and parsed below.
+        if self._support is None and not self.resume:
+            self.support  # noqa: B018 - parses and hashes the support set
+        elif self._support is None:
+            self._support_data = self._read("support")
+        template_data = {
+            stage: self._read(f"templates/{stage}") for stage in PROMPT_STAGES.values()
+        } if cfg.templates else {}
         result = self._result
-        result.inputs = cfg.inputs_digest()
+        result.inputs = cfg.inputs_digest(self._digests)
         started = time.time()
 
         stop = STAGE_ORDER.index(until)
@@ -467,6 +530,17 @@ class Pipeline:
             if rows is not None:
                 replayed[stage] = {row["id"]: row for row in rows}
         computed = {stage for stage in stages if stage not in replayed}
+        # Each computed stage's template is parsed, in stage order, before
+        # any provider call; a verdict file replaces the presence prompt.
+        prompted = [
+            PROMPT_STAGES[stage]
+            for stage in stages
+            if stage in computed and not (stage == "gate" and cfg.gate_llm_file)
+        ]
+        templates = {
+            stage: load_template(stage, cfg.templates, data=template_data.get(stage))
+            for stage in prompted
+        }
         # A segment missing from a replayed artifact never reached that stage.
         records = [
             SegmentRecord({stage: by_id.get(seg.id) for stage, by_id in replayed.items()})
@@ -478,11 +552,14 @@ class Pipeline:
         # second cache or provider.
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             if "gate" in computed:
-                for record, row in zip(records, self._gate(segments, pool)):
+                verdicts = self._gate(segments, pool, templates.get("presence"))
+                for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
                 queries = self._queries(segments, records, computed)
-                list(pool.map(self._extraction_task(computed, queries), segments, records))
+                process = self._extraction_task(computed, queries, templates)
+                list(pool.map(process, segments, records))
+        self._support_data = None  # unparsed: a later use reads the file again
         artifacts = {
             stage: [rec.rows[stage] for rec in records if rec.rows.get(stage)] for stage in stages
         }

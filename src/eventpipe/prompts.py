@@ -10,6 +10,9 @@ underscores. Recognized names: TEXT (the transcript), EVENT_TYPES
 (comma-separated event type names), SCHEMA (JSON {type: [roles]} projection),
 EXAMPLES (rendered few-shot examples). Any other name in a template is an
 error, as is a recognized name with no value for the stage.
+
+A template is parsed once by load_template and passed to the stage's builder
+as ``template``; a builder given none loads the packaged template on each call.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .retrieval import FewShotExample
 __all__ = [
     "PromptBundle",
     "PromptMessage",
+    "Template",
     "TemplateError",
     "build_argument_prompt",
     "build_format_prompt",
@@ -37,6 +41,13 @@ __all__ = [
 ]
 
 STAGES = ("presence", "trigger", "argument", "format")
+# The placeholders each stage fills in.
+STAGE_PLACEHOLDERS = {
+    "presence": {"TEXT", "EVENT_TYPES"},
+    "trigger": {"TEXT", "EVENT_TYPES", "EXAMPLES"},
+    "argument": {"TEXT", "EVENT_TYPES", "SCHEMA", "EXAMPLES"},
+    "format": {"TEXT"},
+}
 NO_EXAMPLES_SENTENCE = "No examples are available for this query."
 
 _PLACEHOLDER = re.compile(r"\{([A-Z_]+)\}")
@@ -56,6 +67,10 @@ class PromptMessage:
             raise TemplateError(f"unsupported message role {self.role!r}")
         if not self.content:
             raise TemplateError("message content must be nonempty")
+
+
+# A stage's parsed message template, as load_template returns it.
+Template = tuple[PromptMessage, ...]
 
 
 @dataclass(frozen=True)
@@ -78,11 +93,14 @@ class PromptBundle:
             )
 
 
-def load_template(stage: str, templates_dir: str | Path | None = None) -> list[PromptMessage]:
+def load_template(
+    stage: str, templates_dir: str | Path | None = None, *, data: bytes | None = None
+) -> Template:
     """Load a stage's message template, from a directory override or package data.
 
-    Every defect of the file, from its encoding to a message's fields, is a
-    TemplateError naming the file.
+    data, if given, is the file's content already read: it is parsed and the
+    file is not read again. Every defect of the file, from its encoding to a
+    placeholder the stage has no value for, is a TemplateError naming the file.
     """
     if stage not in STAGES:
         raise TemplateError(f"unknown stage {stage!r}")
@@ -92,16 +110,16 @@ def load_template(stage: str, templates_dir: str | Path | None = None) -> list[P
         source = resources.files("eventpipe").joinpath(f"templates/{stage}.json")
     where = f"template file {source}"
     try:
-        data = json.loads(source.read_bytes().decode("utf-8"))
+        doc = json.loads((source.read_bytes() if data is None else data).decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise TemplateError(f"{where}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise TemplateError(f"{where}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(data, dict):
+    if not isinstance(doc, dict):
         raise TemplateError(f"{where}: must be a JSON object")
-    if data.get("stage") != stage:
-        raise TemplateError(f"{where}: declares stage {data.get('stage')!r}, not {stage!r}")
-    messages = data.get("messages")
+    if doc.get("stage") != stage:
+        raise TemplateError(f"{where}: declares stage {doc.get('stage')!r}, not {stage!r}")
+    messages = doc.get("messages")
     if not isinstance(messages, list) or not messages:
         raise TemplateError(f"{where}: has no messages")
     loaded = []
@@ -112,7 +130,12 @@ def load_template(stage: str, templates_dir: str | Path | None = None) -> list[P
             loaded.append(PromptMessage(role=m["role"], content=m["content"]))
         except TemplateError as exc:
             raise TemplateError(f"{where}: message {i}: {exc}") from exc
-    return loaded
+        for name in _PLACEHOLDER.findall(m["content"]):
+            if name not in STAGE_PLACEHOLDERS[stage]:
+                raise TemplateError(
+                    f"{where}: message {i}: placeholder {{{name}}} has no value for stage {stage!r}"
+                )
+    return tuple(loaded)
 
 
 def _fill(content: str, values: dict[str, str]) -> str:
@@ -126,7 +149,7 @@ def _fill(content: str, values: dict[str, str]) -> str:
 
 
 def _render_messages(
-    template: Sequence[PromptMessage], values: dict[str, str]
+    template: Template, values: dict[str, str]
 ) -> tuple[PromptMessage, ...]:
     return tuple(PromptMessage(m.role, _fill(m.content, values)) for m in template)
 
@@ -153,10 +176,11 @@ def render_examples(examples: Iterable[FewShotExample], *, with_arguments: bool)
 
 
 def build_presence_prompt(
-    segment: Segment, ontology: Ontology, *, templates_dir: str | Path | None = None
+    segment: Segment, ontology: Ontology, *, template: Template | None = None
 ) -> PromptBundle:
     """Binary event-presence question over the full event type list."""
-    template = load_template("presence", templates_dir)
+    if template is None:
+        template = load_template("presence")
     values = {"TEXT": segment.text, "EVENT_TYPES": ", ".join(ontology.event_types)}
     return PromptBundle(_render_messages(template, values), "presence", segment.id)
 
@@ -166,10 +190,11 @@ def build_trigger_prompt(
     examples: Sequence[FewShotExample],
     ontology: Ontology,
     *,
-    templates_dir: str | Path | None = None,
+    template: Template | None = None,
 ) -> PromptBundle:
     """Trigger recognition prompt: type inventory, transcript, retrieved examples."""
-    template = load_template("trigger", templates_dir)
+    if template is None:
+        template = load_template("trigger")
     values = {
         "TEXT": segment.text,
         "EVENT_TYPES": ", ".join(ontology.event_types),
@@ -184,7 +209,7 @@ def build_argument_prompt(
     examples: Sequence[FewShotExample],
     ontology: Ontology,
     *,
-    templates_dir: str | Path | None = None,
+    template: Template | None = None,
 ) -> PromptBundle:
     """Argument extraction prompt with the schema projected to the predicted types.
 
@@ -200,7 +225,8 @@ def build_argument_prompt(
         if event_type not in ordered:
             ordered.append(event_type)
     schema = {t: list(ontology.roles_for(t)) for t in ordered}
-    template = load_template("argument", templates_dir)
+    if template is None:
+        template = load_template("argument")
     values = {
         "TEXT": segment.text,
         "EVENT_TYPES": ", ".join(ordered),
@@ -211,11 +237,12 @@ def build_argument_prompt(
 
 
 def build_format_prompt(
-    raw_output: str, segment_id: str = "", *, templates_dir: str | Path | None = None
+    raw_output: str, segment_id: str = "", *, template: Template | None = None
 ) -> PromptBundle:
     """Reformatting prompt: recover machine-readable JSON from a free-form reply."""
     if not raw_output:
         raise TemplateError("format prompt requires nonempty raw output")
-    template = load_template("format", templates_dir)
+    if template is None:
+        template = load_template("format")
     values = {"TEXT": raw_output}
     return PromptBundle(_render_messages(template, values), "format", segment_id)

@@ -171,6 +171,10 @@ def _reply_vector(value, position: int) -> np.ndarray:
 
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:
+    """vec scaled to unit norm; a zero or non-finite norm is an EmbeddingError.
+
+    numpy warns when the norm overflows; callers silence that once per batch.
+    """
     norm = float(np.linalg.norm(vec))
     if norm <= _NORM_TOL:
         raise EmbeddingError(f"{what}: zero embedding vector")
@@ -186,7 +190,8 @@ def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> 
         raise EmbeddingError(
             f"embedding provider returned {len(vecs)} vectors for {len(texts)} texts"
         )
-    return [_unit(vec, f"text {text[:40]!r}") for text, vec in zip(texts, vecs)]
+    with np.errstate(over="ignore"):  # an overflowing norm is reported by _unit
+        return [_unit(vec, f"text {text[:40]!r}") for text, vec in zip(texts, vecs)]
 
 
 @dataclass(frozen=True)
@@ -273,13 +278,14 @@ def build_index(
             raise EmbeddingError(
                 f"embedding provider returned {len(vecs)} vectors for {len(chunk)} texts"
             )
-        for row, (ex, vec) in enumerate(zip(chunk, vecs), start):
-            unit = _unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}")
-            dims.add(unit.shape[0])
-            if matrix is None:
-                matrix = np.empty((len(examples), unit.shape[0]))
-            if unit.shape == matrix.shape[1:]:
-                matrix[row] = unit
+        with np.errstate(over="ignore"):  # an overflowing norm is reported by _unit
+            for row, (ex, vec) in enumerate(zip(chunk, vecs), start):
+                unit = _unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}")
+                dims.add(unit.shape[0])
+                if matrix is None:
+                    matrix = np.empty((len(examples), unit.shape[0]))
+                if unit.shape == matrix.shape[1:]:
+                    matrix[row] = unit
     if len(dims) != 1:
         raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
     matrix.setflags(write=False)

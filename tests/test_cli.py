@@ -12,6 +12,7 @@ import pytest
 import eventpipe
 from conftest import build_golden_corpus
 from eventpipe.cli import main
+from eventpipe.llm import ScriptedMockLlm
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +258,30 @@ class TestFormatStandalone:
             }
         ]
 
+    def test_format_template_is_loaded_once_per_command(self, tmp_path, capsys, monkeypatch):
+        import eventpipe.cli
+        import eventpipe.prompts
+
+        script = {f"fix-{i}/format": '[{"trigger": "war", "type": "Attack"}]' for i in range(3)}
+        config_path = self._config(tmp_path, script)
+        raw_file = tmp_path / "raws.jsonl"
+        raw_file.write_text(
+            "".join(json.dumps({"id": f"fix-{i}", "raw": "no json"}) + "\n" for i in range(3)),
+            encoding="utf-8",
+        )
+        loads = []
+        load_template = eventpipe.prompts.load_template
+        for module in (eventpipe.cli, eventpipe.prompts):
+            monkeypatch.setattr(
+                module, "load_template", lambda *a, **k: loads.append(a) or load_template(*a, **k)
+            )
+        code, out, _ = run_cli(
+            capsys, "format", "--config", str(config_path), "--raw-file", str(raw_file)
+        )
+        assert code == 0
+        assert "(3 segments, 0 excluded)" in out
+        assert loads == [("format", None)]
+
     def test_default_output_location(self, tmp_path, capsys):
         config_path = self._config(tmp_path, {})
         raw_file = tmp_path / "raws.jsonl"
@@ -483,6 +508,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: template file {path}: ")
         assert message in err
+
+    def test_broken_format_template_fails_before_any_provider_call(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        for stage in ("presence", "trigger", "argument", "format"):
+            source = Path(eventpipe.__file__).parent / "templates" / f"{stage}.json"
+            (templates / f"{stage}.json").write_bytes(source.read_bytes())
+        path = templates / "format.json"
+        path.write_text("{oops", encoding="utf-8")
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["paths"]["templates"] = str(templates)
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        calls = []
+        complete = ScriptedMockLlm.complete
+        monkeypatch.setattr(
+            ScriptedMockLlm, "complete", lambda self, b: calls.append(b) or complete(self, b)
+        )
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 2
+        assert err == f"error: template file {path}: invalid JSON at line 1\n"
+        assert calls == []
 
     @pytest.mark.parametrize(
         "section,key,value",

@@ -35,6 +35,7 @@ from eventpipe.model import (
     LabeledSegment,
     Segment,
     load_gold,
+    normalize,
 )
 
 
@@ -53,6 +54,37 @@ class TestRuleClassifier:
         training = _training(ontology, ("  Election ", "Elect"), ("shot  DOWN", "Attack"))
         lexicon = build_lexicon(training)
         assert lexicon.entries == frozenset({"election", "shot down"})
+
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet="aB \t\n\u00a0É", max_size=6), max_size=4), max_size=8
+        )
+    )
+    def test_lexicon_equals_normalizing_every_trigger(self, segments):
+        training = [
+            LabeledSegment(
+                Segment(id=f"t{i}", text="x"),
+                tuple(EventMention(trigger=t, event_type="Attack") for t in triggers),
+            )
+            for i, triggers in enumerate(segments)
+        ]
+        every = {
+            normalize(ev.trigger)
+            for ls in training
+            for ev in ls.gold_events
+            if normalize(ev.trigger)
+        }
+        assert build_lexicon(training).entries == frozenset(every)
+
+    def test_lexicon_normalizes_each_distinct_trigger_once(self, ontology, monkeypatch):
+        import eventpipe.gate
+
+        calls = []
+        monkeypatch.setattr(eventpipe.gate, "normalize", lambda t: calls.append(t) or normalize(t))
+        triggers = ["war", "War", "war", " war", "", "war", "  "]
+        lexicon = build_lexicon(_training(ontology, *((t, "Attack") for t in triggers)))
+        assert sorted(calls) == sorted(set(triggers))
+        assert lexicon.entries == frozenset({"war"})
 
     def test_containment_is_word_bounded(self):
         lexicon = TriggerLexicon(entries=frozenset({"war", "met"}))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from eventpipe.model import (
     Ontology,
     Segment,
     ValidationError,
+    iter_json_records,
     load_gold,
     load_ontology,
     load_transcripts,
@@ -287,3 +289,46 @@ class TestRowCodec:
         with pytest.raises(DatasetError) as excinfo:
             load(path)
         assert str(excinfo.value) == f"{path}: invalid JSON at line 2"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"id": "a"}\n\n{"id": "b"}\r\n',
+            b'[{"id": "a"},\r\n {"id": "b"}]',
+            b'[{"id": "a"},\r {"id": "b"},\r oops]',
+            b'[\n{"id": "a"}\n,]',
+            b'{"id": "a"}\n{oops\n',
+            b'{"id": "a"}\n{"id": "\xff"}\n',
+            b'[{"id": "\xff"}]',
+            b"",
+        ],
+        ids=["lines", "array", "array-cr", "array-bad", "lines-bad", "lines-utf-8", "array-utf-8",
+             "empty"],
+    )
+    def test_content_already_read_parses_as_the_file_does(self, tmp_path, content):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(content)
+
+        def outcome(data):
+            try:
+                return list(iter_json_records(path, data))
+            except DatasetError as exc:
+                return str(exc)
+
+        expected = outcome(None)
+        path.unlink()  # content given is never read from the path
+        assert outcome(content) == expected
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"id": "a"}\n\n{"id": "b"}', b'\n[{"id": "a"},\n {"id": "b"}]\n'],
+        ids=["lines", "array"],
+    )
+    @pytest.mark.parametrize("given", [False, True], ids=["read", "given"])
+    def test_digest_hashes_the_bytes_that_were_parsed(self, tmp_path, content, given):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(content)
+        digest = hashlib.sha256()
+        records = list(iter_json_records(path, content if given else None, digest))
+        assert [rec["id"] for _, rec in records] == ["a", "b"]
+        assert digest.hexdigest() == hashlib.sha256(content).hexdigest()

@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import threading
 import time
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus
 from eventpipe.config import ConfigError, ProviderConfig
-from eventpipe.llm import ResponseCache
+from eventpipe.llm import ResponseCache, ScriptedMockLlm
 from eventpipe.model import DatasetError, load_gold
 from eventpipe.pipeline import (
     Pipeline,
@@ -20,6 +22,7 @@ from eventpipe.pipeline import (
     read_artifact,
     write_artifact,
 )
+from eventpipe.prompts import TemplateError
 from eventpipe.retrieval import HashedBagEmbedder, build_index, load_index
 
 ARTIFACTS = ("gate.jsonl", "triggers.jsonl", "arguments.jsonl", "final.jsonl")
@@ -355,6 +358,189 @@ class TestStaleInputs:
         path.write_bytes(path.read_bytes() + b"\n")
         assert golden_corpus.config.inputs_digest() != before
         assert golden_corpus.config.config_hash() == config_hash
+
+
+def write_templates(directory: Path, **system: str) -> None:
+    """A templates override: per stage a system message (system[stage], or
+    "<stage> judge") and a user message holding the text."""
+    directory.mkdir(exist_ok=True)
+    for stage in ("presence", "trigger", "argument", "format"):
+        doc = {
+            "stage": stage,
+            "messages": [
+                {"role": "system", "content": system.get(stage, f"{stage} judge")},
+                {"role": "user", "content": "TEXT: {TEXT}"},
+            ],
+        }
+        (directory / f"{stage}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestInputsReadOnce:
+    """Each input is read once per run, and the inputs digest hashes the bytes that are parsed."""
+
+    # The golden corpus's inputs digest, pinned: for the same files it must
+    # never change, or every existing output directory recomputes on --resume.
+    GOLDEN_INPUTS = "25c0835fe8d100db"
+    GOLDEN_INPUTS_WITH_TEMPLATES = "85d84064693faff6"
+
+    def test_golden_inputs_digest_is_pinned(self, golden_corpus):
+        assert golden_corpus.config.inputs_digest() == self.GOLDEN_INPUTS
+        assert Pipeline(golden_corpus.config).run().inputs == self.GOLDEN_INPUTS
+
+    def test_golden_inputs_digest_with_a_templates_override_is_pinned(self, golden_corpus):
+        templates = golden_corpus.root / "templates"
+        write_templates(templates)
+        config = dataclasses.replace(golden_corpus.config, templates=str(templates))
+        assert config.inputs_digest() == self.GOLDEN_INPUTS_WITH_TEMPLATES
+        assert Pipeline(config).run().inputs == self.GOLDEN_INPUTS_WITH_TEMPLATES
+
+    def test_template_rewritten_during_the_gate_does_not_reach_later_prompts(self, golden_corpus):
+        templates, staged = golden_corpus.root / "templates", golden_corpus.root / "staged"
+        write_templates(templates, trigger="trigger v1")
+        write_templates(staged, trigger="trigger v2")
+        config = dataclasses.replace(golden_corpus.config, templates=str(templates))
+        first = config.inputs_digest()
+        pipeline = Pipeline(config)
+        wrapper = pipeline.llm_for("trigger")
+        inner = wrapper.inner
+        systems = []
+        lock = threading.Lock()
+
+        class Rewriting:
+            provider_id = inner.provider_id
+
+            def complete(self, bundle):
+                with lock:  # the first presence call swaps in version 2, whole
+                    if bundle.stage == "presence" and (staged / "trigger.json").exists():
+                        os.replace(staged / "trigger.json", templates / "trigger.json")
+                if bundle.stage == "trigger":
+                    systems.append(bundle.messages[0].content)
+                return inner.complete(bundle)
+
+        wrapper.inner = Rewriting()
+        result = pipeline.run()
+        assert config.inputs_digest() != first  # the file did change mid-run
+        assert systems and set(systems) == {"trigger v1"}
+        assert result.inputs == first
+        for name in ARTIFACTS:
+            header = json.loads((golden_corpus.output_dir / name).read_text().splitlines()[0])
+            assert header["inputs"] == first
+
+    def test_support_replaced_after_it_was_parsed_is_not_hashed_again(self, golden_corpus):
+        parsed = golden_corpus.config.inputs_digest()
+        pipeline = Pipeline(golden_corpus.config)
+        pipeline.support  # noqa: B018 - parses the support set
+        path = golden_corpus.support_path
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+        result = pipeline.run()
+        assert golden_corpus.config.inputs_digest() != parsed
+        assert result.inputs == parsed
+        assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_support_replaced_after_the_digest_is_not_parsed(
+        self, golden_corpus, monkeypatch, resume
+    ):
+        hashed = golden_corpus.config.inputs_digest()
+        path = golden_corpus.support_path
+        lines = path.read_bytes().splitlines(keepends=True)
+        load_if_resuming = Pipeline._load_if_resuming
+
+        def replace_then_load(pipeline, stage):
+            # Runs after the digest is taken and before the gate builds its lexicon.
+            path.write_bytes(b"".join(lines[:-1]))
+            return load_if_resuming(pipeline, stage)
+
+        monkeypatch.setattr(Pipeline, "_load_if_resuming", replace_then_load)
+        result = Pipeline(golden_corpus.config, resume=resume).run()
+        assert golden_corpus.config.inputs_digest() != hashed
+        assert result.inputs == hashed
+        assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
+
+    def test_support_and_transcripts_are_read_once(self, golden_corpus, monkeypatch):
+        import eventpipe.config
+
+        opened, hashed = [], []
+        path_open, file_sha256 = Path.open, eventpipe.config._file_sha256
+        monkeypatch.setattr(
+            Path, "open", lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k)
+        )
+        monkeypatch.setattr(
+            eventpipe.config, "_file_sha256", lambda path: hashed.append(path) or file_sha256(path)
+        )
+        Pipeline(golden_corpus.config).run()
+        for path in (golden_corpus.support_path, golden_corpus.transcripts_path):
+            assert opened.count(path) == 1
+            assert str(path) not in hashed
+
+    def test_golden_run_loads_each_template_at_most_once(self, golden_corpus, monkeypatch):
+        import eventpipe.pipeline
+        import eventpipe.prompts
+
+        loads = []
+        load_template = eventpipe.prompts.load_template
+
+        def counting(stage, *args, **kwargs):
+            loads.append(stage)
+            return load_template(stage, *args, **kwargs)
+
+        for module in (eventpipe.pipeline, eventpipe.prompts):
+            monkeypatch.setattr(module, "load_template", counting)
+        result = Pipeline(golden_corpus.config).run()
+        assert result.provider_calls["total"] == 58
+        assert sorted(loads) == ["argument", "format", "presence", "trigger"]
+
+    @pytest.mark.parametrize("stage", ["presence", "trigger", "argument", "format"])
+    def test_broken_template_of_a_computed_stage_fails_before_any_provider_call(
+        self, golden_corpus, monkeypatch, stage
+    ):
+        templates = golden_corpus.root / "templates"
+        write_templates(templates)
+        (templates / f"{stage}.json").write_text("{oops", encoding="utf-8")
+        config = dataclasses.replace(golden_corpus.config, templates=str(templates))
+        calls = []
+        complete = ScriptedMockLlm.complete
+        monkeypatch.setattr(
+            ScriptedMockLlm, "complete", lambda self, b: calls.append(b) or complete(self, b)
+        )
+        with pytest.raises(TemplateError, match=f"{stage}.json: invalid JSON at line 1"):
+            Pipeline(config).run()
+        assert calls == []
+
+    def test_broken_template_of_a_stage_that_does_not_run_is_not_parsed(self, golden_corpus):
+        templates = golden_corpus.root / "templates"
+        write_templates(templates)
+        (templates / "format.json").write_text("{oops", encoding="utf-8")
+        config = dataclasses.replace(golden_corpus.config, templates=str(templates))
+        result = Pipeline(config).run(until="arguments")
+        assert "format" not in result.provider_calls
+        verdicts = golden_corpus.root / "llm_verdicts.jsonl"
+        verdicts.write_text(
+            "".join(json.dumps({"id": sid, "present": True}) + "\n" for sid in TRANSCRIPT_TEXTS)
+        )
+        (templates / "presence.json").write_text("{oops", encoding="utf-8")
+        gate_only = dataclasses.replace(config, gate_llm_file=str(verdicts))
+        assert Pipeline(gate_only).run(until="gate").provider_calls["total"] == 0
+
+    def test_fully_resumed_run_with_a_broken_template_succeeds(self, golden_corpus):
+        templates = golden_corpus.root / "templates"
+        write_templates(templates)
+        config = dataclasses.replace(golden_corpus.config, templates=str(templates))
+        Pipeline(config).run()
+        (templates / "trigger.json").write_text("{oops", encoding="utf-8")
+        # Re-stamp the artifacts as built from these very files, as a run that
+        # parsed a template only at its first prompt could have left them.
+        inputs = config.inputs_digest()
+        for name in ARTIFACTS:
+            stage = name.removesuffix(".jsonl")
+            path = golden_corpus.output_dir / name
+            header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+            rows = read_artifact(path, stage, header["config_hash"], header["inputs"])
+            write_artifact(path, stage, header["config_hash"], inputs, rows)
+        result = Pipeline(config, resume=True).run()
+        assert result.resumed_stages == ["gate", "triggers", "arguments", "final"]
+        assert result.provider_calls["total"] == 0
+        assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
 
 
 class TestTwoPhases:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -259,9 +260,28 @@ class TestUnknownPlaceholder:
                 {"role": "user", "content": "TEXT: {TEXT} SCHEMA: {SCHEMA}"},
             ],
         }
-        (tmp_path / "presence.json").write_text(json.dumps(data))
+        path = tmp_path / "presence.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TemplateError, match="SCHEMA") as info:
+            load_template("presence", tmp_path)
+        assert str(info.value).startswith(f"template file {path}: message 2: ")
+        # A template built by hand meets the same check when it is filled in.
+        template = tuple(PromptMessage(**m) for m in data["messages"])
         with pytest.raises(TemplateError, match="SCHEMA"):
-            build_presence_prompt(_segment(), ontology, templates_dir=tmp_path)
+            build_presence_prompt(_segment(), ontology, template=template)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_stage_accepts_the_placeholders_its_packaged_template_uses(self, tmp_path, stage):
+        packaged = {name for m in load_template(stage) for name in re.findall(r"\{([A-Z_]+)\}", m.content)}
+        for name in ("TEXT", "EVENT_TYPES", "SCHEMA", "EXAMPLES"):
+            content = f"judge {{{name}}}"
+            data = {"stage": stage, "messages": [{"role": "system", "content": content}]}
+            (tmp_path / f"{stage}.json").write_text(json.dumps(data))
+            if name in packaged:
+                assert load_template(stage, tmp_path)[0].content == content
+            else:
+                with pytest.raises(TemplateError, match=f"{{{name}}} has no value for stage"):
+                    load_template(stage, tmp_path)
 
     def test_lowercase_braces_are_not_placeholders(self, tmp_path, ontology):
         data = {
@@ -272,5 +292,6 @@ class TestUnknownPlaceholder:
             ],
         }
         (tmp_path / "presence.json").write_text(json.dumps(data))
-        bundle = build_presence_prompt(_segment("x"), ontology, templates_dir=tmp_path)
+        template = load_template("presence", tmp_path)
+        bundle = build_presence_prompt(_segment("x"), ontology, template=template)
         assert "literal {not_a_slot}" in bundle.messages[1].content

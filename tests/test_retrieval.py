@@ -399,6 +399,14 @@ class TestBuildIndex:
         with pytest.raises(EmbeddingError, match="returned 1 vectors for 2 texts"):
             build_index(_examples(2), Short())
 
+    def test_row_whose_norm_overflows_is_rejected_without_a_warning(self):
+        # Under the suite's error::RuntimeWarning filter a numpy overflow
+        # warning would fail this test before the EmbeddingError.
+        examples = _examples(3)
+        table = {examples[1].text: (1e308, 1e308, 0.0)}
+        with pytest.raises(EmbeddingError, match="embedding vector norm is not finite"):
+            build_index(examples, _VectorsByText(table))
+
 
 class TestSearch:
     def test_exact_against_brute_force_on_random_vectors(self):
