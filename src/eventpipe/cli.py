@@ -15,6 +15,7 @@ from .config import ConfigError, PipelineConfig
 from .evaluate import EvaluationError, run_ablation, score
 from .extract import RawStageOutput, postprocess
 from .gate import (
+    POLICY_NAMES,
     GateError,
     VerdictError,
     VotePolicy,
@@ -33,7 +34,7 @@ from .model import (
     write_rows,
 )
 from .pipeline import Pipeline
-from .prompts import TemplateError, load_template
+from .prompts import TemplateError
 from .retrieval import EmbeddingError, build_index, save_index
 
 __all__ = ["main"]
@@ -44,7 +45,7 @@ EXIT_INPUT = 3
 EXIT_PROVIDER = 4
 EXIT_VERIFICATION = 5
 
-ALL_POLICIES = "without,rule,learned,llm,one+,two+,all"
+ALL_POLICIES = ",".join(POLICY_NAMES)
 
 
 def _events_by_id(labeled) -> dict:
@@ -98,7 +99,7 @@ def cmd_ablate(args) -> int:
     pipe = Pipeline(ablation_config, resume=True)
     result = pipe.run()
     verdicts = load_verdict_triples(Path(ablation_config.output_dir) / "gate.jsonl")
-    ontology = load_ontology(config.ontology)
+    ontology = pipe.ontology
     gold = _events_by_id(load_gold(config.gold, ontology))
     predictions = _events_by_id(load_gold(result.predictions_path, ontology))
     table = run_ablation(gold, verdicts, predictions, policies, set_semantics=config.set_semantics)
@@ -157,9 +158,8 @@ def cmd_format(args) -> int:
     if not args.raw_file:
         return _cmd_stage(args, "final")
     config = PipelineConfig.load(args.config)
-    ontology = load_ontology(config.ontology)
-    template = load_template("format", config.templates)
     pipe = Pipeline(config)
+    ontology, template = pipe.ontology, pipe.template("format")
     raws = []
     for lineno, rec in read_rows(args.raw_file, ("raw",)):
         attempts = rec.get("attempts", 1)

@@ -16,6 +16,7 @@ from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
 from .gate import VotePolicy
+from .model import Lines, parse_json
 
 __all__ = [
     "ConfigError",
@@ -243,13 +244,9 @@ class PipelineConfig:
     def load(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = parse_json(path.read_bytes(), str(path), ConfigError)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: invalid UTF-8") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
@@ -290,35 +287,19 @@ class PipelineConfig:
                 files[f"templates/{stage}"] = str(Path(self.templates) / f"{stage}.json")
         return {name: path for name, path in files.items() if path}
 
-    def inputs_digest(self, given: dict[str, str | None] | None = None) -> str:
+    def inputs_digest(self, digests: dict[str, str | None]) -> str:
         """Fingerprint of the contents of every input file that shapes a stage artifact.
 
         config_hash covers paths only; this covers what the files hold: the
         transcripts, the support set, the ontology, the prompt templates, the
-        verdict files and the mock scripts. given maps a name of input_files
-        to the sha256 already taken of the bytes that were parsed (None: the
-        file was absent); only the files it lacks are hashed from disk. A
-        missing file counts as absent; the stage that reads it reports it.
+        verdict files and the mock scripts. digests maps the path of each of
+        input_files to the sha256 of the bytes that were parsed (None: the
+        file was absent; the stage that reads it reports it).
         """
-        given = given or {}
-        digests = {
-            name: given[name] if name in given else _file_sha256(path)
-            for name, path in self.input_files().items()
-        }
-        blob = json.dumps(digests, sort_keys=True)
+        blob = json.dumps(
+            {name: digests[path] for name, path in self.input_files().items()}, sort_keys=True
+        )
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
-
-
-def _file_sha256(path: str) -> str | None:
-    """sha256 of a file's bytes, read a block at a time; None if it does not exist."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    except FileNotFoundError:
-        return None
-    return digest.hexdigest()
 
 
 def _endpoint(cfg: ProviderConfig, role: str, what: str):
@@ -338,14 +319,14 @@ def _endpoint(cfg: ProviderConfig, role: str, what: str):
     )
 
 
-def build_llm_provider(cfg: ProviderConfig):
-    """Instantiate a chat provider from its config."""
+def build_llm_provider(cfg: ProviderConfig, *, data: Lines | None = None):
+    """Instantiate a chat provider from its config; data is a mock script's bytes, if read."""
     from .llm import HttpLlmProvider, ScriptedMockLlm
 
     if cfg.kind == "mock":
         if not cfg.script:
             raise ConfigError("mock llm provider needs a 'script' path")
-        return ScriptedMockLlm.from_script_file(cfg.script, provider_name=cfg.name)
+        return ScriptedMockLlm.from_script_file(cfg.script, provider_name=cfg.name, data=data)
     if cfg.kind == "remote":
         if not cfg.model:
             raise ConfigError("remote llm provider needs a 'model'")
@@ -366,14 +347,14 @@ def build_embedding_provider(cfg: ProviderConfig):
     raise ConfigError(f"embedding provider kind {cfg.kind!r} is not usable")
 
 
-def build_verdict_provider(cfg: ProviderConfig):
-    """Instantiate a learned-classifier verdict source from its config."""
+def build_verdict_provider(cfg: ProviderConfig, *, data: Lines | None = None):
+    """Instantiate a learned-classifier verdict source; data is a verdict file's bytes, if read."""
     from .gate import FileVerdictProvider, HttpVerdictProvider
 
     if cfg.kind == "file":
         if not cfg.path:
             raise ConfigError("file verdict provider needs a 'path'")
-        return FileVerdictProvider(cfg.path)
+        return FileVerdictProvider(cfg.path, data=data)
     if cfg.kind == "remote":
         endpoint = _endpoint(cfg, "verdict", "learned-classifier endpoint")
         return HttpVerdictProvider(endpoint, cfg.batch_size)

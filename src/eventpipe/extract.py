@@ -457,7 +457,7 @@ def extract_triggers(
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
     corrective: bool = False,
-    template: Template | None = None,
+    template: Template,
 ) -> TriggerStageResult:
     """Run trigger recognition for one gated-in segment; query is its text's vector."""
     examples = retrieve_examples(index, query, k)
@@ -496,7 +496,7 @@ def extract_arguments(
     max_attempts: int = 3,
     corrective: bool = False,
     same_type_filter: bool = False,
-    template: Template | None = None,
+    template: Template,
 ) -> ArgumentStageResult:
     """Run argument extraction for one segment's predicted triggers.
 
@@ -581,7 +581,7 @@ def postprocess(
     *,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
-    template: Template | None = None,
+    template: Template,
 ) -> PostprocessReport:
     """Turn standalone raw replies into validated events.
 
@@ -614,7 +614,7 @@ def repair_arguments(
     *,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
-    template: Template | None = None,
+    template: Template,
 ) -> PostprocessEntry:
     """Final events for one segment's argument result, without parsing a reply again.
 

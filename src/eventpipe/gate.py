@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from .model import (
     DatasetError,
     LabeledSegment,
+    Lines,
     Segment,
     check_rows,
     iter_json_records,
@@ -184,10 +185,10 @@ def _flag(path, rid: str, name: str, value) -> bool:
 class FileVerdictProvider:
     """Precomputed verdicts: rows {"id", "present": bool} or {"id", "p": number}."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, *, data: Lines | None = None):
         self.path = Path(path)
         self._by_id: dict[str, float] = {}
-        for lineno, rec in read_rows(self.path):
+        for lineno, rec in read_rows(self.path, data=data):
             rid = str(rec["id"])
             if "present" in rec:
                 self._by_id[rid] = float(_flag(self.path, rid, "present", rec["present"]))
@@ -279,15 +280,14 @@ def llm_classify(
     *,
     cache=None,
     lenient: bool = False,
-    template: Template | None = None,
+    template: Template,
 ) -> bool:
     """Ask the LLM judge whether the segment contains an event.
 
     The reply's first alphanumeric token decides (YES/NO). An unparseable
     reply triggers exactly one re-ask; a second unparseable reply raises
     VerdictError unless lenient, in which case the segment counts as
-    event-free. template is the parsed presence template (the packaged one
-    if None).
+    event-free. template is the parsed presence template.
     """
     # Late imports: llm and prompts build on top of this module's consumers.
     from .llm import FormatFailureError, complete_with_retry

@@ -7,6 +7,7 @@ and without it the cache would pin the first (rejected) response forever.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import threading
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._http import Endpoint, ProviderError
-from .model import DatasetError
+from .model import DatasetError, Lines, parse_json
 from .prompts import PromptBundle, PromptMessage
 
 __all__ = [
@@ -113,14 +114,17 @@ class ResponseCache:
                     os.truncate(self.path, end)
             except OSError as exc:
                 raise CacheError(f"cannot open cache file {self.path}: {exc}") from exc
-            for lineno, line in enumerate(data[:end].decode("utf-8").splitlines(), start=1):
+            for lineno, line in enumerate(io.BytesIO(data[:end]), start=1):
                 if not line.strip():
                     continue
-                try:
-                    rec = json.loads(line)
-                    self._entries[rec["key"]] = rec["response"]
+                try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                    rec = json.loads(line.decode("utf-8"))
+                    key, response = rec["key"], rec["response"]
+                    if not (isinstance(key, str) and isinstance(response, str)):
+                        raise TypeError("key and response must be strings")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CacheError(f"{self.path}:{lineno}: malformed cache entry") from exc
+                self._entries[key] = response
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -165,17 +169,17 @@ class ScriptedMockLlm(LlmProvider):
         self.call_count = 0
 
     @classmethod
-    def from_script_file(cls, path: str | Path, *, provider_name: str = "mock") -> "ScriptedMockLlm":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"mock script {path}: invalid UTF-8") from exc
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"mock script {path}: invalid JSON at line {exc.lineno}") from exc
-        if not isinstance(data, dict):
+    def from_script_file(
+        cls, path: str | Path, *, provider_name: str = "mock", data: Lines | None = None
+    ) -> "ScriptedMockLlm":
+        """The provider of a script file."""
+        script = parse_json(
+            Path(path).read_bytes() if data is None else b"".join(data), f"mock script {path}"
+        )
+        if not isinstance(script, dict):
             raise DatasetError(f"mock script {path} must be a JSON object")
         try:
-            return cls(data, provider_name=provider_name)
+            return cls(script, provider_name=provider_name)
         except ValueError as exc:
             raise DatasetError(f"mock script {path}: {exc}") from exc
 

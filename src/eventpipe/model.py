@@ -9,7 +9,7 @@ written through ``write_rows`` or ``write_json``, which replace the file whole.
 """
 from __future__ import annotations
 
-import io
+import contextlib
 import itertools
 import json
 import os
@@ -17,13 +17,14 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "Argument",
     "DatasetError",
     "EventMention",
     "LabeledSegment",
+    "Lines",
     "Ontology",
     "Segment",
     "ValidationError",
@@ -35,6 +36,7 @@ __all__ = [
     "load_ontology",
     "load_transcripts",
     "normalize",
+    "parse_json",
     "read_rows",
     "write_json",
     "write_rows",
@@ -49,6 +51,24 @@ class DatasetError(ValueError):
 
 class ValidationError(ValueError):
     """Record contradicts the ontology or a type invariant."""
+
+
+# An input file's bytes as an iterable of lines (a binary file, say). A loader
+# given them as data parses them in place of reading its path, which then only
+# names the file in messages.
+Lines = Iterable[bytes]
+
+
+def parse_json(data: bytes, where: str, error: type[ValueError] = DatasetError) -> Any:
+    """The JSON document in data; invalid UTF-8 or JSON raises error naming where."""
+    try:
+        text = data.decode("utf-8")
+        del data  # freed before the document's objects are built, unless the caller holds it
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: invalid UTF-8") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON at line {exc.lineno}") from exc
 
 
 def normalize(text: str) -> str:
@@ -148,15 +168,10 @@ def default_ontology_path() -> Path:
     return Path(str(resources.files("eventpipe").joinpath("data/ontology.json")))
 
 
-def load_ontology(path: str | Path | None = None) -> Ontology:
+def load_ontology(path: str | Path | None = None, *, data: Lines | None = None) -> Ontology:
     """Load an ontology file: a JSON object {event_type: [role, ...]}."""
     p = Path(path) if path is not None else default_ontology_path()
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"ontology file {p}: invalid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"ontology file {p}: invalid JSON at line {exc.lineno}") from exc
+    raw = parse_json(p.read_bytes() if data is None else b"".join(data), f"ontology file {p}")
     if not isinstance(raw, dict) or not raw:
         raise DatasetError(f"ontology file {p}: expected a nonempty JSON object")
     roles_by_type: dict[str, tuple[str, ...]] = {}
@@ -169,14 +184,6 @@ def load_ontology(path: str | Path | None = None) -> Ontology:
                 deduped.append(r)
         roles_by_type[etype] = tuple(deduped)
     return Ontology(event_types=tuple(raw.keys()), roles_by_type=roles_by_type)
-
-
-def _pieces(fh: BinaryIO, digest) -> Iterator[bytes]:
-    """fh split after each newline byte, each piece added to digest (if any) as it is read."""
-    for piece in fh:
-        if digest is not None:
-            digest.update(piece)
-        yield piece
 
 
 def _lines(path: Path, pieces: Iterable[bytes]) -> Iterator[tuple[int, str]]:
@@ -197,23 +204,17 @@ def _lines(path: Path, pieces: Iterable[bytes]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def iter_json_records(
-    path: str | Path, data: bytes | None = None, digest=None
-) -> Iterator[tuple[int, Any]]:
+def iter_json_records(path: str | Path, data: Lines | None = None) -> Iterator[tuple[int, Any]]:
     """Yield (line_number, record) from a JSON array or JSON-lines file.
 
     Array elements are numbered from 1. A JSON-lines file is read only as far
     as the records taken, so a caller can judge a header without reading the
-    body. Either way the file is read once. data, if given, is the file's
-    content already read: it is parsed and path only names the file in
-    messages. digest, if given (a hashlib object), is updated with the bytes
-    as they are read: once every record is taken, it has hashed exactly the
-    bytes that were parsed. Invalid JSON or UTF-8 raises DatasetError naming
-    the path and, for JSON lines, the line.
+    body. Invalid JSON or UTF-8 raises DatasetError naming the path and, for
+    JSON lines, the line.
     """
     path = Path(path)
-    with path.open("rb") if data is None else io.BytesIO(data) as fh:
-        pieces = _pieces(fh, digest)
+    with path.open("rb") if data is None else contextlib.nullcontext(data) as source:
+        pieces = iter(source)
         head = []  # the pieces up to the first one that is not blank
         for piece in pieces:
             head.append(piece)
@@ -228,14 +229,7 @@ def iter_json_records(
         if first is None:
             return
         if first[1].lstrip().startswith("["):
-            whole = io.BytesIO(b"".join(itertools.chain(head, pieces)))
-            try:
-                with io.TextIOWrapper(whole, encoding="utf-8") as text:
-                    records = json.loads(text.read())
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"{path}: invalid UTF-8") from exc
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+            records = parse_json(b"".join(itertools.chain(head, pieces)), str(path))
             yield from enumerate(records, start=1)
             return
         for lineno, line in itertools.chain([first], lines):
@@ -264,10 +258,10 @@ def check_rows(
 
 
 def read_rows(
-    path: str | Path, fields: tuple[str, ...] = (), data: bytes | None = None, digest=None
+    path: str | Path, fields: tuple[str, ...] = (), data: Lines | None = None
 ) -> Iterator[tuple[int, dict]]:
-    """Read a headerless row file: iter_json_records (data, digest), then check_rows."""
-    return check_rows(path, iter_json_records(path, data, digest), fields)
+    """Read a headerless row file: iter_json_records (of data, if given), then check_rows."""
+    return check_rows(path, iter_json_records(path, data), fields)
 
 
 def _replace(path: str | Path, chunks: Iterable[str]) -> None:
@@ -331,17 +325,16 @@ def event_to_dict(ev: EventMention) -> dict:
 
 
 def load_gold(
-    path: str | Path, ontology: Ontology, *, data: bytes | None = None, digest=None
+    path: str | Path, ontology: Ontology, *, data: Lines | None = None
 ) -> list[LabeledSegment]:
     """Load and validate a gold file (JSON array or JSON-lines of id/event records).
 
     Gold event lists are preserved in file order. A record may optionally carry
     a ``text`` field; absent text defaults to the empty string and is expected
-    to be joined from a transcript file by id. data and digest are those of
-    iter_json_records.
+    to be joined from a transcript file by id.
     """
     out: list[LabeledSegment] = []
-    for _, rec in read_rows(path, data=data, digest=digest):
+    for _, rec in read_rows(path, data=data):
         rid = str(rec["id"])
         raw_events = rec.get("event", [])
         if not isinstance(raw_events, list):
@@ -358,13 +351,10 @@ def load_gold(
     return out
 
 
-def load_transcripts(path: str | Path, *, digest=None) -> list[Segment]:
-    """Load a transcript file: JSON-lines {"id": string, "text": string}.
-
-    digest is that of iter_json_records.
-    """
+def load_transcripts(path: str | Path, *, data: Lines | None = None) -> list[Segment]:
+    """Load a transcript file: JSON-lines {"id": string, "text": string}."""
     out: list[Segment] = []
-    for _, rec in read_rows(path, ("text",), digest=digest):
+    for _, rec in read_rows(path, ("text",), data):
         rid = str(rec["id"])
         text = rec["text"]
         if not isinstance(text, str):

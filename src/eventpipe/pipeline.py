@@ -17,14 +17,15 @@ aborts rather than silently mixing runs. Artifacts carry no wall-clock
 data, so two identical runs produce byte-identical stage files (timestamps
 live only in run.json).
 
-The transcripts, the support set and the override prompt templates are read
-once and hashed from the bytes that are parsed. Each computed stage's
-template is parsed once, before the first provider call, so a template
-edited during a run takes effect at the next run.
+Every input file is read in one place, Pipeline._input, once per run; the
+inputs digest is taken of the bytes read there, and each loader parses those
+same bytes. Each computed stage's template is parsed once, before the first
+provider call, so a template edited during a run takes effect at the next run.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import threading
 import time
@@ -32,7 +33,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -232,7 +233,11 @@ def _has_triggers(rows: dict[str, dict | None]) -> bool:
 
 
 class Pipeline:
-    """One configured run over one corpus, with stage-level resume."""
+    """One configured run over one corpus, with stage-level resume.
+
+    A Pipeline serves one run: a second run() raises. Its lazy resources
+    (support, index, cache, providers) may be loaded before the run.
+    """
 
     def __init__(self, config: PipelineConfig, *, resume: bool = False):
         self.config = config
@@ -245,46 +250,80 @@ class Pipeline:
         self._cache: ResponseCache | None = None
         self._ontology = None
         self._support: list[LabeledSegment] | None = None
-        self._support_data: bytes | None = None
-        # sha256 of the bytes parsed from each input file, by its input_files name.
+        # sha256 of the bytes read from each input file, by path (None: absent).
         self._digests: dict[str, str | None] = {}
-        self._result = RunResult(None, self.config_hash, self.out_dir)
+        # Bytes read for the inputs digest that no loader has taken yet, by path.
+        self._unparsed: dict[str, bytes] = {}
+        self._result: RunResult | None = None
 
-    # --- lazy shared resources -------------------------------------------
+    # --- input files and lazy shared resources -----------------------------
+
+    def _input(self, path: str) -> Iterator[bytes]:
+        """An input file's bytes, in lines as its loader reads them: the only place one is read.
+
+        The lines are hashed as they are read, and the sha256 is recorded for
+        the inputs digest once the last is read. Bytes inputs_digest read (and
+        hashed) ahead are handed out once instead. A file read again must hold
+        the same bytes.
+        """
+        if path in self._unparsed:
+            yield from io.BytesIO(self._unparsed.pop(path))
+            return
+        sha256 = hashlib.sha256()
+        try:
+            fh = Path(path).open("rb")
+        except FileNotFoundError:
+            self._record(path, None)
+            raise
+        with fh:
+            for piece in fh:
+                sha256.update(piece)
+                yield piece
+        self._record(path, sha256.hexdigest())
+
+    def _record(self, path: str, digest: str | None) -> None:
+        if self._digests.setdefault(path, digest) != digest:
+            raise DatasetError(f"{path}: input file changed during the run")
+
+    def _data(self, path: str | None) -> Iterator[bytes] | None:
+        """The data argument of the loader of that input file: None for no path."""
+        return self._input(path) if path else None
+
+    def inputs_digest(self) -> str:
+        """The digest of every input file's contents (PipelineConfig.inputs_digest).
+
+        A file not read yet is read now, and its bytes are held until its
+        loader takes them, so the digest describes the bytes that are parsed.
+        A missing file counts as absent; the stage that reads it reports it.
+        """
+        for path in self.config.input_files().values():
+            if path not in self._digests:
+                try:
+                    self._unparsed[path] = data = Path(path).read_bytes()
+                except FileNotFoundError:
+                    self._record(path, None)
+                else:
+                    self._record(path, hashlib.sha256(data).hexdigest())
+        return self.config.inputs_digest(self._digests)
+
+    def template(self, stage: str) -> Template:
+        """A prompt stage's template: the override file's, if any, else the packaged one."""
+        path = self.config.input_files().get(f"templates/{stage}")
+        return load_template(stage, self.config.templates, data=self._data(path))
 
     @property
     def ontology(self):
         if self._ontology is None:
-            self._ontology = load_ontology(self.config.ontology)
+            path = self.config.ontology
+            self._ontology = load_ontology(path, data=self._data(path))
         return self._ontology
-
-    def _read(self, name: str) -> bytes | None:
-        """The bytes of the input file of that name (see PipelineConfig.input_files).
-
-        Their sha256 is kept for the inputs digest, to be parsed from these
-        same bytes. A missing file is hashed as absent and None is returned:
-        its loader then reads the path and reports it, and a file that
-        appears meanwhile can only make a later --resume recompute.
-        """
-        try:
-            data = Path(self.config.input_files()[name]).read_bytes()
-        except FileNotFoundError:
-            self._digests[name] = None
-            return None
-        self._digests[name] = hashlib.sha256(data).hexdigest()
-        return data
 
     @property
     def support(self) -> list[LabeledSegment]:
-        """Parsed once, from the bytes run() holds if any, else as the file is read.
-
-        Either way the digest is taken of the bytes that are parsed.
-        """
+        """Parsed on first use, so a fully resumed run does not parse it."""
         if self._support is None:
-            data, self._support_data = self._support_data, None
-            digest = hashlib.sha256()
-            self._support = load_gold(self.config.support, self.ontology, data=data, digest=digest)
-            self._digests["support"] = digest.hexdigest()
+            path = self.config.support
+            self._support = load_gold(path, self.ontology, data=self._data(path))
         return self._support
 
     @property
@@ -297,7 +336,8 @@ class Pipeline:
         pcfg = self.config.llm_for_stage(stage)
         key = json.dumps(pcfg.to_dict(), sort_keys=True)
         if key not in self._providers:
-            self._providers[key] = CountingLlm(build_llm_provider(pcfg))
+            provider = build_llm_provider(pcfg, data=self._data(pcfg.script))
+            self._providers[key] = CountingLlm(provider)
         return self._providers[key]
 
     @property
@@ -362,13 +402,13 @@ class Pipeline:
         lexicon = build_lexicon(self.support)
         learned = [False] * len(segments)
         if cfg.learned:
-            provider = build_verdict_provider(cfg.learned)
+            provider = build_verdict_provider(cfg.learned, data=self._data(cfg.learned.path))
             learned = learned_classify(segments, provider, threshold=cfg.gate_threshold)
         # A precomputed LLM verdict file replaces the presence prompt.
         llm_file: list[bool | None] = [None] * len(segments)
         if cfg.gate_llm_file:
-            probabilities = FileVerdictProvider(cfg.gate_llm_file).presence_probabilities(segments)
-            llm_file = [p >= 0.5 for p in probabilities]
+            verdicts = FileVerdictProvider(cfg.gate_llm_file, data=self._data(cfg.gate_llm_file))
+            llm_file = [p >= 0.5 for p in verdicts.presence_probabilities(segments)]
         presence_llm = None if cfg.gate_llm_file else self.llm_for("presence")
 
         def gate(seg: Segment, learned: bool, llm: bool | None) -> dict:
@@ -496,30 +536,21 @@ class Pipeline:
     def run(self, until: str = "score") -> RunResult:
         if until not in STAGE_ORDER:
             raise ConfigError(f"unknown stage {until!r}; expected one of {STAGE_ORDER}")
+        if self._result is not None:
+            raise RuntimeError("a Pipeline serves one run; build a new one for the next run")
         cfg = self.config
+        result = self._result = RunResult(None, self.config_hash, self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256()
-        transcripts = load_transcripts(cfg.transcripts, digest=digest)
-        self._digests["transcripts"] = digest.hexdigest()
-        gold = load_gold(cfg.gold, self.ontology)
+        transcripts = load_transcripts(cfg.transcripts, data=self._data(cfg.transcripts))
+        gold = load_gold(cfg.gold, self.ontology, data=self._data(cfg.gold))
         gold_ids = {ls.segment.id for ls in gold}
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
             raise DatasetError(f"transcript ids missing from gold: {stray[:5]}")
         segments = sorted(transcripts, key=lambda s: s.id)
-        # Each input is read once. Without --resume every stage computes and
-        # the gate needs the support set now; with it, the support set is
-        # parsed only if a stage recomputes, from the bytes hashed here.
-        # Every override template is hashed now and parsed below.
-        if self._support is None and not self.resume:
-            self.support  # noqa: B018 - parses and hashes the support set
-        elif self._support is None:
-            self._support_data = self._read("support")
-        template_data = {
-            stage: self._read(f"templates/{stage}") for stage in PROMPT_STAGES.values()
-        } if cfg.templates else {}
-        result = self._result
-        result.inputs = cfg.inputs_digest(self._digests)
+        # The other inputs are parsed only by the stages that compute, from
+        # the bytes this reads for the digest.
+        result.inputs = self.inputs_digest()
         started = time.time()
 
         stop = STAGE_ORDER.index(until)
@@ -532,14 +563,10 @@ class Pipeline:
         computed = {stage for stage in stages if stage not in replayed}
         # Each computed stage's template is parsed, in stage order, before
         # any provider call; a verdict file replaces the presence prompt.
-        prompted = [
-            PROMPT_STAGES[stage]
+        templates = {
+            PROMPT_STAGES[stage]: self.template(PROMPT_STAGES[stage])
             for stage in stages
             if stage in computed and not (stage == "gate" and cfg.gate_llm_file)
-        ]
-        templates = {
-            stage: load_template(stage, cfg.templates, data=template_data.get(stage))
-            for stage in prompted
         }
         # A segment missing from a replayed artifact never reached that stage.
         records = [
@@ -559,7 +586,7 @@ class Pipeline:
                 queries = self._queries(segments, records, computed)
                 process = self._extraction_task(computed, queries, templates)
                 list(pool.map(process, segments, records))
-        self._support_data = None  # unparsed: a later use reads the file again
+        self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = {
             stage: [rec.rows[stage] for rec in records if rec.rows.get(stage)] for stage in stages
         }

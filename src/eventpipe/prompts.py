@@ -11,8 +11,8 @@ underscores. Recognized names: TEXT (the transcript), EVENT_TYPES
 EXAMPLES (rendered few-shot examples). Any other name in a template is an
 error, as is a recognized name with no value for the stage.
 
-A template is parsed once by load_template and passed to the stage's builder
-as ``template``; a builder given none loads the packaged template on each call.
+A run parses each stage's template once, with load_template, and each stage's
+builder fills in the template it is given.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from importlib import resources
 
-from .model import Ontology, Segment
+from .model import Lines, Ontology, Segment, parse_json
 from .retrieval import FewShotExample
 
 __all__ = [
@@ -94,13 +94,12 @@ class PromptBundle:
 
 
 def load_template(
-    stage: str, templates_dir: str | Path | None = None, *, data: bytes | None = None
+    stage: str, templates_dir: str | Path | None = None, *, data: Lines | None = None
 ) -> Template:
     """Load a stage's message template, from a directory override or package data.
 
-    data, if given, is the file's content already read: it is parsed and the
-    file is not read again. Every defect of the file, from its encoding to a
-    placeholder the stage has no value for, is a TemplateError naming the file.
+    Every defect of the file, from its encoding to a placeholder the stage has
+    no value for, is a TemplateError naming the file.
     """
     if stage not in STAGES:
         raise TemplateError(f"unknown stage {stage!r}")
@@ -109,12 +108,9 @@ def load_template(
     else:
         source = resources.files("eventpipe").joinpath(f"templates/{stage}.json")
     where = f"template file {source}"
-    try:
-        doc = json.loads((source.read_bytes() if data is None else data).decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise TemplateError(f"{where}: invalid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise TemplateError(f"{where}: invalid JSON at line {exc.lineno}") from exc
+    doc = parse_json(
+        source.read_bytes() if data is None else b"".join(data), where, TemplateError
+    )
     if not isinstance(doc, dict):
         raise TemplateError(f"{where}: must be a JSON object")
     if doc.get("stage") != stage:
@@ -176,11 +172,9 @@ def render_examples(examples: Iterable[FewShotExample], *, with_arguments: bool)
 
 
 def build_presence_prompt(
-    segment: Segment, ontology: Ontology, *, template: Template | None = None
+    segment: Segment, ontology: Ontology, *, template: Template
 ) -> PromptBundle:
     """Binary event-presence question over the full event type list."""
-    if template is None:
-        template = load_template("presence")
     values = {"TEXT": segment.text, "EVENT_TYPES": ", ".join(ontology.event_types)}
     return PromptBundle(_render_messages(template, values), "presence", segment.id)
 
@@ -190,11 +184,9 @@ def build_trigger_prompt(
     examples: Sequence[FewShotExample],
     ontology: Ontology,
     *,
-    template: Template | None = None,
+    template: Template,
 ) -> PromptBundle:
     """Trigger recognition prompt: type inventory, transcript, retrieved examples."""
-    if template is None:
-        template = load_template("trigger")
     values = {
         "TEXT": segment.text,
         "EVENT_TYPES": ", ".join(ontology.event_types),
@@ -209,7 +201,7 @@ def build_argument_prompt(
     examples: Sequence[FewShotExample],
     ontology: Ontology,
     *,
-    template: Template | None = None,
+    template: Template,
 ) -> PromptBundle:
     """Argument extraction prompt with the schema projected to the predicted types.
 
@@ -225,8 +217,6 @@ def build_argument_prompt(
         if event_type not in ordered:
             ordered.append(event_type)
     schema = {t: list(ontology.roles_for(t)) for t in ordered}
-    if template is None:
-        template = load_template("argument")
     values = {
         "TEXT": segment.text,
         "EVENT_TYPES": ", ".join(ordered),
@@ -237,12 +227,10 @@ def build_argument_prompt(
 
 
 def build_format_prompt(
-    raw_output: str, segment_id: str = "", *, template: Template | None = None
+    raw_output: str, segment_id: str = "", *, template: Template
 ) -> PromptBundle:
     """Reformatting prompt: recover machine-readable JSON from a free-form reply."""
     if not raw_output:
         raise TemplateError("format prompt requires nonempty raw output")
-    if template is None:
-        template = load_template("format")
     values = {"TEXT": raw_output}
     return PromptBundle(_render_messages(template, values), "format", segment_id)

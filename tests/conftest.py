@@ -20,14 +20,21 @@ import pytest
 
 from eventpipe.config import PipelineConfig
 from eventpipe.model import Ontology, load_ontology
+from eventpipe.prompts import STAGES, Template, load_template
 
 # ---------------------------------------------------------------------------
-# ontology
+# ontology and prompt templates
 
 
 @pytest.fixture(scope="session")
 def ontology() -> Ontology:
     return load_ontology()
+
+
+@pytest.fixture(scope="session")
+def templates() -> dict[str, Template]:
+    """The packaged prompt template of each stage, parsed once."""
+    return {stage: load_template(stage) for stage in STAGES}
 
 
 # ---------------------------------------------------------------------------

@@ -409,7 +409,7 @@ class TestCriterion9ValidationTotality:
     @settings(max_examples=120, deadline=None)
     @given(raw=adversarial_reply(), repair=adversarial_reply(), with_triggers=st.booleans())
     def test_no_invalid_event_survives_postprocessing(
-        self, ontology, raw, repair, with_triggers
+        self, ontology, templates, raw, repair, with_triggers
     ):
         provider = ScriptedMockLlm({"s1/argument": raw, "s1/format": repair})
         if with_triggers:
@@ -417,12 +417,16 @@ class TestCriterion9ValidationTotality:
             # committed triggers.
             triggers = [TriggerPrediction("s1", "war", "Attack")]
             result = extract_arguments(
-                Segment(id="s1", text="a war broke out"), triggers, None, ontology, provider, k=0
+                Segment(id="s1", text="a war broke out"), triggers, None, ontology, provider,
+                k=0, template=templates["argument"],
             )
-            entries = [repair_arguments(result, triggers, ontology, provider)]
+            entries = [
+                repair_arguments(result, triggers, ontology, provider, template=templates["format"])
+            ]
         else:
             entries = postprocess(
-                [RawStageOutput("s1", "argument", raw, 1)], ontology, provider
+                [RawStageOutput("s1", "argument", raw, 1)], ontology, provider,
+                template=templates["format"],
             ).entries
         for entry in entries:
             if entry.excluded:

@@ -259,7 +259,7 @@ class TestFormatStandalone:
         ]
 
     def test_format_template_is_loaded_once_per_command(self, tmp_path, capsys, monkeypatch):
-        import eventpipe.cli
+        import eventpipe.pipeline
         import eventpipe.prompts
 
         script = {f"fix-{i}/format": '[{"trigger": "war", "type": "Attack"}]' for i in range(3)}
@@ -271,7 +271,7 @@ class TestFormatStandalone:
         )
         loads = []
         load_template = eventpipe.prompts.load_template
-        for module in (eventpipe.cli, eventpipe.prompts):
+        for module in (eventpipe.pipeline, eventpipe.prompts):
             monkeypatch.setattr(
                 module, "load_template", lambda *a, **k: loads.append(a) or load_template(*a, **k)
             )
@@ -436,6 +436,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
         assert code == 2
         assert err == f"error: {corpus.config_path}: invalid UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "line", [b'{"key": "a", "response": "\xff"}', b'{"key": "a", "response": 5}']
+    )
+    def test_malformed_cache_line_is_a_provider_error(self, golden_corpus, capsys, line):
+        golden_corpus.cache_path.write_bytes(line + b"\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(golden_corpus.config_path))
+        assert code == 4
+        assert err == f"error: {golden_corpus.cache_path}:1: malformed cache entry\n"
 
     def test_invalid_utf8_in_the_ontology_file_is_an_input_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")

@@ -605,10 +605,17 @@ class TestRetrieveExamples:
 
 
 class TestExtractTriggers:
+    @pytest.fixture(autouse=True)
+    def _template(self, templates):
+        self.template = templates["trigger"]
+
     def _run(self, script, ontology, max_attempts=3):
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_triggers(seg, None, ontology, provider, None, k=0, max_attempts=max_attempts)
+        result = extract_triggers(
+            seg, None, ontology, provider, None,
+            k=0, max_attempts=max_attempts, template=self.template,
+        )
         return result, provider
 
     def test_clean_reply(self, ontology):
@@ -642,11 +649,14 @@ class TestExtractTriggers:
         assert not result.failed
         assert result.predictions == ()
 
-    def test_example_ids_recorded(self, ontology):
+    def test_example_ids_recorded(self, ontology, templates):
         index, embedder = _support_index()
         provider = ScriptedMockLlm({"s1/trigger": "[]"})
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_triggers(seg, index, ontology, provider, _query(seg.text, embedder), k=2)
+        result = extract_triggers(
+            seg, index, ontology, provider, _query(seg.text, embedder),
+            k=2, template=templates["trigger"],
+        )
         assert len(result.example_ids) == 2
 
 
@@ -654,7 +664,7 @@ class TestExtractArguments:
     def _triggers(self):
         return [TriggerPrediction("s1", "war", "Attack")]
 
-    def test_clean_reply(self, ontology):
+    def test_clean_reply(self, ontology, templates):
         script = {
             "s1/argument": (
                 '[{"trigger": "war", "type": "Attack", "arguments": '
@@ -663,27 +673,35 @@ class TestExtractArguments:
         }
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_arguments(seg, self._triggers(), None, ontology, provider, None, k=0)
+        result = extract_arguments(
+            seg, self._triggers(), None, ontology, provider, None,
+            k=0, template=templates["argument"],
+        )
         assert not result.failed
         assert result.events[0].arguments[0].name == "rebels"
 
-    def test_degrades_to_empty_arguments_on_exhaustion(self, ontology):
+    def test_degrades_to_empty_arguments_on_exhaustion(self, ontology, templates):
         provider = ScriptedMockLlm({"s1/argument": "cannot comply"})
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_arguments(seg, self._triggers(), None, ontology, provider, None, k=0)
+        result = extract_arguments(
+            seg, self._triggers(), None, ontology, provider, None,
+            k=0, template=templates["argument"],
+        )
         assert result.failed
         assert result.events == (
             EventMention(trigger="war", event_type="Attack", arguments=()),
         )
         assert result.raw.attempts == 3
 
-    def test_requires_triggers(self, ontology):
+    def test_requires_triggers(self, ontology, templates):
         provider = ScriptedMockLlm({})
         seg = Segment(id="s1", text="x")
         with pytest.raises(ValueError):
-            extract_arguments(seg, [], None, ontology, provider, None, k=0)
+            extract_arguments(
+                seg, [], None, ontology, provider, None, k=0, template=templates["argument"]
+            )
 
-    def test_same_type_filter_restricts_retrieval(self, ontology):
+    def test_same_type_filter_restricts_retrieval(self, ontology, templates):
         index, embedder = _support_index()
         script = {"s1/argument": "no arguments"}
         provider = ScriptedMockLlm(script)
@@ -697,10 +715,13 @@ class TestExtractArguments:
             _query(seg.text, embedder),
             k=3,
             same_type_filter=True,
+            template=templates["argument"],
         )
         assert result.example_ids == ("ex-1",)
 
-    def test_same_type_filter_matches_the_gold_type_predicate(self, golden_corpus, ontology):
+    def test_same_type_filter_matches_the_gold_type_predicate(
+        self, golden_corpus, ontology, templates
+    ):
         # The type masks pick what a per-row predicate over gold event types
         # picks, on the golden support set, for every single predicted type
         # and for every segment's gold type set.
@@ -724,6 +745,7 @@ class TestExtractArguments:
                     query,
                     k=3,
                     same_type_filter=True,
+                    template=templates["argument"],
                 )
                 want = brute_force_top_k(index, query, 3, where=keep)
                 assert result.example_ids == tuple(example_id for example_id, _ in want)
@@ -736,6 +758,10 @@ class TestExtractArguments:
 
 
 class TestPostprocess:
+    @pytest.fixture(autouse=True)
+    def _templates(self, templates):
+        self.templates = templates
+
     # Pipeline path: the argument step's reply, repaired against the
     # committed triggers.
     def _repair(self, ontology, reply: str, format_provider):
@@ -747,8 +773,11 @@ class TestPostprocess:
             ontology,
             ScriptedMockLlm({"s1/argument": reply}),
             k=0,
+            template=self.templates["argument"],
         )
-        return repair_arguments(result, triggers, ontology, format_provider)
+        return repair_arguments(
+            result, triggers, ontology, format_provider, template=self.templates["format"]
+        )
 
     def test_recoverable_raw_needs_no_provider(self, ontology):
         provider = ScriptedMockLlm({})  # any request would raise MockMissError
@@ -801,19 +830,19 @@ class TestPostprocess:
         assert entry.degraded
         assert provider.call_count == 0
 
-    def test_standalone_mode_excludes_invalid_segments(self, ontology):
+    def test_standalone_mode_excludes_invalid_segments(self, ontology, templates):
         raws = [
             RawStageOutput("good", "argument", '[{"trigger": "war", "type": "Attack"}]', 1),
             RawStageOutput("bad", "argument", "nothing recoverable", 1),
         ]
         provider = ScriptedMockLlm({"bad/format": "still nothing"})
-        report = postprocess(raws, ontology, provider)
+        report = postprocess(raws, ontology, provider, template=templates["format"])
         assert report.excluded_ids == ["bad"]
         good, bad = report.entries
         assert bad.events == ()
         assert good.events[0].event_type == "Attack"
 
-    def test_standalone_mode_requires_full_validity(self, ontology):
+    def test_standalone_mode_requires_full_validity(self, ontology, templates):
         # Without committed triggers there is nothing to salvage: a reply
         # with an invalid role must be repaired or the segment is excluded.
         raws = [
@@ -828,7 +857,7 @@ class TestPostprocess:
         provider = ScriptedMockLlm(
             {"s1/format": '[{"trigger": "war", "type": "Attack", "arguments": []}]'}
         )
-        report = postprocess(raws, ontology, provider)
+        report = postprocess(raws, ontology, provider, template=templates["format"])
         entry = report.entries[0]
         assert not entry.excluded
         assert entry.events[0].arguments == ()

@@ -216,33 +216,41 @@ class TestLlmClassifier:
     def _segment(self):
         return Segment(id="s1", text="the war began")
 
-    def test_yes_and_no(self, ontology):
+    def test_yes_and_no(self, ontology, templates):
         yes = ScriptedMockLlm({"s1/presence": "YES"})
         no = ScriptedMockLlm({"s1/presence": "no, nothing here"})
-        assert llm_classify(self._segment(), yes, ontology) is True
-        assert llm_classify(self._segment(), no, ontology) is False
+        assert llm_classify(self._segment(), yes, ontology, template=templates["presence"]) is True
+        assert llm_classify(self._segment(), no, ontology, template=templates["presence"]) is False
 
-    def test_unparseable_reply_triggers_one_reask(self, ontology):
+    def test_unparseable_reply_triggers_one_reask(self, ontology, templates):
         provider = ScriptedMockLlm({"s1/presence": ["hmm", "YES"]})
-        assert llm_classify(self._segment(), provider, ontology) is True
+        assert llm_classify(
+            self._segment(), provider, ontology, template=templates["presence"]
+        ) is True
         assert provider.call_count == 2
 
-    def test_two_unparseable_replies_raise_unless_lenient(self, ontology):
+    def test_two_unparseable_replies_raise_unless_lenient(self, ontology, templates):
         provider = ScriptedMockLlm({"s1/presence": ["hmm", "dunno"]})
         with pytest.raises(VerdictError):
-            llm_classify(self._segment(), provider, ontology)
+            llm_classify(self._segment(), provider, ontology, template=templates["presence"])
         lenient = ScriptedMockLlm({"s1/presence": ["hmm", "dunno"]})
-        assert llm_classify(self._segment(), lenient, ontology, lenient=True) is False
+        assert llm_classify(
+            self._segment(), lenient, ontology, lenient=True, template=templates["presence"]
+        ) is False
 
-    def test_cache_reask_does_not_replay_first_reply(self, ontology, tmp_path):
+    def test_cache_reask_does_not_replay_first_reply(self, ontology, tmp_path, templates):
         # With a cache, the second ask must use a distinct key; otherwise the
         # cached unparseable reply would be returned forever.
         cache = ResponseCache(tmp_path / "cache.jsonl")
         provider = ScriptedMockLlm({"s1/presence": ["hmm", "YES"]})
-        assert llm_classify(self._segment(), provider, ontology, cache=cache) is True
+        assert llm_classify(
+            self._segment(), provider, ontology, cache=cache, template=templates["presence"]
+        ) is True
         assert provider.call_count == 2
         # A second classification is served entirely from the cache.
-        assert llm_classify(self._segment(), provider, ontology, cache=cache) is True
+        assert llm_classify(
+            self._segment(), provider, ontology, cache=cache, template=templates["presence"]
+        ) is True
         assert provider.call_count == 2
 
 

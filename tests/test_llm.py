@@ -127,6 +127,23 @@ class TestResponseCache:
         with pytest.raises(CacheError, match="2"):
             ResponseCache(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"key": "a", "response": "caf\xff"}',
+            b'{"key": "a", "response": 5}',
+            b'{"key": "a", "response": null}',
+            b'{"key": 5, "response": "b"}',
+            b'["a", "b"]',
+        ],
+        ids=["invalid-utf-8", "int-response", "null-response", "int-key", "not-an-object"],
+    )
+    def test_entry_that_is_not_a_string_pair_is_rejected_at_open(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"key": "k", "response": "v"}\n' + line + b"\n")
+        with pytest.raises(CacheError, match=f"^{path}:2: malformed cache entry$"):
+            ResponseCache(path)
+
     def test_torn_last_line_is_dropped_at_open(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache = ResponseCache(path)

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus
+from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_verdicts
 from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import ResponseCache, ScriptedMockLlm
-from eventpipe.model import DatasetError, load_gold
+from eventpipe.model import DatasetError, default_ontology_path, load_gold
 from eventpipe.pipeline import (
+    PROMPT_STAGES,
     Pipeline,
     ResumeError,
     read_artifact,
@@ -186,7 +187,7 @@ class TestGoldenRun:
     def test_all_artifacts_written_with_matching_headers(self, golden_corpus):
         pipeline = Pipeline(golden_corpus.config)
         result = pipeline.run()
-        assert result.inputs == golden_corpus.config.inputs_digest()
+        assert result.inputs == Pipeline(golden_corpus.config).inputs_digest()
         for name in ARTIFACTS:
             lines = (golden_corpus.output_dir / name).read_text(encoding="utf-8").splitlines()
             header = json.loads(lines[0])
@@ -235,6 +236,12 @@ class TestGoldenRun:
         assert (golden_corpus.output_dir / "gate.jsonl").exists()
         assert not (golden_corpus.output_dir / "triggers.jsonl").exists()
         assert result.provider_calls == {"presence": 31, "total": 31}
+
+    def test_a_pipeline_serves_one_run(self, golden_corpus):
+        pipeline = Pipeline(golden_corpus.config)
+        pipeline.run(until="gate")
+        with pytest.raises(RuntimeError, match="serves one run"):
+            pipeline.run()
 
     def test_unknown_stage_rejected(self, golden_corpus):
         with pytest.raises(ConfigError, match="unknown stage"):
@@ -353,11 +360,11 @@ class TestStaleInputs:
 
     @pytest.mark.parametrize("name", ["transcripts", "support", "script"])
     def test_any_changed_input_changes_the_digest(self, golden_corpus, name):
-        path = getattr(golden_corpus, f"{name}_path")
-        config_hash, before = golden_corpus.config.config_hash(), golden_corpus.config.inputs_digest()
+        path, config = getattr(golden_corpus, f"{name}_path"), golden_corpus.config
+        config_hash, before = config.config_hash(), Pipeline(config).inputs_digest()
         path.write_bytes(path.read_bytes() + b"\n")
-        assert golden_corpus.config.inputs_digest() != before
-        assert golden_corpus.config.config_hash() == config_hash
+        assert Pipeline(config).inputs_digest() != before
+        assert config.config_hash() == config_hash
 
 
 def write_templates(directory: Path, **system: str) -> None:
@@ -384,14 +391,14 @@ class TestInputsReadOnce:
     GOLDEN_INPUTS_WITH_TEMPLATES = "85d84064693faff6"
 
     def test_golden_inputs_digest_is_pinned(self, golden_corpus):
-        assert golden_corpus.config.inputs_digest() == self.GOLDEN_INPUTS
+        assert Pipeline(golden_corpus.config).inputs_digest() == self.GOLDEN_INPUTS
         assert Pipeline(golden_corpus.config).run().inputs == self.GOLDEN_INPUTS
 
     def test_golden_inputs_digest_with_a_templates_override_is_pinned(self, golden_corpus):
         templates = golden_corpus.root / "templates"
         write_templates(templates)
         config = dataclasses.replace(golden_corpus.config, templates=str(templates))
-        assert config.inputs_digest() == self.GOLDEN_INPUTS_WITH_TEMPLATES
+        assert Pipeline(config).inputs_digest() == self.GOLDEN_INPUTS_WITH_TEMPLATES
         assert Pipeline(config).run().inputs == self.GOLDEN_INPUTS_WITH_TEMPLATES
 
     def test_template_rewritten_during_the_gate_does_not_reach_later_prompts(self, golden_corpus):
@@ -399,7 +406,7 @@ class TestInputsReadOnce:
         write_templates(templates, trigger="trigger v1")
         write_templates(staged, trigger="trigger v2")
         config = dataclasses.replace(golden_corpus.config, templates=str(templates))
-        first = config.inputs_digest()
+        first = Pipeline(config).inputs_digest()
         pipeline = Pipeline(config)
         wrapper = pipeline.llm_for("trigger")
         inner = wrapper.inner
@@ -419,7 +426,7 @@ class TestInputsReadOnce:
 
         wrapper.inner = Rewriting()
         result = pipeline.run()
-        assert config.inputs_digest() != first  # the file did change mid-run
+        assert Pipeline(config).inputs_digest() != first  # the file did change mid-run
         assert systems and set(systems) == {"trigger v1"}
         assert result.inputs == first
         for name in ARTIFACTS:
@@ -427,13 +434,13 @@ class TestInputsReadOnce:
             assert header["inputs"] == first
 
     def test_support_replaced_after_it_was_parsed_is_not_hashed_again(self, golden_corpus):
-        parsed = golden_corpus.config.inputs_digest()
+        parsed = Pipeline(golden_corpus.config).inputs_digest()
         pipeline = Pipeline(golden_corpus.config)
         pipeline.support  # noqa: B018 - parses the support set
         path = golden_corpus.support_path
         path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
         result = pipeline.run()
-        assert golden_corpus.config.inputs_digest() != parsed
+        assert Pipeline(golden_corpus.config).inputs_digest() != parsed
         assert result.inputs == parsed
         assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
 
@@ -441,7 +448,7 @@ class TestInputsReadOnce:
     def test_support_replaced_after_the_digest_is_not_parsed(
         self, golden_corpus, monkeypatch, resume
     ):
-        hashed = golden_corpus.config.inputs_digest()
+        hashed = Pipeline(golden_corpus.config).inputs_digest()
         path = golden_corpus.support_path
         lines = path.read_bytes().splitlines(keepends=True)
         load_if_resuming = Pipeline._load_if_resuming
@@ -453,25 +460,69 @@ class TestInputsReadOnce:
 
         monkeypatch.setattr(Pipeline, "_load_if_resuming", replace_then_load)
         result = Pipeline(golden_corpus.config, resume=resume).run()
-        assert golden_corpus.config.inputs_digest() != hashed
+        assert Pipeline(golden_corpus.config).inputs_digest() != hashed
         assert result.inputs == hashed
         assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
 
-    def test_support_and_transcripts_are_read_once(self, golden_corpus, monkeypatch):
-        import eventpipe.config
-
-        opened, hashed = [], []
-        path_open, file_sha256 = Path.open, eventpipe.config._file_sha256
+    @pytest.mark.parametrize("resume", [None, "gate", "all"], ids=["fresh", "gate", "all"])
+    def test_each_input_file_is_opened_once_per_run(self, golden_corpus, monkeypatch, resume):
+        root = golden_corpus.root
+        ontology = root / "ontology.json"
+        ontology.write_bytes(default_ontology_path().read_bytes())
+        write_templates(root / "templates")
+        llm_file = root / "llm_verdicts.jsonl"
+        llm_file.write_text(
+            "".join(
+                json.dumps({"id": sid, "present": llm}) + "\n"
+                for sid, (_, _, llm) in sorted(expected_verdicts().items())
+            )
+        )
+        format_script = root / "format_script.json"
+        format_script.write_bytes(golden_corpus.script_path.read_bytes())
+        config = dataclasses.replace(
+            golden_corpus.config,
+            ontology=str(ontology),
+            templates=str(root / "templates"),
+            gate_llm_file=str(llm_file),
+            llm_overrides={"format": ProviderConfig(kind="mock", script=str(format_script))},
+        )
+        inputs = [
+            golden_corpus.transcripts_path,
+            golden_corpus.support_path,
+            ontology,
+            golden_corpus.learned_path,
+            llm_file,
+            golden_corpus.script_path,
+            format_script,
+            *(root / "templates" / f"{stage}.json" for stage in PROMPT_STAGES.values()),
+        ]
+        assert set(map(Path, config.input_files().values())) == set(inputs)
+        if resume:
+            Pipeline(config).run()
+        if resume == "gate":  # the gate is replayed, every later stage recomputes
+            for name in ARTIFACTS[1:]:
+                (golden_corpus.output_dir / name).unlink()
+        opened = []
+        path_open = Path.open
         monkeypatch.setattr(
             Path, "open", lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k)
         )
-        monkeypatch.setattr(
-            eventpipe.config, "_file_sha256", lambda path: hashed.append(path) or file_sha256(path)
-        )
-        Pipeline(golden_corpus.config).run()
-        for path in (golden_corpus.support_path, golden_corpus.transcripts_path):
-            assert opened.count(path) == 1
-            assert str(path) not in hashed
+        result = Pipeline(config, resume=resume is not None).run()
+        resumed = {None: [], "gate": ["gate"], "all": ["gate", "triggers", "arguments", "final"]}
+        assert result.resumed_stages == resumed[resume]
+        assert {path: opened.count(path) for path in inputs} == dict.fromkeys(inputs, 1)
+
+    def test_a_file_read_again_must_hold_the_bytes_it_was_hashed_from(self, golden_corpus):
+        # Two providers (the default and a renamed one) share one script file,
+        # so the second reads it again.
+        path = golden_corpus.script_path
+        renamed = ProviderConfig(kind="mock", script=str(path), name="renamed")
+        config = dataclasses.replace(golden_corpus.config, llm_overrides={"format": renamed})
+        pipeline = Pipeline(config)
+        pipeline.llm_for("presence")
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(DatasetError, match="input file changed during the run"):
+            pipeline.llm_for("format")
 
     def test_golden_run_loads_each_template_at_most_once(self, golden_corpus, monkeypatch):
         import eventpipe.pipeline
@@ -530,7 +581,7 @@ class TestInputsReadOnce:
         (templates / "trigger.json").write_text("{oops", encoding="utf-8")
         # Re-stamp the artifacts as built from these very files, as a run that
         # parsed a template only at its first prompt could have left them.
-        inputs = config.inputs_digest()
+        inputs = Pipeline(config).inputs_digest()
         for name in ARTIFACTS:
             stage = name.removesuffix(".jsonl")
             path = golden_corpus.output_dir / name

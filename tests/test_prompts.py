@@ -118,15 +118,15 @@ class TestRenderExamples:
 
 
 class TestTriggerPrompt:
-    def test_system_message_text(self, ontology):
-        bundle = build_trigger_prompt(_segment(), [], ontology)
+    def test_system_message_text(self, ontology, templates):
+        bundle = build_trigger_prompt(_segment(), [], ontology, template=templates["trigger"])
         assert bundle.messages[0].content == (
             "Your job is to extract trigger words signaling events in a text,"
             " and classify its event type."
         )
 
-    def test_type_inventory_lists_all_33_in_order(self, ontology):
-        bundle = build_trigger_prompt(_segment(), [], ontology)
+    def test_type_inventory_lists_all_33_in_order(self, ontology, templates):
+        bundle = build_trigger_prompt(_segment(), [], ontology, template=templates["trigger"])
         task = bundle.messages[1].content
         start = task.index("[") + 1
         end = task.index("]")
@@ -134,72 +134,86 @@ class TestTriggerPrompt:
         assert listed == list(ontology.event_types)
         assert len(listed) == 33
 
-    def test_text_and_examples_substituted(self, ontology):
-        bundle = build_trigger_prompt(_segment("hello world"), [_example()], ontology)
+    def test_text_and_examples_substituted(self, ontology, templates):
+        bundle = build_trigger_prompt(
+            _segment("hello world"), [_example()], ontology, template=templates["trigger"]
+        )
         contents = [m.content for m in bundle.messages]
         assert "TEXT: hello world" in contents
         assert any(c.startswith("EXAMPLES: ") and "shot down" in c for c in contents)
 
-    def test_no_examples_sentence_used_for_empty_retrieval(self, ontology):
-        bundle = build_trigger_prompt(_segment(), [], ontology)
+    def test_no_examples_sentence_used_for_empty_retrieval(self, ontology, templates):
+        bundle = build_trigger_prompt(_segment(), [], ontology, template=templates["trigger"])
         assert any(NO_EXAMPLES_SENTENCE in m.content for m in bundle.messages)
 
-    def test_mentions_no_event_possibility(self, ontology):
-        bundle = build_trigger_prompt(_segment(), [], ontology)
+    def test_mentions_no_event_possibility(self, ontology, templates):
+        bundle = build_trigger_prompt(_segment(), [], ontology, template=templates["trigger"])
         assert any(
             "It is possible there are no events in the text." in m.content
             for m in bundle.messages
         )
 
-    def test_bundle_identity(self, ontology):
-        bundle = build_trigger_prompt(_segment(sid="seg-9"), [], ontology)
+    def test_bundle_identity(self, ontology, templates):
+        bundle = build_trigger_prompt(
+            _segment(sid="seg-9"), [], ontology, template=templates["trigger"]
+        )
         assert bundle.stage == "trigger"
         assert bundle.segment_id == "seg-9"
 
-    def test_pure_and_byte_stable(self, ontology):
-        a = build_trigger_prompt(_segment(), [_example()], ontology)
-        b = build_trigger_prompt(_segment(), [_example()], ontology)
+    def test_pure_and_byte_stable(self, ontology, templates):
+        a = build_trigger_prompt(_segment(), [_example()], ontology, template=templates["trigger"])
+        b = build_trigger_prompt(_segment(), [_example()], ontology, template=templates["trigger"])
         assert a == b
 
-    def test_substitution_is_single_pass(self, ontology):
+    def test_substitution_is_single_pass(self, ontology, templates):
         # A transcript that itself contains placeholder syntax must pass
         # through literally, not get re-substituted.
-        bundle = build_trigger_prompt(_segment("mind the {EXAMPLES} token"), [], ontology)
+        bundle = build_trigger_prompt(
+            _segment("mind the {EXAMPLES} token"), [], ontology, template=templates["trigger"]
+        )
         assert "TEXT: mind the {EXAMPLES} token" in [m.content for m in bundle.messages]
 
 
 class TestArgumentPrompt:
-    def test_system_message_text(self, ontology):
-        bundle = build_argument_prompt(_segment(), ["Attack"], [], ontology)
+    def test_system_message_text(self, ontology, templates):
+        bundle = build_argument_prompt(
+            _segment(), ["Attack"], [], ontology, template=templates["argument"]
+        )
         assert bundle.messages[0].content == (
             "Your job is to extract arguments for events in a text,"
             " and classify their role in that event."
         )
 
-    def test_schema_projected_to_predicted_types_only(self, ontology):
-        bundle = build_argument_prompt(_segment(), ["Elect"], [], ontology)
+    def test_schema_projected_to_predicted_types_only(self, ontology, templates):
+        bundle = build_argument_prompt(
+            _segment(), ["Elect"], [], ontology, template=templates["argument"]
+        )
         task = next(m.content for m in bundle.messages if "{" in m.content or "schema" in m.content)
         start = task.index("{")
         schema = json.loads(task[start : task.rindex("}") + 1])
         assert schema == {"Elect": list(ontology.roles_for("Elect"))}
 
-    def test_duplicate_types_collapse_to_first_occurrence(self, ontology):
+    def test_duplicate_types_collapse_to_first_occurrence(self, ontology, templates):
         bundle = build_argument_prompt(
-            _segment(), ["Attack", "Elect", "Attack"], [], ontology
+            _segment(), ["Attack", "Elect", "Attack"], [], ontology, template=templates["argument"]
         )
         text_msg = next(m.content for m in bundle.messages if m.content.startswith("TEXT: "))
         assert "EVENT TYPE(s): Attack, Elect" in text_msg
 
-    def test_unknown_predicted_type_rejected(self, ontology):
+    def test_unknown_predicted_type_rejected(self, ontology, templates):
         with pytest.raises(TemplateError, match="Meetx"):
-            build_argument_prompt(_segment(), ["Meetx"], [], ontology)
+            build_argument_prompt(
+                _segment(), ["Meetx"], [], ontology, template=templates["argument"]
+            )
 
-    def test_empty_types_rejected(self, ontology):
+    def test_empty_types_rejected(self, ontology, templates):
         with pytest.raises(TemplateError):
-            build_argument_prompt(_segment(), [], [], ontology)
+            build_argument_prompt(_segment(), [], [], ontology, template=templates["argument"])
 
-    def test_examples_include_arguments(self, ontology):
-        bundle = build_argument_prompt(_segment(), ["Attack"], [_example()], ontology)
+    def test_examples_include_arguments(self, ontology, templates):
+        bundle = build_argument_prompt(
+            _segment(), ["Attack"], [_example()], ontology, template=templates["argument"]
+        )
         examples_msg = next(
             m.content for m in bundle.messages if m.content.startswith("EXAMPLES: ")
         )
@@ -207,15 +221,15 @@ class TestArgumentPrompt:
 
 
 class TestFormatPrompt:
-    def test_system_message_text(self):
-        bundle = build_format_prompt("...junk... [1, 2]")
+    def test_system_message_text(self, templates):
+        bundle = build_format_prompt("...junk... [1, 2]", template=templates["format"])
         assert bundle.messages[0].content == (
             "Your job is to extract a JSON-like output from the end of a string."
             " Only return the JSON."
         )
 
-    def test_example_block_braces_survive_substitution(self):
-        bundle = build_format_prompt("raw model reply")
+    def test_example_block_braces_survive_substitution(self, templates):
+        bundle = build_format_prompt("raw model reply", template=templates["format"])
         example_msg = bundle.messages[-1].content
         assert example_msg.startswith("EXAMPLE:")
         payload = json.loads(example_msg[len("EXAMPLE:") :])
@@ -226,28 +240,30 @@ class TestFormatPrompt:
             {"name": "region", "role": "Destination"},
         ]
 
-    def test_raw_output_lands_in_text_slot(self):
-        bundle = build_format_prompt("PROSE {TEXT} MORE")
+    def test_raw_output_lands_in_text_slot(self, templates):
+        bundle = build_format_prompt("PROSE {TEXT} MORE", template=templates["format"])
         assert "TEXT: PROSE {TEXT} MORE" in [m.content for m in bundle.messages]
 
-    def test_empty_raw_rejected(self):
+    def test_empty_raw_rejected(self, templates):
         with pytest.raises(TemplateError):
-            build_format_prompt("")
+            build_format_prompt("", template=templates["format"])
 
-    def test_stage_and_segment(self):
-        bundle = build_format_prompt("x", "seg-5")
+    def test_stage_and_segment(self, templates):
+        bundle = build_format_prompt("x", "seg-5", template=templates["format"])
         assert bundle.stage == "format"
         assert bundle.segment_id == "seg-5"
 
 
 class TestPresencePrompt:
-    def test_yes_no_instruction_and_types(self, ontology):
-        bundle = build_presence_prompt(_segment(), ontology)
+    def test_yes_no_instruction_and_types(self, ontology, templates):
+        bundle = build_presence_prompt(_segment(), ontology, template=templates["presence"])
         assert "YES or NO" in bundle.messages[0].content
         assert any("Elect" in m.content for m in bundle.messages[1:])
 
-    def test_text_substituted(self, ontology):
-        bundle = build_presence_prompt(_segment("did anything happen"), ontology)
+    def test_text_substituted(self, ontology, templates):
+        bundle = build_presence_prompt(
+            _segment("did anything happen"), ontology, template=templates["presence"]
+        )
         assert "TEXT: did anything happen" in [m.content for m in bundle.messages]
 
 
