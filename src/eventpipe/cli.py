@@ -97,11 +97,10 @@ def cmd_ablate(args) -> int:
         output_dir=str(Path(config.output_dir) / "ablation"),
     )
     pipe = Pipeline(ablation_config, resume=True)
+    gold = _events_by_id(pipe.gold)  # the run checks and scores against this same parse
     result = pipe.run()
     verdicts = load_verdict_triples(Path(ablation_config.output_dir) / "gate.jsonl")
-    ontology = pipe.ontology
-    gold = _events_by_id(load_gold(config.gold, ontology))
-    predictions = _events_by_id(load_gold(result.predictions_path, ontology))
+    predictions = _events_by_id(load_gold(result.predictions_path, pipe.ontology))
     table = run_ablation(gold, verdicts, predictions, policies, set_semantics=config.set_semantics)
     print(table.render())
     out_path = Path(ablation_config.output_dir) / "ablation.json"

@@ -426,21 +426,17 @@ def _argument_events(
 
 
 def retrieve_examples(
-    index: SupportIndex | None,
-    query: np.ndarray | None,
-    k: int,
-    *,
-    mask: np.ndarray | None = None,
-) -> list[FewShotExample]:
-    """Top-k support examples for a unit query vector; empty for k=0 or no query.
+    index: SupportIndex, queries: np.ndarray, k: int, *, mask: np.ndarray | None = None
+) -> list[list[FewShotExample]]:
+    """Top-k support examples for each row of a matrix of unit query vectors, from one search.
 
-    A segment whose text is blank has no query vector. The optional boolean
-    row `mask` restricts candidates (see search).
+    The optional boolean row `mask` restricts every query's candidates (see
+    search).
     """
-    if index is None or query is None or k <= 0:
-        return []
-    hits = search(index, query, k, mask=mask)
-    return [index.examples[index.row_of[example_id]] for example_id, _ in hits]
+    return [
+        [index.examples[index.row_of[example_id]] for example_id, _ in hits]
+        for hits in search(index, queries, k, mask=mask)
+    ]
 
 
 # --- stages -------------------------------------------------------------------
@@ -448,19 +444,16 @@ def retrieve_examples(
 
 def extract_triggers(
     segment: Segment,
-    index: SupportIndex | None,
+    examples: Sequence[FewShotExample],
     ontology: Ontology,
     provider: LlmProvider,
-    query: np.ndarray | None = None,
     *,
-    k: int = 10,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
     corrective: bool = False,
     template: Template,
 ) -> TriggerStageResult:
-    """Run trigger recognition for one gated-in segment; query is its text's vector."""
-    examples = retrieve_examples(index, query, k)
+    """Run trigger recognition for one gated-in segment with its retrieved few-shot examples."""
     bundle = build_trigger_prompt(segment, examples, ontology, template=template)
     parsed: dict = {}
 
@@ -486,19 +479,16 @@ def extract_triggers(
 def extract_arguments(
     segment: Segment,
     triggers: Sequence[TriggerPrediction],
-    index: SupportIndex | None,
+    examples: Sequence[FewShotExample],
     ontology: Ontology,
     provider: LlmProvider,
-    query: np.ndarray | None = None,
     *,
-    k: int = 10,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
     corrective: bool = False,
-    same_type_filter: bool = False,
     template: Template,
 ) -> ArgumentStageResult:
-    """Run argument extraction for one segment's predicted triggers.
+    """Run argument extraction for one segment's predicted triggers with its few-shot examples.
 
     Format failure after retries degrades to the triggers with empty argument
     lists (failed=True) rather than dropping them.
@@ -506,8 +496,6 @@ def extract_arguments(
     if not triggers:
         raise ValueError("extract_arguments requires at least one predicted trigger")
     predicted_types = [t.event_type for t in triggers]
-    mask = index.type_mask(predicted_types) if same_type_filter and index is not None else None
-    examples = retrieve_examples(index, query, k, mask=mask)
     bundle = build_argument_prompt(segment, predicted_types, examples, ontology, template=template)
     parsed: dict = {}
 

@@ -187,21 +187,18 @@ def load_ontology(path: str | Path | None = None, *, data: Lines | None = None) 
 
 
 def _lines(path: Path, pieces: Iterable[bytes]) -> Iterator[tuple[int, str]]:
-    """(line number, line) as str.splitlines numbers them, decoded as they are read.
+    """(line number, line) of a file that comes split at each newline byte, decoded as read.
 
-    The file comes split at each newline byte (UTF-8 never puts one inside a
-    character), and each piece is split by splitlines, so the lines are
-    exactly those of the decoded whole file. Invalid UTF-8 raises DatasetError.
+    Only a newline byte ends a line: U+2028, U+2029 and U+0085 are valid
+    inside a JSON string, so they must not split a record as str.splitlines
+    would. Invalid UTF-8 raises DatasetError.
     """
-    lineno = 0
-    for piece in pieces:
+    for lineno, piece in enumerate(pieces, start=1):
         try:
-            text = piece.decode("utf-8")
+            line = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path}: invalid UTF-8 at line {lineno + 1}") from exc
-        for line in text.splitlines():
-            lineno += 1
-            yield lineno, line
+            raise DatasetError(f"{path}: invalid UTF-8 at line {lineno}") from exc
+        yield lineno, line
 
 
 def iter_json_records(path: str | Path, data: Lines | None = None) -> Iterator[tuple[int, Any]]:

@@ -2,11 +2,14 @@
 
 A run has two phases over the segments, both on one worker pool. The gate
 phase fetches every learned verdict in batches, then runs each segment's
-rule, learned and LLM verdicts. Between the phases, every segment that will
-retrieve few-shot examples has its text embedded, all in one embed_batch
-call. The extraction phase then runs trigger recognition, argument
-extraction and repair per segment from the stored query vector, each
-argument reply parsed once. Each stage has one JSONL artifact whose header
+rule, learned and LLM verdicts. Between the phases, the query phase embeds
+the text of every segment that will retrieve few-shot examples, all in one
+embed_batch call, and finds their top-k examples in one search, which reads
+the support matrix once per group of queries. The extraction phase then runs
+trigger recognition, argument extraction and repair per segment with those
+examples (a same-type argument search, which needs the predicted types,
+runs there from the stored query vector), each argument reply parsed once.
+Each stage has one JSONL artifact whose header
 line records the stage name, the config hash and the inputs digest (the
 contents of the input files); its rows are projections of the per-segment
 records, written in stage order once both phases finish, so a crash mid-run
@@ -54,6 +57,7 @@ from .extract import (
     extract_triggers,
     recover_json_tail,
     repair_arguments,
+    retrieve_examples,
 )
 from .gate import (
     FileVerdictProvider,
@@ -250,6 +254,7 @@ class Pipeline:
         self._cache: ResponseCache | None = None
         self._ontology = None
         self._support: list[LabeledSegment] | None = None
+        self._gold: list[LabeledSegment] | None = None
         # sha256 of the bytes read from each input file, by path (None: absent).
         self._digests: dict[str, str | None] = {}
         # Bytes read for the inputs digest that no loader has taken yet, by path.
@@ -325,6 +330,18 @@ class Pipeline:
             path = self.config.support
             self._support = load_gold(path, self.ontology, data=self._data(path))
         return self._support
+
+    @property
+    def gold(self) -> list[LabeledSegment]:
+        """The gold file, parsed on first use and held until run() takes it.
+
+        A caller that needs the gold after the run takes it first, and the run
+        checks and scores against that same parse; a finished run holds none.
+        """
+        if self._gold is None:
+            path = self.config.gold
+            self._gold = load_gold(path, self.ontology, data=self._data(path))
+        return self._gold
 
     @property
     def cache(self) -> ResponseCache | None:
@@ -435,16 +452,19 @@ class Pipeline:
 
     def _queries(
         self, segments: list[Segment], records: list[SegmentRecord], computed: set[str]
-    ) -> dict[str, np.ndarray]:
-        """Unit query vectors of the segments that will retrieve, from one embed_batch call.
+    ) -> tuple[dict[str, np.ndarray], dict[str, list[FewShotExample]]]:
+        """The query phase: each retrieving segment's unit query vector and unmasked top-k examples.
 
-        With triggers computed, those are the gated-in segments; with only
-        arguments computed, the segments whose trigger row holds predictions.
-        A blank text retrieves nothing and is not embedded. Only a retrieving
-        stage builds the index, so replaying both embeds nothing.
+        With triggers computed, the gated-in segments retrieve; with only
+        arguments computed, those whose trigger row holds predictions. A blank
+        text retrieves nothing and is not embedded. One embed_batch call
+        embeds the texts, and one search finds the examples of the trigger
+        stage and, without same_type_filter, of the argument stage. Only a
+        retrieving stage builds the index, so replaying both embeds nothing.
         """
         if not computed & {"triggers", "arguments"} or self.index is None:
-            return {}
+            return {}, {}
+        cfg, index = self.config, self.index
         retrieves = _gated_in if "triggers" in computed else _has_triggers
         wanted = [
             seg
@@ -452,16 +472,30 @@ class Pipeline:
             if seg.text.strip() and retrieves(record.rows)
         ]
         if not wanted:
-            return {}
-        vectors = embed_texts([seg.text for seg in wanted], self.embedder)
-        return {seg.id: vec for seg, vec in zip(wanted, vectors)}
+            return {}, {}
+        ids = [seg.id for seg in wanted]
+        vectors = np.array(embed_texts([seg.text for seg in wanted], self.embedder))
+        # Built here, not by the pool threads that read them: cached_property
+        # has no lock from Python 3.12 on, so two threads could each build one.
+        index.row_of
+        if cfg.same_type_filter:
+            index.type_masks
+        examples = {}
+        if "triggers" in computed or not cfg.same_type_filter:
+            examples = dict(zip(ids, retrieve_examples(index, vectors, cfg.retrieval_k)))
+        return dict(zip(ids, vectors)), examples
 
     def _extraction_task(
-        self, computed: set[str], queries: dict[str, np.ndarray], templates: dict[str, Template]
+        self,
+        computed: set[str],
+        queries: dict[str, np.ndarray],
+        examples: dict[str, list[FewShotExample]],
+        templates: dict[str, Template],
     ):
         """The extraction phase's pool task: one segment's triggers, arguments and repair.
 
-        templates holds the prompt template of each computed stage.
+        queries and examples come from the query phase; templates holds the
+        prompt template of each computed stage.
         """
         cfg = self.config
         ontology, cache = self.ontology, self.cache
@@ -471,14 +505,13 @@ class Pipeline:
         argument_llm = self.llm_for("argument") if "arguments" in computed else None
         format_llm = self.llm_for("format") if "final" in computed else None
         retry = dict(cache=cache, max_attempts=cfg.max_attempts)
-        extraction = dict(k=cfg.retrieval_k, corrective=cfg.corrective, **retry)
+        extraction = dict(corrective=cfg.corrective, **retry)
 
         def process(seg: Segment, record: SegmentRecord) -> None:
             rows = record.rows
-            query = queries.get(seg.id)
             if "triggers" in computed and _gated_in(rows):
                 found = extract_triggers(
-                    seg, index, ontology, trigger_llm, query,
+                    seg, examples.get(seg.id, []), ontology, trigger_llm,
                     template=templates["trigger"], **extraction,
                 )
                 rows["triggers"] = {
@@ -499,16 +532,15 @@ class Pipeline:
                 ]
             result = None
             if "arguments" in computed and triggers:
+                shots = examples.get(seg.id, [])
+                if cfg.same_type_filter and seg.id in queries:
+                    mask = index.type_mask(t.event_type for t in triggers)
+                    (shots,) = retrieve_examples(
+                        index, queries[seg.id][None], cfg.retrieval_k, mask=mask
+                    )
                 result = extract_arguments(
-                    seg,
-                    triggers,
-                    index,
-                    ontology,
-                    argument_llm,
-                    query,
-                    same_type_filter=cfg.same_type_filter,
-                    template=templates["argument"],
-                    **extraction,
+                    seg, triggers, shots, ontology, argument_llm,
+                    template=templates["argument"], **extraction,
                 )
                 rows["arguments"] = {
                     "id": seg.id,
@@ -542,7 +574,7 @@ class Pipeline:
         result = self._result = RunResult(None, self.config_hash, self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         transcripts = load_transcripts(cfg.transcripts, data=self._data(cfg.transcripts))
-        gold = load_gold(cfg.gold, self.ontology, data=self._data(cfg.gold))
+        gold, self._gold = self.gold, None
         gold_ids = {ls.segment.id for ls in gold}
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
@@ -583,8 +615,8 @@ class Pipeline:
                 for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
-                queries = self._queries(segments, records, computed)
-                process = self._extraction_task(computed, queries, templates)
+                queries, examples = self._queries(segments, records, computed)
+                process = self._extraction_task(computed, queries, examples, templates)
                 list(pool.map(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = {

@@ -2,20 +2,23 @@
 
 The index is a flat scan, and it is exact: a query's score for a row is
 ``float(np.dot(row, query))`` and ties break by ascending example id, so
-retrieval is deterministic, which the golden-run tests rely on. A search runs
-in two phases and takes milliseconds over ~19k rows:
+retrieval is deterministic, which the golden-run tests rely on. A search takes
+a matrix of queries and runs in two phases, in milliseconds over ~19k rows:
 
-1. One ``np.einsum`` mat-vec gives every candidate row (every row, or the
-   rows of a mask) an approximate score. Its summation order differs from the
-   per-row ``np.dot``, so its scores may differ in the last bits.
-2. The two scores of a row differ by at most a proven forward-error bound
-   (about ``2 * gamma_D * max|row| * |query|``). Every row whose approximate
-   score is within twice that bound of the k-th best approximate score is
-   rescored with ``np.dot``, and only those rows are sorted. A row left out
-   is beaten by k rows under ``np.dot`` too, so it cannot be in the top k.
+1. One blocked ``np.einsum`` pass gives every candidate row (every row, or
+   the rows of a mask) an approximate score for each query of a group of up
+   to ``_QUERY_GROUP``. The scan is memory-bound, so the queries of a group
+   share each read of a row. The summation order differs from the per-row
+   ``np.dot``, so these scores may differ in the last bits.
+2. For each query, the two scores of a row differ by at most a proven
+   forward-error bound (about ``2 * gamma_D * max|row| * |query|``), which
+   holds for any summation order. Every row whose approximate score is within
+   twice that bound of the k-th best approximate score is rescored with
+   ``np.dot``, and only those rows are sorted. A row left out is beaten by k
+   rows under ``np.dot`` too, so it cannot be in the top k.
 
 The scan goes through einsum, numpy's own single-threaded loop, not through
-BLAS: a BLAS mat-vec (``@``, ``np.dot`` or ``np.matmul`` on the matrix) wakes
+BLAS: a BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix) wakes
 the BLAS thread pool, whose threads busy-wait between calls and cost more
 CPU than the scan saves.
 """
@@ -59,7 +62,10 @@ __all__ = [
 
 DEFAULT_DIMENSION = 384
 _NORM_TOL = 1e-6
-_SCAN_CHUNK = 4096  # masked rows gathered per einsum call: 12 MB at 384 dimensions
+_SCAN_CHUNK = 4096  # rows per einsum call; a masked chunk is a 12 MB copy at 384 dimensions
+# Queries scored per pass over the rows; the group's N x 32 approximate scores
+# take 4.9 MB at 19k rows.
+_QUERY_GROUP = 32
 
 
 class EmbeddingError(RuntimeError):
@@ -184,12 +190,15 @@ def _unit(vec: np.ndarray, what: str) -> np.ndarray:
 
 
 def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
-    """Embed texts with one embed_batch call, each to a unit-norm vector."""
+    """Embed texts with one embed_batch call, each to a unit-norm vector of one dimension."""
     vecs = embedding_provider.embed_batch(list(texts))
     if len(vecs) != len(texts):
         raise EmbeddingError(
             f"embedding provider returned {len(vecs)} vectors for {len(texts)} texts"
         )
+    dims = sorted({len(vec) for vec in vecs})
+    if len(dims) > 1:
+        raise EmbeddingError(f"embedding dimension mismatch across texts: {dims}")
     with np.errstate(over="ignore"):  # an overflowing norm is reported by _unit
         return [_unit(vec, f"text {text[:40]!r}") for text, vec in zip(texts, vecs)]
 
@@ -224,7 +233,8 @@ class SupportIndex:
         return {example_id: row for row, example_id in enumerate(self.example_ids)}
 
     @cached_property
-    def _type_masks(self) -> dict[str, np.ndarray]:
+    def type_masks(self) -> dict[str, np.ndarray]:
+        """Boolean row mask of each event type: examples with a gold event of that type."""
         rows: dict[str, list[int]] = {}
         for row, ex in enumerate(self.examples):
             for event_type in {ev.event_type for ev in ex.gold_events}:
@@ -239,8 +249,8 @@ class SupportIndex:
         """Boolean row mask: examples with a gold event of any of the given types."""
         mask = np.zeros(len(self), dtype=bool)
         for event_type in set(event_types):
-            if event_type in self._type_masks:
-                mask |= self._type_masks[event_type]
+            if event_type in self.type_masks:
+                mask |= self.type_masks[event_type]
         return mask
 
     @cached_property
@@ -316,40 +326,45 @@ def _dot_error_bound(dimension: int, max_row_square: float, query_square: float)
     return gamma * (2 * row_norm) * (2 * query_norm) + dimension * subnormal
 
 
-def _approx_scores(vectors: np.ndarray, rows: np.ndarray | None, q: np.ndarray) -> np.ndarray:
-    """einsum scores of the given rows (all rows if None), gathered _SCAN_CHUNK at a time."""
-    if rows is None:
-        return np.einsum("ij,j->i", vectors, q)
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), _SCAN_CHUNK):
-        chunk = rows[start : start + _SCAN_CHUNK]
-        out[start : start + len(chunk)] = np.einsum("ij,j->i", vectors[chunk], q)
+def _approx_scores(
+    vectors: np.ndarray, rows: np.ndarray | None, queries: np.ndarray
+) -> np.ndarray:
+    """einsum scores (row by query) of the given rows (all rows if None), _SCAN_CHUNK at a time."""
+    count = len(vectors) if rows is None else len(rows)
+    out = np.empty((count, len(queries)))
+    for start in range(0, count, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, count)
+        block = vectors[start:stop] if rows is None else vectors[rows[start:stop]]
+        np.einsum("ij,kj->ik", block, queries, out=out[start:stop])
     return out
 
 
 def search(
     index: SupportIndex,
-    query_vector: np.ndarray,
+    queries: np.ndarray,
     k: int,
     *,
     mask: np.ndarray | None = None,
-) -> list[tuple[str, float]]:
-    """Exact top-k cosine search: the k most similar items, best first.
+) -> list[list[tuple[str, float]]]:
+    """Exact top-k cosine search for each row of `queries`: the k most similar items, best first.
 
-    Returns min(k, candidates) (example_id, score) pairs sorted by descending
-    score, ties broken by ascending example_id. The optional boolean row
-    `mask` restricts candidates (used for the same-event-type retrieval
-    filter; see SupportIndex.type_mask). With a mask, the einsum pass scores
-    only the masked rows, copied out _SCAN_CHUNK rows at a time so that a
-    dense mask never copies the whole matrix; the error bound, a maximum over
-    all rows, holds for any subset of them.
+    Returns, per query, min(k, candidates) (example_id, score) pairs sorted
+    by descending score, ties broken by ascending example_id. The optional
+    boolean row `mask` restricts the candidates of every query (used for the
+    same-event-type retrieval filter; see SupportIndex.type_mask); a masked
+    single-query search passes a one-row matrix. The einsum pass reads the
+    candidate rows once per _QUERY_GROUP queries, _SCAN_CHUNK rows at a time;
+    masked rows are copied out chunk by chunk, so a dense mask never copies
+    the whole matrix. The error bound, a maximum over all rows, holds for
+    any subset of them.
     """
     if k < 1:
         raise EmbeddingError(f"k must be >= 1, got {k}")
-    q = np.asarray(query_vector, dtype=np.float64)
-    if q.shape != (index.dimension,):
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.dimension:
         raise EmbeddingError(
-            f"query dimension {q.shape} does not match index dimension {index.dimension}"
+            f"query matrix of shape {queries.shape} does not match index dimension "
+            f"{index.dimension}"
         )
     if mask is None:
         rows = np.arange(len(index))
@@ -358,15 +373,31 @@ def search(
         if mask.shape != (len(index),) or mask.dtype != np.bool_:
             raise EmbeddingError(f"mask must be a boolean array of shape ({len(index)},)")
         rows = np.flatnonzero(mask)
-    if len(rows) > k:
+    hits = []
+    for start in range(0, len(queries), _QUERY_GROUP):
+        group = queries[start : start + _QUERY_GROUP]
+        approx = None  # frees the previous group's scores before the next are made
+        if len(rows) > k:  # else every row is in the top k
+            approx = _approx_scores(index.vectors, None if mask is None else rows, group)
+        for j, q in enumerate(group):
+            hits.append(_top_k(index, rows, q, k, None if approx is None else approx[:, j]))
+    return hits
+
+
+def _top_k(
+    index: SupportIndex, rows: np.ndarray, q: np.ndarray, k: int, approx: np.ndarray | None
+) -> list[tuple[str, float]]:
+    """The top k of `rows` for query q: np.dot rescores only the rows approx cannot rule out."""
+    # A non-finite approximate score prunes nothing (and would make the cut
+    # inf - inf when k rows score +inf).
+    if approx is not None and np.isfinite(approx).all():
         # Both primitives err from the true dot product by at most `error`, so
         # they differ by at most 2*error: a row whose approximate score is more
         # than 4*error below the k-th best is beaten by k rows under np.dot too.
-        approx = _approx_scores(index.vectors, None if mask is None else rows, q)
         kth = np.partition(approx, len(rows) - k)[len(rows) - k]
         error = _dot_error_bound(index.dimension, index._max_row_square, float(np.dot(q, q)))
         cut = kth - 4 * error
-        if np.isfinite(cut) and np.isfinite(approx).all():
+        if np.isfinite(cut):
             rows = rows[approx >= cut]
     scored = [(index.example_ids[i], float(np.dot(index.vectors[i], q))) for i in rows]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

@@ -201,6 +201,18 @@ class TestAblate:
         assert "rule" not in out.splitlines()[1]
         assert len([l for l in out.splitlines() if l and l.split()[0] in ("without", "all")]) == 2
 
+    def test_gold_file_is_opened_once(self, golden_corpus, capsys, monkeypatch):
+        # The ablation run parses the gold file, and the table scores against
+        # that same parse.
+        opened = []
+        path_open = Path.open
+        monkeypatch.setattr(
+            Path, "open", lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k)
+        )
+        code, _, _ = run_cli(capsys, "ablate", "--config", str(golden_corpus.config_path))
+        assert code == 0
+        assert opened.count(golden_corpus.gold_path) == 1
+
     def test_repeat_run_is_stable(self, golden_corpus, capsys):
         code, first, _ = run_cli(capsys, "ablate", "--config", str(golden_corpus.config_path))
         assert code == 0

@@ -1,11 +1,13 @@
 """JSON recovery, reply parsing, and the extraction stage functions."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -559,16 +561,18 @@ def _query(text, embedder):
 class TestRetrieveExamples:
     def test_returns_ranked_examples(self, ontology):
         index, embedder = _support_index()
-        examples = retrieve_examples(index, _query("a war broke out somewhere", embedder), 2)
+        query = _query("a war broke out somewhere", embedder)
+        (examples,) = retrieve_examples(index, query[None], 2)
         assert len(examples) == 2
         assert examples[0].example_id == "ex-0"
 
-    def test_k_zero_or_missing_index_means_no_examples(self, ontology):
+    def test_each_query_gets_its_own_examples(self, ontology):
         index, embedder = _support_index()
-        query = _query("anything", embedder)
-        assert retrieve_examples(index, query, 0) == []
-        assert retrieve_examples(None, query, 3) == []
-        assert retrieve_examples(index, None, 3) == []
+        texts = ["leaders met in geneva", "a war broke out", "the miner died", "anything"]
+        queries = np.array(embed_texts(texts, embedder))
+        found = retrieve_examples(index, queries, 2)
+        assert found == [retrieve_examples(index, q[None], 2)[0] for q in queries]
+        assert [shots[0].example_id for shots in found[:3]] == ["ex-1", "ex-0", "ex-2"]
 
     def test_blank_text_retrieves_nothing(self, tmp_path):
         # A gated-in segment whose text is blank is never embedded, and its
@@ -600,7 +604,7 @@ class TestRetrieveExamples:
     def test_where_filter_applies(self, ontology):
         index, embedder = _support_index()
         query = _query("a war broke out somewhere", embedder)
-        only_meet = retrieve_examples(index, query, 3, mask=index.type_mask(["Meet"]))
+        (only_meet,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(["Meet"]))
         assert [ex.example_id for ex in only_meet] == ["ex-1"]
 
 
@@ -613,8 +617,7 @@ class TestExtractTriggers:
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
         result = extract_triggers(
-            seg, None, ontology, provider, None,
-            k=0, max_attempts=max_attempts, template=self.template,
+            seg, [], ontology, provider, max_attempts=max_attempts, template=self.template
         )
         return result, provider
 
@@ -653,10 +656,8 @@ class TestExtractTriggers:
         index, embedder = _support_index()
         provider = ScriptedMockLlm({"s1/trigger": "[]"})
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_triggers(
-            seg, index, ontology, provider, _query(seg.text, embedder),
-            k=2, template=templates["trigger"],
-        )
+        (examples,) = retrieve_examples(index, _query(seg.text, embedder)[None], 2)
+        result = extract_triggers(seg, examples, ontology, provider, template=templates["trigger"])
         assert len(result.example_ids) == 2
 
 
@@ -674,8 +675,7 @@ class TestExtractArguments:
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
         result = extract_arguments(
-            seg, self._triggers(), None, ontology, provider, None,
-            k=0, template=templates["argument"],
+            seg, self._triggers(), [], ontology, provider, template=templates["argument"]
         )
         assert not result.failed
         assert result.events[0].arguments[0].name == "rebels"
@@ -684,8 +684,7 @@ class TestExtractArguments:
         provider = ScriptedMockLlm({"s1/argument": "cannot comply"})
         seg = Segment(id="s1", text="a war broke out")
         result = extract_arguments(
-            seg, self._triggers(), None, ontology, provider, None,
-            k=0, template=templates["argument"],
+            seg, self._triggers(), [], ontology, provider, template=templates["argument"]
         )
         assert result.failed
         assert result.events == (
@@ -697,31 +696,35 @@ class TestExtractArguments:
         provider = ScriptedMockLlm({})
         seg = Segment(id="s1", text="x")
         with pytest.raises(ValueError):
-            extract_arguments(
-                seg, [], None, ontology, provider, None, k=0, template=templates["argument"]
-            )
+            extract_arguments(seg, [], [], ontology, provider, template=templates["argument"])
 
-    def test_same_type_filter_restricts_retrieval(self, ontology, templates):
-        index, embedder = _support_index()
-        script = {"s1/argument": "no arguments"}
-        provider = ScriptedMockLlm(script)
-        seg = Segment(id="s1", text="leaders met in geneva today")
-        result = extract_arguments(
-            seg,
-            [TriggerPrediction("s1", "met", "Meet")],
-            index,
-            ontology,
-            provider,
-            _query(seg.text, embedder),
-            k=3,
-            same_type_filter=True,
-            template=templates["argument"],
-        )
-        assert result.example_ids == ("ex-1",)
+    def test_same_type_filter_restricts_retrieval(self, golden_corpus):
+        # With the filter on, each argument row's examples are the top k among
+        # support examples of its predicted types; the trigger rows keep the
+        # unfiltered top k.
+        config = dataclasses.replace(golden_corpus.config, same_type_filter=True)
+        pipeline = Pipeline(config)
+        pipeline.run(until="arguments")
+        index, embedder = pipeline.index, pipeline.embedder
+        rows = {
+            name: {row["id"]: row for row in map(json.loads, lines.splitlines()[1:])}
+            for name in ("triggers", "arguments")
+            for lines in [(golden_corpus.output_dir / f"{name}.jsonl").read_text()]
+        }
+        assert rows["arguments"]
+        narrowed = 0
+        for sid, row in rows["arguments"].items():
+            query = _query(TRANSCRIPT_TEXTS[sid], embedder)
+            wanted = {p["type"] for p in rows["triggers"][sid]["predictions"]}
+            keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+            masked = [hit[0] for hit in brute_force_top_k(index, query, 3, where=keep)]
+            plain = [hit[0] for hit in brute_force_top_k(index, query, 3)]
+            assert row["examples"] == masked
+            assert rows["triggers"][sid]["examples"] == plain
+            narrowed += masked != plain
+        assert narrowed > 0
 
-    def test_same_type_filter_matches_the_gold_type_predicate(
-        self, golden_corpus, ontology, templates
-    ):
+    def test_same_type_filter_matches_the_gold_type_predicate(self, golden_corpus, ontology):
         # The type masks pick what a per-row predicate over gold event types
         # picks, on the golden support set, for every single predicted type
         # and for every segment's gold type set.
@@ -733,22 +736,11 @@ class TestExtractArguments:
         for types in type_sets:
             wanted = set(types)
             keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
-            for sid, text in TRANSCRIPT_TEXTS.items():
-                triggers = [TriggerPrediction(sid, "x", t) for t in types]
+            for text in TRANSCRIPT_TEXTS.values():
                 query = _query(text, embedder)
-                result = extract_arguments(
-                    Segment(id=sid, text=text),
-                    triggers,
-                    index,
-                    ontology,
-                    ScriptedMockLlm({f"{sid}/argument": "no arguments"}),
-                    query,
-                    k=3,
-                    same_type_filter=True,
-                    template=templates["argument"],
-                )
+                (shots,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(types))
                 want = brute_force_top_k(index, query, 3, where=keep)
-                assert result.example_ids == tuple(example_id for example_id, _ in want)
+                assert [ex.example_id for ex in shots] == [example_id for example_id, _ in want]
                 picked += len(want)
         assert picked > 0
 
@@ -769,10 +761,9 @@ class TestPostprocess:
         result = extract_arguments(
             Segment(id="s1", text="a war broke out"),
             triggers,
-            None,
+            [],
             ontology,
             ScriptedMockLlm({"s1/argument": reply}),
-            k=0,
             template=self.templates["argument"],
         )
         return repair_arguments(

@@ -224,6 +224,20 @@ class TestLoaders:
         with pytest.raises(DatasetError, match="a"):
             load_transcripts(path)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["ls", "ps", "nel"])
+    def test_unicode_line_separator_in_a_string_does_not_split_a_record(self, tmp_path, separator):
+        # Valid JSON, and json.dumps(..., ensure_ascii=False) writes it raw:
+        # only a newline byte ends a JSON-lines record.
+        path = tmp_path / "t.jsonl"
+        rows = [{"id": "a", "text": f"x{separator}y"}, {"id": "b", "text": "z"}]
+        text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)
+        path.write_text(text, encoding="utf-8")
+        segments = load_transcripts(path)
+        assert [(s.id, s.text) for s in segments] == [("a", f"x{separator}y"), ("b", "z")]
+        path.write_text(text + "{oops\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="invalid JSON at line 3$"):
+            load_transcripts(path)
+
     def test_missing_file(self, tmp_path, ontology):
         with pytest.raises((DatasetError, FileNotFoundError, OSError)):
             load_gold(tmp_path / "nope.jsonl", ontology)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_verdicts
+from eventpipe import retrieval
 from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import ResponseCache, ScriptedMockLlm
 from eventpipe.model import DatasetError, default_ontology_path, load_gold
@@ -24,7 +25,13 @@ from eventpipe.pipeline import (
     write_artifact,
 )
 from eventpipe.prompts import TemplateError
-from eventpipe.retrieval import HashedBagEmbedder, build_index, load_index
+from eventpipe.retrieval import (
+    EmbeddingError,
+    HashedBagEmbedder,
+    SupportIndex,
+    build_index,
+    load_index,
+)
 
 ARTIFACTS = ("gate.jsonl", "triggers.jsonl", "arguments.jsonl", "final.jsonl")
 
@@ -630,6 +637,63 @@ class TestTwoPhases:
         with_triggers = [row["id"] for row in trigger_rows if not row["failed"] and row["predictions"]]
         assert len(with_triggers) == 9
         assert calls == [[TRANSCRIPT_TEXTS[sid] for sid in with_triggers]]
+
+    @pytest.mark.parametrize("group", [4, 32])
+    def test_default_run_scans_the_matrix_once_per_query_group(
+        self, golden_corpus, monkeypatch, group
+    ):
+        # With same_type_filter off, the trigger and argument stages share one
+        # unmasked search over the 10 gated-in segments' queries: one scan of
+        # all rows per group of queries, not two scans per segment.
+        monkeypatch.setattr(retrieval, "_QUERY_GROUP", group)
+        scans = []
+        approx_scores = retrieval._approx_scores
+
+        def counted(vectors, rows, queries):
+            scans.append((rows, len(queries)))
+            return approx_scores(vectors, rows, queries)
+
+        monkeypatch.setattr(retrieval, "_approx_scores", counted)
+        Pipeline(golden_corpus.config).run()
+        assert scans == [(None, min(group, 10 - start)) for start in range(0, 10, group)]
+        assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize(
+        "dimensions, message",
+        [
+            ((8, 8), r"query matrix of shape \(10, 8\) does not match index dimension 64"),
+            ((64, 8), r"embedding dimension mismatch across texts: \[8, 64\]"),
+        ],
+        ids=["uniform", "mixed"],
+    )
+    def test_query_of_another_dimension_is_an_embedding_error(
+        self, golden_corpus, dimensions, message
+    ):
+        pipeline = Pipeline(golden_corpus.config)
+        pipeline.index  # noqa: B018 - embeds the support set first
+        pipeline.embedder.inner.embed_batch = lambda texts: [
+            np.ones(dimensions[i % 2]) for i in range(len(texts))
+        ]
+        with pytest.raises(EmbeddingError, match=message):
+            pipeline.run()
+
+    @pytest.mark.parametrize("same_type_filter", [False, True])
+    def test_lazy_index_properties_are_built_before_the_extraction_pool(
+        self, golden_corpus, monkeypatch, same_type_filter
+    ):
+        built = []
+        for name in ("row_of", "type_masks"):
+            prop = SupportIndex.__dict__[name]
+
+            def build(index, name=name, func=prop.func):
+                built.append((name, threading.current_thread()))
+                return func(index)
+
+            monkeypatch.setattr(prop, "func", build)
+        config = dataclasses.replace(golden_corpus.config, same_type_filter=same_type_filter)
+        Pipeline(config).run()
+        names = ["row_of", "type_masks"] if same_type_filter else ["row_of"]
+        assert built == [(name, threading.main_thread()) for name in names]
 
     @pytest.mark.parametrize("batch_size", [1, 8, 64])
     def test_learned_verdicts_are_posted_in_batches(self, tmp_path, http_server, batch_size):

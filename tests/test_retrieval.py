@@ -29,6 +29,12 @@ from eventpipe.retrieval import (
 )
 
 
+def _search_one(index, query, k, mask=None):
+    """One query's hits: search over a one-row query matrix."""
+    (hits,) = search(index, np.asarray(query)[None], k, mask=mask)
+    return hits
+
+
 def _examples(n, prefix="ex"):
     return [FewShotExample(example_id=f"{prefix}-{i:03d}", text=f"text number {i}") for i in range(n)]
 
@@ -70,11 +76,12 @@ _TYPES = ("A", "B", "C", "D")
 
 @st.composite
 def _search_cases(draw):
-    """(index, query, k, wanted types or None) with rows that stress the candidate cut.
+    """(index, queries, k, wanted types or None) with rows that stress the candidate cut.
 
     Rows may repeat exactly, sit one ulp apart, be non-unit (zero, tiny enough
-    for subnormal products, or large enough to overflow the norm bound), and
-    ids are shuffled against row order so ties must break by id.
+    for subnormal products, or large enough to overflow the norm bound) or
+    hold an infinite entry, and ids are shuffled against row order so ties
+    must break by id. A query may copy a row or hold an infinite entry.
     """
     dimension = draw(st.integers(1, 512))
     n = draw(st.integers(1, 30))
@@ -82,10 +89,10 @@ def _search_cases(draw):
     vectors = rng.normal(size=(n, dimension))
     if draw(st.booleans()):
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    if draw(st.booleans()):
-        query = vectors[draw(st.integers(0, n - 1))].copy()
-    else:
-        query = rng.normal(size=dimension)
+    queries = rng.normal(size=(draw(st.integers(1, 9)), dimension))
+    for q in queries:
+        if draw(st.booleans()):
+            q[:] = vectors[draw(st.integers(0, n - 1))]
     scales = st.sampled_from([0.0, 1e-300, 1e-3, 7.5, 1e200])
     for row, scale in draw(st.dictionaries(st.integers(0, n - 1), scales, max_size=3)).items():
         vectors[row] *= scale
@@ -93,6 +100,11 @@ def _search_cases(draw):
         vectors[dst] = vectors[src]
     for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
         vectors[dst] = np.nextafter(vectors[src], draw(st.sampled_from([np.inf, -np.inf])))
+    infinite = st.tuples(st.integers(0, dimension - 1), st.sampled_from([np.inf, -np.inf]))
+    for matrix in (vectors, queries):
+        at = st.dictionaries(st.integers(0, len(matrix) - 1), infinite, max_size=1)
+        for row, (col, value) in draw(at).items():
+            matrix[row, col] = value
     vectors.setflags(write=False)
     ids = [f"v-{i:04d}" for i in rng.permutation(n)]
     examples = tuple(
@@ -108,7 +120,7 @@ def _search_cases(draw):
     )
     index = SupportIndex(example_ids=tuple(ids), vectors=vectors, examples=examples)
     wanted = draw(st.none() | st.sets(st.sampled_from(_TYPES + ("E",))))
-    return index, query, draw(st.integers(1, n + 3)), wanted
+    return index, queries, draw(st.integers(1, n + 3)), wanted
 
 
 def _per_token_embed_batch(dimension, texts):
@@ -415,32 +427,32 @@ class TestSearch:
         for _ in range(25):
             q = rng.normal(size=16)
             q /= np.linalg.norm(q)
-            got = search(index, q, 10)
+            got = _search_one(index, q, 10)
             want = brute_force_top_k(index, q, 10)
             assert got == want
 
     def test_ties_break_by_ascending_id(self):
         # Two identical rows with different ids: both score identically.
         index = _index_from_vectors([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ids=["b", "a", "c"])
-        hits = search(index, np.array([1.0, 0.0]), 2)
+        hits = _search_one(index, np.array([1.0, 0.0]), 2)
         assert [h[0] for h in hits] == ["a", "b"]
 
     def test_k_larger_than_index_returns_all(self):
         index = _index_from_vectors(np.eye(4))
-        assert len(search(index, np.array([1.0, 0, 0, 0]), 99)) == 4
+        assert len(_search_one(index, np.array([1.0, 0, 0, 0]), 99)) == 4
 
     def test_scores_descend(self):
         rng = np.random.default_rng(3)
         index = _index_from_vectors(rng.normal(size=(50, 8)))
         q = rng.normal(size=8)
         q /= np.linalg.norm(q)
-        hits = search(index, q, 50)
+        hits = _search_one(index, q, 50)
         scores = [s for _, s in hits]
         assert scores == sorted(scores, reverse=True)
 
     def test_where_filter_restricts_candidates(self):
         index = _index_from_vectors(np.eye(3), ids=["a", "b", "c"])
-        hits = search(index, np.array([1.0, 0, 0]), 3, mask=np.array([False, True, True]))
+        hits = _search_one(index, np.array([1.0, 0, 0]), 3, mask=np.array([False, True, True]))
         assert [h[0] for h in hits] == ["b", "c"]
 
     def test_where_filter_matches_brute_force(self):
@@ -450,7 +462,7 @@ class TestSearch:
         q = rng.normal(size=8)
         q /= np.linalg.norm(q)
         mask = np.array([keep(ex) for ex in index.examples])
-        assert search(index, q, 5, mask=mask) == brute_force_top_k(index, q, 5, where=keep)
+        assert _search_one(index, q, 5, mask=mask) == brute_force_top_k(index, q, 5, where=keep)
 
     @pytest.mark.parametrize("chunk", range(1, 8))
     def test_masked_scan_in_small_chunks_matches_brute_force(self, monkeypatch, chunk):
@@ -470,12 +482,12 @@ class TestSearch:
             keep = lambda ex, mask=mask: mask[index.row_of[ex.example_id]]
             for q in (rng.normal(size=12), index.vectors[25]):
                 for k in (1, 3, 10, 60):
-                    assert search(index, q, k, mask=mask) == brute_force_top_k(index, q, k, where=keep)
+                    assert _search_one(index, q, k, mask=mask) == brute_force_top_k(index, q, k, where=keep)
 
     def test_mask_of_wrong_shape_rejected(self):
         index = _index_from_vectors(np.eye(3))
         with pytest.raises(EmbeddingError):
-            search(index, np.array([1.0, 0, 0]), 2, mask=np.ones(2, dtype=bool))
+            _search_one(index, np.array([1.0, 0, 0]), 2, mask=np.ones(2, dtype=bool))
 
     def test_non_finite_rows_fall_back_to_the_exact_scan(self):
         vectors = np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])
@@ -485,8 +497,12 @@ class TestSearch:
         index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
         q = np.array([1.0, 0.0])
         finite = np.array([False, True, True, False])
-        assert search(index, q, 1, mask=finite) == [("b", 1.0)]
-        assert search(index, q, 1, mask=~np.array([False, False, False, True])) == [("a", np.inf)]
+        assert _search_one(index, q, 1, mask=finite) == [("b", 1.0)]
+        assert _search_one(index, q, 1, mask=~np.array([False, False, False, True])) == [("a", np.inf)]
+        # Without the NaN row the error bound is inf, and so is the k-th best
+        # approximate score: the cut must not compute inf - inf, which warns.
+        no_nan = SupportIndex(example_ids=ids[:3], vectors=vectors[:3], examples=examples[:3])
+        assert _search_one(no_nan, q, 1) == [("a", np.inf)]
 
     def test_rows_whose_squares_underflow_keep_the_top_row(self):
         # Squares of 1e-300 entries underflow to 0, yet the dot products with
@@ -502,32 +518,45 @@ class TestSearch:
             vectors.setflags(write=False)
             index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
             q = rng.normal(size=64)
-            assert search(index, q, 1) == brute_force_top_k(index, q, 1)
-            assert search(index, row, 1) == brute_force_top_k(index, row, 1)
+            assert _search_one(index, q, 1) == brute_force_top_k(index, q, 1)
+            assert _search_one(index, row, 1) == brute_force_top_k(index, row, 1)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_search_cases())
-    def test_exact_against_brute_force_on_adversarial_rows(self, case):
-        index, query, k, wanted = case
-        if wanted is None:
-            assert search(index, query, k) == brute_force_top_k(index, query, k)
-            return
-        keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
-        got = search(index, query, k, mask=index.type_mask(wanted))
-        want = brute_force_top_k(index, query, k, where=keep)
-        assert got == want
-        if not any(keep(ex) for ex in index.examples):
-            assert got == []
+    @given(case=_search_cases(), group=st.integers(1, 4), chunk=st.integers(1, 8))
+    def test_exact_against_brute_force_on_adversarial_rows(self, case, group, chunk):
+        # Small query groups and scan chunks make a few queries cross both.
+        index, queries, k, wanted = case
+        keep = None
+        mask = None
+        if wanted is not None:
+            keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+            mask = index.type_mask(wanted)
+        # An infinite entry times a zero one is NaN, and numpy's dot warns of it.
+        finite = np.isfinite(index.vectors).all() and np.isfinite(queries).all()
+        invalid = "warn" if finite else "ignore"
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid=invalid):
+            patch.setattr(retrieval, "_QUERY_GROUP", group)
+            patch.setattr(retrieval, "_SCAN_CHUNK", chunk)
+            got = search(index, queries, k, mask=mask)
+            ranked = [brute_force_top_k(index, q, len(index), where=keep) for q in queries]
+        assert len(got) == len(queries)
+        for hits, candidates in zip(got, ranked):
+            if any(np.isnan(score) for _, score in candidates):
+                # NaN scores have no order, so only the count is defined.
+                assert len(hits) == min(k, len(candidates))
+            else:
+                assert hits == candidates[:k]
 
     def test_dimension_mismatch_rejected(self):
         index = _index_from_vectors(np.eye(4))
-        with pytest.raises(EmbeddingError):
-            search(index, np.zeros(5), 3)
+        for queries in (np.zeros((1, 5)), np.zeros((3, 3)), np.zeros(4), np.zeros((1, 1, 4))):
+            with pytest.raises(EmbeddingError, match="does not match index dimension 4"):
+                search(index, queries, 3)
 
     def test_k_zero_rejected(self):
         index = _index_from_vectors(np.eye(2))
         with pytest.raises(EmbeddingError):
-            search(index, np.array([1.0, 0.0]), 0)
+            _search_one(index, np.array([1.0, 0.0]), 0)
 
 
 class TestPersistence:
@@ -541,7 +570,7 @@ class TestPersistence:
         assert np.array_equal(loaded.vectors, index.vectors)  # not just allclose
         # Search results must match exactly too.
         (q,) = embed_texts(["text number 3"], HashedBagEmbedder(dimension=24))
-        assert search(index, q, 5) == search(loaded, q, 5)
+        assert _search_one(index, q, 5) == _search_one(loaded, q, 5)
 
     def test_loaded_examples_are_reattached_by_id(self, tmp_path):
         examples = _examples(4)
