@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_verdicts
-from eventpipe import retrieval
+from eventpipe import extract, retrieval
 from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import ResponseCache, ScriptedMockLlm
 from eventpipe.model import DatasetError, default_ontology_path, load_gold
@@ -657,6 +657,33 @@ class TestTwoPhases:
         Pipeline(golden_corpus.config).run()
         assert scans == [(None, min(group, 10 - start)) for start in range(0, 10, group)]
         assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("same_type_filter", [False, True])
+    def test_zero_shot_run_embeds_and_searches_nothing(
+        self, tmp_path, monkeypatch, same_type_filter
+    ):
+        # retrieval.k = 0 builds no index, so the query phase neither embeds
+        # nor searches, and every trigger and argument prompt has no examples.
+        corpus = build_golden_corpus(tmp_path / "zero", retrieval_k=0)
+        config = dataclasses.replace(corpus.config, same_type_filter=same_type_filter)
+        embedded, searched = [], []
+        monkeypatch.setattr(
+            HashedBagEmbedder, "embed_batch", lambda self, texts: embedded.append(texts)
+        )
+        monkeypatch.setattr(extract, "search", lambda *args, **kwargs: searched.append(args))
+        pipeline = Pipeline(config)
+        result = pipeline.run()
+        assert pipeline.index is None
+        assert embedded == [] and searched == []
+        assert result.texts_embedded == 0
+        rows = {
+            name: read_artifact(
+                corpus.output_dir / f"{name}.jsonl", name, result.config_hash, result.inputs
+            )
+            for name in ("triggers", "arguments")
+        }
+        assert len(rows["triggers"]) == 10 and rows["arguments"]
+        assert all(row["examples"] == [] for stage in rows.values() for row in stage)
 
     @pytest.mark.parametrize(
         "dimensions, message",
