@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _ERROR_CODES = (
     (EXIT_CONFIG, (ConfigError, GateError, TemplateError)),
-    (EXIT_INPUT, (DatasetError, ValidationError, FileNotFoundError)),
+    (EXIT_INPUT, (DatasetError, ValidationError, OSError)),
     (EXIT_PROVIDER, (ProviderError, MockMissError, CacheError, EmbeddingError)),
     (EXIT_VERIFICATION, (VerdictError, FormatFailureError, EvaluationError)),
 )

@@ -267,7 +267,6 @@ def cached_complete(
 class CompletionResult:
     text: str
     attempts: int
-    raws: tuple[str, ...]
 
 
 _CORRECTIVE_NOTE = (
@@ -295,12 +294,10 @@ def complete_with_retry(
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     request = bundle
-    raws: list[str] = []
     for attempt in range(1, max_attempts + 1):
         text = cached_complete(provider, cache, request, attempt=attempt)
-        raws.append(text)
         if verifier(text):
-            return CompletionResult(text=text, attempts=attempt, raws=tuple(raws))
+            return CompletionResult(text=text, attempts=attempt)
         if corrective:
             note = f"{_CORRECTIVE_NOTE}\nYour previous reply was:\n{text}"
             request = PromptBundle(
@@ -309,6 +306,6 @@ def complete_with_retry(
     raise FormatFailureError(
         f"all {max_attempts} completion attempts rejected for segment "
         f"{bundle.segment_id!r} stage {bundle.stage!r}",
-        last_response=raws[-1],
+        last_response=text,
         attempts=max_attempts,
     )

@@ -4,8 +4,10 @@ Every record that enters the pipeline passes through here: gold annotations,
 raw transcripts, and the ontology that defines which event types and argument
 roles are legal. All types are immutable after load and safe to share across
 workers. Every row file (JSON lines or one JSON array) is read through
-``iter_json_records`` and ``check_rows``, and every row or report file is
-written through ``write_rows`` or ``write_json``, which replace the file whole.
+``iter_json_records`` and ``check_rows``. Every output file but the cache,
+which is appended to, is replaced whole through ``_replace``: row and report
+files by way of ``write_rows`` or ``write_json``, the support index by
+``retrieval.save_index``.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 __all__ = [
     "Argument",
@@ -261,16 +263,16 @@ def read_rows(
     return check_rows(path, iter_json_records(path, data), fields)
 
 
-def _replace(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write chunks to a temporary file beside path, then rename it over path.
+def _replace(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Call write on a temporary binary file beside path, then rename it over path.
 
     An error or crash mid-write leaves the previous file whole.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        with tmp.open("wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -279,12 +281,13 @@ def _replace(path: str | Path, chunks: Iterable[str]) -> None:
 
 def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
     """Replace path with one sorted-key JSON line per row."""
-    _replace(path, (json.dumps(row, sort_keys=True, ensure_ascii=True) + "\n" for row in rows))
+    lines = ((json.dumps(row, sort_keys=True, ensure_ascii=True) + "\n").encode() for row in rows)
+    _replace(path, lambda fh: fh.writelines(lines))
 
 
 def write_json(path: str | Path, obj: Any) -> None:
     """Replace path with one indented, sorted-key JSON document."""
-    _replace(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
+    _replace(path, lambda fh: fh.write((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()))
 
 
 def _parse_event(obj: Any, record_id: str) -> EventMention:

@@ -31,17 +31,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .model import (
-    DatasetError,
-    EventMention,
-    check_rows,
-    iter_json_records,
-    write_rows,
-)
+from .model import DatasetError, EventMention, _replace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ._http import Endpoint
@@ -67,6 +61,7 @@ _SCAN_CHUNK = 4096  # rows per einsum call; a masked chunk is a 12 MB copy at 38
 # take 1.2 MB at 19k rows. Groups of 16 and 32 saved little more CPU at 19k
 # rows and raised peak RSS by about 0.5 MB at 2k rows.
 _QUERY_GROUP = 8
+_INDEX_FORMAT = "eventpipe-index/2"  # the header line, then np.save's matrix
 
 
 class EmbeddingError(RuntimeError):
@@ -221,6 +216,12 @@ class SupportIndex:
     vectors: np.ndarray  # (N, D) float64, unit rows
     examples: tuple[FewShotExample, ...]
 
+    @classmethod
+    def over(cls, examples: Sequence[FewShotExample], vectors: np.ndarray) -> SupportIndex:
+        """The index whose row i is the vector of examples[i]; the matrix is made read-only."""
+        vectors.setflags(write=False)
+        return cls(tuple(ex.example_id for ex in examples), vectors, tuple(examples))
+
     @property
     def dimension(self) -> int:
         return int(self.vectors.shape[1])
@@ -299,12 +300,7 @@ def build_index(
                     matrix[row] = unit
     if len(dims) != 1:
         raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
-    matrix.setflags(write=False)
-    return SupportIndex(
-        example_ids=tuple(ex.example_id for ex in examples),
-        vectors=matrix,
-        examples=tuple(examples),
-    )
+    return SupportIndex.over(examples, matrix)
 
 
 def _dot_error_bound(dimension: int, max_row_square: float, query_square: float) -> float:
@@ -411,73 +407,68 @@ def _support_digest(examples: Sequence[FewShotExample]) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def save_index(index: SupportIndex, path: str | Path, *, embedding: dict | None = None) -> None:
-    """Persist (id, vector) pairs under a header; round-trips bit-exactly.
+def save_index(index: SupportIndex, path: str | Path, *, embedding: dict) -> None:
+    """Persist the index's matrix under a header line; round-trips bit-exactly.
 
-    Example texts and gold events are not stored; load_index re-attaches them
-    from the support set by id. Besides dimension and count, the header
-    records the embedding provider's config (`embedding`) and a digest of the
-    indexed ids and texts (`support_digest`), so that a load can tell when
-    the file was built from other inputs.
+    The file is one JSON header line, then the matrix as ``np.save`` writes
+    it, whose own header holds the dtype and shape. The JSON header records
+    the format, the embedding provider's config (`embedding`) and a digest
+    of the indexed ids and texts (`support_digest`), so that a load can tell
+    when the file was built from other inputs. Neither ids nor texts are
+    stored: under a matching digest, row i belongs to the i-th example.
     """
     header = {
-        "dimension": index.dimension,
-        "count": len(index),
         "embedding": embedding,
+        "format": _INDEX_FORMAT,
         "support_digest": _support_digest(index.examples),
     }
-    rows = (
-        {"id": example_id, "vector": row.tolist()}
-        for example_id, row in zip(index.example_ids, index.vectors)
-    )
-    write_rows(path, itertools.chain([header], rows))
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=True).encode() + b"\n")
+        np.save(fh, index.vectors, allow_pickle=False)
+
+    _replace(path, write)
 
 
 def load_index(
-    path: str | Path, examples: Sequence[FewShotExample], *, embedding: dict | None = None
+    path: str | Path, examples: Sequence[FewShotExample], *, embedding: dict
 ) -> SupportIndex | None:
-    """Load a persisted index, re-attaching examples by id.
+    """Load a persisted index over `examples`, or None when it is stale.
 
-    Every defect of the file (empty, bad header, a vector of the wrong
-    dimension, an id with no support example, a row count that differs from
-    the header) is a DatasetError naming it. Given the `embedding` config,
-    returns None when the header's embedding config or support digest
-    differs from `embedding` and `examples` or is missing: the file is stale
-    and the caller rebuilds it. Only the header line is read to decide that.
+    The file is stale when its header's embedding config or support digest
+    differs from `embedding` and `examples`; the caller rebuilds it. Only the
+    header line is read to decide that. Every defect of the file is a
+    DatasetError naming it: an empty file, a header line that is not one of
+    this format (an index of an older format, or another file), and a matrix
+    that is truncated, corrupt, not float64 or not one row per example.
     """
     path = Path(path)
-    by_id = {ex.example_id: ex for ex in examples}
-    records = iter_json_records(path)
-    lineno, header = next(records, (0, None))
-    if header is None:
-        raise DatasetError(f"{path}: empty index file")
-    try:
-        dimension = int(header["dimension"])
-        count = int(header["count"])
-    except (KeyError, TypeError, ValueError) as exc:
+    with path.open("rb") as fh:
+        line = fh.readline()
+        if not line:
+            raise DatasetError(f"{path}: empty index file")
+        try:
+            header = json.loads(line)
+        except ValueError:  # invalid JSON or UTF-8
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _INDEX_FORMAT:
+            raise DatasetError(
+                f"{path}: not an index in the current format; rebuild it with "
+                "`eventpipe build-index`"
+            )
+        built_from = (header.get("embedding"), header.get("support_digest"))
+        if built_from != (embedding, _support_digest(examples)):
+            return None
+        try:
+            matrix = np.load(fh, allow_pickle=False)
+            if fh.read(1):
+                raise ValueError("bytes after the matrix")
+        except (ValueError, EOFError) as exc:
+            raise DatasetError(f"{path}: index matrix is truncated or corrupt") from exc
+    rows, dimension = matrix.shape if matrix.ndim == 2 else (-1, 0)
+    if matrix.dtype != np.float64 or rows != len(examples) or dimension < 1:
         raise DatasetError(
-            f"{path}: header at line {lineno} needs integer 'dimension' and 'count'"
-        ) from exc
-    if embedding is not None and (
-        header.get("embedding") != embedding
-        or header.get("support_digest") != _support_digest(examples)
-    ):
-        return None
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    attached: list[FewShotExample] = []
-    for _, rec in check_rows(path, records, ("vector",)):
-        vec = np.asarray(rec["vector"], dtype=np.float64)
-        if vec.shape != (dimension,):
-            raise DatasetError(f"{path}: vector for {rec['id']!r} has wrong dimension")
-        example_id = str(rec["id"])
-        if example_id not in by_id:
-            raise DatasetError(f"{path}: no support example with id {example_id!r}")
-        ids.append(example_id)
-        rows.append(vec)
-        attached.append(by_id[example_id])
-    if len(ids) != count:
-        raise DatasetError(f"{path}: header count {count} != {len(ids)} rows")
-    matrix = np.vstack(rows)
-    matrix.setflags(write=False)
-    return SupportIndex(example_ids=tuple(ids), vectors=matrix, examples=tuple(attached))
+            f"{path}: index matrix has dtype {matrix.dtype} and shape {matrix.shape}, "
+            f"not float64 and ({len(examples)}, D)"
+        )
+    return SupportIndex.over(examples, matrix)

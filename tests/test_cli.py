@@ -13,6 +13,9 @@ import eventpipe
 from conftest import build_golden_corpus
 from eventpipe.cli import main
 from eventpipe.llm import ScriptedMockLlm
+from eventpipe.pipeline import Pipeline
+from eventpipe.retrieval import HashedBagEmbedder, build_index
+from test_retrieval import json_lines_index
 
 
 def run_cli(capsys, *argv):
@@ -401,16 +404,49 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {gate}: header at line 1 is not an object\n"
 
+    @staticmethod
+    def _set_path(corpus, key, value):
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["paths"][key] = str(value)
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+
     def test_empty_index_file_is_an_input_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")
-        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
         index = tmp_path / "index.jsonl"
         index.write_text("", encoding="utf-8")
-        config["paths"]["index"] = str(index)
-        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        self._set_path(corpus, "index", index)
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
         assert code == 3
         assert err == f"error: {index}: empty index file\n"
+
+    @pytest.mark.parametrize("form", ["lines", "array"])
+    def test_json_index_of_the_older_format_is_kept_and_an_input_error(
+        self, tmp_path, capsys, form
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        examples = Pipeline(corpus.config).support_examples()
+        index = build_index(examples, HashedBagEmbedder(corpus.config.embedding.dimension))
+        old = json_lines_index(index, corpus.config.embedding.to_dict())
+        if form == "array":
+            old = json.dumps([json.loads(line) for line in old.splitlines()]).encode()
+        path = tmp_path / "support.index"
+        path.write_bytes(old)
+        self._set_path(corpus, "index", path)
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err.startswith(f"error: {path}: ") and "`eventpipe build-index`" in err
+        assert path.read_bytes() == old
+
+    @pytest.mark.parametrize("key", ["index", "transcripts"])
+    def test_input_path_that_is_a_directory_is_an_input_error(self, tmp_path, capsys, key):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        self._set_path(corpus, key, directory)
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err.startswith("error: ") and str(directory) in err
+        assert list(directory.iterdir()) == []
 
     def test_mock_script_miss_is_a_provider_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")

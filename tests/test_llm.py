@@ -171,13 +171,11 @@ class TestCompleteWithRetry:
         assert isinstance(result, CompletionResult)
         assert result.text == "good"
         assert result.attempts == 1
-        assert result.raws == ("good",)
 
     def test_retry_until_verifier_accepts(self):
         mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]})
         result = complete_with_retry(mock, _bundle(), lambda t: t == "good")
         assert result.attempts == 2
-        assert result.raws == ("garbage", "good")
 
     def test_exhaustion_raises_with_last_raw(self):
         mock = ScriptedMockLlm({"s1/trigger": ["bad1", "bad2", "bad3"]})

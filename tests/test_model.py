@@ -25,7 +25,6 @@ from eventpipe.model import (
     normalize,
 )
 from eventpipe.pipeline import read_artifact
-from eventpipe.retrieval import FewShotExample, load_index
 
 
 # Every whitespace character, and characters whose lowercasing depends on
@@ -284,10 +283,6 @@ ROW_LOADERS = {
     "stage artifact": (
         [{"stage": "gate", "config_hash": "h", "inputs": "i"}, {"id": "a", "gated_in": True}],
         lambda p: read_artifact(p, "gate", "h", "i"),
-    ),
-    "index": (
-        [{"count": 1, "dimension": 2}, {"id": "a", "vector": [0.6, 0.8]}],
-        lambda p: load_index(p, [FewShotExample(example_id="a", text="x")]).example_ids,
     ),
 }
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_verdicts
 from eventpipe import extract, retrieval
 from eventpipe.config import ConfigError, ProviderConfig
-from eventpipe.llm import ResponseCache, ScriptedMockLlm
+from eventpipe.llm import MockMissError, ResponseCache, ScriptedMockLlm
 from eventpipe.model import DatasetError, default_ontology_path, load_gold
 from eventpipe.pipeline import (
     PROMPT_STAGES,
@@ -296,6 +296,27 @@ class TestDeterminismAndResume:
         # index (12 support texts) is built only by the retrieving stages.
         assert steps == [(31, 0), (13, 22), (13, 21), (1, 0), (0, 0)]
         assert result.resumed_stages == ["gate", "triggers", "arguments", "final"]
+        assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+
+    def test_crash_mid_run_leaves_a_resumable_state(self, tmp_path):
+        corpus = build_golden_corpus(tmp_path / "crash", workers=1)
+        script = corpus.script_path.read_bytes()
+        broken = json.loads(script)
+        del broken["seg-008/argument"]
+        corpus.script_path.write_text(json.dumps(broken), encoding="utf-8")
+        with pytest.raises(MockMissError, match="seg-008"):
+            Pipeline(corpus.config).run()
+        assert list(corpus.output_dir.iterdir()) == []
+        cached = len(corpus.cache_path.read_text(encoding="utf-8").splitlines())
+        corpus.script_path.write_bytes(script)
+        resumed = Pipeline(corpus.config, resume=True).run()
+        # The resumed run pays only for the calls the crashed run did not
+        # cache: the one that failed, and those of the segments the pool had
+        # not started when the failure cancelled them (timing decides how many).
+        assert resumed.provider_calls["argument"] >= 1
+        assert resumed.provider_calls["total"] == 58 - cached
+        lines = corpus.cache_path.read_text(encoding="utf-8").splitlines()
+        assert len({json.loads(line)["key"] for line in lines}) == len(lines) == 58
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
     def test_cache_is_opened_once_per_run(self, golden_corpus, monkeypatch):
@@ -782,9 +803,9 @@ class TestSupportIndex:
     def _assert_saved_index_is_fresh(config):
         examples = Pipeline(config).support_examples()
         fresh = build_index(examples, HashedBagEmbedder(config.embedding.dimension))
-        saved = load_index(config.index, examples)
+        saved = load_index(config.index, examples, embedding=config.embedding.to_dict())
         assert saved.example_ids == fresh.example_ids
-        assert np.array_equal(saved.vectors, fresh.vectors)
+        assert saved.vectors.tobytes() == fresh.vectors.tobytes()
 
     def test_current_index_is_loaded_without_embedding(self, tmp_path):
         _, config = self._indexed(tmp_path)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 import sys
@@ -559,49 +560,56 @@ class TestSearch:
             _search_one(index, np.array([1.0, 0.0]), 0)
 
 
+EMBEDDING = {"kind": "mock", "dimension": 24}
+
+
+def _saved_index(tmp_path):
+    """(path, index, examples): an index of 20 examples saved under EMBEDDING."""
+    examples = _examples(20)
+    index = build_index(examples, HashedBagEmbedder(dimension=24))
+    path = tmp_path / "support.index"
+    save_index(index, path, embedding=EMBEDDING)
+    return path, index, examples
+
+
+def json_lines_index(index, embedding) -> bytes:
+    """An index as the JSON-lines format before the current one wrote it."""
+    header = {
+        "count": len(index),
+        "dimension": index.dimension,
+        "embedding": embedding,
+        "support_digest": retrieval._support_digest(index.examples),
+    }
+    rows = [{"id": i, "vector": row.tolist()} for i, row in zip(index.example_ids, index.vectors)]
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *rows]).encode()
+
+
 class TestPersistence:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        examples = _examples(20)
-        index = build_index(examples, HashedBagEmbedder(dimension=24))
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        loaded = load_index(path, examples)
+    @pytest.mark.parametrize("kind", ["hashed", "dense"])
+    def test_round_trip_is_bit_exact(self, tmp_path, kind):
+        if kind == "hashed":
+            examples = _examples(20)
+            index = build_index(examples, HashedBagEmbedder(dimension=24))
+        else:  # arbitrary floats, as a real embedding gives
+            index = _index_from_vectors(np.random.default_rng(5).standard_normal((20, 24)))
+            examples = list(index.examples)
+        path = tmp_path / "support.index"
+        save_index(index, path, embedding=EMBEDDING)
+        loaded = load_index(path, examples, embedding=EMBEDDING)
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()  # not just allclose
+        assert loaded.vectors.dtype == np.float64 and not loaded.vectors.flags.writeable
         assert loaded.example_ids == index.example_ids
-        assert np.array_equal(loaded.vectors, index.vectors)  # not just allclose
-        # Search results must match exactly too.
-        (q,) = embed_texts(["text number 3"], HashedBagEmbedder(dimension=24))
-        assert _search_one(index, q, 5) == _search_one(loaded, q, 5)
+        assert loaded.examples == tuple(examples)
+        # The file stores no ids: row i belongs to examples[i].
+        assert examples[3].example_id.encode() not in path.read_bytes()
+        queries = index.vectors[[3, 17]]
+        assert search(index, queries, 5) == search(loaded, queries, 5)
 
-    def test_loaded_examples_are_reattached_by_id(self, tmp_path):
-        examples = _examples(4)
-        index = build_index(examples, HashedBagEmbedder(dimension=8))
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        loaded = load_index(path, examples)
-        by_id = dict(zip(loaded.example_ids, loaded.examples))
-        assert by_id["ex-002"].text == "text number 2"
-
-    def test_missing_example_for_stored_id_rejected(self, tmp_path):
-        examples = _examples(4)
-        index = build_index(examples, HashedBagEmbedder(dimension=8))
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        with pytest.raises(DatasetError, match="ex-003"):
-            load_index(path, examples[:3])
-
-    @pytest.mark.parametrize(
-        "rows,message",
-        [
-            ('{"id": "ex-000", "vector": [1.0, 0.0]}', "wrong dimension"),
-            ('{"id": "ex-000", "vector": [1.0, 0.0, 0.0]}', "header count 2 != 1 rows"),
-        ],
-        ids=["wrong-dimension", "count-mismatch"],
-    )
-    def test_rows_that_disagree_with_the_header_are_an_input_error(self, tmp_path, rows, message):
-        path = tmp_path / "index.jsonl"
-        path.write_text('{"count": 2, "dimension": 3}\n' + rows + "\n")
-        with pytest.raises(DatasetError, match=re.escape(f"{path}: ") + ".*" + message):
-            load_index(path, _examples(1))
+    def test_save_replaces_the_file_whole(self, tmp_path):
+        path, index, examples = _saved_index(tmp_path)
+        save_index(index, path, embedding={"kind": "mock", "dimension": 25})
+        assert load_index(path, examples, embedding=EMBEDDING) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["support.index"]
 
     @pytest.mark.parametrize(
         "header",
@@ -612,16 +620,86 @@ class TestPersistence:
             '{"count": "many", "dimension": 3}',
             "5",
             '"dimension"',
+            '{"format": "eventpipe-index/1"}',
+            "{",
+            "\n",
+            "\xff",
         ],
     )
     def test_malformed_header_is_an_input_error(self, tmp_path, header):
-        path = tmp_path / "index.jsonl"
-        path.write_text(header + '\n{"id": "ex-000", "vector": [1.0, 0.0, 0.0]}\n')
-        with pytest.raises(DatasetError, match=re.escape(f"{path}: header at line 1")):
-            load_index(path, _examples(1))
+        path = tmp_path / "support.index"
+        path.write_bytes(header.encode("latin-1") + b'\n{"id": "ex-000", "vector": [1.0]}\n')
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: ") + ".*`eventpipe build-index`"):
+            load_index(path, _examples(1), embedding=EMBEDDING)
+
+    @pytest.mark.parametrize("form", ["lines", "array"])
+    def test_json_index_of_the_older_format_is_an_input_error(self, tmp_path, form):
+        examples = _examples(3)
+        index = build_index(examples, HashedBagEmbedder(dimension=24))
+        path = tmp_path / "support.index"
+        old = json_lines_index(index, EMBEDDING)
+        if form == "array":
+            old = json.dumps([json.loads(line) for line in old.splitlines()]).encode()
+        path.write_bytes(old)
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: ") + ".*build-index"):
+            load_index(path, examples, embedding=EMBEDDING)
+        assert path.read_bytes() == old
+
+    @pytest.mark.parametrize(
+        "header_edit,support",
+        [
+            ({"embedding": {"kind": "mock", "dimension": 25}}, slice(None)),
+            ({"embedding": None}, slice(None)),
+            ({"support_digest": "0" * 64}, slice(None)),
+            ({}, slice(19)),
+            ({}, slice(None, None, -1)),
+        ],
+        ids=["other-embedding", "null-embedding", "other-digest", "support-cut", "support-reversed"],
+    )
+    def test_stale_header_returns_none_with_a_corrupt_body_behind_it(
+        self, tmp_path, header_edit, support
+    ):
+        path, _, examples = _saved_index(tmp_path)
+        header = {**json.loads(path.read_bytes().split(b"\n", 1)[0]), **header_edit}
+        path.write_bytes(json.dumps(header).encode() + b"\n\x93NUMPY garbage \xff")
+        assert load_index(path, examples[support], embedding=EMBEDDING) is None
+
+    @staticmethod
+    def _rewrite_matrix(path, matrix):
+        header = path.read_bytes().split(b"\n", 1)[0]
+        with path.open("wb") as fh:
+            fh.write(header + b"\n")
+            np.save(fh, matrix, allow_pickle=False)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "trailing-bytes", "no-matrix", "not-npy", "float32", "int64", "19-rows",
+         "21-rows", "1-d", "3-d", "no-columns"],
+    )
+    def test_damaged_matrix_is_an_input_error(self, tmp_path, damage):
+        path, index, examples = _saved_index(tmp_path)
+        data = path.read_bytes()
+        header_end = data.index(b"\n") + 1
+        vectors = index.vectors
+        edits = {
+            "truncated": lambda: path.write_bytes(data[:-8]),
+            "trailing-bytes": lambda: path.write_bytes(data + b"\0"),
+            "no-matrix": lambda: path.write_bytes(data[:header_end]),
+            "not-npy": lambda: path.write_bytes(data[:header_end] + b"[[1.0, 0.0]]\n"),
+            "float32": lambda: self._rewrite_matrix(path, vectors.astype(np.float32)),
+            "int64": lambda: self._rewrite_matrix(path, np.ones((20, 24), dtype=np.int64)),
+            "19-rows": lambda: self._rewrite_matrix(path, vectors[:19]),
+            "21-rows": lambda: self._rewrite_matrix(path, np.vstack([vectors, vectors[:1]])),
+            "1-d": lambda: self._rewrite_matrix(path, vectors[0]),
+            "3-d": lambda: self._rewrite_matrix(path, vectors[None]),
+            "no-columns": lambda: self._rewrite_matrix(path, np.empty((20, 0))),
+        }
+        edits[damage]()
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: index matrix ")):
+            load_index(path, examples, embedding=EMBEDDING)
 
     def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "index.jsonl"
+        path = tmp_path / "support.index"
         path.write_text("")
-        with pytest.raises(DatasetError):
-            load_index(path, _examples(1))
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: empty index file")):
+            load_index(path, _examples(1), embedding=EMBEDDING)
