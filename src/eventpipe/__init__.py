@@ -7,7 +7,7 @@ exact-match scoring reports micro P/R/F1 for trigger and argument
 classification.
 """
 from .evaluate import ScoreReport, prf, run_ablation, score
-from .gate import VerdictTriple, VotePolicy, agreement_table, vote
+from .gate import VerdictTriple, agreement_table, vote
 from .model import (
     Argument,
     EventMention,
@@ -19,21 +19,19 @@ from .model import (
     load_transcripts,
     normalize,
 )
-from .retrieval import FewShotExample, SupportIndex, build_index, search
+from .retrieval import SupportIndex, build_index, search
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Argument",
     "EventMention",
-    "FewShotExample",
     "LabeledSegment",
     "Ontology",
     "ScoreReport",
     "Segment",
     "SupportIndex",
     "VerdictTriple",
-    "VotePolicy",
     "agreement_table",
     "build_index",
     "load_gold",

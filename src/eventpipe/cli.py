@@ -15,11 +15,11 @@ from .config import ConfigError, PipelineConfig
 from .evaluate import EvaluationError, run_ablation, score
 from .extract import RawStageOutput, postprocess
 from .gate import (
-    POLICY_NAMES,
+    POLICIES,
     GateError,
     VerdictError,
-    VotePolicy,
     agreement_table,
+    check_policy,
     load_verdict_triples,
 )
 from .llm import CacheError, FormatFailureError, MockMissError
@@ -45,11 +45,11 @@ EXIT_INPUT = 3
 EXIT_PROVIDER = 4
 EXIT_VERIFICATION = 5
 
-ALL_POLICIES = ",".join(POLICY_NAMES)
+ALL_POLICIES = ",".join(POLICIES)
 
 
 def _events_by_id(labeled) -> dict:
-    return {ls.segment.id: list(ls.gold_events) for ls in labeled}
+    return {ls.id: list(ls.gold_events) for ls in labeled}
 
 
 def cmd_run(args) -> int:
@@ -79,8 +79,8 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _parse_policies(spec: str) -> list[VotePolicy]:
-    policies = [VotePolicy.parse(tok.strip()) for tok in spec.split(",") if tok.strip()]
+def _parse_policies(spec: str) -> list[str]:
+    policies = [check_policy(tok) for tok in spec.split(",") if tok]
     if not policies:
         raise ConfigError("no gate policies given")
     return policies

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
-from .gate import VotePolicy
+from .gate import check_policy
 from .model import Lines, parse_json
 
 __all__ = [
@@ -202,7 +202,7 @@ class PipelineConfig:
         if not _is_number(threshold) or not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"config.gate.threshold must be in [0, 1], got {threshold!r}")
         _check_types(self, lambda name: f"config.{_KEYS[name]}")
-        VotePolicy.parse(self.gate_policy)  # raises GateError on a bad name
+        check_policy(self.gate_policy)
         for name, low in (("retrieval_k", 0), ("max_attempts", 1), ("workers", 1)):
             value = getattr(self, name)
             if value < low:
@@ -210,10 +210,6 @@ class PipelineConfig:
         for stage in self.llm_overrides:
             if stage not in LLM_STAGES:
                 raise ConfigError(f"llm override for unknown stage {stage!r}")
-
-    @property
-    def policy(self) -> VotePolicy:
-        return VotePolicy.parse(self.gate_policy)
 
     def llm_for_stage(self, stage: str) -> ProviderConfig:
         return self.llm_overrides.get(stage, self.llm_default)

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .gate import VerdictTriple, VotePolicy, vote
+from .gate import VerdictTriple, vote
 from .model import EventMention, normalize
 
 __all__ = [
@@ -163,14 +163,14 @@ def score(
 def filter_by_policy(
     predictions: Mapping[str, Sequence[EventMention]],
     verdicts: Mapping[str, VerdictTriple],
-    policy: VotePolicy,
+    policy: str,
 ) -> dict[str, Sequence[EventMention]]:
-    """Predictions that survive the gate under a policy; others become empty.
+    """Predictions that survive the gate under a named policy; others become empty.
 
     Under the disabled gate every prediction counts. Otherwise a segment with
     predictions but no verdict is an error: the gate could not have run.
     """
-    if policy.kind == "none":
+    if policy == "without":
         return dict(predictions)
     out: dict[str, Sequence[EventMention]] = {}
     for segment_id, events in predictions.items():
@@ -217,14 +217,14 @@ def run_ablation(
     gold: Mapping[str, Sequence[EventMention]],
     verdicts: Mapping[str, VerdictTriple],
     predictions: Mapping[str, Sequence[EventMention]],
-    policies: Sequence[VotePolicy],
+    policies: Sequence[str],
     *,
     set_semantics: bool = False,
 ) -> AblationTable:
-    """Score the predictions that survive each policy's gate."""
-    table = AblationTable(policies=tuple(p.name for p in policies))
+    """Score the predictions that survive each named policy's gate."""
+    table = AblationTable(policies=tuple(policies))
     for policy in policies:
         kept = filter_by_policy(predictions, verdicts, policy)
-        table.gated_in[policy.name] = len(kept)
-        table.reports[policy.name] = score(kept, gold, set_semantics=set_semantics)
+        table.gated_in[policy] = len(kept)
+        table.reports[policy] = score(kept, gold, set_semantics=set_semantics)
     return table

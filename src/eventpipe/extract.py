@@ -19,9 +19,9 @@ from importlib import resources
 import numpy as np
 
 from .llm import FormatFailureError, LlmProvider, ResponseCache, complete_with_retry
-from .model import Argument, EventMention, Ontology, Segment, normalize
+from .model import Argument, EventMention, LabeledSegment, Ontology, Segment, normalize
 from .prompts import Template, build_argument_prompt, build_format_prompt, build_trigger_prompt
-from .retrieval import FewShotExample, SupportIndex, search
+from .retrieval import SupportIndex, search
 
 __all__ = [
     "ArgumentStageResult",
@@ -427,7 +427,7 @@ def _argument_events(
 
 def retrieve_examples(
     index: SupportIndex, queries: np.ndarray, k: int, *, mask: np.ndarray | None = None
-) -> list[list[FewShotExample]]:
+) -> list[list[LabeledSegment]]:
     """Top-k support examples for each row of a matrix of unit query vectors, from one search.
 
     The optional boolean row `mask` restricts every query's candidates (see
@@ -444,7 +444,7 @@ def retrieve_examples(
 
 def extract_triggers(
     segment: Segment,
-    examples: Sequence[FewShotExample],
+    examples: Sequence[LabeledSegment],
     ontology: Ontology,
     provider: LlmProvider,
     *,
@@ -464,7 +464,7 @@ def extract_triggers(
         parsed["value"] = result
         return True
 
-    example_ids = tuple(ex.example_id for ex in examples)
+    example_ids = tuple(ex.id for ex in examples)
     try:
         completion = complete_with_retry(
             provider, bundle, verifier, max_attempts=max_attempts, cache=cache, corrective=corrective
@@ -479,7 +479,7 @@ def extract_triggers(
 def extract_arguments(
     segment: Segment,
     triggers: Sequence[TriggerPrediction],
-    examples: Sequence[FewShotExample],
+    examples: Sequence[LabeledSegment],
     ontology: Ontology,
     provider: LlmProvider,
     *,
@@ -504,7 +504,7 @@ def extract_arguments(
         parsed["events"] = _argument_events(text, parsed["recovered"], triggers, ontology)
         return parsed["events"] is not None
 
-    example_ids = tuple(ex.example_id for ex in examples)
+    example_ids = tuple(ex.id for ex in examples)
     try:
         completion = complete_with_retry(
             provider, bundle, verifier, max_attempts=max_attempts, cache=cache, corrective=corrective

@@ -37,13 +37,12 @@ __all__ = [
     "FileVerdictProvider",
     "GateError",
     "HttpVerdictProvider",
-    "TriggerLexicon",
     "VerdictError",
     "VerdictProvider",
     "VerdictTriple",
-    "VotePolicy",
     "agreement_table",
     "build_lexicon",
+    "check_policy",
     "learned_classify",
     "llm_classify",
     "load_verdict_triples",
@@ -51,7 +50,18 @@ __all__ = [
     "vote",
 ]
 
-POLICY_NAMES = ("without", "rule", "learned", "llm", "one+", "two+", "all")
+_JUDGES = ("rule", "learned", "llm")
+
+# Each gate policy: the verdicts it reads, and how many of them must say yes.
+POLICIES: dict[str, tuple[tuple[str, ...], int]] = {
+    "without": ((), 0),
+    "rule": (("rule",), 1),
+    "learned": (("learned",), 1),
+    "llm": (("llm",), 1),
+    "one+": (_JUDGES, 1),
+    "two+": (_JUDGES, 2),
+    "all": (_JUDGES, 3),
+}
 
 
 class GateError(ValueError):
@@ -63,16 +73,6 @@ class VerdictError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TriggerLexicon:
-    """Deduplicated set of normalized trigger words/phrases from training gold."""
-
-    entries: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class VerdictTriple:
     """Presence verdicts for one segment, one per classifier kind."""
 
@@ -80,59 +80,15 @@ class VerdictTriple:
     learned: bool
     llm: bool
 
-    def as_tuple(self) -> tuple[bool, bool, bool]:
-        return (self.rule, self.learned, self.llm)
+
+def check_policy(name: str) -> str:
+    """name if it is a gate policy; a GateError listing the policies otherwise."""
+    if name not in POLICIES:
+        raise GateError(f"unknown gate policy {name!r}; expected one of: {', '.join(POLICIES)}")
+    return name
 
 
-@dataclass(frozen=True)
-class VotePolicy:
-    """How the three verdicts combine into a gate decision.
-
-    kind is one of "none" (gate disabled, everything passes), "single"
-    (follow one classifier, named by selector), "at_least" (k of three,
-    k in {1, 2}), or "all".
-    """
-
-    kind: str
-    selector: str | None = None
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "single", "at_least", "all"):
-            raise GateError(f"unknown vote policy kind {self.kind!r}")
-        if self.kind == "single" and self.selector not in ("rule", "learned", "llm"):
-            raise GateError(f"single-policy selector must name a classifier, got {self.selector!r}")
-        if self.kind == "at_least" and self.k not in (1, 2):
-            raise GateError(f"at_least policy requires k in {{1, 2}}, got {self.k!r}")
-
-    @classmethod
-    def parse(cls, name: str) -> VotePolicy:
-        """Parse a policy name as used in configs and ablation tables."""
-        key = name.strip().lower()
-        if key in ("none", "without"):
-            return cls(kind="none")
-        if key in ("rule", "learned", "llm"):
-            return cls(kind="single", selector=key)
-        if key in ("one+", "at_least_1", "at-least-1"):
-            return cls(kind="at_least", k=1)
-        if key in ("two+", "at_least_2", "at-least-2"):
-            return cls(kind="at_least", k=2)
-        if key in ("all", "three"):
-            return cls(kind="all")
-        raise GateError(f"unknown vote policy {name!r}")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "none":
-            return "without"
-        if self.kind == "single":
-            return self.selector or "?"
-        if self.kind == "at_least":
-            return "one+" if self.k == 1 else "two+"
-        return "all"
-
-
-def build_lexicon(training: Iterable[LabeledSegment]) -> TriggerLexicon:
+def build_lexicon(training: Iterable[LabeledSegment]) -> frozenset[str]:
     """Collect normalize(trigger) over every gold event in the training split.
 
     Each distinct trigger string is normalized once: a large support set
@@ -141,7 +97,7 @@ def build_lexicon(training: Iterable[LabeledSegment]) -> TriggerLexicon:
     triggers = {ev.trigger for ls in training for ev in ls.gold_events}
     entries = {normalize(trigger) for trigger in triggers}
     entries.discard("")
-    return TriggerLexicon(entries=frozenset(entries))
+    return frozenset(entries)
 
 
 def _phrase_pattern(entry: str) -> re.Pattern[str]:
@@ -150,12 +106,12 @@ def _phrase_pattern(entry: str) -> re.Pattern[str]:
     return re.compile(rf"(?<!\w){re.escape(entry)}(?!\w)")
 
 
-def rule_classify(segment: Segment, lexicon: TriggerLexicon) -> bool:
+def rule_classify(segment: Segment, lexicon: frozenset[str]) -> bool:
     """True iff some lexicon entry occurs in the normalized text at word boundaries."""
     text = normalize(segment.text)
     if not text:
         return False
-    for entry in lexicon.entries:
+    for entry in lexicon:
         # cheap substring pre-check before the boundary-aware search
         if entry in text and _phrase_pattern(entry).search(text):
             return True
@@ -311,16 +267,10 @@ def llm_classify(
     return verdicts[-1]
 
 
-def vote(triple: VerdictTriple, policy: VotePolicy) -> bool:
-    """Combine the three verdicts under the policy."""
-    if policy.kind == "none":
-        return True
-    if policy.kind == "single":
-        return getattr(triple, policy.selector)  # type: ignore[arg-type]
-    count = sum(triple.as_tuple())
-    if policy.kind == "at_least":
-        return count >= (policy.k or 0)
-    return count == 3
+def vote(triple: VerdictTriple, policy: str) -> bool:
+    """Combine the three verdicts under the named policy (see POLICIES)."""
+    judges, needed = POLICIES[check_policy(policy)]
+    return sum(getattr(triple, judge) for judge in judges) >= needed
 
 
 @dataclass(frozen=True)
@@ -354,7 +304,7 @@ def _yn(v: bool) -> str:
 
 def agreement_table(verdicts: Iterable[VerdictTriple]) -> AgreementTable:
     """Histogram the verdict triples into the 2x2x2 agreement table."""
-    counts = Counter(v.as_tuple() for v in verdicts)
+    counts = Counter((v.rule, v.learned, v.llm) for v in verdicts)
     return AgreementTable(counts=dict(counts))
 
 
@@ -371,9 +321,7 @@ def load_verdict_triples(path: str | Path) -> dict[str, VerdictTriple]:
         if not (isinstance(rec, dict) and "stage" in rec and "id" not in rec)  # artifact header
     )
     out: dict[str, VerdictTriple] = {}
-    for _, rec in check_rows(path, records, ("rule", "learned", "llm")):
+    for _, rec in check_rows(path, records, _JUDGES):
         rid = str(rec["id"])
-        out[rid] = VerdictTriple(
-            *(_flag(path, rid, name, rec[name]) for name in ("rule", "learned", "llm"))
-        )
+        out[rid] = VerdictTriple(*(_flag(path, rid, name, rec[name]) for name in _JUDGES))
     return out

@@ -158,10 +158,9 @@ class Ontology:
 
 
 @dataclass(frozen=True)
-class LabeledSegment:
-    """A segment paired with its (possibly empty) gold event list."""
+class LabeledSegment(Segment):
+    """A segment with its (possibly empty) gold event list: a gold row or a support example."""
 
-    segment: Segment
     gold_events: tuple[EventMention, ...] = ()
 
 
@@ -347,7 +346,7 @@ def load_gold(
         text = rec.get("text", "")
         if not isinstance(text, str):
             raise DatasetError(f"record {rid!r}: 'text' must be a string")
-        out.append(LabeledSegment(segment=Segment(id=rid, text=text), gold_events=tuple(events)))
+        out.append(LabeledSegment(id=rid, text=text, gold_events=tuple(events)))
     return out
 
 

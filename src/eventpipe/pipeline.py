@@ -34,7 +34,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -85,7 +85,6 @@ from .model import (
 )
 from .prompts import PromptBundle, Template, load_template
 from .retrieval import (
-    FewShotExample,
     SupportIndex,
     build_index,
     embed_texts,
@@ -187,12 +186,22 @@ class CountingEmbedder:
         return self.inner.embed_batch(texts)
 
 
+# RunResult fields that run.json leaves out: where the outputs went, and the
+# report, which it holds as "score".
+_NOT_IN_RUN_JSON = ("report", "output_dir", "predictions_path", "report_path")
+
+
 @dataclass
 class RunResult:
+    """What a run did; run.json is written from it (see to_dict)."""
+
     report: ScoreReport | None
     config_hash: str
     output_dir: Path
+    until: str
     inputs: str = ""
+    started_at: float = 0.0
+    finished_at: float = 0.0
     provider_calls: dict = field(default_factory=dict)
     texts_embedded: int = 0
     gated_in: int = 0
@@ -203,6 +212,14 @@ class RunResult:
     resumed_stages: list[str] = field(default_factory=list)
     predictions_path: Path | None = None
     report_path: Path | None = None
+
+    def to_dict(self) -> dict:
+        """The run.json record."""
+        record = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in _NOT_IN_RUN_JSON
+        }
+        record["score"] = self.report.to_dict() if self.report else None
+        return record
 
 
 @dataclass
@@ -363,15 +380,9 @@ class Pipeline:
             self._embedder = CountingEmbedder(build_embedding_provider(self.config.embedding))
         return self._embedder
 
-    def support_examples(self) -> list[FewShotExample]:
+    def support_examples(self) -> list[LabeledSegment]:
         """Support segments whose text normalizes to something (strip() tells the same)."""
-        return [
-            FewShotExample(
-                example_id=ls.segment.id, text=ls.segment.text, gold_events=ls.gold_events
-            )
-            for ls in self.support
-            if ls.segment.text.strip()
-        ]
+        return [ls for ls in self.support if ls.text.strip()]
 
     @property
     def index(self) -> SupportIndex | None:
@@ -445,14 +456,14 @@ class Pipeline:
                 "rule": rule,
                 "learned": learned,
                 "llm": llm,
-                "gated_in": vote(triple, cfg.policy),
+                "gated_in": vote(triple, cfg.gate_policy),
             }
 
         return list(pool.map(gate, segments, learned, llm_file))
 
     def _queries(
         self, segments: list[Segment], records: list[SegmentRecord], computed: set[str]
-    ) -> tuple[dict[str, np.ndarray], dict[str, list[FewShotExample]]]:
+    ) -> tuple[dict[str, np.ndarray], dict[str, list[LabeledSegment]]]:
         """The query phase: each retrieving segment's unit query vector and unmasked top-k examples.
 
         With triggers computed, the gated-in segments retrieve; with only
@@ -489,7 +500,7 @@ class Pipeline:
         self,
         computed: set[str],
         queries: dict[str, np.ndarray],
-        examples: dict[str, list[FewShotExample]],
+        examples: dict[str, list[LabeledSegment]],
         templates: dict[str, Template],
     ):
         """The extraction phase's pool task: one segment's triggers, arguments and repair.
@@ -571,11 +582,11 @@ class Pipeline:
         if self._result is not None:
             raise RuntimeError("a Pipeline serves one run; build a new one for the next run")
         cfg = self.config
-        result = self._result = RunResult(None, self.config_hash, self.out_dir)
+        result = self._result = RunResult(None, self.config_hash, self.out_dir, until)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         transcripts = load_transcripts(cfg.transcripts, data=self._data(cfg.transcripts))
         gold, self._gold = self.gold, None
-        gold_ids = {ls.segment.id for ls in gold}
+        gold_ids = {ls.id for ls in gold}
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
             raise DatasetError(f"transcript ids missing from gold: {stray[:5]}")
@@ -583,7 +594,7 @@ class Pipeline:
         # The other inputs are parsed only by the stages that compute, from
         # the bytes this reads for the digest.
         result.inputs = self.inputs_digest()
-        started = time.time()
+        result.started_at = time.time()
 
         stop = STAGE_ORDER.index(until)
         stages = [stage for stage in ARTIFACT_NAMES if STAGE_ORDER.index(stage) <= stop]
@@ -646,7 +657,7 @@ class Pipeline:
                 row["id"]: [_parse_event(obj, row["id"]) for obj in row["event"]]
                 for row in final_rows
             }
-            gold_by_id = {ls.segment.id: list(ls.gold_events) for ls in gold}
+            gold_by_id = {ls.id: list(ls.gold_events) for ls in gold}
             result.report = score(
                 predictions,
                 gold_by_id,
@@ -660,23 +671,8 @@ class Pipeline:
 
         result.provider_calls = self._collect_calls()
         result.texts_embedded = self._embedder.texts_embedded if self._embedder else 0
-        run_meta = {
-            "config_hash": self.config_hash,
-            "inputs": result.inputs,
-            "started_at": started,
-            "finished_at": time.time(),
-            "until": until,
-            "resumed_stages": result.resumed_stages,
-            "provider_calls": result.provider_calls,
-            "texts_embedded": result.texts_embedded,
-            "gated_in": result.gated_in,
-            "gated_out": result.gated_out,
-            "trigger_failures": result.trigger_failures,
-            "argument_degraded": result.argument_degraded,
-            "formatting_attempts": result.formatting_attempts,
-            "score": result.report.to_dict() if result.report else None,
-        }
-        write_json(self.out_dir / "run.json", run_meta)
+        result.finished_at = time.time()
+        write_json(self.out_dir / "run.json", result.to_dict())
         return result
 
     def _collect_calls(self) -> dict:

@@ -24,8 +24,7 @@ from typing import Iterable, Sequence
 
 from importlib import resources
 
-from .model import Lines, Ontology, Segment, parse_json
-from .retrieval import FewShotExample
+from .model import LabeledSegment, Lines, Ontology, Segment, parse_json
 
 __all__ = [
     "PromptBundle",
@@ -150,7 +149,7 @@ def _render_messages(
     return tuple(PromptMessage(m.role, _fill(m.content, values)) for m in template)
 
 
-def _event_record(example: FewShotExample, *, with_arguments: bool) -> dict:
+def _event_record(example: LabeledSegment, *, with_arguments: bool) -> dict:
     events = []
     for ev in example.gold_events:
         rec: dict = {"trigger": ev.trigger, "type": ev.event_type}
@@ -160,7 +159,7 @@ def _event_record(example: FewShotExample, *, with_arguments: bool) -> dict:
     return {"text": example.text, "event": events}
 
 
-def render_examples(examples: Iterable[FewShotExample], *, with_arguments: bool) -> str:
+def render_examples(examples: Iterable[LabeledSegment], *, with_arguments: bool) -> str:
     """Render retrieved examples, rank order preserved, as compact JSON records."""
     rendered = [
         json.dumps(_event_record(ex, with_arguments=with_arguments), ensure_ascii=False)
@@ -181,7 +180,7 @@ def build_presence_prompt(
 
 def build_trigger_prompt(
     segment: Segment,
-    examples: Sequence[FewShotExample],
+    examples: Sequence[LabeledSegment],
     ontology: Ontology,
     *,
     template: Template,
@@ -198,7 +197,7 @@ def build_trigger_prompt(
 def build_argument_prompt(
     segment: Segment,
     predicted_types: Sequence[str],
-    examples: Sequence[FewShotExample],
+    examples: Sequence[LabeledSegment],
     ontology: Ontology,
     *,
     template: Template,

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .model import DatasetError, EventMention, _replace
+from .model import DatasetError, LabeledSegment, _replace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ._http import Endpoint
@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "EmbeddingError",
     "EmbeddingProvider",
-    "FewShotExample",
     "HashedBagEmbedder",
     "HttpEmbeddingProvider",
     "SupportIndex",
@@ -200,27 +199,18 @@ def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> 
 
 
 @dataclass(frozen=True)
-class FewShotExample:
-    """A support-set item: transcript text plus its gold events."""
-
-    example_id: str
-    text: str
-    gold_events: tuple[EventMention, ...] = ()
-
-
-@dataclass(frozen=True)
 class SupportIndex:
     """Immutable flat index over the support set. Vectors are row-aligned with ids."""
 
     example_ids: tuple[str, ...]
     vectors: np.ndarray  # (N, D) float64, unit rows
-    examples: tuple[FewShotExample, ...]
+    examples: tuple[LabeledSegment, ...]
 
     @classmethod
-    def over(cls, examples: Sequence[FewShotExample], vectors: np.ndarray) -> SupportIndex:
+    def over(cls, examples: Sequence[LabeledSegment], vectors: np.ndarray) -> SupportIndex:
         """The index whose row i is the vector of examples[i]; the matrix is made read-only."""
         vectors.setflags(write=False)
-        return cls(tuple(ex.example_id for ex in examples), vectors, tuple(examples))
+        return cls(tuple(ex.id for ex in examples), vectors, tuple(examples))
 
     @property
     def dimension(self) -> int:
@@ -261,7 +251,7 @@ class SupportIndex:
 
 
 def build_index(
-    examples: Sequence[FewShotExample],
+    examples: Sequence[LabeledSegment],
     embedding_provider: EmbeddingProvider,
     *,
     batch_size: int = 256,
@@ -278,9 +268,9 @@ def build_index(
         raise EmbeddingError("cannot build an index over an empty support set")
     seen: set[str] = set()
     for ex in examples:
-        if ex.example_id in seen:
-            raise EmbeddingError(f"duplicate example_id {ex.example_id!r}")
-        seen.add(ex.example_id)
+        if ex.id in seen:
+            raise EmbeddingError(f"duplicate example id {ex.id!r}")
+        seen.add(ex.id)
     matrix: np.ndarray | None = None
     dims: set[int] = set()
     for start in range(0, len(examples), batch_size):
@@ -292,7 +282,7 @@ def build_index(
             )
         with np.errstate(over="ignore"):  # an overflowing norm is reported by _unit
             for row, (ex, vec) in enumerate(zip(chunk, vecs), start):
-                unit = _unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}")
+                unit = _unit(np.asarray(vec, dtype=np.float64), f"example {ex.id!r}")
                 dims.add(unit.shape[0])
                 if matrix is None:
                     matrix = np.empty((len(examples), unit.shape[0]))
@@ -401,9 +391,9 @@ def _top_k(
     return scored[:k]
 
 
-def _support_digest(examples: Sequence[FewShotExample]) -> str:
+def _support_digest(examples: Sequence[LabeledSegment]) -> str:
     """sha256 over the example ids and texts, in order."""
-    blob = json.dumps([[ex.example_id, ex.text] for ex in examples], ensure_ascii=True)
+    blob = json.dumps([[ex.id, ex.text] for ex in examples], ensure_ascii=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
@@ -431,7 +421,7 @@ def save_index(index: SupportIndex, path: str | Path, *, embedding: dict) -> Non
 
 
 def load_index(
-    path: str | Path, examples: Sequence[FewShotExample], *, embedding: dict
+    path: str | Path, examples: Sequence[LabeledSegment], *, embedding: dict
 ) -> SupportIndex | None:
     """Load a persisted index over `examples`, or None when it is stale.
 

@@ -33,7 +33,7 @@ from eventpipe.extract import (
     recover_json_tail,
     repair_arguments,
 )
-from eventpipe.gate import POLICY_NAMES, VerdictTriple, VotePolicy, vote
+from eventpipe.gate import POLICIES, VerdictTriple, vote
 from eventpipe.llm import ScriptedMockLlm
 from eventpipe.model import Segment, load_gold
 from eventpipe.retrieval import search
@@ -202,24 +202,21 @@ def test_criterion_4_vote_truth_table_and_nesting():
         checked = 0
         for rule, learned, llm in itertools.product((False, True), repeat=3):
             triple = VerdictTriple(rule=rule, learned=learned, llm=llm)
-            for name in POLICY_NAMES:
+            for name in POLICIES:
                 expected = independently_expected_vote(rule, learned, llm, name)
-                assert vote(triple, VotePolicy.parse(name)) is expected
+                assert vote(triple, name) is expected
                 checked += 1
         assert checked == 8 * 7
 
         rng = random.Random(4)
-        one_plus = VotePolicy.parse("one+")
-        two_plus = VotePolicy.parse("two+")
-        unanimous = VotePolicy.parse("all")
         for _ in range(1000):
             triple = VerdictTriple(
                 rule=rng.random() < 0.5, learned=rng.random() < 0.5, llm=rng.random() < 0.5
             )
-            if vote(triple, unanimous):
-                assert vote(triple, two_plus)
-            if vote(triple, two_plus):
-                assert vote(triple, one_plus)
+            if vote(triple, "all"):
+                assert vote(triple, "two+")
+            if vote(triple, "two+"):
+                assert vote(triple, "one+")
         note["detail"] = "56 truth-table cells, 1000 nesting draws"
 
 
@@ -453,7 +450,7 @@ class TestCriterion9ValidationTotality:
             events = 0
             for labeled in loaded:
                 for event in labeled.gold_events:
-                    event.validate(ontology, record_id=labeled.segment.id)
+                    event.validate(ontology, record_id=labeled.id)
                     assert event.event_type in ontology.event_types
                     allowed = set(ontology.roles_for(event.event_type))
                     for argument in event.arguments:

@@ -350,6 +350,17 @@ class TestFormatStandalone:
         )
 
 
+# Spellings near a policy name that are not one: aliases, another case, padding.
+UNDOCUMENTED_POLICIES = ["none", "three", "at_least_1", "at-least-2", "ALL", " all "]
+
+
+def _unknown_policy_error(name: str) -> str:
+    return (
+        f"error: unknown gate policy {name!r}; "
+        "expected one of: without, rule, learned, llm, one+, two+, all\n"
+    )
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "absent.json"))
@@ -374,6 +385,28 @@ class TestExitCodes:
         )
         assert code == 2
         assert "majority" in err
+
+    @pytest.mark.parametrize("name", UNDOCUMENTED_POLICIES, ids=repr)
+    def test_undocumented_gate_policy_is_a_config_error(self, golden_corpus, capsys, name):
+        config = json.loads(golden_corpus.config_path.read_text(encoding="utf-8"))
+        config["gate"]["policy"] = name
+        golden_corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(golden_corpus.config_path))
+        assert (code, out, err) == (2, "", _unknown_policy_error(name))
+        assert not golden_corpus.output_dir.exists()
+
+    @pytest.mark.parametrize("name", UNDOCUMENTED_POLICIES, ids=repr)
+    def test_undocumented_ablation_policy_is_a_config_error(self, golden_corpus, capsys, name):
+        code, out, err = run_cli(
+            capsys,
+            "ablate",
+            "--config",
+            str(golden_corpus.config_path),
+            "--policies",
+            f"without,{name},all",
+        )
+        assert (code, out, err) == (2, "", _unknown_policy_error(name))
+        assert not golden_corpus.output_dir.exists()
 
     def test_malformed_gold_is_an_input_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

@@ -52,10 +52,6 @@ class TestDefaults:
         assert cfg.cache is None
         assert cfg.ontology is None
 
-    def test_policy_property(self):
-        cfg = PipelineConfig.from_dict(minimal_config())
-        assert cfg.policy.name == "all"
-
     def test_llm_for_stage_prefers_override(self):
         data = minimal_config()
         data["llm"]["format"] = {"kind": "mock", "script": "other.json", "name": "fixit"}

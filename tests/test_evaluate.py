@@ -19,7 +19,7 @@ from eventpipe.evaluate import (
     score,
     tc_counter,
 )
-from eventpipe.gate import VerdictTriple, VotePolicy
+from eventpipe.gate import VerdictTriple
 from eventpipe.model import Argument, EventMention, normalize
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ class TestFilterByPolicy:
 
     def test_disabled_gate_passes_everything_through(self):
         predictions = self._predictions()
-        kept = filter_by_policy(predictions, {}, VotePolicy.parse("without"))
+        kept = filter_by_policy(predictions, {}, "without")
         assert kept == predictions
         assert kept is not predictions
 
@@ -300,7 +300,7 @@ class TestFilterByPolicy:
             "s2": VerdictTriple(rule=False, learned=False, llm=False),
             "s3": VerdictTriple(rule=True, learned=True, llm=True),
         }
-        kept = filter_by_policy(self._predictions(), verdicts, VotePolicy.parse("all"))
+        kept = filter_by_policy(self._predictions(), verdicts, "all")
         assert set(kept) == {"s1", "s3"}
 
     def test_single_classifier_policy(self):
@@ -309,13 +309,13 @@ class TestFilterByPolicy:
             "s2": VerdictTriple(rule=False, learned=True, llm=True),
             "s3": VerdictTriple(rule=True, learned=False, llm=False),
         }
-        kept = filter_by_policy(self._predictions(), verdicts, VotePolicy.parse("rule"))
+        kept = filter_by_policy(self._predictions(), verdicts, "rule")
         assert set(kept) == {"s1", "s3"}
 
     def test_missing_verdict_is_an_error(self):
         verdicts = {"s1": VerdictTriple(rule=True, learned=True, llm=True)}
         with pytest.raises(EvaluationError, match="s2"):
-            filter_by_policy(self._predictions(), verdicts, VotePolicy.parse("all"))
+            filter_by_policy(self._predictions(), verdicts, "all")
 
 
 class TestRunAblation:
@@ -332,7 +332,7 @@ class TestRunAblation:
 
     def test_scores_by_policy(self):
         gold, predictions, verdicts = self._fixture()
-        policies = [VotePolicy.parse(name) for name in ("without", "rule", "all")]
+        policies = ["without", "rule", "all"]
         table = run_ablation(gold, verdicts, predictions, policies)
         assert table.gated_in == {"without": 2, "rule": 2, "all": 1}
         # "all" drops the wrong s2 prediction, lifting precision.
@@ -344,7 +344,7 @@ class TestRunAblation:
 
     def test_render_header_and_nesting_footer(self):
         gold, predictions, verdicts = self._fixture()
-        policies = [VotePolicy.parse(name) for name in ("without", "one+", "two+", "all")]
+        policies = ["without", "one+", "two+", "all"]
         table = run_ablation(gold, verdicts, predictions, policies)
         lines = table.render().splitlines()
         assert lines[0] == f"{'policy':<10} {'TC F1(%)':>9} {'AC F1(%)':>9} {'gated_in':>9}"
@@ -352,7 +352,7 @@ class TestRunAblation:
 
     def test_to_dict_shape(self):
         gold, predictions, verdicts = self._fixture()
-        policies = [VotePolicy.parse("without"), VotePolicy.parse("all")]
+        policies = ["without", "all"]
         table = run_ablation(gold, verdicts, predictions, policies)
         payload = table.to_dict()
         assert set(payload) == {"policies", "by_policy", "gated_in"}
@@ -376,7 +376,7 @@ class TestRunAblation:
                 )
                 for i in range(n)
             }
-            policies = [VotePolicy.parse(p) for p in ("without", "one+", "two+", "all")]
+            policies = ["without", "one+", "two+", "all"]
             table = run_ablation(gold, verdicts, predictions, policies)
             g = table.gated_in
             assert g["all"] <= g["two+"] <= g["one+"] <= g["without"]

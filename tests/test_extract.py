@@ -27,9 +27,9 @@ from eventpipe.extract import (
     retrieve_examples,
 )
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.model import Argument, EventMention, Segment
+from eventpipe.model import Argument, EventMention, LabeledSegment, Segment
 from eventpipe.pipeline import Pipeline
-from eventpipe.retrieval import FewShotExample, HashedBagEmbedder, build_index, embed_texts
+from eventpipe.retrieval import HashedBagEmbedder, build_index, embed_texts
 from test_retrieval import brute_force_top_k
 
 # ---------------------------------------------------------------------------
@@ -537,8 +537,8 @@ class TestParseArgumentReply:
 
 def _support_index(dim=16):
     examples = [
-        FewShotExample(
-            example_id=f"ex-{i}",
+        LabeledSegment(
+            id=f"ex-{i}",
             text=text,
             gold_events=(EventMention(trigger=trig, event_type=etype, arguments=()),),
         )
@@ -564,7 +564,7 @@ class TestRetrieveExamples:
         query = _query("a war broke out somewhere", embedder)
         (examples,) = retrieve_examples(index, query[None], 2)
         assert len(examples) == 2
-        assert examples[0].example_id == "ex-0"
+        assert examples[0].id == "ex-0"
 
     def test_each_query_gets_its_own_examples(self, ontology):
         index, embedder = _support_index()
@@ -572,7 +572,7 @@ class TestRetrieveExamples:
         queries = np.array(embed_texts(texts, embedder))
         found = retrieve_examples(index, queries, 2)
         assert found == [retrieve_examples(index, q[None], 2)[0] for q in queries]
-        assert [shots[0].example_id for shots in found[:3]] == ["ex-1", "ex-0", "ex-2"]
+        assert [shots[0].id for shots in found[:3]] == ["ex-1", "ex-0", "ex-2"]
 
     def test_blank_text_retrieves_nothing(self, tmp_path):
         # A gated-in segment whose text is blank is never embedded, and its
@@ -605,7 +605,7 @@ class TestRetrieveExamples:
         index, embedder = _support_index()
         query = _query("a war broke out somewhere", embedder)
         (only_meet,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(["Meet"]))
-        assert [ex.example_id for ex in only_meet] == ["ex-1"]
+        assert [ex.id for ex in only_meet] == ["ex-1"]
 
 
 class TestExtractTriggers:
@@ -740,7 +740,7 @@ class TestExtractArguments:
                 query = _query(text, embedder)
                 (shots,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(types))
                 want = brute_force_top_k(index, query, 3, where=keep)
-                assert [ex.example_id for ex in shots] == [example_id for example_id, _ in want]
+                assert [ex.id for ex in shots] == [example_id for example_id, _ in want]
                 picked += len(want)
         assert picked > 0
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -13,13 +14,12 @@ from eventpipe.gate import (
     AgreementTable,
     FileVerdictProvider,
     GateError,
-    POLICY_NAMES,
-    TriggerLexicon,
+    POLICIES,
     VerdictError,
     VerdictTriple,
-    VotePolicy,
     agreement_table,
     build_lexicon,
+    check_policy,
     learned_classify,
     llm_classify,
     load_verdict_triples,
@@ -44,7 +44,7 @@ def _training(ontology, *triggers):
     for i, (trigger, etype) in enumerate(triggers):
         ev = EventMention(trigger=trigger, event_type=etype, arguments=())
         out.append(
-            LabeledSegment(segment=Segment(id=f"t{i}", text=f"... {trigger} ..."), gold_events=(ev,))
+            LabeledSegment(id=f"t{i}", text=f"... {trigger} ...", gold_events=(ev,))
         )
     return out
 
@@ -53,7 +53,7 @@ class TestRuleClassifier:
     def test_lexicon_collects_normalized_triggers(self, ontology):
         training = _training(ontology, ("  Election ", "Elect"), ("shot  DOWN", "Attack"))
         lexicon = build_lexicon(training)
-        assert lexicon.entries == frozenset({"election", "shot down"})
+        assert lexicon == frozenset({"election", "shot down"})
 
     @given(
         st.lists(
@@ -63,8 +63,7 @@ class TestRuleClassifier:
     def test_lexicon_equals_normalizing_every_trigger(self, segments):
         training = [
             LabeledSegment(
-                Segment(id=f"t{i}", text="x"),
-                tuple(EventMention(trigger=t, event_type="Attack") for t in triggers),
+                f"t{i}", "x", tuple(EventMention(trigger=t, event_type="Attack") for t in triggers)
             )
             for i, triggers in enumerate(segments)
         ]
@@ -74,7 +73,7 @@ class TestRuleClassifier:
             for ev in ls.gold_events
             if normalize(ev.trigger)
         }
-        assert build_lexicon(training).entries == frozenset(every)
+        assert build_lexicon(training) == frozenset(every)
 
     def test_lexicon_normalizes_each_distinct_trigger_once(self, ontology, monkeypatch):
         import eventpipe.gate
@@ -84,10 +83,10 @@ class TestRuleClassifier:
         triggers = ["war", "War", "war", " war", "", "war", "  "]
         lexicon = build_lexicon(_training(ontology, *((t, "Attack") for t in triggers)))
         assert sorted(calls) == sorted(set(triggers))
-        assert lexicon.entries == frozenset({"war"})
+        assert lexicon == frozenset({"war"})
 
     def test_containment_is_word_bounded(self):
-        lexicon = TriggerLexicon(entries=frozenset({"war", "met"}))
+        lexicon = frozenset({"war", "met"})
         assert rule_classify(Segment(id="a", text="the war began"), lexicon)
         assert not rule_classify(Segment(id="b", text="the warden said nothing"), lexicon)
         assert rule_classify(Segment(id="c", text="they met yesterday"), lexicon)
@@ -95,16 +94,16 @@ class TestRuleClassifier:
         assert not rule_classify(Segment(id="e", text="unmet needs remain"), lexicon)
 
     def test_multi_word_trigger_must_be_contiguous(self):
-        lexicon = TriggerLexicon(entries=frozenset({"shot down"}))
+        lexicon = frozenset({"shot down"})
         assert rule_classify(Segment(id="a", text="the jet was shot down today"), lexicon)
         assert not rule_classify(Segment(id="b", text="he shot it and went down"), lexicon)
 
     def test_case_and_spacing_insensitive(self):
-        lexicon = TriggerLexicon(entries=frozenset({"shot down"}))
+        lexicon = frozenset({"shot down"})
         assert rule_classify(Segment(id="a", text="SHOT   DOWN in flames"), lexicon)
 
     def test_empty_lexicon_rejects_everything(self):
-        lexicon = TriggerLexicon(entries=frozenset())
+        lexicon = frozenset()
         assert not rule_classify(Segment(id="a", text="anything at all"), lexicon)
 
 
@@ -254,32 +253,25 @@ class TestLlmClassifier:
         assert provider.call_count == 2
 
 
-class TestVotePolicy:
+class TestPolicyNames:
+    def test_the_seven_documented_names(self):
+        assert tuple(POLICIES) == ("without", "rule", "learned", "llm", "one+", "two+", "all")
+        for name in POLICIES:
+            assert check_policy(name) == name
+
     @pytest.mark.parametrize(
-        "name,kind", [("without", "none"), ("none", "none"), ("all", "all"), ("three", "all")]
+        "name",
+        ["none", "three", "at_least_1", "at-least-2", "ALL", " all ", "TWO+", "majority", ""],
     )
-    def test_parse_aliases(self, name, kind):
-        assert VotePolicy.parse(name).kind == kind
-
-    def test_parse_selectors_and_counts(self):
-        assert VotePolicy.parse("rule").selector == "rule"
-        assert VotePolicy.parse("one+").k == 1
-        assert VotePolicy.parse("at_least_2").k == 2
-        assert VotePolicy.parse("TWO+").k == 2
-
-    def test_parse_unknown_raises(self):
-        with pytest.raises(GateError):
-            VotePolicy.parse("majority")
-
-    def test_name_round_trips_for_canonical_names(self):
-        for name in POLICY_NAMES:
-            assert VotePolicy.parse(name).name == name
-
-    def test_invalid_construction(self):
-        with pytest.raises(GateError):
-            VotePolicy(kind="single", selector="oracle")
-        with pytest.raises(GateError):
-            VotePolicy(kind="at_least", k=3)
+    def test_any_other_spelling_is_rejected(self, name):
+        message = (
+            f"unknown gate policy {name!r}; "
+            "expected one of: without, rule, learned, llm, one+, two+, all"
+        )
+        with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
+            check_policy(name)
+        with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
+            vote(VerdictTriple(True, True, True), name)
 
 
 def _all_triples():
@@ -292,21 +284,21 @@ def _all_triples():
 class TestVote:
     def test_exhaustive_truth_table(self):
         for triple in _all_triples():
-            r, b, m = triple.as_tuple()
+            r, b, m = triple.rule, triple.learned, triple.llm
             count = r + b + m
-            assert vote(triple, VotePolicy.parse("without")) is True
-            assert vote(triple, VotePolicy.parse("rule")) is r
-            assert vote(triple, VotePolicy.parse("learned")) is b
-            assert vote(triple, VotePolicy.parse("llm")) is m
-            assert vote(triple, VotePolicy.parse("one+")) is (count >= 1)
-            assert vote(triple, VotePolicy.parse("two+")) is (count >= 2)
-            assert vote(triple, VotePolicy.parse("all")) is (count == 3)
+            assert vote(triple, "without") is True
+            assert vote(triple, "rule") is r
+            assert vote(triple, "learned") is b
+            assert vote(triple, "llm") is m
+            assert vote(triple, "one+") is (count >= 1)
+            assert vote(triple, "two+") is (count >= 2)
+            assert vote(triple, "all") is (count == 3)
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=40))
     def test_gated_in_sets_nest_monotonically(self, tuples):
         triples = [VerdictTriple(*t) for t in tuples]
         admitted = {
-            name: {i for i, t in enumerate(triples) if vote(t, VotePolicy.parse(name))}
+            name: {i for i, t in enumerate(triples) if vote(t, name)}
             for name in ("all", "two+", "one+", "without")
         }
         assert admitted["all"] <= admitted["two+"] <= admitted["one+"] <= admitted["without"]

@@ -174,7 +174,7 @@ class TestLoaders:
             ],
         )
         labeled = load_gold(path, ontology)
-        assert [ls.segment.id for ls in labeled] == ["a", "b"]
+        assert [ls.id for ls in labeled] == ["a", "b"]
         assert labeled[0].gold_events[0].event_type == "Elect"
         assert labeled[0].gold_events[0].arguments[0].role == "Person"
         assert labeled[1].gold_events == ()

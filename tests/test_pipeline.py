@@ -213,6 +213,23 @@ class TestGoldenRun:
         run_meta = json.loads((golden_corpus.output_dir / "run.json").read_text())
         assert run_meta["started_at"] <= run_meta["finished_at"]
 
+    @pytest.mark.parametrize("until", ["gate", "score"])
+    def test_run_json_is_the_result(self, golden_corpus, until):
+        before = time.time()
+        result = Pipeline(golden_corpus.config).run(until)
+        after = time.time()
+        run_meta = json.loads((golden_corpus.output_dir / "run.json").read_text())
+        assert set(run_meta) == {
+            "argument_degraded", "config_hash", "finished_at", "formatting_attempts", "gated_in",
+            "gated_out", "inputs", "provider_calls", "resumed_stages", "score", "started_at",
+            "texts_embedded", "trigger_failures", "until",
+        }
+        assert run_meta.pop("score") == (result.report.to_dict() if result.report else None)
+        for key, value in run_meta.items():
+            assert value == getattr(result, key), key
+        assert result.until == until
+        assert before <= result.started_at <= result.finished_at <= after
+
     def test_gated_out_segments_predict_no_events(self, golden_corpus):
         Pipeline(golden_corpus.config).run()
         rows = [
@@ -233,7 +250,7 @@ class TestGoldenRun:
         assert len(loaded) == golden_corpus.n_segments
         for labeled in loaded:
             for ev in labeled.gold_events:
-                ev.validate(ontology, record_id=labeled.segment.id)
+                ev.validate(ontology, record_id=labeled.id)
 
     def test_stop_after_gate(self, golden_corpus):
         result = Pipeline(golden_corpus.config).run(until="gate")

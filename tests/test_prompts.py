@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from eventpipe.model import Argument, EventMention, Segment
+from eventpipe.model import Argument, EventMention, LabeledSegment, Segment
 from eventpipe.prompts import (
     NO_EXAMPLES_SENTENCE,
     PromptBundle,
@@ -20,7 +20,6 @@ from eventpipe.prompts import (
     load_template,
     render_examples,
 )
-from eventpipe.retrieval import FewShotExample
 
 
 def _segment(text="the war began", sid="s1"):
@@ -30,7 +29,7 @@ def _segment(text="the war began", sid="s1"):
 def _example(example_id="ex-1", text="jets were shot down", with_args=True):
     args = (Argument(name="jets", role="Target"),) if with_args else ()
     ev = EventMention(trigger="shot down", event_type="Attack", arguments=args)
-    return FewShotExample(example_id=example_id, text=text, gold_events=(ev,))
+    return LabeledSegment(id=example_id, text=text, gold_events=(ev,))
 
 
 class TestMessageAndBundle:

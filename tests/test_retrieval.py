@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from eventpipe import retrieval
 from eventpipe.config import ProviderConfig, build_embedding_provider
-from eventpipe.model import DatasetError, EventMention, normalize
+from eventpipe.model import DatasetError, EventMention, LabeledSegment, normalize
 from eventpipe.retrieval import (
     DEFAULT_DIMENSION,
     EmbeddingError,
-    FewShotExample,
     HashedBagEmbedder,
     SupportIndex,
     build_index,
@@ -37,7 +36,7 @@ def _search_one(index, query, k, mask=None):
 
 
 def _examples(n, prefix="ex"):
-    return [FewShotExample(example_id=f"{prefix}-{i:03d}", text=f"text number {i}") for i in range(n)]
+    return [LabeledSegment(id=f"{prefix}-{i:03d}", text=f"text number {i}") for i in range(n)]
 
 
 def _index_from_vectors(vectors, ids=None):
@@ -47,7 +46,7 @@ def _index_from_vectors(vectors, ids=None):
     matrix.setflags(write=False)
     n = matrix.shape[0]
     ids = ids or [f"v-{i:04d}" for i in range(n)]
-    examples = tuple(FewShotExample(example_id=i, text=i) for i in ids)
+    examples = tuple(LabeledSegment(id=i, text=i) for i in ids)
     return SupportIndex(example_ids=tuple(ids), vectors=matrix, examples=examples)
 
 
@@ -109,8 +108,8 @@ def _search_cases(draw):
     vectors.setflags(write=False)
     ids = [f"v-{i:04d}" for i in rng.permutation(n)]
     examples = tuple(
-        FewShotExample(
-            example_id=example_id,
+        LabeledSegment(
+            id=example_id,
             text=example_id,
             gold_events=tuple(
                 EventMention(trigger="t", event_type=t, arguments=())
@@ -142,16 +141,16 @@ def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
         raise EmbeddingError("cannot build an index over an empty support set")
     seen = set()
     for ex in examples:
-        if ex.example_id in seen:
-            raise EmbeddingError(f"duplicate example_id {ex.example_id!r}")
-        seen.add(ex.example_id)
+        if ex.id in seen:
+            raise EmbeddingError(f"duplicate example id {ex.id!r}")
+        seen.add(ex.id)
     rows = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]
         vecs = embedding_provider.embed_batch([ex.text for ex in chunk])
         for ex, vec in zip(chunk, vecs):
             rows.append(
-                retrieval._unit(np.asarray(vec, dtype=np.float64), f"example {ex.example_id!r}")
+                retrieval._unit(np.asarray(vec, dtype=np.float64), f"example {ex.id!r}")
             )
     dims = {row.shape[0] for row in rows}
     if len(dims) != 1:
@@ -320,7 +319,7 @@ class TestBuildIndex:
         index = build_index(examples, HashedBagEmbedder(dimension=16))
         assert len(index) == 5
         assert index.dimension == 16
-        assert index.example_ids == tuple(ex.example_id for ex in examples)
+        assert index.example_ids == tuple(ex.id for ex in examples)
         norms = np.linalg.norm(index.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -335,14 +334,14 @@ class TestBuildIndex:
 
     def test_duplicate_ids_rejected(self):
         examples = [
-            FewShotExample(example_id="dup", text="one"),
-            FewShotExample(example_id="dup", text="two"),
+            LabeledSegment(id="dup", text="one"),
+            LabeledSegment(id="dup", text="two"),
         ]
         with pytest.raises(EmbeddingError, match="dup"):
             build_index(examples, HashedBagEmbedder(dimension=8))
 
     def test_blank_example_text_rejected(self):
-        examples = [FewShotExample(example_id="a", text="   ")]
+        examples = [LabeledSegment(id="a", text="   ")]
         with pytest.raises(EmbeddingError):
             build_index(examples, HashedBagEmbedder(dimension=8))
 
@@ -357,7 +356,7 @@ class TestBuildIndex:
         # Up to three 256-row chunks; texts repeat, and a blank or cancelling
         # text must fail with the same message in both.
         rng = random.Random(seed)
-        examples = [FewShotExample(f"ex-{k:04d}", rng.choice(pool)) for k in range(n)]
+        examples = [LabeledSegment(f"ex-{k:04d}", rng.choice(pool)) for k in range(n)]
         got = _outcome(lambda: build_index(examples, HashedBagEmbedder(dimension)).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, HashedBagEmbedder(dimension)))
         assert _same_outcome(got, want)
@@ -379,7 +378,7 @@ class TestBuildIndex:
     )
     def test_error_paths_match_the_reference(self, texts, table):
         ids = [f"ex-{k:04d}" if t != "a" else "dup" for k, t in enumerate(texts)]
-        examples = [FewShotExample(i, t) for i, t in zip(ids, texts)]
+        examples = [LabeledSegment(i, t) for i, t in zip(ids, texts)]
         provider = _VectorsByText(table)
         got = _outcome(lambda: build_index(examples, provider).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, provider))
@@ -392,7 +391,7 @@ class TestBuildIndex:
             200, {"vectors": [vec.tolist() for vec in local.embed_batch(body["texts"])]}
         )
         examples = [
-            FewShotExample(f"ex-{i:03d}", f"text {i % 37} row {i}") for i in range(300)
+            LabeledSegment(f"ex-{i:03d}", f"text {i % 37} row {i}") for i in range(300)
         ]
         want = build_index(examples, HashedBagEmbedder(dimension=64)).vectors
         for max_in_flight in (1, 4):
@@ -459,7 +458,7 @@ class TestSearch:
     def test_where_filter_matches_brute_force(self):
         rng = np.random.default_rng(11)
         index = _index_from_vectors(rng.normal(size=(60, 8)))
-        keep = lambda ex: ex.example_id.endswith(("0", "2", "4", "6", "8"))
+        keep = lambda ex: ex.id.endswith(("0", "2", "4", "6", "8"))
         q = rng.normal(size=8)
         q /= np.linalg.norm(q)
         mask = np.array([keep(ex) for ex in index.examples])
@@ -480,7 +479,7 @@ class TestSearch:
             np.zeros(60, dtype=bool),
         ]
         for mask in masks:
-            keep = lambda ex, mask=mask: mask[index.row_of[ex.example_id]]
+            keep = lambda ex, mask=mask: mask[index.row_of[ex.id]]
             for q in (rng.normal(size=12), index.vectors[25]):
                 for k in (1, 3, 10, 60):
                     assert _search_one(index, q, k, mask=mask) == brute_force_top_k(index, q, k, where=keep)
@@ -494,7 +493,7 @@ class TestSearch:
         vectors = np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])
         vectors.setflags(write=False)
         ids = ("a", "b", "c", "d")
-        examples = tuple(FewShotExample(example_id=i, text=i) for i in ids)
+        examples = tuple(LabeledSegment(id=i, text=i) for i in ids)
         index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
         q = np.array([1.0, 0.0])
         finite = np.array([False, True, True, False])
@@ -510,7 +509,7 @@ class TestSearch:
         # a unit-scale query round at the 1e-316 level: the candidate cut must
         # not treat these rows as exactly scored.
         ids = ("d", "c", "b", "a")
-        examples = tuple(FewShotExample(example_id=i, text=i) for i in ids)
+        examples = tuple(LabeledSegment(id=i, text=i) for i in ids)
         for seed in range(50):
             rng = np.random.default_rng(seed)
             row = rng.normal(size=64) * 1e-300
@@ -601,9 +600,20 @@ class TestPersistence:
         assert loaded.example_ids == index.example_ids
         assert loaded.examples == tuple(examples)
         # The file stores no ids: row i belongs to examples[i].
-        assert examples[3].example_id.encode() not in path.read_bytes()
+        assert examples[3].id.encode() not in path.read_bytes()
         queries = index.vectors[[3, 17]]
         assert search(index, queries, 5) == search(loaded, queries, 5)
+
+    def test_support_digest_is_pinned(self):
+        # A saved index is reused only while this digest matches, so a change
+        # to it would make every index saved before the change stale.
+        examples = [
+            LabeledSegment("ex-1", "jets were shot down"),
+            LabeledSegment("ex-2", 'Les élections, "2024"'),
+        ]
+        assert retrieval._support_digest(examples) == (
+            "b3f2d526647c5b093b93d8a655e2642d105cd66f376d3dc322bf4110c06a70fe"
+        )
 
     def test_save_replaces_the_file_whole(self, tmp_path):
         path, index, examples = _saved_index(tmp_path)
