@@ -13,7 +13,7 @@ from pathlib import Path
 from ._http import ProviderError
 from .config import ConfigError, PipelineConfig
 from .evaluate import EvaluationError, run_ablation, score
-from .extract import RawStageOutput, postprocess
+from .extract import postprocess
 from .gate import (
     POLICIES,
     GateError,
@@ -26,7 +26,6 @@ from .llm import CacheError, FormatFailureError, MockMissError
 from .model import (
     DatasetError,
     ValidationError,
-    event_to_dict,
     load_gold,
     load_ontology,
     read_rows,
@@ -167,8 +166,8 @@ def cmd_format(args) -> int:
                 f"{args.raw_file}: line {lineno} needs a string 'raw' and, if given, "
                 "an integer 'attempts' >= 1"
             )
-        raws.append(RawStageOutput(rec["id"], "argument", rec["raw"], attempts))
-    report = postprocess(
+        raws.append((rec["id"], rec["raw"]))
+    entries = postprocess(
         raws,
         ontology,
         pipe.llm_for("format"),
@@ -176,15 +175,11 @@ def cmd_format(args) -> int:
         max_attempts=config.max_attempts,
         template=template,
     )
-    rows = [
-        {"id": entry.segment_id, "event": [event_to_dict(ev) for ev in entry.events]}
-        for entry in report.entries
-        if not entry.excluded
-    ]
+    rows = [{"id": e.segment_id, "event": e.events} for e in entries if not e.excluded]
     out = Path(args.out) if args.out else Path(config.output_dir) / "formatted.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_rows(out, rows)
-    excluded = report.excluded_ids
+    excluded = [e.segment_id for e in entries if e.excluded]
     print(f"formatted: {out} ({len(rows)} segments, {len(excluded)} excluded)")
     if excluded:
         print(f"excluded ids: {', '.join(excluded[:10])}")

@@ -1,5 +1,9 @@
 """Extraction stages: trigger recognition, argument extraction, JSON post-processing.
 
+Each stage function returns the row its artifact stores (see pipeline). A
+predicted trigger is a {"trigger", "type"} dict, an event adds "arguments",
+a list of {"name", "role"} dicts.
+
 Replies are free-form model text. Deterministic JSON-tail recovery runs first
 and an LLM reformatting call is the fallback, so a well-formed reply costs no
 extra provider traffic. Trigger strings are kept verbatim; normalization is
@@ -11,25 +15,20 @@ import json
 import re
 from collections import Counter, defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from importlib import resources
 
 import numpy as np
 
 from .llm import FormatFailureError, LlmProvider, ResponseCache, complete_with_retry
-from .model import Argument, EventMention, LabeledSegment, Ontology, Segment, normalize
+from .model import LabeledSegment, Ontology, Segment, normalize
 from .prompts import Template, build_argument_prompt, build_format_prompt, build_trigger_prompt
 from .retrieval import SupportIndex, search
 
 __all__ = [
-    "ArgumentStageResult",
     "PostprocessEntry",
-    "PostprocessReport",
-    "RawStageOutput",
-    "TriggerPrediction",
-    "TriggerStageResult",
     "extract_arguments",
     "extract_triggers",
     "parse_argument_reply",
@@ -42,58 +41,6 @@ __all__ = [
 
 _NO_EVENT = re.compile(r"\bno\s+(?:events?|triggers?)\b", re.IGNORECASE)
 _NO_ARGUMENT = re.compile(r"\bno\s+arguments?\b", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class TriggerPrediction:
-    segment_id: str
-    trigger: str
-    event_type: str
-
-    def __post_init__(self):
-        if not self.trigger:
-            raise ValueError("trigger must be nonempty")
-        if not self.event_type:
-            raise ValueError("event_type must be nonempty")
-
-
-@dataclass(frozen=True)
-class RawStageOutput:
-    """Audit record of the accepted (or final rejected) reply for one stage call."""
-
-    segment_id: str
-    stage: str
-    raw_text: str
-    attempts: int
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-
-
-@dataclass(frozen=True)
-class TriggerStageResult:
-    segment_id: str
-    predictions: tuple[TriggerPrediction, ...]
-    raw: RawStageOutput
-    failed: bool
-    example_ids: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ArgumentStageResult:
-    """Events of the accepted reply, or trigger-only events when every attempt failed.
-
-    recovered holds the canonical records that the verifier recovered from
-    raw (None: no usable JSON), so repair never parses the reply again.
-    """
-
-    segment_id: str
-    events: tuple[EventMention, ...]
-    raw: RawStageOutput
-    failed: bool
-    example_ids: tuple[str, ...] = ()
-    recovered: list[dict] | None = None
 
 
 # --- JSON recovery -----------------------------------------------------------
@@ -323,10 +270,8 @@ def recover_json_tail(raw_text: str) -> list[dict] | None:
 # --- reply parsing ------------------------------------------------------------
 
 
-def parse_trigger_reply(
-    raw: str, segment_id: str, ontology: Ontology
-) -> list[TriggerPrediction] | None:
-    """Parse a trigger-stage reply; None means unparseable (caller retries).
+def parse_trigger_reply(raw: str, ontology: Ontology) -> list[dict] | None:
+    """A trigger-stage reply's {"trigger", "type"} predictions; None means unparseable (retry).
 
     An explicit no-event answer with no JSON counts as a valid empty result.
     Any event type outside the ontology rejects the whole reply.
@@ -336,14 +281,9 @@ def parse_trigger_reply(
         if _NO_EVENT.search(raw):
             return []
         return None
-    predictions: list[TriggerPrediction] = []
-    for entry in canonical:
-        if entry["type"] not in ontology.type_set:
-            return None
-        predictions.append(
-            TriggerPrediction(segment_id=segment_id, trigger=entry["trigger"], event_type=entry["type"])
-        )
-    return predictions
+    if any(entry["type"] not in ontology.type_set for entry in canonical):
+        return None
+    return [{"trigger": entry["trigger"], "type": entry["type"]} for entry in canonical]
 
 
 def _canonical_role(role: str, event_type: str, ontology: Ontology) -> str | None:
@@ -359,24 +299,24 @@ def _canonical_role(role: str, event_type: str, ontology: Ontology) -> str | Non
 
 def _match_entries_to_triggers(
     canonical: list[dict] | None,
-    triggers: Sequence[TriggerPrediction],
+    triggers: Sequence[dict],
     ontology: Ontology,
     *,
     strict: bool,
-) -> list[EventMention] | None:
-    """Assign canonical reply entries to the predicted triggers.
+) -> list[dict] | None:
+    """Assign canonical reply entries to the predicted triggers, as one event per trigger.
 
     Entries match a trigger by (normalized trigger, type); unmatched entries
     are dropped, and triggers with no entry keep an empty argument list. With
     strict=True a disallowed role rejects the reply; otherwise the offending
     argument is dropped.
     """
-    keys = [(normalize(t.trigger), t.event_type) for t in triggers]
+    keys = [(normalize(t["trigger"]), t["type"]) for t in triggers]
     occurrences = Counter(keys)
     queues: defaultdict[tuple[str, str], deque[list[dict]]] = defaultdict(deque)
     for entry in canonical or []:
         queues[(normalize(entry["trigger"]), entry["type"])].append(entry["arguments"])
-    events: list[EventMention] = []
+    events: list[dict] = []
     for trig, key in zip(triggers, keys):
         queue = queues[key]
         if occurrences[key] == 1:
@@ -386,34 +326,28 @@ def _match_entries_to_triggers(
             queue.clear()
         else:
             raw_args = queue.popleft() if queue else []
-        args: list[Argument] = []
+        args: list[dict] = []
         for a in raw_args:
-            role = _canonical_role(a["role"], trig.event_type, ontology)
-            if role is None:
+            role = _canonical_role(a["role"], trig["type"], ontology)
+            if role is None or not normalize(a["name"]):
                 if strict:
                     return None
                 continue
-            if not normalize(a["name"]):
-                if strict:
-                    return None
-                continue
-            args.append(Argument(name=a["name"], role=role))
-        events.append(
-            EventMention(trigger=trig.trigger, event_type=trig.event_type, arguments=tuple(args))
-        )
+            args.append({"name": a["name"], "role": role})
+        events.append({"trigger": trig["trigger"], "type": trig["type"], "arguments": args})
     return events
 
 
 def parse_argument_reply(
-    raw: str, triggers: Sequence[TriggerPrediction], ontology: Ontology
-) -> list[EventMention] | None:
+    raw: str, triggers: Sequence[dict], ontology: Ontology
+) -> list[dict] | None:
     """Parse an argument-stage reply against the predicted triggers; None = retry."""
     return _argument_events(raw, recover_json_tail(raw), triggers, ontology)
 
 
 def _argument_events(
-    raw: str, canonical: list[dict] | None, triggers: Sequence[TriggerPrediction], ontology: Ontology
-) -> list[EventMention] | None:
+    raw: str, canonical: list[dict] | None, triggers: Sequence[dict], ontology: Ontology
+) -> list[dict] | None:
     """Strictly match raw's recovered records; a no-argument answer without JSON is empty."""
     if canonical is None and _NO_ARGUMENT.search(raw):
         canonical = []
@@ -442,6 +376,18 @@ def retrieve_examples(
 # --- stages -------------------------------------------------------------------
 
 
+def _complete_row(row: dict, provider, bundle, verifier, **retry) -> None:
+    """Add raw, attempts and failed to a stage row: failed if every reply was rejected.
+
+    raw is then the last rejected reply.
+    """
+    try:
+        completion = complete_with_retry(provider, bundle, verifier, **retry)
+        row.update(raw=completion.text, attempts=completion.attempts, failed=False)
+    except FormatFailureError as exc:
+        row.update(raw=exc.last_response, attempts=exc.attempts, failed=True)
+
+
 def extract_triggers(
     segment: Segment,
     examples: Sequence[LabeledSegment],
@@ -452,33 +398,30 @@ def extract_triggers(
     max_attempts: int = 3,
     corrective: bool = False,
     template: Template,
-) -> TriggerStageResult:
-    """Run trigger recognition for one gated-in segment with its retrieved few-shot examples."""
+) -> dict:
+    """The triggers row of one gated-in segment, recognized with its retrieved few-shot examples.
+
+    A reply rejected on every attempt gives failed=True and no predictions.
+    """
     bundle = build_trigger_prompt(segment, examples, ontology, template=template)
-    parsed: dict = {}
+    row = {"id": segment.id, "examples": [ex.id for ex in examples]}
 
     def verifier(text: str) -> bool:
-        result = parse_trigger_reply(text, segment.id, ontology)
-        if result is None:
-            return False
-        parsed["value"] = result
-        return True
+        row["predictions"] = parse_trigger_reply(text, ontology)
+        return row["predictions"] is not None
 
-    example_ids = tuple(ex.id for ex in examples)
-    try:
-        completion = complete_with_retry(
-            provider, bundle, verifier, max_attempts=max_attempts, cache=cache, corrective=corrective
-        )
-    except FormatFailureError as exc:
-        raw = RawStageOutput(segment.id, "trigger", exc.last_response, exc.attempts)
-        return TriggerStageResult(segment.id, (), raw, True, example_ids)
-    raw = RawStageOutput(segment.id, "trigger", completion.text, completion.attempts)
-    return TriggerStageResult(segment.id, tuple(parsed["value"]), raw, False, example_ids)
+    _complete_row(
+        row, provider, bundle, verifier,
+        max_attempts=max_attempts, cache=cache, corrective=corrective,
+    )
+    if row["failed"]:
+        row["predictions"] = []
+    return row
 
 
 def extract_arguments(
     segment: Segment,
-    triggers: Sequence[TriggerPrediction],
+    triggers: Sequence[dict],
     examples: Sequence[LabeledSegment],
     ontology: Ontology,
     provider: LlmProvider,
@@ -487,40 +430,36 @@ def extract_arguments(
     max_attempts: int = 3,
     corrective: bool = False,
     template: Template,
-) -> ArgumentStageResult:
-    """Run argument extraction for one segment's predicted triggers with its few-shot examples.
+) -> tuple[dict, list[dict] | None]:
+    """One segment's arguments row for its predicted triggers, and the records its reply held.
 
     Format failure after retries degrades to the triggers with empty argument
-    lists (failed=True) rather than dropping them.
+    lists (failed=True) rather than dropping them. The records are those the
+    verifier recovered from the row's reply (None: no usable JSON), so repair
+    never parses the reply again.
     """
     if not triggers:
         raise ValueError("extract_arguments requires at least one predicted trigger")
-    predicted_types = [t.event_type for t in triggers]
+    predicted_types = [t["type"] for t in triggers]
     bundle = build_argument_prompt(segment, predicted_types, examples, ontology, template=template)
-    parsed: dict = {}
+    row = {"id": segment.id, "examples": [ex.id for ex in examples]}
+    recovered = None
 
     def verifier(text: str) -> bool:
-        parsed["recovered"] = recover_json_tail(text)
-        parsed["events"] = _argument_events(text, parsed["recovered"], triggers, ontology)
-        return parsed["events"] is not None
+        nonlocal recovered
+        recovered = recover_json_tail(text)
+        row["events"] = _argument_events(text, recovered, triggers, ontology)
+        return row["events"] is not None
 
-    example_ids = tuple(ex.id for ex in examples)
-    try:
-        completion = complete_with_retry(
-            provider, bundle, verifier, max_attempts=max_attempts, cache=cache, corrective=corrective
-        )
-    except FormatFailureError as exc:
-        events = tuple(
-            EventMention(trigger=t.trigger, event_type=t.event_type, arguments=()) for t in triggers
-        )
-        raw = RawStageOutput(segment.id, "argument", exc.last_response, exc.attempts)
-        return ArgumentStageResult(
-            segment.id, events, raw, True, example_ids, parsed["recovered"]
-        )
-    raw = RawStageOutput(segment.id, "argument", completion.text, completion.attempts)
-    return ArgumentStageResult(
-        segment.id, tuple(parsed["events"]), raw, False, example_ids, parsed["recovered"]
+    _complete_row(
+        row, provider, bundle, verifier,
+        max_attempts=max_attempts, cache=cache, corrective=corrective,
     )
+    if row["failed"]:
+        row["events"] = [
+            {"trigger": t["trigger"], "type": t["type"], "arguments": []} for t in triggers
+        ]
+    return row, recovered
 
 
 # --- post-processing ----------------------------------------------------------
@@ -528,75 +467,52 @@ def extract_arguments(
 
 @dataclass(frozen=True)
 class PostprocessEntry:
+    """One segment's final events, and how the repair that produced them went."""
+
     segment_id: str
-    events: tuple[EventMention, ...]
+    events: list[dict]
     formatting_attempts: int
     excluded: bool
     degraded: bool
 
 
-@dataclass
-class PostprocessReport:
-    entries: list[PostprocessEntry] = field(default_factory=list)
-
-    @property
-    def excluded_ids(self) -> list[str]:
-        return [e.segment_id for e in self.entries if e.excluded]
-
-
-def _validated_events(canonical: list[dict], ontology: Ontology) -> list[EventMention] | None:
-    """Canonical records as EventMentions, or None if any record is invalid."""
-    events: list[EventMention] = []
-    for entry in canonical:
-        if entry["type"] not in ontology.type_set:
-            return None
-        args = []
-        for a in entry["arguments"]:
-            role = _canonical_role(a["role"], entry["type"], ontology)
-            if role is None or not normalize(a["name"]):
-                return None
-            args.append(Argument(name=a["name"], role=role))
-        events.append(
-            EventMention(trigger=entry["trigger"], event_type=entry["type"], arguments=tuple(args))
-        )
-    return events
-
-
 def postprocess(
-    raw_outputs: Sequence[RawStageOutput],
+    raws: Iterable[tuple[str, str]],
     ontology: Ontology,
     provider: LlmProvider | None,
     *,
     cache: ResponseCache | None = None,
     max_attempts: int = 3,
     template: Template,
-) -> PostprocessReport:
-    """Turn standalone raw replies into validated events.
+) -> list[PostprocessEntry]:
+    """Turn standalone (segment id, raw reply) pairs into validated events.
 
     Deterministic JSON-tail recovery is tried first; only when it fails (or
     yields ontology-invalid records) is the reformatting prompt sent. A reply
-    that stays unusable excludes its segment, which the report lists.
+    that stays unusable excludes its segment.
     """
 
     def validated(canonical):
-        return None if canonical is None else _validated_events(canonical, ontology)
+        if canonical is None or any(e["type"] not in ontology.type_set for e in canonical):
+            return None
+        # Each record is matched, strictly, to itself as the predicted trigger.
+        return _match_entries_to_triggers(canonical, canonical, ontology, strict=True)
 
-    report = PostprocessReport()
-    for raw in raw_outputs:
-        events, attempts = validated(recover_json_tail(raw.raw_text)), 0
+    entries = []
+    for segment_id, raw in raws:
+        events, attempts = validated(recover_json_tail(raw)), 0
         if events is None:
             events, attempts = _format_repair(
-                raw, validated, provider, cache, max_attempts, template
+                segment_id, raw, validated, provider, cache, max_attempts, template
             )
-        report.entries.append(
-            PostprocessEntry(raw.segment_id, tuple(events or ()), attempts, events is None, False)
-        )
-    return report
+        entries.append(PostprocessEntry(segment_id, events or [], attempts, events is None, False))
+    return entries
 
 
 def repair_arguments(
-    result: ArgumentStageResult,
-    triggers: Sequence[TriggerPrediction],
+    row: dict,
+    recovered: list[dict] | None,
+    triggers: Sequence[dict],
     ontology: Ontology,
     provider: LlmProvider | None,
     *,
@@ -604,34 +520,35 @@ def repair_arguments(
     max_attempts: int = 3,
     template: Template,
 ) -> PostprocessEntry:
-    """Final events for one segment's argument result, without parsing a reply again.
+    """Final events for one segment's arguments row and the records its reply held.
 
     An accepted reply's events are returned as parsed. A failed reply's
     recovered records are matched to the committed triggers non-strictly:
     disallowed roles and unmatched entries are dropped. Only a failed reply
-    with no recoverable JSON goes through the formatting prompt; if that fails
-    as well, the segment is degraded to its triggers with empty argument lists.
+    with no recoverable JSON (recovered is None) goes through the formatting
+    prompt; if that fails as well, the segment is degraded to its triggers
+    with empty argument lists.
     """
-    if not result.failed:
-        return PostprocessEntry(result.segment_id, result.events, 0, False, False)
-    canonical, attempts = result.recovered, 0
+    if not row["failed"]:
+        return PostprocessEntry(row["id"], row["events"], 0, False, False)
+    canonical, attempts = recovered, 0
     if canonical is None:
         canonical, attempts = _format_repair(
-            result.raw, lambda c: c, provider, cache, max_attempts, template
+            row["id"], row["raw"], lambda c: c, provider, cache, max_attempts, template
         )
     events = _match_entries_to_triggers(canonical, triggers, ontology, strict=False)
-    return PostprocessEntry(result.segment_id, tuple(events), attempts, False, canonical is None)
+    return PostprocessEntry(row["id"], events, attempts, False, canonical is None)
 
 
-def _format_repair(raw: RawStageOutput, convert, provider, cache, max_attempts, template):
+def _format_repair(segment_id: str, raw: str, convert, provider, cache, max_attempts, template):
     """(convert(records) of the first formatting reply it accepts, or None; attempts).
 
     convert rejects a reply by returning None. Blank text, or no provider,
     sends nothing and recovers nothing.
     """
-    if provider is None or not raw.raw_text.strip():
+    if provider is None or not raw.strip():
         return None, 0
-    bundle = build_format_prompt(raw.raw_text, raw.segment_id, template=template)
+    bundle = build_format_prompt(raw, segment_id, template=template)
     converted: dict = {}
 
     def verifier(text: str) -> bool:

@@ -32,7 +32,6 @@ __all__ = [
     "ValidationError",
     "check_rows",
     "default_ontology_path",
-    "event_to_dict",
     "iter_json_records",
     "load_gold",
     "load_ontology",
@@ -241,7 +240,7 @@ def check_rows(
     path: str | Path, records: Iterable[tuple[int, Any]], fields: tuple[str, ...] = ()
 ) -> Iterator[tuple[int, dict]]:
     """Yield records that are objects holding every named field and an 'id' not seen before."""
-    required = ("id",) + fields
+    required = tuple(dict.fromkeys(("id", *fields)))
     required_set = frozenset(required)
     seen: set[str] = set()
     for lineno, rec in records:
@@ -312,15 +311,6 @@ def _parse_event(obj: Any, record_id: str) -> EventMention:
         except ValidationError as exc:
             raise ValidationError(f"record {record_id!r}: {exc}") from exc
     return EventMention(trigger=trigger, event_type=etype, arguments=tuple(args))
-
-
-def event_to_dict(ev: EventMention) -> dict:
-    """The row form of an event; _parse_event reads it back."""
-    return {
-        "trigger": ev.trigger,
-        "type": ev.event_type,
-        "arguments": [{"name": a.name, "role": a.role} for a in ev.arguments],
-    }
 
 
 def load_gold(

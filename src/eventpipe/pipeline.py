@@ -11,10 +11,11 @@ examples (a same-type argument search, which needs the predicted types,
 runs there from the stored query vector), each argument reply parsed once.
 Each stage has one JSONL artifact whose header
 line records the stage name, the config hash and the inputs digest (the
-contents of the input files); its rows are projections of the per-segment
-records, written in stage order once both phases finish, so a crash mid-run
-leaves only the completion cache to resume from. Under --resume a stage
-with a matching artifact is replayed instead of recomputed; an artifact
+contents of the input files); each stage function returns its artifact row
+(ROW_FIELDS), and later stages read rows as they are, computed or replayed.
+The artifacts are written in stage order once both phases finish, so a crash
+mid-run leaves only the completion cache to resume from. Under --resume a
+stage with a matching artifact is replayed instead of recomputed; an artifact
 built from other input contents is recomputed, and a config hash mismatch
 aborts rather than silently mixing runs. Artifacts carry no wall-clock
 data, so two identical runs produce byte-identical stage files (timestamps
@@ -49,10 +50,7 @@ from .config import (
 )
 from .evaluate import ScoreReport, score
 from .extract import (
-    ArgumentStageResult,
     PostprocessEntry,
-    RawStageOutput,
-    TriggerPrediction,
     extract_arguments,
     extract_triggers,
     recover_json_tail,
@@ -73,9 +71,9 @@ from .model import (
     DatasetError,
     LabeledSegment,
     Segment,
+    ValidationError,
     _parse_event,
     check_rows,
-    event_to_dict,
     iter_json_records,
     load_gold,
     load_ontology,
@@ -97,6 +95,7 @@ __all__ = [
     "CountingLlm",
     "Pipeline",
     "ResumeError",
+    "ROW_FIELDS",
     "RunResult",
     "STAGE_ORDER",
     "read_artifact",
@@ -115,6 +114,17 @@ ARTIFACT_NAMES = {
     "final": "final.jsonl",
 }
 
+# The fields of each artifact's rows.
+ROW_FIELDS = {
+    "gate": ("id", "rule", "learned", "llm", "gated_in"),
+    "triggers": ("id", "predictions", "raw", "attempts", "failed", "examples"),
+    "arguments": ("id", "events", "raw", "attempts", "failed", "examples"),
+    "final": ("id", "event"),
+}
+
+# The row field that lists events; a trigger prediction is an event without arguments.
+EVENT_FIELDS = {"triggers": "predictions", "arguments": "events", "final": "event"}
+
 
 class ResumeError(ConfigError):
     """A resumed artifact does not belong to this configuration."""
@@ -132,7 +142,9 @@ def read_artifact(path: Path, stage: str, config_hash: str, inputs: str) -> list
 
     None if the file is absent or was built from other input contents
     (another inputs digest): the stage is then recomputed. Only the header
-    is read in that case.
+    is read in that case. A row without the stage's ROW_FIELDS, with a raw
+    reply that is not a string, or whose event list holds a malformed event,
+    is a DatasetError naming the line.
     """
     if not path.exists():
         return None
@@ -151,7 +163,21 @@ def read_artifact(path: Path, stage: str, config_hash: str, inputs: str) -> list
         )
     if header.get("inputs") != inputs:
         return None
-    return [row for _, row in check_rows(path, records)]
+    rows = []
+    key = EVENT_FIELDS.get(stage)
+    for lineno, row in check_rows(path, records, ROW_FIELDS[stage]):
+        if key:
+            try:
+                if not isinstance(row.get("raw", ""), str):
+                    raise DatasetError(f"record {row['id']!r}: 'raw' must be a string")
+                if not isinstance(row[key], list):
+                    raise DatasetError(f"record {row['id']!r}: {key!r} must be a list")
+                for obj in row[key]:
+                    _parse_event(obj, row["id"])
+            except (DatasetError, ValidationError) as exc:
+                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+        rows.append(row)
+    return rows
 
 
 class CountingLlm(LlmProvider):
@@ -228,19 +254,6 @@ class SegmentRecord:
 
     rows: dict[str, dict | None]
     repair: PostprocessEntry | None = None
-
-
-def _argument_result(row: dict) -> ArgumentStageResult:
-    """Rebuild a replayed argument row's result; only a failed row's reply is parsed again."""
-    raw = RawStageOutput(row["id"], "argument", row["raw"], row["attempts"])
-    return ArgumentStageResult(
-        row["id"],
-        tuple(_parse_event(obj, row["id"]) for obj in row["events"]),
-        raw,
-        row["failed"],
-        tuple(row["examples"]),
-        recover_json_tail(row["raw"]) if row["failed"] else None,
-    )
 
 
 def _gated_in(rows: dict[str, dict | None]) -> bool:
@@ -521,56 +534,34 @@ class Pipeline:
         def process(seg: Segment, record: SegmentRecord) -> None:
             rows = record.rows
             if "triggers" in computed and _gated_in(rows):
-                found = extract_triggers(
+                rows["triggers"] = extract_triggers(
                     seg, examples.get(seg.id, []), ontology, trigger_llm,
                     template=templates["trigger"], **extraction,
                 )
-                rows["triggers"] = {
-                    "id": seg.id,
-                    "predictions": [
-                        {"trigger": p.trigger, "type": p.event_type} for p in found.predictions
-                    ],
-                    "raw": found.raw.raw_text,
-                    "attempts": found.raw.attempts,
-                    "failed": found.failed,
-                    "examples": list(found.example_ids),
-                }
-            triggers = []
-            if _has_triggers(rows):
-                triggers = [
-                    TriggerPrediction(seg.id, p["trigger"], p["type"])
-                    for p in rows["triggers"]["predictions"]
-                ]
-            result = None
+            triggers = rows["triggers"]["predictions"] if _has_triggers(rows) else []
+            recovered = None
             if "arguments" in computed and triggers:
                 shots = examples.get(seg.id, [])
                 if cfg.same_type_filter and seg.id in queries:
-                    mask = index.type_mask(t.event_type for t in triggers)
+                    mask = index.type_mask(t["type"] for t in triggers)
                     (shots,) = retrieve_examples(
                         index, queries[seg.id][None], cfg.retrieval_k, mask=mask
                     )
-                result = extract_arguments(
+                rows["arguments"], recovered = extract_arguments(
                     seg, triggers, shots, ontology, argument_llm,
                     template=templates["argument"], **extraction,
                 )
-                rows["arguments"] = {
-                    "id": seg.id,
-                    "events": [event_to_dict(ev) for ev in result.events],
-                    "raw": result.raw.raw_text,
-                    "attempts": result.raw.attempts,
-                    "failed": result.failed,
-                    "examples": list(result.example_ids),
-                }
-            elif "final" in computed and rows.get("arguments"):
-                result = _argument_result(rows["arguments"])
+            elif "final" in computed and rows.get("arguments") and rows["arguments"]["failed"]:
+                # A replayed failed row: repair reads the records its reply holds.
+                recovered = recover_json_tail(rows["arguments"]["raw"])
             if "final" in computed:
-                if result is not None:
+                if rows.get("arguments"):
                     record.repair = repair_arguments(
-                        result, triggers, ontology, format_llm,
+                        rows["arguments"], recovered, triggers, ontology, format_llm,
                         template=templates["format"], **retry,
                     )
-                events = record.repair.events if record.repair else ()
-                rows["final"] = {"id": seg.id, "event": [event_to_dict(ev) for ev in events]}
+                events = record.repair.events if record.repair else []
+                rows["final"] = {"id": seg.id, "event": events}
 
         return process
 

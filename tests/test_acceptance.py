@@ -26,8 +26,6 @@ from conftest import build_golden_corpus
 from eventpipe.cli import main
 from eventpipe.evaluate import prf
 from eventpipe.extract import (
-    RawStageOutput,
-    TriggerPrediction,
     extract_arguments,
     postprocess,
     recover_json_tail,
@@ -411,29 +409,28 @@ class TestCriterion9ValidationTotality:
         if with_triggers:
             # Pipeline path: the argument step's reply, repaired against the
             # committed triggers.
-            triggers = [TriggerPrediction("s1", "war", "Attack")]
-            result = extract_arguments(
+            triggers = [{"trigger": "war", "type": "Attack"}]
+            row, recovered = extract_arguments(
                 Segment(id="s1", text="a war broke out"), triggers, [], ontology, provider,
                 template=templates["argument"],
             )
             entries = [
-                repair_arguments(result, triggers, ontology, provider, template=templates["format"])
+                repair_arguments(
+                    row, recovered, triggers, ontology, provider, template=templates["format"]
+                )
             ]
         else:
-            entries = postprocess(
-                [RawStageOutput("s1", "argument", raw, 1)], ontology, provider,
-                template=templates["format"],
-            ).entries
+            entries = postprocess([("s1", raw)], ontology, provider, template=templates["format"])
         for entry in entries:
             if entry.excluded:
-                assert entry.events == ()
+                assert entry.events == []
                 continue
             for event in entry.events:
-                event.validate(ontology, record_id=entry.segment_id)
-                assert event.event_type in ontology.event_types
-                allowed = set(ontology.roles_for(event.event_type))
-                for argument in event.arguments:
-                    assert argument.role in allowed
+                assert event["type"] in ontology.event_types
+                allowed = set(ontology.roles_for(event["type"]))
+                for argument in event["arguments"]:
+                    assert argument["role"] in allowed
+                    assert argument["name"].strip()
         TestCriterion9ValidationTotality.checked_replies += 1
 
     def test_full_pipeline_outputs_validate(self, tmp_path, ontology):

@@ -13,7 +13,7 @@ import eventpipe
 from conftest import build_golden_corpus
 from eventpipe.cli import main
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.pipeline import Pipeline
+from eventpipe.pipeline import ARTIFACT_NAMES, ROW_FIELDS, Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index
 from test_retrieval import json_lines_index
 
@@ -426,6 +426,69 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         assert code == 3
         assert err == f"error: {gate}: invalid JSON at line 4\n"
+
+    @staticmethod
+    def _damage_replayed_row(corpus, stage, damage):
+        """Damage seg-005's row of a stage's artifact and delete the later artifacts.
+
+        The resumed run then computes the later stages from the damaged row.
+        Returns the artifact's path and the damaged row's line number.
+        """
+        names = list(ARTIFACT_NAMES)
+        for later in names[names.index(stage) + 1 :]:
+            (corpus.output_dir / ARTIFACT_NAMES[later]).unlink()
+        path = corpus.output_dir / ARTIFACT_NAMES[stage]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (lineno,) = [n for n, line in enumerate(lines, 1) if '"id": "seg-005"' in line]
+        row = json.loads(lines[lineno - 1])
+        damage(row)
+        lines[lineno - 1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path, lineno
+
+    @pytest.mark.parametrize(
+        "stage, field",
+        [("gate", "gated_in"), ("triggers", "failed"), ("arguments", "raw"), ("final", "event")],
+    )
+    def test_replayed_row_without_a_field_is_an_input_error(self, tmp_path, capsys, stage, field):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
+        path, lineno = self._damage_replayed_row(corpus, stage, lambda row: row.pop(field))
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
+        names = " and ".join(repr(name) for name in ROW_FIELDS[stage])
+        assert (code, err) == (3, f"error: {path}: record at line {lineno} needs {names}\n")
+
+    @pytest.mark.parametrize(
+        "stage, key, value, message",
+        [
+            (
+                "triggers",
+                "predictions",
+                [{"trigger": " ", "type": "Die"}],
+                "event is missing a trigger string",
+            ),
+            ("triggers", "predictions", ["died"], "event entry must be an object"),
+            ("arguments", "events", {"trigger": "died"}, "'events' must be a list"),
+            (
+                "arguments",
+                "events",
+                [{"trigger": "died", "type": "Die", "arguments": [{"name": "worker"}]}],
+                "each argument needs 'name' and 'role'",
+            ),
+            ("final", "event", [{"trigger": "died"}], "event is missing a type string"),
+            ("arguments", "raw", None, "'raw' must be a string"),
+        ],
+    )
+    def test_replayed_row_with_a_malformed_field_is_an_input_error(
+        self, tmp_path, capsys, stage, key, value, message
+    ):
+        # format --resume stops after the final stage, as the replayed
+        # arguments rows are repaired.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
+        path, lineno = self._damage_replayed_row(corpus, stage, lambda row: row.update({key: value}))
+        code, _, err = run_cli(capsys, "format", "--config", str(corpus.config_path), "--resume")
+        assert (code, err) == (3, f"error: {path}: line {lineno}: record 'seg-005': {message}\n")
 
     def test_artifact_header_that_is_not_an_object_is_an_input_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")

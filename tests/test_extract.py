@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS, build_golden_corpus
 from eventpipe import extract
 from eventpipe.extract import (
-    RawStageOutput,
-    TriggerPrediction,
     extract_arguments,
     extract_triggers,
     parse_argument_reply,
@@ -27,7 +25,7 @@ from eventpipe.extract import (
     retrieve_examples,
 )
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.model import Argument, EventMention, LabeledSegment, Segment
+from eventpipe.model import EventMention, LabeledSegment, Segment
 from eventpipe.pipeline import Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index, embed_texts
 from test_retrieval import brute_force_top_k
@@ -329,7 +327,7 @@ class TestRecoverJsonTail:
         prose = "\n".join(" ".join(words[k : k + 6]) for k in range(0, len(words), 6))
         raw = prose + '\nAnswer: [{"trigger": "met", "type": "Meet"}]'
         assert len(raw) > 45_000
-        assert parse_trigger_reply(raw, "s1", ontology) == [TriggerPrediction("s1", "met", "Meet")]
+        assert parse_trigger_reply(raw, ontology) == [{"trigger": "met", "type": "Meet"}]
 
     def test_recovery_is_idempotent_on_its_own_output(self):
         for _, raw, expected in RECOVERY_CASES:
@@ -364,27 +362,27 @@ class TestRecoverJsonTail:
 
 class TestParseTriggerReply:
     def test_valid_reply(self, ontology):
-        out = parse_trigger_reply('[{"trigger": "war", "type": "Attack"}]', "s1", ontology)
-        assert out == [TriggerPrediction("s1", "war", "Attack")]
+        out = parse_trigger_reply('[{"trigger": "war", "type": "Attack"}]', ontology)
+        assert out == [{"trigger": "war", "type": "Attack"}]
 
     def test_no_event_phrase_without_json_is_empty(self, ontology):
-        assert parse_trigger_reply("There are no events in the text.", "s1", ontology) == []
-        assert parse_trigger_reply("No triggers found", "s1", ontology) == []
+        assert parse_trigger_reply("There are no events in the text.", ontology) == []
+        assert parse_trigger_reply("No triggers found", ontology) == []
 
     def test_prose_without_disclaimer_is_unparseable(self, ontology):
-        assert parse_trigger_reply("I could not find anything useful.", "s1", ontology) is None
+        assert parse_trigger_reply("I could not find anything useful.", ontology) is None
 
     def test_unknown_event_type_rejects_whole_reply(self, ontology):
         raw = '[{"trigger": "met", "type": "Meet"}, {"trigger": "x", "type": "Meetx"}]'
-        assert parse_trigger_reply(raw, "s1", ontology) is None
+        assert parse_trigger_reply(raw, ontology) is None
 
     def test_empty_array_is_valid_empty(self, ontology):
-        assert parse_trigger_reply("[]", "s1", ontology) == []
+        assert parse_trigger_reply("[]", ontology) == []
 
 
 class TestParseArgumentReply:
     def _triggers(self):
-        return [TriggerPrediction("s1", "war", "Attack")]
+        return [{"trigger": "war", "type": "Attack"}]
 
     def test_valid_reply_attaches_arguments(self, ontology):
         raw = (
@@ -393,11 +391,11 @@ class TestParseArgumentReply:
         )
         events = parse_argument_reply(raw, self._triggers(), ontology)
         assert events == [
-            EventMention(
-                trigger="war",
-                event_type="Attack",
-                arguments=(Argument(name="rebels", role="Attacker"),),
-            )
+            {
+                "trigger": "war",
+                "type": "Attack",
+                "arguments": [{"name": "rebels", "role": "Attacker"}],
+            }
         ]
 
     def test_role_case_is_canonicalized(self, ontology):
@@ -406,7 +404,7 @@ class TestParseArgumentReply:
             '[{"name": "rebels", "role": "attacker"}]}]'
         )
         events = parse_argument_reply(raw, self._triggers(), ontology)
-        assert events[0].arguments[0].role == "Attacker"
+        assert events[0]["arguments"][0]["role"] == "Attacker"
 
     def test_disallowed_role_rejects_reply(self, ontology):
         raw = (
@@ -417,7 +415,7 @@ class TestParseArgumentReply:
 
     def test_no_argument_phrase_gives_empty_argument_lists(self, ontology):
         events = parse_argument_reply("There are no arguments.", self._triggers(), ontology)
-        assert events == [EventMention(trigger="war", event_type="Attack", arguments=())]
+        assert events == [{"trigger": "war", "type": "Attack", "arguments": []}]
 
     def test_prose_is_unparseable(self, ontology):
         assert parse_argument_reply("the rebels did it", self._triggers(), ontology) is None
@@ -429,18 +427,18 @@ class TestParseArgumentReply:
         )
         events = parse_argument_reply(raw, self._triggers(), ontology)
         assert len(events) == 1
-        assert events[0].trigger == "war"
+        assert events[0]["trigger"] == "war"
 
     def test_trigger_match_ignores_case_and_spacing(self, ontology):
-        triggers = [TriggerPrediction("s1", "Shot  Down", "Attack")]
+        triggers = [{"trigger": "Shot  Down", "type": "Attack"}]
         raw = (
             '[{"trigger": "shot down", "type": "Attack", "arguments": '
             '[{"name": "plane", "role": "Target"}]}]'
         )
         events = parse_argument_reply(raw, triggers, ontology)
-        assert events[0].arguments[0].name == "plane"
+        assert events[0]["arguments"][0]["name"] == "plane"
         # The committed trigger string is the prediction's, not the reply's.
-        assert events[0].trigger == "Shot  Down"
+        assert events[0]["trigger"] == "Shot  Down"
 
     def test_one_object_per_argument_style_is_merged(self, ontology):
         # Some models emit the same trigger once per argument; a single
@@ -450,29 +448,29 @@ class TestParseArgumentReply:
             ' {"trigger": "war", "type": "Attack", "arguments": [{"name": "village", "role": "Place"}]}]'
         )
         events = parse_argument_reply(raw, self._triggers(), ontology)
-        assert [a.name for a in events[0].arguments] == ["rebels", "village"]
+        assert [a["name"] for a in events[0]["arguments"]] == ["rebels", "village"]
 
     def test_duplicate_predicted_triggers_consume_entries_in_order(self, ontology):
         triggers = [
-            TriggerPrediction("s1", "war", "Attack"),
-            TriggerPrediction("s1", "war", "Attack"),
+            {"trigger": "war", "type": "Attack"},
+            {"trigger": "war", "type": "Attack"},
         ]
         raw = (
             '[{"trigger": "war", "type": "Attack", "arguments": [{"name": "rebels", "role": "Attacker"}]},'
             ' {"trigger": "war", "type": "Attack", "arguments": [{"name": "village", "role": "Place"}]}]'
         )
         events = parse_argument_reply(raw, triggers, ontology)
-        assert [a.name for e in events for a in e.arguments] == ["rebels", "village"]
-        assert len(events[0].arguments) == 1
-        assert len(events[1].arguments) == 1
+        assert [a["name"] for e in events for a in e["arguments"]] == ["rebels", "village"]
+        assert len(events[0]["arguments"]) == 1
+        assert len(events[1]["arguments"]) == 1
 
     def test_single_keys_merge_and_repeated_keys_consume_in_order(self, ontology):
         triggers = [
-            TriggerPrediction("s1", "war", "Attack"),
-            TriggerPrediction("s1", "met", "Meet"),
-            TriggerPrediction("s1", "died", "Die"),
-            TriggerPrediction("s1", "War", "Attack"),
-            TriggerPrediction("s1", "died", "Die"),
+            {"trigger": "war", "type": "Attack"},
+            {"trigger": "met", "type": "Meet"},
+            {"trigger": "died", "type": "Die"},
+            {"trigger": "War", "type": "Attack"},
+            {"trigger": "died", "type": "Die"},
         ]
         entries = [
             ("war", "Attack", "rebels", "Attacker"),
@@ -492,7 +490,7 @@ class TestParseArgumentReply:
         # met occurs once and merges both of its entries; war and died occur
         # twice and take one entry each in reply order, so the third war entry
         # is dropped and the second died keeps no arguments.
-        assert [(e.trigger, [a.name for a in e.arguments]) for e in events] == [
+        assert [(e["trigger"], [a["name"] for a in e["arguments"]]) for e in events] == [
             ("war", ["rebels"]),
             ("met", ["leaders", "Ankara"]),
             ("died", ["soldier"]),
@@ -504,7 +502,7 @@ class TestParseArgumentReply:
         def reply_and_triggers(n):
             # Half the triggers are distinct, half repeat one key.
             words = [f"w{k}" for k in range(n // 2)] + ["war"] * (n // 2)
-            triggers = [TriggerPrediction("s1", w, "Attack") for w in words]
+            triggers = [{"trigger": w, "type": "Attack"} for w in words]
             raw = json.dumps(
                 [
                     {"trigger": w, "type": "Attack", "arguments": [{"name": "rebels", "role": "Attacker"}]}
@@ -517,18 +515,18 @@ class TestParseArgumentReply:
             return parse_argument_reply(case[0], case[1], ontology)
 
         small, large = reply_and_triggers(2_000), reply_and_triggers(8_000)
-        assert all(len(e.arguments) == 1 for e in parse(large))
+        assert all(len(e["arguments"]) == 1 for e in parse(large))
         # Linear growth gives a ratio of 4; a quadratic match gives 16.
         assert _best_time(parse, large) <= 8 * _best_time(parse, small)
 
     def test_trigger_with_no_entry_keeps_empty_arguments(self, ontology):
         triggers = [
-            TriggerPrediction("s1", "war", "Attack"),
-            TriggerPrediction("s1", "met", "Meet"),
+            {"trigger": "war", "type": "Attack"},
+            {"trigger": "met", "type": "Meet"},
         ]
         raw = '[{"trigger": "war", "type": "Attack", "arguments": []}]'
         events = parse_argument_reply(raw, triggers, ontology)
-        assert [(e.trigger, len(e.arguments)) for e in events] == [("war", 0), ("met", 0)]
+        assert [(e["trigger"], len(e["arguments"])) for e in events] == [("war", 0), ("met", 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +614,21 @@ class TestExtractTriggers:
     def _run(self, script, ontology, max_attempts=3):
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_triggers(
+        row = extract_triggers(
             seg, [], ontology, provider, max_attempts=max_attempts, template=self.template
         )
-        return result, provider
+        return row, provider
 
     def test_clean_reply(self, ontology):
-        result, _ = self._run({"s1/trigger": '[{"trigger": "war", "type": "Attack"}]'}, ontology)
-        assert not result.failed
-        assert result.predictions == (TriggerPrediction("s1", "war", "Attack"),)
-        assert result.raw.attempts == 1
+        row, _ = self._run({"s1/trigger": '[{"trigger": "war", "type": "Attack"}]'}, ontology)
+        assert row == {
+            "id": "s1",
+            "predictions": [{"trigger": "war", "type": "Attack"}],
+            "raw": '[{"trigger": "war", "type": "Attack"}]',
+            "attempts": 1,
+            "failed": False,
+            "examples": [],
+        }
 
     def test_retry_on_invalid_type_then_succeed(self, ontology):
         script = {
@@ -634,36 +637,36 @@ class TestExtractTriggers:
                 '[{"trigger": "war", "type": "Attack"}]',
             ]
         }
-        result, provider = self._run(script, ontology)
-        assert not result.failed
-        assert result.raw.attempts == 2
+        row, provider = self._run(script, ontology)
+        assert not row["failed"]
+        assert row["attempts"] == 2
         assert provider.call_count == 2
 
     def test_exhaustion_fails_with_empty_predictions(self, ontology):
-        result, provider = self._run({"s1/trigger": "word salad"}, ontology)
-        assert result.failed
-        assert result.predictions == ()
-        assert result.raw.attempts == 3
-        assert result.raw.raw_text == "word salad"
+        row, provider = self._run({"s1/trigger": "word salad"}, ontology)
+        assert row["failed"]
+        assert row["predictions"] == []
+        assert row["attempts"] == 3
+        assert row["raw"] == "word salad"
         assert provider.call_count == 3
 
     def test_no_event_reply_is_success_with_no_predictions(self, ontology):
-        result, _ = self._run({"s1/trigger": "there are no events in the text"}, ontology)
-        assert not result.failed
-        assert result.predictions == ()
+        row, _ = self._run({"s1/trigger": "there are no events in the text"}, ontology)
+        assert not row["failed"]
+        assert row["predictions"] == []
 
     def test_example_ids_recorded(self, ontology, templates):
         index, embedder = _support_index()
         provider = ScriptedMockLlm({"s1/trigger": "[]"})
         seg = Segment(id="s1", text="a war broke out")
         (examples,) = retrieve_examples(index, _query(seg.text, embedder)[None], 2)
-        result = extract_triggers(seg, examples, ontology, provider, template=templates["trigger"])
-        assert len(result.example_ids) == 2
+        row = extract_triggers(seg, examples, ontology, provider, template=templates["trigger"])
+        assert row["examples"] == [ex.id for ex in examples] and len(examples) == 2
 
 
 class TestExtractArguments:
     def _triggers(self):
-        return [TriggerPrediction("s1", "war", "Attack")]
+        return [{"trigger": "war", "type": "Attack"}]
 
     def test_clean_reply(self, ontology, templates):
         script = {
@@ -674,23 +677,28 @@ class TestExtractArguments:
         }
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_arguments(
+        row, recovered = extract_arguments(
             seg, self._triggers(), [], ontology, provider, template=templates["argument"]
         )
-        assert not result.failed
-        assert result.events[0].arguments[0].name == "rebels"
+        assert not row["failed"]
+        assert row["events"][0]["arguments"][0]["name"] == "rebels"
+        assert recovered == recover_json_tail(script["s1/argument"])
 
     def test_degrades_to_empty_arguments_on_exhaustion(self, ontology, templates):
         provider = ScriptedMockLlm({"s1/argument": "cannot comply"})
         seg = Segment(id="s1", text="a war broke out")
-        result = extract_arguments(
+        row, recovered = extract_arguments(
             seg, self._triggers(), [], ontology, provider, template=templates["argument"]
         )
-        assert result.failed
-        assert result.events == (
-            EventMention(trigger="war", event_type="Attack", arguments=()),
-        )
-        assert result.raw.attempts == 3
+        assert row == {
+            "id": "s1",
+            "events": [{"trigger": "war", "type": "Attack", "arguments": []}],
+            "raw": "cannot comply",
+            "attempts": 3,
+            "failed": True,
+            "examples": [],
+        }
+        assert recovered is None
 
     def test_requires_triggers(self, ontology, templates):
         provider = ScriptedMockLlm({})
@@ -757,8 +765,8 @@ class TestPostprocess:
     # Pipeline path: the argument step's reply, repaired against the
     # committed triggers.
     def _repair(self, ontology, reply: str, format_provider):
-        triggers = [TriggerPrediction("s1", "war", "Attack")]
-        result = extract_arguments(
+        triggers = [{"trigger": "war", "type": "Attack"}]
+        row, recovered = extract_arguments(
             Segment(id="s1", text="a war broke out"),
             triggers,
             [],
@@ -767,7 +775,7 @@ class TestPostprocess:
             template=self.templates["argument"],
         )
         return repair_arguments(
-            result, triggers, ontology, format_provider, template=self.templates["format"]
+            row, recovered, triggers, ontology, format_provider, template=self.templates["format"]
         )
 
     def test_recoverable_raw_needs_no_provider(self, ontology):
@@ -775,7 +783,7 @@ class TestPostprocess:
         entry = self._repair(
             ontology, 'noise [{"trigger": "war", "type": "Attack", "arguments": []}]', provider
         )
-        assert entry.events[0].trigger == "war"
+        assert entry.events[0]["trigger"] == "war"
         assert entry.formatting_attempts == 0
         assert provider.call_count == 0
 
@@ -791,7 +799,7 @@ class TestPostprocess:
         entry = self._repair(ontology, "prose about the war only", provider)
         assert not entry.degraded
         assert not entry.excluded
-        assert entry.events[0].arguments[0].name == "rebels"
+        assert entry.events[0]["arguments"][0]["name"] == "rebels"
         assert entry.formatting_attempts == 1
 
     def test_invalid_roles_dropped_when_triggers_known(self, ontology):
@@ -802,7 +810,7 @@ class TestPostprocess:
             '[{"name": "rebels", "role": "Attacker"}, {"name": "monday", "role": "Time"}]}]',
             provider,
         )
-        assert [a.name for a in entry.events[0].arguments] == ["rebels"]
+        assert [a["name"] for a in entry.events[0]["arguments"]] == ["rebels"]
         assert provider.call_count == 0
 
     def test_degraded_when_format_model_also_fails(self, ontology):
@@ -811,9 +819,7 @@ class TestPostprocess:
         assert entry.degraded
         assert not entry.excluded
         # Committed triggers survive as events with no arguments.
-        assert entry.events == (
-            EventMention(trigger="war", event_type="Attack", arguments=()),
-        )
+        assert entry.events == [{"trigger": "war", "type": "Attack", "arguments": []}]
 
     def test_blank_raw_with_triggers_degrades_without_provider_call(self, ontology):
         provider = ScriptedMockLlm({})
@@ -823,33 +829,29 @@ class TestPostprocess:
 
     def test_standalone_mode_excludes_invalid_segments(self, ontology, templates):
         raws = [
-            RawStageOutput("good", "argument", '[{"trigger": "war", "type": "Attack"}]', 1),
-            RawStageOutput("bad", "argument", "nothing recoverable", 1),
+            ("good", '[{"trigger": "war", "type": "Attack"}]'),
+            ("bad", "nothing recoverable"),
         ]
         provider = ScriptedMockLlm({"bad/format": "still nothing"})
-        report = postprocess(raws, ontology, provider, template=templates["format"])
-        assert report.excluded_ids == ["bad"]
-        good, bad = report.entries
-        assert bad.events == ()
-        assert good.events[0].event_type == "Attack"
+        good, bad = postprocess(raws, ontology, provider, template=templates["format"])
+        assert (good.excluded, bad.excluded) == (False, True)
+        assert bad.events == []
+        assert good.events[0]["type"] == "Attack"
 
     def test_standalone_mode_requires_full_validity(self, ontology, templates):
         # Without committed triggers there is nothing to salvage: a reply
         # with an invalid role must be repaired or the segment is excluded.
         raws = [
-            RawStageOutput(
+            (
                 "s1",
-                "argument",
                 '[{"trigger": "war", "type": "Attack", "arguments": '
                 '[{"name": "monday", "role": "Time"}]}]',
-                1,
             )
         ]
         provider = ScriptedMockLlm(
             {"s1/format": '[{"trigger": "war", "type": "Attack", "arguments": []}]'}
         )
-        report = postprocess(raws, ontology, provider, template=templates["format"])
-        entry = report.entries[0]
+        (entry,) = postprocess(raws, ontology, provider, template=templates["format"])
         assert not entry.excluded
-        assert entry.events[0].arguments == ()
+        assert entry.events[0]["arguments"] == []
         assert entry.formatting_attempts == 1

@@ -281,7 +281,10 @@ ROW_LOADERS = {
         _format_raw_file,
     ),
     "stage artifact": (
-        [{"stage": "gate", "config_hash": "h", "inputs": "i"}, {"id": "a", "gated_in": True}],
+        [
+            {"stage": "gate", "config_hash": "h", "inputs": "i"},
+            {"id": "a", "rule": True, "learned": True, "llm": True, "gated_in": True},
+        ],
         lambda p: read_artifact(p, "gate", "h", "i"),
     ),
 }

@@ -18,7 +18,9 @@ from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import MockMissError, ResponseCache, ScriptedMockLlm
 from eventpipe.model import DatasetError, default_ontology_path, load_gold
 from eventpipe.pipeline import (
+    ARTIFACT_NAMES,
     PROMPT_STAGES,
+    ROW_FIELDS,
     Pipeline,
     ResumeError,
     read_artifact,
@@ -67,10 +69,14 @@ def digests(out_dir: Path) -> dict[str, str]:
     return out
 
 
+def gate_row(sid: str, rule: bool) -> dict:
+    return {"id": sid, "rule": rule, "learned": False, "llm": False, "gated_in": rule}
+
+
 class TestArtifactIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gate.jsonl"
-        rows = [{"id": "s1", "rule": True}, {"id": "s2", "rule": False}]
+        rows = [gate_row("s1", True), gate_row("s2", False)]
         write_artifact(path, "gate", "abc123", "in1", rows)
         assert read_artifact(path, "gate", "abc123", "in1") == rows
 
@@ -103,7 +109,7 @@ class TestArtifactIO:
 
     def test_failed_rewrite_keeps_previous_artifact(self, tmp_path, monkeypatch):
         path = tmp_path / "gate.jsonl"
-        rows = [{"id": "s1", "rule": True}, {"id": "s2", "rule": False}]
+        rows = [gate_row("s1", True), gate_row("s2", False)]
         write_artifact(path, "gate", "abc", "in1", rows)
         real_open = Path.open
 
@@ -121,7 +127,7 @@ class TestArtifactIO:
 
         monkeypatch.setattr(Path, "open", disk_fills_up)
         with pytest.raises(OSError, match="No space left"):
-            write_artifact(path, "gate", "abc", "in1", [{"id": "s3", "rule": True}])
+            write_artifact(path, "gate", "abc", "in1", [gate_row("s3", True)])
         monkeypatch.undo()
         assert read_artifact(path, "gate", "abc", "in1") == rows
         assert [p.name for p in tmp_path.iterdir()] == ["gate.jsonl"]
@@ -135,7 +141,7 @@ class TestArtifactIO:
     def test_artifact_from_other_inputs_is_not_replayed(self, tmp_path):
         # Only the header is read: the body after it is not even valid UTF-8.
         path = tmp_path / "gate.jsonl"
-        write_artifact(path, "gate", "abc", "in1", [{"id": "s1", "rule": True}])
+        write_artifact(path, "gate", "abc", "in1", [gate_row("s1", True)])
         with path.open("ab") as fh:
             fh.write(b'{"id": "s2", "rule": "\xff"}\n')
         assert read_artifact(path, "gate", "abc", "in2") is None
@@ -203,6 +209,14 @@ class TestGoldenRun:
             assert header["inputs"] == result.inputs
         run_meta = json.loads((golden_corpus.output_dir / "run.json").read_text())
         assert run_meta["inputs"] == result.inputs
+
+    def test_each_computed_row_holds_exactly_its_stage_fields(self, golden_corpus):
+        Pipeline(golden_corpus.config).run()
+        for stage, name in ARTIFACT_NAMES.items():
+            lines = (golden_corpus.output_dir / name).read_text(encoding="utf-8").splitlines()
+            rows = [json.loads(line) for line in lines[1:]]
+            assert rows
+            assert [sorted(row) for row in rows] == [sorted(ROW_FIELDS[stage])] * len(rows)
 
     def test_artifacts_carry_no_timestamps(self, golden_corpus):
         Pipeline(golden_corpus.config).run()
@@ -315,13 +329,18 @@ class TestDeterminismAndResume:
         assert result.resumed_stages == ["gate", "triggers", "arguments", "final"]
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
-    def test_crash_mid_run_leaves_a_resumable_state(self, tmp_path):
-        corpus = build_golden_corpus(tmp_path / "crash", workers=1)
+    @pytest.mark.parametrize(
+        "dropped", ["seg-003/presence", "seg-004/trigger", "seg-008/argument", "seg-005/format"]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_crash_mid_run_leaves_a_resumable_state(self, tmp_path, workers, dropped):
+        corpus = build_golden_corpus(tmp_path / "crash", workers=workers)
         script = corpus.script_path.read_bytes()
         broken = json.loads(script)
-        del broken["seg-008/argument"]
+        del broken[dropped]
         corpus.script_path.write_text(json.dumps(broken), encoding="utf-8")
-        with pytest.raises(MockMissError, match="seg-008"):
+        segment, stage = dropped.split("/")
+        with pytest.raises(MockMissError, match=segment):
             Pipeline(corpus.config).run()
         assert list(corpus.output_dir.iterdir()) == []
         cached = len(corpus.cache_path.read_text(encoding="utf-8").splitlines())
@@ -330,7 +349,7 @@ class TestDeterminismAndResume:
         # The resumed run pays only for the calls the crashed run did not
         # cache: the one that failed, and those of the segments the pool had
         # not started when the failure cancelled them (timing decides how many).
-        assert resumed.provider_calls["argument"] >= 1
+        assert resumed.provider_calls[stage] >= 1
         assert resumed.provider_calls["total"] == 58 - cached
         lines = corpus.cache_path.read_text(encoding="utf-8").splitlines()
         assert len({json.loads(line)["key"] for line in lines}) == len(lines) == 58
