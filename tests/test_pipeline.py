@@ -54,6 +54,11 @@ GOLDEN_DIGESTS = {
     "report.json": "3eeecbee4e3b6d55",
 }
 
+# sha256 prefix of the golden run's cache lines, sorted. Each cache key hashes
+# the exact prompt messages, so this pins the rendered prompt bytes, which the
+# mock script (keyed by segment and stage) cannot tell apart.
+GOLDEN_CACHE_DIGEST = "711968d297189be9"
+
 
 def digests_of(artifact: Path) -> str:
     """sha256 prefix of an artifact's rows, without its header."""
@@ -67,6 +72,11 @@ def digests(out_dir: Path) -> dict[str, str]:
             data = data.split(b"\n", 1)[1]
         out[name] = hashlib.sha256(data).hexdigest()[:16]
     return out
+
+
+def cache_digest(path: Path) -> str:
+    """sha256 prefix of a cache file's lines, sorted and joined by newlines."""
+    return hashlib.sha256(b"\n".join(sorted(path.read_bytes().splitlines()))).hexdigest()[:16]
 
 
 def gate_row(sid: str, rule: bool) -> dict:
@@ -184,6 +194,8 @@ class TestGoldenRun:
         corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
         Pipeline(corpus.config).run()
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+        assert len(corpus.cache_path.read_bytes().splitlines()) == 58
+        assert cache_digest(corpus.cache_path) == GOLDEN_CACHE_DIGEST
 
     def test_accepted_no_argument_reply_is_not_repaired(self, golden_corpus):
         script = json.loads(golden_corpus.script_path.read_text(encoding="utf-8"))
