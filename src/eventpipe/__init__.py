@@ -7,10 +7,8 @@ exact-match scoring reports micro P/R/F1 for trigger and argument
 classification.
 """
 from .evaluate import ScoreReport, prf, run_ablation, score
-from .gate import VerdictTriple, agreement_table, vote
+from .gate import agreement_table, vote
 from .model import (
-    Argument,
-    EventMention,
     LabeledSegment,
     Ontology,
     Segment,
@@ -24,14 +22,11 @@ from .retrieval import SupportIndex, build_index, search
 __version__ = "0.1.0"
 
 __all__ = [
-    "Argument",
-    "EventMention",
     "LabeledSegment",
     "Ontology",
     "ScoreReport",
     "Segment",
     "SupportIndex",
-    "VerdictTriple",
     "agreement_table",
     "build_index",
     "load_gold",

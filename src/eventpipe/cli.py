@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ._http import ProviderError
 from .config import ConfigError, PipelineConfig
-from .evaluate import EvaluationError, run_ablation, score
+from .evaluate import EvaluationError, events_by_id, run_ablation, score
 from .extract import postprocess
 from .gate import (
     POLICIES,
@@ -47,10 +47,6 @@ EXIT_VERIFICATION = 5
 ALL_POLICIES = ",".join(POLICIES)
 
 
-def _events_by_id(labeled) -> dict:
-    return {ls.id: list(ls.gold_events) for ls in labeled}
-
-
 def cmd_run(args) -> int:
     config = PipelineConfig.load(args.config)
     result = Pipeline(config, resume=args.resume).run()
@@ -68,8 +64,8 @@ def cmd_score(args) -> int:
     gold = load_gold(args.gold, ontology)
     predictions = load_gold(args.predictions, ontology)
     report = score(
-        _events_by_id(predictions),
-        _events_by_id(gold),
+        events_by_id(predictions),
+        events_by_id(gold),
         set_semantics=args.set_semantics,
     )
     print(report.render())
@@ -96,10 +92,10 @@ def cmd_ablate(args) -> int:
         output_dir=str(Path(config.output_dir) / "ablation"),
     )
     pipe = Pipeline(ablation_config, resume=True)
-    gold = _events_by_id(pipe.gold)  # the run checks and scores against this same parse
+    gold = events_by_id(pipe.gold)  # the run checks and scores against this same parse
     result = pipe.run()
     verdicts = load_verdict_triples(Path(ablation_config.output_dir) / "gate.jsonl")
-    predictions = _events_by_id(load_gold(result.predictions_path, pipe.ontology))
+    predictions = events_by_id(load_gold(result.predictions_path, pipe.ontology))
     table = run_ablation(gold, verdicts, predictions, policies, set_semantics=config.set_semantics)
     print(table.render())
     out_path = Path(ablation_config.output_dir) / "ablation.json"

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .gate import VerdictTriple, vote
-from .model import EventMention, normalize
+from .gate import vote
+from .model import LabeledSegment, normalize
 
 __all__ = [
     "AblationTable",
@@ -20,6 +20,7 @@ __all__ = [
     "MetricBlock",
     "ScoreReport",
     "ac_counter",
+    "events_by_id",
     "filter_by_policy",
     "prf",
     "run_ablation",
@@ -46,13 +47,26 @@ def prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def tc_counter(events: Sequence[EventMention]) -> Counter:
-    return Counter((normalize(ev.trigger), ev.event_type) for ev in events)
+# An event is a {"trigger", "type", "arguments"} dict (see model.check_event).
+Events = Sequence[dict]
 
 
-def ac_counter(events: Sequence[EventMention]) -> Counter:
+def events_by_id(segments: Iterable[LabeledSegment]) -> dict[str, Events]:
+    """Each segment's event list, by id: gold, or predictions loaded as gold."""
+    return {ls.id: ls.gold_events for ls in segments}
+
+
+def tc_counter(events: Events) -> Counter:
+    return Counter((normalize(ev["trigger"]), ev["type"]) for ev in events)
+
+
+def ac_counter(events: Events) -> Counter:
+    # A replayed final row is scored as read: check_event lets its argument
+    # list be absent and its names and roles be any JSON value, read as str().
     return Counter(
-        (normalize(arg.name), arg.role, ev.event_type) for ev in events for arg in ev.arguments
+        (normalize(str(arg["name"])), str(arg["role"]), ev["type"])
+        for ev in events
+        for arg in ev.get("arguments", ())
     )
 
 
@@ -116,9 +130,29 @@ def _clamp_to_set(counter: Counter) -> Counter:
     return Counter(dict.fromkeys(counter, 1))
 
 
+def _task_block(
+    make: Callable[[Events], Counter],
+    predictions: Mapping[str, Events],
+    gold: Mapping[str, Events],
+    set_semantics: bool,
+) -> MetricBlock:
+    """One task's micro-averaged counts over the gold segments, tuples counted by make."""
+    tp = n_pred = n_gold = 0
+    for segment_id, gold_events in gold.items():
+        cp = make(predictions.get(segment_id, ()))
+        cg = make(gold_events)
+        if set_semantics:
+            cp = _clamp_to_set(cp)
+            cg = _clamp_to_set(cg)
+        tp += sum((cp & cg).values())
+        n_pred += sum(cp.values())
+        n_gold += sum(cg.values())
+    return MetricBlock.from_counts(tp, n_pred, n_gold)
+
+
 def score(
-    predictions: Mapping[str, Sequence[EventMention]],
-    gold: Mapping[str, Sequence[EventMention]],
+    predictions: Mapping[str, Events],
+    gold: Mapping[str, Events],
     *,
     set_semantics: bool = False,
     gated_out: int = 0,
@@ -132,39 +166,19 @@ def score(
     unknown = sorted(set(predictions) - set(gold))
     if unknown:
         raise EvaluationError(f"prediction ids not present in gold: {unknown[:5]}")
-    tc_tp = tc_pred = tc_gold = 0
-    ac_tp = ac_pred = ac_gold = 0
-    for segment_id in gold:
-        pred_events = predictions.get(segment_id, ())
-        gold_events = gold[segment_id]
-        for make in (tc_counter, ac_counter):
-            cp = make(pred_events)
-            cg = make(gold_events)
-            if set_semantics:
-                cp = _clamp_to_set(cp)
-                cg = _clamp_to_set(cg)
-            tp = sum((cp & cg).values())
-            if make is tc_counter:
-                tc_tp += tp
-                tc_pred += sum(cp.values())
-                tc_gold += sum(cg.values())
-            else:
-                ac_tp += tp
-                ac_pred += sum(cp.values())
-                ac_gold += sum(cg.values())
     return ScoreReport(
-        tc=MetricBlock.from_counts(tc_tp, tc_pred, tc_gold),
-        ac=MetricBlock.from_counts(ac_tp, ac_pred, ac_gold),
+        tc=_task_block(tc_counter, predictions, gold, set_semantics),
+        ac=_task_block(ac_counter, predictions, gold, set_semantics),
         gated_out=gated_out,
         extraction_failed=extraction_failed,
     )
 
 
 def filter_by_policy(
-    predictions: Mapping[str, Sequence[EventMention]],
-    verdicts: Mapping[str, VerdictTriple],
+    predictions: Mapping[str, Events],
+    verdicts: Mapping[str, Mapping[str, bool]],
     policy: str,
-) -> dict[str, Sequence[EventMention]]:
+) -> dict[str, Events]:
     """Predictions that survive the gate under a named policy; others become empty.
 
     Under the disabled gate every prediction counts. Otherwise a segment with
@@ -172,12 +186,12 @@ def filter_by_policy(
     """
     if policy == "without":
         return dict(predictions)
-    out: dict[str, Sequence[EventMention]] = {}
+    out: dict[str, Events] = {}
     for segment_id, events in predictions.items():
-        triple = verdicts.get(segment_id)
-        if triple is None:
+        verdict = verdicts.get(segment_id)
+        if verdict is None:
             raise EvaluationError(f"no gate verdict for predicted segment {segment_id!r}")
-        if vote(triple, policy):
+        if vote(verdict, policy):
             out[segment_id] = events
     return out
 
@@ -214,9 +228,9 @@ class AblationTable:
 
 
 def run_ablation(
-    gold: Mapping[str, Sequence[EventMention]],
-    verdicts: Mapping[str, VerdictTriple],
-    predictions: Mapping[str, Sequence[EventMention]],
+    gold: Mapping[str, Events],
+    verdicts: Mapping[str, Mapping[str, bool]],
+    predictions: Mapping[str, Events],
     policies: Sequence[str],
     *,
     set_semantics: bool = False,

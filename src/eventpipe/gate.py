@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .model import (
     DatasetError,
@@ -39,7 +39,6 @@ __all__ = [
     "HttpVerdictProvider",
     "VerdictError",
     "VerdictProvider",
-    "VerdictTriple",
     "agreement_table",
     "build_lexicon",
     "check_policy",
@@ -72,15 +71,6 @@ class VerdictError(RuntimeError):
     """A classifier could not produce a usable verdict."""
 
 
-@dataclass(frozen=True)
-class VerdictTriple:
-    """Presence verdicts for one segment, one per classifier kind."""
-
-    rule: bool
-    learned: bool
-    llm: bool
-
-
 def check_policy(name: str) -> str:
     """name if it is a gate policy; a GateError listing the policies otherwise."""
     if name not in POLICIES:
@@ -94,7 +84,7 @@ def build_lexicon(training: Iterable[LabeledSegment]) -> frozenset[str]:
     Each distinct trigger string is normalized once: a large support set
     repeats a few hundred triggers across tens of thousands of events.
     """
-    triggers = {ev.trigger for ls in training for ev in ls.gold_events}
+    triggers = {ev["trigger"] for ls in training for ev in ls.gold_events}
     entries = {normalize(trigger) for trigger in triggers}
     entries.discard("")
     return frozenset(entries)
@@ -267,10 +257,10 @@ def llm_classify(
     return verdicts[-1]
 
 
-def vote(triple: VerdictTriple, policy: str) -> bool:
-    """Combine the three verdicts under the named policy (see POLICIES)."""
+def vote(verdicts: Mapping[str, bool], policy: str) -> bool:
+    """Combine a segment's "rule", "learned" and "llm" verdicts under a policy (see POLICIES)."""
     judges, needed = POLICIES[check_policy(policy)]
-    return sum(getattr(triple, judge) for judge in judges) >= needed
+    return sum(verdicts[judge] for judge in judges) >= needed
 
 
 @dataclass(frozen=True)
@@ -302,14 +292,14 @@ def _yn(v: bool) -> str:
     return "yes" if v else "no"
 
 
-def agreement_table(verdicts: Iterable[VerdictTriple]) -> AgreementTable:
-    """Histogram the verdict triples into the 2x2x2 agreement table."""
-    counts = Counter((v.rule, v.learned, v.llm) for v in verdicts)
+def agreement_table(verdicts: Iterable[Mapping[str, bool]]) -> AgreementTable:
+    """Histogram the segments' (rule, learned, llm) verdicts into the 2x2x2 table."""
+    counts = Counter(tuple(v[judge] for judge in _JUDGES) for v in verdicts)
     return AgreementTable(counts=dict(counts))
 
 
-def load_verdict_triples(path: str | Path) -> dict[str, VerdictTriple]:
-    """Load full verdict triples from a gate-stage artifact or a fixture file.
+def load_verdict_triples(path: str | Path) -> dict[str, dict[str, bool]]:
+    """Each segment's {"rule", "learned", "llm"} verdicts, from a gate artifact or a fixture file.
 
     Accepts records {"id", "rule", "learned", "llm", ...} as JSON lines or one
     JSON array; extra fields (such as "gated_in") are ignored. Duplicate ids
@@ -320,8 +310,8 @@ def load_verdict_triples(path: str | Path) -> dict[str, VerdictTriple]:
         for lineno, rec in iter_json_records(path)
         if not (isinstance(rec, dict) and "stage" in rec and "id" not in rec)  # artifact header
     )
-    out: dict[str, VerdictTriple] = {}
+    out: dict[str, dict[str, bool]] = {}
     for _, rec in check_rows(path, records, _JUDGES):
         rid = str(rec["id"])
-        out[rid] = VerdictTriple(*(_flag(path, rid, name, rec[name]) for name in _JUDGES))
+        out[rid] = {name: _flag(path, rid, name, rec[name]) for name in _JUDGES}
     return out

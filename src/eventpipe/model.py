@@ -2,12 +2,14 @@
 
 Every record that enters the pipeline passes through here: gold annotations,
 raw transcripts, and the ontology that defines which event types and argument
-roles are legal. All types are immutable after load and safe to share across
-workers. Every row file (JSON lines or one JSON array) is read through
-``iter_json_records`` and ``check_rows``. Every output file but the cache,
-which is appended to, is replaced whole through ``_replace``: row and report
-files by way of ``write_rows`` or ``write_json``, the support index by
-``retrieval.save_index``.
+roles are legal. An event is a {"trigger", "type", "arguments"} dict, each
+argument a {"name", "role"} dict, from the loaders to scoring; check_event is
+its one check. No stage mutates an event it is given, so events are shared
+across workers as they are. Every row file (JSON lines or one JSON array) is
+read through ``iter_json_records`` and ``check_rows``. Every output file but
+the cache, which is appended to, is replaced whole through ``_replace``: row
+and report files by way of ``write_rows`` or ``write_json``, the support index
+by ``retrieval.save_index``.
 """
 from __future__ import annotations
 
@@ -22,14 +24,13 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 __all__ = [
-    "Argument",
     "DatasetError",
-    "EventMention",
     "LabeledSegment",
     "Lines",
     "Ontology",
     "Segment",
     "ValidationError",
+    "check_event",
     "check_rows",
     "default_ontology_path",
     "iter_json_records",
@@ -90,45 +91,6 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class Argument:
-    """An entity mention participating in an event, with its semantic role."""
-
-    name: str
-    role: str
-
-    def __post_init__(self) -> None:
-        # strip() empties exactly the strings normalize() empties: both use
-        # one whitespace table, and lower() never empties a string.
-        if not self.name.strip():
-            raise ValidationError("argument name must be nonempty")
-        if not self.role.strip():
-            raise ValidationError("argument role must be nonempty")
-
-
-@dataclass(frozen=True)
-class EventMention:
-    """A trigger string, its event type, and the role-labeled arguments."""
-
-    trigger: str
-    event_type: str
-    arguments: tuple[Argument, ...] = ()
-
-    def validate(self, ontology: Ontology, record_id: str = "?") -> None:
-        """Check type membership and role compatibility against the ontology."""
-        if self.event_type not in ontology.type_set:
-            raise ValidationError(
-                f"record {record_id!r}: unknown event type {self.event_type!r}"
-            )
-        allowed = ontology.role_set_for(self.event_type)
-        for arg in self.arguments:
-            if arg.role not in allowed:
-                raise ValidationError(
-                    f"record {record_id!r}: role {arg.role!r} is not permitted "
-                    f"for event type {self.event_type!r}"
-                )
-
-
-@dataclass(frozen=True)
 class Ontology:
     """Closed set of event types and the roles each type permits.
 
@@ -160,7 +122,7 @@ class Ontology:
 class LabeledSegment(Segment):
     """A segment with its (possibly empty) gold event list: a gold row or a support example."""
 
-    gold_events: tuple[EventMention, ...] = ()
+    gold_events: tuple[dict, ...] = ()
 
 
 def default_ontology_path() -> Path:
@@ -288,7 +250,14 @@ def write_json(path: str | Path, obj: Any) -> None:
     _replace(path, lambda fh: fh.write((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()))
 
 
-def _parse_event(obj: Any, record_id: str) -> EventMention:
+def check_event(obj: Any, record_id: str, ontology: Ontology) -> dict:
+    """The event entry obj, checked, as a new {"trigger", "type", "arguments"} dict.
+
+    Each argument becomes {"name": str(name), "role": str(role)}; an absent
+    argument list is empty. A malformed entry is a DatasetError; a blank
+    argument name or role, or a type or role the ontology does not permit, is
+    a ValidationError. Both name the record.
+    """
     if not isinstance(obj, dict):
         raise DatasetError(f"record {record_id!r}: event entry must be an object")
     trigger = obj.get("trigger")
@@ -306,11 +275,24 @@ def _parse_event(obj: Any, record_id: str) -> EventMention:
             raise DatasetError(
                 f"record {record_id!r}: each argument needs 'name' and 'role'"
             )
-        try:
-            args.append(Argument(name=str(a["name"]), role=str(a["role"])))
-        except ValidationError as exc:
-            raise ValidationError(f"record {record_id!r}: {exc}") from exc
-    return EventMention(trigger=trigger, event_type=etype, arguments=tuple(args))
+        name, role = str(a["name"]), str(a["role"])
+        # strip() empties exactly the strings normalize() empties: both use
+        # one whitespace table, and lower() never empties a string.
+        if not name.strip():
+            raise ValidationError(f"record {record_id!r}: argument name must be nonempty")
+        if not role.strip():
+            raise ValidationError(f"record {record_id!r}: argument role must be nonempty")
+        args.append({"name": name, "role": role})
+    if etype not in ontology.type_set:
+        raise ValidationError(f"record {record_id!r}: unknown event type {etype!r}")
+    allowed = ontology.role_set_for(etype)
+    for arg in args:
+        if arg["role"] not in allowed:
+            raise ValidationError(
+                f"record {record_id!r}: role {arg['role']!r} is not permitted "
+                f"for event type {etype!r}"
+            )
+    return {"trigger": trigger, "type": etype, "arguments": args}
 
 
 def load_gold(
@@ -328,15 +310,11 @@ def load_gold(
         raw_events = rec.get("event", [])
         if not isinstance(raw_events, list):
             raise DatasetError(f"record {rid!r}: 'event' must be a list")
-        events = []
-        for obj in raw_events:
-            ev = _parse_event(obj, rid)
-            ev.validate(ontology, record_id=rid)
-            events.append(ev)
+        events = tuple(check_event(obj, rid, ontology) for obj in raw_events)
         text = rec.get("text", "")
         if not isinstance(text, str):
             raise DatasetError(f"record {rid!r}: 'text' must be a string")
-        out.append(LabeledSegment(id=rid, text=text, gold_events=tuple(events)))
+        out.append(LabeledSegment(id=rid, text=text, gold_events=events))
     return out
 
 

@@ -48,7 +48,7 @@ from .config import (
     build_llm_provider,
     build_verdict_provider,
 )
-from .evaluate import ScoreReport, score
+from .evaluate import ScoreReport, events_by_id, score
 from .extract import (
     PostprocessEntry,
     extract_arguments,
@@ -59,7 +59,6 @@ from .extract import (
 )
 from .gate import (
     FileVerdictProvider,
-    VerdictTriple,
     build_lexicon,
     learned_classify,
     llm_classify,
@@ -70,9 +69,10 @@ from .llm import LlmProvider, ResponseCache
 from .model import (
     DatasetError,
     LabeledSegment,
+    Ontology,
     Segment,
     ValidationError,
-    _parse_event,
+    check_event,
     check_rows,
     iter_json_records,
     load_gold,
@@ -137,14 +137,17 @@ def write_artifact(
     write_rows(path, [{"stage": stage, "config_hash": config_hash, "inputs": inputs}, *rows])
 
 
-def read_artifact(path: Path, stage: str, config_hash: str, inputs: str) -> list[dict] | None:
-    """Load a stage artifact's rows; raise ResumeError on a foreign header.
+def read_artifact(
+    path: Path, stage: str, config_hash: str, inputs: str, ontology: Ontology
+) -> list[dict] | None:
+    """Load a stage artifact's rows, as read; raise ResumeError on a foreign header.
 
     None if the file is absent or was built from other input contents
     (another inputs digest): the stage is then recomputed. Only the header
     is read in that case. A row without the stage's ROW_FIELDS, with a raw
-    reply that is not a string, or whose event list holds a malformed event,
-    is a DatasetError naming the line.
+    reply that is not a string, or whose event list holds an event that
+    check_event rejects against the ontology, is a DatasetError naming the
+    line.
     """
     if not path.exists():
         return None
@@ -173,7 +176,7 @@ def read_artifact(path: Path, stage: str, config_hash: str, inputs: str) -> list
                 if not isinstance(row[key], list):
                     raise DatasetError(f"record {row['id']!r}: {key!r} must be a list")
                 for obj in row[key]:
-                    _parse_event(obj, row["id"])
+                    check_event(obj, row["id"], ontology)
             except (DatasetError, ValidationError) as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
         rows.append(row)
@@ -426,7 +429,9 @@ class Pipeline:
     def _load_if_resuming(self, stage: str) -> list[dict] | None:
         if not self.resume:
             return None
-        rows = read_artifact(self._artifact(stage), stage, self.config_hash, self._result.inputs)
+        rows = read_artifact(
+            self._artifact(stage), stage, self.config_hash, self._result.inputs, self.ontology
+        )
         if rows is not None:
             self._result.resumed_stages.append(stage)
         return rows
@@ -434,7 +439,7 @@ class Pipeline:
     def _gate(
         self, segments: list[Segment], pool: ThreadPoolExecutor, template: Template | None
     ) -> list[dict]:
-        """The gate phase: learned verdicts fetched in batches, then a verdict triple per segment.
+        """The gate phase: learned verdicts fetched in batches, then each segment's gate row.
 
         template is the presence template, None when a verdict file replaces the prompt.
         """
@@ -463,14 +468,9 @@ class Pipeline:
                     lenient=cfg.gate_lenient_llm,
                     template=template,
                 )
-            triple = VerdictTriple(rule=rule, learned=learned, llm=llm)
-            return {
-                "id": seg.id,
-                "rule": rule,
-                "learned": learned,
-                "llm": llm,
-                "gated_in": vote(triple, cfg.gate_policy),
-            }
+            row = {"id": seg.id, "rule": rule, "learned": learned, "llm": llm}
+            row["gated_in"] = vote(row, cfg.gate_policy)
+            return row
 
         return list(pool.map(gate, segments, learned, llm_file))
 
@@ -644,14 +644,9 @@ class Pipeline:
             write_rows(predictions_path, final_rows)
             result.predictions_path = predictions_path
         if stop >= STAGE_ORDER.index("score"):
-            predictions = {
-                row["id"]: [_parse_event(obj, row["id"]) for obj in row["event"]]
-                for row in final_rows
-            }
-            gold_by_id = {ls.id: list(ls.gold_events) for ls in gold}
             result.report = score(
-                predictions,
-                gold_by_id,
+                {row["id"]: row["event"] for row in final_rows},
+                events_by_id(gold),
                 set_semantics=cfg.set_semantics,
                 gated_out=result.gated_out,
                 extraction_failed=len(result.trigger_failures),

@@ -150,12 +150,9 @@ def _render_messages(
 
 
 def _event_record(example: LabeledSegment, *, with_arguments: bool) -> dict:
-    events = []
-    for ev in example.gold_events:
-        rec: dict = {"trigger": ev.trigger, "type": ev.event_type}
-        if with_arguments:
-            rec["arguments"] = [{"name": a.name, "role": a.role} for a in ev.arguments]
-        events.append(rec)
+    events = example.gold_events
+    if not with_arguments:
+        events = [{"trigger": ev["trigger"], "type": ev["type"]} for ev in events]
     return {"text": example.text, "event": events}
 
 
@@ -202,7 +199,7 @@ def build_argument_prompt(
     *,
     template: Template,
 ) -> PromptBundle:
-    """Argument extraction prompt with the schema projected to the predicted types.
+    """The argument extraction prompt, its schema projected to the predicted types.
 
     predicted_types is the event type per predicted trigger, in prediction
     order; duplicates collapse to first occurrence.

@@ -229,7 +229,7 @@ class SupportIndex:
         """Boolean row mask of each event type: examples with a gold event of that type."""
         rows: dict[str, list[int]] = {}
         for row, ex in enumerate(self.examples):
-            for event_type in {ev.event_type for ev in ex.gold_events}:
+            for event_type in {ev["type"] for ev in ex.gold_events}:
                 rows.setdefault(event_type, []).append(row)
         masks = {}
         for event_type, type_rows in rows.items():

@@ -31,9 +31,9 @@ from eventpipe.extract import (
     recover_json_tail,
     repair_arguments,
 )
-from eventpipe.gate import POLICIES, VerdictTriple, vote
+from eventpipe.gate import POLICIES, vote
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.model import Segment, load_gold
+from eventpipe.model import Segment, check_event, load_gold
 from eventpipe.retrieval import search
 from test_evaluate import assert_matches_reference, random_instance
 from test_extract import A3_EXAMPLE_REPLY, RECOVERY_CASES
@@ -199,22 +199,22 @@ def test_criterion_4_vote_truth_table_and_nesting():
     ) as note:
         checked = 0
         for rule, learned, llm in itertools.product((False, True), repeat=3):
-            triple = VerdictTriple(rule=rule, learned=learned, llm=llm)
+            verdicts = {"rule": rule, "learned": learned, "llm": llm}
             for name in POLICIES:
                 expected = independently_expected_vote(rule, learned, llm, name)
-                assert vote(triple, name) is expected
+                assert vote(verdicts, name) is expected
                 checked += 1
         assert checked == 8 * 7
 
         rng = random.Random(4)
         for _ in range(1000):
-            triple = VerdictTriple(
-                rule=rng.random() < 0.5, learned=rng.random() < 0.5, llm=rng.random() < 0.5
-            )
-            if vote(triple, "all"):
-                assert vote(triple, "two+")
-            if vote(triple, "two+"):
-                assert vote(triple, "one+")
+            verdicts = {
+                "rule": rng.random() < 0.5, "learned": rng.random() < 0.5, "llm": rng.random() < 0.5
+            }
+            if vote(verdicts, "all"):
+                assert vote(verdicts, "two+")
+            if vote(verdicts, "two+"):
+                assert vote(verdicts, "one+")
         note["detail"] = "56 truth-table cells, 1000 nesting draws"
 
 
@@ -447,11 +447,11 @@ class TestCriterion9ValidationTotality:
             events = 0
             for labeled in loaded:
                 for event in labeled.gold_events:
-                    event.validate(ontology, record_id=labeled.id)
-                    assert event.event_type in ontology.event_types
-                    allowed = set(ontology.roles_for(event.event_type))
-                    for argument in event.arguments:
-                        assert argument.role in allowed
+                    assert check_event(event, labeled.id, ontology) == event
+                    assert event["type"] in ontology.event_types
+                    allowed = set(ontology.roles_for(event["type"]))
+                    for argument in event["arguments"]:
+                        assert argument["role"] in allowed
                     events += 1
             note["detail"] = (
                 f"{self.checked_replies} adversarial replies + {events} pipeline events"

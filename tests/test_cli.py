@@ -490,6 +490,52 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "format", "--config", str(corpus.config_path), "--resume")
         assert (code, err) == (3, f"error: {path}: line {lineno}: record 'seg-005': {message}\n")
 
+    NOT_A_ROLE = [{"name": "x", "role": "NotARole"}]
+
+    @pytest.mark.parametrize(
+        "stage, key, event, message",
+        [
+            (
+                "triggers",
+                "predictions",
+                {"trigger": "died", "type": "Bogus"},
+                "unknown event type 'Bogus'",
+            ),
+            (
+                "arguments",
+                "events",
+                {"trigger": "died", "type": "Bogus", "arguments": []},
+                "unknown event type 'Bogus'",
+            ),
+            (
+                "arguments",
+                "events",
+                {"trigger": "died", "type": "Die", "arguments": NOT_A_ROLE},
+                "role 'NotARole' is not permitted for event type 'Die'",
+            ),
+            (
+                "final",
+                "event",
+                {"trigger": "died", "type": "Bogus", "arguments": NOT_A_ROLE},
+                "unknown event type 'Bogus'",
+            ),
+            (
+                "final",
+                "event",
+                {"trigger": "died", "type": "Die", "arguments": NOT_A_ROLE},
+                "role 'NotARole' is not permitted for event type 'Die'",
+            ),
+        ],
+    )
+    def test_replayed_event_outside_the_ontology_is_an_input_error(
+        self, tmp_path, capsys, stage, key, event, message
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
+        path, lineno = self._damage_replayed_row(corpus, stage, lambda row: row[key].append(event))
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
+        assert (code, err) == (3, f"error: {path}: line {lineno}: record 'seg-005': {message}\n")
+
     def test_artifact_header_that_is_not_an_object_is_an_input_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")
         assert run_cli(capsys, "gate", "--config", str(corpus.config_path))[0] == 0

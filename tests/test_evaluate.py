@@ -19,8 +19,7 @@ from eventpipe.evaluate import (
     score,
     tc_counter,
 )
-from eventpipe.gate import VerdictTriple
-from eventpipe.model import Argument, EventMention, normalize
+from eventpipe.model import normalize
 
 # ---------------------------------------------------------------------------
 # independent reference matcher (also used by the acceptance suite)
@@ -48,11 +47,11 @@ def reference_counts(pred_events, gold_events, *, set_semantics=False):
     """(tc tp/n_pred/n_gold, ac tp/n_pred/n_gold) computed without Counter."""
 
     def tc_tuples(events):
-        return [(normalize(ev.trigger), ev.event_type) for ev in events]
+        return [(normalize(ev["trigger"]), ev["type"]) for ev in events]
 
     def ac_tuples(events):
         return [
-            (normalize(a.name), a.role, ev.event_type) for ev in events for a in ev.arguments
+            (normalize(a["name"]), a["role"], ev["type"]) for ev in events for a in ev["arguments"]
         ]
 
     def dedupe(tuples):
@@ -75,16 +74,12 @@ def reference_counts(pred_events, gold_events, *, set_semantics=False):
 def random_events(rng: random.Random, max_events=4, max_args=3):
     events = []
     for _ in range(rng.randint(0, max_events)):
-        args = tuple(
-            Argument(name=rng.choice(NAMES), role=rng.choice(ROLES))
+        args = [
+            {"name": rng.choice(NAMES), "role": rng.choice(ROLES)}
             for _ in range(rng.randint(0, max_args))
-        )
+        ]
         events.append(
-            EventMention(
-                trigger=rng.choice(TRIGGERS),
-                event_type=rng.choice(EVENT_TYPES),
-                arguments=args,
-            )
+            {"trigger": rng.choice(TRIGGERS), "type": rng.choice(EVENT_TYPES), "arguments": args}
         )
     return events
 
@@ -167,20 +162,30 @@ class TestPrf:
 class TestCounters:
     def test_tc_normalizes_trigger_but_not_type(self):
         events = [
-            EventMention(trigger="Shot  DOWN", event_type="Attack", arguments=()),
-            EventMention(trigger="shot down", event_type="Attack", arguments=()),
+            {"trigger": "Shot  DOWN", "type": "Attack", "arguments": []},
+            {"trigger": "shot down", "type": "Attack", "arguments": []},
         ]
         assert tc_counter(events) == {("shot down", "Attack"): 2}
 
     def test_ac_keeps_role_exact(self):
         events = [
-            EventMention(
-                trigger="war",
-                event_type="Attack",
-                arguments=(Argument(name="The  Rebels", role="Attacker"),),
-            )
+            {
+                "trigger": "war",
+                "type": "Attack",
+                "arguments": [{"name": "The  Rebels", "role": "Attacker"}],
+            }
         ]
         assert ac_counter(events) == {("the rebels", "Attacker", "Attack"): 1}
+
+    def test_events_count_as_check_event_reads_them(self):
+        # A replayed final row is scored as read: an absent argument list is
+        # empty, and a name or role that is not a string counts as its str().
+        events = [
+            {"trigger": "war", "type": "Attack"},
+            {"trigger": "war", "type": "Attack", "arguments": [{"name": 5, "role": "Target"}]},
+        ]
+        assert tc_counter(events) == {("war", "Attack"): 2}
+        assert ac_counter(events) == {("5", "Target", "Attack"): 1}
 
     def test_empty(self):
         assert tc_counter([]) == {}
@@ -189,11 +194,11 @@ class TestCounters:
 
 class TestScore:
     def _ev(self, trigger, etype, *args):
-        return EventMention(
-            trigger=trigger,
-            event_type=etype,
-            arguments=tuple(Argument(name=n, role=r) for n, r in args),
-        )
+        return {
+            "trigger": trigger,
+            "type": etype,
+            "arguments": [{"name": n, "role": r} for n, r in args],
+        }
 
     def test_exact_match_scores_perfectly(self):
         gold = {"s1": [self._ev("war", "Attack", ("rebels", "Attacker"))]}
@@ -285,7 +290,7 @@ class TestScore:
 
 class TestFilterByPolicy:
     def _predictions(self):
-        ev = EventMention(trigger="war", event_type="Attack", arguments=())
+        ev = {"trigger": "war", "type": "Attack", "arguments": []}
         return {"s1": [ev], "s2": [ev], "s3": []}
 
     def test_disabled_gate_passes_everything_through(self):
@@ -296,37 +301,37 @@ class TestFilterByPolicy:
 
     def test_survivors_keep_events_and_losers_disappear(self):
         verdicts = {
-            "s1": VerdictTriple(rule=True, learned=True, llm=True),
-            "s2": VerdictTriple(rule=False, learned=False, llm=False),
-            "s3": VerdictTriple(rule=True, learned=True, llm=True),
+            "s1": {"rule": True, "learned": True, "llm": True},
+            "s2": {"rule": False, "learned": False, "llm": False},
+            "s3": {"rule": True, "learned": True, "llm": True},
         }
         kept = filter_by_policy(self._predictions(), verdicts, "all")
         assert set(kept) == {"s1", "s3"}
 
     def test_single_classifier_policy(self):
         verdicts = {
-            "s1": VerdictTriple(rule=True, learned=False, llm=False),
-            "s2": VerdictTriple(rule=False, learned=True, llm=True),
-            "s3": VerdictTriple(rule=True, learned=False, llm=False),
+            "s1": {"rule": True, "learned": False, "llm": False},
+            "s2": {"rule": False, "learned": True, "llm": True},
+            "s3": {"rule": True, "learned": False, "llm": False},
         }
         kept = filter_by_policy(self._predictions(), verdicts, "rule")
         assert set(kept) == {"s1", "s3"}
 
     def test_missing_verdict_is_an_error(self):
-        verdicts = {"s1": VerdictTriple(rule=True, learned=True, llm=True)}
+        verdicts = {"s1": {"rule": True, "learned": True, "llm": True}}
         with pytest.raises(EvaluationError, match="s2"):
             filter_by_policy(self._predictions(), verdicts, "all")
 
 
 class TestRunAblation:
     def _fixture(self):
-        ev = EventMention(trigger="war", event_type="Attack", arguments=())
-        other = EventMention(trigger="met", event_type="Meet", arguments=())
+        ev = {"trigger": "war", "type": "Attack", "arguments": []}
+        other = {"trigger": "met", "type": "Meet", "arguments": []}
         gold = {"s1": [ev], "s2": [other]}
         predictions = {"s1": [ev], "s2": [ev]}
         verdicts = {
-            "s1": VerdictTriple(rule=True, learned=True, llm=True),
-            "s2": VerdictTriple(rule=True, learned=False, llm=False),
+            "s1": {"rule": True, "learned": True, "llm": True},
+            "s2": {"rule": True, "learned": False, "llm": False},
         }
         return gold, predictions, verdicts
 
@@ -363,17 +368,17 @@ class TestRunAblation:
 
     def test_nesting_counts_monotone_on_random_verdicts(self):
         rng = random.Random(99)
-        ev = EventMention(trigger="war", event_type="Attack", arguments=())
+        ev = {"trigger": "war", "type": "Attack", "arguments": []}
         for _ in range(50):
             n = rng.randint(1, 12)
             gold = {f"s{i}": [ev] for i in range(n)}
             predictions = {f"s{i}": [ev] for i in range(n)}
             verdicts = {
-                f"s{i}": VerdictTriple(
-                    rule=rng.random() < 0.5,
-                    learned=rng.random() < 0.5,
-                    llm=rng.random() < 0.5,
-                )
+                f"s{i}": {
+                    "rule": rng.random() < 0.5,
+                    "learned": rng.random() < 0.5,
+                    "llm": rng.random() < 0.5,
+                }
                 for i in range(n)
             }
             policies = ["without", "one+", "two+", "all"]

@@ -25,7 +25,7 @@ from eventpipe.extract import (
     retrieve_examples,
 )
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.model import EventMention, LabeledSegment, Segment
+from eventpipe.model import LabeledSegment, Segment
 from eventpipe.pipeline import Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index, embed_texts
 from test_retrieval import brute_force_top_k
@@ -538,7 +538,7 @@ def _support_index(dim=16):
         LabeledSegment(
             id=f"ex-{i}",
             text=text,
-            gold_events=(EventMention(trigger=trig, event_type=etype, arguments=()),),
+            gold_events=({"trigger": trig, "type": etype, "arguments": []},),
         )
         for i, (text, trig, etype) in enumerate(
             [
@@ -724,7 +724,7 @@ class TestExtractArguments:
         for sid, row in rows["arguments"].items():
             query = _query(TRANSCRIPT_TEXTS[sid], embedder)
             wanted = {p["type"] for p in rows["triggers"][sid]["predictions"]}
-            keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+            keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
             masked = [hit[0] for hit in brute_force_top_k(index, query, 3, where=keep)]
             plain = [hit[0] for hit in brute_force_top_k(index, query, 3)]
             assert row["examples"] == masked
@@ -743,7 +743,7 @@ class TestExtractArguments:
         picked = 0
         for types in type_sets:
             wanted = set(types)
-            keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+            keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
             for text in TRANSCRIPT_TEXTS.values():
                 query = _query(text, embedder)
                 (shots,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(types))

@@ -16,7 +16,6 @@ from eventpipe.gate import (
     GateError,
     POLICIES,
     VerdictError,
-    VerdictTriple,
     agreement_table,
     build_lexicon,
     check_policy,
@@ -29,9 +28,7 @@ from eventpipe.gate import (
 )
 from eventpipe.llm import ResponseCache, ScriptedMockLlm
 from eventpipe.model import (
-    Argument,
     DatasetError,
-    EventMention,
     LabeledSegment,
     Segment,
     load_gold,
@@ -42,7 +39,7 @@ from eventpipe.model import (
 def _training(ontology, *triggers):
     out = []
     for i, (trigger, etype) in enumerate(triggers):
-        ev = EventMention(trigger=trigger, event_type=etype, arguments=())
+        ev = {"trigger": trigger, "type": etype, "arguments": []}
         out.append(
             LabeledSegment(id=f"t{i}", text=f"... {trigger} ...", gold_events=(ev,))
         )
@@ -63,15 +60,17 @@ class TestRuleClassifier:
     def test_lexicon_equals_normalizing_every_trigger(self, segments):
         training = [
             LabeledSegment(
-                f"t{i}", "x", tuple(EventMention(trigger=t, event_type="Attack") for t in triggers)
+                f"t{i}",
+                "x",
+                tuple({"trigger": t, "type": "Attack", "arguments": []} for t in triggers),
             )
             for i, triggers in enumerate(segments)
         ]
         every = {
-            normalize(ev.trigger)
+            normalize(ev["trigger"])
             for ls in training
             for ev in ls.gold_events
-            if normalize(ev.trigger)
+            if normalize(ev["trigger"])
         }
         assert build_lexicon(training) == frozenset(every)
 
@@ -271,34 +270,35 @@ class TestPolicyNames:
         with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
             check_policy(name)
         with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
-            vote(VerdictTriple(True, True, True), name)
+            vote({"rule": True, "learned": True, "llm": True}, name)
 
 
-def _all_triples():
-    return [
-        VerdictTriple(rule=r, learned=b, llm=m)
-        for r, b, m in itertools.product((False, True), repeat=3)
-    ]
+def _verdicts(rule: bool, learned: bool, llm: bool) -> dict[str, bool]:
+    return {"rule": rule, "learned": learned, "llm": llm}
+
+
+def _all_verdicts():
+    return [_verdicts(*t) for t in itertools.product((False, True), repeat=3)]
 
 
 class TestVote:
     def test_exhaustive_truth_table(self):
-        for triple in _all_triples():
-            r, b, m = triple.rule, triple.learned, triple.llm
+        for verdicts in _all_verdicts():
+            r, b, m = verdicts["rule"], verdicts["learned"], verdicts["llm"]
             count = r + b + m
-            assert vote(triple, "without") is True
-            assert vote(triple, "rule") is r
-            assert vote(triple, "learned") is b
-            assert vote(triple, "llm") is m
-            assert vote(triple, "one+") is (count >= 1)
-            assert vote(triple, "two+") is (count >= 2)
-            assert vote(triple, "all") is (count == 3)
+            assert vote(verdicts, "without") is True
+            assert vote(verdicts, "rule") is r
+            assert vote(verdicts, "learned") is b
+            assert vote(verdicts, "llm") is m
+            assert vote(verdicts, "one+") is (count >= 1)
+            assert vote(verdicts, "two+") is (count >= 2)
+            assert vote(verdicts, "all") is (count == 3)
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=40))
     def test_gated_in_sets_nest_monotonically(self, tuples):
-        triples = [VerdictTriple(*t) for t in tuples]
+        segments = [_verdicts(*t) for t in tuples]
         admitted = {
-            name: {i for i, t in enumerate(triples) if vote(t, name)}
+            name: {i for i, v in enumerate(segments) if vote(v, name)}
             for name in ("all", "two+", "one+", "without")
         }
         assert admitted["all"] <= admitted["two+"] <= admitted["one+"] <= admitted["without"]
@@ -306,13 +306,13 @@ class TestVote:
 
 class TestAgreementTable:
     def test_counts_and_cells(self):
-        triples = [
-            VerdictTriple(True, True, True),
-            VerdictTriple(True, True, True),
-            VerdictTriple(False, False, False),
-            VerdictTriple(True, False, True),
+        segments = [
+            _verdicts(True, True, True),
+            _verdicts(True, True, True),
+            _verdicts(False, False, False),
+            _verdicts(True, False, True),
         ]
-        table = agreement_table(triples)
+        table = agreement_table(segments)
         assert table.total == 4
         assert table.cell(True, True, True) == 2
         assert table.cell(False, False, False) == 1
@@ -341,8 +341,8 @@ class TestLoadVerdictTriples:
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         triples = load_verdict_triples(path)
-        assert triples["a"] == VerdictTriple(rule=True, learned=False, llm=True)
-        assert triples["b"] == VerdictTriple(rule=False, learned=False, llm=False)
+        assert triples["a"] == {"rule": True, "learned": False, "llm": True}
+        assert triples["b"] == {"rule": False, "learned": False, "llm": False}
         assert len(triples) == 2
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from eventpipe.cli import cmd_format
 from eventpipe.gate import FileVerdictProvider, load_verdict_triples
 from eventpipe.model import (
-    Argument,
     DatasetError,
-    EventMention,
     Ontology,
     Segment,
     ValidationError,
+    check_event,
     iter_json_records,
     load_gold,
     load_ontology,
@@ -108,34 +107,63 @@ class TestOntology:
 
 class TestEventValidation:
     def test_valid_event_passes(self, ontology):
-        ev = EventMention(
-            trigger="election",
-            event_type="Elect",
-            arguments=(Argument(name="man", role="Person"),),
-        )
-        ev.validate(ontology, "seg-x")
+        ev = {
+            "arguments": [{"role": "Person", "name": "man"}],
+            "type": "Elect",
+            "trigger": "election",
+        }
+        checked = check_event(ev, "seg-x", ontology)
+        assert checked == {
+            "trigger": "election",
+            "type": "Elect",
+            "arguments": [{"name": "man", "role": "Person"}],
+        }
+        assert list(checked) == ["trigger", "type", "arguments"]
+        assert list(checked["arguments"][0]) == ["name", "role"]
+
+    def test_absent_arguments_are_an_empty_list(self, ontology):
+        ev = {"trigger": "x", "type": "Elect"}
+        assert check_event(ev, "seg-x", ontology) == {**ev, "arguments": []}
+
+    def test_argument_name_is_loaded_as_a_string(self, tmp_path, ontology):
+        path = tmp_path / "gold.jsonl"
+        ev = {"trigger": "x", "type": "Elect", "arguments": [{"name": 5, "role": "Person"}]}
+        path.write_text(json.dumps({"id": "a", "event": [ev]}) + "\n", encoding="utf-8")
+        (labeled,) = load_gold(path, ontology)
+        assert labeled.gold_events[0]["arguments"] == [{"name": "5", "role": "Person"}]
 
     def test_unknown_type_rejected(self, ontology):
-        ev = EventMention(trigger="x", event_type="Elected", arguments=())
-        with pytest.raises(ValidationError, match="Elected"):
-            ev.validate(ontology, "seg-x")
+        ev = {"trigger": "x", "type": "Elected", "arguments": []}
+        with pytest.raises(ValidationError, match="record 'seg-x': unknown event type 'Elected'"):
+            check_event(ev, "seg-x", ontology)
 
     def test_role_not_permitted_for_type_rejected(self, ontology):
-        ev = EventMention(
-            trigger="election",
-            event_type="Elect",
-            arguments=(Argument(name="village", role="Attacker"),),
-        )
-        with pytest.raises(ValidationError, match="Attacker"):
-            ev.validate(ontology, "seg-x")
+        ev = {
+            "trigger": "election",
+            "type": "Elect",
+            "arguments": [{"name": "village", "role": "Attacker"}],
+        }
+        with pytest.raises(
+            ValidationError,
+            match="record 'seg-x': role 'Attacker' is not permitted for event type 'Elect'",
+        ):
+            check_event(ev, "seg-x", ontology)
 
-    def test_blank_argument_name_rejected(self):
-        with pytest.raises(ValidationError):
-            Argument(name="", role="Person")
+    def test_blank_argument_name_rejected(self, ontology):
+        ev = {"trigger": "x", "type": "Elect", "arguments": [{"name": "", "role": "Person"}]}
+        with pytest.raises(ValidationError, match="record 'seg-x': argument name must be nonempty"):
+            check_event(ev, "seg-x", ontology)
 
-    def test_blank_argument_role_rejected(self):
-        with pytest.raises(ValidationError):
-            Argument(name="man", role="  ")
+    def test_blank_argument_role_rejected(self, ontology):
+        ev = {"trigger": "x", "type": "Elect", "arguments": [{"name": "man", "role": "  "}]}
+        with pytest.raises(ValidationError, match="record 'seg-x': argument role must be nonempty"):
+            check_event(ev, "seg-x", ontology)
+
+    def test_shape_is_checked_before_the_ontology(self, ontology):
+        # A malformed argument is reported before the unknown type.
+        ev = {"trigger": "x", "type": "Bogus", "arguments": [{"name": "man"}]}
+        with pytest.raises(DatasetError, match="each argument needs 'name' and 'role'"):
+            check_event(ev, "seg-x", ontology)
 
     def test_empty_segment_id_rejected(self):
         with pytest.raises(ValidationError):
@@ -175,8 +203,12 @@ class TestLoaders:
         )
         labeled = load_gold(path, ontology)
         assert [ls.id for ls in labeled] == ["a", "b"]
-        assert labeled[0].gold_events[0].event_type == "Elect"
-        assert labeled[0].gold_events[0].arguments[0].role == "Person"
+        (event,) = labeled[0].gold_events
+        assert event == {
+            "trigger": "election",
+            "type": "Elect",
+            "arguments": [{"name": "man", "role": "Person"}],
+        }
         assert labeled[1].gold_events == ()
 
     def test_load_gold_accepts_json_array_file(self, tmp_path, ontology):
@@ -285,7 +317,7 @@ ROW_LOADERS = {
             {"stage": "gate", "config_hash": "h", "inputs": "i"},
             {"id": "a", "rule": True, "learned": True, "llm": True, "gated_in": True},
         ],
-        lambda p: read_artifact(p, "gate", "h", "i"),
+        lambda p: read_artifact(p, "gate", "h", "i", load_ontology()),
     ),
 }
 

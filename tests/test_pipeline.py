@@ -16,7 +16,7 @@ from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_
 from eventpipe import extract, retrieval
 from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import MockMissError, ResponseCache, ScriptedMockLlm
-from eventpipe.model import DatasetError, default_ontology_path, load_gold
+from eventpipe.model import DatasetError, check_event, default_ontology_path, load_gold
 from eventpipe.pipeline import (
     ARTIFACT_NAMES,
     PROMPT_STAGES,
@@ -84,11 +84,11 @@ def gate_row(sid: str, rule: bool) -> dict:
 
 
 class TestArtifactIO:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, ontology):
         path = tmp_path / "gate.jsonl"
         rows = [gate_row("s1", True), gate_row("s2", False)]
         write_artifact(path, "gate", "abc123", "in1", rows)
-        assert read_artifact(path, "gate", "abc123", "in1") == rows
+        assert read_artifact(path, "gate", "abc123", "in1", ontology) == rows
 
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "gate.jsonl"
@@ -96,28 +96,28 @@ class TestArtifactIO:
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert first == {"stage": "gate", "config_hash": "abc123", "inputs": "in1"}
 
-    def test_missing_file_returns_none(self, tmp_path):
-        assert read_artifact(tmp_path / "nope.jsonl", "gate", "abc", "in1") is None
+    def test_missing_file_returns_none(self, tmp_path, ontology):
+        assert read_artifact(tmp_path / "nope.jsonl", "gate", "abc", "in1", ontology) is None
 
-    def test_stage_mismatch(self, tmp_path):
+    def test_stage_mismatch(self, tmp_path, ontology):
         path = tmp_path / "x.jsonl"
         write_artifact(path, "gate", "abc", "in1", [])
         with pytest.raises(ResumeError, match="stage 'gate', not 'triggers'"):
-            read_artifact(path, "triggers", "abc", "in1")
+            read_artifact(path, "triggers", "abc", "in1", ontology)
 
-    def test_hash_mismatch_names_the_remedy(self, tmp_path):
+    def test_hash_mismatch_names_the_remedy(self, tmp_path, ontology):
         path = tmp_path / "x.jsonl"
         write_artifact(path, "gate", "abc", "in1", [])
         with pytest.raises(ResumeError, match="delete the output directory"):
-            read_artifact(path, "gate", "def", "in1")
+            read_artifact(path, "gate", "def", "in1", ontology)
 
-    def test_empty_artifact_rejected(self, tmp_path):
+    def test_empty_artifact_rejected(self, tmp_path, ontology):
         path = tmp_path / "x.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(ResumeError, match="empty artifact"):
-            read_artifact(path, "gate", "abc", "in1")
+            read_artifact(path, "gate", "abc", "in1", ontology)
 
-    def test_failed_rewrite_keeps_previous_artifact(self, tmp_path, monkeypatch):
+    def test_failed_rewrite_keeps_previous_artifact(self, tmp_path, monkeypatch, ontology):
         path = tmp_path / "gate.jsonl"
         rows = [gate_row("s1", True), gate_row("s2", False)]
         write_artifact(path, "gate", "abc", "in1", rows)
@@ -139,7 +139,7 @@ class TestArtifactIO:
         with pytest.raises(OSError, match="No space left"):
             write_artifact(path, "gate", "abc", "in1", [gate_row("s3", True)])
         monkeypatch.undo()
-        assert read_artifact(path, "gate", "abc", "in1") == rows
+        assert read_artifact(path, "gate", "abc", "in1", ontology) == rows
         assert [p.name for p in tmp_path.iterdir()] == ["gate.jsonl"]
 
     def test_rows_serialized_with_sorted_keys(self, tmp_path):
@@ -148,15 +148,15 @@ class TestArtifactIO:
         body = path.read_text(encoding="utf-8").splitlines()[1]
         assert body == '{"alpha": 2, "zeta": 1}'
 
-    def test_artifact_from_other_inputs_is_not_replayed(self, tmp_path):
+    def test_artifact_from_other_inputs_is_not_replayed(self, tmp_path, ontology):
         # Only the header is read: the body after it is not even valid UTF-8.
         path = tmp_path / "gate.jsonl"
         write_artifact(path, "gate", "abc", "in1", [gate_row("s1", True)])
         with path.open("ab") as fh:
             fh.write(b'{"id": "s2", "rule": "\xff"}\n')
-        assert read_artifact(path, "gate", "abc", "in2") is None
+        assert read_artifact(path, "gate", "abc", "in2", ontology) is None
         with pytest.raises(DatasetError, match="invalid UTF-8 at line 3"):
-            read_artifact(path, "gate", "abc", "in1")
+            read_artifact(path, "gate", "abc", "in1", ontology)
 
 
 class TestGoldenRun:
@@ -276,7 +276,7 @@ class TestGoldenRun:
         assert len(loaded) == golden_corpus.n_segments
         for labeled in loaded:
             for ev in labeled.gold_events:
-                ev.validate(ontology, record_id=labeled.id)
+                assert check_event(ev, labeled.id, ontology) == ev
 
     def test_stop_after_gate(self, golden_corpus):
         result = Pipeline(golden_corpus.config).run(until="gate")
@@ -420,7 +420,9 @@ class TestDeterminismAndResume:
 class TestStaleInputs:
     """--resume replays an artifact only if the input files still hold what built it."""
 
-    def test_rewritten_verdict_file_makes_resume_recompute_the_gate(self, golden_corpus):
+    def test_rewritten_verdict_file_makes_resume_recompute_the_gate(
+        self, golden_corpus, ontology
+    ):
         Pipeline(golden_corpus.config).run()
         golden_corpus.learned_path.write_text(
             "".join(json.dumps({"id": sid, "p": 0.0}) + "\n" for sid in sorted(TRANSCRIPT_TEXTS))
@@ -430,7 +432,11 @@ class TestStaleInputs:
         assert resumed.resumed_stages == []
         assert resumed.gated_in == 0
         gate_rows = read_artifact(
-            golden_corpus.output_dir / "gate.jsonl", "gate", resumed.config_hash, resumed.inputs
+            golden_corpus.output_dir / "gate.jsonl",
+            "gate",
+            resumed.config_hash,
+            resumed.inputs,
+            ontology,
         )
         assert not any(row["learned"] or row["gated_in"] for row in gate_rows)
 
@@ -649,7 +655,7 @@ class TestInputsReadOnce:
         gate_only = dataclasses.replace(config, gate_llm_file=str(verdicts))
         assert Pipeline(gate_only).run(until="gate").provider_calls["total"] == 0
 
-    def test_fully_resumed_run_with_a_broken_template_succeeds(self, golden_corpus):
+    def test_fully_resumed_run_with_a_broken_template_succeeds(self, golden_corpus, ontology):
         templates = golden_corpus.root / "templates"
         write_templates(templates)
         config = dataclasses.replace(golden_corpus.config, templates=str(templates))
@@ -662,7 +668,7 @@ class TestInputsReadOnce:
             stage = name.removesuffix(".jsonl")
             path = golden_corpus.output_dir / name
             header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-            rows = read_artifact(path, stage, header["config_hash"], header["inputs"])
+            rows = read_artifact(path, stage, header["config_hash"], header["inputs"], ontology)
             write_artifact(path, stage, header["config_hash"], inputs, rows)
         result = Pipeline(config, resume=True).run()
         assert result.resumed_stages == ["gate", "triggers", "arguments", "final"]
@@ -673,7 +679,7 @@ class TestInputsReadOnce:
 class TestTwoPhases:
     """Verdicts are fetched in batches before the gate, and queries embedded once after it."""
 
-    def test_queries_are_embedded_in_one_call_after_the_gate(self, golden_corpus):
+    def test_queries_are_embedded_in_one_call_after_the_gate(self, golden_corpus, ontology):
         pipeline = Pipeline(golden_corpus.config)
         pipeline.index  # noqa: B018 - embeds the support set first
         calls = []
@@ -681,7 +687,11 @@ class TestTwoPhases:
         pipeline.embedder.inner.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
         result = pipeline.run()
         gate_rows = read_artifact(
-            golden_corpus.output_dir / "gate.jsonl", "gate", result.config_hash, result.inputs
+            golden_corpus.output_dir / "gate.jsonl",
+            "gate",
+            result.config_hash,
+            result.inputs,
+            ontology,
         )
         gated_in = [row["id"] for row in gate_rows if row["gated_in"]]
         assert len(gated_in) == 10
@@ -690,7 +700,7 @@ class TestTwoPhases:
         assert calls == [[TRANSCRIPT_TEXTS[sid] for sid in gated_in]]
         assert result.texts_embedded == 12 + 10
 
-    def test_argument_only_run_embeds_segments_with_triggers(self, tmp_path):
+    def test_argument_only_run_embeds_segments_with_triggers(self, tmp_path, ontology):
         corpus = build_golden_corpus(tmp_path / "steps", with_cache=False)
         Pipeline(corpus.config, resume=True).run(until="triggers")
         pipeline = Pipeline(corpus.config, resume=True)
@@ -701,7 +711,11 @@ class TestTwoPhases:
         result = pipeline.run(until="arguments")
         assert result.resumed_stages == ["gate", "triggers"]
         trigger_rows = read_artifact(
-            corpus.output_dir / "triggers.jsonl", "triggers", result.config_hash, result.inputs
+            corpus.output_dir / "triggers.jsonl",
+            "triggers",
+            result.config_hash,
+            result.inputs,
+            ontology,
         )
         with_triggers = [row["id"] for row in trigger_rows if not row["failed"] and row["predictions"]]
         assert len(with_triggers) == 9
@@ -729,7 +743,7 @@ class TestTwoPhases:
 
     @pytest.mark.parametrize("same_type_filter", [False, True])
     def test_zero_shot_run_embeds_and_searches_nothing(
-        self, tmp_path, monkeypatch, same_type_filter
+        self, tmp_path, monkeypatch, ontology, same_type_filter
     ):
         # retrieval.k = 0 builds no index, so the query phase neither embeds
         # nor searches, and every trigger and argument prompt has no examples.
@@ -747,7 +761,11 @@ class TestTwoPhases:
         assert result.texts_embedded == 0
         rows = {
             name: read_artifact(
-                corpus.output_dir / f"{name}.jsonl", name, result.config_hash, result.inputs
+                corpus.output_dir / f"{name}.jsonl",
+                name,
+                result.config_hash,
+                result.inputs,
+                ontology,
             )
             for name in ("triggers", "arguments")
         }

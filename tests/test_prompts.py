@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from eventpipe.model import Argument, EventMention, LabeledSegment, Segment
+from eventpipe.model import LabeledSegment, Segment
 from eventpipe.prompts import (
     NO_EXAMPLES_SENTENCE,
     PromptBundle,
@@ -27,8 +27,8 @@ def _segment(text="the war began", sid="s1"):
 
 
 def _example(example_id="ex-1", text="jets were shot down", with_args=True):
-    args = (Argument(name="jets", role="Target"),) if with_args else ()
-    ev = EventMention(trigger="shot down", event_type="Attack", arguments=args)
+    args = [{"name": "jets", "role": "Target"}] if with_args else []
+    ev = {"trigger": "shot down", "type": "Attack", "arguments": args}
     return LabeledSegment(id=example_id, text=text, gold_events=(ev,))
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from eventpipe import retrieval
 from eventpipe.config import ProviderConfig, build_embedding_provider
-from eventpipe.model import DatasetError, EventMention, LabeledSegment, normalize
+from eventpipe.model import DatasetError, LabeledSegment, normalize
 from eventpipe.retrieval import (
     DEFAULT_DIMENSION,
     EmbeddingError,
@@ -112,7 +112,7 @@ def _search_cases(draw):
             id=example_id,
             text=example_id,
             gold_events=tuple(
-                EventMention(trigger="t", event_type=t, arguments=())
+                {"trigger": "t", "type": t, "arguments": []}
                 for t in draw(st.sets(st.sampled_from(_TYPES)))
             ),
         )
@@ -529,7 +529,7 @@ class TestSearch:
         keep = None
         mask = None
         if wanted is not None:
-            keep = lambda ex: any(ev.event_type in wanted for ev in ex.gold_events)
+            keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
             mask = index.type_mask(wanted)
         # An infinite entry times a zero one is NaN, and numpy's dot warns of it.
         finite = np.isfinite(index.vectors).all() and np.isfinite(queries).all()
