@@ -9,6 +9,7 @@ classification.
 from .evaluate import ScoreReport, prf, run_ablation, score
 from .gate import agreement_table, vote
 from .model import (
+    LabeledRows,
     LabeledSegment,
     Ontology,
     Segment,
@@ -22,6 +23,7 @@ from .retrieval import SupportIndex, build_index, search
 __version__ = "0.1.0"
 
 __all__ = [
+    "LabeledRows",
     "LabeledSegment",
     "Ontology",
     "ScoreReport",

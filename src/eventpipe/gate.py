@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .model import (
     DatasetError,
-    LabeledSegment,
+    LabeledRows,
     Lines,
     Segment,
     check_rows,
@@ -78,13 +78,13 @@ def check_policy(name: str) -> str:
     return name
 
 
-def build_lexicon(training: Iterable[LabeledSegment]) -> frozenset[str]:
+def build_lexicon(training: LabeledRows) -> frozenset[str]:
     """Collect normalize(trigger) over every gold event in the training split.
 
     Each distinct trigger string is normalized once: a large support set
     repeats a few hundred triggers across tens of thousands of events.
     """
-    triggers = {ev["trigger"] for ls in training for ev in ls.gold_events}
+    triggers = {event[0] for events in training.events for event in events}
     entries = {normalize(trigger) for trigger in triggers}
     entries.discard("")
     return frozenset(entries)

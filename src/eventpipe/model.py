@@ -3,10 +3,12 @@
 Every record that enters the pipeline passes through here: gold annotations,
 raw transcripts, and the ontology that defines which event types and argument
 roles are legal. An event is a {"trigger", "type", "arguments"} dict, each
-argument a {"name", "role"} dict, from the loaders to scoring; check_event is
+argument a {"name", "role"} dict, from extraction to scoring; check_event is
 its one check. No stage mutates an event it is given, so events are shared
-across workers as they are. Every row file (JSON lines or one JSON array) is
-read through ``iter_json_records`` and ``check_rows``. Every output file but
+across workers as they are. A loaded gold or support file is LabeledRows:
+ids, texts and each row's events as flat tuples, whose dicts are rebuilt
+when the row is read. Every row file (JSON lines or one JSON array) is read
+through ``iter_json_records`` and ``check_rows``. Every output file but
 the cache, which is appended to, is replaced whole through ``_replace``: row
 and report files by way of ``write_rows`` or ``write_json``, the support index
 by ``retrieval.save_index``.
@@ -21,10 +23,11 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DatasetError",
+    "LabeledRows",
     "LabeledSegment",
     "Lines",
     "Ontology",
@@ -101,6 +104,7 @@ class Ontology:
     event_types: tuple[str, ...]
     roles_by_type: dict[str, tuple[str, ...]]
     type_set: frozenset[str] = field(init=False, repr=False)
+    _role_sets: dict[str, frozenset[str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "type_set", frozenset(self.event_types))
@@ -109,9 +113,11 @@ class Ontology:
                 raise ValidationError(
                     f"ontology maps roles for unknown event type {etype!r}"
                 )
+        role_sets = {etype: frozenset(roles) for etype, roles in self.roles_by_type.items()}
+        object.__setattr__(self, "_role_sets", role_sets)
 
     def role_set_for(self, event_type: str) -> frozenset[str]:
-        return frozenset(self.roles_by_type.get(event_type, ()))
+        return self._role_sets.get(event_type, frozenset())
 
     def roles_for(self, event_type: str) -> tuple[str, ...]:
         """Permitted roles in file order."""
@@ -123,6 +129,39 @@ class LabeledSegment(Segment):
     """A segment with its (possibly empty) gold event list: a gold row or a support example."""
 
     gold_events: tuple[dict, ...] = ()
+
+
+# A checked event as one flat tuple (trigger, type, name, role, name, role, ...).
+# The cyclic collector stops tracking a tuple of strings the first time it sees
+# it, so a support set's events cost no collection time, as dicts would.
+Event = tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class LabeledRows(Sequence[LabeledSegment]):
+    """A loaded gold or support file as row-aligned columns.
+
+    Reading row i rebuilds the LabeledSegment of ids[i], texts[i] and the
+    check_event dicts of events[i].
+    """
+
+    ids: tuple[str, ...]
+    texts: tuple[str, ...]
+    events: tuple[tuple[Event, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int | slice) -> LabeledSegment | LabeledRows:
+        if isinstance(row, slice):
+            return self.take(range(len(self))[row])
+        events = tuple(map(_event_dict, self.events[row]))
+        return LabeledSegment(self.ids[row], self.texts[row], events)
+
+    def take(self, rows: Sequence[int]) -> LabeledRows:
+        """The given rows, in the given order."""
+        columns = (self.ids, self.texts, self.events)
+        return LabeledRows(*(tuple(column[row] for row in rows) for column in columns))
 
 
 def default_ontology_path() -> Path:
@@ -258,6 +297,20 @@ def check_event(obj: Any, record_id: str, ontology: Ontology) -> dict:
     argument name or role, or a type or role the ontology does not permit, is
     a ValidationError. Both name the record.
     """
+    return _event_dict(_checked_event(obj, record_id, ontology))
+
+
+def _event_dict(event: Event) -> dict:
+    names, roles = event[2::2], event[3::2]
+    return {
+        "trigger": event[0],
+        "type": event[1],
+        "arguments": [{"name": name, "role": role} for name, role in zip(names, roles)],
+    }
+
+
+def _checked_event(obj: Any, record_id: str, ontology: Ontology) -> Event:
+    """check_event's checks; the event as a tuple."""
     if not isinstance(obj, dict):
         raise DatasetError(f"record {record_id!r}: event entry must be an object")
     trigger = obj.get("trigger")
@@ -269,7 +322,7 @@ def check_event(obj: Any, record_id: str, ontology: Ontology) -> dict:
     raw_args = obj.get("arguments", [])
     if not isinstance(raw_args, list):
         raise DatasetError(f"record {record_id!r}: arguments must be a list")
-    args = []
+    args = []  # name, role, name, role, ...
     for a in raw_args:
         if not isinstance(a, dict) or "name" not in a or "role" not in a:
             raise DatasetError(
@@ -282,40 +335,44 @@ def check_event(obj: Any, record_id: str, ontology: Ontology) -> dict:
             raise ValidationError(f"record {record_id!r}: argument name must be nonempty")
         if not role.strip():
             raise ValidationError(f"record {record_id!r}: argument role must be nonempty")
-        args.append({"name": name, "role": role})
+        args += name, role
     if etype not in ontology.type_set:
         raise ValidationError(f"record {record_id!r}: unknown event type {etype!r}")
     allowed = ontology.role_set_for(etype)
-    for arg in args:
-        if arg["role"] not in allowed:
+    for role in args[1::2]:
+        if role not in allowed:
             raise ValidationError(
-                f"record {record_id!r}: role {arg['role']!r} is not permitted "
+                f"record {record_id!r}: role {role!r} is not permitted "
                 f"for event type {etype!r}"
             )
-    return {"trigger": trigger, "type": etype, "arguments": args}
+    return (trigger, etype, *args)
 
 
-def load_gold(
-    path: str | Path, ontology: Ontology, *, data: Lines | None = None
-) -> list[LabeledSegment]:
+def load_gold(path: str | Path, ontology: Ontology, *, data: Lines | None = None) -> LabeledRows:
     """Load and validate a gold file (JSON array or JSON-lines of id/event records).
 
-    Gold event lists are preserved in file order. A record may optionally carry
-    a ``text`` field; absent text defaults to the empty string and is expected
-    to be joined from a transcript file by id.
+    Every event is checked as the file is read. Gold event lists are preserved
+    in file order. A record may optionally carry a ``text`` field; absent text
+    defaults to the empty string and is expected to be joined from a
+    transcript file by id.
     """
-    out: list[LabeledSegment] = []
+    ids: list[str] = []
+    texts: list[str] = []
+    events: list[tuple[Event, ...]] = []
     for _, rec in read_rows(path, data=data):
         rid = str(rec["id"])
         raw_events = rec.get("event", [])
         if not isinstance(raw_events, list):
             raise DatasetError(f"record {rid!r}: 'event' must be a list")
-        events = tuple(check_event(obj, rid, ontology) for obj in raw_events)
+        events.append(tuple([_checked_event(obj, rid, ontology) for obj in raw_events]))
         text = rec.get("text", "")
         if not isinstance(text, str):
             raise DatasetError(f"record {rid!r}: 'text' must be a string")
-        out.append(LabeledSegment(id=rid, text=text, gold_events=events))
-    return out
+        if not rid:
+            raise ValidationError("segment id must be nonempty")
+        ids.append(rid)
+        texts.append(text)
+    return LabeledRows(tuple(ids), tuple(texts), tuple(events))
 
 
 def load_transcripts(path: str | Path, *, data: Lines | None = None) -> list[Segment]:

@@ -68,6 +68,7 @@ from .gate import (
 from .llm import LlmProvider, ResponseCache
 from .model import (
     DatasetError,
+    LabeledRows,
     LabeledSegment,
     Ontology,
     Segment,
@@ -286,8 +287,8 @@ class Pipeline:
         self._index: SupportIndex | None = None
         self._cache: ResponseCache | None = None
         self._ontology = None
-        self._support: list[LabeledSegment] | None = None
-        self._gold: list[LabeledSegment] | None = None
+        self._support: LabeledRows | None = None
+        self._gold: LabeledRows | None = None
         # sha256 of the bytes read from each input file, by path (None: absent).
         self._digests: dict[str, str | None] = {}
         # Bytes read for the inputs digest that no loader has taken yet, by path.
@@ -357,7 +358,7 @@ class Pipeline:
         return self._ontology
 
     @property
-    def support(self) -> list[LabeledSegment]:
+    def support(self) -> LabeledRows:
         """Parsed on first use, so a fully resumed run does not parse it."""
         if self._support is None:
             path = self.config.support
@@ -365,7 +366,7 @@ class Pipeline:
         return self._support
 
     @property
-    def gold(self) -> list[LabeledSegment]:
+    def gold(self) -> LabeledRows:
         """The gold file, parsed on first use and held until run() takes it.
 
         A caller that needs the gold after the run takes it first, and the run
@@ -396,9 +397,11 @@ class Pipeline:
             self._embedder = CountingEmbedder(build_embedding_provider(self.config.embedding))
         return self._embedder
 
-    def support_examples(self) -> list[LabeledSegment]:
-        """Support segments whose text normalizes to something (strip() tells the same)."""
-        return [ls for ls in self.support if ls.text.strip()]
+    def support_examples(self) -> LabeledRows:
+        """Support rows whose text normalizes to something (strip() tells the same)."""
+        support = self.support
+        rows = [row for row, text in enumerate(support.texts) if text.strip()]
+        return support if len(rows) == len(support) else support.take(rows)
 
     @property
     def index(self) -> SupportIndex | None:
@@ -577,7 +580,7 @@ class Pipeline:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         transcripts = load_transcripts(cfg.transcripts, data=self._data(cfg.transcripts))
         gold, self._gold = self.gold, None
-        gold_ids = {ls.id for ls in gold}
+        gold_ids = set(gold.ids)
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
             raise DatasetError(f"transcript ids missing from gold: {stray[:5]}")

@@ -21,21 +21,24 @@ The scan goes through einsum, numpy's own single-threaded loop, not through
 BLAS: a BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix) wakes
 the BLAS thread pool, whose threads busy-wait between calls and cost more
 CPU than the scan saves.
+
+The index holds the support set as the ``LabeledRows`` that ``load_gold``
+returned: the type masks read each row's event types from its columns, and
+an example's event dicts are built only when a search retrieves it.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .model import DatasetError, LabeledSegment, _replace
+from .model import DatasetError, LabeledRows, _replace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ._http import Endpoint
@@ -171,53 +174,63 @@ def _reply_vector(value, position: int) -> np.ndarray:
     )
 
 
-def _unit(vec: np.ndarray, what: str) -> np.ndarray:
-    """vec scaled to unit norm; a zero or non-finite norm is an EmbeddingError.
-
-    numpy warns when the norm overflows; callers silence that once per batch.
-    """
-    norm = float(np.linalg.norm(vec))
-    if norm <= _NORM_TOL:
-        raise EmbeddingError(f"{what}: zero embedding vector")
-    if not math.isfinite(norm):
-        raise EmbeddingError(f"{what}: embedding vector norm is not finite")
-    return vec / norm
-
-
-def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
-    """Embed texts with one embed_batch call, each to a unit-norm vector of one dimension."""
+def _embed(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
+    """One embed_batch call's vectors for texts, as contiguous float64 arrays."""
     vecs = embedding_provider.embed_batch(list(texts))
     if len(vecs) != len(texts):
         raise EmbeddingError(
             f"embedding provider returned {len(vecs)} vectors for {len(texts)} texts"
         )
-    dims = sorted({len(vec) for vec in vecs})
+    return [np.ascontiguousarray(vec, dtype=np.float64) for vec in vecs]
+
+
+def _norms(rows: Sequence[np.ndarray], what: Callable[[int], str]) -> np.ndarray:
+    """Each row's L2 norm as ``np.linalg.norm`` computes it: ``sqrt(row.dot(row))``.
+
+    A vectorized sum of squares could round differently for arbitrary float
+    embeddings. The first zero or non-finite norm is an EmbeddingError naming
+    what(row).
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.sqrt([row.dot(row) for row in rows])
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > _NORM_TOL)))
+    if bad.size:
+        zero = norms[bad[0]] <= _NORM_TOL
+        problem = "zero embedding vector" if zero else "embedding vector norm is not finite"
+        raise EmbeddingError(f"{what(bad[0])}: {problem}")
+    return norms
+
+
+def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
+    """Embed texts with one embed_batch call, each to a unit-norm vector of one dimension."""
+    rows = _embed(texts, embedding_provider)
+    dims = sorted({len(row) for row in rows})
     if len(dims) > 1:
         raise EmbeddingError(f"embedding dimension mismatch across texts: {dims}")
-    with np.errstate(over="ignore"):  # an overflowing norm is reported by _unit
-        return [_unit(vec, f"text {text[:40]!r}") for text, vec in zip(texts, vecs)]
+    norms = _norms(rows, lambda row: f"text {texts[row][:40]!r}")
+    return list(np.divide(rows, norms[:, None]))
 
 
 @dataclass(frozen=True)
 class SupportIndex:
-    """Immutable flat index over the support set. Vectors are row-aligned with ids."""
+    """Immutable flat index over the support set: read-only row i embeds examples[i]."""
 
-    example_ids: tuple[str, ...]
+    examples: LabeledRows
     vectors: np.ndarray  # (N, D) float64, unit rows
-    examples: tuple[LabeledSegment, ...]
 
-    @classmethod
-    def over(cls, examples: Sequence[LabeledSegment], vectors: np.ndarray) -> SupportIndex:
-        """The index whose row i is the vector of examples[i]; the matrix is made read-only."""
-        vectors.setflags(write=False)
-        return cls(tuple(ex.id for ex in examples), vectors, tuple(examples))
+    def __post_init__(self) -> None:
+        self.vectors.setflags(write=False)
+
+    @property
+    def example_ids(self) -> tuple[str, ...]:
+        return self.examples.ids
 
     @property
     def dimension(self) -> int:
         return int(self.vectors.shape[1])
 
     def __len__(self) -> int:
-        return len(self.example_ids)
+        return len(self.examples)
 
     @cached_property
     def row_of(self) -> dict[str, int]:
@@ -228,8 +241,8 @@ class SupportIndex:
     def type_masks(self) -> dict[str, np.ndarray]:
         """Boolean row mask of each event type: examples with a gold event of that type."""
         rows: dict[str, list[int]] = {}
-        for row, ex in enumerate(self.examples):
-            for event_type in {ev["type"] for ev in ex.gold_events}:
+        for row, events in enumerate(self.examples.events):
+            for event_type in {event[1] for event in events}:
                 rows.setdefault(event_type, []).append(row)
         masks = {}
         for event_type, type_rows in rows.items():
@@ -251,7 +264,7 @@ class SupportIndex:
 
 
 def build_index(
-    examples: Sequence[LabeledSegment],
+    examples: LabeledRows,
     embedding_provider: EmbeddingProvider,
     *,
     batch_size: int = 256,
@@ -259,38 +272,32 @@ def build_index(
     """Embed every support example and assemble the flat index.
 
     Repeatable: the same examples and provider produce identical contents.
-    Each row is made unit-norm by ``_unit``, one row at a time (a vectorized
-    norm can round differently for arbitrary float embeddings), and written
+    Each embedding batch is normalized at once (see ``_norms``) and divided
     straight into one preallocated (N, D) matrix, so the support set is held
-    once and never stacked.
+    once and never stacked. The first row whose norm is zero or not finite is
+    the error, before any later batch is embedded; a dimension mismatch is
+    reported after the last batch.
     """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
     seen: set[str] = set()
-    for ex in examples:
-        if ex.id in seen:
-            raise EmbeddingError(f"duplicate example id {ex.id!r}")
-        seen.add(ex.id)
+    for example_id in examples.ids:
+        if example_id in seen:
+            raise EmbeddingError(f"duplicate example id {example_id!r}")
+        seen.add(example_id)
     matrix: np.ndarray | None = None
     dims: set[int] = set()
     for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        vecs = embedding_provider.embed_batch([ex.text for ex in chunk])
-        if len(vecs) != len(chunk):
-            raise EmbeddingError(
-                f"embedding provider returned {len(vecs)} vectors for {len(chunk)} texts"
-            )
-        with np.errstate(over="ignore"):  # an overflowing norm is reported by _unit
-            for row, (ex, vec) in enumerate(zip(chunk, vecs), start):
-                unit = _unit(np.asarray(vec, dtype=np.float64), f"example {ex.id!r}")
-                dims.add(unit.shape[0])
-                if matrix is None:
-                    matrix = np.empty((len(examples), unit.shape[0]))
-                if unit.shape == matrix.shape[1:]:
-                    matrix[row] = unit
+        rows = _embed(examples.texts[start : start + batch_size], embedding_provider)
+        norms = _norms(rows, lambda row: f"example {examples.ids[start + row]!r}")
+        dims.update(row.shape[0] for row in rows)
+        if matrix is None:
+            matrix = np.empty((len(examples), rows[0].shape[0]))
+        if dims == {matrix.shape[1]}:
+            np.divide(rows, norms[:, None], out=matrix[start : start + len(rows)])
     if len(dims) != 1:
         raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
-    return SupportIndex.over(examples, matrix)
+    return SupportIndex(examples, matrix)
 
 
 def _dot_error_bound(dimension: int, max_row_square: float, query_square: float) -> float:
@@ -391,9 +398,9 @@ def _top_k(
     return scored[:k]
 
 
-def _support_digest(examples: Sequence[LabeledSegment]) -> str:
+def _support_digest(examples: LabeledRows) -> str:
     """sha256 over the example ids and texts, in order."""
-    blob = json.dumps([[ex.id, ex.text] for ex in examples], ensure_ascii=True)
+    blob = json.dumps(list(map(list, zip(examples.ids, examples.texts))), ensure_ascii=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
@@ -420,9 +427,7 @@ def save_index(index: SupportIndex, path: str | Path, *, embedding: dict) -> Non
     _replace(path, write)
 
 
-def load_index(
-    path: str | Path, examples: Sequence[LabeledSegment], *, embedding: dict
-) -> SupportIndex | None:
+def load_index(path: str | Path, examples: LabeledRows, *, embedding: dict) -> SupportIndex | None:
     """Load a persisted index over `examples`, or None when it is stale.
 
     The file is stale when its header's embedding config or support digest
@@ -461,4 +466,4 @@ def load_index(
             f"{path}: index matrix has dtype {matrix.dtype} and shape {matrix.shape}, "
             f"not float64 and ({len(examples)}, D)"
         )
-    return SupportIndex.over(examples, matrix)
+    return SupportIndex(examples, matrix)

@@ -19,11 +19,26 @@ from typing import Any, Callable
 import pytest
 
 from eventpipe.config import PipelineConfig
-from eventpipe.model import Ontology, load_ontology
+from eventpipe.model import LabeledRows, Ontology, load_ontology
 from eventpipe.prompts import STAGES, Template, load_template
 
 # ---------------------------------------------------------------------------
-# ontology and prompt templates
+# ontology, support rows and prompt templates
+
+
+def labeled_rows(segments) -> LabeledRows:
+    """LabeledSegments, whose events are check_event dicts, as load_gold's columns."""
+    segments = list(segments)
+
+    def flat(ev: dict) -> tuple[str, ...]:
+        args = [value for arg in ev["arguments"] for value in (arg["name"], arg["role"])]
+        return (ev["trigger"], ev["type"], *args)
+
+    return LabeledRows(
+        tuple(seg.id for seg in segments),
+        tuple(seg.text for seg in segments),
+        tuple(tuple(map(flat, seg.gold_events)) for seg in segments),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,51 @@ class TestRun:
         assert "resumed stages: gate, triggers, arguments, final" in out
 
 
+class TestSupportValidation:
+    """Every support row is checked when the support set loads, retrieved or not."""
+
+    @pytest.mark.parametrize("form", ["lines", "array"])
+    @pytest.mark.parametrize(
+        "event,message",
+        [
+            (
+                {"trigger": "vote", "type": "NotAType"},
+                "record 'unretrieved': unknown event type 'NotAType'",
+            ),
+            (
+                {"trigger": "vote", "type": "Elect",
+                 "arguments": [{"name": "x", "role": "Attacker"}]},
+                "record 'unretrieved': role 'Attacker' is not permitted for event type 'Elect'",
+            ),
+            (
+                {"trigger": "vote", "type": "Elect",
+                 "arguments": [{"name": " ", "role": "Person"}]},
+                "record 'unretrieved': argument name must be nonempty",
+            ),
+        ],
+        ids=["unknown-type", "disallowed-role", "blank-argument-name"],
+    )
+    def test_bad_row_that_no_segment_retrieves_stops_the_run_before_any_provider_call(
+        self, tmp_path, capsys, monkeypatch, form, event, message
+    ):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        rows = [json.loads(line) for line in corpus.support_path.read_text().splitlines()]
+        # A blank text is never indexed, so no segment can retrieve this row.
+        rows.insert(len(rows) // 2, {"id": "unretrieved", "text": "", "event": [event]})
+        if form == "lines":
+            corpus.support_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        else:
+            corpus.support_path.write_text(json.dumps(rows, indent=1))
+        calls = []
+        complete = ScriptedMockLlm.complete
+        monkeypatch.setattr(
+            ScriptedMockLlm, "complete", lambda self, b: calls.append(b) or complete(self, b)
+        )
+        code, out, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert calls == []
+
+
 class TestStageCommands:
     def test_gate(self, golden_corpus, capsys):
         code, out, _ = run_cli(capsys, "gate", "--config", str(golden_corpus.config_path))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS, build_golden_corpus
+from conftest import GOLD_EVENTS, TRANSCRIPT_TEXTS, build_golden_corpus, labeled_rows
 from eventpipe import extract
 from eventpipe.extract import (
     extract_arguments,
@@ -534,7 +534,7 @@ class TestParseArgumentReply:
 
 
 def _support_index(dim=16):
-    examples = [
+    examples = labeled_rows(
         LabeledSegment(
             id=f"ex-{i}",
             text=text,
@@ -547,7 +547,7 @@ def _support_index(dim=16):
                 ("the miner died", "died", "Die"),
             ]
         )
-    ]
+    )
     embedder = HashedBagEmbedder(dimension=dim)
     return build_index(examples, embedder), embedder
 

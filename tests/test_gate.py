@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import labeled_rows
 from eventpipe.config import ProviderConfig, build_verdict_provider
 from eventpipe.gate import (
     AgreementTable,
@@ -43,7 +44,7 @@ def _training(ontology, *triggers):
         out.append(
             LabeledSegment(id=f"t{i}", text=f"... {trigger} ...", gold_events=(ev,))
         )
-    return out
+    return labeled_rows(out)
 
 
 class TestRuleClassifier:
@@ -58,14 +59,14 @@ class TestRuleClassifier:
         )
     )
     def test_lexicon_equals_normalizing_every_trigger(self, segments):
-        training = [
+        training = labeled_rows(
             LabeledSegment(
                 f"t{i}",
                 "x",
                 tuple({"trigger": t, "type": "Attack", "arguments": []} for t in triggers),
             )
             for i, triggers in enumerate(segments)
-        ]
+        )
         every = {
             normalize(ev["trigger"])
             for ls in training

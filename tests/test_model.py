@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from eventpipe.cli import cmd_format
 from eventpipe.gate import FileVerdictProvider, load_verdict_triples
 from eventpipe.model import (
     DatasetError,
+    LabeledSegment,
     Ontology,
     Segment,
     ValidationError,
@@ -24,6 +26,7 @@ from eventpipe.model import (
     normalize,
 )
 from eventpipe.pipeline import read_artifact
+from eventpipe.prompts import render_examples
 
 
 # Every whitespace character, and characters whose lowercasing depends on
@@ -231,6 +234,12 @@ class TestLoaders:
         with pytest.raises((DatasetError, ValidationError), match="bad-seg"):
             load_gold(path, ontology)
 
+    def test_load_gold_rejects_an_empty_id(self, tmp_path, ontology):
+        path = tmp_path / "gold.jsonl"
+        self._write(path, [{"id": "a", "event": []}, {"id": "", "event": []}])
+        with pytest.raises(ValidationError, match="^segment id must be nonempty$"):
+            load_gold(path, ontology)
+
     def test_load_gold_malformed_json_reports_line(self, tmp_path, ontology):
         path = tmp_path / "gold.jsonl"
         path.write_text('{"id": "a", "event": []}\n{oops\n')
@@ -272,6 +281,84 @@ class TestLoaders:
     def test_missing_file(self, tmp_path, ontology):
         with pytest.raises((DatasetError, FileNotFoundError, OSError)):
             load_gold(tmp_path / "nope.jsonl", ontology)
+
+
+
+def _support_record(rng, ontology, i):
+    """A valid support record in a varied shape: keys in any order, extra keys,
+    an absent argument list or text, integer names and non-ASCII strings."""
+    words = ["war", "Élection", "met", "shot  down", "x\u2028y", "42", "ﬁre", "Σίσυφος"]
+    events = []
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        etype = rng.choice(ontology.event_types)
+        event = {"trigger": rng.choice(words), "type": etype, "note": i}
+        if rng.random() < 0.9:
+            event["arguments"] = [
+                dict(rng.sample([("name", rng.choice(words + [7])), ("role", role)], 2))
+                for role in rng.choices(ontology.roles_for(etype), k=rng.randint(0, 3))
+            ]
+        events.append(dict(rng.sample(list(event.items()), len(event))))
+    record = {"id": f"sup-{i:05d}", "event": events}
+    if rng.random() < 0.95:
+        record["text"] = " ".join(rng.choices(words, k=6))
+    return dict(rng.sample(list(record.items()), len(record)))
+
+
+class TestLabeledRows:
+    """A loaded row rebuilds the LabeledSegment of check_event's dicts, byte for byte."""
+
+    @staticmethod
+    def _assert_rebuilt(rows, records, ontology):
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            rid = record["id"]
+            events = tuple(check_event(ev, rid, ontology) for ev in record["event"])
+            assert events == tuple(
+                {
+                    "trigger": ev["trigger"],
+                    "type": ev["type"],
+                    "arguments": [
+                        {"name": str(a["name"]), "role": a["role"]} for a in ev.get("arguments", [])
+                    ],
+                }
+                for ev in record["event"]
+            )
+            want = LabeledSegment(rid, record.get("text", ""), events)
+            assert row == want
+            assert json.dumps(row.gold_events) == json.dumps(want.gold_events)  # key order
+            for event in row.gold_events:
+                assert list(event) == ["trigger", "type", "arguments"]
+                assert all(list(arg) == ["name", "role"] for arg in event["arguments"])
+            for with_arguments in (True, False):
+                got = render_examples([row], with_arguments=with_arguments)
+                assert got == render_examples([want], with_arguments=with_arguments)
+
+    def test_golden_support_rows_rebuild_as_checked(self, golden_corpus, ontology):
+        lines = golden_corpus.support_path.read_text(encoding="utf-8").splitlines()
+        rows = load_gold(golden_corpus.support_path, ontology)
+        self._assert_rebuilt(rows, [json.loads(line) for line in lines], ontology)
+
+    @pytest.mark.parametrize("form", ["lines", "array"])
+    def test_generated_support_rows_rebuild_as_checked(self, tmp_path, ontology, form):
+        rng = random.Random(2000)
+        records = [_support_record(rng, ontology, i) for i in range(2000)]
+        path = tmp_path / "support.jsonl"
+        if form == "lines":
+            text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        else:
+            text = json.dumps(records, ensure_ascii=False)
+        path.write_text(text, encoding="utf-8")
+        rows = load_gold(path, ontology)
+        assert rows.ids == tuple(r["id"] for r in records)
+        assert rows.texts == tuple(r.get("text", "") for r in records)
+        self._assert_rebuilt(rows, records, ontology)
+
+    def test_take_and_slices_keep_the_rows_they_name(self, golden_corpus, ontology):
+        rows = load_gold(golden_corpus.support_path, ontology)
+        taken = rows.take([3, 0, 3])
+        assert list(taken) == [rows[3], rows[0], rows[3]]
+        assert list(rows[1::4]) == [rows[i] for i in range(1, len(rows), 4)]
+        assert rows[-1] == rows[len(rows) - 1]
 
 
 

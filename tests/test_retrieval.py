@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import labeled_rows
 from eventpipe import retrieval
 from eventpipe.config import ProviderConfig, build_embedding_provider
 from eventpipe.model import DatasetError, LabeledSegment, normalize
@@ -36,7 +37,9 @@ def _search_one(index, query, k, mask=None):
 
 
 def _examples(n, prefix="ex"):
-    return [LabeledSegment(id=f"{prefix}-{i:03d}", text=f"text number {i}") for i in range(n)]
+    return labeled_rows(
+        LabeledSegment(id=f"{prefix}-{i:03d}", text=f"text number {i}") for i in range(n)
+    )
 
 
 def _index_from_vectors(vectors, ids=None):
@@ -46,8 +49,8 @@ def _index_from_vectors(vectors, ids=None):
     matrix.setflags(write=False)
     n = matrix.shape[0]
     ids = ids or [f"v-{i:04d}" for i in range(n)]
-    examples = tuple(LabeledSegment(id=i, text=i) for i in ids)
-    return SupportIndex(example_ids=tuple(ids), vectors=matrix, examples=examples)
+    examples = labeled_rows(LabeledSegment(id=i, text=i) for i in ids)
+    return SupportIndex(examples=examples, vectors=matrix)
 
 
 def brute_force_top_k(index, query, k, where=None):
@@ -107,7 +110,7 @@ def _search_cases(draw):
             matrix[row, col] = value
     vectors.setflags(write=False)
     ids = [f"v-{i:04d}" for i in rng.permutation(n)]
-    examples = tuple(
+    examples = labeled_rows(
         LabeledSegment(
             id=example_id,
             text=example_id,
@@ -118,7 +121,7 @@ def _search_cases(draw):
         )
         for example_id in ids
     )
-    index = SupportIndex(example_ids=tuple(ids), vectors=vectors, examples=examples)
+    index = SupportIndex(examples=examples, vectors=vectors)
     wanted = draw(st.none() | st.sets(st.sampled_from(_TYPES + ("E",))))
     return index, queries, draw(st.integers(1, n + 3)), wanted
 
@@ -136,7 +139,7 @@ def _per_token_embed_batch(dimension, texts):
 
 
 def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
-    """build_index's original assembly: a list of _unit rows, then np.vstack."""
+    """build_index's original assembly over LabeledSegments: rows / np.linalg.norm, np.vstack."""
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
     seen = set()
@@ -149,9 +152,13 @@ def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
         chunk = examples[start : start + batch_size]
         vecs = embedding_provider.embed_batch([ex.text for ex in chunk])
         for ex, vec in zip(chunk, vecs):
-            rows.append(
-                retrieval._unit(np.asarray(vec, dtype=np.float64), f"example {ex.id!r}")
-            )
+            vec = np.asarray(vec, dtype=np.float64)
+            norm = float(np.linalg.norm(vec))
+            if norm <= 1e-6:
+                raise EmbeddingError(f"example {ex.id!r}: zero embedding vector")
+            if not np.isfinite(norm):
+                raise EmbeddingError(f"example {ex.id!r}: embedding vector norm is not finite")
+            rows.append(vec / norm)
     dims = {row.shape[0] for row in rows}
     if len(dims) != 1:
         raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
@@ -333,15 +340,15 @@ class TestBuildIndex:
             build_index([], HashedBagEmbedder(dimension=8))
 
     def test_duplicate_ids_rejected(self):
-        examples = [
+        examples = labeled_rows([
             LabeledSegment(id="dup", text="one"),
             LabeledSegment(id="dup", text="two"),
-        ]
+        ])
         with pytest.raises(EmbeddingError, match="dup"):
             build_index(examples, HashedBagEmbedder(dimension=8))
 
     def test_blank_example_text_rejected(self):
-        examples = [LabeledSegment(id="a", text="   ")]
+        examples = labeled_rows([LabeledSegment(id="a", text="   ")])
         with pytest.raises(EmbeddingError):
             build_index(examples, HashedBagEmbedder(dimension=8))
 
@@ -357,7 +364,8 @@ class TestBuildIndex:
         # text must fail with the same message in both.
         rng = random.Random(seed)
         examples = [LabeledSegment(f"ex-{k:04d}", rng.choice(pool)) for k in range(n)]
-        got = _outcome(lambda: build_index(examples, HashedBagEmbedder(dimension)).vectors)
+        rows = labeled_rows(examples)
+        got = _outcome(lambda: build_index(rows, HashedBagEmbedder(dimension)).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, HashedBagEmbedder(dimension)))
         assert _same_outcome(got, want)
 
@@ -380,7 +388,7 @@ class TestBuildIndex:
         ids = [f"ex-{k:04d}" if t != "a" else "dup" for k, t in enumerate(texts)]
         examples = [LabeledSegment(i, t) for i, t in zip(ids, texts)]
         provider = _VectorsByText(table)
-        got = _outcome(lambda: build_index(examples, provider).vectors)
+        got = _outcome(lambda: build_index(labeled_rows(examples), provider).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, provider))
         assert isinstance(want, str) and got == want
 
@@ -390,9 +398,9 @@ class TestBuildIndex:
         http_server.responder = lambda body: (
             200, {"vectors": [vec.tolist() for vec in local.embed_batch(body["texts"])]}
         )
-        examples = [
+        examples = labeled_rows(
             LabeledSegment(f"ex-{i:03d}", f"text {i % 37} row {i}") for i in range(300)
-        ]
+        )
         want = build_index(examples, HashedBagEmbedder(dimension=64)).vectors
         for max_in_flight in (1, 4):
             provider = _remote(
@@ -493,15 +501,15 @@ class TestSearch:
         vectors = np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])
         vectors.setflags(write=False)
         ids = ("a", "b", "c", "d")
-        examples = tuple(LabeledSegment(id=i, text=i) for i in ids)
-        index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
+        examples = labeled_rows(LabeledSegment(id=i, text=i) for i in ids)
+        index = SupportIndex(examples=examples, vectors=vectors)
         q = np.array([1.0, 0.0])
         finite = np.array([False, True, True, False])
         assert _search_one(index, q, 1, mask=finite) == [("b", 1.0)]
         assert _search_one(index, q, 1, mask=~np.array([False, False, False, True])) == [("a", np.inf)]
         # Without the NaN row the error bound is inf, and so is the k-th best
         # approximate score: the cut must not compute inf - inf, which warns.
-        no_nan = SupportIndex(example_ids=ids[:3], vectors=vectors[:3], examples=examples[:3])
+        no_nan = SupportIndex(examples=examples[:3], vectors=vectors[:3])
         assert _search_one(no_nan, q, 1) == [("a", np.inf)]
 
     def test_rows_whose_squares_underflow_keep_the_top_row(self):
@@ -509,14 +517,14 @@ class TestSearch:
         # a unit-scale query round at the 1e-316 level: the candidate cut must
         # not treat these rows as exactly scored.
         ids = ("d", "c", "b", "a")
-        examples = tuple(LabeledSegment(id=i, text=i) for i in ids)
+        examples = labeled_rows(LabeledSegment(id=i, text=i) for i in ids)
         for seed in range(50):
             rng = np.random.default_rng(seed)
             row = rng.normal(size=64) * 1e-300
             neighbours = [np.nextafter(row, np.inf), np.nextafter(row, -np.inf)]
             vectors = np.array([row, *neighbours, np.zeros(64)])
             vectors.setflags(write=False)
-            index = SupportIndex(example_ids=ids, vectors=vectors, examples=examples)
+            index = SupportIndex(examples=examples, vectors=vectors)
             q = rng.normal(size=64)
             assert _search_one(index, q, 1) == brute_force_top_k(index, q, 1)
             assert _search_one(index, row, 1) == brute_force_top_k(index, row, 1)
@@ -591,14 +599,14 @@ class TestPersistence:
             index = build_index(examples, HashedBagEmbedder(dimension=24))
         else:  # arbitrary floats, as a real embedding gives
             index = _index_from_vectors(np.random.default_rng(5).standard_normal((20, 24)))
-            examples = list(index.examples)
+            examples = index.examples
         path = tmp_path / "support.index"
         save_index(index, path, embedding=EMBEDDING)
         loaded = load_index(path, examples, embedding=EMBEDDING)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()  # not just allclose
         assert loaded.vectors.dtype == np.float64 and not loaded.vectors.flags.writeable
         assert loaded.example_ids == index.example_ids
-        assert loaded.examples == tuple(examples)
+        assert loaded.examples == examples
         # The file stores no ids: row i belongs to examples[i].
         assert examples[3].id.encode() not in path.read_bytes()
         queries = index.vectors[[3, 17]]
@@ -607,10 +615,10 @@ class TestPersistence:
     def test_support_digest_is_pinned(self):
         # A saved index is reused only while this digest matches, so a change
         # to it would make every index saved before the change stale.
-        examples = [
+        examples = labeled_rows([
             LabeledSegment("ex-1", "jets were shot down"),
             LabeledSegment("ex-2", 'Les élections, "2024"'),
-        ]
+        ])
         assert retrieval._support_digest(examples) == (
             "b3f2d526647c5b093b93d8a655e2642d105cd66f376d3dc322bf4110c06a70fe"
         )
