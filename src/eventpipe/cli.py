@@ -22,7 +22,7 @@ from .gate import (
     check_policy,
     load_verdict_triples,
 )
-from .llm import CacheError, FormatFailureError, MockMissError
+from .llm import CacheError, MockMissError
 from .model import (
     DatasetError,
     ValidationError,
@@ -93,9 +93,9 @@ def cmd_ablate(args) -> int:
     )
     pipe = Pipeline(ablation_config, resume=True)
     gold = events_by_id(pipe.gold)  # the run checks and scores against this same parse
-    result = pipe.run()
-    verdicts = load_verdict_triples(Path(ablation_config.output_dir) / "gate.jsonl")
-    predictions = events_by_id(load_gold(result.predictions_path, pipe.ontology))
+    rows = pipe.run().rows
+    verdicts = {row["id"]: row for row in rows["gate"]}
+    predictions = {row["id"]: row["event"] for row in rows["final"]}
     table = run_ablation(gold, verdicts, predictions, policies, set_semantics=config.set_semantics)
     print(table.render())
     out_path = Path(ablation_config.output_dir) / "ablation.json"
@@ -235,7 +235,7 @@ _ERROR_CODES = (
     (EXIT_CONFIG, (ConfigError, GateError, TemplateError)),
     (EXIT_INPUT, (DatasetError, ValidationError, OSError)),
     (EXIT_PROVIDER, (ProviderError, MockMissError, CacheError, EmbeddingError)),
-    (EXIT_VERIFICATION, (VerdictError, FormatFailureError, EvaluationError)),
+    (EXIT_VERIFICATION, (VerdictError, EvaluationError)),
 )
 
 

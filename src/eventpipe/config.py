@@ -17,6 +17,7 @@ from urllib.parse import urlsplit
 
 from .gate import check_policy
 from .model import Lines, parse_json
+from .prompts import STAGES
 
 __all__ = [
     "ConfigError",
@@ -28,7 +29,6 @@ __all__ = [
 ]
 
 PROVIDER_KINDS = ("remote", "mock", "file")
-LLM_STAGES = ("presence", "trigger", "argument", "format")
 
 
 class ConfigError(ValueError):
@@ -53,7 +53,7 @@ _LAYOUT = {
         "embedding": "embedding",
         "same_type_filter": "same_type_filter",
     },
-    "llm": {"default": "llm_default", **dict.fromkeys(sorted(LLM_STAGES), "llm_overrides")},
+    "llm": {"default": "llm_default", **dict.fromkeys(sorted(STAGES), "llm_overrides")},
     "retry": {"max_attempts": "max_attempts", "corrective": "corrective"},
     "concurrency": {"workers": "workers"},
     "scoring": {"set_semantics": "set_semantics"},
@@ -208,7 +208,7 @@ class PipelineConfig:
             if value < low:
                 raise ConfigError(f"config.{_KEYS[name]} must be >= {low}, got {value}")
         for stage in self.llm_overrides:
-            if stage not in LLM_STAGES:
+            if stage not in STAGES:
                 raise ConfigError(f"llm override for unknown stage {stage!r}")
 
     def llm_for_stage(self, stage: str) -> ProviderConfig:
@@ -277,7 +277,7 @@ class PipelineConfig:
             "learned": self.learned.path if self.learned else None,
             "llm_file": self.gate_llm_file,
         }
-        for stage in LLM_STAGES:
+        for stage in STAGES:
             files[f"script/{stage}"] = self.llm_for_stage(stage).script
             if self.templates:
                 files[f"templates/{stage}"] = str(Path(self.templates) / f"{stage}.json")

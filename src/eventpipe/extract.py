@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .llm import FormatFailureError, LlmProvider, ResponseCache, complete_with_retry
+from .llm import LlmProvider, ResponseCache, complete_with_retry
 from .model import LabeledSegment, Ontology, Segment, normalize
 from .prompts import Template, build_argument_prompt, build_format_prompt, build_trigger_prompt
 from .retrieval import SupportIndex, search
@@ -376,18 +376,6 @@ def retrieve_examples(
 # --- stages -------------------------------------------------------------------
 
 
-def _complete_row(row: dict, provider, bundle, verifier, **retry) -> None:
-    """Add raw, attempts and failed to a stage row: failed if every reply was rejected.
-
-    raw is then the last rejected reply.
-    """
-    try:
-        completion = complete_with_retry(provider, bundle, verifier, **retry)
-        row.update(raw=completion.text, attempts=completion.attempts, failed=False)
-    except FormatFailureError as exc:
-        row.update(raw=exc.last_response, attempts=exc.attempts, failed=True)
-
-
 def extract_triggers(
     segment: Segment,
     examples: Sequence[LabeledSegment],
@@ -404,19 +392,18 @@ def extract_triggers(
     A reply rejected on every attempt gives failed=True and no predictions.
     """
     bundle = build_trigger_prompt(segment, examples, ontology, template=template)
-    row = {"id": segment.id, "examples": [ex.id for ex in examples]}
-
-    def verifier(text: str) -> bool:
-        row["predictions"] = parse_trigger_reply(text, ontology)
-        return row["predictions"] is not None
-
-    _complete_row(
-        row, provider, bundle, verifier,
+    completion = complete_with_retry(
+        provider, bundle, lambda text: parse_trigger_reply(text, ontology),
         max_attempts=max_attempts, cache=cache, corrective=corrective,
     )
-    if row["failed"]:
-        row["predictions"] = []
-    return row
+    return {
+        "id": segment.id,
+        "examples": [ex.id for ex in examples],
+        "predictions": completion.value or [],
+        "raw": completion.text,
+        "attempts": completion.attempts,
+        "failed": completion.value is None,
+    }
 
 
 def extract_arguments(
@@ -434,31 +421,35 @@ def extract_arguments(
     """One segment's arguments row for its predicted triggers, and the records its reply held.
 
     Format failure after retries degrades to the triggers with empty argument
-    lists (failed=True) rather than dropping them. The records are those the
-    verifier recovered from the row's reply (None: no usable JSON), so repair
-    never parses the reply again.
+    lists (failed=True) rather than dropping them. The records are those
+    recovered from the row's reply (None: no usable JSON), so repair never
+    parses the reply again.
     """
     if not triggers:
         raise ValueError("extract_arguments requires at least one predicted trigger")
     predicted_types = [t["type"] for t in triggers]
     bundle = build_argument_prompt(segment, predicted_types, examples, ontology, template=template)
-    row = {"id": segment.id, "examples": [ex.id for ex in examples]}
     recovered = None
 
-    def verifier(text: str) -> bool:
+    def parse(text: str) -> list[dict] | None:
         nonlocal recovered
         recovered = recover_json_tail(text)
-        row["events"] = _argument_events(text, recovered, triggers, ontology)
-        return row["events"] is not None
+        return _argument_events(text, recovered, triggers, ontology)
 
-    _complete_row(
-        row, provider, bundle, verifier,
-        max_attempts=max_attempts, cache=cache, corrective=corrective,
+    completion = complete_with_retry(
+        provider, bundle, parse, max_attempts=max_attempts, cache=cache, corrective=corrective
     )
-    if row["failed"]:
-        row["events"] = [
-            {"trigger": t["trigger"], "type": t["type"], "arguments": []} for t in triggers
-        ]
+    events = completion.value
+    if events is None:
+        events = [{"trigger": t["trigger"], "type": t["type"], "arguments": []} for t in triggers]
+    row = {
+        "id": segment.id,
+        "examples": [ex.id for ex in examples],
+        "events": events,
+        "raw": completion.text,
+        "attempts": completion.attempts,
+        "failed": completion.value is None,
+    }
     return row, recovered
 
 
@@ -549,16 +540,8 @@ def _format_repair(segment_id: str, raw: str, convert, provider, cache, max_atte
     if provider is None or not raw.strip():
         return None, 0
     bundle = build_format_prompt(raw, segment_id, template=template)
-    converted: dict = {}
-
-    def verifier(text: str) -> bool:
-        converted["value"] = convert(recover_json_tail(text))
-        return converted["value"] is not None
-
-    try:
-        completion = complete_with_retry(
-            provider, bundle, verifier, max_attempts=max_attempts, cache=cache
-        )
-    except FormatFailureError as exc:
-        return None, exc.attempts
-    return converted["value"], completion.attempts
+    completion = complete_with_retry(
+        provider, bundle, lambda text: convert(recover_json_tail(text)),
+        max_attempts=max_attempts, cache=cache,
+    )
+    return completion.value, completion.attempts

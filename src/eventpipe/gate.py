@@ -14,8 +14,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
+from ._http import Endpoint
+from .llm import LlmProvider, complete_with_retry
 from .model import (
     DatasetError,
     LabeledRows,
@@ -26,11 +28,7 @@ from .model import (
     normalize,
     read_rows,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ._http import Endpoint
-    from .llm import LlmProvider
-    from .prompts import Template
+from .prompts import Template, build_presence_prompt
 
 __all__ = [
     "AgreementTable",
@@ -221,7 +219,7 @@ def parse_yes_no(reply: str) -> bool | None:
 
 def llm_classify(
     segment: Segment,
-    llm_provider: "LlmProvider",
+    llm_provider: LlmProvider,
     ontology,
     *,
     cache=None,
@@ -235,26 +233,13 @@ def llm_classify(
     VerdictError unless lenient, in which case the segment counts as
     event-free. template is the parsed presence template.
     """
-    # Late imports: llm and prompts build on top of this module's consumers.
-    from .llm import FormatFailureError, complete_with_retry
-    from .prompts import build_presence_prompt
-
     bundle = build_presence_prompt(segment, ontology, template=template)
-    verdicts: list[bool | None] = []
-
-    def parsed(reply: str) -> bool:
-        verdicts.append(parse_yes_no(reply))
-        return verdicts[-1] is not None
-
-    try:
-        complete_with_retry(llm_provider, bundle, parsed, max_attempts=2, cache=cache)
-    except FormatFailureError:
-        if lenient:
-            return False
-        raise VerdictError(
-            f"segment {segment.id!r}: unparseable presence verdict after retry"
-        ) from None
-    return verdicts[-1]
+    verdict = complete_with_retry(
+        llm_provider, bundle, parse_yes_no, max_attempts=2, cache=cache
+    ).value
+    if verdict is None and not lenient:
+        raise VerdictError(f"segment {segment.id!r}: unparseable presence verdict after retry")
+    return bool(verdict)
 
 
 def vote(verdicts: Mapping[str, bool], policy: str) -> bool:

@@ -14,6 +14,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from ._http import Endpoint, ProviderError
 from .model import DatasetError, Lines, parse_json
@@ -22,7 +23,6 @@ from .prompts import PromptBundle, PromptMessage
 __all__ = [
     "CacheError",
     "CompletionResult",
-    "FormatFailureError",
     "HttpLlmProvider",
     "LlmProvider",
     "MockMissError",
@@ -42,15 +42,6 @@ class MockMissError(RuntimeError):
 
 class CacheError(RuntimeError):
     """The response cache could not be read or written."""
-
-
-class FormatFailureError(RuntimeError):
-    """Every completion attempt was rejected by the stage verifier."""
-
-    def __init__(self, message: str, *, last_response: str, attempts: int):
-        super().__init__(message)
-        self.last_response = last_response
-        self.attempts = attempts
 
 
 class LlmProvider(ABC):
@@ -265,6 +256,9 @@ def cached_complete(
 
 @dataclass(frozen=True)
 class CompletionResult:
+    """The parsed value of the accepted reply (None: every reply rejected), its text, attempts."""
+
+    value: Any
     text: str
     attempts: int
 
@@ -278,34 +272,31 @@ _CORRECTIVE_NOTE = (
 def complete_with_retry(
     provider: LlmProvider,
     bundle: PromptBundle,
-    verifier,
+    parse: Callable[[str], Any],
     *,
     max_attempts: int = 3,
     cache: ResponseCache | None = None,
     corrective: bool = False,
 ) -> CompletionResult:
-    """Re-issue a bundle until the verifier accepts a response.
+    """Re-issue a bundle until parse(reply) returns a value; parse returns None to retry.
 
-    By default each retry sends the identical bundle; with corrective=True
-    each retry appends one user message holding a fixed correction and the
-    reply just rejected. The original bundle is never mutated. Exhaustion
-    raises FormatFailureError carrying the last raw response.
+    Each reply is parsed once. By default each retry sends the identical
+    bundle; with corrective=True each retry appends one user message holding
+    a fixed correction and the reply just rejected. The original bundle is
+    never mutated. When every attempt is rejected, the result's value is None
+    and its text is the last reply.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     request = bundle
     for attempt in range(1, max_attempts + 1):
         text = cached_complete(provider, cache, request, attempt=attempt)
-        if verifier(text):
-            return CompletionResult(text=text, attempts=attempt)
+        value = parse(text)
+        if value is not None:
+            return CompletionResult(value, text, attempt)
         if corrective:
             note = f"{_CORRECTIVE_NOTE}\nYour previous reply was:\n{text}"
             request = PromptBundle(
                 bundle.messages + (PromptMessage("user", note),), bundle.stage, bundle.segment_id
             )
-    raise FormatFailureError(
-        f"all {max_attempts} completion attempts rejected for segment "
-        f"{bundle.segment_id!r} stage {bundle.stage!r}",
-        last_response=text,
-        attempts=max_attempts,
-    )
+    return CompletionResult(None, text, max_attempts)

@@ -126,6 +126,21 @@ ROW_FIELDS = {
 # The row field that lists events; a trigger prediction is an event without arguments.
 EVENT_FIELDS = {"triggers": "predictions", "arguments": "events", "final": "event"}
 
+# What each row field other than "id" must hold: a test of its JSON value, and its description.
+FIELD_TYPES = {
+    **dict.fromkeys(
+        ("rule", "learned", "llm", "gated_in", "failed"),
+        (lambda v: isinstance(v, bool), "true or false"),
+    ),
+    **dict.fromkeys(EVENT_FIELDS.values(), (lambda v: isinstance(v, list), "a list")),
+    "raw": (lambda v: isinstance(v, str), "a string"),
+    "attempts": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "examples": (
+        lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v),
+        "a list of strings",
+    ),
+}
+
 
 class ResumeError(ConfigError):
     """A resumed artifact does not belong to this configuration."""
@@ -145,8 +160,8 @@ def read_artifact(
 
     None if the file is absent or was built from other input contents
     (another inputs digest): the stage is then recomputed. Only the header
-    is read in that case. A row without the stage's ROW_FIELDS, with a raw
-    reply that is not a string, or whose event list holds an event that
+    is read in that case. A row without the stage's ROW_FIELDS, with a field
+    whose value FIELD_TYPES rejects, or whose event list holds an event that
     check_event rejects against the ontology, is a DatasetError naming the
     line.
     """
@@ -168,18 +183,17 @@ def read_artifact(
     if header.get("inputs") != inputs:
         return None
     rows = []
+    checks = [(name, *FIELD_TYPES[name]) for name in ROW_FIELDS[stage][1:]]
     key = EVENT_FIELDS.get(stage)
     for lineno, row in check_rows(path, records, ROW_FIELDS[stage]):
-        if key:
-            try:
-                if not isinstance(row.get("raw", ""), str):
-                    raise DatasetError(f"record {row['id']!r}: 'raw' must be a string")
-                if not isinstance(row[key], list):
-                    raise DatasetError(f"record {row['id']!r}: {key!r} must be a list")
-                for obj in row[key]:
-                    check_event(obj, row["id"], ontology)
-            except (DatasetError, ValidationError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            for name, valid, kind in checks:
+                if not valid(row[name]):
+                    raise DatasetError(f"record {row['id']!r}: {name!r} must be {kind}")
+            for obj in row[key] if key else ():
+                check_event(obj, row["id"], ontology)
+        except (DatasetError, ValidationError) as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
         rows.append(row)
     return rows
 
@@ -216,9 +230,9 @@ class CountingEmbedder:
         return self.inner.embed_batch(texts)
 
 
-# RunResult fields that run.json leaves out: where the outputs went, and the
-# report, which it holds as "score".
-_NOT_IN_RUN_JSON = ("report", "output_dir", "predictions_path", "report_path")
+# RunResult fields that run.json leaves out: where the outputs went, the
+# stage rows, which the artifacts hold, and the report, which it holds as "score".
+_NOT_IN_RUN_JSON = ("report", "output_dir", "predictions_path", "report_path", "rows")
 
 
 @dataclass
@@ -242,6 +256,8 @@ class RunResult:
     resumed_stages: list[str] = field(default_factory=list)
     predictions_path: Path | None = None
     report_path: Path | None = None
+    # Each artifact stage's rows, computed or replayed, by stage.
+    rows: dict[str, list[dict]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """The run.json record."""
@@ -624,7 +640,7 @@ class Pipeline:
                 process = self._extraction_task(computed, queries, examples, templates)
                 list(pool.map(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
-        artifacts = {
+        artifacts = result.rows = {
             stage: [rec.rows[stage] for rec in records if rec.rows.get(stage)] for stage in stages
         }
         for stage in stages:

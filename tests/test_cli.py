@@ -24,6 +24,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def damage_replayed_row(out_dir, stage, damage):
+    """Damage seg-005's row of a stage's artifact in out_dir and delete the later artifacts.
+
+    The resumed run then computes the later stages from the damaged row.
+    Returns the artifact's path and the damaged row's line number.
+    """
+    names = list(ARTIFACT_NAMES)
+    for later in names[names.index(stage) + 1 :]:
+        (out_dir / ARTIFACT_NAMES[later]).unlink()
+    path = out_dir / ARTIFACT_NAMES[stage]
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    (lineno,) = [n for n, line in enumerate(lines, 1) if '"id": "seg-005"' in line]
+    row = json.loads(lines[lineno - 1])
+    damage(row)
+    lines[lineno - 1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path, lineno
+
+
 class TestRun:
     def test_full_run_reports_scores_and_paths(self, golden_corpus, capsys):
         code, out, err = run_cli(capsys, "run", "--config", str(golden_corpus.config_path))
@@ -268,6 +287,20 @@ class TestAblate:
         assert code == 0
         assert first == second
 
+    def test_replayed_gate_row_with_a_non_boolean_verdict_is_an_input_error(
+        self, golden_corpus, capsys
+    ):
+        # The table's verdicts are the ablation run's gate rows, so a replayed
+        # row is checked as it is read.
+        config = str(golden_corpus.config_path)
+        assert run_cli(capsys, "ablate", "--config", config)[0] == 0
+        path, lineno = damage_replayed_row(
+            golden_corpus.output_dir / "ablation", "gate", lambda row: row.update(rule="yes")
+        )
+        code, _, err = run_cli(capsys, "ablate", "--config", config)
+        message = "record 'seg-005': 'rule' must be true or false"
+        assert (code, err) == (3, f"error: {path}: line {lineno}: {message}\n")
+
 
 class TestFormatStandalone:
     def _config(self, tmp_path, script: dict) -> Path:
@@ -472,25 +505,6 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {gate}: invalid JSON at line 4\n"
 
-    @staticmethod
-    def _damage_replayed_row(corpus, stage, damage):
-        """Damage seg-005's row of a stage's artifact and delete the later artifacts.
-
-        The resumed run then computes the later stages from the damaged row.
-        Returns the artifact's path and the damaged row's line number.
-        """
-        names = list(ARTIFACT_NAMES)
-        for later in names[names.index(stage) + 1 :]:
-            (corpus.output_dir / ARTIFACT_NAMES[later]).unlink()
-        path = corpus.output_dir / ARTIFACT_NAMES[stage]
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        (lineno,) = [n for n, line in enumerate(lines, 1) if '"id": "seg-005"' in line]
-        row = json.loads(lines[lineno - 1])
-        damage(row)
-        lines[lineno - 1] = json.dumps(row) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        return path, lineno
-
     @pytest.mark.parametrize(
         "stage, field",
         [("gate", "gated_in"), ("triggers", "failed"), ("arguments", "raw"), ("final", "event")],
@@ -498,7 +512,7 @@ class TestExitCodes:
     def test_replayed_row_without_a_field_is_an_input_error(self, tmp_path, capsys, stage, field):
         corpus = build_golden_corpus(tmp_path / "corpus")
         assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
-        path, lineno = self._damage_replayed_row(corpus, stage, lambda row: row.pop(field))
+        path, lineno = damage_replayed_row(corpus.output_dir, stage, lambda row: row.pop(field))
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         names = " and ".join(repr(name) for name in ROW_FIELDS[stage])
         assert (code, err) == (3, f"error: {path}: record at line {lineno} needs {names}\n")
@@ -522,6 +536,12 @@ class TestExitCodes:
             ),
             ("final", "event", [{"trigger": "died"}], "event is missing a type string"),
             ("arguments", "raw", None, "'raw' must be a string"),
+            ("gate", "gated_in", "no", "'gated_in' must be true or false"),
+            ("gate", "llm", "maybe", "'llm' must be true or false"),
+            ("triggers", "failed", "no", "'failed' must be true or false"),
+            ("triggers", "attempts", "three", "'attempts' must be an integer >= 1"),
+            ("triggers", "examples", 7, "'examples' must be a list of strings"),
+            ("arguments", "failed", 0, "'failed' must be true or false"),
         ],
     )
     def test_replayed_row_with_a_malformed_field_is_an_input_error(
@@ -531,7 +551,7 @@ class TestExitCodes:
         # arguments rows are repaired.
         corpus = build_golden_corpus(tmp_path / "corpus")
         assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
-        path, lineno = self._damage_replayed_row(corpus, stage, lambda row: row.update({key: value}))
+        path, lineno = damage_replayed_row(corpus.output_dir, stage, lambda row: row.update({key: value}))
         code, _, err = run_cli(capsys, "format", "--config", str(corpus.config_path), "--resume")
         assert (code, err) == (3, f"error: {path}: line {lineno}: record 'seg-005': {message}\n")
 
@@ -577,7 +597,7 @@ class TestExitCodes:
     ):
         corpus = build_golden_corpus(tmp_path / "corpus")
         assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
-        path, lineno = self._damage_replayed_row(corpus, stage, lambda row: row[key].append(event))
+        path, lineno = damage_replayed_row(corpus.output_dir, stage, lambda row: row[key].append(event))
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         assert (code, err) == (3, f"error: {path}: line {lineno}: record 'seg-005': {message}\n")
 

@@ -10,7 +10,6 @@ from eventpipe.config import ProviderConfig, build_llm_provider
 from eventpipe.llm import (
     CacheError,
     CompletionResult,
-    FormatFailureError,
     MockMissError,
     ResponseCache,
     ScriptedMockLlm,
@@ -164,32 +163,44 @@ class TestResponseCache:
         assert ResponseCache(tmp_path / "c.jsonl").get("k") == weird
 
 
+def _good(text: str) -> str | None:
+    """A parse function: "good" is the only reply it accepts."""
+    return text if text == "good" else None
+
+
 class TestCompleteWithRetry:
     def test_first_acceptable_reply_wins(self):
         mock = ScriptedMockLlm({"s1/trigger": "good"})
-        result = complete_with_retry(mock, _bundle(), lambda t: t == "good")
+        result = complete_with_retry(mock, _bundle(), _good)
         assert isinstance(result, CompletionResult)
+        assert result.value == "good"
         assert result.text == "good"
         assert result.attempts == 1
 
-    def test_retry_until_verifier_accepts(self):
+    def test_retry_until_a_reply_parses(self):
         mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]})
-        result = complete_with_retry(mock, _bundle(), lambda t: t == "good")
+        result = complete_with_retry(mock, _bundle(), _good)
         assert result.attempts == 2
 
-    def test_exhaustion_raises_with_last_raw(self):
+    def test_exhaustion_returns_no_value_with_last_raw(self):
         mock = ScriptedMockLlm({"s1/trigger": ["bad1", "bad2", "bad3"]})
-        with pytest.raises(FormatFailureError) as info:
-            complete_with_retry(mock, _bundle(), lambda t: False, max_attempts=3)
-        assert info.value.last_response == "bad3"
-        assert info.value.attempts == 3
+        result = complete_with_retry(mock, _bundle(), lambda t: None, max_attempts=3)
+        assert result.value is None
+        assert result.text == "bad3"
+        assert result.attempts == 3
         assert mock.call_count == 3
 
     def test_default_max_attempts_is_three(self):
         mock = ScriptedMockLlm({"s1/trigger": "bad"})
-        with pytest.raises(FormatFailureError):
-            complete_with_retry(mock, _bundle(), lambda t: False)
+        result = complete_with_retry(mock, _bundle(), lambda t: None)
+        assert result.value is None
         assert mock.call_count == 3
+
+    def test_a_false_value_is_accepted(self):
+        mock = ScriptedMockLlm({"s1/trigger": ["NO", "YES"]})
+        result = complete_with_retry(mock, _bundle(), lambda t: t == "YES")
+        assert (result.value, result.text, result.attempts) == (False, "NO", 1)
+        assert mock.call_count == 1
 
     def test_corrective_retries_append_without_mutating_original(self):
         seen = []
@@ -202,7 +213,7 @@ class TestCompleteWithRetry:
         mock = Spy({"s1/trigger": ["bad", "good"]})
         bundle = _bundle()
         before = bundle.messages
-        complete_with_retry(mock, bundle, lambda t: t == "good", corrective=True)
+        complete_with_retry(mock, bundle, _good, corrective=True)
         assert bundle.messages == before
         assert len(seen[0].messages) == len(before)
         assert len(seen[1].messages) == len(before) + 1
@@ -217,7 +228,7 @@ class TestCompleteWithRetry:
                 return super().complete(bundle)
 
         mock = Spy({"s1/trigger": ["first bad", "second bad", "good"]})
-        complete_with_retry(mock, _bundle(), lambda t: t == "good", corrective=True)
+        complete_with_retry(mock, _bundle(), _good, corrective=True)
         assert [len(b.messages) for b in seen] == [2, 3, 3]
         assert "first bad" in seen[1].messages[-1].content
         assert "second bad" in seen[2].messages[-1].content
@@ -232,7 +243,7 @@ class TestCompleteWithRetry:
                 return super().complete(bundle)
 
         mock = Spy({"s1/trigger": ["bad", "good"]})
-        complete_with_retry(mock, _bundle(), lambda t: t == "good")
+        complete_with_retry(mock, _bundle(), _good)
         assert seen[0] == seen[1]
 
     def test_cached_attempts_have_distinct_keys(self, tmp_path):
@@ -240,10 +251,10 @@ class TestCompleteWithRetry:
         # round 2 must replay both from the cache and still succeed.
         cache = ResponseCache(tmp_path / "c.jsonl")
         mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]})
-        first = complete_with_retry(mock, _bundle(), lambda t: t == "good", cache=cache)
+        first = complete_with_retry(mock, _bundle(), _good, cache=cache)
         assert first.attempts == 2
         assert mock.call_count == 2
-        replay = complete_with_retry(mock, _bundle(), lambda t: t == "good", cache=cache)
+        replay = complete_with_retry(mock, _bundle(), _good, cache=cache)
         assert replay.attempts == 2
         assert replay.text == "good"
         assert mock.call_count == 2
@@ -251,7 +262,7 @@ class TestCompleteWithRetry:
     def test_bad_max_attempts_rejected(self):
         mock = ScriptedMockLlm({"s1/trigger": "x"})
         with pytest.raises(ValueError):
-            complete_with_retry(mock, _bundle(), lambda t: True, max_attempts=0)
+            complete_with_retry(mock, _bundle(), lambda t: t, max_attempts=0)
 
 
 def _remote(url: str, *, model: str = "m", **fields):

@@ -198,6 +198,23 @@ class TestGoldenRun:
         assert len(corpus.cache_path.read_bytes().splitlines()) == 58
         assert cache_digest(corpus.cache_path) == GOLDEN_CACHE_DIGEST
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_reply_is_parsed_once(self, tmp_path, monkeypatch, workers):
+        # A cold-cache run recovers JSON once per trigger, argument and
+        # formatting completion: repair reads the argument reply's records.
+        parsed = []
+        recover = extract.recover_json_tail
+        for module in ("extract", "pipeline"):
+            monkeypatch.setattr(
+                f"eventpipe.{module}.recover_json_tail",
+                lambda raw: parsed.append(raw) or recover(raw),
+            )
+        corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
+        calls = Pipeline(corpus.config).run().provider_calls
+        assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+        assert calls["format"] > 0
+        assert len(parsed) == calls["trigger"] + calls["argument"] + calls["format"]
+
     def test_accepted_no_argument_reply_is_not_repaired(self, golden_corpus):
         script = json.loads(golden_corpus.script_path.read_text(encoding="utf-8"))
         script["seg-001/argument"] = "There are no arguments."
