@@ -20,12 +20,10 @@ from typing import Iterable, Sequence
 
 from importlib import resources
 
-import numpy as np
-
 from .llm import LlmProvider, ResponseCache, complete_with_retry
 from .model import LabeledSegment, Ontology, Segment, normalize
 from .prompts import Template, build_argument_prompt, build_format_prompt, build_trigger_prompt
-from .retrieval import SupportIndex, search
+from .retrieval import Hits, SupportIndex, same_type_rows
 
 __all__ = [
     "PostprocessEntry",
@@ -360,17 +358,15 @@ def _argument_events(
 
 
 def retrieve_examples(
-    index: SupportIndex, queries: np.ndarray, k: int, *, mask: np.ndarray | None = None
-) -> list[list[LabeledSegment]]:
-    """Top-k support examples for each row of a matrix of unit query vectors, from one search.
+    index: SupportIndex, hits: Hits, types: Iterable[str] | None = None
+) -> list[LabeledSegment]:
+    """One query's support examples: its top k, or the top k among examples of `types`.
 
-    The optional boolean row `mask` restricts every query's candidates (see
-    search).
+    The same-type top k comes from the hits' per-type shortlists (see
+    same_type_rows).
     """
-    return [
-        [index.examples[index.row_of[example_id]] for example_id, _ in hits]
-        for hits in search(index, queries, k, mask=mask)
-    ]
+    rows = hits.rows if types is None else same_type_rows(index, hits, types)
+    return [index.examples[row] for row in rows]
 
 
 # --- stages -------------------------------------------------------------------

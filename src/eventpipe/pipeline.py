@@ -4,11 +4,14 @@ A run has two phases over the segments, both on one worker pool. The gate
 phase fetches every learned verdict in batches, then runs each segment's
 rule, learned and LLM verdicts. Between the phases, the query phase embeds
 the text of every segment that will retrieve few-shot examples, all in one
-embed_batch call, and finds their top-k examples in one search, which reads
-the support matrix once per group of queries. The extraction phase then runs
-trigger recognition, argument extraction and repair per segment with those
-examples (a same-type argument search, which needs the predicted types,
-runs there from the stored query vector), each argument reply parsed once.
+embed_batch call, and scores them in one search, which reads the support
+matrix once per group of up to 64 queries. It keeps each segment's top-k rows
+and, when same_type_filter is on and arguments are computed, each event
+type's shortlist. The extraction phase then runs trigger recognition,
+argument extraction and repair per segment with those examples (a
+same-type argument search, which needs the predicted types, rescores there
+the union of those types' shortlists and reads no other row), each argument
+reply parsed once.
 Each stage has one JSONL artifact whose header
 line records the stage name, the config hash and the inputs digest (the
 contents of the input files); each stage function returns its artifact row
@@ -69,7 +72,6 @@ from .llm import LlmProvider, ResponseCache
 from .model import (
     DatasetError,
     LabeledRows,
-    LabeledSegment,
     Ontology,
     Segment,
     ValidationError,
@@ -84,11 +86,13 @@ from .model import (
 )
 from .prompts import PromptBundle, Template, load_template
 from .retrieval import (
+    Hits,
     SupportIndex,
     build_index,
     embed_texts,
     load_index,
     save_index,
+    search,
 )
 
 __all__ = [
@@ -495,19 +499,21 @@ class Pipeline:
 
     def _queries(
         self, segments: list[Segment], records: list[SegmentRecord], computed: set[str]
-    ) -> tuple[dict[str, np.ndarray], dict[str, list[LabeledSegment]]]:
-        """The query phase: each retrieving segment's unit query vector and unmasked top-k examples.
+    ) -> dict[str, Hits]:
+        """The query phase: the search hits of each retrieving segment, from one search.
 
         With triggers computed, the gated-in segments retrieve; with only
         arguments computed, those whose trigger row holds predictions. A blank
         text retrieves nothing and is not embedded. One embed_batch call
-        embeds the texts, and one search finds the examples of the trigger
-        stage and, without same_type_filter, of the argument stage. Only a
+        embeds the texts, and one search scores them against every row: it
+        ranks the top k of the trigger stage and, without same_type_filter,
+        of the argument stage, and with the filter and the argument stage
+        computed it keeps each event type's shortlist for that stage. Only a
         retrieving stage builds the index, so replaying both embeds nothing.
         """
         if not computed & {"triggers", "arguments"} or self.index is None:
-            return {}, {}
-        cfg, index = self.config, self.index
+            return {}
+        cfg = self.config
         retrieves = _gated_in if "triggers" in computed else _has_triggers
         wanted = [
             seg
@@ -515,35 +521,24 @@ class Pipeline:
             if seg.text.strip() and retrieves(record.rows)
         ]
         if not wanted:
-            return {}, {}
-        ids = [seg.id for seg in wanted]
+            return {}
         vectors = np.array(embed_texts([seg.text for seg in wanted], self.embedder))
-        # Built here, not by the pool threads that read them: cached_property
-        # has no lock from Python 3.12 on, so two threads could each build one.
-        index.row_of
-        if cfg.same_type_filter:
-            index.type_masks
-        examples = {}
-        if "triggers" in computed or not cfg.same_type_filter:
-            examples = dict(zip(ids, retrieve_examples(index, vectors, cfg.retrieval_k)))
-        return dict(zip(ids, vectors)), examples
+        by_type = cfg.same_type_filter and "arguments" in computed
+        hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type)
+        return dict(zip((seg.id for seg in wanted), hits))
 
     def _extraction_task(
-        self,
-        computed: set[str],
-        queries: dict[str, np.ndarray],
-        examples: dict[str, list[LabeledSegment]],
-        templates: dict[str, Template],
+        self, computed: set[str], found: dict[str, Hits], templates: dict[str, Template]
     ):
         """The extraction phase's pool task: one segment's triggers, arguments and repair.
 
-        queries and examples come from the query phase; templates holds the
-        prompt template of each computed stage.
+        found holds the query phase's hits; templates holds the prompt
+        template of each computed stage.
         """
         cfg = self.config
         ontology, cache = self.ontology, self.cache
-        # queries is empty unless a retrieving stage built the index.
-        index = self.index if queries else None
+        # found is empty unless a retrieving stage built the index.
+        index = self.index if found else None
         trigger_llm = self.llm_for("trigger") if "triggers" in computed else None
         argument_llm = self.llm_for("argument") if "arguments" in computed else None
         format_llm = self.llm_for("format") if "final" in computed else None
@@ -552,20 +547,19 @@ class Pipeline:
 
         def process(seg: Segment, record: SegmentRecord) -> None:
             rows = record.rows
+            hits = found.get(seg.id)
             if "triggers" in computed and _gated_in(rows):
                 rows["triggers"] = extract_triggers(
-                    seg, examples.get(seg.id, []), ontology, trigger_llm,
+                    seg, retrieve_examples(index, hits) if hits else [], ontology, trigger_llm,
                     template=templates["trigger"], **extraction,
                 )
             triggers = rows["triggers"]["predictions"] if _has_triggers(rows) else []
             recovered = None
             if "arguments" in computed and triggers:
-                shots = examples.get(seg.id, [])
-                if cfg.same_type_filter and seg.id in queries:
-                    mask = index.type_mask(t["type"] for t in triggers)
-                    (shots,) = retrieve_examples(
-                        index, queries[seg.id][None], cfg.retrieval_k, mask=mask
-                    )
+                shots = []
+                if hits:
+                    types = [t["type"] for t in triggers] if cfg.same_type_filter else None
+                    shots = retrieve_examples(index, hits, types)
                 rows["arguments"], recovered = extract_arguments(
                     seg, triggers, shots, ontology, argument_llm,
                     template=templates["argument"], **extraction,
@@ -636,8 +630,8 @@ class Pipeline:
                 for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
-                queries, examples = self._queries(segments, records, computed)
-                process = self._extraction_task(computed, queries, examples, templates)
+                found = self._queries(segments, records, computed)
+                process = self._extraction_task(computed, found, templates)
                 list(pool.map(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = result.rows = {

@@ -5,17 +5,24 @@ The index is a flat scan, and it is exact: a query's score for a row is
 retrieval is deterministic, which the golden-run tests rely on. A search takes
 a matrix of queries and runs in two phases, in milliseconds over ~19k rows:
 
-1. One blocked ``np.einsum`` pass gives every candidate row (every row, or
-   the rows of a mask) an approximate score for each query of a group of up
-   to ``_QUERY_GROUP``. The scan is memory-bound, so the queries of a group
-   share each read of a row. The summation order differs from the per-row
-   ``np.dot``, so these scores may differ in the last bits.
+1. One blocked ``np.einsum`` pass in float32 gives every row an approximate
+   score for each query of a group of up to ``_QUERY_GROUP``. The scan is
+   memory-bound, so the queries of a group share each read of a row, and each
+   chunk of float64 rows is converted into one small reused float32 buffer;
+   no float32 copy of the matrix is kept. These scores differ from the
+   per-row float64 ``np.dot`` by the float32 rounding of rows, queries,
+   products and sums.
 2. For each query, the two scores of a row differ by at most a proven
-   forward-error bound (about ``2 * gamma_D * max|row| * |query|``), which
-   holds for any summation order. Every row whose approximate score is within
-   twice that bound of the k-th best approximate score is rescored with
-   ``np.dot``, and only those rows are sorted. A row left out is beaten by k
-   rows under ``np.dot`` too, so it cannot be in the top k.
+   forward-error bound (``_float32_error_bound`` plus ``_dot_error_bound``),
+   which holds for any summation order. Every row whose approximate score is
+   within twice that bound of the k-th best approximate score is rescored
+   with ``np.dot``, and only those rows are sorted. A row left out is beaten
+   by k rows under ``np.dot`` too, so it cannot be in the top k.
+
+A search can also keep, per query and per event type, the same cut applied to
+that type's rows alone: the type's shortlist. The top k among the examples of
+any set of types lies in the union of their shortlists, so a same-type search
+rescores that union and reads no other row (``same_type_rows``).
 
 The scan goes through einsum, numpy's own single-threaded loop, not through
 BLAS: a BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix) wakes
@@ -23,8 +30,8 @@ the BLAS thread pool, whose threads busy-wait between calls and cost more
 CPU than the scan saves.
 
 The index holds the support set as the ``LabeledRows`` that ``load_gold``
-returned: the type masks read each row's event types from its columns, and
-an example's event dicts are built only when a search retrieves it.
+returned: the per-type rows are read from its columns, and an example's event
+dicts are built only when a search retrieves it.
 """
 from __future__ import annotations
 
@@ -47,22 +54,29 @@ __all__ = [
     "EmbeddingError",
     "EmbeddingProvider",
     "HashedBagEmbedder",
+    "Hits",
     "HttpEmbeddingProvider",
     "SupportIndex",
     "build_index",
     "embed_texts",
     "load_index",
+    "same_type_rows",
     "save_index",
     "search",
 ]
 
 DEFAULT_DIMENSION = 384
 _NORM_TOL = 1e-6
-_SCAN_CHUNK = 4096  # rows per einsum call; a masked chunk is a 12 MB copy at 384 dimensions
-# Queries scored per pass over the rows. The group's N x 8 approximate scores
-# take 1.2 MB at 19k rows. Groups of 16 and 32 saved little more CPU at 19k
-# rows and raised peak RSS by about 0.5 MB at 2k rows.
-_QUERY_GROUP = 8
+# Rows per einsum call, converted into one reused float32 buffer: 192 KB at
+# 384 dimensions. Chunks of 128 to 1,024 rows scanned 19k rows for 22
+# queries in the same time, 64-row chunks 3% slower; 1,024-row chunks raised
+# peak RSS by about 1.4 MB on a 2k-row support set.
+_SCAN_CHUNK = 128
+# Queries scored per pass over the rows. The group's float32 scores take
+# N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One
+# float32 pass over 19k rows for 22 queries took about 31 ms, against 69 ms
+# for three float64 passes of 8.
+_QUERY_GROUP = 64
 _INDEX_FORMAT = "eventpipe-index/2"  # the header line, then np.save's matrix
 
 
@@ -233,30 +247,15 @@ class SupportIndex:
         return len(self.examples)
 
     @cached_property
-    def row_of(self) -> dict[str, int]:
-        """Row position of each example id."""
-        return {example_id: row for row, example_id in enumerate(self.example_ids)}
-
-    @cached_property
-    def type_masks(self) -> dict[str, np.ndarray]:
-        """Boolean row mask of each event type: examples with a gold event of that type."""
+    def type_rows(self) -> dict[str, np.ndarray]:
+        """Each event type's rows, ascending: examples with a gold event of that type."""
         rows: dict[str, list[int]] = {}
         for row, events in enumerate(self.examples.events):
             for event_type in {event[1] for event in events}:
                 rows.setdefault(event_type, []).append(row)
-        masks = {}
-        for event_type, type_rows in rows.items():
-            masks[event_type] = np.zeros(len(self), dtype=bool)
-            masks[event_type][type_rows] = True
-        return masks
-
-    def type_mask(self, event_types: Iterable[str]) -> np.ndarray:
-        """Boolean row mask: examples with a gold event of any of the given types."""
-        mask = np.zeros(len(self), dtype=bool)
-        for event_type in set(event_types):
-            if event_type in self.type_masks:
-                mask |= self.type_masks[event_type]
-        return mask
+        return {
+            event_type: np.array(type_rows, dtype=np.int32) for event_type, type_rows in rows.items()
+        }
 
     @cached_property
     def _max_row_square(self) -> float:
@@ -300,36 +299,106 @@ def build_index(
     return SupportIndex(examples, matrix)
 
 
+def _norm_bound(dimension: int, square: float) -> float:
+    """Bound on the exact L2 norm of a D-vector whose float64 sum of squares computed to `square`.
+
+    Each square may underflow by less than the smallest normal float (so D of
+    them are added back) and the rest round (so the root is doubled).
+    """
+    return 2 * np.sqrt(square + dimension * float(np.finfo(np.float64).tiny))
+
+
+def _gamma(dimension: int, u: float) -> float:
+    """gamma_D = D*u / (1 - D*u): the relative error of D roundings to unit roundoff u."""
+    return dimension * u / (1 - dimension * u) if dimension * u < 1 else np.inf
+
+
 def _dot_error_bound(dimension: int, max_row_square: float, query_square: float) -> float:
     """Bound on |computed - exact| for a D-term float64 dot product, any summation order.
 
     Each product and partial sum rounds once: at most D roundings, so the
-    relative error of the sum of |products| is gamma_D = D*u / (1 - D*u), and
-    that sum is at most |row|*|query| (Cauchy-Schwarz). The norms come from
-    computed sums of squares, where each square may underflow by less than the
-    smallest normal float (so D of them are added back) and the rest round
-    (so the norms are doubled). Each product may underflow by at most one
-    subnormal spacing.
+    relative error of the sum of |products| is gamma_D with float64's unit
+    roundoff, and that sum is at most |row|*|query| (Cauchy-Schwarz), which
+    the norm bounds bound. Each product may underflow by at most one subnormal
+    spacing.
     """
     u = np.finfo(np.float64).eps / 2
-    gamma = dimension * u / (1 - dimension * u)
-    lost = dimension * float(np.finfo(np.float64).tiny)
-    row_norm = np.sqrt(max_row_square + lost)
-    query_norm = np.sqrt(query_square + lost)
+    row_norm = _norm_bound(dimension, max_row_square)
+    query_norm = _norm_bound(dimension, query_square)
     subnormal = float(np.finfo(np.float64).smallest_subnormal)
-    return gamma * (2 * row_norm) * (2 * query_norm) + dimension * subnormal
+    return _gamma(dimension, u) * row_norm * query_norm + dimension * subnormal
 
 
-def _approx_scores(
-    vectors: np.ndarray, rows: np.ndarray | None, queries: np.ndarray
-) -> np.ndarray:
-    """einsum scores (row by query) of the given rows (all rows if None), _SCAN_CHUNK at a time."""
-    count = len(vectors) if rows is None else len(rows)
-    out = np.empty((count, len(queries)))
-    for start in range(0, count, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, count)
-        block = vectors[start:stop] if rows is None else vectors[rows[start:stop]]
-        np.einsum("ij,kj->ik", block, queries, out=out[start:stop])
+def _float32_error_bound(dimension: int, max_row_square: float, query_square: float) -> float:
+    """Bound on |float32 scan score - exact dot product| of a float64 row and query.
+
+    With u = 2**-24 and s = 2**-149 (float32's smallest subnormal), the scan
+    rounds each component x of the row and y of the query to float32 as
+    x' = x + e with |e| <= u|x| + s/2: the s/2 covers a component below
+    float32's smallest normal (1.2e-38), which becomes a multiple of s or
+    zero. A component beyond float32's range becomes inf, whose non-finite
+    score prunes nothing. Per component,
+
+        |x'y' - xy| = |ey + xf + ef| <= (2u + u^2)|x||y| + (1 + u)(s/2)(|x| + |y|) + s^2/4,
+
+    and summed over D components, with sum |x_i y_i| <= X*Y and
+    sum |x_i| <= sqrt(D)*X for X, Y the norm bounds of row and query, the
+    conversion moves the dot product by at most
+
+        (2u + u^2) X Y + (1 + u)(s/2) sqrt(D) (X + Y) + D s^2/4.
+
+    The float32 products and sums of the converted vectors then round at most
+    D times in any order: gamma_D (with u) times sum |x'_i y'_i| <= X'Y', where
+    X' = (1 + u) X + (s/2) sqrt(D) bounds |x'|, plus at most s/2 for each
+    product that underflows (a sum of subnormals is exact). Each s/2 is taken
+    as s, which leaves room for the float64 rounding of the bound itself.
+    """
+    u = np.finfo(np.float32).eps / 2
+    s = float(np.finfo(np.float32).smallest_subnormal)
+    row_norm = _norm_bound(dimension, max_row_square)
+    query_norm = _norm_bound(dimension, query_square)
+    root = np.sqrt(dimension)
+    conversion = (
+        (2 * u + u * u) * row_norm * query_norm
+        + (1 + u) * s * root * (row_norm + query_norm)
+        + dimension * s * s
+    )
+    row32 = (1 + u) * row_norm + s * root
+    query32 = (1 + u) * query_norm + s * root
+    return conversion + _gamma(dimension, u) * row32 * query32 + dimension * s
+
+
+@dataclass(frozen=True, eq=False)  # no element-wise == on the query
+class Hits:
+    """One query's search: the query, k, its top-k rows and its per-type shortlists.
+
+    `rows` holds the k best rows, best first. `shortlists` (None from a
+    search without `by_type`) maps each event type to the rows of that type
+    that the float32 scores cannot rule out of the type's top k: row ids
+    only, no per-row score is kept.
+    """
+
+    query: np.ndarray
+    k: int
+    rows: list[int]
+    shortlists: dict[str, np.ndarray] | None
+
+
+def _approx_scores(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """float32 einsum scores (row by query) of every row, _SCAN_CHUNK rows at a time.
+
+    Each chunk of rows is converted into one reused float32 buffer. A
+    component beyond float32's range converts to inf, and inf times zero is
+    NaN: a non-finite score, which prunes nothing.
+    """
+    out = np.empty((len(vectors), len(queries)), dtype=np.float32)
+    buffer = np.empty((min(_SCAN_CHUNK, len(vectors)), vectors.shape[1]), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        group = queries.astype(np.float32)
+        for start in range(0, len(vectors), _SCAN_CHUNK):
+            block = buffer[: min(_SCAN_CHUNK, len(vectors) - start)]
+            np.copyto(block, vectors[start : start + len(block)], casting="same_kind")
+            np.einsum("ij,kj->ik", block, group, out=out[start : start + len(block)])
     return out
 
 
@@ -338,19 +407,15 @@ def search(
     queries: np.ndarray,
     k: int,
     *,
-    mask: np.ndarray | None = None,
-) -> list[list[tuple[str, float]]]:
-    """Exact top-k cosine search for each row of `queries`: the k most similar items, best first.
+    by_type: bool = False,
+) -> list[Hits]:
+    """Exact top-k cosine search for each row of `queries`: one Hits per query.
 
-    Returns, per query, min(k, candidates) (example_id, score) pairs sorted
-    by descending score, ties broken by ascending example_id. The optional
-    boolean row `mask` restricts the candidates of every query (used for the
-    same-event-type retrieval filter; see SupportIndex.type_mask); a masked
-    single-query search passes a one-row matrix. The einsum pass reads the
-    candidate rows once per _QUERY_GROUP queries, _SCAN_CHUNK rows at a time;
-    masked rows are copied out chunk by chunk, so a dense mask never copies
-    the whole matrix. The error bound, a maximum over all rows, holds for
-    any subset of them.
+    A query's Hits.rows are its min(k, N) most similar rows, by descending
+    score, ties broken by ascending example id. With `by_type`, its
+    Hits.shortlists answer same_type_rows for any set of event types. The
+    float32 einsum pass reads the matrix once per _QUERY_GROUP queries,
+    _SCAN_CHUNK rows at a time, and both uses share it.
     """
     if k < 1:
         raise EmbeddingError(f"k must be >= 1, got {k}")
@@ -360,42 +425,74 @@ def search(
             f"query matrix of shape {queries.shape} does not match index dimension "
             f"{index.dimension}"
         )
-    if mask is None:
-        rows = np.arange(len(index))
-    else:
-        mask = np.asarray(mask)
-        if mask.shape != (len(index),) or mask.dtype != np.bool_:
-            raise EmbeddingError(f"mask must be a boolean array of shape ({len(index)},)")
-        rows = np.flatnonzero(mask)
     hits = []
     for start in range(0, len(queries), _QUERY_GROUP):
         group = queries[start : start + _QUERY_GROUP]
         approx = None  # frees the previous group's scores before the next are made
-        if len(rows) > k:  # else every row is in the top k
-            approx = _approx_scores(index.vectors, None if mask is None else rows, group)
+        if len(index) > k:  # else every row is in every top k
+            approx = _approx_scores(index.vectors, group)
         for j, q in enumerate(group):
-            hits.append(_top_k(index, rows, q, k, None if approx is None else approx[:, j]))
+            column = None if approx is None else approx[:, j]
+            hits.append(_query_hits(index, q, k, column, by_type))
     return hits
 
 
-def _top_k(
-    index: SupportIndex, rows: np.ndarray, q: np.ndarray, k: int, approx: np.ndarray | None
-) -> list[tuple[str, float]]:
-    """The top k of `rows` for query q: np.dot rescores only the rows approx cannot rule out."""
+def _query_hits(
+    index: SupportIndex,
+    q: np.ndarray,
+    k: int,
+    approx: np.ndarray | None,
+    by_type: bool,
+) -> Hits:
+    """Query q's Hits: np.dot rescores only the rows that approx cannot rule out."""
     # A non-finite approximate score prunes nothing (and would make the cut
     # inf - inf when k rows score +inf).
+    cut = np.inf
     if approx is not None and np.isfinite(approx).all():
-        # Both primitives err from the true dot product by at most `error`, so
-        # they differ by at most 2*error: a row whose approximate score is more
-        # than 4*error below the k-th best is beaten by k rows under np.dot too.
-        kth = np.partition(approx, len(rows) - k)[len(rows) - k]
-        error = _dot_error_bound(index.dimension, index._max_row_square, float(np.dot(q, q)))
-        cut = kth - 4 * error
-        if np.isfinite(cut):
-            rows = rows[approx >= cut]
-    scored = [(index.example_ids[i], float(np.dot(index.vectors[i], q))) for i in rows]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+        # Each score errs from the true dot product by at most its bound, so
+        # the two differ by at most their sum: a row whose approximate score
+        # is more than twice that below the k-th best of some rows is beaten
+        # by k of them under np.dot too.
+        args = (index.dimension, index._max_row_square, float(np.dot(q, q)))
+        cut = 2 * (_float32_error_bound(*args) + _dot_error_bound(*args))
+    rows = _ranked(index, _shortlist(np.arange(len(index)), approx, k, cut).tolist(), q, k)
+    shortlists = None
+    if by_type:
+        shortlists = {
+            event_type: _shortlist(type_rows, approx, k, cut)
+            for event_type, type_rows in index.type_rows.items()
+        }
+    return Hits(q, k, rows, shortlists)
+
+
+def _shortlist(rows: np.ndarray, approx: np.ndarray | None, k: int, cut: float) -> np.ndarray:
+    """The rows whose approximate score is within `cut` of the k-th best among them."""
+    if len(rows) <= k or not np.isfinite(cut):
+        return rows
+    scores = approx[rows]
+    # A float64 threshold, so that the float32 scores are compared unrounded.
+    threshold = np.float64(np.partition(scores, len(rows) - k)[len(rows) - k]) - cut
+    return rows[scores >= threshold]
+
+
+def _ranked(index: SupportIndex, rows: list[int], q: np.ndarray, k: int) -> list[int]:
+    """The k best of `rows` by float(np.dot(row, q)), ties broken by ascending example id."""
+    vectors, ids = index.vectors, index.example_ids
+    return sorted(rows, key=lambda row: (-float(np.dot(vectors[row], q)), ids[row]))[:k]
+
+
+def same_type_rows(index: SupportIndex, hits: Hits, types: Iterable[str]) -> list[int]:
+    """The top hits.k rows among examples with a gold event of any of `types`.
+
+    Only the union of the types' shortlists is rescored. This is exact: the
+    union's top k lies in the union of each type's top k, and a row left off
+    type t's shortlist is beaten under np.dot by k rows of t, all on it.
+    """
+    if hits.shortlists is None:
+        raise EmbeddingError("a same-type search needs the hits of search(..., by_type=True)")
+    # A set, not np.unique, which imports numpy.ma (about 1 MB resident).
+    rows = set().union(*(hits.shortlists[t].tolist() for t in set(types) if t in hits.shortlists))
+    return _ranked(index, sorted(rows), hits.query, hits.k)
 
 
 def _support_digest(examples: LabeledRows) -> str:

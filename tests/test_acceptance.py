@@ -237,7 +237,8 @@ def test_criterion_5_retrieval_is_exact():
 
         queries = rng.normal(size=(100, 24))
         # One search over all of them: the scan reads the rows once per query group.
-        for q, got in zip(queries, search(index, queries, 10), strict=True):
+        for q, hits in zip(queries, search(index, queries, 10), strict=True):
+            got = [(index.example_ids[row], float(np.dot(index.vectors[row], q))) for row in hits.rows]
             assert got == brute_force_top_k(index, q, 10)
         note["detail"] = "100/100 queries identical, ties included"
 

@@ -27,7 +27,7 @@ from eventpipe.extract import (
 from eventpipe.llm import ScriptedMockLlm
 from eventpipe.model import LabeledSegment, Segment
 from eventpipe.pipeline import Pipeline
-from eventpipe.retrieval import HashedBagEmbedder, build_index, embed_texts
+from eventpipe.retrieval import HashedBagEmbedder, build_index, embed_texts, search
 from test_retrieval import brute_force_top_k
 
 # ---------------------------------------------------------------------------
@@ -560,7 +560,8 @@ class TestRetrieveExamples:
     def test_returns_ranked_examples(self, ontology):
         index, embedder = _support_index()
         query = _query("a war broke out somewhere", embedder)
-        (examples,) = retrieve_examples(index, query[None], 2)
+        (hits,) = search(index, query[None], 2)
+        examples = retrieve_examples(index, hits)
         assert len(examples) == 2
         assert examples[0].id == "ex-0"
 
@@ -568,8 +569,8 @@ class TestRetrieveExamples:
         index, embedder = _support_index()
         texts = ["leaders met in geneva", "a war broke out", "the miner died", "anything"]
         queries = np.array(embed_texts(texts, embedder))
-        found = retrieve_examples(index, queries, 2)
-        assert found == [retrieve_examples(index, q[None], 2)[0] for q in queries]
+        found = [retrieve_examples(index, hits) for hits in search(index, queries, 2)]
+        assert found == [retrieve_examples(index, search(index, q[None], 2)[0]) for q in queries]
         assert [shots[0].id for shots in found[:3]] == ["ex-1", "ex-0", "ex-2"]
 
     def test_blank_text_retrieves_nothing(self, tmp_path):
@@ -602,7 +603,8 @@ class TestRetrieveExamples:
     def test_where_filter_applies(self, ontology):
         index, embedder = _support_index()
         query = _query("a war broke out somewhere", embedder)
-        (only_meet,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(["Meet"]))
+        (hits,) = search(index, query[None], 3, by_type=True)
+        only_meet = retrieve_examples(index, hits, ["Meet"])
         assert [ex.id for ex in only_meet] == ["ex-1"]
 
 
@@ -659,7 +661,8 @@ class TestExtractTriggers:
         index, embedder = _support_index()
         provider = ScriptedMockLlm({"s1/trigger": "[]"})
         seg = Segment(id="s1", text="a war broke out")
-        (examples,) = retrieve_examples(index, _query(seg.text, embedder)[None], 2)
+        (hits,) = search(index, _query(seg.text, embedder)[None], 2)
+        examples = retrieve_examples(index, hits)
         row = extract_triggers(seg, examples, ontology, provider, template=templates["trigger"])
         assert row["examples"] == [ex.id for ex in examples] and len(examples) == 2
 
@@ -733,9 +736,9 @@ class TestExtractArguments:
         assert narrowed > 0
 
     def test_same_type_filter_matches_the_gold_type_predicate(self, golden_corpus, ontology):
-        # The type masks pick what a per-row predicate over gold event types
-        # picks, on the golden support set, for every single predicted type
-        # and for every segment's gold type set.
+        # The per-type shortlists answer what a per-row predicate over gold
+        # event types picks, on the golden support set, for every single
+        # predicted type and for every segment's gold type set.
         pipeline = Pipeline(golden_corpus.config)
         index, embedder = pipeline.index, pipeline.embedder
         type_sets = [[t] for t in ontology.event_types]
@@ -746,7 +749,8 @@ class TestExtractArguments:
             keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
             for text in TRANSCRIPT_TEXTS.values():
                 query = _query(text, embedder)
-                (shots,) = retrieve_examples(index, query[None], 3, mask=index.type_mask(types))
+                (hits,) = search(index, query[None], 3, by_type=True)
+                shots = retrieve_examples(index, hits, types)
                 want = brute_force_top_k(index, query, 3, where=keep)
                 assert [ex.id for ex in shots] == [example_id for example_id, _ in want]
                 picked += len(want)

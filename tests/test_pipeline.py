@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_verdicts
+import eventpipe.pipeline as pipeline_module
 from eventpipe import extract, model, retrieval
 from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import MockMissError, ResponseCache, ScriptedMockLlm
@@ -60,6 +61,10 @@ GOLDEN_DIGESTS = {
 # mock script (keyed by segment and stage) cannot tell apart.
 GOLDEN_CACHE_DIGEST = "711968d297189be9"
 
+# With same_type_filter on, only the argument rows' examples differ from the
+# golden run: each is the top k among support examples of its predicted types.
+FILTERED_ARGUMENTS_DIGEST = "aaa731bcf899658d"
+
 
 def digests_of(artifact: Path) -> str:
     """sha256 prefix of an artifact's rows, without its header."""
@@ -78,6 +83,35 @@ def digests(out_dir: Path) -> dict[str, str]:
 def cache_digest(path: Path) -> str:
     """sha256 prefix of a cache file's lines, sorted and joined by newlines."""
     return hashlib.sha256(b"\n".join(sorted(path.read_bytes().splitlines()))).hexdigest()[:16]
+
+
+class _RowReads(np.ndarray):
+    """A matrix view that records the key of every Python-level read of its rows."""
+
+    reads: list | None = None
+
+    def __array_finalize__(self, obj):
+        self.reads = getattr(obj, "reads", None)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def _count_scans(monkeypatch, index: SupportIndex) -> list[int]:
+    """Record the query count of each float32 scan, asserting that it scans index's whole matrix."""
+    scans = []
+    approx_scores = retrieval._approx_scores
+
+    def counted(vectors, queries):
+        assert vectors is index.vectors
+        scores = approx_scores(vectors, queries)
+        assert scores.dtype == np.float32 and scores.shape == (len(vectors), len(queries))
+        scans.append(len(queries))
+        return scores
+
+    monkeypatch.setattr(retrieval, "_approx_scores", counted)
+    return scans
 
 
 def gate_row(sid: str, rule: bool) -> dict:
@@ -744,20 +778,53 @@ class TestTwoPhases:
         self, golden_corpus, monkeypatch, group
     ):
         # With same_type_filter off, the trigger and argument stages share one
-        # unmasked search over the 10 gated-in segments' queries: one scan of
-        # all rows per group of queries, not two scans per segment.
+        # search over the 10 gated-in segments' queries: one float32 scan of
+        # the whole matrix per group of queries, not two scans per segment.
         monkeypatch.setattr(retrieval, "_QUERY_GROUP", group)
-        scans = []
-        approx_scores = retrieval._approx_scores
-
-        def counted(vectors, rows, queries):
-            scans.append((rows, len(queries)))
-            return approx_scores(vectors, rows, queries)
-
-        monkeypatch.setattr(retrieval, "_approx_scores", counted)
-        Pipeline(golden_corpus.config).run()
-        assert scans == [(None, min(group, 10 - start)) for start in range(0, 10, group)]
+        pipeline = Pipeline(golden_corpus.config)
+        scans = _count_scans(monkeypatch, pipeline.index)
+        pipeline.run()
+        assert scans == [min(group, 10 - start) for start in range(0, 10, group)]
         assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_argument_resume_with_the_filter_scans_once_and_matches_a_one_shot_run(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # With same_type_filter on, an argument stage computed from replayed
+        # triggers runs one scan that keeps the per-type shortlists and copies
+        # no masked rows, and its outputs are the bytes of a one-shot run. A
+        # run that stops after triggers keeps no shortlists.
+        one_shot = build_golden_corpus(tmp_path / "one-shot", with_cache=False)
+        Pipeline(dataclasses.replace(one_shot.config, same_type_filter=True, workers=workers)).run()
+        searches = []
+        search = pipeline_module.search
+
+        def recorded(*args, **kwargs):
+            searches.append(kwargs)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "search", recorded)
+        corpus = build_golden_corpus(tmp_path / "resume", with_cache=False)
+        config = dataclasses.replace(corpus.config, same_type_filter=True, workers=workers)
+        Pipeline(config, resume=True).run(until="triggers")
+        assert searches == [{"by_type": False}]
+        searches.clear()
+        pipeline = Pipeline(config, resume=True)
+        index = pipeline.index
+        vectors = index.vectors.view(_RowReads)
+        vectors.reads = reads = []
+        pipeline._index = SupportIndex(index.examples, vectors)
+        scans = _count_scans(monkeypatch, pipeline._index)
+        result = pipeline.run()
+        assert result.resumed_stages == ["gate", "triggers"]
+        assert searches == [{"by_type": True}]
+        assert scans == [9]
+        # Row reads: the chunks of the scan and single rows rescored by np.dot.
+        assert reads and all(isinstance(key, (int, slice)) for key in reads)
+        resumed = digests(corpus.output_dir)
+        assert digests(one_shot.output_dir) == resumed
+        assert resumed == {**GOLDEN_DIGESTS, "arguments.jsonl": FILTERED_ARGUMENTS_DIGEST}
 
     @pytest.mark.parametrize("same_type_filter", [False, True])
     def test_zero_shot_run_embeds_and_searches_nothing(
@@ -771,7 +838,7 @@ class TestTwoPhases:
         monkeypatch.setattr(
             HashedBagEmbedder, "embed_batch", lambda self, texts: embedded.append(texts)
         )
-        monkeypatch.setattr(extract, "search", lambda *args, **kwargs: searched.append(args))
+        monkeypatch.setattr(pipeline_module, "search", lambda *args, **kwargs: searched.append(args))
         pipeline = Pipeline(config)
         result = pipeline.run()
         assert pipeline.index is None
@@ -814,7 +881,7 @@ class TestTwoPhases:
         self, golden_corpus, monkeypatch, same_type_filter
     ):
         built = []
-        for name in ("row_of", "type_masks"):
+        for name in ("_max_row_square", "type_rows"):
             prop = SupportIndex.__dict__[name]
 
             def build(index, name=name, func=prop.func):
@@ -824,7 +891,7 @@ class TestTwoPhases:
             monkeypatch.setattr(prop, "func", build)
         config = dataclasses.replace(golden_corpus.config, same_type_filter=same_type_filter)
         Pipeline(config).run()
-        names = ["row_of", "type_masks"] if same_type_filter else ["row_of"]
+        names = ["_max_row_square", "type_rows"] if same_type_filter else ["_max_row_square"]
         assert built == [(name, threading.main_thread()) for name in names]
 
     @pytest.mark.parametrize("batch_size", [1, 8, 64])

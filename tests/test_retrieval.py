@@ -5,8 +5,11 @@ import hashlib
 import json
 import random
 import re
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,15 +28,23 @@ from eventpipe.retrieval import (
     build_index,
     embed_texts,
     load_index,
+    same_type_rows,
     save_index,
     search,
 )
 
 
-def _search_one(index, query, k, mask=None):
-    """One query's hits: search over a one-row query matrix."""
-    (hits,) = search(index, np.asarray(query)[None], k, mask=mask)
-    return hits
+def _scored(index, rows, query):
+    """(example id, np.dot score) of each row: the pairs brute_force_top_k returns."""
+    return [(index.example_ids[row], float(np.dot(index.vectors[row], query))) for row in rows]
+
+
+def _search_one(index, query, k, types=None):
+    """One query's scored hits: its top k, or the top k among examples of `types`."""
+    query = np.asarray(query, dtype=np.float64)
+    (hits,) = search(index, query[None], k, by_type=types is not None)
+    rows = hits.rows if types is None else same_type_rows(index, hits, types)
+    return _scored(index, rows, query)
 
 
 def _examples(n, prefix="ex"):
@@ -42,15 +53,27 @@ def _examples(n, prefix="ex"):
     )
 
 
-def _index_from_vectors(vectors, ids=None):
+def _typed(ids, types=None):
+    """Support rows of the given ids; row i has a gold event of each type in types[i]."""
+    types = types or [()] * len(ids)
+    return labeled_rows(
+        LabeledSegment(
+            id=i,
+            text=i,
+            gold_events=tuple({"trigger": "t", "type": t, "arguments": []} for t in sorted(row)),
+        )
+        for i, row in zip(ids, types)
+    )
+
+
+def _index_from_vectors(vectors, ids=None, types=None):
     """Assemble an index directly from unit row vectors, bypassing embedding."""
     matrix = np.asarray(vectors, dtype=np.float64)
     matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
     matrix.setflags(write=False)
     n = matrix.shape[0]
     ids = ids or [f"v-{i:04d}" for i in range(n)]
-    examples = labeled_rows(LabeledSegment(id=i, text=i) for i in ids)
-    return SupportIndex(examples=examples, vectors=matrix)
+    return SupportIndex(examples=_typed(ids, types), vectors=matrix)
 
 
 def brute_force_top_k(index, query, k, where=None):
@@ -82,9 +105,10 @@ def _search_cases(draw):
     """(index, queries, k, wanted types or None) with rows that stress the candidate cut.
 
     Rows may repeat exactly, sit one ulp apart, be non-unit (zero, tiny enough
-    for subnormal products, or large enough to overflow the norm bound) or
-    hold an infinite entry, and ids are shuffled against row order so ties
-    must break by id. A query may copy a row or hold an infinite entry.
+    for subnormal products, or large enough to overflow the norm bound and
+    float32) or hold an infinite entry, and ids are shuffled against row
+    order so ties must break by id. A query may copy a row or hold an
+    infinite entry.
     """
     dimension = draw(st.integers(1, 512))
     n = draw(st.integers(1, 30))
@@ -110,20 +134,54 @@ def _search_cases(draw):
             matrix[row, col] = value
     vectors.setflags(write=False)
     ids = [f"v-{i:04d}" for i in rng.permutation(n)]
-    examples = labeled_rows(
-        LabeledSegment(
-            id=example_id,
-            text=example_id,
-            gold_events=tuple(
-                {"trigger": "t", "type": t, "arguments": []}
-                for t in draw(st.sets(st.sampled_from(_TYPES)))
-            ),
-        )
-        for example_id in ids
-    )
-    index = SupportIndex(examples=examples, vectors=vectors)
+    types = [draw(st.sets(st.sampled_from(_TYPES))) for _ in ids]
+    index = SupportIndex(examples=_typed(ids, types), vectors=vectors)
     wanted = draw(st.none() | st.sets(st.sampled_from(_TYPES + ("E",))))
     return index, queries, draw(st.integers(1, n + 3)), wanted
+
+
+@st.composite
+def _float32_cases(draw):
+    """(index, queries, k, wanted types) whose scores float32 cannot tell apart.
+
+    Rows are one direction plus noise from none to 1e-5, so true scores tie
+    or differ below float32's resolution; rows repeat exactly; and entries,
+    or whole rows, sit below float32's smallest normal (1.2e-38), where the
+    conversion keeps a few bits or none. A query may copy a row or be tiny.
+    """
+    dimension = draw(st.integers(1, 64))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=dimension)
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5]))
+    vectors = base + noise * rng.normal(size=(n, dimension))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        vectors[dst] = vectors[src]
+    tiny = st.sampled_from([1e-38, -3e-39, 1e-41, -1e-44, 2e-45, 1e-46, 1e-300])
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, dimension - 1))
+    for (row, col), value in draw(st.dictionaries(cells, tiny, max_size=8)).items():
+        vectors[row, col] = value
+    for row in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        vectors[row] *= draw(st.sampled_from([1e-38, 1e-42, 1e-45]))
+    queries = rng.normal(size=(draw(st.integers(1, 5)), dimension))
+    for q in queries:
+        source = draw(st.sampled_from(["random", "row", "base", "tiny"]))
+        if source == "row":
+            q[:] = vectors[draw(st.integers(0, n - 1))]
+        elif source == "base":
+            q[:] = base
+        elif source == "tiny":
+            q *= 1e-40
+    vectors.setflags(write=False)
+    ids = [f"v-{i:04d}" for i in rng.permutation(n)]
+    types = [draw(st.sets(st.sampled_from(_TYPES))) for _ in ids]
+    index = SupportIndex(examples=_typed(ids, types), vectors=vectors)
+    wanted = draw(st.sets(st.sampled_from(_TYPES), min_size=1))
+    return index, queries, draw(st.integers(1, n + 1)), wanted
+
+
+def _exact_dot(row, query) -> Fraction:
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(row.tolist(), query.tolist())), Fraction(0))
 
 
 def _per_token_embed_batch(dimension, texts):
@@ -459,58 +517,66 @@ class TestSearch:
         assert scores == sorted(scores, reverse=True)
 
     def test_where_filter_restricts_candidates(self):
-        index = _index_from_vectors(np.eye(3), ids=["a", "b", "c"])
-        hits = _search_one(index, np.array([1.0, 0, 0]), 3, mask=np.array([False, True, True]))
+        # The same-type filter: only rows with an event of a wanted type.
+        index = _index_from_vectors(np.eye(3), ids=["a", "b", "c"], types=[{"X"}, {"Y"}, {"Y", "X"}])
+        hits = _search_one(index, np.array([1.0, 0, 0]), 3, types=["Y"])
         assert [h[0] for h in hits] == ["b", "c"]
 
     def test_where_filter_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        index = _index_from_vectors(rng.normal(size=(60, 8)))
+        ids = [f"v-{i:04d}" for i in range(60)]
         keep = lambda ex: ex.id.endswith(("0", "2", "4", "6", "8"))
+        types = [{"even"} if i % 2 == 0 else {"odd"} for i in range(60)]
+        index = _index_from_vectors(rng.normal(size=(60, 8)), ids=ids, types=types)
         q = rng.normal(size=8)
         q /= np.linalg.norm(q)
-        mask = np.array([keep(ex) for ex in index.examples])
-        assert _search_one(index, q, 5, mask=mask) == brute_force_top_k(index, q, 5, where=keep)
+        assert _search_one(index, q, 5, types=["even"]) == brute_force_top_k(index, q, 5, where=keep)
 
     @pytest.mark.parametrize("chunk", range(1, 8))
     def test_masked_scan_in_small_chunks_matches_brute_force(self, monkeypatch, chunk):
+        # Random row sets as event types, answered from the per-type shortlists
+        # of a scan in chunks of `chunk` rows.
         monkeypatch.setattr(retrieval, "_SCAN_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         vectors = rng.normal(size=(60, 12))
         vectors[30:40] = vectors[20:30]  # exact ties, broken by id
-        index = _index_from_vectors(vectors)
-        masks = [
-            np.ones(60, dtype=bool),
-            rng.random(60) < 0.1,
-            np.arange(60) % 7 == 3,
-            np.arange(60) == 59,
-            np.zeros(60, dtype=bool),
-        ]
-        for mask in masks:
-            keep = lambda ex, mask=mask: mask[index.row_of[ex.id]]
+        masks = {
+            "all": np.ones(60, dtype=bool),
+            "sparse": rng.random(60) < 0.1,
+            "seventh": np.arange(60) % 7 == 3,
+            "last": np.arange(60) == 59,
+        }
+        types = [{name for name, mask in masks.items() if mask[row]} for row in range(60)]
+        index = _index_from_vectors(vectors, types=types)
+        wanted_sets = [["all"], ["sparse"], ["seventh"], ["last"], ["none"], ["sparse", "last"],
+                       ["seventh", "sparse", "none"]]
+        for wanted in wanted_sets:
+            keep = lambda ex, wanted=wanted: any(ev["type"] in wanted for ev in ex.gold_events)
             for q in (rng.normal(size=12), index.vectors[25]):
                 for k in (1, 3, 10, 60):
-                    assert _search_one(index, q, k, mask=mask) == brute_force_top_k(index, q, k, where=keep)
+                    assert _search_one(index, q, k, types=wanted) == brute_force_top_k(index, q, k, where=keep)
 
-    def test_mask_of_wrong_shape_rejected(self):
-        index = _index_from_vectors(np.eye(3))
-        with pytest.raises(EmbeddingError):
-            _search_one(index, np.array([1.0, 0, 0]), 2, mask=np.ones(2, dtype=bool))
+    def test_same_type_search_without_shortlists_rejected(self):
+        index = _index_from_vectors(np.eye(3), types=[{"X"}, {"X"}, {"Y"}])
+        (hits,) = search(index, np.array([[1.0, 0, 0]]), 2)
+        assert hits.shortlists is None
+        with pytest.raises(EmbeddingError, match="by_type=True"):
+            same_type_rows(index, hits, ["X"])
 
     def test_non_finite_rows_fall_back_to_the_exact_scan(self):
         vectors = np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])
         vectors.setflags(write=False)
-        ids = ("a", "b", "c", "d")
-        examples = labeled_rows(LabeledSegment(id=i, text=i) for i in ids)
+        types = [{"no-nan"}, {"finite", "no-nan"}, {"finite", "no-nan"}, set()]
+        examples = _typed(("a", "b", "c", "d"), types)
         index = SupportIndex(examples=examples, vectors=vectors)
         q = np.array([1.0, 0.0])
-        finite = np.array([False, True, True, False])
-        assert _search_one(index, q, 1, mask=finite) == [("b", 1.0)]
-        assert _search_one(index, q, 1, mask=~np.array([False, False, False, True])) == [("a", np.inf)]
+        assert _search_one(index, q, 1, types=["finite"]) == [("b", 1.0)]
+        assert _search_one(index, q, 1, types=["no-nan"]) == [("a", np.inf)]
         # Without the NaN row the error bound is inf, and so is the k-th best
         # approximate score: the cut must not compute inf - inf, which warns.
         no_nan = SupportIndex(examples=examples[:3], vectors=vectors[:3])
         assert _search_one(no_nan, q, 1) == [("a", np.inf)]
+        assert _search_one(no_nan, q, 1, types=["finite"]) == [("b", 1.0)]
 
     def test_rows_whose_squares_underflow_keep_the_top_row(self):
         # Squares of 1e-300 entries underflow to 0, yet the dot products with
@@ -533,27 +599,103 @@ class TestSearch:
     @given(case=_search_cases(), group=st.integers(1, 4), chunk=st.integers(1, 8))
     def test_exact_against_brute_force_on_adversarial_rows(self, case, group, chunk):
         # Small query groups and scan chunks make a few queries cross both.
+        # The unmasked top k, and with wanted types the same-type top k from
+        # the shortlists, of every query.
         index, queries, k, wanted = case
-        keep = None
-        mask = None
-        if wanted is not None:
-            keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
-            mask = index.type_mask(wanted)
+        keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
         # An infinite entry times a zero one is NaN, and numpy's dot warns of it.
         finite = np.isfinite(index.vectors).all() and np.isfinite(queries).all()
         invalid = "warn" if finite else "ignore"
         with pytest.MonkeyPatch.context() as patch, np.errstate(invalid=invalid):
             patch.setattr(retrieval, "_QUERY_GROUP", group)
             patch.setattr(retrieval, "_SCAN_CHUNK", chunk)
-            got = search(index, queries, k, mask=mask)
-            ranked = [brute_force_top_k(index, q, len(index), where=keep) for q in queries]
-        assert len(got) == len(queries)
-        for hits, candidates in zip(got, ranked):
+            found = search(index, queries, k, by_type=wanted is not None)
+            got = [_scored(index, hits.rows, q) for hits, q in zip(found, queries)]
+            want = [brute_force_top_k(index, q, len(index)) for q in queries]
+            if wanted is not None:
+                got += [_scored(index, same_type_rows(index, hits, wanted), q) for hits, q in zip(found, queries)]
+                want += [brute_force_top_k(index, q, len(index), where=keep) for q in queries]
+        assert len(found) == len(queries)
+        for hits, candidates in zip(got, want):
             if any(np.isnan(score) for _, score in candidates):
                 # NaN scores have no order, so only the count is defined.
                 assert len(hits) == min(k, len(candidates))
             else:
                 assert hits == candidates[:k]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_float32_cases(), group=st.integers(1, 3), chunk=st.integers(1, 8))
+    def test_float32_scan_is_exact_on_near_ties_and_subnormal_components(self, case, group, chunk):
+        index, queries, k, wanted = case
+        keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "_QUERY_GROUP", group)
+            patch.setattr(retrieval, "_SCAN_CHUNK", chunk)
+            found = search(index, queries, k, by_type=True)
+        for hits, q in zip(found, queries):
+            assert _scored(index, hits.rows, q) == brute_force_top_k(index, q, k)
+            got = _scored(index, same_type_rows(index, hits, wanted), q)
+            assert got == brute_force_top_k(index, q, k, where=keep)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_float32_cases())
+    def test_scores_are_within_their_error_bounds(self, case):
+        # Against the exact rational dot product: the float32 scan's score is
+        # within _float32_error_bound and np.dot's within _dot_error_bound.
+        index, queries, _, _ = case
+        approx = retrieval._approx_scores(index.vectors, queries)
+        for j, q in enumerate(queries):
+            args = (index.dimension, index._max_row_square, float(np.dot(q, q)))
+            bound32 = retrieval._float32_error_bound(*args)
+            bound64 = retrieval._dot_error_bound(*args)
+            for i, row in enumerate(index.vectors):
+                exact = _exact_dot(row, q)
+                assert abs(Fraction(float(approx[i, j])) - exact) <= Fraction(bound32)
+                assert abs(Fraction(float(np.dot(row, q))) - exact) <= Fraction(bound64)
+
+    def test_float32_bound_counts_each_rounding(self):
+        # 384 unit-norm dimensions: conversion 2u + u^2 times the doubled
+        # norms, then gamma_384 with u = 2**-24, each about 6e-8 and 2.3e-5.
+        u = 2.0**-24
+        bound = retrieval._float32_error_bound(384, 1.0, 1.0)
+        assert 4 * (2 * u + 384 * u) < bound < 4 * (2 * u + 384 * u) * (1 + 1e-4)
+        assert retrieval._float32_error_bound(384, 0.0, 0.0) >= 384 * 2.0**-149
+
+    def test_searches_leave_numpy_ma_unimported(self):
+        # np.unique and its kin import numpy.ma, which then stays resident
+        # (about 1 MB): neither search path may pull it in.
+        code = """
+import sys
+import numpy as np
+from eventpipe.model import LabeledRows
+from eventpipe.retrieval import SupportIndex, same_type_rows, search
+events = tuple(((f"t{row}", f"T{row % 3}"),) for row in range(40))
+examples = LabeledRows(tuple(map(str, range(40))), tuple(map(str, range(40))), events)
+index = SupportIndex(examples, np.random.default_rng(0).normal(size=(40, 8)))
+(hits,) = search(index, np.ones((1, 8)), 3, by_type=True)
+same_type_rows(index, hits, ["T0", "T2"])
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(retrieval.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_shortlists_hold_row_ids_near_k_per_type(self):
+        # What a search keeps per query for the argument stage: a few row ids
+        # per type, never a score per row.
+        rng = np.random.default_rng(21)
+        n, k = 3000, 10
+        types = [{f"T{row % 6}", f"T{row % 5 + 6}"} for row in range(n)]
+        index = _index_from_vectors(rng.normal(size=(n, 32)), types=types)
+        (hits,) = search(index, rng.normal(size=(1, 32)), k, by_type=True)
+        assert set(hits.shortlists) == {f"T{t}" for t in range(11)}
+        for event_type, rows in hits.shortlists.items():
+            assert rows.dtype.kind == "i" and k <= len(rows) < 3 * k
+            assert set(rows.tolist()) <= set(index.type_rows[event_type].tolist())
+        assert sum(rows.nbytes for rows in hits.shortlists.values()) < 11 * 3 * k * 8
 
     def test_dimension_mismatch_rejected(self):
         index = _index_from_vectors(np.eye(4))
@@ -610,7 +752,9 @@ class TestPersistence:
         # The file stores no ids: row i belongs to examples[i].
         assert examples[3].id.encode() not in path.read_bytes()
         queries = index.vectors[[3, 17]]
-        assert search(index, queries, 5) == search(loaded, queries, 5)
+        assert [hits.rows for hits in search(index, queries, 5)] == [
+            hits.rows for hits in search(loaded, queries, 5)
+        ]
 
     def test_support_digest_is_pinned(self):
         # A saved index is reused only while this digest matches, so a change
