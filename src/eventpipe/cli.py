@@ -130,7 +130,8 @@ def _cmd_stage(args, until: str) -> int:
     if until in ("triggers", "arguments", "final"):
         print(f"trigger failures: {len(result.trigger_failures)}")
     if until == "final":
-        print(f"argument degraded: {len(result.argument_degraded)}")
+        degraded = result.argument_degraded
+        print(f"argument degraded: {'replayed' if degraded is None else len(degraded)}")
         print(f"predictions: {result.predictions_path}")
     print(f"artifacts: {result.output_dir}")
     return EXIT_OK

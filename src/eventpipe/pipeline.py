@@ -5,15 +5,14 @@ phase fetches every learned verdict in batches, then runs each segment's
 rule, learned and LLM verdicts. Between the phases, the query phase embeds
 the text of every segment that will retrieve few-shot examples, all in one
 embed_batch call, and scores them in one search, which reads the support
-matrix once per group of up to 64 queries. It keeps each segment's top-k rows
-and, when same_type_filter is on and arguments are computed, each event
-type's shortlist. The extraction phase then runs trigger recognition,
-argument extraction and repair per segment with those examples (a
-same-type argument search, which needs the predicted types, rescores there
-the union of those types' shortlists and reads no other row), each argument
-reply parsed once.
-Each stage has one JSONL artifact whose header
-line records the stage name, the config hash and the inputs digest (the
+matrix once per group of up to 64 queries, in row blocks that run as tasks
+on the pool. It keeps each segment's top-k rows and, when same_type_filter
+is on and arguments are computed, each event type's shortlist. The
+extraction phase then runs trigger recognition, argument extraction and
+repair per segment with those examples (a same-type argument search, which
+needs the predicted types, rescores there the union of those types'
+shortlists and reads no other row), each argument reply parsed once.
+Each stage has one JSONL artifact whose header line records the stage name, the config hash and the inputs digest (the
 contents of the input files); each stage function returns its artifact row
 (ROW_FIELDS), and later stages read rows as they are, computed or replayed.
 The artifacts are written in stage order once both phases finish, so a crash
@@ -255,8 +254,10 @@ class RunResult:
     gated_in: int = 0
     gated_out: int = 0
     trigger_failures: list[str] = field(default_factory=list)
-    argument_degraded: list[str] = field(default_factory=list)
-    formatting_attempts: int = 0
+    # Counted from the repairs this run made: None when it replayed the final
+    # stage, whose rows do not record their repair.
+    argument_degraded: list[str] | None = field(default_factory=list)
+    formatting_attempts: int | None = 0
     resumed_stages: list[str] = field(default_factory=list)
     predictions_path: Path | None = None
     report_path: Path | None = None
@@ -498,7 +499,11 @@ class Pipeline:
         return list(pool.map(gate, segments, learned, llm_file))
 
     def _queries(
-        self, segments: list[Segment], records: list[SegmentRecord], computed: set[str]
+        self,
+        segments: list[Segment],
+        records: list[SegmentRecord],
+        computed: set[str],
+        pool: ThreadPoolExecutor,
     ) -> dict[str, Hits]:
         """The query phase: the search hits of each retrieving segment, from one search.
 
@@ -508,8 +513,10 @@ class Pipeline:
         embeds the texts, and one search scores them against every row: it
         ranks the top k of the trigger stage and, without same_type_filter,
         of the argument stage, and with the filter and the argument stage
-        computed it keeps each event type's shortlist for that stage. Only a
-        retrieving stage builds the index, so replaying both embeds nothing.
+        computed it keeps each event type's shortlist for that stage. The
+        search scans the support matrix in row blocks on the pool, which is
+        idle between the phases. Only a retrieving stage builds the index,
+        so replaying both embeds nothing.
         """
         if not computed & {"triggers", "arguments"} or self.index is None:
             return {}
@@ -524,7 +531,7 @@ class Pipeline:
             return {}
         vectors = np.array(embed_texts([seg.text for seg in wanted], self.embedder))
         by_type = cfg.same_type_filter and "arguments" in computed
-        hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type)
+        hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type, pool=pool)
         return dict(zip((seg.id for seg in wanted), hits))
 
     def _extraction_task(
@@ -630,7 +637,7 @@ class Pipeline:
                 for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
-                found = self._queries(segments, records, computed)
+                found = self._queries(segments, records, computed, pool)
                 process = self._extraction_task(computed, found, templates)
                 list(pool.map(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
@@ -648,9 +655,12 @@ class Pipeline:
         result.gated_out = len(gate_rows) - result.gated_in
         if "triggers" in artifacts:
             result.trigger_failures = [r["id"] for r in artifacts["triggers"] if r["failed"]]
-        repairs = [rec.repair for rec in records if rec.repair is not None]
-        result.argument_degraded = [e.segment_id for e in repairs if e.degraded]
-        result.formatting_attempts = sum(e.formatting_attempts for e in repairs)
+        if "final" in replayed:
+            result.argument_degraded = result.formatting_attempts = None
+        else:
+            repairs = [rec.repair for rec in records if rec.repair is not None]
+            result.argument_degraded = [e.segment_id for e in repairs if e.degraded]
+            result.formatting_attempts = sum(e.formatting_attempts for e in repairs)
         if "final" in artifacts:
             final_rows = artifacts["final"]
             predictions_path = self.out_dir / "predictions.jsonl"

@@ -8,8 +8,8 @@ a matrix of queries and runs in two phases, in milliseconds over ~19k rows:
 1. One blocked ``np.einsum`` pass in float32 gives every row an approximate
    score for each query of a group of up to ``_QUERY_GROUP``. The scan is
    memory-bound, so the queries of a group share each read of a row, and each
-   chunk of float64 rows is converted into one small reused float32 buffer;
-   no float32 copy of the matrix is kept. These scores differ from the
+   chunk of float64 rows is converted into a small float32 buffer that its
+   block reuses; no float32 copy of the matrix is kept. These scores differ from the
    per-row float64 ``np.dot`` by the float32 rounding of rows, queries,
    products and sums.
 2. For each query, the two scores of a row differ by at most a proven
@@ -24,10 +24,21 @@ that type's rows alone: the type's shortlist. The top k among the examples of
 any set of types lies in the union of their shortlists, so a same-type search
 rescores that union and reads no other row (``same_type_rows``).
 
+Given the run's worker pool, the scan splits the rows into blocks of
+``_SCAN_BLOCK`` and scans each block as one pool task, with its own chunk
+buffer, into its own rows of the score matrix. einsum and the float32
+conversion release the GIL, so the blocks scan in parallel; the per-query
+work of phase 2 holds the GIL and stays on the caller. The tasks are row
+blocks rather than queries because the scan is memory-bound: split by
+query, every task would read the whole matrix. An index of one block, or a
+search without a pool, scans on the caller. Each block also returns the
+largest float64 row square among its rows, squared from each chunk while it
+is in cache, which the error bounds of phase 2 need.
+
 The scan goes through einsum, numpy's own single-threaded loop, not through
 BLAS: a BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix) wakes
 the BLAS thread pool, whose threads busy-wait between calls and cost more
-CPU than the scan saves.
+CPU than the scan saves; the pool's threads already hold the parallelism.
 
 The index holds the support set as the ``LabeledRows`` that ``load_gold``
 returned: the per-type rows are read from its columns, and an example's event
@@ -38,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -67,15 +79,25 @@ __all__ = [
 
 DEFAULT_DIMENSION = 384
 _NORM_TOL = 1e-6
-# Rows per einsum call, converted into one reused float32 buffer: 192 KB at
-# 384 dimensions. Chunks of 128 to 1,024 rows scanned 19k rows for 22
-# queries in the same time, 64-row chunks 3% slower; 1,024-row chunks raised
-# peak RSS by about 1.4 MB on a 2k-row support set.
+# Rows per einsum call, converted into one float32 buffer per block task:
+# 192 KB at 384 dimensions. Chunks of 128 to 1,024 rows scanned 19k rows for
+# 22 queries in the same time, 64-row chunks 3% slower; 1,024-row chunks
+# raised peak RSS by about 1.4 MB on a 2k-row support set.
 _SCAN_CHUNK = 128
+# Rows per pool task, a multiple of _SCAN_CHUNK so that the blocks chunk the
+# rows as one inline scan does: 15.7 MB of float64 rows at 384 dimensions.
+# 19k rows make four tasks, which two workers share: the scan of 22 queries
+# took about 14 ms of wall time instead of 25. A 2k-row index is one block,
+# scanned on the caller; sending it to a pool thread raised peak RSS by
+# about 0.26 MB.
+_SCAN_BLOCK = 40 * _SCAN_CHUNK
 # Queries scored per pass over the rows. The group's float32 scores take
 # N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One
 # float32 pass over 19k rows for 22 queries took about 31 ms, against 69 ms
-# for three float64 passes of 8.
+# for three float64 passes of 8. Each pass also squares every float64 row
+# for the error bounds, from the chunk it has just converted: about 2 ms of
+# CPU per pass at 19k rows (4% of a 64-query pass), against 2 to 5 ms for a
+# separate read of the matrix, which a run with one group no longer makes.
 _QUERY_GROUP = 64
 _INDEX_FORMAT = "eventpipe-index/2"  # the header line, then np.save's matrix
 
@@ -251,15 +273,14 @@ class SupportIndex:
         """Each event type's rows, ascending: examples with a gold event of that type."""
         rows: dict[str, list[int]] = {}
         for row, events in enumerate(self.examples.events):
-            for event_type in {event[1] for event in events}:
-                rows.setdefault(event_type, []).append(row)
-        return {
-            event_type: np.array(type_rows, dtype=np.int32) for event_type, type_rows in rows.items()
-        }
-
-    @cached_property
-    def _max_row_square(self) -> float:
-        return float(np.einsum("ij,ij->i", self.vectors, self.vectors).max())
+            for event in events:
+                rows.setdefault(event[1], []).append(row)
+        out = {}
+        for event_type, listed in rows.items():
+            listed = np.array(listed, dtype=np.int32)
+            # Rows ascend, so a row listed twice (two events of one type) is adjacent.
+            out[event_type] = listed[np.diff(listed, prepend=-1) > 0]
+        return out
 
 
 def build_index(
@@ -384,22 +405,48 @@ class Hits:
     shortlists: dict[str, np.ndarray] | None
 
 
-def _approx_scores(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """float32 einsum scores (row by query) of every row, _SCAN_CHUNK rows at a time.
+def _approx_scores(
+    vectors: np.ndarray, queries: np.ndarray, pool: Executor | None = None
+) -> tuple[np.ndarray, float]:
+    """float32 einsum scores (row by query) of every row, and the largest float64 row square.
+
+    The rows are scanned _SCAN_BLOCK at a time, each block a task on `pool`
+    when there are two or more, else on the caller. The largest square is
+    NaN when any row's is, and then no cut is finite.
+    """
+    out = np.empty((len(vectors), len(queries)), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        group = queries.astype(np.float32)
+    starts = range(0, len(vectors), _SCAN_BLOCK)
+
+    def scan(start: int) -> float:
+        rows = slice(start, start + _SCAN_BLOCK)
+        return _scan_block(vectors[rows], group, out[rows])
+
+    largest = (map if pool is None or len(starts) == 1 else pool.map)(scan, starts)
+    # np.max, not max(): Python's max drops a NaN that is not first.
+    return out, float(np.max(list(largest)))
+
+
+def _scan_block(vectors: np.ndarray, group: np.ndarray, out: np.ndarray) -> float:
+    """Score the rows of one block into out, _SCAN_CHUNK rows at a time; their largest square.
 
     Each chunk of rows is converted into one reused float32 buffer. A
     component beyond float32's range converts to inf, and inf times zero is
     NaN: a non-finite score, which prunes nothing.
     """
-    out = np.empty((len(vectors), len(queries)), dtype=np.float32)
     buffer = np.empty((min(_SCAN_CHUNK, len(vectors)), vectors.shape[1]), dtype=np.float32)
+    squares = np.empty(len(vectors))
+    # errstate is per thread: a pool task sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        group = queries.astype(np.float32)
         for start in range(0, len(vectors), _SCAN_CHUNK):
-            block = buffer[: min(_SCAN_CHUNK, len(vectors) - start)]
-            np.copyto(block, vectors[start : start + len(block)], casting="same_kind")
-            np.einsum("ij,kj->ik", block, group, out=out[start : start + len(block)])
-    return out
+            rows = slice(start, start + _SCAN_CHUNK)
+            chunk = vectors[rows]
+            block = buffer[: len(chunk)]
+            np.copyto(block, chunk, casting="same_kind")
+            np.einsum("ij,kj->ik", block, group, out=out[rows])
+            np.einsum("ij,ij->i", chunk, chunk, out=squares[rows])
+    return float(squares.max())
 
 
 def search(
@@ -408,6 +455,7 @@ def search(
     k: int,
     *,
     by_type: bool = False,
+    pool: Executor | None = None,
 ) -> list[Hits]:
     """Exact top-k cosine search for each row of `queries`: one Hits per query.
 
@@ -415,7 +463,8 @@ def search(
     score, ties broken by ascending example id. With `by_type`, its
     Hits.shortlists answer same_type_rows for any set of event types. The
     float32 einsum pass reads the matrix once per _QUERY_GROUP queries,
-    _SCAN_CHUNK rows at a time, and both uses share it.
+    _SCAN_CHUNK rows at a time and _SCAN_BLOCK rows per task on `pool`, and
+    both uses share it.
     """
     if k < 1:
         raise EmbeddingError(f"k must be >= 1, got {k}")
@@ -428,12 +477,13 @@ def search(
     hits = []
     for start in range(0, len(queries), _QUERY_GROUP):
         group = queries[start : start + _QUERY_GROUP]
-        approx = None  # frees the previous group's scores before the next are made
+        # Frees the previous group's scores before the next are made.
+        approx = max_square = None
         if len(index) > k:  # else every row is in every top k
-            approx = _approx_scores(index.vectors, group)
+            approx, max_square = _approx_scores(index.vectors, group, pool)
         for j, q in enumerate(group):
             column = None if approx is None else approx[:, j]
-            hits.append(_query_hits(index, q, k, column, by_type))
+            hits.append(_query_hits(index, q, k, column, max_square, by_type))
     return hits
 
 
@@ -442,6 +492,7 @@ def _query_hits(
     q: np.ndarray,
     k: int,
     approx: np.ndarray | None,
+    max_square: float | None,
     by_type: bool,
 ) -> Hits:
     """Query q's Hits: np.dot rescores only the rows that approx cannot rule out."""
@@ -453,7 +504,7 @@ def _query_hits(
         # the two differ by at most their sum: a row whose approximate score
         # is more than twice that below the k-th best of some rows is beaten
         # by k of them under np.dot too.
-        args = (index.dimension, index._max_row_square, float(np.dot(q, q)))
+        args = (index.dimension, max_square, float(np.dot(q, q)))
         cut = 2 * (_float32_error_bound(*args) + _dot_error_bound(*args))
     rows = _ranked(index, _shortlist(np.arange(len(index)), approx, k, cut).tolist(), q, k)
     shortlists = None

@@ -141,6 +141,12 @@ class TestStageCommands:
         assert "argument degraded: 0" in out
         assert "predictions:" in out
         assert (golden_corpus.output_dir / "predictions.jsonl").exists()
+        # A resume that replays the final stage cannot count its repairs.
+        code, out, _ = run_cli(
+            capsys, "format", "--config", str(golden_corpus.config_path), "--resume"
+        )
+        assert code == 0
+        assert "argument degraded: replayed" in out
 
 
 class TestScore:

@@ -8,6 +8,8 @@ import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -103,12 +105,12 @@ def _count_scans(monkeypatch, index: SupportIndex) -> list[int]:
     scans = []
     approx_scores = retrieval._approx_scores
 
-    def counted(vectors, queries):
+    def counted(vectors, queries, pool=None):
         assert vectors is index.vectors
-        scores = approx_scores(vectors, queries)
+        scores, max_square = approx_scores(vectors, queries, pool)
         assert scores.dtype == np.float32 and scores.shape == (len(vectors), len(queries))
         scans.append(len(queries))
-        return scores
+        return scores, max_square
 
     monkeypatch.setattr(retrieval, "_approx_scores", counted)
     return scans
@@ -231,6 +233,34 @@ class TestGoldenRun:
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
         assert len(corpus.cache_path.read_bytes().splitlines()) == 58
         assert cache_digest(corpus.cache_path) == GOLDEN_CACHE_DIGEST
+
+    @pytest.mark.parametrize("same_type_filter", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_outputs_hold_when_the_scan_runs_in_blocks_on_the_pool(
+        self, tmp_path, monkeypatch, workers, same_type_filter
+    ):
+        # Blocks of 4 rows split the 12-row support matrix into three tasks
+        # on the run's pool, which the query phase's one search scans.
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
+        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
+        threads = []
+        scan_block = retrieval._scan_block
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return scan_block(*args)
+
+        monkeypatch.setattr(retrieval, "_scan_block", recorded)
+        corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
+        config = dataclasses.replace(corpus.config, same_type_filter=same_type_filter)
+        Pipeline(config).run()
+        assert len(threads) == 3 and threading.main_thread() not in threads
+        if same_type_filter:
+            want = {**GOLDEN_DIGESTS, "arguments.jsonl": FILTERED_ARGUMENTS_DIGEST}
+            assert digests(corpus.output_dir) == want
+        else:
+            assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+            assert cache_digest(corpus.cache_path) == GOLDEN_CACHE_DIGEST
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_reply_is_parsed_once(self, tmp_path, monkeypatch, workers):
@@ -380,6 +410,25 @@ class TestDeterminismAndResume:
         assert snapshot(golden_corpus.output_dir) == bytes_first
         tc = resumed.report.tc
         assert (tc.tp, tc.n_pred, tc.n_gold) == golden_corpus.tc_counts
+
+    @pytest.mark.parametrize("kept", [3, 4])
+    def test_run_json_counts_only_the_repairs_the_run_made(self, golden_corpus, kept):
+        # The final rows do not record their repair: a run that replays them
+        # reports null repair counters, not a count of zero. A resume that
+        # computes the final stage counts its repairs as a one-shot run does.
+        run_json = golden_corpus.output_dir / "run.json"
+        Pipeline(golden_corpus.config).run()
+        one_shot = json.loads(run_json.read_text(encoding="utf-8"))
+        for name in ARTIFACTS[kept:]:
+            (golden_corpus.output_dir / name).unlink()
+        Pipeline(golden_corpus.config, resume=True).run()
+        resumed = json.loads(run_json.read_text(encoding="utf-8"))
+        counters = ("formatting_attempts", "argument_degraded")
+        assert [one_shot[key] for key in counters] == [1, []]
+        assert resumed["resumed_stages"] == ["gate", "triggers", "arguments", "final"][:kept]
+        assert [resumed[key] for key in counters] == ([1, []] if kept < 4 else [None, None])
+        for key in ("gated_in", "gated_out", "trigger_failures", "score", "config_hash", "inputs"):
+            assert resumed[key] == one_shot[key], key
 
     def test_stage_by_stage_resume_matches_one_shot_run(self, tmp_path):
         corpus = build_golden_corpus(tmp_path / "steps", with_cache=False)
@@ -801,14 +850,14 @@ class TestTwoPhases:
         search = pipeline_module.search
 
         def recorded(*args, **kwargs):
-            searches.append(kwargs)
+            searches.append((kwargs["by_type"], type(kwargs["pool"])))
             return search(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "search", recorded)
         corpus = build_golden_corpus(tmp_path / "resume", with_cache=False)
         config = dataclasses.replace(corpus.config, same_type_filter=True, workers=workers)
         Pipeline(config, resume=True).run(until="triggers")
-        assert searches == [{"by_type": False}]
+        assert searches == [(False, ThreadPoolExecutor)]
         searches.clear()
         pipeline = Pipeline(config, resume=True)
         index = pipeline.index
@@ -818,7 +867,7 @@ class TestTwoPhases:
         scans = _count_scans(monkeypatch, pipeline._index)
         result = pipeline.run()
         assert result.resumed_stages == ["gate", "triggers"]
-        assert searches == [{"by_type": True}]
+        assert searches == [(True, ThreadPoolExecutor)]
         assert scans == [9]
         # Row reads: the chunks of the scan and single rows rescored by np.dot.
         assert reads and all(isinstance(key, (int, slice)) for key in reads)
@@ -880,19 +929,22 @@ class TestTwoPhases:
     def test_lazy_index_properties_are_built_before_the_extraction_pool(
         self, golden_corpus, monkeypatch, same_type_filter
     ):
+        # type_rows is the index's one lazy property: the largest row square
+        # comes from each scan, so only a by-type search builds anything.
+        assert [
+            name for name, value in vars(SupportIndex).items() if isinstance(value, cached_property)
+        ] == ["type_rows"]
         built = []
-        for name in ("_max_row_square", "type_rows"):
-            prop = SupportIndex.__dict__[name]
+        prop = SupportIndex.__dict__["type_rows"]
 
-            def build(index, name=name, func=prop.func):
-                built.append((name, threading.current_thread()))
-                return func(index)
+        def build(index, func=prop.func):
+            built.append(threading.current_thread())
+            return func(index)
 
-            monkeypatch.setattr(prop, "func", build)
+        monkeypatch.setattr(prop, "func", build)
         config = dataclasses.replace(golden_corpus.config, same_type_filter=same_type_filter)
         Pipeline(config).run()
-        names = ["_max_row_square", "type_rows"] if same_type_filter else ["_max_row_square"]
-        assert built == [(name, threading.main_thread()) for name in names]
+        assert built == ([threading.main_thread()] if same_type_filter else [])
 
     @pytest.mark.parametrize("batch_size", [1, 8, 64])
     def test_learned_verdicts_are_posted_in_batches(self, tmp_path, http_server, batch_size):

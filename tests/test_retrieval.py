@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import labeled_rows
 from eventpipe import retrieval
 from eventpipe.config import ProviderConfig, build_embedding_provider
-from eventpipe.model import DatasetError, LabeledSegment, normalize
+from eventpipe.model import DatasetError, LabeledRows, LabeledSegment, normalize
 from eventpipe.retrieval import (
     DEFAULT_DIMENSION,
     EmbeddingError,
@@ -182,6 +183,83 @@ def _float32_cases(draw):
 
 def _exact_dot(row, query) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(row.tolist(), query.tolist())), Fraction(0))
+
+
+@st.composite
+def _blocked_cases(draw):
+    """(index, queries, k, wanted types, chunk, block): N rows below, on or above a block edge."""
+    chunk = draw(st.integers(1, 4))
+    block = chunk * draw(st.integers(1, 3))
+    n = max(1, block * draw(st.integers(1, 3)) + draw(st.sampled_from([-1, 0, 1])))
+    dimension = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(n, dimension))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        vectors[dst] = vectors[src]
+    vectors.setflags(write=False)
+    ids = [f"v-{i:04d}" for i in rng.permutation(n)]
+    types = [draw(st.sets(st.sampled_from(_TYPES))) for _ in ids]
+    index = SupportIndex(examples=_typed(ids, types), vectors=vectors)
+    queries = rng.normal(size=(draw(st.integers(1, 4)), dimension))
+    wanted = draw(st.sets(st.sampled_from(_TYPES), min_size=1))
+    return index, queries, draw(st.integers(1, n + 1)), wanted, chunk, block
+
+
+def _set_type_rows(events):
+    """SupportIndex.type_rows as first built: a set of types per row."""
+    rows = {}
+    for row, row_events in enumerate(events):
+        for event_type in {event[1] for event in row_events}:
+            rows.setdefault(event_type, []).append(row)
+    return rows
+
+
+class _NoBlasArray(np.ndarray):
+    """An array whose BLAS products (@, np.matmul, a matrix .dot) fail the test."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        assert ufunc is not np.matmul, "retrieval ran a BLAS product: @ or np.matmul"
+        plain = lambda x: x.view(np.ndarray) if isinstance(x, np.ndarray) else x
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+    def dot(self, other, *args):
+        assert self.ndim == 1 and np.ndim(other) == 1, "retrieval ran a BLAS matrix .dot"
+        return self.view(np.ndarray).dot(other, *args)
+
+
+class _NoBlasNumpy:
+    """numpy as retrieval sees it, forwarded, but without BLAS.
+
+    Every array a numpy function returns is a _NoBlasArray view, so that @
+    on it fails; dot takes vectors only; matmul, inner, tensordot and vdot
+    fail; and einsum takes no `optimize`, with which it may call BLAS.
+    """
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if not callable(value) or isinstance(value, type):
+            return value
+
+        def forwarded(*args, **kwargs):
+            result = value(*args, **kwargs)
+            return result.view(_NoBlasArray) if type(result) is np.ndarray else result
+
+        return forwarded
+
+    def dot(self, a, b, *args):
+        assert np.ndim(a) == 1 and np.ndim(b) == 1, "retrieval ran a BLAS matrix product"
+        return np.dot(a, b, *args)
+
+    def einsum(self, *operands, **kwargs):
+        assert "optimize" not in kwargs, "einsum's optimizer may hand the product to BLAS"
+        return self.__getattr__("einsum")(*operands, **kwargs)
+
+    def _refused(self, *args, **kwargs):
+        raise AssertionError("retrieval ran a BLAS product")
+
+    matmul = inner = tensordot = vdot = _refused
 
 
 def _per_token_embed_batch(dimension, texts):
@@ -643,15 +721,105 @@ class TestSearch:
         # Against the exact rational dot product: the float32 scan's score is
         # within _float32_error_bound and np.dot's within _dot_error_bound.
         index, queries, _, _ = case
-        approx = retrieval._approx_scores(index.vectors, queries)
+        approx, max_square = retrieval._approx_scores(index.vectors, queries)
+        assert max_square == np.einsum("ij,ij->i", index.vectors, index.vectors).max()
         for j, q in enumerate(queries):
-            args = (index.dimension, index._max_row_square, float(np.dot(q, q)))
+            args = (index.dimension, max_square, float(np.dot(q, q)))
             bound32 = retrieval._float32_error_bound(*args)
             bound64 = retrieval._dot_error_bound(*args)
             for i, row in enumerate(index.vectors):
                 exact = _exact_dot(row, q)
                 assert abs(Fraction(float(approx[i, j])) - exact) <= Fraction(bound32)
                 assert abs(Fraction(float(np.dot(row, q))) - exact) <= Fraction(bound64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_blocked_cases())
+    def test_pool_scan_is_bit_identical_to_the_inline_scan(self, case):
+        # Pools of 1, 2 and 4 threads scan blocks of rows into their own
+        # slices of the scores; N falls below, on or above a block edge.
+        index, queries, k, wanted, chunk, block = case
+        keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "_SCAN_CHUNK", chunk)
+            patch.setattr(retrieval, "_SCAN_BLOCK", block)
+            inline, max_square = retrieval._approx_scores(index.vectors, queries)
+            assert max_square == np.einsum("ij,ij->i", index.vectors, index.vectors).max()
+            for workers in (1, 2, 4):
+                with ThreadPoolExecutor(workers) as pool:
+                    scores, pool_square = retrieval._approx_scores(index.vectors, queries, pool)
+                    found = search(index, queries, k, by_type=True, pool=pool)
+                assert scores.tobytes() == inline.tobytes() and pool_square == max_square
+                for hits, q in zip(found, queries):
+                    assert _scored(index, hits.rows, q) == brute_force_top_k(index, q, k)
+                    got = _scored(index, same_type_rows(index, hits, wanted), q)
+                    assert got == brute_force_top_k(index, q, k, where=keep)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, 5, 10], ids=["first-block", "middle-block", "last-block"])
+    def test_a_non_finite_row_in_any_block_turns_pruning_off(self, monkeypatch, value, row):
+        # Eleven rows in blocks of 4, 4 and 3. A NaN square in a later block
+        # must not drop out of the blocks' maximum, as Python's max drops it.
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
+        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
+        rng = np.random.default_rng(row)
+        vectors = rng.normal(size=(11, 6))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        vectors[row, 2] = value
+        vectors.setflags(write=False)
+        types = [{_TYPES[i % 2]} for i in range(11)]
+        index = SupportIndex(examples=_typed([f"v-{i:02d}" for i in range(11)], types), vectors=vectors)
+        queries = rng.normal(size=(2, 6))
+        with ThreadPoolExecutor(2) as pool, np.errstate(invalid="ignore"):
+            _, max_square = retrieval._approx_scores(vectors, queries, pool)
+            found = search(index, queries, 1, by_type=True, pool=pool)
+        assert np.isnan(max_square) if np.isnan(value) else max_square == np.inf
+        for hits in found:
+            for event_type, rows in hits.shortlists.items():
+                assert rows.tolist() == index.type_rows[event_type].tolist()
+
+    @pytest.mark.parametrize("n, blocks", [(12, 3), (4, 1)])
+    def test_only_a_multi_block_index_scans_on_the_pool(self, monkeypatch, n, blocks):
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
+        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
+        threads = []
+        scan_block = retrieval._scan_block
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return scan_block(*args)
+
+        monkeypatch.setattr(retrieval, "_scan_block", recorded)
+        rng = np.random.default_rng(n)
+        index = _index_from_vectors(rng.normal(size=(n, 5)))
+        queries = rng.normal(size=(3, 5))
+        with ThreadPoolExecutor(2) as pool:
+            pooled = search(index, queries, 2, pool=pool)
+        assert len(threads) == blocks
+        caller = threading.main_thread()
+        assert all((thread is caller) == (blocks == 1) for thread in threads)
+        threads.clear()
+        inline = search(index, queries, 2)
+        assert threads == [caller] * blocks
+        assert [hits.rows for hits in pooled] == [hits.rows for hits in inline]
+
+    def test_searches_run_no_blas_product(self, monkeypatch):
+        # A BLAS product wakes the BLAS thread pool, whose threads then spin
+        # between calls. A by-type search over three blocks on a pool, and
+        # the same-type rows after it, must not run one.
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 4)
+        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 8)
+        rng = np.random.default_rng(5)
+        types = [{_TYPES[i % 3]} for i in range(20)]
+        index = _index_from_vectors(rng.normal(size=(20, 16)), types=types)
+        queries = rng.normal(size=(3, 16))
+        with ThreadPoolExecutor(2) as pool:
+            want = search(index, queries, 4, by_type=True, pool=pool)
+            guarded = SupportIndex(index.examples, index.vectors.view(_NoBlasArray))
+            monkeypatch.setattr(retrieval, "np", _NoBlasNumpy())
+            found = search(guarded, queries.view(_NoBlasArray), 4, by_type=True, pool=pool)
+            rows = [same_type_rows(guarded, hits, ["A", "C"]) for hits in found]
+        assert [hits.rows for hits in found] == [hits.rows for hits in want]
+        assert rows == [same_type_rows(index, hits, ["A", "C"]) for hits in want]
 
     def test_float32_bound_counts_each_rounding(self):
         # 384 unit-norm dimensions: conversion 2u + u^2 times the doubled
@@ -731,6 +899,26 @@ def json_lines_index(index, embedding) -> bytes:
     }
     rows = [{"id": i, "vector": row.tolist()} for i, row in zip(index.example_ids, index.vectors)]
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *rows]).encode()
+
+
+class TestTypeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alphabet=st.sampled_from([("A",), ("A", "B", "C")]),
+        data=st.data(),
+    )
+    def test_grouped_build_matches_the_set_based_build(self, alphabet, data):
+        # Rows without events, a type repeated within a row, and one type only.
+        rows = data.draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=4), max_size=30))
+        events = tuple(tuple((f"t{i}", event_type) for i, event_type in enumerate(row)) for row in rows)
+        ids = tuple(f"s{row}" for row in range(len(rows)))
+        index = SupportIndex(LabeledRows(ids, ids, events), np.zeros((len(rows), 1)))
+        built = index.type_rows
+        want = _set_type_rows(events)
+        assert set(built) == set(want)
+        for event_type, type_rows in built.items():
+            assert type_rows.dtype == np.int32
+            assert type_rows.tolist() == want[event_type]
 
 
 class TestPersistence:
