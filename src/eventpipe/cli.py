@@ -123,8 +123,10 @@ def cmd_build_index(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stage(args, until: str) -> int:
+def cmd_stage(args) -> int:
+    """Run through the stage the subcommand names (args.until) and print its counts."""
     config = PipelineConfig.load(args.config)
+    until = args.until
     result = Pipeline(config, resume=args.resume).run(until=until)
     print(f"gated in: {result.gated_in}  gated out: {result.gated_out}")
     if until in ("triggers", "arguments", "final"):
@@ -137,21 +139,9 @@ def _cmd_stage(args, until: str) -> int:
     return EXIT_OK
 
 
-def cmd_gate(args) -> int:
-    return _cmd_stage(args, "gate")
-
-
-def cmd_extract_triggers(args) -> int:
-    return _cmd_stage(args, "triggers")
-
-
-def cmd_extract_args(args) -> int:
-    return _cmd_stage(args, "arguments")
-
-
 def cmd_format(args) -> int:
     if not args.raw_file:
-        return _cmd_stage(args, "final")
+        return cmd_stage(args)
     config = PipelineConfig.load(args.config)
     pipe = Pipeline(config)
     ontology, template = pipe.ontology, pipe.template("format")
@@ -190,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_command(name: str, func, help_text: str, resume: bool = True):
+    def add_config_command(name: str, func, help_text: str, resume: bool = True, until=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline config JSON file")
         if resume:
@@ -199,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="reuse stage artifacts whose config hash matches",
             )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, until=until)
         return p
 
     add_config_command("run", cmd_run, "run all stages and score the predictions")
@@ -222,10 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_config_command("build-index", cmd_build_index, "embed the support set and save the index", resume=False)
     p.add_argument("--out", default=None, help="index file path (default: config.paths.index)")
 
-    add_config_command("gate", cmd_gate, "run only the event-presence gate")
-    add_config_command("extract-triggers", cmd_extract_triggers, "run through trigger recognition")
-    add_config_command("extract-args", cmd_extract_args, "run through argument extraction")
-    p = add_config_command("format", cmd_format, "run through post-processing (or reformat a raw file)")
+    add_config_command("gate", cmd_stage, "run only the event-presence gate", until="gate")
+    add_config_command("extract-triggers", cmd_stage, "run through trigger recognition", until="triggers")
+    add_config_command("extract-args", cmd_stage, "run through argument extraction", until="arguments")
+    p = add_config_command("format", cmd_format, "run through post-processing (or reformat a raw file)", until="final")
     p.add_argument("--raw-file", default=None, help="standalone mode: JSONL of {id, raw} records")
     p.add_argument("--out", default=None, help="standalone mode: output predictions path")
 

@@ -15,9 +15,12 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
-from .gate import check_policy
+from ._http import Endpoint
+from .gate import FileVerdictProvider, HttpVerdictProvider, check_policy
+from .llm import HttpLlmProvider, ScriptedMockLlm
 from .model import Lines, parse_json
 from .prompts import STAGES
+from .retrieval import HashedBagEmbedder, HttpEmbeddingProvider
 
 __all__ = [
     "ConfigError",
@@ -298,10 +301,8 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
-def _endpoint(cfg: ProviderConfig, role: str, what: str):
+def _endpoint(cfg: ProviderConfig, role: str, what: str) -> Endpoint:
     """The remote service a provider config names, with every policy for reaching it."""
-    from ._http import Endpoint
-
     if not cfg.endpoint:
         raise ConfigError(f"remote {role} provider needs an 'endpoint'")
     return Endpoint(
@@ -317,8 +318,6 @@ def _endpoint(cfg: ProviderConfig, role: str, what: str):
 
 def build_llm_provider(cfg: ProviderConfig, *, data: Lines | None = None):
     """Instantiate a chat provider from its config; data is a mock script's bytes, if read."""
-    from .llm import HttpLlmProvider, ScriptedMockLlm
-
     if cfg.kind == "mock":
         if not cfg.script:
             raise ConfigError("mock llm provider needs a 'script' path")
@@ -333,8 +332,6 @@ def build_llm_provider(cfg: ProviderConfig, *, data: Lines | None = None):
 
 def build_embedding_provider(cfg: ProviderConfig):
     """Instantiate an embedding provider from its config."""
-    from .retrieval import HashedBagEmbedder, HttpEmbeddingProvider
-
     if cfg.kind == "mock":
         return HashedBagEmbedder(dimension=cfg.dimension)
     if cfg.kind == "remote":
@@ -345,8 +342,6 @@ def build_embedding_provider(cfg: ProviderConfig):
 
 def build_verdict_provider(cfg: ProviderConfig, *, data: Lines | None = None):
     """Instantiate a learned-classifier verdict source; data is a verdict file's bytes, if read."""
-    from .gate import FileVerdictProvider, HttpVerdictProvider
-
     if cfg.kind == "file":
         if not cfg.path:
             raise ConfigError("file verdict provider needs a 'path'")

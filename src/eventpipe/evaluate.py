@@ -8,7 +8,7 @@ tuples count with multiplicity; a set-semantics flag dedupes both sides first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .gate import vote
@@ -84,16 +84,6 @@ class MetricBlock:
         p, r, f = prf(tp, n_pred, n_gold)
         return cls(tp=tp, n_pred=n_pred, n_gold=n_gold, precision=p, recall=r, f1=f)
 
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "n_pred": self.n_pred,
-            "n_gold": self.n_gold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 @dataclass(frozen=True)
 class ScoreReport:
@@ -103,12 +93,7 @@ class ScoreReport:
     extraction_failed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "tc": self.tc.to_dict(),
-            "ac": self.ac.to_dict(),
-            "gated_out": self.gated_out,
-            "extraction_failed": self.extraction_failed,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         def row(label: str, block: MetricBlock) -> str:

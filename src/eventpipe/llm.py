@@ -29,7 +29,6 @@ __all__ = [
     "ProviderError",
     "ResponseCache",
     "ScriptedMockLlm",
-    "bundle_fingerprint",
     "cache_key",
     "cached_complete",
     "complete_with_retry",
@@ -60,12 +59,6 @@ class LlmProvider(ABC):
 def _canonical_messages(messages: tuple[PromptMessage, ...]) -> list[list[str]]:
     # Normalized line endings keep keys bit-stable across platforms.
     return [[m.role, m.content.replace("\r\n", "\n").replace("\r", "\n")] for m in messages]
-
-
-def bundle_fingerprint(bundle: PromptBundle) -> str:
-    """Stable hash of a bundle's messages, independent of provider and attempt."""
-    blob = json.dumps(_canonical_messages(bundle.messages), ensure_ascii=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def cache_key(provider_id: str, bundle: PromptBundle, attempt: int) -> str:
@@ -139,10 +132,10 @@ class ResponseCache:
 class ScriptedMockLlm(LlmProvider):
     """Deterministic offline provider driven by a script file.
 
-    Keys are "<segment_id>/<stage>", or a bundle fingerprint for requests not
-    tied to a segment. A key may map to one response or an ordered list; list
-    entries are consumed per call, and the last one repeats once exhausted.
-    Unmatched requests raise MockMissError rather than inventing output.
+    Keys are "<segment_id>/<stage>". A key may map to one response or an
+    ordered list; list entries are consumed per call, and the last one repeats
+    once exhausted. Unmatched requests raise MockMissError rather than
+    inventing output.
     """
 
     def __init__(self, script: dict[str, str | list[str]], *, provider_name: str = "mock"):
@@ -182,9 +175,6 @@ class ScriptedMockLlm(LlmProvider):
         key = f"{bundle.segment_id}/{bundle.stage}"
         with self._lock:
             seq = self._sequences.get(key)
-            if seq is None:
-                key = bundle_fingerprint(bundle)
-                seq = self._sequences.get(key)
             if seq is None:
                 raise MockMissError(
                     f"no scripted response for {bundle.segment_id!r} stage {bundle.stage!r}"

@@ -16,12 +16,13 @@ Each stage has one JSONL artifact whose header line records the stage name, the 
 contents of the input files); each stage function returns its artifact row
 (ROW_FIELDS), and later stages read rows as they are, computed or replayed.
 The artifacts are written in stage order once both phases finish, so a crash
-mid-run leaves only the completion cache to resume from. Under --resume a
-stage with a matching artifact is replayed instead of recomputed; an artifact
-built from other input contents is recomputed, and a config hash mismatch
-aborts rather than silently mixing runs. Artifacts carry no wall-clock
-data, so two identical runs produce byte-identical stage files (timestamps
-live only in run.json).
+mid-run leaves only the completion cache to resume from. Under --resume the
+stages are replayed in order up to the first one without a matching artifact
+(absent, or built from other input contents); that stage and every later one
+are recomputed, so no replayed row rests on a recomputed one. A config hash
+mismatch in any present artifact aborts rather than silently mixing runs.
+Artifacts carry no wall-clock data, so two identical runs produce
+byte-identical stage files (timestamps live only in run.json).
 
 Every input file is read in one place, Pipeline._input, once per run; the
 inputs digest is taken of the bytes read there, and each loader parses those
@@ -38,6 +39,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -111,20 +113,15 @@ STAGE_ORDER = ("gate", "triggers", "arguments", "final", "score")
 # The prompt stage whose template each artifact stage fills in.
 PROMPT_STAGES = {"gate": "presence", "triggers": "trigger", "arguments": "argument", "final": "format"}
 
-ARTIFACT_NAMES = {
-    "gate": "gate.jsonl",
-    "triggers": "triggers.jsonl",
-    "arguments": "arguments.jsonl",
-    "final": "final.jsonl",
-}
-
-# The fields of each artifact's rows.
+# The fields of each artifact's rows, in stage order.
 ROW_FIELDS = {
     "gate": ("id", "rule", "learned", "llm", "gated_in"),
     "triggers": ("id", "predictions", "raw", "attempts", "failed", "examples"),
     "arguments": ("id", "events", "raw", "attempts", "failed", "examples"),
     "final": ("id", "event"),
 }
+
+ARTIFACT_NAMES = {stage: f"{stage}.jsonl" for stage in ROW_FIELDS}
 
 # The row field that lists events; a trigger prediction is an event without arguments.
 EVENT_FIELDS = {"triggers": "predictions", "arguments": "events", "final": "event"}
@@ -295,7 +292,8 @@ class Pipeline:
     """One configured run over one corpus, with stage-level resume.
 
     A Pipeline serves one run: a second run() raises. Its lazy resources
-    (support, index, cache, providers) may be loaded before the run.
+    (ontology, support, gold, cache, embedder and index, cached properties
+    built on first access, and the providers) may be loaded before the run.
     """
 
     def __init__(self, config: PipelineConfig, *, resume: bool = False):
@@ -304,12 +302,6 @@ class Pipeline:
         self.out_dir = Path(config.output_dir)
         self.config_hash = config.config_hash()
         self._providers: dict[str, CountingLlm] = {}
-        self._embedder: CountingEmbedder | None = None
-        self._index: SupportIndex | None = None
-        self._cache: ResponseCache | None = None
-        self._ontology = None
-        self._support: LabeledRows | None = None
-        self._gold: LabeledRows | None = None
         # sha256 of the bytes read from each input file, by path (None: absent).
         self._digests: dict[str, str | None] = {}
         # Bytes read for the inputs digest that no loader has taken yet, by path.
@@ -371,38 +363,30 @@ class Pipeline:
         path = self.config.input_files().get(f"templates/{stage}")
         return load_template(stage, self.config.templates, data=self._data(path))
 
-    @property
-    def ontology(self):
-        if self._ontology is None:
-            path = self.config.ontology
-            self._ontology = load_ontology(path, data=self._data(path))
-        return self._ontology
+    @cached_property
+    def ontology(self) -> Ontology:
+        path = self.config.ontology
+        return load_ontology(path, data=self._data(path))
 
-    @property
+    @cached_property
     def support(self) -> LabeledRows:
         """Parsed on first use, so a fully resumed run does not parse it."""
-        if self._support is None:
-            path = self.config.support
-            self._support = load_gold(path, self.ontology, data=self._data(path))
-        return self._support
+        path = self.config.support
+        return load_gold(path, self.ontology, data=self._data(path))
 
-    @property
+    @cached_property
     def gold(self) -> LabeledRows:
         """The gold file, parsed on first use and held until run() takes it.
 
         A caller that needs the gold after the run takes it first, and the run
         checks and scores against that same parse; a finished run holds none.
         """
-        if self._gold is None:
-            path = self.config.gold
-            self._gold = load_gold(path, self.ontology, data=self._data(path))
-        return self._gold
+        path = self.config.gold
+        return load_gold(path, self.ontology, data=self._data(path))
 
-    @property
+    @cached_property
     def cache(self) -> ResponseCache | None:
-        if self._cache is None and self.config.cache:
-            self._cache = ResponseCache(self.config.cache)
-        return self._cache
+        return ResponseCache(self.config.cache) if self.config.cache else None
 
     def llm_for(self, stage: str) -> CountingLlm:
         pcfg = self.config.llm_for_stage(stage)
@@ -412,11 +396,9 @@ class Pipeline:
             self._providers[key] = CountingLlm(provider)
         return self._providers[key]
 
-    @property
+    @cached_property
     def embedder(self) -> CountingEmbedder:
-        if self._embedder is None:
-            self._embedder = CountingEmbedder(build_embedding_provider(self.config.embedding))
-        return self._embedder
+        return CountingEmbedder(build_embedding_provider(self.config.embedding))
 
     def support_examples(self) -> LabeledRows:
         """Support rows whose text normalizes to something (strip() tells the same)."""
@@ -424,7 +406,7 @@ class Pipeline:
         rows = [row for row, text in enumerate(support.texts) if text.strip()]
         return support if len(rows) == len(support) else support.take(rows)
 
-    @property
+    @cached_property
     def index(self) -> SupportIndex | None:
         """Built (or loaded) on first use so fully resumed runs embed nothing.
 
@@ -433,32 +415,21 @@ class Pipeline:
         """
         if self.config.retrieval_k <= 0:
             return None
-        if self._index is None:
-            examples = self.support_examples()
-            index_path = self.config.index
-            embedding = self.config.embedding.to_dict()
-            if index_path and Path(index_path).exists():
-                self._index = load_index(index_path, examples, embedding=embedding)
-            if self._index is None:
-                self._index = build_index(examples, self.embedder)
-                if index_path:
-                    save_index(self._index, index_path, embedding=embedding)
-        return self._index
+        examples = self.support_examples()
+        index_path = self.config.index
+        embedding = self.config.embedding.to_dict()
+        saved = index_path and Path(index_path).exists()
+        index = load_index(index_path, examples, embedding=embedding) if saved else None
+        if index is None:
+            index = build_index(examples, self.embedder)
+            if index_path:
+                save_index(index, index_path, embedding=embedding)
+        return index
 
     # --- two-phase flow ------------------------------------------------------
 
     def _artifact(self, stage: str) -> Path:
         return self.out_dir / ARTIFACT_NAMES[stage]
-
-    def _load_if_resuming(self, stage: str) -> list[dict] | None:
-        if not self.resume:
-            return None
-        rows = read_artifact(
-            self._artifact(stage), stage, self.config_hash, self._result.inputs, self.ontology
-        )
-        if rows is not None:
-            self._result.resumed_stages.append(stage)
-        return rows
 
     def _gate(
         self, segments: list[Segment], pool: ThreadPoolExecutor, template: Template | None
@@ -596,7 +567,8 @@ class Pipeline:
         result = self._result = RunResult(None, self.config_hash, self.out_dir, until)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         transcripts = load_transcripts(cfg.transcripts, data=self._data(cfg.transcripts))
-        gold, self._gold = self.gold, None
+        gold = self.gold
+        del self.gold
         gold_ids = set(gold.ids)
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
@@ -607,13 +579,18 @@ class Pipeline:
         result.inputs = self.inputs_digest()
         result.started_at = time.time()
 
-        stop = STAGE_ORDER.index(until)
-        stages = [stage for stage in ARTIFACT_NAMES if STAGE_ORDER.index(stage) <= stop]
+        stages = list(ROW_FIELDS)[: STAGE_ORDER.index(until) + 1]
+        # Replay stops at the first stage that is recomputed, because each
+        # later stage reads its rows. Every present artifact is still read, so
+        # one with a foreign config hash aborts the run.
         replayed = {}
-        for stage in stages:
-            rows = self._load_if_resuming(stage)
-            if rows is not None:
+        for stage in stages if self.resume else ():
+            rows = read_artifact(
+                self._artifact(stage), stage, self.config_hash, result.inputs, self.ontology
+            )
+            if rows is not None and stage == stages[len(replayed)]:
                 replayed[stage] = {row["id"]: row for row in rows}
+        result.resumed_stages = list(replayed)
         computed = {stage for stage in stages if stage not in replayed}
         # Each computed stage's template is parsed, in stage order, before
         # any provider call; a verdict file replaces the presence prompt.
@@ -628,9 +605,9 @@ class Pipeline:
             for seg in segments
         ]
         # One pool serves both phases. Each phase resolves its shared
-        # resources before it maps: the lazy properties and llm_for are
-        # check-then-set, so resolving them in pool threads could build a
-        # second cache or provider.
+        # resources before it maps: llm_for is check-then-set, and a
+        # cached_property locks its first access only on Python <= 3.11, so
+        # resolving them in pool threads could build a second cache or provider.
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             if "gate" in computed:
                 verdicts = self._gate(segments, pool, templates.get("presence"))
@@ -666,7 +643,7 @@ class Pipeline:
             predictions_path = self.out_dir / "predictions.jsonl"
             write_rows(predictions_path, final_rows)
             result.predictions_path = predictions_path
-        if stop >= STAGE_ORDER.index("score"):
+        if until == "score":
             result.report = score(
                 {row["id"]: row["event"] for row in final_rows},
                 events_by_id(gold),
@@ -679,7 +656,9 @@ class Pipeline:
             result.report_path = report_path
 
         result.provider_calls = self._collect_calls()
-        result.texts_embedded = self._embedder.texts_embedded if self._embedder else 0
+        # vars(): a run that embedded nothing builds no embedder to ask.
+        embedder = vars(self).get("embedder")
+        result.texts_embedded = embedder.texts_embedded if embedder else 0
         result.finished_at = time.time()
         write_json(self.out_dir / "run.json", result.to_dict())
         return result

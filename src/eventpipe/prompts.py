@@ -98,7 +98,8 @@ def load_template(
     """Load a stage's message template, from a directory override or package data.
 
     Every defect of the file, from its encoding to a placeholder the stage has
-    no value for, is a TemplateError naming the file.
+    no value for or a message list that breaks PromptBundle's rule, is a
+    TemplateError naming the file.
     """
     if stage not in STAGES:
         raise TemplateError(f"unknown stage {stage!r}")
@@ -130,7 +131,10 @@ def load_template(
                 raise TemplateError(
                     f"{where}: message {i}: placeholder {{{name}}} has no value for stage {stage!r}"
                 )
-    return tuple(loaded)
+    try:
+        return PromptBundle(tuple(loaded), stage, "").messages
+    except TemplateError as exc:
+        raise TemplateError(f"{where}: {exc}") from exc
 
 
 def _fill(content: str, values: dict[str, str]) -> str:

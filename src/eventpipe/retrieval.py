@@ -53,14 +53,12 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Protocol, Sequence
+from typing import BinaryIO, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from ._http import Endpoint
 from .model import DatasetError, LabeledRows, _replace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ._http import Endpoint
 
 __all__ = [
     "EmbeddingError",

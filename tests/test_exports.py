@@ -1,9 +1,12 @@
-"""The package's public names: every export resolves."""
+"""The package's public names: every export resolves, and no import cycle hides in the graph."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,34 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+# Imports each module named on the command line first, in a fresh module table.
+IMPORT_EACH_FIRST = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for key in [key for key in sys.modules if key.partition(".")[0] == "eventpipe"]:
+        del sys.modules[key]
+    try:
+        importlib.import_module(name)
+    except ImportError as exc:
+        print(f"{name}: {exc!r}")
+"""
+
+
+def test_each_module_imports_first_without_a_cycle():
+    # A cycle in the import graph fails only in the order that enters it at
+    # one of its modules, so each module is imported first in turn.
+    package_root = str(Path(eventpipe.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_EACH_FIRST, *MODULES[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 # Hooks in benchmarks/tracer.py whose targets no longer exist in eventpipe:

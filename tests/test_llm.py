@@ -13,7 +13,6 @@ from eventpipe.llm import (
     MockMissError,
     ResponseCache,
     ScriptedMockLlm,
-    bundle_fingerprint,
     cache_key,
     cached_complete,
     complete_with_retry,
@@ -44,11 +43,6 @@ class TestScriptedMock:
         mock = ScriptedMockLlm({"s1/trigger": "x"})
         with pytest.raises(MockMissError, match="s9"):
             mock.complete(_bundle(segment_id="s9"))
-
-    def test_fingerprint_key_matches_segmentless_bundles(self):
-        bundle = _bundle(segment_id="s1")
-        mock = ScriptedMockLlm({bundle_fingerprint(bundle): "by-content"})
-        assert mock.complete(bundle) == "by-content"
 
     def test_call_counters(self):
         mock = ScriptedMockLlm({"s1/trigger": "x"})

@@ -411,6 +411,20 @@ class TestDeterminismAndResume:
         tc = resumed.report.tc
         assert (tc.tp, tc.n_pred, tc.n_gold) == golden_corpus.tc_counts
 
+    @pytest.mark.parametrize("deleted", range(len(ARTIFACTS)))
+    def test_resume_replays_only_the_stages_before_a_missing_artifact(
+        self, golden_corpus, deleted
+    ):
+        # A recomputed stage may change the rows that every later stage read
+        # (a remote gate can gate out a segment whose replayed final row holds
+        # events), so no later stage is replayed, though its artifact is there.
+        Pipeline(golden_corpus.config).run()
+        (golden_corpus.output_dir / ARTIFACTS[deleted]).unlink()
+        resumed = Pipeline(golden_corpus.config, resume=True).run()
+        assert resumed.resumed_stages == list(ROW_FIELDS)[:deleted]
+        assert resumed.provider_calls["total"] == 0
+        assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
+
     @pytest.mark.parametrize("kept", [3, 4])
     def test_run_json_counts_only_the_repairs_the_run_made(self, golden_corpus, kept):
         # The final rows do not record their repair: a run that replays them
@@ -634,14 +648,15 @@ class TestInputsReadOnce:
         hashed = Pipeline(golden_corpus.config).inputs_digest()
         path = golden_corpus.support_path
         lines = path.read_bytes().splitlines(keepends=True)
-        load_if_resuming = Pipeline._load_if_resuming
+        inputs_digest = Pipeline.inputs_digest
 
-        def replace_then_load(pipeline, stage):
+        def digest_then_replace(pipeline):
             # Runs after the digest is taken and before the gate builds its lexicon.
+            digest = inputs_digest(pipeline)
             path.write_bytes(b"".join(lines[:-1]))
-            return load_if_resuming(pipeline, stage)
+            return digest
 
-        monkeypatch.setattr(Pipeline, "_load_if_resuming", replace_then_load)
+        monkeypatch.setattr(Pipeline, "inputs_digest", digest_then_replace)
         result = Pipeline(golden_corpus.config, resume=resume).run()
         assert Pipeline(golden_corpus.config).inputs_digest() != hashed
         assert result.inputs == hashed
@@ -724,20 +739,31 @@ class TestInputsReadOnce:
         assert result.provider_calls["total"] == 58
         assert sorted(loads) == ["argument", "format", "presence", "trigger"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{oops", "invalid JSON at line 1"),
+            # Valid JSON whose messages break the bundle rule of every prompt.
+            (None, "bundle must contain exactly one system message, first in order"),
+        ],
+        ids=["invalid-json", "no-system-message"],
+    )
     @pytest.mark.parametrize("stage", ["presence", "trigger", "argument", "format"])
     def test_broken_template_of_a_computed_stage_fails_before_any_provider_call(
-        self, golden_corpus, monkeypatch, stage
+        self, golden_corpus, monkeypatch, stage, text, message
     ):
         templates = golden_corpus.root / "templates"
         write_templates(templates)
-        (templates / f"{stage}.json").write_text("{oops", encoding="utf-8")
+        if text is None:
+            text = json.dumps({"stage": stage, "messages": [{"role": "user", "content": "{TEXT}"}]})
+        (templates / f"{stage}.json").write_text(text, encoding="utf-8")
         config = dataclasses.replace(golden_corpus.config, templates=str(templates))
         calls = []
         complete = ScriptedMockLlm.complete
         monkeypatch.setattr(
             ScriptedMockLlm, "complete", lambda self, b: calls.append(b) or complete(self, b)
         )
-        with pytest.raises(TemplateError, match=f"{stage}.json: invalid JSON at line 1"):
+        with pytest.raises(TemplateError, match=f"{stage}.json: {message}"):
             Pipeline(config).run()
         assert calls == []
 
@@ -863,8 +889,8 @@ class TestTwoPhases:
         index = pipeline.index
         vectors = index.vectors.view(_RowReads)
         vectors.reads = reads = []
-        pipeline._index = SupportIndex(index.examples, vectors)
-        scans = _count_scans(monkeypatch, pipeline._index)
+        pipeline.index = SupportIndex(index.examples, vectors)
+        scans = _count_scans(monkeypatch, pipeline.index)
         result = pipeline.run()
         assert result.resumed_stages == ["gate", "triggers"]
         assert searches == [(True, ThreadPoolExecutor)]
