@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ._http import Endpoint, ProviderError
-from .model import DatasetError, Lines, parse_json
+from .model import DatasetError, Lines, _decode_line, parse_json
 from .prompts import PromptBundle, PromptMessage
 
 __all__ = [
@@ -102,7 +102,7 @@ class ResponseCache:
                 if not line.strip():
                     continue
                 try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-                    rec = json.loads(line.decode("utf-8"))
+                    rec = _decode_line(line.decode("utf-8"))
                     key, response = rec["key"], rec["response"]
                     if not (isinstance(key, str) and isinstance(response, str)):
                         raise TypeError("key and response must be strings")

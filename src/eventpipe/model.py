@@ -8,7 +8,9 @@ its one check. No stage mutates an event it is given, so events are shared
 across workers as they are. A loaded gold or support file is LabeledRows:
 ids, texts and each row's events as flat tuples, whose dicts are rebuilt
 when the row is read. Every row file (JSON lines or one JSON array) is read
-through ``iter_json_records`` and ``check_rows``. Every output file but
+through ``iter_json_records`` and ``check_rows``; a JSON line, of a row file
+or of the completion cache, is decoded by ``_decode_line``, which accepts and
+returns exactly what ``json.loads`` does. Every output file but
 the cache, which is appended to, is replaced whole through ``_replace``: row
 and report files by way of ``write_rows`` or ``write_json``, the support index
 by ``retrieval.save_index``.
@@ -48,6 +50,11 @@ __all__ = [
 ]
 
 _WS_RUN = re.compile(r"\s+")
+# JSON's whitespace: json.loads skips these four characters, and no others,
+# around a document.
+_JSON_SPACE = " \t\n\r"
+_JSON_SPACE_RUN = re.compile(r"[ \t\n\r]*")
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class DatasetError(ValueError):
@@ -74,6 +81,21 @@ def parse_json(data: bytes, where: str, error: type[ValueError] = DatasetError) 
         raise error(f"{where}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON at line {exc.lineno}") from exc
+
+
+def _decode_line(line: str) -> Any:
+    """The JSON value of one line, exactly as ``json.loads(line)`` decodes it.
+
+    The line either holds one JSON value between runs of JSON whitespace or
+    raises json.JSONDecodeError, as json.loads does; a leading BOM is an
+    error too. It calls ``raw_decode`` directly, skipping json.loads's
+    argument checks and its regex scans of a line that begins with a value.
+    """
+    start = _JSON_SPACE_RUN.match(line).end() if line[:1] in _JSON_SPACE else 0
+    value, end = _raw_decode(line, start)
+    if end != len(line) and line[end:].strip(_JSON_SPACE):
+        raise json.JSONDecodeError("Extra data", line, _JSON_SPACE_RUN.match(line, end).end())
+    return value
 
 
 def normalize(text: str) -> str:
@@ -232,7 +254,7 @@ def iter_json_records(path: str | Path, data: Lines | None = None) -> Iterator[t
             return
         for lineno, line in itertools.chain([first], lines):
             try:
-                yield lineno, json.loads(line)
+                yield lineno, _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
 

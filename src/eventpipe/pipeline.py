@@ -20,7 +20,8 @@ mid-run leaves only the completion cache to resume from. Under --resume the
 stages are replayed in order up to the first one without a matching artifact
 (absent, or built from other input contents); that stage and every later one
 are recomputed, so no replayed row rests on a recomputed one. A config hash
-mismatch in any present artifact aborts rather than silently mixing runs.
+mismatch in any present artifact aborts rather than silently mixing runs;
+of an artifact after the first recomputed stage only that header is read.
 Artifacts carry no wall-clock data, so two identical runs produce
 byte-identical stage files (timestamps live only in run.json).
 
@@ -42,8 +43,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .config import (
     ConfigError,
@@ -153,17 +152,13 @@ def write_artifact(
     write_rows(path, [{"stage": stage, "config_hash": config_hash, "inputs": inputs}, *rows])
 
 
-def read_artifact(
-    path: Path, stage: str, config_hash: str, inputs: str, ontology: Ontology
-) -> list[dict] | None:
-    """Load a stage artifact's rows, as read; raise ResumeError on a foreign header.
+def _artifact_records(
+    path: Path, stage: str, config_hash: str, inputs: str
+) -> Iterator[tuple[int, dict]] | None:
+    """The records after a stage artifact's checked header line; ResumeError on a foreign one.
 
     None if the file is absent or was built from other input contents
-    (another inputs digest): the stage is then recomputed. Only the header
-    is read in that case. A row without the stage's ROW_FIELDS, with a field
-    whose value FIELD_TYPES rejects, or whose event list holds an event that
-    check_event rejects against the ontology, is a DatasetError naming the
-    line.
+    (another inputs digest). Only the header line is read.
     """
     if not path.exists():
         return None
@@ -180,7 +175,23 @@ def read_artifact(
             f"{path}: artifact config hash {header.get('config_hash')!r} does not match "
             f"this configuration ({config_hash!r}); delete the output directory or fix the config"
         )
-    if header.get("inputs") != inputs:
+    return records if header.get("inputs") == inputs else None
+
+
+def read_artifact(
+    path: Path, stage: str, config_hash: str, inputs: str, ontology: Ontology
+) -> list[dict] | None:
+    """Load a stage artifact's rows, as read; raise ResumeError on a foreign header.
+
+    None if the file is absent or was built from other input contents
+    (another inputs digest): the stage is then recomputed. Only the header
+    is read in that case. A row without the stage's ROW_FIELDS, with a field
+    whose value FIELD_TYPES rejects, or whose event list holds an event that
+    check_event rejects against the ontology, is a DatasetError naming the
+    line.
+    """
+    records = _artifact_records(path, stage, config_hash, inputs)
+    if records is None:
         return None
     rows = []
     checks = [(name, *FIELD_TYPES[name]) for name in ROW_FIELDS[stage][1:]]
@@ -500,7 +511,7 @@ class Pipeline:
         ]
         if not wanted:
             return {}
-        vectors = np.array(embed_texts([seg.text for seg in wanted], self.embedder))
+        vectors = embed_texts([seg.text for seg in wanted], self.embedder)
         by_type = cfg.same_type_filter and "arguments" in computed
         hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type, pool=pool)
         return dict(zip((seg.id for seg in wanted), hits))
@@ -581,14 +592,17 @@ class Pipeline:
 
         stages = list(ROW_FIELDS)[: STAGE_ORDER.index(until) + 1]
         # Replay stops at the first stage that is recomputed, because each
-        # later stage reads its rows. Every present artifact is still read, so
-        # one with a foreign config hash aborts the run.
+        # later stage reads its rows. Every later artifact present still has
+        # its header read, so one with a foreign config hash aborts the run,
+        # but not its rows, which the run overwrites.
         replayed = {}
         for stage in stages if self.resume else ():
-            rows = read_artifact(
-                self._artifact(stage), stage, self.config_hash, result.inputs, self.ontology
-            )
-            if rows is not None and stage == stages[len(replayed)]:
+            path = self._artifact(stage)
+            if stage != stages[len(replayed)]:
+                _artifact_records(path, stage, self.config_hash, result.inputs)
+                continue
+            rows = read_artifact(path, stage, self.config_hash, result.inputs, self.ontology)
+            if rows is not None:
                 replayed[stage] = {row["id"]: row for row in rows}
         result.resumed_stages = list(replayed)
         computed = {stage for stage in stages if stage not in replayed}

@@ -43,6 +43,12 @@ CPU than the scan saves; the pool's threads already hold the parallelism.
 The index holds the support set as the ``LabeledRows`` that ``load_gold``
 returned: the per-type rows are read from its columns, and an example's event
 dicts are built only when a search retrieves it.
+
+Set-up works on whole batches. ``build_index`` embeds 256 texts per
+embed_batch call, turns each reply into one (n, D) float64 matrix (the
+hashed embedder's count matrix as it is), takes every row's norm in one
+stacked product (``_norms``) and divides the batch into the preallocated
+index matrix, so no more than a batch or two is held beside it.
 """
 from __future__ import annotations
 
@@ -105,7 +111,13 @@ class EmbeddingError(RuntimeError):
 
 
 class EmbeddingProvider(Protocol):
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    """What embeds texts: one vector per text, in text order.
+
+    A reply may be an (n, D) array or a sequence of n vectors (arrays or
+    lists of numbers); it is read as one float64 matrix.
+    """
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray | Sequence[np.ndarray]:
         ...
 
 
@@ -119,9 +131,11 @@ class HashedBagEmbedder:
 
     Each instance memoizes the bucket and sign of every distinct token it has
     seen, so a support set hashes its vocabulary once rather than every token
-    occurrence. A batch becomes one count matrix built by ``np.bincount``:
-    every entry is a sum of +1s and -1s, an exact integer in float64, so the
-    vectors are bit-identical to adding the tokens one by one in any order.
+    occurrence. A batch's tokens are looked up in the memo first, and only a
+    batch with a token it lacks builds its set of new tokens to hash. A batch
+    becomes one (n, D) count matrix built by ``np.bincount``: every entry is
+    a sum of +1s and -1s, an exact integer in float64, so the vectors are
+    bit-identical to adding the tokens one by one in any order.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
@@ -136,19 +150,23 @@ class HashedBagEmbedder:
         sign = 1.0 if digest[8] & 1 else -1.0
         return idx, sign
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """The (len(texts), D) count matrix of texts, one row per text."""
         codes = self._codes
         # Equal to normalize(text).split(): lower() keeps whitespace as it is
         # and never makes any, and no whitespace is cased or case-ignorable, so
         # the final-sigma rule of lower() never looks across a whitespace run.
         tokens = [text.lower().split() for text in texts]
         flat = list(itertools.chain.from_iterable(tokens))
-        # Pool threads may fill the memo at once without a lock: entries are
-        # never removed, and a token's entry is the same whoever writes it.
-        for token in set(flat).difference(codes):
-            idx, sign = self._bucket(token)
-            codes[token] = idx if sign > 0 else ~idx
-        code = np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
+        try:  # a warm batch: every token memoized, no token set built
+            code = np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
+        except KeyError:
+            # Pool threads may fill the memo at once without a lock: entries are
+            # never removed, and a token's entry is the same whoever writes it.
+            for token in set(flat).difference(codes):
+                idx, sign = self._bucket(token)
+                codes[token] = idx if sign > 0 else ~idx
+            code = np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
         negative = code < 0
         rows = np.repeat(np.arange(len(texts)), [len(row) for row in tokens])
         counts = np.bincount(
@@ -157,7 +175,7 @@ class HashedBagEmbedder:
             minlength=len(texts) * self.dimension,
         )
         # bincount returns integers when no text has a token.
-        return list(counts.astype(np.float64, copy=False).reshape(len(texts), self.dimension))
+        return counts.astype(np.float64, copy=False).reshape(len(texts), self.dimension)
 
 
 class HttpEmbeddingProvider:
@@ -208,25 +226,50 @@ def _reply_vector(value, position: int) -> np.ndarray:
     )
 
 
-def _embed(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
-    """One embed_batch call's vectors for texts, as contiguous float64 arrays."""
+def _embed(
+    texts: Sequence[str], embedding_provider: EmbeddingProvider
+) -> np.ndarray | list[np.ndarray]:
+    """One embed_batch call's vectors for texts, as one C-contiguous float64 (n, D) matrix.
+
+    The matrix is the reply itself when it is one already (the hashed
+    embedder's), else one np.asarray copy of its vectors. A ragged reply,
+    whose vectors differ in length, comes back as a list of its vectors.
+    """
     vecs = embedding_provider.embed_batch(list(texts))
     if len(vecs) != len(texts):
         raise EmbeddingError(
             f"embedding provider returned {len(vecs)} vectors for {len(texts)} texts"
         )
-    return [np.ascontiguousarray(vec, dtype=np.float64) for vec in vecs]
+    if not len(vecs):
+        return np.empty((0, 0))
+    try:
+        matrix = np.asarray(vecs, dtype=np.float64)
+    except ValueError:  # vectors of differing lengths, or not numbers
+        return [np.ascontiguousarray(vec, dtype=np.float64) for vec in vecs]
+    return np.ascontiguousarray(matrix)
 
 
-def _norms(rows: Sequence[np.ndarray], what: Callable[[int], str]) -> np.ndarray:
+def _dimensions(rows: np.ndarray | list[np.ndarray]) -> set[int]:
+    """The lengths of the vectors of _embed's reply."""
+    return {rows.shape[1]} if isinstance(rows, np.ndarray) else {len(row) for row in rows}
+
+
+def _norms(rows: np.ndarray | list[np.ndarray], what: Callable[[int], str]) -> np.ndarray:
     """Each row's L2 norm as ``np.linalg.norm`` computes it: ``sqrt(row.dot(row))``.
 
-    A vectorized sum of squares could round differently for arbitrary float
-    embeddings. The first zero or non-finite norm is an EmbeddingError naming
-    what(row).
+    Every ``row.dot(row)`` of a matrix is one stacked ``np.matmul`` of
+    (1, D) by (D, 1) products, which runs the same vector-dot kernel as
+    ``row.dot(row)`` and so rounds the same; a vectorized sum of squares
+    (``einsum("ij,ij->i")``, say) could round differently. A ragged reply's
+    rows are dotted one by one. The first zero or non-finite norm is an
+    EmbeddingError naming what(row).
     """
-    with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        norms = np.sqrt([row.dot(row) for row in rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
+        if isinstance(rows, np.ndarray):
+            squares = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
+        else:
+            squares = [row.dot(row) for row in rows]
+        norms = np.sqrt(squares)
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > _NORM_TOL)))
     if bad.size:
         zero = norms[bad[0]] <= _NORM_TOL
@@ -235,14 +278,14 @@ def _norms(rows: Sequence[np.ndarray], what: Callable[[int], str]) -> np.ndarray
     return norms
 
 
-def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> list[np.ndarray]:
-    """Embed texts with one embed_batch call, each to a unit-norm vector of one dimension."""
+def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> np.ndarray:
+    """Embed texts with one embed_batch call: an (n, D) matrix of unit-norm rows."""
     rows = _embed(texts, embedding_provider)
-    dims = sorted({len(row) for row in rows})
+    dims = _dimensions(rows)
     if len(dims) > 1:
-        raise EmbeddingError(f"embedding dimension mismatch across texts: {dims}")
+        raise EmbeddingError(f"embedding dimension mismatch across texts: {sorted(dims)}")
     norms = _norms(rows, lambda row: f"text {texts[row][:40]!r}")
-    return list(np.divide(rows, norms[:, None]))
+    return np.divide(rows, norms[:, None])
 
 
 @dataclass(frozen=True)
@@ -290,11 +333,12 @@ def build_index(
     """Embed every support example and assemble the flat index.
 
     Repeatable: the same examples and provider produce identical contents.
-    Each embedding batch is normalized at once (see ``_norms``) and divided
-    straight into one preallocated (N, D) matrix, so the support set is held
-    once and never stacked. The first row whose norm is zero or not finite is
-    the error, before any later batch is embedded; a dimension mismatch is
-    reported after the last batch.
+    Each embedding batch is one matrix, normalized at once (see ``_norms``)
+    and divided straight into one preallocated (N, D) matrix, so the support
+    set is held once and never stacked. The first row whose norm is zero or
+    not finite is the error, before any later batch is embedded; a dimension
+    mismatch, within a ragged batch or across batches, is reported after the
+    last batch.
     """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
@@ -308,9 +352,9 @@ def build_index(
     for start in range(0, len(examples), batch_size):
         rows = _embed(examples.texts[start : start + batch_size], embedding_provider)
         norms = _norms(rows, lambda row: f"example {examples.ids[start + row]!r}")
-        dims.update(row.shape[0] for row in rows)
+        dims |= _dimensions(rows)
         if matrix is None:
-            matrix = np.empty((len(examples), rows[0].shape[0]))
+            matrix = np.empty((len(examples), len(rows[0])))
         if dims == {matrix.shape[1]}:
             np.divide(rows, norms[:, None], out=matrix[start : start + len(rows)])
     if len(dims) != 1:

@@ -15,6 +15,7 @@ from eventpipe.cli import main
 from eventpipe.llm import ScriptedMockLlm
 from eventpipe.pipeline import ARTIFACT_NAMES, ROW_FIELDS, Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index
+from test_pipeline import GOLDEN_DIGESTS, digests
 from test_retrieval import json_lines_index
 
 
@@ -606,6 +607,39 @@ class TestExitCodes:
         path, lineno = damage_replayed_row(corpus.output_dir, stage, lambda row: row[key].append(event))
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         assert (code, err) == (3, f"error: {path}: line {lineno}: record 'seg-005': {message}\n")
+
+    @staticmethod
+    def _rewrite_line(path, lineno, change):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[lineno - 1])
+        change(record)
+        lines[lineno - 1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_rows_the_resumed_run_overwrites_are_not_checked(self, tmp_path, capsys):
+        # The gate is recomputed, so every later stage is too: final.jsonl's
+        # rows are overwritten, and a defect in them is no error.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
+        (corpus.output_dir / ARTIFACT_NAMES["gate"]).unlink()
+        self._rewrite_line(
+            corpus.output_dir / ARTIFACT_NAMES["final"], 2, lambda row: row.update(event="nope")
+        )
+        code, out, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
+        assert (code, err) == (0, "")
+        assert "resumed stages" not in out
+        assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("stage", ["triggers", "arguments", "final"])
+    def test_foreign_config_hash_behind_a_recomputed_stage_aborts(self, tmp_path, capsys, stage):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
+        (corpus.output_dir / ARTIFACT_NAMES["gate"]).unlink()
+        path = corpus.output_dir / ARTIFACT_NAMES[stage]
+        self._rewrite_line(path, 1, lambda header: header.update(config_hash="foreign"))
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
+        assert code == 2
+        assert err.startswith(f"error: {path}: artifact config hash 'foreign' does not match")
 
     def test_artifact_header_that_is_not_an_object_is_an_input_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")

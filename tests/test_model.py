@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventpipe.cli import cmd_format
@@ -18,6 +18,7 @@ from eventpipe.model import (
     Ontology,
     Segment,
     ValidationError,
+    _decode_line,
     check_event,
     iter_json_records,
     load_gold,
@@ -407,6 +408,61 @@ ROW_LOADERS = {
         lambda p: read_artifact(p, "gate", "h", "i", load_ontology()),
     ),
 }
+
+
+# JSON whitespace, whitespace that JSON does not skip, a BOM, garbage, and
+# bare tokens that are JSON only to Python's decoder (NaN, Infinity).
+_LINE_PIECES = [
+    "", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000",
+    "\ufeff", "x", "}", "]", ",", "0", '"', "{", "NaN", "Infinity", "-Infinity", "nan", "null",
+    "tru", "1e400", "-0", "01", '"\\ud800"', '"\\u00e9"',
+]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_line_bodies = (
+    st.builds(json.dumps, _json_values)
+    | st.builds(lambda v: json.dumps(v, indent=1), _json_values)
+    | st.lists(st.sampled_from(_LINE_PIECES), max_size=4).map("".join)
+    | st.text(max_size=6)
+)
+_lines = st.tuples(
+    st.lists(st.sampled_from(_LINE_PIECES), max_size=3).map("".join),
+    _line_bodies,
+    st.lists(st.sampled_from(_LINE_PIECES), max_size=3).map("".join),
+).map("".join)
+
+
+def _decoded(decode, line):
+    """repr of decode(line), which tells NaN, -0.0 and 1.0 from 1 apart; or the error's type."""
+    try:
+        return repr(decode(line))
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+class TestDecodeLine:
+    @settings(max_examples=1000, deadline=None)
+    @given(line=_lines)
+    def test_accepts_and_decodes_exactly_what_json_loads_does(self, line):
+        assert _decoded(_decode_line, line) == _decoded(json.loads, line)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["", " ", "\n", "\ufeff{}", "{} x", "{}\x0b", "\xa0{}", "[1] [2]", " \t{}\r\n", "NaN\n"],
+    )
+    def test_edge_lines_match_json_loads(self, line):
+        assert _decoded(_decode_line, line) == _decoded(json.loads, line)
+
+    def test_extra_data_is_reported_where_json_loads_reports_it(self):
+        with pytest.raises(json.JSONDecodeError) as got:
+            _decode_line('{"a": 1}  \t x\n')
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads('{"a": 1}  \t x\n')
+        assert (got.value.msg, got.value.pos) == (want.value.msg, want.value.pos)
 
 
 class TestRowCodec:

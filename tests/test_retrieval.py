@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -301,6 +302,40 @@ def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
     return np.vstack(rows)
 
 
+def _per_row_norms(rows, what):
+    """_norms's original loop: one row.dot(row) per row, then the same checks."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt([row.dot(row) for row in rows])
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 1e-6)))
+    if bad.size:
+        zero = norms[bad[0]] <= 1e-6
+        problem = "zero embedding vector" if zero else "embedding vector norm is not finite"
+        raise EmbeddingError(f"{what(bad[0])}: {problem}")
+    return norms
+
+
+@st.composite
+def _norm_matrices(draw):
+    """A C-contiguous float64 matrix whose rows span subnormal to near-overflow magnitudes.
+
+    Each row has its own binary exponent, from float64's smallest subnormal
+    (2**-1074) to 2**1023; some rows are zero, and some hold an inf or a NaN.
+    """
+    n = draw(st.integers(1, 6))
+    dimension = draw(st.sampled_from([1, 2, 7, 8, 64, 383, 384, 385, 1024, 1100]) | st.integers(1, 1100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = [draw(st.integers(-1074, 1023) | st.sampled_from([-1074, -1022, 0, 511, 512, 1023])) for _ in range(n)]
+    with np.errstate(over="ignore", under="ignore"):
+        matrix = np.ldexp(rng.uniform(-1.0, 1.0, (n, dimension)), np.array(exponents)[:, None])
+    for row in range(n):
+        special = draw(st.sampled_from([None] * 6 + [0.0, np.inf, -np.inf, np.nan]))
+        if special == 0.0:
+            matrix[row] = 0.0
+        elif special is not None:
+            matrix[row, draw(st.integers(0, dimension - 1))] = special
+    return np.ascontiguousarray(matrix)
+
+
 def _outcome(build):
     """The built matrix, or the message of the EmbeddingError raised instead."""
     try:
@@ -371,6 +406,32 @@ class TestHashedBagEmbedder:
             sys.setswitchinterval(interval)
         for start, vecs in enumerate(got):
             assert all(np.array_equal(g, w) for g, w in zip(vecs, want[start::8]))
+
+    def test_hashes_only_the_tokens_it_lacks(self, monkeypatch):
+        hashed = []
+        bucket = HashedBagEmbedder._bucket
+
+        def counting_bucket(self, token):
+            hashed.append(token)
+            return bucket(self, token)
+
+        monkeypatch.setattr(HashedBagEmbedder, "_bucket", counting_bucket)
+        embedder = HashedBagEmbedder(dimension=16)
+        embedder.embed_batch(["the war began", "The WAR began again"])
+        assert sorted(hashed) == ["again", "began", "the", "war"]
+        hashed.clear()
+        warm = embedder.embed_batch(["war the", "again began the war"])
+        assert hashed == []
+        cold = embedder.embed_batch(["the war ended", "began again"])
+        assert hashed == ["ended"]
+        assert np.array_equal(warm, _per_token_embed_batch(16, ["war the", "again began the war"]))
+        assert np.array_equal(cold, _per_token_embed_batch(16, ["the war ended", "began again"]))
+
+    def test_a_batch_is_one_count_matrix(self):
+        counts = HashedBagEmbedder(dimension=8).embed_batch(["a b", "c", ""])
+        assert counts.shape == (3, 8) and counts.dtype == np.float64
+        assert counts.flags.c_contiguous
+        assert HashedBagEmbedder(dimension=8).embed_batch([]).shape == (0, 8)
 
     def test_deterministic_across_instances(self):
         a = HashedBagEmbedder(dimension=32).embed_batch(["the war began"])[0]
@@ -504,6 +565,58 @@ class TestBuildIndex:
         got = _outcome(lambda: build_index(rows, HashedBagEmbedder(dimension)).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, HashedBagEmbedder(dimension)))
         assert _same_outcome(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=_norm_matrices())
+    def test_norms_are_bit_identical_to_the_per_row_loop(self, matrix):
+        def what(row):
+            return f"row {row}"
+
+        want = _outcome(lambda: _per_row_norms(matrix, what))
+        got = _outcome(lambda: retrieval._norms(matrix, what))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_list_of_vectors_becomes_one_matrix(self):
+        class Listed:
+            def embed_batch(self, texts):
+                return [[1.0, 2.0], np.array([3.0, 4.0], dtype=np.float32), (0.0, 5.0)]
+
+        got = embed_texts(["a", "b", "c"], Listed())
+        assert got.shape == (3, 2) and got.flags.c_contiguous
+        matrix = np.arange(6.0).reshape(3, 2)
+
+        class Matrix:
+            def embed_batch(self, texts):
+                return matrix
+
+        assert retrieval._embed(["a", "b", "c"], Matrix()) is matrix  # used as it is, no copy
+        want = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 5.0]]) / np.array([[5**0.5], [5.0], [5.0]])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_ragged_reply_is_a_dimension_mismatch(self):
+        with pytest.raises(EmbeddingError, match=r"dimension mismatch across texts: \[2, 3\]"):
+            embed_texts(["a", "b"], _VectorsByText({"a": (1.0, 2.0)}))
+
+    def test_memory_holds_the_matrix_and_a_few_batches(self):
+        # Embedding the whole support set at once would add another matrix.
+        n, dimension = 2000, 384
+        examples = labeled_rows(
+            LabeledSegment(f"ex-{i:04d}", f"text {i % 97} word{i % 31} row {i % 7}")
+            for i in range(n)
+        )
+        embedder = HashedBagEmbedder(dimension)
+        build_index(examples[:300], embedder)  # warms the memo, which is not the index's
+        tracemalloc.start()
+        try:
+            index = build_index(examples, embedder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix, batch = index.vectors.nbytes, 256 * dimension * 8
+        assert matrix <= peak <= matrix + 3 * batch
 
     @pytest.mark.parametrize(
         "texts,table",
