@@ -25,7 +25,6 @@ from .gate import (
 from .llm import CacheError, MockMissError
 from .model import (
     DatasetError,
-    ValidationError,
     load_gold,
     load_ontology,
     read_rows,
@@ -224,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _ERROR_CODES = (
     (EXIT_CONFIG, (ConfigError, GateError, TemplateError)),
-    (EXIT_INPUT, (DatasetError, ValidationError, OSError)),
+    (EXIT_INPUT, (DatasetError, OSError)),
     (EXIT_PROVIDER, (ProviderError, MockMissError, CacheError, EmbeddingError)),
     (EXIT_VERIFICATION, (VerdictError, EvaluationError)),
 )

@@ -34,7 +34,6 @@ __all__ = [
     "Lines",
     "Ontology",
     "Segment",
-    "ValidationError",
     "check_event",
     "check_rows",
     "default_ontology_path",
@@ -58,11 +57,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 class DatasetError(ValueError):
-    """Malformed input file (bad JSON, missing fields, duplicate ids)."""
-
-
-class ValidationError(ValueError):
-    """Record contradicts the ontology or a type invariant."""
+    """Malformed input: bad JSON, missing fields, duplicate ids, or a record the ontology rejects."""
 
 
 # An input file's bytes as an iterable of lines (a binary file, say). A loader
@@ -112,7 +107,7 @@ class Segment:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise ValidationError("segment id must be nonempty")
+            raise DatasetError("segment id must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class Ontology:
         object.__setattr__(self, "type_set", frozenset(self.event_types))
         for etype in self.roles_by_type:
             if etype not in self.type_set:
-                raise ValidationError(
+                raise DatasetError(
                     f"ontology maps roles for unknown event type {etype!r}"
                 )
         role_sets = {etype: frozenset(roles) for etype, roles in self.roles_by_type.items()}
@@ -315,9 +310,9 @@ def check_event(obj: Any, record_id: str, ontology: Ontology) -> dict:
     """The event entry obj, checked, as a new {"trigger", "type", "arguments"} dict.
 
     Each argument becomes {"name": str(name), "role": str(role)}; an absent
-    argument list is empty. A malformed entry is a DatasetError; a blank
-    argument name or role, or a type or role the ontology does not permit, is
-    a ValidationError. Both name the record.
+    argument list is empty. A malformed entry, a blank argument name or role,
+    or a type or role the ontology does not permit, is a DatasetError naming
+    the record.
     """
     return _event_dict(_checked_event(obj, record_id, ontology))
 
@@ -354,16 +349,16 @@ def _checked_event(obj: Any, record_id: str, ontology: Ontology) -> Event:
         # strip() empties exactly the strings normalize() empties: both use
         # one whitespace table, and lower() never empties a string.
         if not name.strip():
-            raise ValidationError(f"record {record_id!r}: argument name must be nonempty")
+            raise DatasetError(f"record {record_id!r}: argument name must be nonempty")
         if not role.strip():
-            raise ValidationError(f"record {record_id!r}: argument role must be nonempty")
+            raise DatasetError(f"record {record_id!r}: argument role must be nonempty")
         args += name, role
     if etype not in ontology.type_set:
-        raise ValidationError(f"record {record_id!r}: unknown event type {etype!r}")
+        raise DatasetError(f"record {record_id!r}: unknown event type {etype!r}")
     allowed = ontology.role_set_for(etype)
     for role in args[1::2]:
         if role not in allowed:
-            raise ValidationError(
+            raise DatasetError(
                 f"record {record_id!r}: role {role!r} is not permitted "
                 f"for event type {etype!r}"
             )
@@ -373,7 +368,8 @@ def _checked_event(obj: Any, record_id: str, ontology: Ontology) -> Event:
 def load_gold(path: str | Path, ontology: Ontology, *, data: Lines | None = None) -> LabeledRows:
     """Load and validate a gold file (JSON array or JSON-lines of id/event records).
 
-    Every event is checked as the file is read. Gold event lists are preserved
+    Every event is checked as the file is read; a bad record is a DatasetError
+    naming the file, the line and the record. Gold event lists are preserved
     in file order. A record may optionally carry a ``text`` field; absent text
     defaults to the empty string and is expected to be joined from a
     transcript file by id.
@@ -381,30 +377,39 @@ def load_gold(path: str | Path, ontology: Ontology, *, data: Lines | None = None
     ids: list[str] = []
     texts: list[str] = []
     events: list[tuple[Event, ...]] = []
-    for _, rec in read_rows(path, data=data):
+    for lineno, rec in read_rows(path, data=data):
         rid = str(rec["id"])
-        raw_events = rec.get("event", [])
-        if not isinstance(raw_events, list):
-            raise DatasetError(f"record {rid!r}: 'event' must be a list")
-        events.append(tuple([_checked_event(obj, rid, ontology) for obj in raw_events]))
-        text = rec.get("text", "")
-        if not isinstance(text, str):
-            raise DatasetError(f"record {rid!r}: 'text' must be a string")
-        if not rid:
-            raise ValidationError("segment id must be nonempty")
+        try:
+            raw_events = rec.get("event", [])
+            if not isinstance(raw_events, list):
+                raise DatasetError(f"record {rid!r}: 'event' must be a list")
+            events.append(tuple([_checked_event(obj, rid, ontology) for obj in raw_events]))
+            text = rec.get("text", "")
+            if not isinstance(text, str):
+                raise DatasetError(f"record {rid!r}: 'text' must be a string")
+            if not rid:
+                raise DatasetError("segment id must be nonempty")
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
         ids.append(rid)
         texts.append(text)
     return LabeledRows(tuple(ids), tuple(texts), tuple(events))
 
 
 def load_transcripts(path: str | Path, *, data: Lines | None = None) -> list[Segment]:
-    """Load a transcript file: JSON-lines {"id": string, "text": string}."""
+    """Load a transcript file: JSON-lines {"id": string, "text": string}.
+
+    A bad record is a DatasetError naming the file and the line.
+    """
     out: list[Segment] = []
-    for _, rec in read_rows(path, ("text",), data):
+    for lineno, rec in read_rows(path, ("text",), data):
         rid = str(rec["id"])
         text = rec["text"]
-        if not isinstance(text, str):
-            raise DatasetError(f"{path}: record {rid!r}: 'text' must be a string")
-        out.append(Segment(id=rid, text=text))
+        try:
+            if not isinstance(text, str):
+                raise DatasetError(f"record {rid!r}: 'text' must be a string")
+            out.append(Segment(id=rid, text=text))
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return out
 

@@ -74,7 +74,6 @@ from .model import (
     LabeledRows,
     Ontology,
     Segment,
-    ValidationError,
     check_event,
     check_rows,
     iter_json_records,
@@ -86,6 +85,7 @@ from .model import (
 )
 from .prompts import PromptBundle, Template, load_template
 from .retrieval import (
+    EmbeddingProvider,
     Hits,
     SupportIndex,
     build_index,
@@ -96,7 +96,6 @@ from .retrieval import (
 )
 
 __all__ = [
-    "CountingEmbedder",
     "CountingLlm",
     "Pipeline",
     "ResumeError",
@@ -203,7 +202,7 @@ def read_artifact(
                     raise DatasetError(f"record {row['id']!r}: {name!r} must be {kind}")
             for obj in row[key] if key else ():
                 check_event(obj, row["id"], ontology)
-        except (DatasetError, ValidationError) as exc:
+        except DatasetError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
         rows.append(row)
     return rows
@@ -225,20 +224,6 @@ class CountingLlm(LlmProvider):
         with self._lock:
             self.counts[bundle.stage] += 1
         return self.inner.complete(bundle)
-
-
-class CountingEmbedder:
-    """Wrapper that counts texts sent to the embedding provider."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.texts_embedded = 0
-        self._lock = threading.Lock()
-
-    def embed_batch(self, texts):
-        with self._lock:
-            self.texts_embedded += len(texts)
-        return self.inner.embed_batch(texts)
 
 
 # RunResult fields that run.json leaves out: where the outputs went, the
@@ -303,8 +288,9 @@ class Pipeline:
     """One configured run over one corpus, with stage-level resume.
 
     A Pipeline serves one run: a second run() raises. Its lazy resources
-    (ontology, support, gold, cache, embedder and index, cached properties
-    built on first access, and the providers) may be loaded before the run.
+    (ontology, support, gold, cache, the embedding provider and the index,
+    cached properties built on first access, and the LLM providers) may be
+    loaded before the run. The Pipeline counts the texts it embeds itself.
     """
 
     def __init__(self, config: PipelineConfig, *, resume: bool = False):
@@ -313,6 +299,9 @@ class Pipeline:
         self.out_dir = Path(config.output_dir)
         self.config_hash = config.config_hash()
         self._providers: dict[str, CountingLlm] = {}
+        # Texts passed to the embedder: the support set when the index is
+        # built, and the query texts. Both are counted on the calling thread.
+        self._texts_embedded = 0
         # sha256 of the bytes read from each input file, by path (None: absent).
         self._digests: dict[str, str | None] = {}
         # Bytes read for the inputs digest that no loader has taken yet, by path.
@@ -408,8 +397,8 @@ class Pipeline:
         return self._providers[key]
 
     @cached_property
-    def embedder(self) -> CountingEmbedder:
-        return CountingEmbedder(build_embedding_provider(self.config.embedding))
+    def embedder(self) -> EmbeddingProvider:
+        return build_embedding_provider(self.config.embedding)
 
     def support_examples(self) -> LabeledRows:
         """Support rows whose text normalizes to something (strip() tells the same)."""
@@ -433,6 +422,7 @@ class Pipeline:
         index = load_index(index_path, examples, embedding=embedding) if saved else None
         if index is None:
             index = build_index(examples, self.embedder)
+            self._texts_embedded += len(examples)
             if index_path:
                 save_index(index, index_path, embedding=embedding)
         return index
@@ -511,6 +501,7 @@ class Pipeline:
         ]
         if not wanted:
             return {}
+        self._texts_embedded += len(wanted)
         vectors = embed_texts([seg.text for seg in wanted], self.embedder)
         by_type = cfg.same_type_filter and "arguments" in computed
         hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type, pool=pool)
@@ -670,9 +661,7 @@ class Pipeline:
             result.report_path = report_path
 
         result.provider_calls = self._collect_calls()
-        # vars(): a run that embedded nothing builds no embedder to ask.
-        embedder = vars(self).get("embedder")
-        result.texts_embedded = embedder.texts_embedded if embedder else 0
+        result.texts_embedded = self._texts_embedded
         result.finished_at = time.time()
         write_json(self.out_dir / "run.json", result.to_dict())
         return result

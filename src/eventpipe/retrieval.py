@@ -48,7 +48,10 @@ Set-up works on whole batches. ``build_index`` embeds 256 texts per
 embed_batch call, turns each reply into one (n, D) float64 matrix (the
 hashed embedder's count matrix as it is), takes every row's norm in one
 stacked product (``_norms``) and divides the batch into the preallocated
-index matrix, so no more than a batch or two is held beside it.
+index matrix, so no more than a batch or two is held beside it. Queries
+take the same path (``embed_texts``), and both check a reply in one order:
+its dimensions, then its norms. A reply whose vectors differ in length, or
+whose D is not the first batch's, stops the build at that batch.
 """
 from __future__ import annotations
 
@@ -114,7 +117,8 @@ class EmbeddingProvider(Protocol):
     """What embeds texts: one vector per text, in text order.
 
     A reply may be an (n, D) array or a sequence of n vectors (arrays or
-    lists of numbers); it is read as one float64 matrix.
+    lists of numbers); it is read as one float64 matrix. Vectors of
+    differing lengths are an EmbeddingError.
     """
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray | Sequence[np.ndarray]:
@@ -226,14 +230,12 @@ def _reply_vector(value, position: int) -> np.ndarray:
     )
 
 
-def _embed(
-    texts: Sequence[str], embedding_provider: EmbeddingProvider
-) -> np.ndarray | list[np.ndarray]:
+def _embed(texts: Sequence[str], embedding_provider: EmbeddingProvider, items: str) -> np.ndarray:
     """One embed_batch call's vectors for texts, as one C-contiguous float64 (n, D) matrix.
 
     The matrix is the reply itself when it is one already (the hashed
-    embedder's), else one np.asarray copy of its vectors. A ragged reply,
-    whose vectors differ in length, comes back as a list of its vectors.
+    embedder's), else one np.asarray copy of its vectors. Vectors of
+    differing lengths are a dimension mismatch across `items`.
     """
     vecs = embedding_provider.embed_batch(list(texts))
     if len(vecs) != len(texts):
@@ -245,31 +247,30 @@ def _embed(
     try:
         matrix = np.asarray(vecs, dtype=np.float64)
     except ValueError:  # vectors of differing lengths, or not numbers
-        return [np.ascontiguousarray(vec, dtype=np.float64) for vec in vecs]
+        dims = {len(vec) for vec in vecs}
+        if len(dims) == 1:
+            raise
+        raise _mismatch(items, dims) from None
+    if matrix.ndim != 2:
+        raise EmbeddingError(f"embedding provider returned an array of shape {matrix.shape}")
     return np.ascontiguousarray(matrix)
 
 
-def _dimensions(rows: np.ndarray | list[np.ndarray]) -> set[int]:
-    """The lengths of the vectors of _embed's reply."""
-    return {rows.shape[1]} if isinstance(rows, np.ndarray) else {len(row) for row in rows}
+def _mismatch(items: str, dims: set[int]) -> EmbeddingError:
+    return EmbeddingError(f"embedding dimension mismatch across {items}: {sorted(dims)}")
 
 
-def _norms(rows: np.ndarray | list[np.ndarray], what: Callable[[int], str]) -> np.ndarray:
+def _norms(rows: np.ndarray, what: Callable[[int], str]) -> np.ndarray:
     """Each row's L2 norm as ``np.linalg.norm`` computes it: ``sqrt(row.dot(row))``.
 
-    Every ``row.dot(row)`` of a matrix is one stacked ``np.matmul`` of
+    Every ``row.dot(row)`` of the matrix is one stacked ``np.matmul`` of
     (1, D) by (D, 1) products, which runs the same vector-dot kernel as
     ``row.dot(row)`` and so rounds the same; a vectorized sum of squares
-    (``einsum("ij,ij->i")``, say) could round differently. A ragged reply's
-    rows are dotted one by one. The first zero or non-finite norm is an
-    EmbeddingError naming what(row).
+    (``einsum("ij,ij->i")``, say) could round differently. The first zero or
+    non-finite norm is an EmbeddingError naming what(row).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
-        if isinstance(rows, np.ndarray):
-            squares = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
-        else:
-            squares = [row.dot(row) for row in rows]
-        norms = np.sqrt(squares)
+        norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows)))
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > _NORM_TOL)))
     if bad.size:
         zero = norms[bad[0]] <= _NORM_TOL
@@ -280,10 +281,7 @@ def _norms(rows: np.ndarray | list[np.ndarray], what: Callable[[int], str]) -> n
 
 def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> np.ndarray:
     """Embed texts with one embed_batch call: an (n, D) matrix of unit-norm rows."""
-    rows = _embed(texts, embedding_provider)
-    dims = _dimensions(rows)
-    if len(dims) > 1:
-        raise EmbeddingError(f"embedding dimension mismatch across texts: {sorted(dims)}")
+    rows = _embed(texts, embedding_provider, "texts")
     norms = _norms(rows, lambda row: f"text {texts[row][:40]!r}")
     return np.divide(rows, norms[:, None])
 
@@ -335,10 +333,10 @@ def build_index(
     Repeatable: the same examples and provider produce identical contents.
     Each embedding batch is one matrix, normalized at once (see ``_norms``)
     and divided straight into one preallocated (N, D) matrix, so the support
-    set is held once and never stacked. The first row whose norm is zero or
-    not finite is the error, before any later batch is embedded; a dimension
-    mismatch, within a ragged batch or across batches, is reported after the
-    last batch.
+    set is held once and never stacked. The first batch that shows an error
+    raises it, and no later batch is embedded: within a batch, a dimension
+    mismatch (a ragged reply, or a D other than the first batch's) comes
+    before the first row whose norm is zero or not finite.
     """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
@@ -348,17 +346,14 @@ def build_index(
             raise EmbeddingError(f"duplicate example id {example_id!r}")
         seen.add(example_id)
     matrix: np.ndarray | None = None
-    dims: set[int] = set()
     for start in range(0, len(examples), batch_size):
-        rows = _embed(examples.texts[start : start + batch_size], embedding_provider)
-        norms = _norms(rows, lambda row: f"example {examples.ids[start + row]!r}")
-        dims |= _dimensions(rows)
+        rows = _embed(examples.texts[start : start + batch_size], embedding_provider, "examples")
         if matrix is None:
-            matrix = np.empty((len(examples), len(rows[0])))
-        if dims == {matrix.shape[1]}:
-            np.divide(rows, norms[:, None], out=matrix[start : start + len(rows)])
-    if len(dims) != 1:
-        raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
+            matrix = np.empty((len(examples), rows.shape[1]))
+        elif rows.shape[1] != matrix.shape[1]:
+            raise _mismatch("examples", {matrix.shape[1], rows.shape[1]})
+        norms = _norms(rows, lambda row: f"example {examples.ids[start + row]!r}")
+        np.divide(rows, norms[:, None], out=matrix[start : start + len(rows)])
     return SupportIndex(examples, matrix)
 
 

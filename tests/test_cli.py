@@ -68,9 +68,9 @@ class TestRun:
 
 
 class TestSupportValidation:
-    """Every support row is checked when the support set loads, retrieved or not."""
+    """Every support or gold row is checked when its file loads, retrieved or scored or not."""
 
-    @pytest.mark.parametrize("form", ["lines", "array"])
+    @pytest.mark.parametrize("form", ["lines", "array", "gold-lines", "gold-array"])
     @pytest.mark.parametrize(
         "event,message",
         [
@@ -94,21 +94,26 @@ class TestSupportValidation:
     def test_bad_row_that_no_segment_retrieves_stops_the_run_before_any_provider_call(
         self, tmp_path, capsys, monkeypatch, form, event, message
     ):
+        # The bad row goes into the support file, or into the gold file when
+        # form names it; there, a row that no transcript has is never scored.
         corpus = build_golden_corpus(tmp_path / "corpus")
-        rows = [json.loads(line) for line in corpus.support_path.read_text().splitlines()]
+        file, _, form = form.rpartition("-")
+        path = corpus.gold_path if file == "gold" else corpus.support_path
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
         # A blank text is never indexed, so no segment can retrieve this row.
-        rows.insert(len(rows) // 2, {"id": "unretrieved", "text": "", "event": [event]})
+        line = len(rows) // 2 + 1
+        rows.insert(line - 1, {"id": "unretrieved", "text": "", "event": [event]})
         if form == "lines":
-            corpus.support_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         else:
-            corpus.support_path.write_text(json.dumps(rows, indent=1))
+            path.write_text(json.dumps(rows, indent=1))
         calls = []
         complete = ScriptedMockLlm.complete
         monkeypatch.setattr(
             ScriptedMockLlm, "complete", lambda self, b: calls.append(b) or complete(self, b)
         )
         code, out, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
-        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert (code, out, err) == (3, "", f"error: {path}: line {line}: {message}\n")
         assert calls == []
 
 

@@ -583,8 +583,8 @@ class TestRetrieveExamples:
         pipeline = Pipeline(corpus.config)
         pipeline.index  # noqa: B018 - embeds the support set first
         queries = []
-        embed_batch = pipeline.embedder.inner.embed_batch
-        pipeline.embedder.inner.embed_batch = lambda texts: queries.append(texts) or embed_batch(texts)
+        embed_batch = pipeline.embedder.embed_batch
+        pipeline.embedder.embed_batch = lambda texts: queries.append(texts) or embed_batch(texts)
         pipeline.run(until="triggers")
         gated_in = [
             json.loads(line) for line in (corpus.output_dir / "gate.jsonl").read_text().splitlines()[1:]

@@ -17,7 +17,6 @@ from eventpipe.model import (
     LabeledSegment,
     Ontology,
     Segment,
-    ValidationError,
     _decode_line,
     check_event,
     iter_json_records,
@@ -105,7 +104,7 @@ class TestOntology:
             load_ontology(path)
 
     def test_construction_rejects_roles_for_unknown_type(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DatasetError):
             Ontology(event_types=("Elect",), roles_by_type={"Attack": ("Place",)})
 
 
@@ -138,7 +137,7 @@ class TestEventValidation:
 
     def test_unknown_type_rejected(self, ontology):
         ev = {"trigger": "x", "type": "Elected", "arguments": []}
-        with pytest.raises(ValidationError, match="record 'seg-x': unknown event type 'Elected'"):
+        with pytest.raises(DatasetError, match="record 'seg-x': unknown event type 'Elected'"):
             check_event(ev, "seg-x", ontology)
 
     def test_role_not_permitted_for_type_rejected(self, ontology):
@@ -148,19 +147,19 @@ class TestEventValidation:
             "arguments": [{"name": "village", "role": "Attacker"}],
         }
         with pytest.raises(
-            ValidationError,
+            DatasetError,
             match="record 'seg-x': role 'Attacker' is not permitted for event type 'Elect'",
         ):
             check_event(ev, "seg-x", ontology)
 
     def test_blank_argument_name_rejected(self, ontology):
         ev = {"trigger": "x", "type": "Elect", "arguments": [{"name": "", "role": "Person"}]}
-        with pytest.raises(ValidationError, match="record 'seg-x': argument name must be nonempty"):
+        with pytest.raises(DatasetError, match="record 'seg-x': argument name must be nonempty"):
             check_event(ev, "seg-x", ontology)
 
     def test_blank_argument_role_rejected(self, ontology):
         ev = {"trigger": "x", "type": "Elect", "arguments": [{"name": "man", "role": "  "}]}
-        with pytest.raises(ValidationError, match="record 'seg-x': argument role must be nonempty"):
+        with pytest.raises(DatasetError, match="record 'seg-x': argument role must be nonempty"):
             check_event(ev, "seg-x", ontology)
 
     def test_shape_is_checked_before_the_ontology(self, ontology):
@@ -170,7 +169,7 @@ class TestEventValidation:
             check_event(ev, "seg-x", ontology)
 
     def test_empty_segment_id_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DatasetError):
             Segment(id="", text="hello")
 
     def test_gold_loader_rejects_blank_trigger(self, tmp_path, ontology):
@@ -232,14 +231,49 @@ class TestLoaders:
             path,
             [{"id": "bad-seg", "event": [{"trigger": "x", "type": "NotAType"}]}],
         )
-        with pytest.raises((DatasetError, ValidationError), match="bad-seg"):
+        with pytest.raises(DatasetError, match="bad-seg"):
             load_gold(path, ontology)
 
     def test_load_gold_rejects_an_empty_id(self, tmp_path, ontology):
         path = tmp_path / "gold.jsonl"
         self._write(path, [{"id": "a", "event": []}, {"id": "", "event": []}])
-        with pytest.raises(ValidationError, match="^segment id must be nonempty$"):
+        with pytest.raises(DatasetError) as raised:
             load_gold(path, ontology)
+        assert str(raised.value) == f"{path}: line 2: segment id must be nonempty"
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"id": "b", "event": {}}, "record 'b': 'event' must be a list"),
+            ({"id": "b", "text": 5}, "record 'b': 'text' must be a string"),
+            (
+                {"id": "b", "event": [{"trigger": "x", "type": "NotAType"}]},
+                "record 'b': unknown event type 'NotAType'",
+            ),
+        ],
+        ids=["event", "text", "type"],
+    )
+    def test_a_bad_gold_row_names_the_file_and_the_line(self, tmp_path, ontology, record, message):
+        path = tmp_path / "gold.jsonl"
+        self._write(path, [{"id": "a", "event": []}, record])
+        with pytest.raises(DatasetError) as raised:
+            load_gold(path, ontology)
+        assert str(raised.value) == f"{path}: line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"id": "", "text": "x"}, "segment id must be nonempty"),
+            ({"id": "b", "text": 5}, "record 'b': 'text' must be a string"),
+        ],
+        ids=["empty-id", "text"],
+    )
+    def test_a_bad_transcript_row_names_the_file_and_the_line(self, tmp_path, record, message):
+        path = tmp_path / "t.jsonl"
+        self._write(path, [{"id": "a", "text": "x"}, record])
+        with pytest.raises(DatasetError) as raised:
+            load_transcripts(path)
+        assert str(raised.value) == f"{path}: line 2: {message}"
 
     def test_load_gold_malformed_json_reports_line(self, tmp_path, ontology):
         path = tmp_path / "gold.jsonl"

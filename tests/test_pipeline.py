@@ -810,8 +810,8 @@ class TestTwoPhases:
         pipeline = Pipeline(golden_corpus.config)
         pipeline.index  # noqa: B018 - embeds the support set first
         calls = []
-        embed_batch = pipeline.embedder.inner.embed_batch
-        pipeline.embedder.inner.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
+        embed_batch = pipeline.embedder.embed_batch
+        pipeline.embedder.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
         result = pipeline.run()
         gate_rows = read_artifact(
             golden_corpus.output_dir / "gate.jsonl",
@@ -833,8 +833,8 @@ class TestTwoPhases:
         pipeline = Pipeline(corpus.config, resume=True)
         pipeline.index  # noqa: B018 - embeds the support set first
         calls = []
-        embed_batch = pipeline.embedder.inner.embed_batch
-        pipeline.embedder.inner.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
+        embed_batch = pipeline.embedder.embed_batch
+        pipeline.embedder.embed_batch = lambda texts: calls.append(texts) or embed_batch(texts)
         result = pipeline.run(until="arguments")
         assert result.resumed_stages == ["gate", "triggers"]
         trigger_rows = read_artifact(
@@ -945,7 +945,7 @@ class TestTwoPhases:
     ):
         pipeline = Pipeline(golden_corpus.config)
         pipeline.index  # noqa: B018 - embeds the support set first
-        pipeline.embedder.inner.embed_batch = lambda texts: [
+        pipeline.embedder.embed_batch = lambda texts: [
             np.ones(dimensions[i % 2]) for i in range(len(texts))
         ]
         with pytest.raises(EmbeddingError, match=message):
@@ -1039,10 +1039,12 @@ class TestSupportIndex:
     def test_current_index_is_loaded_without_embedding(self, tmp_path):
         _, config = self._indexed(tmp_path)
         built = Pipeline(config)
-        assert len(built.index) == 12 and built.embedder.texts_embedded == 12
+        assert len(built.index) == 12 and built._texts_embedded == 12
         loaded = Pipeline(config)
         assert np.array_equal(loaded.index.vectors, built.index.vectors)
-        assert loaded.embedder.texts_embedded == 0
+        assert loaded._texts_embedded == 0
+        # The run embeds only its 10 queries, shared by the trigger and argument stages.
+        assert loaded.run().texts_embedded == 10
 
     def test_swapped_support_texts_make_the_run_rebuild(self, tmp_path):
         corpus, config = self._indexed(tmp_path)
@@ -1073,7 +1075,7 @@ class TestSupportIndex:
         examples = Pipeline(config).support_examples()
         assert load_index(path, examples, embedding=config.embedding.to_dict()) is None
         rebuilt = Pipeline(config)
-        assert len(rebuilt.index) == 12 and rebuilt.embedder.texts_embedded == 12
+        assert len(rebuilt.index) == 12 and rebuilt._texts_embedded == 12
         self._assert_saved_index_is_fresh(config)
 
     def test_set_up_calls_the_functions_the_benchmark_times(self, golden_corpus, monkeypatch):
@@ -1100,5 +1102,5 @@ class TestSupportIndex:
     def test_pipelines_do_not_share_the_token_memo(self, golden_corpus):
         first, second = Pipeline(golden_corpus.config), Pipeline(golden_corpus.config)
         first.index  # noqa: B018 - embeds the support set
-        assert first.embedder.inner._codes
-        assert second.embedder.inner._codes == {}
+        assert first.embedder._codes
+        assert second.embedder._codes == {}

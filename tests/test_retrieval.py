@@ -276,7 +276,11 @@ def _per_token_embed_batch(dimension, texts):
 
 
 def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
-    """build_index's original assembly over LabeledSegments: rows / np.linalg.norm, np.vstack."""
+    """build_index's original assembly over LabeledSegments: rows / np.linalg.norm, np.vstack.
+
+    Each batch's dimensions are checked before its norms: a ragged batch, or
+    one whose D is not the first batch's, stops the build.
+    """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
     seen = set()
@@ -288,6 +292,11 @@ def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]
         vecs = embedding_provider.embed_batch([ex.text for ex in chunk])
+        dims = {len(vec) for vec in vecs}
+        if len(dims) == 1 and rows:  # a uniform batch against the first batch's D
+            dims.add(len(rows[0]))
+        if len(dims) > 1:
+            raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
         for ex, vec in zip(chunk, vecs):
             vec = np.asarray(vec, dtype=np.float64)
             norm = float(np.linalg.norm(vec))
@@ -296,9 +305,6 @@ def _unit_and_vstack_index(examples, embedding_provider, batch_size=256):
             if not np.isfinite(norm):
                 raise EmbeddingError(f"example {ex.id!r}: embedding vector norm is not finite")
             rows.append(vec / norm)
-    dims = {row.shape[0] for row in rows}
-    if len(dims) != 1:
-        raise EmbeddingError(f"embedding dimension mismatch across examples: {sorted(dims)}")
     return np.vstack(rows)
 
 
@@ -366,13 +372,15 @@ _embed_texts = st.lists(
 
 
 class _VectorsByText:
-    """An embedding provider that looks each text up in a table."""
+    """An embedding provider that looks each text up in a table, and counts its calls."""
 
     def __init__(self, table, default=(1.0, 0.0, 0.0)):
         self.table = table
         self.default = default
+        self.calls = 0
 
     def embed_batch(self, texts):
+        self.calls += 1
         return [np.asarray(self.table.get(t, self.default), dtype=np.float64) for t in texts]
 
 
@@ -597,7 +605,7 @@ class TestBuildIndex:
             def embed_batch(self, texts):
                 return matrix
 
-        assert retrieval._embed(["a", "b", "c"], Matrix()) is matrix  # used as it is, no copy
+        assert retrieval._embed(["a", "b", "c"], Matrix(), "texts") is matrix  # used as it is
 
     def test_memory_holds_the_matrix_and_a_few_batches(self):
         # Embedding the whole support set at once would add another matrix.
@@ -626,10 +634,11 @@ class TestBuildIndex:
             (["t"] * 300 + ["short"], {"short": (1.0, 2.0)}),
             (["short"] + ["t"] * 300 + ["blank"], {"short": (1.0, 2.0), "blank": (0.0, 0.0, 0.0)}),
             (["long", "t", "short"], {"short": (1.0, 2.0), "long": (1.0,) * 5}),
+            (["t"] * 256 + ["long", "blank"], {"long": (1.0,) * 4, "blank": (0.0,) * 4}),
         ],
         ids=[
             "empty", "duplicate-id", "zero-vector-in-second-chunk", "dimension-mismatch",
-            "zero-vector-after-a-mismatch", "three-dimensions",
+            "zero-vector-after-a-mismatch", "three-dimensions", "second-chunk-in-another-dimension",
         ],
     )
     def test_error_paths_match_the_reference(self, texts, table):
@@ -639,6 +648,55 @@ class TestBuildIndex:
         got = _outcome(lambda: build_index(labeled_rows(examples), provider).vectors)
         want = _outcome(lambda: _unit_and_vstack_index(examples, provider))
         assert isinstance(want, str) and got == want
+
+    @pytest.mark.parametrize(
+        "texts,calls",
+        [
+            (["odd"] + ["t"] * 599, 1),
+            (["t"] * 256 + ["odd"] * 344, 2),
+        ],
+        ids=["ragged-first-chunk", "second-chunk-in-another-dimension"],
+    )
+    def test_a_dimension_mismatch_stops_the_build_at_its_chunk(self, texts, calls):
+        provider = _VectorsByText({"odd": (1.0, 0.0, 0.0, 0.0)})
+        examples = labeled_rows(LabeledSegment(f"ex-{k:04d}", t) for k, t in enumerate(texts))
+        with pytest.raises(EmbeddingError) as raised:
+            build_index(examples, provider)
+        assert str(raised.value) == "embedding dimension mismatch across examples: [3, 4]"
+        assert provider.calls == calls
+
+    def test_a_ragged_first_chunk_posts_only_its_own_requests(self, http_server):
+        # 600 texts are 3 chunks of build_index's 256, each posted 64 texts a request.
+        http_server.responder = lambda body: (
+            200, {"vectors": [[1.0] * (4 if t == "odd" else 3) for t in body["texts"]]}
+        )
+        examples = labeled_rows(
+            LabeledSegment(f"ex-{k:04d}", "odd" if k == 100 else "t") for k in range(600)
+        )
+        with pytest.raises(EmbeddingError, match=r"across examples: \[3, 4\]$"):
+            build_index(examples, _remote(http_server.url, batch_size=64))
+        assert len(http_server.requests) == 4
+
+    def test_a_ragged_reply_names_the_mismatch_before_its_zero_vector(self):
+        provider = _VectorsByText({"blank": (0.0, 0.0, 0.0), "short": (1.0, 2.0)})
+        with pytest.raises(EmbeddingError, match=r"^embedding dimension mismatch across texts"):
+            embed_texts(["blank", "short"], provider)
+        examples = labeled_rows([LabeledSegment("a", "blank"), LabeledSegment("b", "short")])
+        with pytest.raises(EmbeddingError, match=r"^embedding dimension mismatch across examples"):
+            build_index(examples, provider)
+
+    @pytest.mark.parametrize(
+        "reply", [[1.0, 2.0], np.ones((2, 2, 2))], ids=["one-dimensional", "three-dimensional"]
+    )
+    def test_a_reply_that_is_not_a_matrix_is_an_embedding_error(self, reply):
+        class Replying:
+            def embed_batch(self, texts):
+                return reply
+
+        with pytest.raises(EmbeddingError, match="returned an array of shape"):
+            embed_texts(["a", "b"], Replying())
+        with pytest.raises(EmbeddingError, match="returned an array of shape"):
+            build_index(_examples(2), Replying())
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_remote_index_is_bit_identical_at_any_max_in_flight(self, http_server, batch_size):
