@@ -73,8 +73,8 @@ _MAX_DEPTH = 256  # deepest nesting of a recovered value; an event list nests ab
 _STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
 
 
-def _flag_too_deep(text: str, i: int, j: int, too_deep: set[int]) -> None:
-    """Add the openers that text[i:j] shows nest deeper than _MAX_DEPTH to too_deep.
+def _flag_too_deep(text: str, i: int, j: int, skip: set[int], failed: bool = False) -> None:
+    """Add to skip the openers that text[i:j] proves cannot start a recovered value.
 
     Scans brackets and strings from the opener at i as a decoder starting
     there reads them. A decoder starting at any opener this scan reads outside
@@ -82,23 +82,29 @@ def _flag_too_deep(text: str, i: int, j: int, too_deep: set[int]) -> None:
     them: an opener with more than _MAX_DEPTH containers open from it onwards
     starts a value that is invalid or nests deeper than the cap, non-JSON
     either way. A long run of nested openers is flagged in one pass.
+
+    With failed, a decode from i failed at j. Every opener still open there
+    is flagged too: a decoder started at it reads the same tokens up to j and
+    fails there as well.
     """
-    if text.count("[", i, j) + text.count("{", i, j) <= _MAX_DEPTH:
+    if not failed and text.count("[", i, j) + text.count("{", i, j) <= _MAX_DEPTH:
         return
     stack: list[int] = []
-    flagged = 0  # stack[:flagged] are in too_deep
+    flagged = 0  # stack[:flagged] are in skip
     for token in _STRUCTURE.finditer(text, i, j):
         char = text[token.start()]
         if char in "[{":
             stack.append(token.start())
             if len(stack) - flagged > _MAX_DEPTH:
-                too_deep.add(stack[flagged])
+                skip.add(stack[flagged])
                 flagged += 1
         elif char in "]}":
             stack.pop()
             if not stack:
                 return
             flagged = min(flagged, len(stack))
+    if failed:
+        skip.update(stack)
 
 
 def _raw_decode(decoder: json.JSONDecoder, chunk: str):
@@ -119,9 +125,9 @@ def _last_json_value(text: str):
 
     Scanning left to right, the value decoded at an opener is kept and the
     scan resumes after it; an opener that does not decode, or whose value
-    nests deeper than _MAX_DEPTH, is skipped. Three things keep the cost
-    linear in len(text) while the result stays exactly that of json's
-    raw_decode at every opener, under that cap:
+    nests deeper than _MAX_DEPTH, is skipped. Four things keep the cost
+    linear in len(text), however the text nests, while the result stays
+    exactly that of json's raw_decode at every opener, under that cap:
 
     - Value-start filter: only openers matched by _VALUE_START are decoded.
       Its match is a necessary condition for raw_decode to succeed, so every
@@ -139,9 +145,16 @@ def _last_json_value(text: str):
       j reaches the end of the text the window decodes as the whole text does.
     - Depth cap: a window with more than _MAX_DEPTH openers is first scanned
       by _flag_too_deep, which flags every opener it proves too deep, a whole
-      nested run at once; flagged openers are skipped without decoding. The
-      cap, not the recursion limit, decides, so the result does not depend
-      on the caller's stack or thread (see _raw_decode).
+      nested run at once; flagged openers are skipped without decoding. When
+      the opener being decoded is flagged, the scan goes on from it to the
+      end of the text, so the openers it holds are judged in that one pass,
+      not each in windows of its own. The cap, not the recursion limit,
+      decides, so the result does not depend on the caller's stack or thread
+      (see _raw_decode).
+    - Shared failures: a decode from i that fails for good at p is followed
+      by one _flag_too_deep scan of text[i:p], which flags the openers still
+      open at p; each would fail at p too. So blocks nested in one another
+      that never close cost one decode to the end of the text, not one each.
 
     A ValueError that is not a decode error (the int-digits limit) marks the
     opener as non-JSON.
@@ -149,16 +162,18 @@ def _last_json_value(text: str):
     decoder = json.JSONDecoder()
     best = None
     n = len(text)
-    too_deep: set[int] = set()
+    skip: set[int] = set()
     match = _VALUE_START.search(text)
     while match is not None:
         i = match.start()
         resume = i + 1
         width = _DECODE_WINDOW
-        while i not in too_deep:
+        while i not in skip:
             j = min(i + width, n)
-            _flag_too_deep(text, i, j, too_deep)
-            if i in too_deep:
+            _flag_too_deep(text, i, j, skip)
+            if i in skip:
+                if j < n:
+                    _flag_too_deep(text, i, n, skip)
                 break
             try:
                 best, end = _raw_decode(decoder, text[i:j] + "\x00")
@@ -167,6 +182,7 @@ def _last_json_value(text: str):
                 if j < n and exc.pos >= (j - i) - _LOOKAHEAD_MARGIN:
                     width *= 2
                     continue
+                _flag_too_deep(text, i, i + exc.pos, skip, failed=True)
             except (ValueError, RecursionError):
                 pass
             break
@@ -372,6 +388,18 @@ def retrieve_examples(
 # --- stages -------------------------------------------------------------------
 
 
+def _row(segment: Segment, examples: Sequence[LabeledSegment], completion, **events) -> dict:
+    """A trigger or argument row: the segment's id, its examples' ids, its events and its reply."""
+    return {
+        "id": segment.id,
+        "examples": [ex.id for ex in examples],
+        **events,
+        "raw": completion.text,
+        "attempts": completion.attempts,
+        "failed": completion.value is None,
+    }
+
+
 def extract_triggers(
     segment: Segment,
     examples: Sequence[LabeledSegment],
@@ -392,14 +420,7 @@ def extract_triggers(
         provider, bundle, lambda text: parse_trigger_reply(text, ontology),
         max_attempts=max_attempts, cache=cache, corrective=corrective,
     )
-    return {
-        "id": segment.id,
-        "examples": [ex.id for ex in examples],
-        "predictions": completion.value or [],
-        "raw": completion.text,
-        "attempts": completion.attempts,
-        "failed": completion.value is None,
-    }
+    return _row(segment, examples, completion, predictions=completion.value or [])
 
 
 def extract_arguments(
@@ -438,15 +459,7 @@ def extract_arguments(
     events = completion.value
     if events is None:
         events = [{"trigger": t["trigger"], "type": t["type"], "arguments": []} for t in triggers]
-    row = {
-        "id": segment.id,
-        "examples": [ex.id for ex in examples],
-        "events": events,
-        "raw": completion.text,
-        "attempts": completion.attempts,
-        "failed": completion.value is None,
-    }
-    return row, recovered
+    return _row(segment, examples, completion, events=events), recovered
 
 
 # --- post-processing ----------------------------------------------------------

@@ -287,13 +287,14 @@ def load_verdict_triples(path: str | Path) -> dict[str, dict[str, bool]]:
     """Each segment's {"rule", "learned", "llm"} verdicts, from a gate artifact or a fixture file.
 
     Accepts records {"id", "rule", "learned", "llm", ...} as JSON lines or one
-    JSON array; extra fields (such as "gated_in") are ignored. Duplicate ids
-    are rejected.
+    JSON array; extra fields (such as "gated_in") are ignored. A first record
+    with "stage" and no "id" is an artifact header and is skipped; any other
+    record without the fields is an input error. Duplicate ids are rejected.
     """
     records = (
         (lineno, rec)
-        for lineno, rec in iter_json_records(path)
-        if not (isinstance(rec, dict) and "stage" in rec and "id" not in rec)  # artifact header
+        for k, (lineno, rec) in enumerate(iter_json_records(path))
+        if k or not (isinstance(rec, dict) and "stage" in rec and "id" not in rec)
     )
     out: dict[str, dict[str, bool]] = {}
     for _, rec in check_rows(path, records, _JUDGES):

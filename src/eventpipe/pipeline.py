@@ -12,9 +12,9 @@ extraction phase then runs trigger recognition, argument extraction and
 repair per segment with those examples (a same-type argument search, which
 needs the predicted types, rescores there the union of those types'
 shortlists and reads no other row), each argument reply parsed once.
-Each stage has one JSONL artifact whose header line records the stage name, the config hash and the inputs digest (the
-contents of the input files); each stage function returns its artifact row
-(ROW_FIELDS), and later stages read rows as they are, computed or replayed.
+Each stage has a record in STAGES and one JSONL artifact, whose header line
+records the stage name, the config hash and the inputs digest (of the input
+files' contents); later stages read its rows as they are, computed or replayed.
 The artifacts are written in stage order once both phases finish, so a crash
 mid-run leaves only the completion cache to resume from. Under --resume the
 stages are replayed in order up to the first one without a matching artifact
@@ -99,30 +99,33 @@ __all__ = [
     "CountingLlm",
     "Pipeline",
     "ResumeError",
-    "ROW_FIELDS",
     "RunResult",
+    "STAGES",
     "STAGE_ORDER",
     "read_artifact",
     "write_artifact",
 ]
 
-STAGE_ORDER = ("gate", "triggers", "arguments", "final", "score")
 
-# The prompt stage whose template each artifact stage fills in.
-PROMPT_STAGES = {"gate": "presence", "triggers": "trigger", "arguments": "argument", "final": "format"}
+@dataclass(frozen=True)
+class Stage:
+    """An artifact stage: its name (of <name>.jsonl), prompt stage, row fields and event field."""
 
-# The fields of each artifact's rows, in stage order.
-ROW_FIELDS = {
-    "gate": ("id", "rule", "learned", "llm", "gated_in"),
-    "triggers": ("id", "predictions", "raw", "attempts", "failed", "examples"),
-    "arguments": ("id", "events", "raw", "attempts", "failed", "examples"),
-    "final": ("id", "event"),
-}
+    name: str
+    prompt: str
+    fields: tuple[str, ...]
+    events: str | None = None
 
-ARTIFACT_NAMES = {stage: f"{stage}.jsonl" for stage in ROW_FIELDS}
 
-# The row field that lists events; a trigger prediction is an event without arguments.
-EVENT_FIELDS = {"triggers": "predictions", "arguments": "events", "final": "event"}
+_REPLY_FIELDS = ("raw", "attempts", "failed", "examples")  # beside a reply row's id and events
+# Every artifact stage, in stage order. A trigger prediction is an event without arguments.
+STAGES = (
+    Stage("gate", "presence", ("id", "rule", "learned", "llm", "gated_in")),
+    Stage("triggers", "trigger", ("id", "predictions", *_REPLY_FIELDS), "predictions"),
+    Stage("arguments", "argument", ("id", "events", *_REPLY_FIELDS), "events"),
+    Stage("final", "format", ("id", "event"), "event"),
+)
+STAGE_ORDER = (*(stage.name for stage in STAGES), "score")
 
 # What each row field other than "id" must hold: a test of its JSON value, and its description.
 FIELD_TYPES = {
@@ -130,7 +133,7 @@ FIELD_TYPES = {
         ("rule", "learned", "llm", "gated_in", "failed"),
         (lambda v: isinstance(v, bool), "true or false"),
     ),
-    **dict.fromkeys(EVENT_FIELDS.values(), (lambda v: isinstance(v, list), "a list")),
+    **{stage.events: (lambda v: isinstance(v, list), "a list") for stage in STAGES[1:]},
     "raw": (lambda v: isinstance(v, str), "a string"),
     "attempts": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "examples": (
@@ -184,7 +187,7 @@ def read_artifact(
 
     None if the file is absent or was built from other input contents
     (another inputs digest): the stage is then recomputed. Only the header
-    is read in that case. A row without the stage's ROW_FIELDS, with a field
+    is read in that case. A row without the stage's fields, with a field
     whose value FIELD_TYPES rejects, or whose event list holds an event that
     check_event rejects against the ontology, is a DatasetError naming the
     line.
@@ -193,14 +196,14 @@ def read_artifact(
     if records is None:
         return None
     rows = []
-    checks = [(name, *FIELD_TYPES[name]) for name in ROW_FIELDS[stage][1:]]
-    key = EVENT_FIELDS.get(stage)
-    for lineno, row in check_rows(path, records, ROW_FIELDS[stage]):
+    (spec,) = [s for s in STAGES if s.name == stage]
+    checks = [(name, *FIELD_TYPES[name]) for name in spec.fields[1:]]
+    for lineno, row in check_rows(path, records, spec.fields):
         try:
             for name, valid, kind in checks:
                 if not valid(row[name]):
                     raise DatasetError(f"record {row['id']!r}: {name!r} must be {kind}")
-            for obj in row[key] if key else ():
+            for obj in row[spec.events] if spec.events else ():
                 check_event(obj, row["id"], ontology)
         except DatasetError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
@@ -430,7 +433,7 @@ class Pipeline:
     # --- two-phase flow ------------------------------------------------------
 
     def _artifact(self, stage: str) -> Path:
-        return self.out_dir / ARTIFACT_NAMES[stage]
+        return self.out_dir / f"{stage}.jsonl"
 
     def _gate(
         self, segments: list[Segment], pool: ThreadPoolExecutor, template: Template | None
@@ -512,16 +515,16 @@ class Pipeline:
     ):
         """The extraction phase's pool task: one segment's triggers, arguments and repair.
 
-        found holds the query phase's hits; templates holds the prompt
-        template of each computed stage.
+        found holds the query phase's hits; templates holds the template of
+        each computed stage, by stage name.
         """
         cfg = self.config
         ontology, cache = self.ontology, self.cache
         # found is empty unless a retrieving stage built the index.
         index = self.index if found else None
-        trigger_llm = self.llm_for("trigger") if "triggers" in computed else None
-        argument_llm = self.llm_for("argument") if "arguments" in computed else None
-        format_llm = self.llm_for("format") if "final" in computed else None
+        llms = {
+            stage.name: self.llm_for(stage.prompt) for stage in STAGES[1:] if stage.name in computed
+        }
         retry = dict(cache=cache, max_attempts=cfg.max_attempts)
         extraction = dict(corrective=cfg.corrective, **retry)
 
@@ -530,8 +533,8 @@ class Pipeline:
             hits = found.get(seg.id)
             if "triggers" in computed and _gated_in(rows):
                 rows["triggers"] = extract_triggers(
-                    seg, retrieve_examples(index, hits) if hits else [], ontology, trigger_llm,
-                    template=templates["trigger"], **extraction,
+                    seg, retrieve_examples(index, hits) if hits else [], ontology, llms["triggers"],
+                    template=templates["triggers"], **extraction,
                 )
             triggers = rows["triggers"]["predictions"] if _has_triggers(rows) else []
             recovered = None
@@ -541,8 +544,8 @@ class Pipeline:
                     types = [t["type"] for t in triggers] if cfg.same_type_filter else None
                     shots = retrieve_examples(index, hits, types)
                 rows["arguments"], recovered = extract_arguments(
-                    seg, triggers, shots, ontology, argument_llm,
-                    template=templates["argument"], **extraction,
+                    seg, triggers, shots, ontology, llms["arguments"],
+                    template=templates["arguments"], **extraction,
                 )
             elif "final" in computed and rows.get("arguments") and rows["arguments"]["failed"]:
                 # A replayed failed row: repair reads the records its reply holds.
@@ -550,8 +553,8 @@ class Pipeline:
             if "final" in computed:
                 if rows.get("arguments"):
                     record.repair = repair_arguments(
-                        rows["arguments"], recovered, triggers, ontology, format_llm,
-                        template=templates["format"], **retry,
+                        rows["arguments"], recovered, triggers, ontology, llms["final"],
+                        template=templates["final"], **retry,
                     )
                 events = record.repair.events if record.repair else []
                 rows["final"] = {"id": seg.id, "event": events}
@@ -581,28 +584,28 @@ class Pipeline:
         result.inputs = self.inputs_digest()
         result.started_at = time.time()
 
-        stages = list(ROW_FIELDS)[: STAGE_ORDER.index(until) + 1]
+        stages = STAGES[: STAGE_ORDER.index(until) + 1]
         # Replay stops at the first stage that is recomputed, because each
         # later stage reads its rows. Every later artifact present still has
         # its header read, so one with a foreign config hash aborts the run,
         # but not its rows, which the run overwrites.
         replayed = {}
         for stage in stages if self.resume else ():
-            path = self._artifact(stage)
-            if stage != stages[len(replayed)]:
-                _artifact_records(path, stage, self.config_hash, result.inputs)
+            path = self._artifact(stage.name)
+            if stage is not stages[len(replayed)]:
+                _artifact_records(path, stage.name, self.config_hash, result.inputs)
                 continue
-            rows = read_artifact(path, stage, self.config_hash, result.inputs, self.ontology)
+            rows = read_artifact(path, stage.name, self.config_hash, result.inputs, self.ontology)
             if rows is not None:
-                replayed[stage] = {row["id"]: row for row in rows}
+                replayed[stage.name] = {row["id"]: row for row in rows}
         result.resumed_stages = list(replayed)
-        computed = {stage for stage in stages if stage not in replayed}
+        computed = {stage.name for stage in stages} - replayed.keys()
         # Each computed stage's template is parsed, in stage order, before
         # any provider call; a verdict file replaces the presence prompt.
         templates = {
-            PROMPT_STAGES[stage]: self.template(PROMPT_STAGES[stage])
+            stage.name: self.template(stage.prompt)
             for stage in stages
-            if stage in computed and not (stage == "gate" and cfg.gate_llm_file)
+            if stage.name in computed and not (stage.name == "gate" and cfg.gate_llm_file)
         }
         # A segment missing from a replayed artifact never reached that stage.
         records = [
@@ -615,7 +618,7 @@ class Pipeline:
         # resolving them in pool threads could build a second cache or provider.
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             if "gate" in computed:
-                verdicts = self._gate(segments, pool, templates.get("presence"))
+                verdicts = self._gate(segments, pool, templates.get("gate"))
                 for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
@@ -624,13 +627,11 @@ class Pipeline:
                 list(pool.map(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = result.rows = {
-            stage: [rec.rows[stage] for rec in records if rec.rows.get(stage)] for stage in stages
+            s.name: [rec.rows[s.name] for rec in records if rec.rows.get(s.name)] for s in stages
         }
-        for stage in stages:
-            if stage in computed:
-                write_artifact(
-                    self._artifact(stage), stage, self.config_hash, result.inputs, artifacts[stage]
-                )
+        for name, rows in artifacts.items():
+            if name in computed:
+                write_artifact(self._artifact(name), name, self.config_hash, result.inputs, rows)
 
         gate_rows = artifacts["gate"]
         result.gated_in = sum(1 for r in gate_rows if r["gated_in"])

@@ -13,7 +13,7 @@ import eventpipe
 from conftest import build_golden_corpus
 from eventpipe.cli import main
 from eventpipe.llm import ScriptedMockLlm
-from eventpipe.pipeline import ARTIFACT_NAMES, ROW_FIELDS, Pipeline
+from eventpipe.pipeline import STAGES, Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index
 from test_pipeline import GOLDEN_DIGESTS, digests
 from test_retrieval import json_lines_index
@@ -31,10 +31,10 @@ def damage_replayed_row(out_dir, stage, damage):
     The resumed run then computes the later stages from the damaged row.
     Returns the artifact's path and the damaged row's line number.
     """
-    names = list(ARTIFACT_NAMES)
+    names = [s.name for s in STAGES]
     for later in names[names.index(stage) + 1 :]:
-        (out_dir / ARTIFACT_NAMES[later]).unlink()
-    path = out_dir / ARTIFACT_NAMES[stage]
+        (out_dir / f"{later}.jsonl").unlink()
+    path = out_dir / f"{stage}.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     (lineno,) = [n for n, line in enumerate(lines, 1) if '"id": "seg-005"' in line]
     row = json.loads(lines[lineno - 1])
@@ -526,7 +526,7 @@ class TestExitCodes:
         assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
         path, lineno = damage_replayed_row(corpus.output_dir, stage, lambda row: row.pop(field))
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
-        names = " and ".join(repr(name) for name in ROW_FIELDS[stage])
+        names = " and ".join(repr(name) for s in STAGES if s.name == stage for name in s.fields)
         assert (code, err) == (3, f"error: {path}: record at line {lineno} needs {names}\n")
 
     @pytest.mark.parametrize(
@@ -626,9 +626,9 @@ class TestExitCodes:
         # rows are overwritten, and a defect in them is no error.
         corpus = build_golden_corpus(tmp_path / "corpus")
         assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
-        (corpus.output_dir / ARTIFACT_NAMES["gate"]).unlink()
+        (corpus.output_dir / "gate.jsonl").unlink()
         self._rewrite_line(
-            corpus.output_dir / ARTIFACT_NAMES["final"], 2, lambda row: row.update(event="nope")
+            corpus.output_dir / "final.jsonl", 2, lambda row: row.update(event="nope")
         )
         code, out, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         assert (code, err) == (0, "")
@@ -639,8 +639,8 @@ class TestExitCodes:
     def test_foreign_config_hash_behind_a_recomputed_stage_aborts(self, tmp_path, capsys, stage):
         corpus = build_golden_corpus(tmp_path / "corpus")
         assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
-        (corpus.output_dir / ARTIFACT_NAMES["gate"]).unlink()
-        path = corpus.output_dir / ARTIFACT_NAMES[stage]
+        (corpus.output_dir / "gate.jsonl").unlink()
+        path = corpus.output_dir / f"{stage}.jsonl"
         self._rewrite_line(path, 1, lambda header: header.update(config_hash="foreign"))
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         assert code == 2
@@ -942,6 +942,20 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"error: {path}: id 's2' has {name} {value!r}, not true or false\n"
+
+    def test_verdict_triple_that_looks_like_a_header_is_an_input_error(self, tmp_path, capsys):
+        # Only a first record can be an artifact header; a later one is a
+        # malformed triple, not one to skip.
+        path = tmp_path / "verdicts.jsonl"
+        rows = [{"id": "s1", "rule": True, "learned": False, "llm": True},
+                {"id": "s2", "rule": False, "learned": True, "llm": False},
+                {"stage": "oops", "rule": True, "learned": True, "llm": True}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        code, out, err = run_cli(capsys, "agreement", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {path}: record at line 3 needs 'id' and 'rule' and 'learned' and 'llm'\n"
+        )
 
     @pytest.mark.parametrize(
         "endpoint", ["localhost:8000/v1/verdicts", "file:///verdicts.json", "data:,{}"]

@@ -240,9 +240,62 @@ _json_values = st.recursive(
     | st.dictionaries(st.sampled_from(["trigger", "type", "a"]), children, max_size=3),
     max_leaves=6,
 )
-_recovery_texts = st.lists(
-    st.sampled_from(_RECOVERY_TOKENS) | _json_values.map(json.dumps), max_size=40
+# Nested blocks that never close, each opener followed by a few values: a
+# decoder started at any block's opener reads past every later block.
+_unclosed_blocks = st.lists(
+    st.builds(
+        lambda opener, values: opener + "".join(f"{v}," for v in values),
+        st.sampled_from(["[", '{"a":[', '{"a": {"b":[']),
+        st.lists(_json_values.map(json.dumps), max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
 ).map("".join)
+_recovery_texts = st.lists(
+    st.sampled_from(_RECOVERY_TOKENS) | _json_values.map(json.dumps) | _unclosed_blocks,
+    max_size=40,
+).map("".join)
+
+
+def _nested_unclosed_reply(opener: str, blocks: int, length: int = 100_000) -> str:
+    """About length characters of blocks nested in one another, none closed."""
+    block = opener + "[0]," * ((length // blocks - len(opener)) // 4)
+    return block * blocks
+
+
+def _characters_read(text: str) -> tuple[int, int]:
+    """The characters _last_json_value(text) bracket-scans, and those raw_decode reads.
+
+    A scan counts up to the last token it consumed; a decode, up to where it
+    ended or failed, not the window it was handed.
+    """
+    counts = [0, 0]
+    structure, raw_decode = extract._STRUCTURE, extract._raw_decode
+
+    class Scanner:
+        def finditer(self, string, start, stop):
+            end = start
+            try:
+                for token in structure.finditer(string, start, stop):
+                    end = token.end()
+                    yield token
+            finally:
+                counts[0] += end - start
+
+    def decode(decoder, chunk):
+        try:
+            value, end = raw_decode(decoder, chunk)
+        except json.JSONDecodeError as exc:
+            counts[1] += exc.pos
+            raise
+        counts[1] += end
+        return value, end
+
+    with mock.patch.object(extract, "_STRUCTURE", Scanner()), mock.patch.object(
+        extract, "_raw_decode", decode
+    ):
+        extract._last_json_value(text)
+    return counts[0], counts[1]
 
 
 class TestRecoverJsonTail:
@@ -321,6 +374,26 @@ class TestRecoverJsonTail:
         assert recover_json_tail(large) == [{"trigger": "met", "type": "Meet", "arguments": []}]
         # Linear growth gives a ratio of 4; a scan quadratic in openers gives 16.
         assert _best_time(recover_json_tail, large) <= 8 * _best_time(recover_json_tail, small)
+
+    @pytest.mark.parametrize("opener", ["[", '{"a":['], ids=["array", "object"])
+    def test_cost_does_not_grow_with_nested_unclosed_blocks(self, opener):
+        answer = ' [{"trigger": "met", "type": "Meet"}]'
+        few, many = (_nested_unclosed_reply(opener, m) + answer for m in (8, 128))
+        assert recover_json_tail(many) == [{"trigger": "met", "type": "Meet", "arguments": []}]
+        # A decode from each block's opener reads to the end of the reply; one
+        # scan per block made 128 blocks cost 7.5 to 13 times 8 blocks.
+        assert _best_time(recover_json_tail, many) <= 3 * _best_time(recover_json_tail, few)
+
+    # At 393 blocks of about 254 characters, nesting passes _MAX_DEPTH just
+    # inside a doubled decode window: openers flagged one window at a time
+    # were scanned again for every few blocks.
+    @pytest.mark.parametrize("blocks", [8, 128, 393, 512])
+    @pytest.mark.parametrize("opener", ["[", '{"a":['], ids=["array", "object"])
+    def test_characters_read_are_linear_in_nested_unclosed_blocks(self, opener, blocks):
+        text = _nested_unclosed_reply(opener, blocks)
+        scanned, read = _characters_read(text)
+        assert scanned <= 8 * len(text)
+        assert read <= 8 * len(text)
 
     def test_long_stray_bracket_reply_keeps_its_answer(self, ontology):
         words = [f"{'[{'[k % 2]}note{k} filler" for k in range(3000)]

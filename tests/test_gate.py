@@ -346,6 +346,20 @@ class TestLoadVerdictTriples:
         assert triples["b"] == {"rule": False, "learned": False, "llm": False}
         assert len(triples) == 2
 
+    def test_a_header_after_the_first_record_is_an_input_error(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        rows = [
+            {"id": "a", "rule": True, "learned": False, "llm": True},
+            {"id": "b", "rule": False, "learned": False, "llm": False},
+            {"stage": "oops", "rule": True, "learned": True, "llm": True},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(DatasetError) as excinfo:
+            load_verdict_triples(path)
+        assert str(excinfo.value) == (
+            f"{path}: record at line 3 needs 'id' and 'rule' and 'learned' and 'llm'"
+        )
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "v.jsonl"
         row = {"id": "a", "rule": True, "learned": True, "llm": True}

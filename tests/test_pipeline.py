@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LEARNED_P, TRANSCRIPT_TEXTS, build_golden_corpus, expected_verdicts
 import eventpipe.pipeline as pipeline_module
@@ -22,9 +25,8 @@ from eventpipe.config import ConfigError, ProviderConfig
 from eventpipe.llm import MockMissError, ResponseCache, ScriptedMockLlm
 from eventpipe.model import DatasetError, check_event, default_ontology_path, load_gold
 from eventpipe.pipeline import (
-    ARTIFACT_NAMES,
-    PROMPT_STAGES,
-    ROW_FIELDS,
+    STAGE_ORDER,
+    STAGES,
     Pipeline,
     ResumeError,
     read_artifact,
@@ -306,11 +308,12 @@ class TestGoldenRun:
 
     def test_each_computed_row_holds_exactly_its_stage_fields(self, golden_corpus):
         Pipeline(golden_corpus.config).run()
-        for stage, name in ARTIFACT_NAMES.items():
-            lines = (golden_corpus.output_dir / name).read_text(encoding="utf-8").splitlines()
+        for stage in STAGES:
+            path = golden_corpus.output_dir / f"{stage.name}.jsonl"
+            lines = path.read_text(encoding="utf-8").splitlines()
             rows = [json.loads(line) for line in lines[1:]]
             assert rows
-            assert [sorted(row) for row in rows] == [sorted(ROW_FIELDS[stage])] * len(rows)
+            assert [sorted(row) for row in rows] == [sorted(stage.fields)] * len(rows)
 
     def test_artifacts_carry_no_timestamps(self, golden_corpus):
         Pipeline(golden_corpus.config).run()
@@ -421,7 +424,7 @@ class TestDeterminismAndResume:
         Pipeline(golden_corpus.config).run()
         (golden_corpus.output_dir / ARTIFACTS[deleted]).unlink()
         resumed = Pipeline(golden_corpus.config, resume=True).run()
-        assert resumed.resumed_stages == list(ROW_FIELDS)[:deleted]
+        assert resumed.resumed_stages == [stage.name for stage in STAGES][:deleted]
         assert resumed.provider_calls["total"] == 0
         assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
 
@@ -579,6 +582,104 @@ def write_templates(directory: Path, **system: str) -> None:
         (directory / f"{stage}.json").write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _edit_template(corpus) -> None:
+    path = corpus.root / "templates" / "trigger.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["messages"][0]["content"] = "trigger judge, second version"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _edit_support(corpus) -> None:
+    rows = [json.loads(line) for line in corpus.support_path.read_text("utf-8").splitlines()]
+    rows[0]["text"] += " in the spring"
+    corpus.support_path.write_text("".join(json.dumps(r) + "\n" for r in rows), "utf-8")
+
+
+def _edit_transcript(corpus) -> None:
+    rows = [json.loads(line) for line in corpus.transcripts_path.read_text("utf-8").splitlines()]
+    rows[0]["text"] += " and again in june"
+    corpus.transcripts_path.write_text("".join(json.dumps(r) + "\n" for r in rows), "utf-8")
+
+
+def _edit_learned(corpus) -> None:
+    # Flips the learned verdict of a segment the rule keeps out, so the
+    # unanimous gate still admits the same segments while gate.jsonl changes.
+    flipped = min(sid for sid, (rule, _, _) in expected_verdicts().items() if not rule)
+    rows = [{"id": sid, "p": LEARNED_P[sid]} for sid in sorted(LEARNED_P)]
+    for row in rows:
+        if row["id"] == flipped:
+            row["p"] = 0.2 if row["p"] >= 0.5 else 0.9
+    corpus.learned_path.write_text("".join(json.dumps(r) + "\n" for r in rows), "utf-8")
+
+
+# Rewrites of one input between a crashed run and its resume.
+INPUT_EDITS = {
+    "template": _edit_template,
+    "support": _edit_support,
+    "transcript": _edit_transcript,
+    "learned": _edit_learned,
+}
+
+
+class TestCrashThenResume:
+    """A run that crashes anywhere leaves a state that --resume completes correctly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workers=st.sampled_from([1, 2, 4]),
+        until=st.sampled_from(STAGE_ORDER),
+        edit=st.sampled_from([None, *INPUT_EDITS]),
+        data=st.data(),
+    )
+    def test_resume_after_a_crash_matches_a_fresh_run(self, workers, until, edit, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = build_golden_corpus(Path(tmp) / "crash", workers=workers)
+            config = corpus.config
+            if edit == "template":
+                write_templates(corpus.root / "templates")
+                config = dataclasses.replace(config, templates=str(corpus.root / "templates"))
+            script = json.loads(corpus.script_path.read_text(encoding="utf-8"))
+            # Keys to drop are drawn stage first, so that each prompt stage is
+            # as likely to fail as any other.
+            keys = {s.prompt: [k for k in script if k.endswith(f"/{s.prompt}")] for s in STAGES}
+            dropped = data.draw(
+                st.lists(
+                    st.sampled_from(list(keys)).flatmap(lambda p: st.sampled_from(sorted(keys[p]))),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                ),
+                label="dropped",
+            )
+            corpus.script_path.write_text(
+                json.dumps({k: v for k, v in script.items() if k not in dropped}), encoding="utf-8"
+            )
+            try:
+                Pipeline(config).run(until=until)
+            except MockMissError:
+                assert list(corpus.output_dir.iterdir()) == []
+            corpus.script_path.write_text(json.dumps(script), encoding="utf-8")
+            # A run that failed at its first provider call cached nothing.
+            cache = corpus.cache_path
+            cached = len(cache.read_text(encoding="utf-8").splitlines()) if cache.exists() else 0
+            if edit:
+                INPUT_EDITS[edit](corpus)
+            resumed = Pipeline(config, resume=True).run()
+            lines = cache.read_text(encoding="utf-8").splitlines()
+            assert len({json.loads(line)["key"] for line in lines}) == len(lines)
+            if edit is None:
+                assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+                assert resumed.provider_calls["total"] == 58 - cached
+                assert len(lines) == 58
+            else:
+                # Nothing the crashed run left is replayed; a fresh run on the
+                # changed inputs, with no cache, produces the same outputs.
+                assert resumed.resumed_stages == []
+                fresh = dataclasses.replace(config, output_dir=str(Path(tmp) / "fresh"), cache=None)
+                Pipeline(fresh).run()
+                assert digests(corpus.output_dir) == digests(Path(fresh.output_dir))
+
+
 class TestInputsReadOnce:
     """Each input is read once per run, and the inputs digest hashes the bytes that are parsed."""
 
@@ -692,7 +793,7 @@ class TestInputsReadOnce:
             llm_file,
             golden_corpus.script_path,
             format_script,
-            *(root / "templates" / f"{stage}.json" for stage in PROMPT_STAGES.values()),
+            *(root / "templates" / f"{stage.prompt}.json" for stage in STAGES),
         ]
         assert set(map(Path, config.input_files().values())) == set(inputs)
         if resume:

@@ -1,20 +1,30 @@
-"""The test configuration and the source tree.
+"""The test configuration, the source tree, and the README's documented usage.
 
-A failing property test is reported, not a crash, and no module of the
-package keeps a module-level import that it neither uses nor exports.
+A failing property test is reported, not a crash, no module of the package
+keeps a module-level import that it neither uses nor exports, and README's
+command-line and configuration blocks say what the parser and the config
+loader accept.
 """
 from __future__ import annotations
 
+import argparse
 import ast
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from eventpipe import cli, config, prompts
+from eventpipe.config import PipelineConfig
+from eventpipe.pipeline import STAGES
+
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 SOURCES = sorted((ROOT / "src" / "eventpipe").glob("*.py"))
+README = ROOT / "README.md"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, settings
@@ -81,3 +91,56 @@ def test_an_unused_import_is_found():
         "__all__ = ['Sequence']\nos.getcwd()\n"
     )
     assert _unused_imports(tree) == ["Callable (line 1)", "json (line 3)"]
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced code block under README's `## heading`."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def _readme_commands() -> list[list[str]]:
+    """README's `eventpipe ...` lines as argument lists, comments and optional brackets dropped."""
+    commands = []
+    for line in _readme_block("Command line").splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("eventpipe "):
+            commands.append(line.replace("[", " ").replace("]", " ").split()[1:])
+    return commands
+
+
+def test_every_readme_command_parses():
+    parser, commands = cli._build_parser(), _readme_commands()
+    for argv in commands:
+        parser.parse_args(argv)
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in commands} == set(subcommands.choices)
+    assert len(subcommands.choices) == 9
+
+
+def _readme_config() -> dict:
+    """README's jsonc configuration block, with its // comments removed, as JSON."""
+    text = _readme_block("Configuration")
+    return json.loads(re.sub(r'("(?:[^"\\]|\\.)*")|//[^\n]*', lambda m: m.group(1) or "", text))
+
+
+def test_readme_config_names_exactly_the_config_keys():
+    data = _readme_config()
+    assert {section: set(keys) for section, keys in data.items()} == {
+        section: set(keys) for section, keys in config._LAYOUT.items()
+    }
+
+
+def test_readme_config_shows_the_defaults():
+    data = _readme_config()
+    shown = PipelineConfig.from_dict(data)
+    paths = ("gold", "transcripts", "support", "output_dir")
+    required = {
+        "paths": {key: data["paths"][key] for key in paths},
+        "llm": {"default": data["llm"]["default"]},
+    }
+    assert shown.to_dict() == PipelineConfig.from_dict(required).to_dict()
+
+
+def test_artifact_stages_fill_the_prompt_stages_in_order():
+    assert [stage.prompt for stage in STAGES] == list(prompts.STAGES)
