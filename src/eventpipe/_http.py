@@ -3,8 +3,9 @@
 ``Endpoint`` holds all a remote service needs beyond its payloads: the URL,
 the API key's environment variable, the timeout, the retries, the bound on
 requests in flight and the pacing between them. The chat, embedding and
-learned-verdict providers each send through one. ``post_json`` is the one
-function every request passes through.
+learned-verdict providers each send through one, a batch of payloads through
+``Endpoint.stream``. ``post_json`` is the one function every request passes
+through.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 __all__ = ["Endpoint", "ProviderError", "post_json"]
 
@@ -38,6 +40,15 @@ class Endpoint:
     log or an error; an unset variable fails before any request is sent. At
     most max_in_flight requests are open at once, and their starts are spaced
     at least min_interval seconds apart. what names the service in errors.
+
+    ``stream`` posts many payloads through one window of max_in_flight + 1:
+    max_in_flight requests open and one finished reply held for the caller,
+    so a caller that streams many batches keeps every slot busy while it
+    works on the reply it was given. Its failure bound follows: when the
+    stream fails at a reply, or the caller stops at one, up to max_in_flight
+    later payloads may already have been sent, and none is sent after that.
+    So ``build_index`` sends its first batch alone, in a stream of its own,
+    and streams only the later batches.
     """
 
     url: str
@@ -85,27 +96,37 @@ class Endpoint:
         """POST one payload and return the decoded JSON reply."""
         return self._send(payload, self._headers())
 
-    def post_batches(
-        self, payloads: Sequence[dict[str, Any]], parse: Callable[[int, Any], T]
-    ) -> list[T]:
-        """POST every payload, at most max_in_flight at a time; results in payload order.
+    def stream(
+        self, payloads: Iterable[dict[str, Any]], parse: Callable[[int, Any], T]
+    ) -> Iterator[T]:
+        """POST every payload and yield ``parse(i, reply)`` of each, in payload order.
 
         Each worker runs ``parse(i, reply)`` on the decoded reply of payload i,
         so a raw reply lives only until its worker has turned it into a
-        result. The error raised is the one of the earliest failing payload;
-        payloads not yet started when it surfaces are never sent.
+        result. Payloads are taken from the iterable only as the window has
+        room: at most max_in_flight + 1 submitted and not yet yielded, so
+        max_in_flight requests stay open while one finished reply waits for
+        the caller. The error raised is the one of the earliest failing
+        payload. Any error, or closing the generator, shuts the pool down:
+        payloads not yet started are never sent, and the requests already
+        open are waited for.
         """
-        if not payloads:
-            return []
-        headers = self._headers()
+        headers: dict[str, str] | None = None
+        window: deque[Future[T]] = deque()
+        pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
 
-        def call(i: int) -> T:
-            return parse(i, self._send(payloads[i], headers))
+        def call(i: int, payload: dict[str, Any]) -> T:
+            return parse(i, self._send(payload, headers))
 
-        pool = ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(payloads)))
         try:
-            futures = [pool.submit(call, i) for i in range(len(payloads))]
-            return [future.result() for future in futures]
+            for i, payload in enumerate(payloads):
+                if i == 0:
+                    headers = self._headers()
+                window.append(pool.submit(call, i, payload))
+                if len(window) > self.max_in_flight:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
         finally:
             pool.shutdown(cancel_futures=True)
 

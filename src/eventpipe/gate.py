@@ -188,9 +188,8 @@ class HttpVerdictProvider:
                     )
             return [float(p) for p in probs]
 
-        parts = self.endpoint.post_batches(
-            [{"texts": [seg.text for seg in chunk]} for chunk in chunks], parse
-        )
+        payloads = ({"texts": [seg.text for seg in chunk]} for chunk in chunks)
+        parts = self.endpoint.stream(payloads, parse)
         return [p for part in parts for p in part]
 
 

@@ -44,14 +44,21 @@ The index holds the support set as the ``LabeledRows`` that ``load_gold``
 returned: the per-type rows are read from its columns, and an example's event
 dicts are built only when a search retrieves it.
 
-Set-up works on whole batches. ``build_index`` embeds 256 texts per
-embed_batch call, turns each reply into one (n, D) float64 matrix (the
-hashed embedder's count matrix as it is), takes every row's norm in one
-stacked product (``_norms``) and divides the batch into the preallocated
-index matrix, so no more than a batch or two is held beside it. Queries
-take the same path (``embed_texts``), and both check a reply in one order:
-its dimensions, then its norms. A reply whose vectors differ in length, or
-whose D is not the first batch's, stops the build at that batch.
+Set-up works on whole batches of 256 texts. ``build_index`` turns each
+batch's reply into one (n, D) float64 matrix (the hashed embedder's count
+matrix as it is), takes every row's norm in one stacked product
+(``_norms``) and divides the batch into the preallocated index matrix, so
+no more than a batch or two is held beside it. Queries take the same path
+(``embed_texts``), and both check a reply in one order: its dimensions,
+then its norms. A reply whose vectors differ in length, or whose D is not
+the first batch's, stops the build at that batch. The first batch is
+embedded and checked alone. An in-process embedder then embeds one batch
+per call, so nothing after a bad batch is embedded. The remote provider
+streams the later batches' requests through its endpoint's window of
+max_in_flight + 1 (``HttpEmbeddingProvider.embed_batches``), so requests
+for the next batch are open while one batch is normalized; a bad later
+batch may then be found with up to max_in_flight later requests already
+sent, and the stream is closed there.
 """
 from __future__ import annotations
 
@@ -59,10 +66,11 @@ import hashlib
 import itertools
 import json
 from concurrent.futures import Executor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Protocol, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -119,6 +127,16 @@ class EmbeddingProvider(Protocol):
     A reply may be an (n, D) array or a sequence of n vectors (arrays or
     lists of numbers); it is read as one float64 matrix. Vectors of
     differing lengths are an EmbeddingError.
+
+    A provider may also have ``embed_batches(batches)``, which yields one
+    such reply per non-empty batch, in order, and may have the requests of
+    later batches open before the caller has taken an earlier reply. The
+    remote provider has one, which streams its requests through a window of
+    max_in_flight + 1, so when the caller stops at a bad batch up to
+    max_in_flight later requests may already have been sent. ``build_index``
+    embeds its first batch alone with embed_batch, then takes the later
+    batches from embed_batches when the provider has it, and from one
+    embed_batch call each when it does not.
     """
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray | Sequence[np.ndarray]:
@@ -195,27 +213,62 @@ class HttpEmbeddingProvider:
         self.batch_size = batch_size
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        chunks = [
-            list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)
-        ]
+        return [vec for vectors in self.embed_batches([texts]) for vec in vectors]
 
-        def parse(i: int, payload) -> list[np.ndarray]:
-            chunk = chunks[i]
+    def embed_batches(self, batches: Iterable[Sequence[str]]) -> Iterator[list[np.ndarray]]:
+        """Each non-empty batch's vectors, in batch order, through one Endpoint.stream.
+
+        A batch is posted batch_size texts per request, and no request spans
+        two batches, so the requests are those of one embed_batch call per
+        batch. The stream's window stays full across batches: the requests
+        of later batches are open while the caller works on an earlier one.
+        An empty batch makes no request and yields nothing.
+        """
+        size = self.batch_size
+        # request -> (texts, position of the first in its batch, ends its batch).
+        # An entry is added before its request is submitted and popped by the
+        # worker that parses its reply, one key per request, so no lock is needed.
+        layout: dict[int, tuple[int, int, bool]] = {}
+
+        def payloads() -> Iterator[dict]:
+            requests = itertools.count()
+            for batch in batches:
+                for first in range(0, len(batch), size):
+                    chunk = list(batch[first : first + size])
+                    layout[next(requests)] = (len(chunk), first, first + size >= len(batch))
+                    yield {"texts": chunk}
+
+        def parse(i: int, payload) -> tuple[list[np.ndarray], bool]:
+            count, first, last = layout.pop(i)
             vectors = payload.get("vectors") if isinstance(payload, dict) else None
-            if not isinstance(vectors, list) or len(vectors) != len(chunk):
+            if not isinstance(vectors, list) or len(vectors) != count:
                 raise EmbeddingError(
                     f"embedding endpoint returned {0 if not isinstance(vectors, list) else len(vectors)} "
-                    f"vectors for {len(chunk)} texts"
+                    f"vectors for {count} texts"
                 )
-            first = i * self.batch_size
-            return [_reply_vector(v, first + j) for j, v in enumerate(vectors)]
+            return [_reply_vector(v, first + j) for j, v in enumerate(vectors)], last
 
-        parts = self.endpoint.post_batches([{"texts": chunk} for chunk in chunks], parse)
-        return [vec for part in parts for vec in part]
+        vectors: list[np.ndarray] = []
+        with closing(self.endpoint.stream(payloads(), parse)) as parts:
+            for part, last in parts:
+                vectors += part
+                if last:
+                    yield vectors
+                    vectors = []
+
+
+class _BadVector(EmbeddingError):
+    """A reply vector that is not a non-empty list of finite numbers; position is in its batch."""
+
+    problem = "embedding endpoint returned no vector of finite numbers"
+
+    def __init__(self, position: int):
+        super().__init__(f"{self.problem} for text {position}")
+        self.position = position
 
 
 def _reply_vector(value, position: int) -> np.ndarray:
-    """A reply's vector as float64: a non-empty list of finite JSON numbers, or EmbeddingError."""
+    """A reply's vector as float64: a non-empty list of finite JSON numbers, or _BadVector."""
     # type() rather than isinstance: a JSON boolean is a bool, which isinstance takes for an int.
     if isinstance(value, list) and value and set(map(type, value)) <= {int, float}:
         try:
@@ -225,23 +278,18 @@ def _reply_vector(value, position: int) -> np.ndarray:
         else:
             if np.isfinite(vec).all():
                 return vec
-    raise EmbeddingError(
-        f"embedding endpoint returned no vector of finite numbers for text {position}"
-    )
+    raise _BadVector(position)
 
 
-def _embed(texts: Sequence[str], embedding_provider: EmbeddingProvider, items: str) -> np.ndarray:
-    """One embed_batch call's vectors for texts, as one C-contiguous float64 (n, D) matrix.
+def _matrix(vecs, n: int, items: str) -> np.ndarray:
+    """One embedding reply for n texts as one C-contiguous float64 (n, D) matrix.
 
     The matrix is the reply itself when it is one already (the hashed
     embedder's), else one np.asarray copy of its vectors. Vectors of
     differing lengths are a dimension mismatch across `items`.
     """
-    vecs = embedding_provider.embed_batch(list(texts))
-    if len(vecs) != len(texts):
-        raise EmbeddingError(
-            f"embedding provider returned {len(vecs)} vectors for {len(texts)} texts"
-        )
+    if len(vecs) != n:
+        raise EmbeddingError(f"embedding provider returned {len(vecs)} vectors for {n} texts")
     if not len(vecs):
         return np.empty((0, 0))
     try:
@@ -281,7 +329,7 @@ def _norms(rows: np.ndarray, what: Callable[[int], str]) -> np.ndarray:
 
 def embed_texts(texts: Sequence[str], embedding_provider: EmbeddingProvider) -> np.ndarray:
     """Embed texts with one embed_batch call: an (n, D) matrix of unit-norm rows."""
-    rows = _embed(texts, embedding_provider, "texts")
+    rows = _matrix(embedding_provider.embed_batch(list(texts)), len(texts), "texts")
     norms = _norms(rows, lambda row: f"text {texts[row][:40]!r}")
     return np.divide(rows, norms[:, None])
 
@@ -334,9 +382,20 @@ def build_index(
     Each embedding batch is one matrix, normalized at once (see ``_norms``)
     and divided straight into one preallocated (N, D) matrix, so the support
     set is held once and never stacked. The first batch that shows an error
-    raises it, and no later batch is embedded: within a batch, a dimension
-    mismatch (a ragged reply, or a D other than the first batch's) comes
-    before the first row whose norm is zero or not finite.
+    raises it: within a batch, a dimension mismatch (a ragged reply, or a D
+    other than the first batch's) comes before the first row whose norm is
+    zero or not finite, and a reply vector that is not a list of finite
+    numbers names its example.
+
+    The first batch is embedded and checked alone, so a bad first reply
+    never sends a later batch. The later batches come from the provider's
+    ``embed_batches`` when it has one (the remote provider's): its requests
+    stream through the endpoint's window of max_in_flight + 1 while earlier
+    batches are normalized, so a bad later batch may be found with up to
+    max_in_flight later requests already sent, and none is sent after.
+    Any error closes that stream, and its pool is shut down before this
+    returns or raises. Any other provider embeds each later batch with one
+    embed_batch call, and no batch after the bad one is embedded.
     """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")
@@ -346,15 +405,32 @@ def build_index(
             raise EmbeddingError(f"duplicate example id {example_id!r}")
         seen.add(example_id)
     matrix: np.ndarray | None = None
-    for start in range(0, len(examples), batch_size):
-        rows = _embed(examples.texts[start : start + batch_size], embedding_provider, "examples")
-        if matrix is None:
-            matrix = np.empty((len(examples), rows.shape[1]))
-        elif rows.shape[1] != matrix.shape[1]:
-            raise _mismatch("examples", {matrix.shape[1], rows.shape[1]})
-        norms = _norms(rows, lambda row: f"example {examples.ids[start + row]!r}")
-        np.divide(rows, norms[:, None], out=matrix[start : start + len(rows)])
+    with closing(_batch_replies(examples.texts, embedding_provider, batch_size)) as replies:
+        for start in range(0, len(examples), batch_size):
+            try:
+                vecs = next(replies)
+            except _BadVector as exc:
+                example = examples.ids[start + exc.position]
+                raise EmbeddingError(f"example {example!r}: {exc.problem}") from None
+            rows = _matrix(vecs, min(batch_size, len(examples) - start), "examples")
+            if matrix is None:
+                matrix = np.empty((len(examples), rows.shape[1]))
+            elif rows.shape[1] != matrix.shape[1]:
+                raise _mismatch("examples", {matrix.shape[1], rows.shape[1]})
+            norms = _norms(rows, lambda row: f"example {examples.ids[start + row]!r}")
+            np.divide(rows, norms[:, None], out=matrix[start : start + len(rows)])
     return SupportIndex(examples, matrix)
+
+
+def _batch_replies(
+    texts: Sequence[str], embedding_provider: EmbeddingProvider, batch_size: int
+) -> Iterator:
+    """The embedding reply of each batch_size texts, in order; the first batch is embedded alone."""
+    starts = range(0, len(texts), batch_size)
+    batches = (list(texts[start : start + batch_size]) for start in starts)
+    yield embedding_provider.embed_batch(next(batches))
+    streamed = getattr(embedding_provider, "embed_batches", None)
+    yield from streamed(batches) if streamed else map(embedding_provider.embed_batch, batches)
 
 
 def _norm_bound(dimension: int, square: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import random
 import re
 import shutil
 import socket
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import eventpipe
-from eventpipe._http import ProviderError, post_json
+from eventpipe._http import Endpoint, ProviderError, post_json
 from eventpipe.config import (
     ProviderConfig,
     build_embedding_provider,
@@ -527,6 +528,60 @@ def test_chunks_not_started_are_never_posted(http_server, kind):
     with pytest.raises(kind.error):
         kind(http_server.url, max_in_flight=2).run(TEXTS)
     assert len(http_server.requests) <= 3
+
+
+def test_stream_keeps_order_and_bounds_under_thread_switching(http_server):
+    # Eight pool threads on a two-core machine, switching every microsecond,
+    # with replies that come back in random order.
+    rng = random.Random(5)
+    delays = [rng.uniform(0, 0.004) for _ in range(120)]
+    lock = threading.Lock()
+    state = {"open": 0, "peak": 0}
+
+    def respond(body):
+        with lock:
+            state["open"] += 1
+            state["peak"] = max(state["peak"], state["open"])
+        time.sleep(delays[body["i"]])
+        with lock:
+            state["open"] -= 1
+        return 200, {"i": body["i"]}
+
+    http_server.responder = respond
+    endpoint = Endpoint(
+        http_server.url, what="test endpoint", api_key_env=None, timeout=5.0,
+        max_retries=1, max_in_flight=8, min_interval=0.0,
+    )
+    pulled: list[int] = []
+
+    def payloads():
+        for i in range(120):
+            pulled.append(i)
+            yield {"i": i}
+
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        replies = endpoint.stream(payloads(), lambda i, reply: (i, reply["i"]))
+        assert list(replies) == [(i, i) for i in range(120)]
+        assert 1 <= state["peak"] <= 8
+
+        # Closed after ten replies: no payload is taken or sent after that.
+        pulled.clear()
+        http_server.requests.clear()
+        replies = endpoint.stream(payloads(), lambda i, reply: (i, reply["i"]))
+        assert [next(replies) for _ in range(10)] == [(i, i) for i in range(10)]
+        replies.close()
+        sent = len(http_server.requests)
+        assert 10 <= sent <= len(pulled) <= 10 + 8
+        time.sleep(0.05)
+        assert len(http_server.requests) == sent and len(pulled) <= 10 + 8
+    finally:
+        sys.setswitchinterval(interval)
+    assert state["peak"] <= 8
+    pool = [t for t in set(threading.enumerate()) - before if "ThreadPoolExecutor" in t.name]
+    assert pool == []
 
 
 def test_no_texts_make_no_request(http_server, kind):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -605,7 +606,8 @@ class TestBuildIndex:
             def embed_batch(self, texts):
                 return matrix
 
-        assert retrieval._embed(["a", "b", "c"], Matrix(), "texts") is matrix  # used as it is
+        # A reply that is a matrix already is used as it is.
+        assert retrieval._matrix(Matrix().embed_batch(["a", "b", "c"]), 3, "texts") is matrix
 
     def test_memory_holds_the_matrix_and_a_few_batches(self):
         # Embedding the whole support set at once would add another matrix.
@@ -704,18 +706,68 @@ class TestBuildIndex:
         http_server.responder = lambda body: (
             200, {"vectors": [vec.tolist() for vec in local.embed_batch(body["texts"])]}
         )
-        examples = labeled_rows(
-            LabeledSegment(f"ex-{i:03d}", f"text {i % 37} row {i}") for i in range(300)
-        )
-        want = build_index(examples, HashedBagEmbedder(dimension=64)).vectors
-        for max_in_flight in (1, 4):
-            provider = _remote(
-                http_server.url, batch_size=batch_size, max_in_flight=max_in_flight
+        # build_index embeds 256 texts at a time: 300 rows are batches of 256
+        # and 44; 600 rows are three, of 256, 256 and 88, the later two
+        # streamed. Each batch is posted batch_size texts a request, and no
+        # request spans two batches.
+        for n in (300, 600):
+            texts = [f"text {i % 37} row {i}" for i in range(n)]
+            examples = labeled_rows(LabeledSegment(f"ex-{i:03d}", t) for i, t in enumerate(texts))
+            want = build_index(examples, HashedBagEmbedder(dimension=64)).vectors
+            payloads = sorted(
+                texts[first : min(first + batch_size, start + 256)]
+                for start in range(0, n, 256)
+                for first in range(start, min(start + 256, n), batch_size)
             )
-            assert build_index(examples, provider).vectors.tobytes() == want.tobytes()
-        # build_index embeds 256 texts at a time: chunks of 256 and 44 here.
-        per_build = -(-256 // batch_size) + -(-44 // batch_size)
-        assert len(http_server.requests) == 2 * per_build
+            for max_in_flight in (1, 4):
+                http_server.requests.clear()
+                provider = _remote(
+                    http_server.url, batch_size=batch_size, max_in_flight=max_in_flight
+                )
+                assert build_index(examples, provider).vectors.tobytes() == want.tobytes()
+                assert sorted(r["body"]["texts"] for r in http_server.requests) == payloads
+
+    @pytest.mark.parametrize("row", [5, 300], ids=["first-batch", "second-batch"])
+    def test_a_vector_of_no_finite_numbers_names_its_example(self, http_server, row):
+        # Row 300 is text 44 of the second batch of 256: the error names the
+        # example, not the text's position within its batch.
+        vector = {"bad": [float("nan"), 1.0], "t": [1.0, 0.0]}
+        http_server.responder = lambda body: (200, {"vectors": [vector[t] for t in body["texts"]]})
+        examples = labeled_rows(
+            LabeledSegment(f"ex-{k:04d}", "bad" if k == row else "t") for k in range(301)
+        )
+        message = f"example 'ex-{row:04d}': embedding endpoint returned no vector of finite numbers"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            build_index(examples, _remote(http_server.url, batch_size=64))
+
+    @pytest.mark.parametrize("max_in_flight", [1, 4])
+    @pytest.mark.parametrize(
+        "rows,vector",
+        [(range(256, 512), (1.0, 0.0, 0.0, 0.0)), ([300], (0.0, 0.0, 0.0))],
+        ids=["dimension-change", "zero-vector"],
+    )
+    def test_a_bad_streamed_batch_closes_the_stream(self, http_server, rows, vector, max_in_flight):
+        # 1,000 rows are four batches of 256, 256, 256 and 232, each posted
+        # in four requests of 64. Batch 2 is bad, and its last request is
+        # answered late: a later request may be sent only within the window.
+        texts = [f"text {k}" for k in range(1000)]
+        table = {texts[k]: vector for k in rows}
+        examples = labeled_rows(LabeledSegment(f"ex-{k:04d}", t) for k, t in enumerate(texts))
+        in_process = _outcome(lambda: build_index(examples, _VectorsByText(table)))
+        assert isinstance(in_process, str)
+
+        def respond(body):
+            if body["texts"][0] == "text 448":
+                time.sleep(0.1)
+            return 200, {"vectors": [table.get(t, (1.0, 0.0, 0.0)) for t in body["texts"]]}
+
+        http_server.responder = respond
+        before = set(threading.enumerate())
+        provider = _remote(http_server.url, batch_size=64, max_in_flight=max_in_flight)
+        assert _outcome(lambda: build_index(examples, provider)) == in_process
+        assert 8 <= len(http_server.requests) <= 8 + max_in_flight
+        pool = [t for t in set(threading.enumerate()) - before if "ThreadPoolExecutor" in t.name]
+        assert pool == []
 
     def test_a_provider_that_drops_vectors_is_rejected(self):
         class Short:
