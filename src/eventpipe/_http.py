@@ -41,14 +41,7 @@ class Endpoint:
     most max_in_flight requests are open at once, and their starts are spaced
     at least min_interval seconds apart. what names the service in errors.
 
-    ``stream`` posts many payloads through one window of max_in_flight + 1:
-    max_in_flight requests open and one finished reply held for the caller,
-    so a caller that streams many batches keeps every slot busy while it
-    works on the reply it was given. Its failure bound follows: when the
-    stream fails at a reply, or the caller stops at one, up to max_in_flight
-    later payloads may already have been sent, and none is sent after that.
-    So ``build_index`` sends its first batch alone, in a stream of its own,
-    and streams only the later batches.
+    ``stream`` posts many payloads through one bounded window.
     """
 
     url: str
@@ -106,10 +99,13 @@ class Endpoint:
         result. Payloads are taken from the iterable only as the window has
         room: at most max_in_flight + 1 submitted and not yet yielded, so
         max_in_flight requests stay open while one finished reply waits for
-        the caller. The error raised is the one of the earliest failing
-        payload. Any error, or closing the generator, shuts the pool down:
-        payloads not yet started are never sent, and the requests already
-        open are waited for.
+        the caller, and a caller that works on each reply keeps every slot
+        busy. The error raised is the one of the earliest failing payload.
+        Any error, or closing the generator, shuts the pool down: payloads
+        not yet started are never sent, and the requests already open are
+        waited for. So when the stream fails at a reply, or the caller stops
+        at one, up to max_in_flight later payloads may already have been
+        sent, and none is sent after that.
         """
         headers: dict[str, str] | None = None
         window: deque[Future[T]] = deque()

@@ -144,15 +144,8 @@ def cmd_format(args) -> int:
     config = PipelineConfig.load(args.config)
     pipe = Pipeline(config)
     ontology, template = pipe.ontology, pipe.template("format")
-    raws = []
-    for lineno, rec in read_rows(args.raw_file, ("raw",)):
-        attempts = rec.get("attempts", 1)
-        if not isinstance(rec["raw"], str) or type(attempts) is not int or attempts < 1:
-            raise DatasetError(
-                f"{args.raw_file}: line {lineno} needs a string 'raw' and, if given, "
-                "an integer 'attempts' >= 1"
-            )
-        raws.append((rec["id"], rec["raw"]))
+    rows = read_rows(args.raw_file, ("raw",), optional=("attempts",))
+    raws = [(str(rec["id"]), rec["raw"]) for _, rec in rows]
     entries = postprocess(
         raws,
         ontology,

@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 from ._http import Endpoint
 from .gate import FileVerdictProvider, HttpVerdictProvider, check_policy
 from .llm import HttpLlmProvider, ScriptedMockLlm
-from .model import Lines, parse_json
+from .model import FIELD_TYPES, Lines, parse_json
 from .prompts import STAGES
 from .retrieval import HashedBagEmbedder, HttpEmbeddingProvider
 
@@ -68,10 +68,6 @@ _KEYS = {
 _KEYS["llm_overrides"] = "llm"
 _REQUIRED = ("gold", "transcripts", "support", "output_dir", "llm_default")
 _PROVIDERS = ("learned", "embedding", "llm_default", "llm_overrides")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_http_url(value: str) -> bool:
@@ -202,7 +198,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         threshold = self.gate_threshold
-        if not _is_number(threshold) or not 0.0 <= threshold <= 1.0:
+        is_probability, _ = FIELD_TYPES["p"]
+        if not is_probability(threshold):
             raise ConfigError(f"config.gate.threshold must be in [0, 1], got {threshold!r}")
         _check_types(self, lambda name: f"config.{_KEYS[name]}")
         check_policy(self.gate_policy)

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 from ._http import Endpoint
 from .llm import LlmProvider, complete_with_retry
 from .model import (
+    FIELD_TYPES,
     DatasetError,
     LabeledRows,
     Lines,
@@ -114,34 +115,17 @@ class VerdictProvider(Protocol):
         ...
 
 
-def _is_probability(value) -> bool:
-    """A JSON number in [0, 1]: not a bool, a string or null. NaN fails the range test."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
-
-
-def _flag(path, rid: str, name: str, value) -> bool:
-    """value if it is a JSON boolean; a DatasetError naming the file and the id otherwise."""
-    if not isinstance(value, bool):
-        raise DatasetError(f"{path}: id {rid!r} has {name} {value!r}, not true or false")
-    return value
-
-
 class FileVerdictProvider:
     """Precomputed verdicts: rows {"id", "present": bool} or {"id", "p": number}."""
 
     def __init__(self, path: str | Path, *, data: Lines | None = None):
         self.path = Path(path)
         self._by_id: dict[str, float] = {}
-        for lineno, rec in read_rows(self.path, data=data):
+        for lineno, rec in read_rows(self.path, data=data, optional=("present", "p")):
             rid = str(rec["id"])
             if "present" in rec:
-                self._by_id[rid] = float(_flag(self.path, rid, "present", rec["present"]))
+                self._by_id[rid] = float(rec["present"])
             elif "p" in rec:
-                if not _is_probability(rec["p"]):
-                    raise DatasetError(
-                        f"{self.path}: id {rid!r} has probability {rec['p']!r}, "
-                        "not a number in [0, 1]"
-                    )
                 self._by_id[rid] = float(rec["p"])
             else:
                 raise DatasetError(f"{self.path}: line {lineno} needs 'present' or 'p'")
@@ -171,6 +155,8 @@ class HttpVerdictProvider:
             segments[i : i + self.batch_size] for i in range(0, len(segments), self.batch_size)
         ]
 
+        is_probability, _ = FIELD_TYPES["p"]
+
         def parse(i: int, payload) -> list[float]:
             chunk = chunks[i]
             probs = payload.get("probabilities") if isinstance(payload, dict) else None
@@ -181,7 +167,7 @@ class HttpVerdictProvider:
                     f"{len(chunk)} segments ({chunk[0].id!r} to {chunk[-1].id!r})"
                 )
             for seg, p in zip(chunk, probs):
-                if not _is_probability(p):
+                if not is_probability(p):
                     raise VerdictError(
                         f"learned-classifier endpoint returned {p!r} for segment {seg.id!r}, "
                         "not a probability in [0, 1]"
@@ -295,8 +281,7 @@ def load_verdict_triples(path: str | Path) -> dict[str, dict[str, bool]]:
         for k, (lineno, rec) in enumerate(iter_json_records(path))
         if k or not (isinstance(rec, dict) and "stage" in rec and "id" not in rec)
     )
-    out: dict[str, dict[str, bool]] = {}
-    for _, rec in check_rows(path, records, _JUDGES):
-        rid = str(rec["id"])
-        out[rid] = {name: _flag(path, rid, name, rec[name]) for name in _JUDGES}
-    return out
+    return {
+        str(rec["id"]): {name: rec[name] for name in _JUDGES}
+        for _, rec in check_rows(path, records, _JUDGES)
+    }

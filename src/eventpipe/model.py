@@ -8,10 +8,11 @@ its one check. No stage mutates an event it is given, so events are shared
 across workers as they are. A loaded gold or support file is LabeledRows:
 ids, texts and each row's events as flat tuples, whose dicts are rebuilt
 when the row is read. Every row file (JSON lines or one JSON array) is read
-through ``iter_json_records`` and ``check_rows``; a JSON line, of a row file
-or of the completion cache, is decoded by ``_decode_line``, which accepts and
-returns exactly what ``json.loads`` does. Every output file but
-the cache, which is appended to, is replaced whole through ``_replace``: row
+through ``iter_json_records`` and ``check_rows``, which tests each field its
+reader names against ``FIELD_TYPES``, the one field vocabulary. A JSON line,
+of a row file or of the completion cache, is decoded by ``_decode_line``,
+which accepts and returns exactly what ``json.loads`` does. Every output file
+but the cache, which is appended to, is replaced whole through ``_replace``: row
 and report files by way of ``write_rows`` or ``write_json``, the support index
 by ``retrieval.save_index``.
 """
@@ -29,6 +30,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DatasetError",
+    "FIELD_TYPES",
     "LabeledRows",
     "LabeledSegment",
     "Lines",
@@ -254,11 +256,45 @@ def iter_json_records(path: str | Path, data: Lines | None = None) -> Iterator[t
                 raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
 
 
+# The one field vocabulary: what each row field other than "id", of any row
+# file, must hold. A field name maps to a test of its JSON value and the
+# value's description, as messages name it.
+FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **dict.fromkeys(
+        ("rule", "learned", "llm", "gated_in", "failed", "present"),
+        (lambda v: isinstance(v, bool), "true or false"),
+    ),
+    **dict.fromkeys(("event", "events", "predictions"), (lambda v: isinstance(v, list), "a list")),
+    **dict.fromkeys(("text", "raw"), (lambda v: isinstance(v, str), "a string")),
+    "attempts": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "examples": (
+        lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v),
+        "a list of strings",
+    ),
+    # A number, not a bool; NaN fails the range test.
+    "p": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1,
+        "a number in [0, 1]",
+    ),
+}
+
+
 def check_rows(
-    path: str | Path, records: Iterable[tuple[int, Any]], fields: tuple[str, ...] = ()
+    path: str | Path,
+    records: Iterable[tuple[int, Any]],
+    fields: tuple[str, ...] = (),
+    optional: tuple[str, ...] = (),
 ) -> Iterator[tuple[int, dict]]:
-    """Yield records that are objects holding every named field and an 'id' not seen before."""
+    """Yield records that are objects holding every named field and an 'id' not seen before.
+
+    A field named in fields or optional that a record holds must pass its
+    FIELD_TYPES test; one that fails is a DatasetError naming the file, the
+    line, the record and the field. A name without a FIELD_TYPES entry is a
+    KeyError, raised before the first record is read.
+    """
     required = tuple(dict.fromkeys(("id", *fields)))
+    named = dict.fromkeys((*required[1:], *optional))
+    checks = [(name, *FIELD_TYPES[name]) for name in named]
     required_set = frozenset(required)
     seen: set[str] = set()
     for lineno, rec in records:
@@ -269,14 +305,22 @@ def check_rows(
         if rid in seen:
             raise DatasetError(f"{path}: duplicate id {rid!r} at line {lineno}")
         seen.add(rid)
+        for name, valid, kind in checks:
+            if name in rec and not valid(rec[name]):
+                message = f"record {rid!r}: {name!r} must be {kind}"
+                raise DatasetError(f"{path}: line {lineno}: {message}")
         yield lineno, rec
 
 
 def read_rows(
-    path: str | Path, fields: tuple[str, ...] = (), data: Lines | None = None
+    path: str | Path,
+    fields: tuple[str, ...] = (),
+    data: Lines | None = None,
+    *,
+    optional: tuple[str, ...] = (),
 ) -> Iterator[tuple[int, dict]]:
     """Read a headerless row file: iter_json_records (of data, if given), then check_rows."""
-    return check_rows(path, iter_json_records(path, data), fields)
+    return check_rows(path, iter_json_records(path, data), fields, optional)
 
 
 def _replace(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
@@ -377,22 +421,17 @@ def load_gold(path: str | Path, ontology: Ontology, *, data: Lines | None = None
     ids: list[str] = []
     texts: list[str] = []
     events: list[tuple[Event, ...]] = []
-    for lineno, rec in read_rows(path, data=data):
+    for lineno, rec in read_rows(path, data=data, optional=("event", "text")):
         rid = str(rec["id"])
         try:
             raw_events = rec.get("event", [])
-            if not isinstance(raw_events, list):
-                raise DatasetError(f"record {rid!r}: 'event' must be a list")
             events.append(tuple([_checked_event(obj, rid, ontology) for obj in raw_events]))
-            text = rec.get("text", "")
-            if not isinstance(text, str):
-                raise DatasetError(f"record {rid!r}: 'text' must be a string")
             if not rid:
                 raise DatasetError("segment id must be nonempty")
         except DatasetError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
         ids.append(rid)
-        texts.append(text)
+        texts.append(rec.get("text", ""))
     return LabeledRows(tuple(ids), tuple(texts), tuple(events))
 
 
@@ -403,12 +442,8 @@ def load_transcripts(path: str | Path, *, data: Lines | None = None) -> list[Seg
     """
     out: list[Segment] = []
     for lineno, rec in read_rows(path, ("text",), data):
-        rid = str(rec["id"])
-        text = rec["text"]
         try:
-            if not isinstance(text, str):
-                raise DatasetError(f"record {rid!r}: 'text' must be a string")
-            out.append(Segment(id=rid, text=text))
+            out.append(Segment(id=str(rec["id"]), text=rec["text"]))
         except DatasetError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return out

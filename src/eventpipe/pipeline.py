@@ -127,22 +127,6 @@ STAGES = (
 )
 STAGE_ORDER = (*(stage.name for stage in STAGES), "score")
 
-# What each row field other than "id" must hold: a test of its JSON value, and its description.
-FIELD_TYPES = {
-    **dict.fromkeys(
-        ("rule", "learned", "llm", "gated_in", "failed"),
-        (lambda v: isinstance(v, bool), "true or false"),
-    ),
-    **{stage.events: (lambda v: isinstance(v, list), "a list") for stage in STAGES[1:]},
-    "raw": (lambda v: isinstance(v, str), "a string"),
-    "attempts": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "examples": (
-        lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v),
-        "a list of strings",
-    ),
-}
-
-
 class ResumeError(ConfigError):
     """A resumed artifact does not belong to this configuration."""
 
@@ -188,7 +172,7 @@ def read_artifact(
     None if the file is absent or was built from other input contents
     (another inputs digest): the stage is then recomputed. Only the header
     is read in that case. A row without the stage's fields, with a field
-    whose value FIELD_TYPES rejects, or whose event list holds an event that
+    that check_rows rejects, or whose event list holds an event that
     check_event rejects against the ontology, is a DatasetError naming the
     line.
     """
@@ -197,12 +181,8 @@ def read_artifact(
         return None
     rows = []
     (spec,) = [s for s in STAGES if s.name == stage]
-    checks = [(name, *FIELD_TYPES[name]) for name in spec.fields[1:]]
     for lineno, row in check_rows(path, records, spec.fields):
         try:
-            for name, valid, kind in checks:
-                if not valid(row[name]):
-                    raise DatasetError(f"record {row['id']!r}: {name!r} must be {kind}")
             for obj in row[spec.events] if spec.events else ():
                 check_event(obj, row["id"], ontology)
         except DatasetError as exc:

@@ -51,14 +51,8 @@ matrix as it is), takes every row's norm in one stacked product
 no more than a batch or two is held beside it. Queries take the same path
 (``embed_texts``), and both check a reply in one order: its dimensions,
 then its norms. A reply whose vectors differ in length, or whose D is not
-the first batch's, stops the build at that batch. The first batch is
-embedded and checked alone. An in-process embedder then embeds one batch
-per call, so nothing after a bad batch is embedded. The remote provider
-streams the later batches' requests through its endpoint's window of
-max_in_flight + 1 (``HttpEmbeddingProvider.embed_batches``), so requests
-for the next batch are open while one batch is normalized; a bad later
-batch may then be found with up to max_in_flight later requests already
-sent, and the stream is closed there.
+the first batch's, stops the build at that batch; ``build_index`` says
+which batches may be sent before it stops.
 """
 from __future__ import annotations
 
@@ -130,13 +124,8 @@ class EmbeddingProvider(Protocol):
 
     A provider may also have ``embed_batches(batches)``, which yields one
     such reply per non-empty batch, in order, and may have the requests of
-    later batches open before the caller has taken an earlier reply. The
-    remote provider has one, which streams its requests through a window of
-    max_in_flight + 1, so when the caller stops at a bad batch up to
-    max_in_flight later requests may already have been sent. ``build_index``
-    embeds its first batch alone with embed_batch, then takes the later
-    batches from embed_batches when the provider has it, and from one
-    embed_batch call each when it does not.
+    later batches open before the caller has taken an earlier reply (see
+    ``build_index``).
     """
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray | Sequence[np.ndarray]:
@@ -390,12 +379,12 @@ def build_index(
     The first batch is embedded and checked alone, so a bad first reply
     never sends a later batch. The later batches come from the provider's
     ``embed_batches`` when it has one (the remote provider's): its requests
-    stream through the endpoint's window of max_in_flight + 1 while earlier
-    batches are normalized, so a bad later batch may be found with up to
-    max_in_flight later requests already sent, and none is sent after.
-    Any error closes that stream, and its pool is shut down before this
-    returns or raises. Any other provider embeds each later batch with one
-    embed_batch call, and no batch after the bad one is embedded.
+    go through ``Endpoint.stream`` while earlier batches are normalized, so
+    a bad later batch may be found with requests for the next ones already
+    sent, within that stream's bound. Any error closes that stream, and its
+    pool is shut down before this returns or raises. Any other provider
+    embeds each later batch with one embed_batch call, and no batch after
+    the bad one is embedded.
     """
     if not examples:
         raise EmbeddingError("cannot build an index over an empty support set")

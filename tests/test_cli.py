@@ -363,6 +363,25 @@ class TestFormatStandalone:
             }
         ]
 
+    def test_a_record_id_that_is_not_a_string_is_read_as_a_string(self, tmp_path, capsys):
+        # Every loader reads an id as str(id), so an excluded number id is
+        # listed, and a formatted one is written, as a string.
+        config_path = self._config(tmp_path, {"7/format": "still not json"})
+        raw_file = tmp_path / "raws.jsonl"
+        records = [
+            {"id": 7, "raw": "no json here"},
+            {"id": 8, "raw": '[{"trigger": "war", "type": "Attack"}]'},
+        ]
+        raw_file.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out_path = tmp_path / "fixed.jsonl"
+        code, out, _ = run_cli(
+            capsys, "format", "--config", str(config_path), "--raw-file", str(raw_file),
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out == f"formatted: {out_path} (1 segments, 1 excluded)\nexcluded ids: 7\n"
+        assert [json.loads(line)["id"] for line in out_path.read_text().splitlines()] == ["8"]
+
     def test_format_template_is_loaded_once_per_command(self, tmp_path, capsys, monkeypatch):
         import eventpipe.pipeline
         import eventpipe.prompts
@@ -434,10 +453,9 @@ class TestFormatStandalone:
             capsys, "format", "--config", str(config_path), "--raw-file", str(raw_file)
         )
         assert code == 3
-        assert err == (
-            f"error: {raw_file}: line 2 needs a string 'raw' and, if given, "
-            "an integer 'attempts' >= 1\n"
-        )
+        name = "attempts" if "attempts" in record else "raw"
+        kind = {"raw": "a string", "attempts": "an integer >= 1"}[name]
+        assert err == f"error: {raw_file}: line 2: record 'r2': {name!r} must be {kind}\n"
 
 
 # Spellings near a policy name that are not one: aliases, another case, padding.
@@ -927,7 +945,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
         assert code == 3
         assert err == (
-            f"error: {corpus.learned_path}: id {rid!r} has present {value!r}, not true or false\n"
+            f"error: {corpus.learned_path}: line 1: record {rid!r}: 'present' must be true or false\n"
         )
 
     @pytest.mark.parametrize("name,value", [("rule", "no"), ("learned", 0), ("llm", None)])
@@ -941,7 +959,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "agreement", str(path))
         assert code == 3
         assert out == ""
-        assert err == f"error: {path}: id 's2' has {name} {value!r}, not true or false\n"
+        assert err == f"error: {path}: line 2: record 's2': {name!r} must be true or false\n"
 
     def test_verdict_triple_that_looks_like_a_header_is_an_input_error(self, tmp_path, capsys):
         # Only a first record can be an artifact header; a later one is a

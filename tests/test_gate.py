@@ -146,8 +146,13 @@ class TestLearnedClassifier:
 
     @pytest.mark.parametrize("value", [None, "0.4", True, [0.5]], ids=repr)
     def test_probability_that_is_not_a_number_is_rejected(self, tmp_path, value):
-        with pytest.raises(DatasetError, match=r"id 'a' has probability .*not a number in \[0, 1\]"):
+        message = r"line 1: record 'a': 'p' must be a number in \[0, 1\]$"
+        with pytest.raises(DatasetError, match=message):
             self._provider(tmp_path, [{"id": "a", "p": value}])
+
+    def test_a_bad_probability_beside_a_verdict_is_rejected(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"record 'a': 'p' must be a number in \[0, 1\]$"):
+            self._provider(tmp_path, [{"id": "a", "present": True, "p": "high"}])
 
     def test_http_provider_posts_text_and_reads_probability(self, http_server):
         http_server.default_response = (200, {"probabilities": [0.8]})

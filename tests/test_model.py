@@ -13,19 +13,21 @@ from hypothesis import strategies as st
 from eventpipe.cli import cmd_format
 from eventpipe.gate import FileVerdictProvider, load_verdict_triples
 from eventpipe.model import (
+    FIELD_TYPES,
     DatasetError,
     LabeledSegment,
     Ontology,
     Segment,
     _decode_line,
     check_event,
+    check_rows,
     iter_json_records,
     load_gold,
     load_ontology,
     load_transcripts,
     normalize,
 )
-from eventpipe.pipeline import read_artifact
+from eventpipe.pipeline import STAGES, read_artifact
 from eventpipe.prompts import render_examples
 
 
@@ -250,8 +252,12 @@ class TestLoaders:
                 {"id": "b", "event": [{"trigger": "x", "type": "NotAType"}]},
                 "record 'b': unknown event type 'NotAType'",
             ),
+            (
+                {"id": "b", "event": [{"trigger": "x", "type": "NotAType"}], "text": 5},
+                "record 'b': 'text' must be a string",
+            ),
         ],
-        ids=["event", "text", "type"],
+        ids=["event", "text", "type", "text-before-type"],
     )
     def test_a_bad_gold_row_names_the_file_and_the_line(self, tmp_path, ontology, record, message):
         path = tmp_path / "gold.jsonl"
@@ -443,6 +449,17 @@ ROW_LOADERS = {
     ),
 }
 
+# For each row loader: a field its rows hold, a value of the wrong kind, and
+# the kind the message names.
+BAD_FIELDS = {
+    "gold": ("event", {}, "a list"),
+    "transcripts": ("text", 5, "a string"),
+    "learned verdicts": ("p", "0.5", "a number in [0, 1]"),
+    "verdict triples": ("llm", "yes", "true or false"),
+    "raw replies": ("attempts", 0, "an integer >= 1"),
+    "stage artifact": ("gated_in", None, "true or false"),
+}
+
 
 # JSON whitespace, whitespace that JSON does not skip, a BOM, garbage, and
 # bare tokens that are JSON only to Python's decoder (NaN, Infinity).
@@ -510,6 +527,27 @@ class TestRowCodec:
         with pytest.raises(DatasetError) as excinfo:
             load(path)
         assert str(excinfo.value) == f"{path}: invalid JSON at line 2"
+
+    @pytest.mark.parametrize("kind", sorted(ROW_LOADERS))
+    def test_every_loader_names_a_bad_field_in_one_form(self, tmp_path, kind):
+        rows, load = ROW_LOADERS[kind]
+        name, value, expected = BAD_FIELDS[kind]
+        rows = [*rows[:-1], {**rows[-1], name: value}]
+        path = tmp_path / "rows.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(DatasetError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == (
+            f"{path}: line {len(rows)}: record 'a': {name!r} must be {expected}"
+        )
+
+    def test_every_artifact_field_has_a_kind(self):
+        fields = {name for stage in STAGES for name in stage.fields} - {"id"}
+        assert fields <= FIELD_TYPES.keys()
+
+    def test_a_field_without_a_kind_is_refused_before_any_record(self, tmp_path):
+        with pytest.raises(KeyError):
+            list(check_rows(tmp_path / "rows.jsonl", [], optional=("colour",)))
 
     @pytest.mark.parametrize(
         "content",

@@ -1,9 +1,9 @@
 """The test configuration, the source tree, and the README's documented usage.
 
 A failing property test is reported, not a crash, no module of the package
-keeps a module-level import that it neither uses nor exports, and README's
+keeps a module-level import that it neither uses nor exports, README's
 command-line and configuration blocks say what the parser and the config
-loader accept.
+loader accept, and its artifact field lists are the stages' row fields.
 """
 from __future__ import annotations
 
@@ -140,6 +140,14 @@ def test_readme_config_shows_the_defaults():
         "llm": {"default": data["llm"]["default"]},
     }
     assert shown.to_dict() == PipelineConfig.from_dict(required).to_dict()
+
+
+def test_readme_artifact_fields_are_the_stage_fields():
+    section = README.read_text(encoding="utf-8").split("\n## File formats\n", 1)[1]
+    listed = re.findall(r"^  - (\w+): `([\w ]+)`$", section.split("\n## ", 1)[0], re.M)
+    assert [(name, tuple(names.split())) for name, names in listed] == [
+        (stage.name, stage.fields) for stage in STAGES
+    ]
 
 
 def test_artifact_stages_fill_the_prompt_stages_in_order():
