@@ -123,12 +123,12 @@ class FileVerdictProvider:
         self._by_id: dict[str, float] = {}
         for lineno, rec in read_rows(self.path, data=data, optional=("present", "p")):
             rid = str(rec["id"])
-            if "present" in rec:
-                self._by_id[rid] = float(rec["present"])
-            elif "p" in rec:
-                self._by_id[rid] = float(rec["p"])
-            else:
-                raise DatasetError(f"{self.path}: line {lineno} needs 'present' or 'p'")
+            # check_rows has rejected a null `present` or `p`.
+            verdict = rec.get("present", rec.get("p"))
+            if verdict is None:
+                message = f"record {rid!r}: needs 'present' or 'p'"
+                raise DatasetError(f"{self.path}: line {lineno}: {message}")
+            self._by_id[rid] = float(verdict)
 
     def presence_probabilities(self, segments: Sequence[Segment]) -> list[float]:
         try:

@@ -5,7 +5,7 @@ The index is a flat scan, and it is exact: a query's score for a row is
 retrieval is deterministic, which the golden-run tests rely on. A search takes
 a matrix of queries and runs in two phases, in milliseconds over ~19k rows:
 
-1. One blocked ``np.einsum`` pass in float32 gives every row an approximate
+1. One blocked ``np.vecdot`` pass in float32 gives every row an approximate
    score for each query of a group of up to ``_QUERY_GROUP``. The scan is
    memory-bound, so the queries of a group share each read of a row, and each
    chunk of float64 rows is converted into a small float32 buffer that its
@@ -22,23 +22,26 @@ a matrix of queries and runs in two phases, in milliseconds over ~19k rows:
 A search can also keep, per query and per event type, the same cut applied to
 that type's rows alone: the type's shortlist. The top k among the examples of
 any set of types lies in the union of their shortlists, so a same-type search
-rescores that union and reads no other row (``same_type_rows``).
+rescores that union and reads no other row (``same_type_rows``). A type's
+shortlists for a whole group are one gather, one partition and one comparison
+against a threshold per query (``_shortlists``); the cut over all rows is
+taken per query, as one partition of all the group's scores copies them.
 
 Given the run's worker pool, the scan splits the rows into blocks of
 ``_SCAN_BLOCK`` and scans each block as one pool task, with its own chunk
-buffer, into its own rows of the score matrix. einsum and the float32
-conversion release the GIL, so the blocks scan in parallel; the per-query
-work of phase 2 holds the GIL and stays on the caller. The tasks are row
-blocks rather than queries because the scan is memory-bound: split by
-query, every task would read the whole matrix. An index of one block, or a
-search without a pool, scans on the caller. Each block also returns the
-largest float64 row square among its rows, squared from each chunk while it
-is in cache, which the error bounds of phase 2 need.
+buffer, into its own rows of the score matrix. vecdot and the float32
+conversion release the GIL, so the blocks scan in parallel; phase 2 holds
+the GIL and stays on the caller. The tasks are row blocks rather than
+queries because the scan is memory-bound: split by query, every task would
+read the whole matrix. An index of one block, or a search without a pool,
+scans on the caller. Each block also returns the largest float64 row square
+among its rows, squared from each chunk while it is in cache, which the
+error bounds of phase 2 need.
 
-The scan goes through einsum, numpy's own single-threaded loop, not through
-BLAS: a BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix) wakes
-the BLAS thread pool, whose threads busy-wait between calls and cost more
-CPU than the scan saves; the pool's threads already hold the parallelism.
+The scan's vecdot takes one dot product per (row, query) pair on the calling
+thread. A BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix)
+would wake the BLAS thread pool, whose busy-waiting threads cost more CPU
+than the scan saves; the pool's threads already hold the parallelism.
 
 The index holds the support set as the ``LabeledRows`` that ``load_gold``
 returned: the per-type rows are read from its columns, and an example's event
@@ -88,25 +91,25 @@ __all__ = [
 
 DEFAULT_DIMENSION = 384
 _NORM_TOL = 1e-6
-# Rows per einsum call, converted into one float32 buffer per block task:
-# 192 KB at 384 dimensions. Chunks of 128 to 1,024 rows scanned 19k rows for
-# 22 queries in the same time, 64-row chunks 3% slower; 1,024-row chunks
-# raised peak RSS by about 1.4 MB on a 2k-row support set.
+# Rows per vecdot call, converted into one float32 buffer per block task:
+# 192 KB at 384 dimensions. 128- and 256-row chunks scanned 19k rows for 22
+# queries in the same CPU time, 64-row chunks 4% slower and 512 to 1,024-row
+# ones 13 to 19% slower; 1,024-row chunks raised peak RSS by 1.4 MB on 2k rows.
 _SCAN_CHUNK = 128
 # Rows per pool task, a multiple of _SCAN_CHUNK so that the blocks chunk the
 # rows as one inline scan does: 15.7 MB of float64 rows at 384 dimensions.
 # 19k rows make four tasks, which two workers share: the scan of 22 queries
-# took about 14 ms of wall time instead of 25. A 2k-row index is one block,
-# scanned on the caller; sending it to a pool thread raised peak RSS by
-# about 0.26 MB.
+# took 22 ms of wall time instead of 33 on one thread (einsum: 29 and 47).
+# A 2k-row index is one block, scanned on the caller; sending it to a pool
+# thread raised peak RSS by about 0.26 MB.
 _SCAN_BLOCK = 40 * _SCAN_CHUNK
 # Queries scored per pass over the rows. The group's float32 scores take
 # N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One
-# float32 pass over 19k rows for 22 queries took about 31 ms, against 69 ms
-# for three float64 passes of 8. Each pass also squares every float64 row
-# for the error bounds, from the chunk it has just converted: about 2 ms of
-# CPU per pass at 19k rows (4% of a 64-query pass), against 2 to 5 ms for a
-# separate read of the matrix, which a run with one group no longer makes.
+# float32 einsum pass over 19k rows for 22 queries took about 31 ms, against
+# 69 ms for three float64 passes of 8. Each pass also squares every float64
+# row for the error bounds, from the chunk it has just converted: about 2 ms
+# of CPU per pass at 19k rows (4% of a 64-query pass), against 2 to 5 ms for
+# a separate read of the matrix, which a run with one group no longer makes.
 _QUERY_GROUP = 64
 _INDEX_FORMAT = "eventpipe-index/2"  # the header line, then np.save's matrix
 
@@ -510,7 +513,7 @@ class Hits:
 def _approx_scores(
     vectors: np.ndarray, queries: np.ndarray, pool: Executor | None = None
 ) -> tuple[np.ndarray, float]:
-    """float32 einsum scores (row by query) of every row, and the largest float64 row square.
+    """float32 vecdot scores (row by query) of every row, and the largest float64 row square.
 
     The rows are scanned _SCAN_BLOCK at a time, each block a task on `pool`
     when there are two or more, else on the caller. The largest square is
@@ -546,7 +549,7 @@ def _scan_block(vectors: np.ndarray, group: np.ndarray, out: np.ndarray) -> floa
             chunk = vectors[rows]
             block = buffer[: len(chunk)]
             np.copyto(block, chunk, casting="same_kind")
-            np.einsum("ij,kj->ik", block, group, out=out[rows])
+            np.vecdot(block[:, None, :], group[None, :, :], out=out[rows])
             np.einsum("ij,ij->i", chunk, chunk, out=squares[rows])
     return float(squares.max())
 
@@ -564,7 +567,7 @@ def search(
     A query's Hits.rows are its min(k, N) most similar rows, by descending
     score, ties broken by ascending example id. With `by_type`, its
     Hits.shortlists answer same_type_rows for any set of event types. The
-    float32 einsum pass reads the matrix once per _QUERY_GROUP queries,
+    float32 vecdot pass reads the matrix once per _QUERY_GROUP queries,
     _SCAN_CHUNK rows at a time and _SCAN_BLOCK rows per task on `pool`, and
     both uses share it.
     """
@@ -577,55 +580,52 @@ def search(
             f"{index.dimension}"
         )
     hits = []
+    every_row = np.arange(len(index))
     for start in range(0, len(queries), _QUERY_GROUP):
         group = queries[start : start + _QUERY_GROUP]
         # Frees the previous group's scores before the next are made.
-        approx = max_square = None
+        approx, cuts = None, np.full(len(group), np.inf)
         if len(index) > k:  # else every row is in every top k
             approx, max_square = _approx_scores(index.vectors, group, pool)
+            # A row more than twice its two error bounds below the k-th best
+            # approximate score of some rows is beaten by k of them under
+            # np.dot too. An overflowing bound, and a query with a non-finite
+            # score (a float64 sum of float32 scores is finite exactly when
+            # they all are), get an inf cut, which prunes nothing.
+            with np.errstate(over="ignore", invalid="ignore"):
+                args = (index.dimension, max_square, np.vecdot(group, group))
+                cuts = 2 * (_float32_error_bound(*args) + _dot_error_bound(*args))
+                cuts[~np.isfinite(approx.sum(axis=0, dtype=np.float64))] = np.inf
+        types = index.type_rows.items() if by_type else ()
+        typed = {t: _shortlists(rows, approx, k, cuts) for t, rows in types}
         for j, q in enumerate(group):
-            column = None if approx is None else approx[:, j]
-            hits.append(_query_hits(index, q, k, column, max_square, by_type))
+            column = None if approx is None else approx[:, j : j + 1]
+            (top,) = _shortlists(every_row, column, k, cuts[j : j + 1])
+            shortlists = {t: lists[j] for t, lists in typed.items()} if by_type else None
+            hits.append(Hits(q, k, _ranked(index, top.tolist(), q, k), shortlists))
     return hits
 
 
-def _query_hits(
-    index: SupportIndex,
-    q: np.ndarray,
-    k: int,
-    approx: np.ndarray | None,
-    max_square: float | None,
-    by_type: bool,
-) -> Hits:
-    """Query q's Hits: np.dot rescores only the rows that approx cannot rule out."""
-    # A non-finite approximate score prunes nothing (and would make the cut
-    # inf - inf when k rows score +inf).
-    cut = np.inf
-    if approx is not None and np.isfinite(approx).all():
-        # Each score errs from the true dot product by at most its bound, so
-        # the two differ by at most their sum: a row whose approximate score
-        # is more than twice that below the k-th best of some rows is beaten
-        # by k of them under np.dot too.
-        args = (index.dimension, max_square, float(np.dot(q, q)))
-        cut = 2 * (_float32_error_bound(*args) + _dot_error_bound(*args))
-    rows = _ranked(index, _shortlist(np.arange(len(index)), approx, k, cut).tolist(), q, k)
-    shortlists = None
-    if by_type:
-        shortlists = {
-            event_type: _shortlist(type_rows, approx, k, cut)
-            for event_type, type_rows in index.type_rows.items()
-        }
-    return Hits(q, k, rows, shortlists)
+def _shortlists(
+    rows: np.ndarray, approx: np.ndarray | None, k: int, cuts: np.ndarray
+) -> list[np.ndarray]:
+    """Per query, the `rows` within its cut of the k-th best approximate score among them.
 
-
-def _shortlist(rows: np.ndarray, approx: np.ndarray | None, k: int, cut: float) -> np.ndarray:
-    """The rows whose approximate score is within `cut` of the k-th best among them."""
-    if len(rows) <= k or not np.isfinite(cut):
-        return rows
-    scores = approx[rows]
+    `approx` holds the group's scores, row by query, and `cuts` one cut per
+    query. `rows` ascend without repeats, so N of them are every row in
+    order, which is read without a gather.
+    """
+    if len(rows) <= k:
+        return [rows] * len(cuts)
+    scores = approx if len(rows) == len(approx) else approx[rows]
+    kth = np.partition(scores, len(rows) - k, axis=0)[len(rows) - k]
     # A float64 threshold, so that the float32 scores are compared unrounded.
-    threshold = np.float64(np.partition(scores, len(rows) - k)[len(rows) - k]) - cut
-    return rows[scores >= threshold]
+    # Under an inf cut it is -inf or NaN (inf - inf), and no score, NaN
+    # included, is below it: that query keeps every row.
+    with np.errstate(invalid="ignore"):
+        threshold = kth.astype(np.float64) - cuts
+    keep = ~(scores < threshold)
+    return [rows[keep[:, j]] for j in range(len(cuts))]
 
 
 def _ranked(index: SupportIndex, rows: list[int], q: np.ndarray, k: int) -> list[int]:

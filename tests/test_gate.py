@@ -150,6 +150,11 @@ class TestLearnedClassifier:
         with pytest.raises(DatasetError, match=message):
             self._provider(tmp_path, [{"id": "a", "p": value}])
 
+    def test_a_row_without_a_verdict_names_its_record(self, tmp_path):
+        message = r"verdicts\.jsonl: line 2: record 'b': needs 'present' or 'p'$"
+        with pytest.raises(DatasetError, match=message):
+            self._provider(tmp_path, [{"id": "a", "p": 0.1}, {"id": "b"}])
+
     def test_a_bad_probability_beside_a_verdict_is_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match=r"record 'a': 'p' must be a number in \[0, 1\]$"):
             self._provider(tmp_path, [{"id": "a", "present": True, "p": "high"}])

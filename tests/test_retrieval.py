@@ -216,6 +216,63 @@ def _set_type_rows(events):
     return rows
 
 
+@st.composite
+def _group_cases(draw):
+    """(index, queries, k, group size) where some queries' float32 scores are not finite.
+
+    A query scaled past float32's range (1e39) has +inf, -inf or NaN float32
+    scores while np.dot stays finite, beside queries whose scores prune. Rows
+    may be turned to the signs of such a query, so that k of them score +inf
+    and the k-th best is +inf; a row scaled the same way makes every query's
+    scores non-finite. Types hold from none to every row, and k may pass N.
+    """
+    dimension = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(n, dimension))
+    queries = rng.normal(size=(draw(st.integers(1, 7)), dimension))
+    for j in draw(st.sets(st.integers(0, len(queries) - 1), max_size=3)):
+        queries[j] *= 1e39
+        for row in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+            vectors[row] = np.abs(vectors[row]) * np.sign(queries[j])
+    if draw(st.integers(0, 9)) == 0:
+        vectors[draw(st.integers(0, n - 1))] *= 1e39
+    vectors.setflags(write=False)
+    ids = [f"v-{i:04d}" for i in rng.permutation(n)]
+    types = [draw(st.sets(st.sampled_from(_TYPES))) for _ in ids]
+    index = SupportIndex(examples=_typed(ids, types), vectors=vectors)
+    return index, queries, draw(st.integers(1, n + 2)), draw(st.integers(1, 3))
+
+
+def _shortlist(rows, approx, k, cut):
+    """One query's rows within `cut` of the k-th best approximate score among them."""
+    if len(rows) <= k or not np.isfinite(cut):
+        return rows
+    scores = approx[rows]
+    threshold = np.float64(np.partition(scores, len(rows) - k)[len(rows) - k]) - cut
+    return rows[scores >= threshold]
+
+
+def _per_query_hits(index, queries, k):
+    """(rows, shortlists by type) of each query, each cut taken for one query at a time."""
+    out = []
+    for start in range(0, len(queries), retrieval._QUERY_GROUP):
+        group = queries[start : start + retrieval._QUERY_GROUP]
+        approx = max_square = None
+        if len(index) > k:
+            approx, max_square = retrieval._approx_scores(index.vectors, group)
+        for j, q in enumerate(group):
+            column = None if approx is None else approx[:, j]
+            cut = np.inf
+            if column is not None and np.isfinite(column).all():
+                args = (index.dimension, max_square, float(np.dot(q, q)))
+                cut = 2 * (retrieval._float32_error_bound(*args) + retrieval._dot_error_bound(*args))
+            top = _shortlist(np.arange(len(index)), column, k, cut).tolist()
+            by_type = {t: _shortlist(rows, column, k, cut).tolist() for t, rows in index.type_rows.items()}
+            out.append((retrieval._ranked(index, top, q, k), by_type))
+    return out
+
+
 class _NoBlasArray(np.ndarray):
     """An array whose BLAS products (@, np.matmul, a matrix .dot) fail the test."""
 
@@ -232,11 +289,14 @@ class _NoBlasArray(np.ndarray):
 
 
 class _NoBlasNumpy:
-    """numpy as retrieval sees it, forwarded, but without BLAS.
+    """numpy as retrieval sees it, forwarded, but without BLAS products.
 
     Every array a numpy function returns is a _NoBlasArray view, so that @
     on it fails; dot takes vectors only; matmul, inner, tensordot and vdot
     fail; and einsum takes no `optimize`, with which it may call BLAS.
+    vecdot, the scan's kernel, passes: it takes one dot product per (row,
+    query) pair on the calling thread, which wakes no BLAS thread
+    (test_a_search_leaves_blas_threads_idle measures that).
     """
 
     def __getattr__(self, name):
@@ -1042,6 +1102,76 @@ class TestSearch:
             rows = [same_type_rows(guarded, hits, ["A", "C"]) for hits in found]
         assert [hits.rows for hits in found] == [hits.rows for hits in want]
         assert rows == [same_type_rows(index, hits, ["A", "C"]) for hits in want]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_a_search_leaves_blas_threads_idle(self):
+        # The BLAS library starts threads of its own, which spin for a while
+        # after numpy's import and after each BLAS product, then sleep. Once
+        # their start-up spin has settled, searches that scan two blocks on a
+        # two-worker pool must add no tick of user or system CPU to any
+        # thread that Python did not start. A scan through np.matmul adds some.
+        code = """
+import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+import numpy as np
+from eventpipe import retrieval
+from eventpipe.model import LabeledRows
+
+def ticks():
+    started = {thread.native_id for thread in threading.enumerate()}
+    out = {}
+    for task in Path("/proc/self/task").iterdir():
+        if int(task.name) not in started:
+            stat = (task / "stat").read_text().rpartition(")")[2].split()
+            out[task.name] = int(stat[11]) + int(stat[12])  # utime + stime
+    return out
+
+n = retrieval._SCAN_BLOCK + 1000
+rng = np.random.default_rng(0)
+vectors = rng.normal(size=(n, 384))
+vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+ids = tuple(map(str, range(n)))
+index = retrieval.SupportIndex(LabeledRows(ids, ids, tuple(((i, f"T{int(i) % 3}"),) for i in ids)), vectors)
+before, settled = None, ticks()
+for _ in range(40):
+    if before == settled:
+        break
+    time.sleep(0.25)
+    before, settled = settled, ticks()
+with ThreadPoolExecutor(2) as pool:
+    for _ in range(3):
+        retrieval.search(index, rng.normal(size=(22, 384)), 10, by_type=True, pool=pool)
+    after = ticks()
+print(json.dumps({"settled": before == settled, "gained": {t: after[t] - settled[t] for t in settled}}))
+"""
+        src = str(Path(retrieval.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["settled"], "the BLAS threads' start-up spin did not settle"
+        assert all(tick == 0 for tick in result["gained"].values()), result["gained"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_group_cases())
+    def test_group_shortlists_equal_the_per_query_shortlists(self, case):
+        # Each type's shortlists, taken for a whole group at once, and the top
+        # k, against the same cuts taken one query at a time. inf - inf, in
+        # a query whose k-th best float32 score is +inf, must not warn.
+        index, queries, k, group = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "_QUERY_GROUP", group)
+            found = search(index, queries, k, by_type=True)
+            want = _per_query_hits(index, queries, k)
+        assert len(found) == len(want)
+        for hits, (rows, by_type) in zip(found, want):
+            assert hits.rows == rows
+            assert {t: shortlist.tolist() for t, shortlist in hits.shortlists.items()} == by_type
 
     def test_float32_bound_counts_each_rounding(self):
         # 384 unit-norm dimensions: conversion 2u + u^2 times the doubled
