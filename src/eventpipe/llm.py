@@ -46,6 +46,10 @@ class CacheError(RuntimeError):
 class LlmProvider(ABC):
     """Chat completion contract. Implementations must be safe under concurrent calls."""
 
+    # Whether a completion waits on the network. A run overlaps such waits on
+    # a worker pool; one whose providers all answer in process runs inline.
+    waits = True
+
     @property
     @abstractmethod
     def provider_id(self) -> str:
@@ -137,6 +141,8 @@ class ScriptedMockLlm(LlmProvider):
     once exhausted. Unmatched requests raise MockMissError rather than
     inventing output.
     """
+
+    waits = False
 
     def __init__(self, script: dict[str, str | list[str]], *, provider_name: str = "mock"):
         self._provider_name = provider_name

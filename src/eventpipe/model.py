@@ -288,9 +288,10 @@ def check_rows(
     """Yield records that are objects holding every named field and an 'id' not seen before.
 
     A field named in fields or optional that a record holds must pass its
-    FIELD_TYPES test; one that fails is a DatasetError naming the file, the
-    line, the record and the field. A name without a FIELD_TYPES entry is a
-    KeyError, raised before the first record is read.
+    FIELD_TYPES test. Each fault is a DatasetError in one form, "<path>:
+    line <n>: ...", that names the record where it has an id: a missing
+    field, a repeated id, or a field that fails its test. A name without a
+    FIELD_TYPES entry is a KeyError, raised before the first record is read.
     """
     required = tuple(dict.fromkeys(("id", *fields)))
     named = dict.fromkeys((*required[1:], *optional))
@@ -299,11 +300,12 @@ def check_rows(
     seen: set[str] = set()
     for lineno, rec in records:
         if not isinstance(rec, dict) or not rec.keys() >= required_set:
+            which = f" {str(rec['id'])!r}" if isinstance(rec, dict) and "id" in rec else ""
             names = " and ".join(repr(key) for key in required)
-            raise DatasetError(f"{path}: record at line {lineno} needs {names}")
+            raise DatasetError(f"{path}: line {lineno}: record{which} needs {names}")
         rid = str(rec["id"])
         if rid in seen:
-            raise DatasetError(f"{path}: duplicate id {rid!r} at line {lineno}")
+            raise DatasetError(f"{path}: line {lineno}: duplicate id {rid!r}")
         seen.add(rid)
         for name, valid, kind in checks:
             if name in rec and not valid(rec[name]):

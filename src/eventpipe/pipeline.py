@@ -1,17 +1,20 @@
 """Pipeline execution: gate, triggers, arguments, final, score.
 
-A run has two phases over the segments, both on one worker pool. The gate
-phase fetches every learned verdict in batches, then runs each segment's
-rule, learned and LLM verdicts. Between the phases, the query phase embeds
-the text of every segment that will retrieve few-shot examples, all in one
-embed_batch call, and scores them in one search, which reads the support
-matrix once per group of up to 64 queries, in row blocks that run as tasks
-on the pool. It keeps each segment's top-k rows and, when same_type_filter
-is on and arguments are computed, each event type's shortlist. The
-extraction phase then runs trigger recognition, argument extraction and
-repair per segment with those examples (a same-type argument search, which
-needs the predicted types, rescores there the union of those types'
-shortlists and reads no other row), each argument reply parsed once.
+A run has two phases over the segments. With more than one worker and a
+chat provider that waits on the network, both run on one worker pool, which
+overlaps the waits; otherwise both run on the calling thread, where no thread
+hand-off adds CPU. The gate phase fetches every learned verdict in batches,
+then runs each segment's rule, learned and LLM verdicts. Between the phases,
+the query phase embeds the text of every segment that will retrieve few-shot
+examples, all in one embed_batch call, and scores them in one search, which
+reads the support matrix once per group of up to 64 queries, in row blocks
+that run as tasks on the pool, if there is one. It keeps each segment's top-k
+rows and, when same_type_filter is on and arguments are computed, each event
+type's shortlist. The extraction phase then runs trigger recognition,
+argument extraction and repair per segment with those examples (a same-type
+argument search, which needs the predicted types, rescores there the union
+of those types' shortlists and reads no other row), each argument reply
+parsed once.
 Each stage has a record in STAGES and one JSONL artifact, whose header line
 records the stage name, the config hash and the inputs digest (of the input
 files' contents); later stages read its rows as they are, computed or replayed.
@@ -39,6 +42,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -202,6 +206,10 @@ class CountingLlm(LlmProvider):
     @property
     def provider_id(self) -> str:
         return self.inner.provider_id
+
+    @property
+    def waits(self) -> bool:
+        return self.inner.waits
 
     def complete(self, bundle: PromptBundle) -> str:
         with self._lock:
@@ -416,11 +424,12 @@ class Pipeline:
         return self.out_dir / f"{stage}.jsonl"
 
     def _gate(
-        self, segments: list[Segment], pool: ThreadPoolExecutor, template: Template | None
+        self, segments: list[Segment], pool: ThreadPoolExecutor | None, template: Template | None
     ) -> list[dict]:
         """The gate phase: learned verdicts fetched in batches, then each segment's gate row.
 
-        template is the presence template, None when a verdict file replaces the prompt.
+        The rows are mapped on pool, or on the caller without one. template is
+        the presence template, None when a verdict file replaces the prompt.
         """
         cfg = self.config
         ontology, cache = self.ontology, self.cache
@@ -451,14 +460,14 @@ class Pipeline:
             row["gated_in"] = vote(row, cfg.gate_policy)
             return row
 
-        return list(pool.map(gate, segments, learned, llm_file))
+        return list((map if pool is None else pool.map)(gate, segments, learned, llm_file))
 
     def _queries(
         self,
         segments: list[Segment],
         records: list[SegmentRecord],
         computed: set[str],
-        pool: ThreadPoolExecutor,
+        pool: ThreadPoolExecutor | None,
     ) -> dict[str, Hits]:
         """The query phase: the search hits of each retrieving segment, from one search.
 
@@ -470,8 +479,8 @@ class Pipeline:
         of the argument stage, and with the filter and the argument stage
         computed it keeps each event type's shortlist for that stage. The
         search scans the support matrix in row blocks on the pool, which is
-        idle between the phases. Only a retrieving stage builds the index,
-        so replaying both embeds nothing.
+        idle between the phases, or on the caller without one. Only a
+        retrieving stage builds the index, so replaying both embeds nothing.
         """
         if not computed & {"triggers", "arguments"} or self.index is None:
             return {}
@@ -493,7 +502,7 @@ class Pipeline:
     def _extraction_task(
         self, computed: set[str], found: dict[str, Hits], templates: dict[str, Template]
     ):
-        """The extraction phase's pool task: one segment's triggers, arguments and repair.
+        """The extraction phase's per-segment task: one segment's triggers, arguments and repair.
 
         found holds the query phase's hits; templates holds the template of
         each computed stage, by stage name.
@@ -592,11 +601,19 @@ class Pipeline:
             SegmentRecord({stage: by_id.get(seg.id) for stage, by_id in replayed.items()})
             for seg in segments
         ]
+        # A pool only overlaps provider waits: a run opens one when it has more
+        # than one worker and a stage that calls a provider (a key of
+        # templates) calls a chat provider that waits on the network.
+        # Otherwise handing the GIL between threads costs CPU and saves
+        # nothing, and both phases map on this thread.
+        threaded = cfg.workers > 1 and any(
+            self.llm_for(stage.prompt).waits for stage in stages if stage.name in templates
+        )
         # One pool serves both phases. Each phase resolves its shared
         # resources before it maps: llm_for is check-then-set, and a
         # cached_property locks its first access only on Python <= 3.11, so
         # resolving them in pool threads could build a second cache or provider.
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.workers) if threaded else nullcontext() as pool:
             if "gate" in computed:
                 verdicts = self._gate(segments, pool, templates.get("gate"))
                 for record, row in zip(records, verdicts):
@@ -604,7 +621,7 @@ class Pipeline:
             if computed - {"gate"}:
                 found = self._queries(segments, records, computed, pool)
                 process = self._extraction_task(computed, found, templates)
-                list(pool.map(process, segments, records))
+                list((map if pool is None else pool.map)(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = result.rows = {
             s.name: [rec.rows[s.name] for rec in records if rec.rows.get(s.name)] for s in stages

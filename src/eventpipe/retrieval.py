@@ -34,7 +34,9 @@ conversion release the GIL, so the blocks scan in parallel; phase 2 holds
 the GIL and stays on the caller. The tasks are row blocks rather than
 queries because the scan is memory-bound: split by query, every task would
 read the whole matrix. An index of one block, or a search without a pool,
-scans on the caller. Each block also returns the largest float64 row square
+scans on the caller; a run has no pool unless a chat provider it calls waits
+on the network, so a run whose providers answer in process scans every block
+on its calling thread. Each block also returns the largest float64 row square
 among its rows, squared from each chunk while it is in cache, which the
 error bounds of phase 2 need.
 
@@ -98,10 +100,13 @@ _NORM_TOL = 1e-6
 _SCAN_CHUNK = 128
 # Rows per pool task, a multiple of _SCAN_CHUNK so that the blocks chunk the
 # rows as one inline scan does: 15.7 MB of float64 rows at 384 dimensions.
-# 19k rows make four tasks, which two workers share: the scan of 22 queries
-# took 22 ms of wall time instead of 33 on one thread (einsum: 29 and 47).
-# A 2k-row index is one block, scanned on the caller; sending it to a pool
-# thread raised peak RSS by about 0.26 MB.
+# 19k rows make four tasks, which two workers share in a threaded run: the
+# scan of 22 queries took 22 ms of wall time instead of 33 on one thread
+# (einsum: 29 and 47). A run without a waiting chat provider has no pool and
+# scans the blocks on the caller, which on an idle 2-vCPU machine took 21 ms
+# of wall time and CPU against 17 ms of wall time and 31 ms of CPU on two
+# workers. A 2k-row index is one block, scanned on the caller; sending it to
+# a pool thread raised peak RSS by about 0.26 MB.
 _SCAN_BLOCK = 40 * _SCAN_CHUNK
 # Queries scored per pass over the rows. The group's float32 scores take
 # N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One

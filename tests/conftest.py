@@ -19,6 +19,7 @@ from typing import Any, Callable
 import pytest
 
 from eventpipe.config import PipelineConfig
+from eventpipe.llm import ScriptedMockLlm
 from eventpipe.model import LabeledRows, Ontology, load_ontology
 from eventpipe.prompts import STAGES, Template, load_template
 
@@ -653,6 +654,12 @@ def _write_jsonl(path: Path, rows) -> None:
 @pytest.fixture
 def golden_corpus(tmp_path) -> GoldenCorpus:
     return build_golden_corpus(tmp_path / "corpus")
+
+
+@pytest.fixture
+def waiting_mock(monkeypatch):
+    """Count the scripted mock as a provider that waits, so a run at workers > 1 opens its pool."""
+    monkeypatch.setattr(ScriptedMockLlm, "waits", True)
 
 
 # ---------------------------------------------------------------------------

@@ -545,7 +545,8 @@ class TestExitCodes:
         path, lineno = damage_replayed_row(corpus.output_dir, stage, lambda row: row.pop(field))
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path), "--resume")
         names = " and ".join(repr(name) for s in STAGES if s.name == stage for name in s.fields)
-        assert (code, err) == (3, f"error: {path}: record at line {lineno} needs {names}\n")
+        message = f"{path}: line {lineno}: record 'seg-005' needs {names}"
+        assert (code, err) == (3, f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "stage, key, value, message",
@@ -972,7 +973,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "agreement", str(path))
         assert (code, out) == (3, "")
         assert err == (
-            f"error: {path}: record at line 3 needs 'id' and 'rule' and 'learned' and 'llm'\n"
+            f"error: {path}: line 3: record needs 'id' and 'rule' and 'learned' and 'llm'\n"
         )
 
     @pytest.mark.parametrize(

@@ -367,7 +367,7 @@ class TestLoadVerdictTriples:
         with pytest.raises(DatasetError) as excinfo:
             load_verdict_triples(path)
         assert str(excinfo.value) == (
-            f"{path}: record at line 3 needs 'id' and 'rule' and 'learned' and 'llm'"
+            f"{path}: line 3: record needs 'id' and 'rule' and 'learned' and 'llm'"
         )
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -2,6 +2,7 @@
 up to max_in_flight at a time."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -647,12 +648,11 @@ print(json.dumps({"digests": digests(corpus.output_dir), "calls": result.provide
 """
 
 
-def test_golden_run_over_http_needs_no_third_party_client(tmp_path):
-    from conftest import LEARNED_P, TRANSCRIPT_TEXTS, StubServer, _mock_script
+def _golden_responders() -> dict:
+    """StubServer responders to the golden corpus's presence, embed and verdict requests."""
+    from conftest import LEARNED_P, TRANSCRIPT_TEXTS, _mock_script
     from eventpipe.llm import ScriptedMockLlm
-    from eventpipe.prompts import PromptBundle, PromptMessage
     from eventpipe.retrieval import HashedBagEmbedder
-    from test_pipeline import GOLDEN_DIGESTS
 
     segment_of = {text: sid for sid, text in TRANSCRIPT_TEXTS.items()}
     presence = ScriptedMockLlm(_mock_script())
@@ -664,7 +664,7 @@ def test_golden_run_over_http_needs_no_third_party_client(tmp_path):
         reply = presence.complete(PromptBundle(messages, "presence", segment_of[text]))
         return 200, {"choices": [{"message": {"content": reply}}]}
 
-    responders = {
+    return {
         "chat": chat,
         "embed": lambda body: (
             200, {"vectors": [v.tolist() for v in embedder.embed_batch(body["texts"])]}
@@ -673,6 +673,13 @@ def test_golden_run_over_http_needs_no_third_party_client(tmp_path):
             200, {"probabilities": [LEARNED_P[segment_of[t]] for t in body["texts"]]}
         ),
     }
+
+
+def test_golden_run_over_http_needs_no_third_party_client(tmp_path):
+    from conftest import StubServer
+    from test_pipeline import GOLDEN_DIGESTS
+
+    responders = _golden_responders()
     servers = {}
     threads = []
     try:
@@ -706,6 +713,33 @@ def test_golden_run_over_http_needs_no_third_party_client(tmp_path):
     assert len(servers["verdict"].requests) == 4  # 30 segments, 8 per request
     assert sum(len(r["body"]["texts"]) for r in servers["embed"].requests) == 22
     assert len(servers["chat"].requests) == 31
+
+
+def test_a_remote_chat_stage_runs_on_the_pool_beside_the_mock(tmp_path, monkeypatch, http_server):
+    # The scripted mock answers in process, but the presence stage waits on
+    # the loopback chat endpoint, so a run at workers=2 opens its pool and
+    # sends each presence request from a pool thread.
+    from conftest import build_golden_corpus
+    from eventpipe.llm import HttpLlmProvider, ScriptedMockLlm
+    from eventpipe.pipeline import Pipeline
+    from test_pipeline import GOLDEN_DIGESTS, digests
+
+    assert not ScriptedMockLlm.waits
+    http_server.responder = _golden_responders()["chat"]
+    threads = []
+    complete = HttpLlmProvider.complete
+
+    def recorded(provider, bundle):
+        threads.append(threading.current_thread())
+        return complete(provider, bundle)
+
+    monkeypatch.setattr(HttpLlmProvider, "complete", recorded)
+    corpus = build_golden_corpus(tmp_path / "corpus", workers=2)
+    chat = ProviderConfig(kind="remote", endpoint=http_server.url, model="m")
+    Pipeline(dataclasses.replace(corpus.config, llm_overrides={"presence": chat})).run()
+    assert len(threads) == len(http_server.requests) == 31
+    assert threading.main_thread() not in threads
+    assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
 
 def test_requests_is_not_a_dependency():

@@ -5,6 +5,7 @@ import argparse
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -530,16 +531,28 @@ class TestRowCodec:
 
     @pytest.mark.parametrize("kind", sorted(ROW_LOADERS))
     def test_every_loader_names_a_bad_field_in_one_form(self, tmp_path, kind):
+        # Each fault of a row is reported as "<path>: line <n>: ...": a bad
+        # field, a row without an id, which names every field its loader
+        # needs, and a repeated id.
         rows, load = ROW_LOADERS[kind]
         name, value, expected = BAD_FIELDS[kind]
-        rows = [*rows[:-1], {**rows[-1], name: value}]
+        last = rows[-1]
+        no_id = {k: v for k, v in last.items() if k != "id"}
+        faults = [  # the rows, and a pattern of the message after its prefix
+            (
+                [*rows[:-1], {**last, name: value}],
+                re.escape(f"record 'a': {name!r} must be {expected}"),
+            ),
+            ([*rows[:-1], no_id], "record needs 'id'( and '\\w+')*"),
+            ([*rows, last], "duplicate id 'a'"),
+        ]
         path = tmp_path / "rows.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        with pytest.raises(DatasetError) as excinfo:
-            load(path)
-        assert str(excinfo.value) == (
-            f"{path}: line {len(rows)}: record 'a': {name!r} must be {expected}"
-        )
+        for faulty, message in faults:
+            path.write_text("".join(json.dumps(row) + "\n" for row in faulty), encoding="utf-8")
+            with pytest.raises(DatasetError) as excinfo:
+                load(path)
+            prefix = re.escape(f"{path}: line {len(faulty)}: ")
+            assert re.fullmatch(prefix + message, str(excinfo.value))
 
     def test_every_artifact_field_has_a_kind(self):
         fields = {name for stage in STAGES for name in stage.fields} - {"id"}

@@ -228,6 +228,7 @@ class TestGoldenRun:
         # (10), which its trigger and argument stages share.
         assert result.texts_embedded == 22
 
+    @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_outputs_match_pinned_digests(self, tmp_path, workers):
         corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
@@ -236,13 +237,15 @@ class TestGoldenRun:
         assert len(corpus.cache_path.read_bytes().splitlines()) == 58
         assert cache_digest(corpus.cache_path) == GOLDEN_CACHE_DIGEST
 
+    @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("same_type_filter", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_outputs_hold_when_the_scan_runs_in_blocks_on_the_pool(
         self, tmp_path, monkeypatch, workers, same_type_filter
     ):
         # Blocks of 4 rows split the 12-row support matrix into three tasks
-        # on the run's pool, which the query phase's one search scans.
+        # on the run's pool, which the query phase's one search scans. One
+        # worker has no pool: its run scans the blocks on the caller.
         monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
         monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
         threads = []
@@ -256,13 +259,45 @@ class TestGoldenRun:
         corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
         config = dataclasses.replace(corpus.config, same_type_filter=same_type_filter)
         Pipeline(config).run()
-        assert len(threads) == 3 and threading.main_thread() not in threads
+        assert [thread is threading.main_thread() for thread in threads] == [workers == 1] * 3
         if same_type_filter:
             want = {**GOLDEN_DIGESTS, "arguments.jsonl": FILTERED_ARGUMENTS_DIGEST}
             assert digests(corpus.output_dir) == want
         else:
             assert digests(corpus.output_dir) == GOLDEN_DIGESTS
             assert cache_digest(corpus.cache_path) == GOLDEN_CACHE_DIGEST
+
+    def test_a_run_whose_providers_answer_in_process_starts_no_thread(self, tmp_path, monkeypatch):
+        # The scripted mock waits on nothing, so even at workers=4 the run has
+        # no pool: every provider call and every scan block is on the caller.
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
+        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
+        started, calls, scans = [], [], []
+        start, complete = threading.Thread.start, ScriptedMockLlm.complete
+        scan_block = retrieval._scan_block
+
+        def recorded_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        def recorded_complete(provider, bundle):
+            calls.append((bundle.stage, threading.current_thread()))
+            return complete(provider, bundle)
+
+        def recorded_scan(*args):
+            scans.append(threading.current_thread())
+            return scan_block(*args)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        monkeypatch.setattr(ScriptedMockLlm, "complete", recorded_complete)
+        monkeypatch.setattr(retrieval, "_scan_block", recorded_scan)
+        corpus = build_golden_corpus(tmp_path / "corpus", workers=4)
+        Pipeline(corpus.config).run()
+        assert started == []
+        assert {stage for stage, _ in calls} == {"presence", "trigger", "argument", "format"}
+        assert len(calls) == 58 and len(scans) == 3
+        assert {thread for _, thread in calls} | set(scans) == {threading.main_thread()}
+        assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_reply_is_parsed_once(self, tmp_path, monkeypatch, workers):
@@ -515,6 +550,7 @@ class TestDeterminismAndResume:
         )
         assert header["config_hash"] == changed.config_hash()
 
+    @pytest.mark.usefixtures("waiting_mock")
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         serial = build_golden_corpus(tmp_path / "serial", workers=1)
         threaded = build_golden_corpus(tmp_path / "threaded", workers=4)
@@ -624,6 +660,7 @@ INPUT_EDITS = {
 class TestCrashThenResume:
     """A run that crashes anywhere leaves a state that --resume completes correctly."""
 
+    @pytest.mark.usefixtures("waiting_mock")
     @settings(max_examples=60, deadline=None)
     @given(
         workers=st.sampled_from([1, 2, 4]),
@@ -713,6 +750,7 @@ class TestInputsReadOnce:
 
         class Rewriting:
             provider_id = inner.provider_id
+            waits = inner.waits
 
             def complete(self, bundle):
                 with lock:  # the first presence call swaps in version 2, whole
@@ -963,6 +1001,7 @@ class TestTwoPhases:
         assert scans == [min(group, 10 - start) for start in range(0, 10, group)]
         assert digests(golden_corpus.output_dir) == GOLDEN_DIGESTS
 
+    @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_argument_resume_with_the_filter_scans_once_and_matches_a_one_shot_run(
         self, tmp_path, monkeypatch, workers
@@ -970,7 +1009,9 @@ class TestTwoPhases:
         # With same_type_filter on, an argument stage computed from replayed
         # triggers runs one scan that keeps the per-type shortlists and copies
         # no masked rows, and its outputs are the bytes of a one-shot run. A
-        # run that stops after triggers keeps no shortlists.
+        # run that stops after triggers keeps no shortlists. One worker
+        # searches without a pool.
+        pool = ThreadPoolExecutor if workers > 1 else type(None)
         one_shot = build_golden_corpus(tmp_path / "one-shot", with_cache=False)
         Pipeline(dataclasses.replace(one_shot.config, same_type_filter=True, workers=workers)).run()
         searches = []
@@ -984,7 +1025,7 @@ class TestTwoPhases:
         corpus = build_golden_corpus(tmp_path / "resume", with_cache=False)
         config = dataclasses.replace(corpus.config, same_type_filter=True, workers=workers)
         Pipeline(config, resume=True).run(until="triggers")
-        assert searches == [(False, ThreadPoolExecutor)]
+        assert searches == [(False, pool)]
         searches.clear()
         pipeline = Pipeline(config, resume=True)
         index = pipeline.index
@@ -994,7 +1035,7 @@ class TestTwoPhases:
         scans = _count_scans(monkeypatch, pipeline.index)
         result = pipeline.run()
         assert result.resumed_stages == ["gate", "triggers"]
-        assert searches == [(True, ThreadPoolExecutor)]
+        assert searches == [(True, pool)]
         assert scans == [9]
         # Row reads: the chunks of the scan and single rows rescored by np.dot.
         assert reads and all(isinstance(key, (int, slice)) for key in reads)
