@@ -605,10 +605,10 @@ class Pipeline:
         # than one worker and a stage that calls a provider (a key of
         # templates) calls a chat provider that waits on the network.
         # Otherwise handing the GIL between threads costs CPU and saves
-        # nothing, and both phases map on this thread.
-        threaded = cfg.workers > 1 and any(
-            self.llm_for(stage.prompt).waits for stage in stages if stage.name in templates
-        )
+        # nothing, and both phases map on this thread. Every such provider is
+        # built here, so one that cannot be built fails before any call.
+        waits = [self.llm_for(stage.prompt).waits for stage in stages if stage.name in templates]
+        threaded = cfg.workers > 1 and any(waits)
         # One pool serves both phases. Each phase resolves its shared
         # resources before it maps: llm_for is check-then-set, and a
         # cached_property locks its first access only on Python <= 3.11, so

@@ -103,10 +103,10 @@ _SCAN_CHUNK = 128
 # 19k rows make four tasks, which two workers share in a threaded run: the
 # scan of 22 queries took 22 ms of wall time instead of 33 on one thread
 # (einsum: 29 and 47). A run without a waiting chat provider has no pool and
-# scans the blocks on the caller, which on an idle 2-vCPU machine took 21 ms
-# of wall time and CPU against 17 ms of wall time and 31 ms of CPU on two
-# workers. A 2k-row index is one block, scanned on the caller; sending it to
-# a pool thread raised peak RSS by about 0.26 MB.
+# scans the blocks on the caller, which on an idle 2-vCPU machine took about
+# 25 ms of wall time and CPU against 18-20 ms of wall time and 33-35 ms of CPU
+# on two workers. A 2k-row index is one block, scanned on the caller; sending
+# it to a pool thread raised peak RSS by about 0.26 MB.
 _SCAN_BLOCK = 40 * _SCAN_CHUNK
 # Queries scored per pass over the rows. The group's float32 scores take
 # N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One

@@ -299,6 +299,26 @@ class TestGoldenRun:
         assert {thread for _, thread in calls} | set(scans) == {threading.main_thread()}
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_provider_that_cannot_be_built_fails_before_any_call(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # The run builds every computed stage's chat provider before the gate
+        # phase, so a broken argument provider costs no presence call.
+        calls = []
+        complete = ScriptedMockLlm.complete
+        monkeypatch.setattr(
+            ScriptedMockLlm, "complete", lambda llm, b: calls.append(b) or complete(llm, b)
+        )
+        corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
+        broken = ProviderConfig(kind="remote", endpoint="http://127.0.0.1:9")
+        config = dataclasses.replace(corpus.config, llm_overrides={"argument": broken})
+        with pytest.raises(ConfigError, match="needs a 'model'"):
+            Pipeline(config).run()
+        assert calls == []
+        assert not corpus.output_dir.exists() or list(corpus.output_dir.iterdir()) == []
+
+    @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_reply_is_parsed_once(self, tmp_path, monkeypatch, workers):
         # A cold-cache run recovers JSON once per trigger, argument and
@@ -497,6 +517,7 @@ class TestDeterminismAndResume:
     @pytest.mark.parametrize(
         "dropped", ["seg-003/presence", "seg-004/trigger", "seg-008/argument", "seg-005/format"]
     )
+    @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_crash_mid_run_leaves_a_resumable_state(self, tmp_path, workers, dropped):
         corpus = build_golden_corpus(tmp_path / "crash", workers=workers)
@@ -513,13 +534,15 @@ class TestDeterminismAndResume:
         resumed = Pipeline(corpus.config, resume=True).run()
         # The resumed run pays only for the calls the crashed run did not
         # cache: the one that failed, and those of the segments the pool had
-        # not started when the failure cancelled them (timing decides how many).
+        # not started when the failure cancelled them (timing decides how many
+        # at workers > 1; one worker runs inline and stops at the failure).
         assert resumed.provider_calls[stage] >= 1
         assert resumed.provider_calls["total"] == 58 - cached
         lines = corpus.cache_path.read_text(encoding="utf-8").splitlines()
         assert len({json.loads(line)["key"] for line in lines}) == len(lines) == 58
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
+    @pytest.mark.usefixtures("waiting_mock")
     def test_cache_is_opened_once_per_run(self, golden_corpus, monkeypatch):
         opened = []
         original = ResponseCache.__init__
@@ -1093,6 +1116,7 @@ class TestTwoPhases:
         with pytest.raises(EmbeddingError, match=message):
             pipeline.run()
 
+    @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("same_type_filter", [False, True])
     def test_lazy_index_properties_are_built_before_the_extraction_pool(
         self, golden_corpus, monkeypatch, same_type_filter
