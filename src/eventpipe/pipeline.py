@@ -6,15 +6,14 @@ overlaps the waits; otherwise both run on the calling thread, where no thread
 hand-off adds CPU. The gate phase fetches every learned verdict in batches,
 then runs each segment's rule, learned and LLM verdicts. Between the phases,
 the query phase embeds the text of every segment that will retrieve few-shot
-examples, all in one embed_batch call, and scores them in one search, which
-reads the support matrix once per group of up to 64 queries, in row blocks
-that run as tasks on the pool, if there is one. It keeps each segment's top-k
-rows and, when same_type_filter is on and arguments are computed, each event
-type's shortlist. The extraction phase then runs trigger recognition,
-argument extraction and repair per segment with those examples (a same-type
-argument search, which needs the predicted types, rescores there the union
-of those types' shortlists and reads no other row), each argument reply
-parsed once.
+examples, all in one embed_batch call, and scores them in one search on the
+calling thread, which reads the support matrix once per group of up to 64
+queries. It keeps each segment's top-k rows and, when same_type_filter is on
+and arguments are computed, each event type's shortlist. The extraction
+phase then runs trigger recognition, argument extraction and repair per
+segment with those examples (a same-type argument search, which needs the
+predicted types, rescores there the union of those types' shortlists and
+reads no other row), each argument reply parsed once.
 Each stage has a record in STAGES and one JSONL artifact, whose header line
 records the stage name, the config hash and the inputs digest (of the input
 files' contents); later stages read its rows as they are, computed or replayed.
@@ -392,9 +391,18 @@ class Pipeline:
         return build_embedding_provider(self.config.embedding)
 
     def support_examples(self) -> LabeledRows:
-        """Support rows whose text normalizes to something (strip() tells the same)."""
+        """Support rows whose text normalizes to something (strip() tells the same).
+
+        A support file with no such row is a DatasetError: there is nothing
+        to retrieve from.
+        """
         support = self.support
         rows = [row for row, text in enumerate(support.texts) if text.strip()]
+        if not rows:
+            raise DatasetError(
+                f"{self.config.support}: no support example has text to retrieve; "
+                "set retrieval.k: 0 to run zero-shot"
+            )
         return support if len(rows) == len(support) else support.take(rows)
 
     @cached_property
@@ -467,7 +475,6 @@ class Pipeline:
         segments: list[Segment],
         records: list[SegmentRecord],
         computed: set[str],
-        pool: ThreadPoolExecutor | None,
     ) -> dict[str, Hits]:
         """The query phase: the search hits of each retrieving segment, from one search.
 
@@ -477,9 +484,7 @@ class Pipeline:
         embeds the texts, and one search scores them against every row: it
         ranks the top k of the trigger stage and, without same_type_filter,
         of the argument stage, and with the filter and the argument stage
-        computed it keeps each event type's shortlist for that stage. The
-        search scans the support matrix in row blocks on the pool, which is
-        idle between the phases, or on the caller without one. Only a
+        computed it keeps each event type's shortlist for that stage. Only a
         retrieving stage builds the index, so replaying both embeds nothing.
         """
         if not computed & {"triggers", "arguments"} or self.index is None:
@@ -496,7 +501,7 @@ class Pipeline:
         self._texts_embedded += len(wanted)
         vectors = embed_texts([seg.text for seg in wanted], self.embedder)
         by_type = cfg.same_type_filter and "arguments" in computed
-        hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type, pool=pool)
+        hits = search(self.index, vectors, cfg.retrieval_k, by_type=by_type)
         return dict(zip((seg.id for seg in wanted), hits))
 
     def _extraction_task(
@@ -609,6 +614,10 @@ class Pipeline:
         # built here, so one that cannot be built fails before any call.
         waits = [self.llm_for(stage.prompt).waits for stage in stages if stage.name in templates]
         threaded = cfg.workers > 1 and any(waits)
+        # The index of a retrieving stage is built here too, so that a support
+        # set that cannot be indexed fails before any call.
+        if computed & {"triggers", "arguments"}:
+            self.index  # noqa: B018 - built on first use
         # One pool serves both phases. Each phase resolves its shared
         # resources before it maps: llm_for is check-then-set, and a
         # cached_property locks its first access only on Python <= 3.11, so
@@ -619,7 +628,7 @@ class Pipeline:
                 for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
-                found = self._queries(segments, records, computed, pool)
+                found = self._queries(segments, records, computed)
                 process = self._extraction_task(computed, found, templates)
                 list((map if pool is None else pool.map)(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed

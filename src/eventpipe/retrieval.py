@@ -5,13 +5,13 @@ The index is a flat scan, and it is exact: a query's score for a row is
 retrieval is deterministic, which the golden-run tests rely on. A search takes
 a matrix of queries and runs in two phases, in milliseconds over ~19k rows:
 
-1. One blocked ``np.vecdot`` pass in float32 gives every row an approximate
+1. One chunked ``np.vecdot`` pass in float32 gives every row an approximate
    score for each query of a group of up to ``_QUERY_GROUP``. The scan is
    memory-bound, so the queries of a group share each read of a row, and each
-   chunk of float64 rows is converted into a small float32 buffer that its
-   block reuses; no float32 copy of the matrix is kept. These scores differ from the
-   per-row float64 ``np.dot`` by the float32 rounding of rows, queries,
-   products and sums.
+   chunk of float64 rows is converted into one small float32 buffer that the
+   pass reuses; no float32 copy of the matrix is kept. These scores differ
+   from the per-row float64 ``np.dot`` by the float32 rounding of rows,
+   queries, products and sums.
 2. For each query, the two scores of a row differ by at most a proven
    forward-error bound (``_float32_error_bound`` plus ``_dot_error_bound``),
    which holds for any summation order. Every row whose approximate score is
@@ -27,23 +27,13 @@ shortlists for a whole group are one gather, one partition and one comparison
 against a threshold per query (``_shortlists``); the cut over all rows is
 taken per query, as one partition of all the group's scores copies them.
 
-Given the run's worker pool, the scan splits the rows into blocks of
-``_SCAN_BLOCK`` and scans each block as one pool task, with its own chunk
-buffer, into its own rows of the score matrix. vecdot and the float32
-conversion release the GIL, so the blocks scan in parallel; phase 2 holds
-the GIL and stays on the caller. The tasks are row blocks rather than
-queries because the scan is memory-bound: split by query, every task would
-read the whole matrix. An index of one block, or a search without a pool,
-scans on the caller; a run has no pool unless a chat provider it calls waits
-on the network, so a run whose providers answer in process scans every block
-on its calling thread. Each block also returns the largest float64 row square
-among its rows, squared from each chunk while it is in cache, which the
-error bounds of phase 2 need.
+The pass also squares every float64 row from its chunk while it is in
+cache: the error bounds of phase 2 need the largest row square.
 
-The scan's vecdot takes one dot product per (row, query) pair on the calling
-thread. A BLAS product (``@``, ``np.dot`` or ``np.matmul`` on the matrix)
-would wake the BLAS thread pool, whose busy-waiting threads cost more CPU
-than the scan saves; the pool's threads already hold the parallelism.
+The scan runs on the calling thread. Its vecdot takes one dot product per
+(row, query) pair there; a BLAS product (``@``, ``np.dot`` or ``np.matmul``
+on the matrix) would wake the BLAS library's threads, whose busy-waiting
+costs more CPU than the scan saves.
 
 The index holds the support set as the ``LabeledRows`` that ``load_gold``
 returned: the per-type rows are read from its columns, and an example's event
@@ -64,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from concurrent.futures import Executor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,21 +82,11 @@ __all__ = [
 
 DEFAULT_DIMENSION = 384
 _NORM_TOL = 1e-6
-# Rows per vecdot call, converted into one float32 buffer per block task:
-# 192 KB at 384 dimensions. 128- and 256-row chunks scanned 19k rows for 22
-# queries in the same CPU time, 64-row chunks 4% slower and 512 to 1,024-row
-# ones 13 to 19% slower; 1,024-row chunks raised peak RSS by 1.4 MB on 2k rows.
+# Rows per vecdot call, converted into one reused float32 buffer: 192 KB at
+# 384 dimensions. 128- and 256-row chunks scanned 19k rows for 22 queries in
+# the same CPU time, 64-row chunks 4% slower and 512 to 1,024-row ones 13 to
+# 19% slower; 1,024-row chunks raised peak RSS by 1.4 MB on 2k rows.
 _SCAN_CHUNK = 128
-# Rows per pool task, a multiple of _SCAN_CHUNK so that the blocks chunk the
-# rows as one inline scan does: 15.7 MB of float64 rows at 384 dimensions.
-# 19k rows make four tasks, which two workers share in a threaded run: the
-# scan of 22 queries took 22 ms of wall time instead of 33 on one thread
-# (einsum: 29 and 47). A run without a waiting chat provider has no pool and
-# scans the blocks on the caller, which on an idle 2-vCPU machine took about
-# 25 ms of wall time and CPU against 18-20 ms of wall time and 33-35 ms of CPU
-# on two workers. A 2k-row index is one block, scanned on the caller; sending
-# it to a pool thread raised peak RSS by about 0.26 MB.
-_SCAN_BLOCK = 40 * _SCAN_CHUNK
 # Queries scored per pass over the rows. The group's float32 scores take
 # N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One
 # float32 einsum pass over 19k rows for 22 queries took about 31 ms, against
@@ -390,7 +369,7 @@ def build_index(
     go through ``Endpoint.stream`` while earlier batches are normalized, so
     a bad later batch may be found with requests for the next ones already
     sent, within that stream's bound. Any error closes that stream, and its
-    pool is shut down before this returns or raises. Any other provider
+    threads are shut down before this returns or raises. Any other provider
     embeds each later batch with one embed_batch call, and no batch after
     the bad one is embedded.
     """
@@ -515,48 +494,33 @@ class Hits:
     shortlists: dict[str, np.ndarray] | None
 
 
-def _approx_scores(
-    vectors: np.ndarray, queries: np.ndarray, pool: Executor | None = None
-) -> tuple[np.ndarray, float]:
+# The scan stays on the calling thread, also in a threaded run. A by-type
+# search of 22 queries over 19,000 x 384 rows (median of 30 passes, 2-vCPU
+# machine) took 31 ms of wall time and of CPU there, and 23-25 ms of wall time
+# but 36-38 ms of CPU split into row blocks on two worker threads: about 7 ms
+# saved per query group, in a run that waits seconds on its chat provider, for
+# about 6 ms more CPU.
+def _approx_scores(vectors: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, float]:
     """float32 vecdot scores (row by query) of every row, and the largest float64 row square.
 
-    The rows are scanned _SCAN_BLOCK at a time, each block a task on `pool`
-    when there are two or more, else on the caller. The largest square is
-    NaN when any row's is, and then no cut is finite.
+    The rows are scanned _SCAN_CHUNK at a time, each chunk converted into one
+    reused float32 buffer. A component beyond float32's range converts to
+    inf, and inf times zero is NaN: a non-finite score, which prunes nothing.
+    The largest square is NaN when any row's is, and then no cut is finite.
     """
     out = np.empty((len(vectors), len(queries)), dtype=np.float32)
-    with np.errstate(over="ignore"):
-        group = queries.astype(np.float32)
-    starts = range(0, len(vectors), _SCAN_BLOCK)
-
-    def scan(start: int) -> float:
-        rows = slice(start, start + _SCAN_BLOCK)
-        return _scan_block(vectors[rows], group, out[rows])
-
-    largest = (map if pool is None or len(starts) == 1 else pool.map)(scan, starts)
-    # np.max, not max(): Python's max drops a NaN that is not first.
-    return out, float(np.max(list(largest)))
-
-
-def _scan_block(vectors: np.ndarray, group: np.ndarray, out: np.ndarray) -> float:
-    """Score the rows of one block into out, _SCAN_CHUNK rows at a time; their largest square.
-
-    Each chunk of rows is converted into one reused float32 buffer. A
-    component beyond float32's range converts to inf, and inf times zero is
-    NaN: a non-finite score, which prunes nothing.
-    """
     buffer = np.empty((min(_SCAN_CHUNK, len(vectors)), vectors.shape[1]), dtype=np.float32)
     squares = np.empty(len(vectors))
-    # errstate is per thread: a pool task sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
+        group = queries.astype(np.float32)
         for start in range(0, len(vectors), _SCAN_CHUNK):
             rows = slice(start, start + _SCAN_CHUNK)
             chunk = vectors[rows]
-            block = buffer[: len(chunk)]
-            np.copyto(block, chunk, casting="same_kind")
-            np.vecdot(block[:, None, :], group[None, :, :], out=out[rows])
+            converted = buffer[: len(chunk)]
+            np.copyto(converted, chunk, casting="same_kind")
+            np.vecdot(converted[:, None, :], group[None, :, :], out=out[rows])
             np.einsum("ij,ij->i", chunk, chunk, out=squares[rows])
-    return float(squares.max())
+    return out, float(squares.max())
 
 
 def search(
@@ -565,7 +529,6 @@ def search(
     k: int,
     *,
     by_type: bool = False,
-    pool: Executor | None = None,
 ) -> list[Hits]:
     """Exact top-k cosine search for each row of `queries`: one Hits per query.
 
@@ -573,8 +536,7 @@ def search(
     score, ties broken by ascending example id. With `by_type`, its
     Hits.shortlists answer same_type_rows for any set of event types. The
     float32 vecdot pass reads the matrix once per _QUERY_GROUP queries,
-    _SCAN_CHUNK rows at a time and _SCAN_BLOCK rows per task on `pool`, and
-    both uses share it.
+    _SCAN_CHUNK rows at a time, and both uses share it.
     """
     if k < 1:
         raise EmbeddingError(f"k must be >= 1, got {k}")
@@ -591,7 +553,7 @@ def search(
         # Frees the previous group's scores before the next are made.
         approx, cuts = None, np.full(len(group), np.inf)
         if len(index) > k:  # else every row is in every top k
-            approx, max_square = _approx_scores(index.vectors, group, pool)
+            approx, max_square = _approx_scores(index.vectors, group)
             # A row more than twice its two error bounds below the k-th best
             # approximate score of some rows is beaten by k of them under
             # np.dot too. An overflowing bound, and a query with a non-finite

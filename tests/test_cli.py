@@ -116,6 +116,29 @@ class TestSupportValidation:
         assert (code, out, err) == (3, "", f"error: {path}: line {line}: {message}\n")
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["run", "build-index"])
+    @pytest.mark.parametrize("blank", [False, True], ids=["empty-file", "blank-texts"])
+    def test_a_support_set_without_text_is_an_input_error_before_any_provider_call(
+        self, tmp_path, capsys, monkeypatch, command, blank
+    ):
+        # No support row can be indexed, so retrieval with k > 0 has nothing
+        # to retrieve from: the error names the file and the zero-shot setting.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        path = corpus.support_path
+        rows = [json.loads(line) for line in path.read_text().splitlines()] if blank else []
+        path.write_text("".join(json.dumps({**row, "text": " \t"}) + "\n" for row in rows))
+        calls = []
+        complete = ScriptedMockLlm.complete
+        monkeypatch.setattr(
+            ScriptedMockLlm, "complete", lambda self, b: calls.append(b) or complete(self, b)
+        )
+        out_path = tmp_path / "support.index"
+        argv = ["--out", str(out_path)] if command == "build-index" else []
+        code, out, err = run_cli(capsys, command, "--config", str(corpus.config_path), *argv)
+        message = f"{path}: no support example has text to retrieve; set retrieval.k: 0 to run zero-shot"
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert calls == [] and not out_path.exists()
+
 
 class TestStageCommands:
     def test_gate(self, golden_corpus, capsys):

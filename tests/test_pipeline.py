@@ -9,7 +9,6 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from pathlib import Path
 
@@ -107,9 +106,9 @@ def _count_scans(monkeypatch, index: SupportIndex) -> list[int]:
     scans = []
     approx_scores = retrieval._approx_scores
 
-    def counted(vectors, queries, pool=None):
+    def counted(vectors, queries):
         assert vectors is index.vectors
-        scores, max_square = approx_scores(vectors, queries, pool)
+        scores, max_square = approx_scores(vectors, queries)
         assert scores.dtype == np.float32 and scores.shape == (len(vectors), len(queries))
         scans.append(len(queries))
         return scores, max_square
@@ -240,26 +239,30 @@ class TestGoldenRun:
     @pytest.mark.usefixtures("waiting_mock")
     @pytest.mark.parametrize("same_type_filter", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_outputs_hold_when_the_scan_runs_in_blocks_on_the_pool(
+    def test_outputs_hold_when_the_scan_runs_on_the_caller_beside_the_pool(
         self, tmp_path, monkeypatch, workers, same_type_filter
     ):
-        # Blocks of 4 rows split the 12-row support matrix into three tasks
-        # on the run's pool, which the query phase's one search scans. One
-        # worker has no pool: its run scans the blocks on the caller.
-        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
-        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
-        threads = []
-        scan_block = retrieval._scan_block
+        # With more than one worker the chat calls run on the run's pool, and
+        # the query phase's one search still scans on the calling thread.
+        main = threading.main_thread()
+        scans, calls = [], []
+        approx_scores, complete = retrieval._approx_scores, ScriptedMockLlm.complete
 
-        def recorded(*args):
-            threads.append(threading.current_thread())
-            return scan_block(*args)
+        def recorded_scan(*args):
+            scans.append(threading.current_thread())
+            return approx_scores(*args)
 
-        monkeypatch.setattr(retrieval, "_scan_block", recorded)
+        def recorded_complete(provider, bundle):
+            calls.append(threading.current_thread())
+            return complete(provider, bundle)
+
+        monkeypatch.setattr(retrieval, "_approx_scores", recorded_scan)
+        monkeypatch.setattr(ScriptedMockLlm, "complete", recorded_complete)
         corpus = build_golden_corpus(tmp_path / "corpus", workers=workers)
         config = dataclasses.replace(corpus.config, same_type_filter=same_type_filter)
         Pipeline(config).run()
-        assert [thread is threading.main_thread() for thread in threads] == [workers == 1] * 3
+        assert scans == [main]
+        assert len(calls) == 58 and {thread is main for thread in calls} == {workers == 1}
         if same_type_filter:
             want = {**GOLDEN_DIGESTS, "arguments.jsonl": FILTERED_ARGUMENTS_DIGEST}
             assert digests(corpus.output_dir) == want
@@ -269,12 +272,10 @@ class TestGoldenRun:
 
     def test_a_run_whose_providers_answer_in_process_starts_no_thread(self, tmp_path, monkeypatch):
         # The scripted mock waits on nothing, so even at workers=4 the run has
-        # no pool: every provider call and every scan block is on the caller.
-        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
-        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
+        # no pool: every provider call and the scan are on the caller.
         started, calls, scans = [], [], []
         start, complete = threading.Thread.start, ScriptedMockLlm.complete
-        scan_block = retrieval._scan_block
+        approx_scores = retrieval._approx_scores
 
         def recorded_start(thread):
             started.append(thread)
@@ -286,16 +287,16 @@ class TestGoldenRun:
 
         def recorded_scan(*args):
             scans.append(threading.current_thread())
-            return scan_block(*args)
+            return approx_scores(*args)
 
         monkeypatch.setattr(threading.Thread, "start", recorded_start)
         monkeypatch.setattr(ScriptedMockLlm, "complete", recorded_complete)
-        monkeypatch.setattr(retrieval, "_scan_block", recorded_scan)
+        monkeypatch.setattr(retrieval, "_approx_scores", recorded_scan)
         corpus = build_golden_corpus(tmp_path / "corpus", workers=4)
         Pipeline(corpus.config).run()
         assert started == []
         assert {stage for stage, _ in calls} == {"presence", "trigger", "argument", "format"}
-        assert len(calls) == 58 and len(scans) == 3
+        assert len(calls) == 58 and len(scans) == 1
         assert {thread for _, thread in calls} | set(scans) == {threading.main_thread()}
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
 
@@ -1032,23 +1033,21 @@ class TestTwoPhases:
         # With same_type_filter on, an argument stage computed from replayed
         # triggers runs one scan that keeps the per-type shortlists and copies
         # no masked rows, and its outputs are the bytes of a one-shot run. A
-        # run that stops after triggers keeps no shortlists. One worker
-        # searches without a pool.
-        pool = ThreadPoolExecutor if workers > 1 else type(None)
+        # run that stops after triggers keeps no shortlists.
         one_shot = build_golden_corpus(tmp_path / "one-shot", with_cache=False)
         Pipeline(dataclasses.replace(one_shot.config, same_type_filter=True, workers=workers)).run()
         searches = []
         search = pipeline_module.search
 
         def recorded(*args, **kwargs):
-            searches.append((kwargs["by_type"], type(kwargs["pool"])))
+            searches.append(kwargs["by_type"])
             return search(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "search", recorded)
         corpus = build_golden_corpus(tmp_path / "resume", with_cache=False)
         config = dataclasses.replace(corpus.config, same_type_filter=True, workers=workers)
         Pipeline(config, resume=True).run(until="triggers")
-        assert searches == [(False, pool)]
+        assert searches == [False]
         searches.clear()
         pipeline = Pipeline(config, resume=True)
         index = pipeline.index
@@ -1058,7 +1057,7 @@ class TestTwoPhases:
         scans = _count_scans(monkeypatch, pipeline.index)
         result = pipeline.run()
         assert result.resumed_stages == ["gate", "triggers"]
-        assert searches == [(True, pool)]
+        assert searches == [True]
         assert scans == [9]
         # Row reads: the chunks of the scan and single rows rescored by np.dot.
         assert reads and all(isinstance(key, (int, slice)) for key in reads)

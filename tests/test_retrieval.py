@@ -144,16 +144,20 @@ def _search_cases(draw):
 
 
 @st.composite
-def _float32_cases(draw):
+def _float32_cases(draw, chunk: int | None = None):
     """(index, queries, k, wanted types) whose scores float32 cannot tell apart.
 
     Rows are one direction plus noise from none to 1e-5, so true scores tie
     or differ below float32's resolution; rows repeat exactly; and entries,
     or whole rows, sit below float32's smallest normal (1.2e-38), where the
     conversion keeps a few bits or none. A query may copy a row or be tiny.
+    Given a scan chunk, N falls one below, on or one above a chunk edge.
     """
     dimension = draw(st.integers(1, 64))
-    n = draw(st.integers(2, 40))
+    if chunk is None:
+        n = draw(st.integers(2, 40))
+    else:
+        n = max(2, chunk * draw(st.integers(1, 5)) + draw(st.sampled_from([-1, 0, 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.normal(size=dimension)
     noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5]))
@@ -185,26 +189,6 @@ def _float32_cases(draw):
 
 def _exact_dot(row, query) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(row.tolist(), query.tolist())), Fraction(0))
-
-
-@st.composite
-def _blocked_cases(draw):
-    """(index, queries, k, wanted types, chunk, block): N rows below, on or above a block edge."""
-    chunk = draw(st.integers(1, 4))
-    block = chunk * draw(st.integers(1, 3))
-    n = max(1, block * draw(st.integers(1, 3)) + draw(st.sampled_from([-1, 0, 1])))
-    dimension = draw(st.integers(1, 16))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vectors = rng.normal(size=(n, dimension))
-    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
-        vectors[dst] = vectors[src]
-    vectors.setflags(write=False)
-    ids = [f"v-{i:04d}" for i in rng.permutation(n)]
-    types = [draw(st.sets(st.sampled_from(_TYPES))) for _ in ids]
-    index = SupportIndex(examples=_typed(ids, types), vectors=vectors)
-    queries = rng.normal(size=(draw(st.integers(1, 4)), dimension))
-    wanted = draw(st.sets(st.sampled_from(_TYPES), min_size=1))
-    return index, queries, draw(st.integers(1, n + 1)), wanted, chunk, block
 
 
 def _set_type_rows(events):
@@ -984,14 +968,16 @@ class TestSearch:
                 assert hits == candidates[:k]
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_float32_cases(), group=st.integers(1, 3), chunk=st.integers(1, 8))
-    def test_float32_scan_is_exact_on_near_ties_and_subnormal_components(self, case, group, chunk):
-        index, queries, k, wanted = case
+    @given(group=st.integers(1, 3), chunk=st.integers(1, 8), data=st.data())
+    def test_float32_scan_is_exact_on_near_ties_and_subnormal_components(self, group, chunk, data):
+        index, queries, k, wanted = data.draw(_float32_cases(chunk))
         keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(retrieval, "_QUERY_GROUP", group)
             patch.setattr(retrieval, "_SCAN_CHUNK", chunk)
             found = search(index, queries, k, by_type=True)
+            _, max_square = retrieval._approx_scores(index.vectors, queries)
+        assert max_square == np.einsum("ij,ij->i", index.vectors, index.vectors).max()
         for hits, q in zip(found, queries):
             assert _scored(index, hits.rows, q) == brute_force_top_k(index, q, k)
             got = _scored(index, same_type_rows(index, hits, wanted), q)
@@ -1014,35 +1000,12 @@ class TestSearch:
                 assert abs(Fraction(float(approx[i, j])) - exact) <= Fraction(bound32)
                 assert abs(Fraction(float(np.dot(row, q))) - exact) <= Fraction(bound64)
 
-    @settings(max_examples=100, deadline=None)
-    @given(case=_blocked_cases())
-    def test_pool_scan_is_bit_identical_to_the_inline_scan(self, case):
-        # Pools of 1, 2 and 4 threads scan blocks of rows into their own
-        # slices of the scores; N falls below, on or above a block edge.
-        index, queries, k, wanted, chunk, block = case
-        keep = lambda ex: any(ev["type"] in wanted for ev in ex.gold_events)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(retrieval, "_SCAN_CHUNK", chunk)
-            patch.setattr(retrieval, "_SCAN_BLOCK", block)
-            inline, max_square = retrieval._approx_scores(index.vectors, queries)
-            assert max_square == np.einsum("ij,ij->i", index.vectors, index.vectors).max()
-            for workers in (1, 2, 4):
-                with ThreadPoolExecutor(workers) as pool:
-                    scores, pool_square = retrieval._approx_scores(index.vectors, queries, pool)
-                    found = search(index, queries, k, by_type=True, pool=pool)
-                assert scores.tobytes() == inline.tobytes() and pool_square == max_square
-                for hits, q in zip(found, queries):
-                    assert _scored(index, hits.rows, q) == brute_force_top_k(index, q, k)
-                    got = _scored(index, same_type_rows(index, hits, wanted), q)
-                    assert got == brute_force_top_k(index, q, k, where=keep)
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("row", [0, 5, 10], ids=["first-block", "middle-block", "last-block"])
-    def test_a_non_finite_row_in_any_block_turns_pruning_off(self, monkeypatch, value, row):
-        # Eleven rows in blocks of 4, 4 and 3. A NaN square in a later block
-        # must not drop out of the blocks' maximum, as Python's max drops it.
-        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
-        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
+    @pytest.mark.parametrize("row", [0, 5, 10], ids=["first-chunk", "middle-chunk", "last-chunk"])
+    def test_a_non_finite_row_in_any_chunk_turns_pruning_off(self, monkeypatch, value, row):
+        # Eleven rows in chunks of 4, 4 and 3. A NaN square in any chunk must
+        # reach the maximum square, as Python's max would drop a later one.
+        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 4)
         rng = np.random.default_rng(row)
         vectors = rng.normal(size=(11, 6))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -1051,55 +1014,28 @@ class TestSearch:
         types = [{_TYPES[i % 2]} for i in range(11)]
         index = SupportIndex(examples=_typed([f"v-{i:02d}" for i in range(11)], types), vectors=vectors)
         queries = rng.normal(size=(2, 6))
-        with ThreadPoolExecutor(2) as pool, np.errstate(invalid="ignore"):
-            _, max_square = retrieval._approx_scores(vectors, queries, pool)
-            found = search(index, queries, 1, by_type=True, pool=pool)
+        with np.errstate(invalid="ignore"):
+            _, max_square = retrieval._approx_scores(vectors, queries)
+            found = search(index, queries, 1, by_type=True)
         assert np.isnan(max_square) if np.isnan(value) else max_square == np.inf
         for hits in found:
             for event_type, rows in hits.shortlists.items():
                 assert rows.tolist() == index.type_rows[event_type].tolist()
 
-    @pytest.mark.parametrize("n, blocks", [(12, 3), (4, 1)])
-    def test_only_a_multi_block_index_scans_on_the_pool(self, monkeypatch, n, blocks):
-        monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 2)
-        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4)
-        threads = []
-        scan_block = retrieval._scan_block
-
-        def recorded(*args):
-            threads.append(threading.current_thread())
-            return scan_block(*args)
-
-        monkeypatch.setattr(retrieval, "_scan_block", recorded)
-        rng = np.random.default_rng(n)
-        index = _index_from_vectors(rng.normal(size=(n, 5)))
-        queries = rng.normal(size=(3, 5))
-        with ThreadPoolExecutor(2) as pool:
-            pooled = search(index, queries, 2, pool=pool)
-        assert len(threads) == blocks
-        caller = threading.main_thread()
-        assert all((thread is caller) == (blocks == 1) for thread in threads)
-        threads.clear()
-        inline = search(index, queries, 2)
-        assert threads == [caller] * blocks
-        assert [hits.rows for hits in pooled] == [hits.rows for hits in inline]
-
     def test_searches_run_no_blas_product(self, monkeypatch):
         # A BLAS product wakes the BLAS thread pool, whose threads then spin
-        # between calls. A by-type search over three blocks on a pool, and
-        # the same-type rows after it, must not run one.
+        # between calls. A by-type search over five chunks, and the same-type
+        # rows after it, must not run one.
         monkeypatch.setattr(retrieval, "_SCAN_CHUNK", 4)
-        monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 8)
         rng = np.random.default_rng(5)
         types = [{_TYPES[i % 3]} for i in range(20)]
         index = _index_from_vectors(rng.normal(size=(20, 16)), types=types)
         queries = rng.normal(size=(3, 16))
-        with ThreadPoolExecutor(2) as pool:
-            want = search(index, queries, 4, by_type=True, pool=pool)
-            guarded = SupportIndex(index.examples, index.vectors.view(_NoBlasArray))
-            monkeypatch.setattr(retrieval, "np", _NoBlasNumpy())
-            found = search(guarded, queries.view(_NoBlasArray), 4, by_type=True, pool=pool)
-            rows = [same_type_rows(guarded, hits, ["A", "C"]) for hits in found]
+        want = search(index, queries, 4, by_type=True)
+        guarded = SupportIndex(index.examples, index.vectors.view(_NoBlasArray))
+        monkeypatch.setattr(retrieval, "np", _NoBlasNumpy())
+        found = search(guarded, queries.view(_NoBlasArray), 4, by_type=True)
+        rows = [same_type_rows(guarded, hits, ["A", "C"]) for hits in found]
         assert [hits.rows for hits in found] == [hits.rows for hits in want]
         assert rows == [same_type_rows(index, hits, ["A", "C"]) for hits in want]
 
@@ -1107,14 +1043,13 @@ class TestSearch:
     def test_a_search_leaves_blas_threads_idle(self):
         # The BLAS library starts threads of its own, which spin for a while
         # after numpy's import and after each BLAS product, then sleep. Once
-        # their start-up spin has settled, searches that scan two blocks on a
-        # two-worker pool must add no tick of user or system CPU to any
-        # thread that Python did not start. A scan through np.matmul adds some.
+        # their start-up spin has settled, searches over 6,120 rows must add
+        # no tick of user or system CPU to any thread that Python did not
+        # start. A scan through np.matmul adds some.
         code = """
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 import numpy as np
 from eventpipe import retrieval
@@ -1129,7 +1064,7 @@ def ticks():
             out[task.name] = int(stat[11]) + int(stat[12])  # utime + stime
     return out
 
-n = retrieval._SCAN_BLOCK + 1000
+n = 6120
 rng = np.random.default_rng(0)
 vectors = rng.normal(size=(n, 384))
 vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -1141,10 +1076,9 @@ for _ in range(40):
         break
     time.sleep(0.25)
     before, settled = settled, ticks()
-with ThreadPoolExecutor(2) as pool:
-    for _ in range(3):
-        retrieval.search(index, rng.normal(size=(22, 384)), 10, by_type=True, pool=pool)
-    after = ticks()
+for _ in range(3):
+    retrieval.search(index, rng.normal(size=(22, 384)), 10, by_type=True)
+after = ticks()
 print(json.dumps({"settled": before == settled, "gained": {t: after[t] - settled[t] for t in settled}}))
 """
         src = str(Path(retrieval.__file__).resolve().parents[1])
