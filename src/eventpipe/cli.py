@@ -31,7 +31,7 @@ from .model import (
     write_json,
     write_rows,
 )
-from .pipeline import Pipeline
+from .pipeline import STAGES, Pipeline
 from .prompts import TemplateError
 from .retrieval import EmbeddingError, build_index, save_index
 
@@ -143,17 +143,11 @@ def cmd_format(args) -> int:
         return cmd_stage(args)
     config = PipelineConfig.load(args.config)
     pipe = Pipeline(config)
-    ontology, template = pipe.ontology, pipe.template("format")
+    final = STAGES[-1]
+    ontology, template = pipe.ontology, pipe.template(final.prompt)
     rows = read_rows(args.raw_file, ("raw",), optional=("attempts",))
     raws = [(str(rec["id"]), rec["raw"]) for _, rec in rows]
-    entries = postprocess(
-        raws,
-        ontology,
-        pipe.llm_for("format"),
-        cache=pipe.cache,
-        max_attempts=config.max_attempts,
-        template=template,
-    )
+    entries = postprocess(raws, ontology, pipe.model(final, template))
     rows = [{"id": e.segment_id, "event": e.events} for e in entries if not e.excluded]
     out = Path(args.out) if args.out else Path(config.output_dir) / "formatted.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 from importlib import resources
 
-from .llm import LlmProvider, ResponseCache, complete_with_retry
+from .llm import StageModel
 from .model import LabeledSegment, Ontology, Segment, normalize
-from .prompts import Template, build_argument_prompt, build_format_prompt, build_trigger_prompt
+from .prompts import build_argument_prompt, build_format_prompt, build_trigger_prompt
 from .retrieval import Hits, SupportIndex, same_type_rows
 
 __all__ = [
@@ -404,22 +404,14 @@ def extract_triggers(
     segment: Segment,
     examples: Sequence[LabeledSegment],
     ontology: Ontology,
-    provider: LlmProvider,
-    *,
-    cache: ResponseCache | None = None,
-    max_attempts: int = 3,
-    corrective: bool = False,
-    template: Template,
+    model: StageModel,
 ) -> dict:
     """The triggers row of one gated-in segment, recognized with its retrieved few-shot examples.
 
     A reply rejected on every attempt gives failed=True and no predictions.
     """
-    bundle = build_trigger_prompt(segment, examples, ontology, template=template)
-    completion = complete_with_retry(
-        provider, bundle, lambda text: parse_trigger_reply(text, ontology),
-        max_attempts=max_attempts, cache=cache, corrective=corrective,
-    )
+    bundle = build_trigger_prompt(segment, examples, ontology, template=model.template)
+    completion = model.ask(bundle, lambda text: parse_trigger_reply(text, ontology))
     return _row(segment, examples, completion, predictions=completion.value or [])
 
 
@@ -428,12 +420,7 @@ def extract_arguments(
     triggers: Sequence[dict],
     examples: Sequence[LabeledSegment],
     ontology: Ontology,
-    provider: LlmProvider,
-    *,
-    cache: ResponseCache | None = None,
-    max_attempts: int = 3,
-    corrective: bool = False,
-    template: Template,
+    model: StageModel,
 ) -> tuple[dict, list[dict] | None]:
     """One segment's arguments row for its predicted triggers, and the records its reply held.
 
@@ -445,7 +432,9 @@ def extract_arguments(
     if not triggers:
         raise ValueError("extract_arguments requires at least one predicted trigger")
     predicted_types = [t["type"] for t in triggers]
-    bundle = build_argument_prompt(segment, predicted_types, examples, ontology, template=template)
+    bundle = build_argument_prompt(
+        segment, predicted_types, examples, ontology, template=model.template
+    )
     recovered = None
 
     def parse(text: str) -> list[dict] | None:
@@ -453,9 +442,7 @@ def extract_arguments(
         recovered = recover_json_tail(text)
         return _argument_events(text, recovered, triggers, ontology)
 
-    completion = complete_with_retry(
-        provider, bundle, parse, max_attempts=max_attempts, cache=cache, corrective=corrective
-    )
+    completion = model.ask(bundle, parse)
     events = completion.value
     if events is None:
         events = [{"trigger": t["trigger"], "type": t["type"], "arguments": []} for t in triggers]
@@ -479,11 +466,7 @@ class PostprocessEntry:
 def postprocess(
     raws: Iterable[tuple[str, str]],
     ontology: Ontology,
-    provider: LlmProvider | None,
-    *,
-    cache: ResponseCache | None = None,
-    max_attempts: int = 3,
-    template: Template,
+    model: StageModel | None,
 ) -> list[PostprocessEntry]:
     """Turn standalone (segment id, raw reply) pairs into validated events.
 
@@ -502,9 +485,7 @@ def postprocess(
     for segment_id, raw in raws:
         events, attempts = validated(recover_json_tail(raw)), 0
         if events is None:
-            events, attempts = _format_repair(
-                segment_id, raw, validated, provider, cache, max_attempts, template
-            )
+            events, attempts = _format_repair(segment_id, raw, validated, model)
         entries.append(PostprocessEntry(segment_id, events or [], attempts, events is None, False))
     return entries
 
@@ -514,11 +495,7 @@ def repair_arguments(
     recovered: list[dict] | None,
     triggers: Sequence[dict],
     ontology: Ontology,
-    provider: LlmProvider | None,
-    *,
-    cache: ResponseCache | None = None,
-    max_attempts: int = 3,
-    template: Template,
+    model: StageModel | None,
 ) -> PostprocessEntry:
     """Final events for one segment's arguments row and the records its reply held.
 
@@ -533,24 +510,19 @@ def repair_arguments(
         return PostprocessEntry(row["id"], row["events"], 0, False, False)
     canonical, attempts = recovered, 0
     if canonical is None:
-        canonical, attempts = _format_repair(
-            row["id"], row["raw"], lambda c: c, provider, cache, max_attempts, template
-        )
+        canonical, attempts = _format_repair(row["id"], row["raw"], lambda c: c, model)
     events = _match_entries_to_triggers(canonical, triggers, ontology, strict=False)
     return PostprocessEntry(row["id"], events, attempts, False, canonical is None)
 
 
-def _format_repair(segment_id: str, raw: str, convert, provider, cache, max_attempts, template):
+def _format_repair(segment_id: str, raw: str, convert, model: StageModel | None):
     """(convert(records) of the first formatting reply it accepts, or None; attempts).
 
-    convert rejects a reply by returning None. Blank text, or no provider,
+    convert rejects a reply by returning None. Blank text, or no model,
     sends nothing and recovers nothing.
     """
-    if provider is None or not raw.strip():
+    if model is None or not raw.strip():
         return None, 0
-    bundle = build_format_prompt(raw, segment_id, template=template)
-    completion = complete_with_retry(
-        provider, bundle, lambda text: convert(recover_json_tail(text)),
-        max_attempts=max_attempts, cache=cache,
-    )
+    bundle = build_format_prompt(raw, segment_id, template=model.template)
+    completion = model.ask(bundle, lambda text: convert(recover_json_tail(text)))
     return completion.value, completion.attempts

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from ._http import Endpoint
-from .llm import LlmProvider, complete_with_retry
+from .llm import StageModel
 from .model import (
     FIELD_TYPES,
     DatasetError,
@@ -29,7 +29,7 @@ from .model import (
     normalize,
     read_rows,
 )
-from .prompts import Template, build_presence_prompt
+from .prompts import build_presence_prompt
 
 __all__ = [
     "AgreementTable",
@@ -202,26 +202,16 @@ def parse_yes_no(reply: str) -> bool | None:
     return None
 
 
-def llm_classify(
-    segment: Segment,
-    llm_provider: LlmProvider,
-    ontology,
-    *,
-    cache=None,
-    lenient: bool = False,
-    template: Template,
-) -> bool:
+def llm_classify(segment: Segment, model: StageModel, ontology, *, lenient: bool = False) -> bool:
     """Ask the LLM judge whether the segment contains an event.
 
     The reply's first alphanumeric token decides (YES/NO). An unparseable
-    reply triggers exactly one re-ask; a second unparseable reply raises
-    VerdictError unless lenient, in which case the segment counts as
-    event-free. template is the parsed presence template.
+    reply is asked again, up to the model's max_attempts; one still
+    unparseable then raises VerdictError unless lenient, in which case the
+    segment counts as event-free.
     """
-    bundle = build_presence_prompt(segment, ontology, template=template)
-    verdict = complete_with_retry(
-        llm_provider, bundle, parse_yes_no, max_attempts=2, cache=cache
-    ).value
+    bundle = build_presence_prompt(segment, ontology, template=model.template)
+    verdict = model.ask(bundle, parse_yes_no).value
     if verdict is None and not lenient:
         raise VerdictError(f"segment {segment.id!r}: unparseable presence verdict after retry")
     return bool(verdict)

@@ -12,13 +12,13 @@ import json
 import os
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from ._http import Endpoint, ProviderError
 from .model import DatasetError, Lines, _decode_line, parse_json
-from .prompts import PromptBundle, PromptMessage
+from .prompts import PromptBundle, PromptMessage, Template
 
 __all__ = [
     "CacheError",
@@ -29,6 +29,7 @@ __all__ = [
     "ProviderError",
     "ResponseCache",
     "ScriptedMockLlm",
+    "StageModel",
     "cache_key",
     "cached_complete",
     "complete_with_retry",
@@ -296,3 +297,40 @@ def complete_with_retry(
                 bundle.messages + (PromptMessage("user", note),), bundle.stage, bundle.segment_id
             )
     return CompletionResult(None, text, max_attempts)
+
+
+@dataclass
+class StageModel:
+    """One prompt stage's model: its provider, parsed template, cache and retry policy.
+
+    ask completes a bundle through complete_with_retry with the stage's
+    policy, passing the model itself as the provider, so calls counts the
+    completions that reach the provider; a cache hit counts none.
+    """
+
+    provider: LlmProvider
+    template: Template
+    _: KW_ONLY
+    cache: ResponseCache | None = None
+    max_attempts: int = 3
+    corrective: bool = False
+    calls: int = field(default=0, init=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    @property
+    def provider_id(self) -> str:
+        return self.provider.provider_id
+
+    def complete(self, bundle: PromptBundle) -> str:
+        with self._lock:
+            self.calls += 1
+        return self.provider.complete(bundle)
+
+    def ask(self, bundle: PromptBundle, parse: Callable[[str], Any]) -> CompletionResult:
+        """The parsed reply to bundle, asked with the stage's retry policy."""
+        return complete_with_retry(
+            self, bundle, parse,
+            max_attempts=self.max_attempts, cache=self.cache, corrective=self.corrective,
+        )

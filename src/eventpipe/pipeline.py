@@ -31,15 +31,16 @@ Every input file is read in one place, Pipeline._input, once per run; the
 inputs digest is taken of the bytes read there, and each loader parses those
 same bytes. Each computed stage's template is parsed once, before the first
 provider call, so a template edited during a run takes effect at the next run.
+Each prompt stage asks its model (llm.StageModel), built from the stage's
+provider, template, the cache and its record in STAGES, which holds its retry
+policy; run.json counts each model's provider calls.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import json
-import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -71,7 +72,7 @@ from .gate import (
     rule_classify,
     vote,
 )
-from .llm import LlmProvider, ResponseCache
+from .llm import LlmProvider, ResponseCache, StageModel
 from .model import (
     DatasetError,
     LabeledRows,
@@ -86,7 +87,7 @@ from .model import (
     write_json,
     write_rows,
 )
-from .prompts import PromptBundle, Template, load_template
+from .prompts import Template, load_template
 from .retrieval import (
     EmbeddingProvider,
     Hits,
@@ -99,7 +100,6 @@ from .retrieval import (
 )
 
 __all__ = [
-    "CountingLlm",
     "Pipeline",
     "ResumeError",
     "RunResult",
@@ -112,20 +112,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Stage:
-    """An artifact stage: its name (of <name>.jsonl), prompt stage, row fields and event field."""
+    """An artifact stage: its name (of <name>.jsonl), prompt stage, row fields and event field.
+
+    Its retry policy: max_attempts per reply (None: retry.max_attempts), and
+    whether retry.corrective reaches it.
+    """
 
     name: str
     prompt: str
     fields: tuple[str, ...]
     events: str | None = None
+    max_attempts: int | None = None
+    corrective: bool = False
 
 
 _REPLY_FIELDS = ("raw", "attempts", "failed", "examples")  # beside a reply row's id and events
 # Every artifact stage, in stage order. A trigger prediction is an event without arguments.
 STAGES = (
-    Stage("gate", "presence", ("id", "rule", "learned", "llm", "gated_in")),
-    Stage("triggers", "trigger", ("id", "predictions", *_REPLY_FIELDS), "predictions"),
-    Stage("arguments", "argument", ("id", "events", *_REPLY_FIELDS), "events"),
+    Stage("gate", "presence", ("id", "rule", "learned", "llm", "gated_in"), max_attempts=2),
+    Stage(
+        "triggers", "trigger", ("id", "predictions", *_REPLY_FIELDS), "predictions",
+        corrective=True,
+    ),
+    Stage("arguments", "argument", ("id", "events", *_REPLY_FIELDS), "events", corrective=True),
     Stage("final", "format", ("id", "event"), "event"),
 )
 STAGE_ORDER = (*(stage.name for stage in STAGES), "score")
@@ -194,28 +203,6 @@ def read_artifact(
     return rows
 
 
-class CountingLlm(LlmProvider):
-    """Wrapper that counts actual provider completions, labeled by stage."""
-
-    def __init__(self, inner: LlmProvider):
-        self.inner = inner
-        self.counts: Counter = Counter()
-        self._lock = threading.Lock()
-
-    @property
-    def provider_id(self) -> str:
-        return self.inner.provider_id
-
-    @property
-    def waits(self) -> bool:
-        return self.inner.waits
-
-    def complete(self, bundle: PromptBundle) -> str:
-        with self._lock:
-            self.counts[bundle.stage] += 1
-        return self.inner.complete(bundle)
-
-
 # RunResult fields that run.json leaves out: where the outputs went, the
 # stage rows, which the artifacts hold, and the report, which it holds as "score".
 _NOT_IN_RUN_JSON = ("report", "output_dir", "predictions_path", "report_path", "rows")
@@ -280,7 +267,8 @@ class Pipeline:
     A Pipeline serves one run: a second run() raises. Its lazy resources
     (ontology, support, gold, cache, the embedding provider and the index,
     cached properties built on first access, and the LLM providers) may be
-    loaded before the run. The Pipeline counts the texts it embeds itself.
+    loaded before the run; the run builds the stage models. The Pipeline
+    counts the texts it embeds itself.
     """
 
     def __init__(self, config: PipelineConfig, *, resume: bool = False):
@@ -288,7 +276,9 @@ class Pipeline:
         self.resume = resume
         self.out_dir = Path(config.output_dir)
         self.config_hash = config.config_hash()
-        self._providers: dict[str, CountingLlm] = {}
+        self._providers: dict[str, LlmProvider] = {}
+        # Each prompt stage's model, whose calls run.json counts.
+        self._models: dict[str, StageModel] = {}
         # Texts passed to the embedder: the support set when the index is
         # built, and the query texts. Both are counted on the calling thread.
         self._texts_embedded = 0
@@ -378,13 +368,25 @@ class Pipeline:
     def cache(self) -> ResponseCache | None:
         return ResponseCache(self.config.cache) if self.config.cache else None
 
-    def llm_for(self, stage: str) -> CountingLlm:
+    def llm_for(self, stage: str) -> LlmProvider:
+        """A prompt stage's provider, shared by the stages with the same provider config."""
         pcfg = self.config.llm_for_stage(stage)
         key = json.dumps(pcfg.to_dict(), sort_keys=True)
         if key not in self._providers:
-            provider = build_llm_provider(pcfg, data=self._data(pcfg.script))
-            self._providers[key] = CountingLlm(provider)
+            self._providers[key] = build_llm_provider(pcfg, data=self._data(pcfg.script))
         return self._providers[key]
+
+    def model(self, stage: Stage, template: Template) -> StageModel:
+        """A stage's model: its provider, the cache and the stage's retry policy from STAGES."""
+        cfg = self.config
+        model = self._models[stage.prompt] = StageModel(
+            self.llm_for(stage.prompt),
+            template,
+            cache=self.cache,
+            max_attempts=cfg.max_attempts if stage.max_attempts is None else stage.max_attempts,
+            corrective=stage.corrective and cfg.corrective,
+        )
+        return model
 
     @cached_property
     def embedder(self) -> EmbeddingProvider:
@@ -432,15 +434,18 @@ class Pipeline:
         return self.out_dir / f"{stage}.jsonl"
 
     def _gate(
-        self, segments: list[Segment], pool: ThreadPoolExecutor | None, template: Template | None
+        self,
+        segments: list[Segment],
+        pool: ThreadPoolExecutor | None,
+        models: dict[str, StageModel],
     ) -> list[dict]:
         """The gate phase: learned verdicts fetched in batches, then each segment's gate row.
 
-        The rows are mapped on pool, or on the caller without one. template is
-        the presence template, None when a verdict file replaces the prompt.
+        The rows are mapped on pool, or on the caller without one. models
+        holds the gate's model unless a verdict file replaces the prompt.
         """
         cfg = self.config
-        ontology, cache = self.ontology, self.cache
+        ontology = self.ontology
         lexicon = build_lexicon(self.support)
         learned = [False] * len(segments)
         if cfg.learned:
@@ -451,19 +456,11 @@ class Pipeline:
         if cfg.gate_llm_file:
             verdicts = FileVerdictProvider(cfg.gate_llm_file, data=self._data(cfg.gate_llm_file))
             llm_file = [p >= 0.5 for p in verdicts.presence_probabilities(segments)]
-        presence_llm = None if cfg.gate_llm_file else self.llm_for("presence")
 
         def gate(seg: Segment, learned: bool, llm: bool | None) -> dict:
             rule = rule_classify(seg, lexicon)
             if llm is None:
-                llm = llm_classify(
-                    seg,
-                    presence_llm,
-                    ontology,
-                    cache=cache,
-                    lenient=cfg.gate_lenient_llm,
-                    template=template,
-                )
+                llm = llm_classify(seg, models["gate"], ontology, lenient=cfg.gate_lenient_llm)
             row = {"id": seg.id, "rule": rule, "learned": learned, "llm": llm}
             row["gated_in"] = vote(row, cfg.gate_policy)
             return row
@@ -505,30 +502,25 @@ class Pipeline:
         return dict(zip((seg.id for seg in wanted), hits))
 
     def _extraction_task(
-        self, computed: set[str], found: dict[str, Hits], templates: dict[str, Template]
+        self, computed: set[str], found: dict[str, Hits], models: dict[str, StageModel]
     ):
         """The extraction phase's per-segment task: one segment's triggers, arguments and repair.
 
-        found holds the query phase's hits; templates holds the template of
-        each computed stage, by stage name.
+        found holds the query phase's hits; models holds the model of each
+        computed stage, by stage name.
         """
         cfg = self.config
-        ontology, cache = self.ontology, self.cache
+        ontology = self.ontology
         # found is empty unless a retrieving stage built the index.
         index = self.index if found else None
-        llms = {
-            stage.name: self.llm_for(stage.prompt) for stage in STAGES[1:] if stage.name in computed
-        }
-        retry = dict(cache=cache, max_attempts=cfg.max_attempts)
-        extraction = dict(corrective=cfg.corrective, **retry)
 
         def process(seg: Segment, record: SegmentRecord) -> None:
             rows = record.rows
             hits = found.get(seg.id)
             if "triggers" in computed and _gated_in(rows):
                 rows["triggers"] = extract_triggers(
-                    seg, retrieve_examples(index, hits) if hits else [], ontology, llms["triggers"],
-                    template=templates["triggers"], **extraction,
+                    seg, retrieve_examples(index, hits) if hits else [], ontology,
+                    models["triggers"],
                 )
             triggers = rows["triggers"]["predictions"] if _has_triggers(rows) else []
             recovered = None
@@ -538,8 +530,7 @@ class Pipeline:
                     types = [t["type"] for t in triggers] if cfg.same_type_filter else None
                     shots = retrieve_examples(index, hits, types)
                 rows["arguments"], recovered = extract_arguments(
-                    seg, triggers, shots, ontology, llms["arguments"],
-                    template=templates["arguments"], **extraction,
+                    seg, triggers, shots, ontology, models["arguments"]
                 )
             elif "final" in computed and rows.get("arguments") and rows["arguments"]["failed"]:
                 # A replayed failed row: repair reads the records its reply holds.
@@ -547,8 +538,7 @@ class Pipeline:
             if "final" in computed:
                 if rows.get("arguments"):
                     record.repair = repair_arguments(
-                        rows["arguments"], recovered, triggers, ontology, llms["final"],
-                        template=templates["final"], **retry,
+                        rows["arguments"], recovered, triggers, ontology, models["final"]
                     )
                 events = record.repair.events if record.repair else []
                 rows["final"] = {"id": seg.id, "event": events}
@@ -595,41 +585,40 @@ class Pipeline:
         result.resumed_stages = list(replayed)
         computed = {stage.name for stage in stages} - replayed.keys()
         # Each computed stage's template is parsed, in stage order, before
-        # any provider call; a verdict file replaces the presence prompt.
-        templates = {
-            stage.name: self.template(stage.prompt)
+        # any provider is built; a verdict file replaces the presence prompt.
+        templates = [
+            (stage, self.template(stage.prompt))
             for stage in stages
             if stage.name in computed and not (stage.name == "gate" and cfg.gate_llm_file)
-        }
+        ]
         # A segment missing from a replayed artifact never reached that stage.
         records = [
             SegmentRecord({stage: by_id.get(seg.id) for stage, by_id in replayed.items()})
             for seg in segments
         ]
-        # A pool only overlaps provider waits: a run opens one when it has more
-        # than one worker and a stage that calls a provider (a key of
-        # templates) calls a chat provider that waits on the network.
-        # Otherwise handing the GIL between threads costs CPU and saves
-        # nothing, and both phases map on this thread. Every such provider is
-        # built here, so one that cannot be built fails before any call.
-        waits = [self.llm_for(stage.prompt).waits for stage in stages if stage.name in templates]
-        threaded = cfg.workers > 1 and any(waits)
+        # Every model is built here, so a provider that cannot be built fails
+        # before any call. A pool only overlaps provider waits: a run opens
+        # one when it has more than one worker and a model's chat provider
+        # waits on the network. Otherwise handing the GIL between threads
+        # costs CPU and saves nothing, and both phases map on this thread.
+        models = {stage.name: self.model(stage, template) for stage, template in templates}
+        threaded = cfg.workers > 1 and any(m.provider.waits for m in models.values())
         # The index of a retrieving stage is built here too, so that a support
         # set that cannot be indexed fails before any call.
         if computed & {"triggers", "arguments"}:
             self.index  # noqa: B018 - built on first use
-        # One pool serves both phases. Each phase resolves its shared
-        # resources before it maps: llm_for is check-then-set, and a
-        # cached_property locks its first access only on Python <= 3.11, so
-        # resolving them in pool threads could build a second cache or provider.
+        # One pool serves both phases. Each phase resolves its other shared
+        # resources before it maps: a cached_property locks its first access
+        # only on Python <= 3.11, so resolving one in pool threads could build
+        # it twice.
         with ThreadPoolExecutor(max_workers=cfg.workers) if threaded else nullcontext() as pool:
             if "gate" in computed:
-                verdicts = self._gate(segments, pool, templates.get("gate"))
+                verdicts = self._gate(segments, pool, models)
                 for record, row in zip(records, verdicts):
                     record.rows["gate"] = row
             if computed - {"gate"}:
                 found = self._queries(segments, records, computed)
-                process = self._extraction_task(computed, found, templates)
+                process = self._extraction_task(computed, found, models)
                 list((map if pool is None else pool.map)(process, segments, records))
         self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = result.rows = {
@@ -674,9 +663,7 @@ class Pipeline:
         return result
 
     def _collect_calls(self) -> dict:
-        calls: Counter = Counter()
-        for wrapper in self._providers.values():
-            calls.update(wrapper.counts)
-        out = {stage: calls[stage] for stage in sorted(calls)}
-        out["total"] = sum(calls.values())
+        """Provider completions by prompt stage, of the stages that made any, and their total."""
+        out = {stage: m.calls for stage, m in sorted(self._models.items()) if m.calls}
+        out["total"] = sum(out.values())
         return out

@@ -87,13 +87,13 @@ _NORM_TOL = 1e-6
 # the same CPU time, 64-row chunks 4% slower and 512 to 1,024-row ones 13 to
 # 19% slower; 1,024-row chunks raised peak RSS by 1.4 MB on 2k rows.
 _SCAN_CHUNK = 128
-# Queries scored per pass over the rows. The group's float32 scores take
-# N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22 queries). One
-# float32 einsum pass over 19k rows for 22 queries took about 31 ms, against
-# 69 ms for three float64 passes of 8. Each pass also squares every float64
-# row for the error bounds, from the chunk it has just converted: about 2 ms
-# of CPU per pass at 19k rows (4% of a 64-query pass), against 2 to 5 ms for
-# a separate read of the matrix, which a run with one group no longer makes.
+# Queries scored per pass over the rows: the scan is memory-bound, so the
+# queries of a group share each read of the matrix. The group's float32
+# scores take N x 64 x 4 bytes at most, 4.9 MB at 19k rows (1.7 MB for 22
+# queries). Each pass also squares every float64 row for the error bounds,
+# from the chunk it has just converted: about 2 ms of CPU per pass at 19k
+# rows (4% of a 64-query pass), against 2 to 5 ms for a separate read of the
+# matrix.
 _QUERY_GROUP = 64
 _INDEX_FORMAT = "eventpipe-index/2"  # the header line, then np.save's matrix
 

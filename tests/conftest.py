@@ -584,6 +584,7 @@ def build_golden_corpus(
     workers: int = 4,
     with_cache: bool = True,
     retrieval_k: int = 3,
+    max_attempts: int = 3,
     corrective: bool = False,
     set_semantics: bool = False,
 ) -> GoldenCorpus:
@@ -625,7 +626,7 @@ def build_golden_corpus(
         },
         "retrieval": {"k": retrieval_k, "embedding": {"kind": "mock", "dimension": 64}},
         "llm": {"default": {"kind": "mock", "script": str(script_path)}},
-        "retry": {"max_attempts": 3, "corrective": corrective},
+        "retry": {"max_attempts": max_attempts, "corrective": corrective},
         "concurrency": {"workers": workers},
         "scoring": {"set_semantics": set_semantics},
     }

@@ -32,7 +32,7 @@ from eventpipe.extract import (
     repair_arguments,
 )
 from eventpipe.gate import POLICIES, vote
-from eventpipe.llm import ScriptedMockLlm
+from eventpipe.llm import ScriptedMockLlm, StageModel
 from eventpipe.model import Segment, check_event, load_gold
 from eventpipe.retrieval import search
 from test_evaluate import assert_matches_reference, random_instance
@@ -407,21 +407,18 @@ class TestCriterion9ValidationTotality:
         self, ontology, templates, raw, repair, with_triggers
     ):
         provider = ScriptedMockLlm({"s1/argument": raw, "s1/format": repair})
+        formatter = StageModel(provider, templates["format"])
         if with_triggers:
             # Pipeline path: the argument step's reply, repaired against the
             # committed triggers.
             triggers = [{"trigger": "war", "type": "Attack"}]
             row, recovered = extract_arguments(
-                Segment(id="s1", text="a war broke out"), triggers, [], ontology, provider,
-                template=templates["argument"],
+                Segment(id="s1", text="a war broke out"), triggers, [], ontology,
+                StageModel(provider, templates["argument"]),
             )
-            entries = [
-                repair_arguments(
-                    row, recovered, triggers, ontology, provider, template=templates["format"]
-                )
-            ]
+            entries = [repair_arguments(row, recovered, triggers, ontology, formatter)]
         else:
-            entries = postprocess([("s1", raw)], ontology, provider, template=templates["format"])
+            entries = postprocess([("s1", raw)], ontology, formatter)
         for entry in entries:
             if entry.excluded:
                 assert entry.events == []

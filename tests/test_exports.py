@@ -86,3 +86,13 @@ def test_benchmark_hooks_resolve_except_the_known_stale_ones():
     targets = {target for _, target, _ in tracer.HOOKS}
     assert STALE_HOOKS <= targets
     assert {target for target in targets if not _resolves(target)} == STALE_HOOKS
+
+
+def test_only_the_llm_module_calls_the_retry_helper():
+    # Every stage asks through its StageModel, which holds the stage's retry
+    # policy; a stage that called the helper itself would pass its own.
+    package = Path(eventpipe.__file__).resolve().parent
+    callers = {
+        path.name for path in package.glob("*.py") if "complete_with_retry(" in path.read_text()
+    }
+    assert callers == {"llm.py"}

@@ -24,7 +24,7 @@ from eventpipe.extract import (
     repair_arguments,
     retrieve_examples,
 )
-from eventpipe.llm import ScriptedMockLlm
+from eventpipe.llm import ScriptedMockLlm, StageModel
 from eventpipe.model import LabeledSegment, Segment
 from eventpipe.pipeline import Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index, embed_texts, search
@@ -689,9 +689,8 @@ class TestExtractTriggers:
     def _run(self, script, ontology, max_attempts=3):
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
-        row = extract_triggers(
-            seg, [], ontology, provider, max_attempts=max_attempts, template=self.template
-        )
+        model = StageModel(provider, self.template, max_attempts=max_attempts)
+        row = extract_triggers(seg, [], ontology, model)
         return row, provider
 
     def test_clean_reply(self, ontology):
@@ -736,7 +735,7 @@ class TestExtractTriggers:
         seg = Segment(id="s1", text="a war broke out")
         (hits,) = search(index, _query(seg.text, embedder)[None], 2)
         examples = retrieve_examples(index, hits)
-        row = extract_triggers(seg, examples, ontology, provider, template=templates["trigger"])
+        row = extract_triggers(seg, examples, ontology, StageModel(provider, templates["trigger"]))
         assert row["examples"] == [ex.id for ex in examples] and len(examples) == 2
 
 
@@ -754,7 +753,7 @@ class TestExtractArguments:
         provider = ScriptedMockLlm(script)
         seg = Segment(id="s1", text="a war broke out")
         row, recovered = extract_arguments(
-            seg, self._triggers(), [], ontology, provider, template=templates["argument"]
+            seg, self._triggers(), [], ontology, StageModel(provider, templates["argument"])
         )
         assert not row["failed"]
         assert row["events"][0]["arguments"][0]["name"] == "rebels"
@@ -764,7 +763,7 @@ class TestExtractArguments:
         provider = ScriptedMockLlm({"s1/argument": "cannot comply"})
         seg = Segment(id="s1", text="a war broke out")
         row, recovered = extract_arguments(
-            seg, self._triggers(), [], ontology, provider, template=templates["argument"]
+            seg, self._triggers(), [], ontology, StageModel(provider, templates["argument"])
         )
         assert row == {
             "id": "s1",
@@ -780,7 +779,7 @@ class TestExtractArguments:
         provider = ScriptedMockLlm({})
         seg = Segment(id="s1", text="x")
         with pytest.raises(ValueError):
-            extract_arguments(seg, [], [], ontology, provider, template=templates["argument"])
+            extract_arguments(seg, [], [], ontology, StageModel(provider, templates["argument"]))
 
     def test_same_type_filter_restricts_retrieval(self, golden_corpus):
         # With the filter on, each argument row's examples are the top k among
@@ -848,12 +847,10 @@ class TestPostprocess:
             triggers,
             [],
             ontology,
-            ScriptedMockLlm({"s1/argument": reply}),
-            template=self.templates["argument"],
+            StageModel(ScriptedMockLlm({"s1/argument": reply}), self.templates["argument"]),
         )
-        return repair_arguments(
-            row, recovered, triggers, ontology, format_provider, template=self.templates["format"]
-        )
+        model = StageModel(format_provider, self.templates["format"])
+        return repair_arguments(row, recovered, triggers, ontology, model)
 
     def test_recoverable_raw_needs_no_provider(self, ontology):
         provider = ScriptedMockLlm({})  # any request would raise MockMissError
@@ -910,7 +907,7 @@ class TestPostprocess:
             ("bad", "nothing recoverable"),
         ]
         provider = ScriptedMockLlm({"bad/format": "still nothing"})
-        good, bad = postprocess(raws, ontology, provider, template=templates["format"])
+        good, bad = postprocess(raws, ontology, StageModel(provider, templates["format"]))
         assert (good.excluded, bad.excluded) == (False, True)
         assert bad.events == []
         assert good.events[0]["type"] == "Attack"
@@ -928,7 +925,7 @@ class TestPostprocess:
         provider = ScriptedMockLlm(
             {"s1/format": '[{"trigger": "war", "type": "Attack", "arguments": []}]'}
         )
-        (entry,) = postprocess(raws, ontology, provider, template=templates["format"])
+        (entry,) = postprocess(raws, ontology, StageModel(provider, templates["format"]))
         assert not entry.excluded
         assert entry.events[0]["arguments"] == []
         assert entry.formatting_attempts == 1

@@ -27,7 +27,7 @@ from eventpipe.gate import (
     rule_classify,
     vote,
 )
-from eventpipe.llm import ResponseCache, ScriptedMockLlm
+from eventpipe.llm import ResponseCache, ScriptedMockLlm, StageModel
 from eventpipe.model import (
     DatasetError,
     LabeledSegment,
@@ -35,6 +35,7 @@ from eventpipe.model import (
     load_gold,
     normalize,
 )
+from eventpipe.pipeline import STAGES
 
 
 def _training(ontology, *triggers):
@@ -222,44 +223,48 @@ class TestParseYesNo:
 
 
 class TestLlmClassifier:
+    @pytest.fixture(autouse=True)
+    def _template(self, templates):
+        self.template = templates["presence"]
+
     def _segment(self):
         return Segment(id="s1", text="the war began")
 
-    def test_yes_and_no(self, ontology, templates):
+    def _model(self, provider, cache=None):
+        return StageModel(
+            provider, self.template, cache=cache, max_attempts=STAGES[0].max_attempts
+        )
+
+    def test_yes_and_no(self, ontology):
         yes = ScriptedMockLlm({"s1/presence": "YES"})
         no = ScriptedMockLlm({"s1/presence": "no, nothing here"})
-        assert llm_classify(self._segment(), yes, ontology, template=templates["presence"]) is True
-        assert llm_classify(self._segment(), no, ontology, template=templates["presence"]) is False
+        assert llm_classify(self._segment(), self._model(yes), ontology) is True
+        assert llm_classify(self._segment(), self._model(no), ontology) is False
 
-    def test_unparseable_reply_triggers_one_reask(self, ontology, templates):
+    def test_unparseable_reply_triggers_one_reask(self, ontology):
         provider = ScriptedMockLlm({"s1/presence": ["hmm", "YES"]})
-        assert llm_classify(
-            self._segment(), provider, ontology, template=templates["presence"]
-        ) is True
+        assert llm_classify(self._segment(), self._model(provider), ontology) is True
         assert provider.call_count == 2
 
-    def test_two_unparseable_replies_raise_unless_lenient(self, ontology, templates):
+    def test_two_unparseable_replies_raise_unless_lenient(self, ontology):
         provider = ScriptedMockLlm({"s1/presence": ["hmm", "dunno"]})
         with pytest.raises(VerdictError):
-            llm_classify(self._segment(), provider, ontology, template=templates["presence"])
+            llm_classify(self._segment(), self._model(provider), ontology)
         lenient = ScriptedMockLlm({"s1/presence": ["hmm", "dunno"]})
         assert llm_classify(
-            self._segment(), lenient, ontology, lenient=True, template=templates["presence"]
+            self._segment(), self._model(lenient), ontology, lenient=True
         ) is False
 
-    def test_cache_reask_does_not_replay_first_reply(self, ontology, tmp_path, templates):
+    def test_cache_reask_does_not_replay_first_reply(self, ontology, tmp_path):
         # With a cache, the second ask must use a distinct key; otherwise the
         # cached unparseable reply would be returned forever.
         cache = ResponseCache(tmp_path / "cache.jsonl")
         provider = ScriptedMockLlm({"s1/presence": ["hmm", "YES"]})
-        assert llm_classify(
-            self._segment(), provider, ontology, cache=cache, template=templates["presence"]
-        ) is True
+        model = self._model(provider, cache)
+        assert llm_classify(self._segment(), model, ontology) is True
         assert provider.call_count == 2
         # A second classification is served entirely from the cache.
-        assert llm_classify(
-            self._segment(), provider, ontology, cache=cache, template=templates["presence"]
-        ) is True
+        assert llm_classify(self._segment(), model, ontology) is True
         assert provider.call_count == 2
 
 

@@ -13,6 +13,7 @@ from eventpipe.llm import (
     MockMissError,
     ResponseCache,
     ScriptedMockLlm,
+    StageModel,
     cache_key,
     cached_complete,
     complete_with_retry,
@@ -257,6 +258,34 @@ class TestCompleteWithRetry:
         mock = ScriptedMockLlm({"s1/trigger": "x"})
         with pytest.raises(ValueError):
             complete_with_retry(mock, _bundle(), lambda t: t, max_attempts=0)
+
+
+class TestStageModel:
+    def test_ask_retries_with_the_model_policy(self):
+        seen = []
+
+        class Spy(ScriptedMockLlm):
+            def complete(self, bundle):
+                seen.append(len(bundle.messages))
+                return super().complete(bundle)
+
+        model = StageModel(Spy({"s1/trigger": "bad"}), None, max_attempts=2, corrective=True)
+        result = model.ask(_bundle(), _good)
+        assert (result.value, result.attempts) == (None, 2)
+        assert seen == [2, 3]
+
+    def test_calls_count_only_completions_that_reach_the_provider(self, tmp_path):
+        # The model keys the cache by its provider's id, so a cache hit on a
+        # later run is served without a call.
+        cache = ResponseCache(tmp_path / "c.jsonl")
+        mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]}, provider_name="named")
+        model = StageModel(mock, None, cache=cache)
+        assert model.provider_id == "named"
+        assert model.ask(_bundle(), _good).attempts == 2
+        assert (model.calls, mock.call_count) == (2, 2)
+        assert cache.get(cache_key("named", _bundle(), 2)) == "good"
+        assert model.ask(_bundle(), _good).text == "good"
+        assert (model.calls, mock.call_count) == (2, 2)
 
 
 def _remote(url: str, *, model: str = "m", **fields):

@@ -760,15 +760,16 @@ class TestInputsReadOnce:
         assert Pipeline(config).inputs_digest() == self.GOLDEN_INPUTS_WITH_TEMPLATES
         assert Pipeline(config).run().inputs == self.GOLDEN_INPUTS_WITH_TEMPLATES
 
-    def test_template_rewritten_during_the_gate_does_not_reach_later_prompts(self, golden_corpus):
+    def test_template_rewritten_during_the_gate_does_not_reach_later_prompts(
+        self, golden_corpus, monkeypatch
+    ):
         templates, staged = golden_corpus.root / "templates", golden_corpus.root / "staged"
         write_templates(templates, trigger="trigger v1")
         write_templates(staged, trigger="trigger v2")
         config = dataclasses.replace(golden_corpus.config, templates=str(templates))
         first = Pipeline(config).inputs_digest()
         pipeline = Pipeline(config)
-        wrapper = pipeline.llm_for("trigger")
-        inner = wrapper.inner
+        inner = pipeline.llm_for("trigger")
         systems = []
         lock = threading.Lock()
 
@@ -784,7 +785,9 @@ class TestInputsReadOnce:
                     systems.append(bundle.messages[0].content)
                 return inner.complete(bundle)
 
-        wrapper.inner = Rewriting()
+        # Every stage shares the default provider; the double stands in for it.
+        rewriting = Rewriting()
+        monkeypatch.setattr(pipeline, "llm_for", lambda stage: rewriting)
         result = pipeline.run()
         assert Pipeline(config).inputs_digest() != first  # the file did change mid-run
         assert systems and set(systems) == {"trigger v1"}
@@ -1183,6 +1186,50 @@ class TestPolicyVariants:
             expected = corpus.verdicts[row["id"]]
             assert (row["rule"], row["learned"], row["llm"]) == expected
             assert row["gated_in"] == row["rule"]
+
+
+class TestStageRetryPolicy:
+    def test_each_stage_retries_with_its_policy_in_stages(self, tmp_path, monkeypatch):
+        # With retry.max_attempts 4 and retry.corrective on, the presence judge
+        # still asks at most twice and formatting repair never corrects, while
+        # each trigger and argument retry appends one correction to the
+        # bundle, up to 4 attempts.
+        requests: dict[tuple[str, str], list[int]] = {}
+        complete = ScriptedMockLlm.complete
+
+        def recorded_complete(provider, bundle):
+            key = (bundle.segment_id, bundle.stage)
+            requests.setdefault(key, []).append(len(bundle.messages))
+            return complete(provider, bundle)
+
+        monkeypatch.setattr(ScriptedMockLlm, "complete", recorded_complete)
+        corpus = build_golden_corpus(tmp_path / "corpus", max_attempts=4, corrective=True)
+        script = json.loads(corpus.script_path.read_text(encoding="utf-8"))
+        # seg-028's judge would answer only on a third ask, and seg-005's
+        # formatting repair never parses.
+        script["seg-028/presence"] = ["hmm", "let me think", "YES"]
+        script["seg-005/format"] = "still prose, no records"
+        corpus.script_path.write_text(json.dumps(script), encoding="utf-8")
+        config = dataclasses.replace(corpus.config, gate_lenient_llm=True)
+        result = Pipeline(config).run()
+
+        by_stage: dict[str, list[list[int]]] = {}
+        for (_, stage), counts in requests.items():
+            by_stage.setdefault(stage, []).append(counts)
+        for stage in ("presence", "format"):  # retries resend the bundle as it was
+            assert all(counts == counts[:1] * len(counts) for counts in by_stage[stage])
+        assert max(map(len, by_stage["presence"])) == 2
+        assert len(requests[("seg-028", "presence")]) == 2
+        assert len(requests[("seg-005", "format")]) == 4
+        for stage in ("trigger", "argument"):  # each retry appends one correction
+            for counts in by_stage[stage]:
+                assert counts == counts[:1] + [counts[0] + 1] * (len(counts) - 1)
+                assert len(counts) <= 4
+        assert len(requests[("seg-003", "trigger")]) == 2
+        assert len(requests[("seg-010", "trigger")]) == 4
+        assert len(requests[("seg-005", "argument")]) == 4
+        calls = {stage: sum(map(len, runs)) for stage, runs in sorted(by_stage.items())}
+        assert result.provider_calls == {**calls, "total": sum(calls.values())}
 
 
 class TestSupportIndex:
