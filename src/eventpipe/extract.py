@@ -29,7 +29,6 @@ __all__ = [
     "PostprocessEntry",
     "extract_arguments",
     "extract_triggers",
-    "parse_argument_reply",
     "parse_trigger_reply",
     "postprocess",
     "recover_json_tail",
@@ -350,13 +349,6 @@ def _match_entries_to_triggers(
             args.append({"name": a["name"], "role": role})
         events.append({"trigger": trig["trigger"], "type": trig["type"], "arguments": args})
     return events
-
-
-def parse_argument_reply(
-    raw: str, triggers: Sequence[dict], ontology: Ontology
-) -> list[dict] | None:
-    """Parse an argument-stage reply against the predicted triggers; None = retry."""
-    return _argument_events(raw, recover_json_tail(raw), triggers, ontology)
 
 
 def _argument_events(

@@ -1,4 +1,7 @@
-"""Chat completion providers: remote HTTP, deterministic scripted mock, cache, retries.
+"""Chat completion providers (remote HTTP, scripted mock), cache, and the stage model.
+
+StageModel.ask is the one ask path: each attempt is looked up in the cache,
+sent to the provider on a miss, parsed once, and retried per the stage's policy.
 
 Cache keys cover the provider id, the canonical message serialization, and the
 attempt ordinal. The ordinal matters: a retry re-issues the identical bundle,
@@ -31,8 +34,6 @@ __all__ = [
     "ScriptedMockLlm",
     "StageModel",
     "cache_key",
-    "cached_complete",
-    "complete_with_retry",
 ]
 
 
@@ -232,25 +233,6 @@ def _extract_reply(data: object) -> str | None:
     return None
 
 
-def cached_complete(
-    provider: LlmProvider,
-    cache: ResponseCache | None,
-    bundle: PromptBundle,
-    *,
-    attempt: int = 1,
-) -> str:
-    """Complete through the cache: hits never contact the provider."""
-    if cache is None:
-        return provider.complete(bundle)
-    key = cache_key(provider.provider_id, bundle, attempt)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    response = provider.complete(bundle)
-    cache.put(key, response)
-    return response
-
-
 @dataclass(frozen=True)
 class CompletionResult:
     """The parsed value of the accepted reply (None: every reply rejected), its text, attempts."""
@@ -266,46 +248,12 @@ _CORRECTIVE_NOTE = (
 )
 
 
-def complete_with_retry(
-    provider: LlmProvider,
-    bundle: PromptBundle,
-    parse: Callable[[str], Any],
-    *,
-    max_attempts: int = 3,
-    cache: ResponseCache | None = None,
-    corrective: bool = False,
-) -> CompletionResult:
-    """Re-issue a bundle until parse(reply) returns a value; parse returns None to retry.
-
-    Each reply is parsed once. By default each retry sends the identical
-    bundle; with corrective=True each retry appends one user message holding
-    a fixed correction and the reply just rejected. The original bundle is
-    never mutated. When every attempt is rejected, the result's value is None
-    and its text is the last reply.
-    """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    request = bundle
-    for attempt in range(1, max_attempts + 1):
-        text = cached_complete(provider, cache, request, attempt=attempt)
-        value = parse(text)
-        if value is not None:
-            return CompletionResult(value, text, attempt)
-        if corrective:
-            note = f"{_CORRECTIVE_NOTE}\nYour previous reply was:\n{text}"
-            request = PromptBundle(
-                bundle.messages + (PromptMessage("user", note),), bundle.stage, bundle.segment_id
-            )
-    return CompletionResult(None, text, max_attempts)
-
-
 @dataclass
 class StageModel:
     """One prompt stage's model: its provider, parsed template, cache and retry policy.
 
-    ask completes a bundle through complete_with_retry with the stage's
-    policy, passing the model itself as the provider, so calls counts the
-    completions that reach the provider; a cache hit counts none.
+    calls counts the completions that reach the provider; a cache hit counts
+    none.
     """
 
     provider: LlmProvider
@@ -319,18 +267,44 @@ class StageModel:
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    @property
-    def provider_id(self) -> str:
-        return self.provider.provider_id
-
-    def complete(self, bundle: PromptBundle) -> str:
-        with self._lock:
-            self.calls += 1
-        return self.provider.complete(bundle)
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     def ask(self, bundle: PromptBundle, parse: Callable[[str], Any]) -> CompletionResult:
-        """The parsed reply to bundle, asked with the stage's retry policy."""
-        return complete_with_retry(
-            self, bundle, parse,
-            max_attempts=self.max_attempts, cache=self.cache, corrective=self.corrective,
-        )
+        """The parsed reply to bundle, asked with the stage's retry policy.
+
+        The bundle is re-issued until parse(reply) returns a value; parse
+        returns None to retry. Each reply is parsed once. By default each retry sends the identical
+        bundle; with corrective=True each retry appends one user message
+        holding a fixed correction and the reply just rejected. The original
+        bundle is never mutated. When every attempt is rejected, the result's
+        value is None and its text is the last reply.
+        """
+        request = bundle
+        for attempt in range(1, self.max_attempts + 1):
+            text = self._reply(request, attempt)
+            value = parse(text)
+            if value is not None:
+                return CompletionResult(value, text, attempt)
+            if self.corrective:
+                note = f"{_CORRECTIVE_NOTE}\nYour previous reply was:\n{text}"
+                request = PromptBundle(
+                    bundle.messages + (PromptMessage("user", note),), bundle.stage, bundle.segment_id
+                )
+        return CompletionResult(None, text, self.max_attempts)
+
+    def _reply(self, request: PromptBundle, attempt: int) -> str:
+        """The reply to one attempt: from the cache, or else from the provider and then cached."""
+        key = None
+        if self.cache is not None:
+            key = cache_key(self.provider.provider_id, request, attempt)
+            hit = self.cache.get(key)
+            if hit is not None:
+                return hit
+        with self._lock:
+            self.calls += 1
+        response = self.provider.complete(request)
+        if key is not None:
+            self.cache.put(key, response)
+        return response

@@ -33,7 +33,8 @@ same bytes. Each computed stage's template is parsed once, before the first
 provider call, so a template edited during a run takes effect at the next run.
 Each prompt stage asks its model (llm.StageModel), built from the stage's
 provider, template, the cache and its record in STAGES, which holds its retry
-policy; run.json counts each model's provider calls.
+policy. StageModel.ask is the stage's one path to its provider: it serves each
+attempt from the cache when it can, and run.json counts the calls it makes.
 """
 from __future__ import annotations
 

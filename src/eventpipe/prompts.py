@@ -64,8 +64,6 @@ class PromptMessage:
     def __post_init__(self):
         if self.role not in ("system", "user"):
             raise TemplateError(f"unsupported message role {self.role!r}")
-        if not self.content:
-            raise TemplateError("message content must be nonempty")
 
 
 # A stage's parsed message template, as load_template returns it.
@@ -126,6 +124,10 @@ def load_template(
             loaded.append(PromptMessage(role=m["role"], content=m["content"]))
         except TemplateError as exc:
             raise TemplateError(f"{where}: message {i}: {exc}") from exc
+        # Only a template file's own text must be nonempty: a filled-in
+        # message may be empty, as a bare {TEXT} over a blank transcript is.
+        if not m["content"]:
+            raise TemplateError(f"{where}: message {i}: message content must be nonempty")
         for name in _PLACEHOLDER.findall(m["content"]):
             if name not in STAGE_PLACEHOLDERS[stage]:
                 raise TemplateError(

@@ -67,6 +67,31 @@ class TestRun:
         assert "resumed stages: gate, triggers, arguments, final" in out
 
 
+    def test_a_blank_segment_fills_a_bare_placeholder_message(self, tmp_path, capsys):
+        # A template message of exactly {TEXT} renders empty for a blank
+        # transcript; only the template file itself must be nonempty.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        for stage in ("presence", "trigger", "argument", "format"):
+            source = Path(eventpipe.__file__).parent / "templates" / f"{stage}.json"
+            (templates / f"{stage}.json").write_bytes(source.read_bytes())
+        presence = json.loads((templates / "presence.json").read_text(encoding="utf-8"))
+        presence["messages"][-1]["content"] = "{TEXT}"
+        (templates / "presence.json").write_text(json.dumps(presence), encoding="utf-8")
+        rows = [json.loads(line) for line in corpus.transcripts_path.read_text().splitlines()]
+        for row in rows:
+            if row["id"] == "seg-030":
+                row["text"] = ""
+        corpus.transcripts_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        config["paths"]["templates"] = str(templates)
+        corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert (code, err) == (0, "")
+        assert "provider calls: 58" in out
+
+
 class TestSupportValidation:
     """Every support or gold row is checked when its file loads, retrieved or scored or not."""
 
@@ -835,11 +860,13 @@ class TestExitCodes:
              "message 1 needs string 'role' and 'content'"),
             (b'{"stage": "presence", "messages": [{"role": "robot", "content": "x"}]}',
              "message 1: unsupported message role 'robot'"),
+            (b'{"stage": "presence", "messages": [{"role": "system", "content": ""}]}',
+             "message 1: message content must be nonempty"),
             (b'{"stage": "trigger", "messages": [{"role": "system", "content": "x"}]}',
              "declares stage 'trigger', not 'presence'"),
         ],
         ids=["utf-8", "json", "not-an-object", "message-not-an-object", "role-not-a-string",
-             "content-not-a-string", "unknown-role", "wrong-stage"],
+             "content-not-a-string", "unknown-role", "empty-content", "wrong-stage"],
     )
     def test_bad_template_override_is_a_config_error(self, tmp_path, capsys, content, message):
         corpus = build_golden_corpus(tmp_path / "corpus")

@@ -64,6 +64,9 @@ STALE_HOOKS = {
     "eventpipe.gate:FileVerdictProvider.presence_probability",
     "eventpipe.gate:HttpVerdictProvider.presence_probability",
     "eventpipe.retrieval:embed",
+    "eventpipe.llm:complete_with_retry",
+    "eventpipe.llm:cached_complete",
+    "eventpipe.extract:parse_argument_reply",
 }
 
 
@@ -88,11 +91,10 @@ def test_benchmark_hooks_resolve_except_the_known_stale_ones():
     assert {target for target in targets if not _resolves(target)} == STALE_HOOKS
 
 
-def test_only_the_llm_module_calls_the_retry_helper():
-    # Every stage asks through its StageModel, which holds the stage's retry
-    # policy; a stage that called the helper itself would pass its own.
+def test_only_the_llm_module_calls_a_provider():
+    # Every stage asks through its StageModel, which looks each attempt up in
+    # the cache and counts the calls that reach the provider; a stage that
+    # called its provider itself would bypass both.
     package = Path(eventpipe.__file__).resolve().parent
-    callers = {
-        path.name for path in package.glob("*.py") if "complete_with_retry(" in path.read_text()
-    }
+    callers = {path.name for path in package.glob("*.py") if ".complete(" in path.read_text()}
     assert callers == {"llm.py"}

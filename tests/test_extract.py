@@ -17,7 +17,6 @@ from eventpipe import extract
 from eventpipe.extract import (
     extract_arguments,
     extract_triggers,
-    parse_argument_reply,
     parse_trigger_reply,
     postprocess,
     recover_json_tail,
@@ -453,6 +452,11 @@ class TestParseTriggerReply:
         assert parse_trigger_reply("[]", ontology) == []
 
 
+def _parse_argument_reply(raw, triggers, ontology):
+    """An argument-stage reply parsed as extract_arguments parses it; None = retry."""
+    return extract._argument_events(raw, recover_json_tail(raw), triggers, ontology)
+
+
 class TestParseArgumentReply:
     def _triggers(self):
         return [{"trigger": "war", "type": "Attack"}]
@@ -462,7 +466,7 @@ class TestParseArgumentReply:
             '[{"trigger": "war", "type": "Attack", "arguments": '
             '[{"name": "rebels", "role": "Attacker"}]}]'
         )
-        events = parse_argument_reply(raw, self._triggers(), ontology)
+        events = _parse_argument_reply(raw, self._triggers(), ontology)
         assert events == [
             {
                 "trigger": "war",
@@ -476,7 +480,7 @@ class TestParseArgumentReply:
             '[{"trigger": "war", "type": "Attack", "arguments": '
             '[{"name": "rebels", "role": "attacker"}]}]'
         )
-        events = parse_argument_reply(raw, self._triggers(), ontology)
+        events = _parse_argument_reply(raw, self._triggers(), ontology)
         assert events[0]["arguments"][0]["role"] == "Attacker"
 
     def test_disallowed_role_rejects_reply(self, ontology):
@@ -484,21 +488,21 @@ class TestParseArgumentReply:
             '[{"trigger": "war", "type": "Attack", "arguments": '
             '[{"name": "monday", "role": "Adjudicator"}]}]'
         )
-        assert parse_argument_reply(raw, self._triggers(), ontology) is None
+        assert _parse_argument_reply(raw, self._triggers(), ontology) is None
 
     def test_no_argument_phrase_gives_empty_argument_lists(self, ontology):
-        events = parse_argument_reply("There are no arguments.", self._triggers(), ontology)
+        events = _parse_argument_reply("There are no arguments.", self._triggers(), ontology)
         assert events == [{"trigger": "war", "type": "Attack", "arguments": []}]
 
     def test_prose_is_unparseable(self, ontology):
-        assert parse_argument_reply("the rebels did it", self._triggers(), ontology) is None
+        assert _parse_argument_reply("the rebels did it", self._triggers(), ontology) is None
 
     def test_unmatched_entries_are_dropped(self, ontology):
         raw = (
             '[{"trigger": "war", "type": "Attack", "arguments": []},'
             ' {"trigger": "something", "type": "Meet", "arguments": []}]'
         )
-        events = parse_argument_reply(raw, self._triggers(), ontology)
+        events = _parse_argument_reply(raw, self._triggers(), ontology)
         assert len(events) == 1
         assert events[0]["trigger"] == "war"
 
@@ -508,7 +512,7 @@ class TestParseArgumentReply:
             '[{"trigger": "shot down", "type": "Attack", "arguments": '
             '[{"name": "plane", "role": "Target"}]}]'
         )
-        events = parse_argument_reply(raw, triggers, ontology)
+        events = _parse_argument_reply(raw, triggers, ontology)
         assert events[0]["arguments"][0]["name"] == "plane"
         # The committed trigger string is the prediction's, not the reply's.
         assert events[0]["trigger"] == "Shot  Down"
@@ -520,7 +524,7 @@ class TestParseArgumentReply:
             '[{"trigger": "war", "type": "Attack", "arguments": [{"name": "rebels", "role": "Attacker"}]},'
             ' {"trigger": "war", "type": "Attack", "arguments": [{"name": "village", "role": "Place"}]}]'
         )
-        events = parse_argument_reply(raw, self._triggers(), ontology)
+        events = _parse_argument_reply(raw, self._triggers(), ontology)
         assert [a["name"] for a in events[0]["arguments"]] == ["rebels", "village"]
 
     def test_duplicate_predicted_triggers_consume_entries_in_order(self, ontology):
@@ -532,7 +536,7 @@ class TestParseArgumentReply:
             '[{"trigger": "war", "type": "Attack", "arguments": [{"name": "rebels", "role": "Attacker"}]},'
             ' {"trigger": "war", "type": "Attack", "arguments": [{"name": "village", "role": "Place"}]}]'
         )
-        events = parse_argument_reply(raw, triggers, ontology)
+        events = _parse_argument_reply(raw, triggers, ontology)
         assert [a["name"] for e in events for a in e["arguments"]] == ["rebels", "village"]
         assert len(events[0]["arguments"]) == 1
         assert len(events[1]["arguments"]) == 1
@@ -559,7 +563,7 @@ class TestParseArgumentReply:
                 for t, ty, n, r in entries
             ]
         )
-        events = parse_argument_reply(raw, triggers, ontology)
+        events = _parse_argument_reply(raw, triggers, ontology)
         # met occurs once and merges both of its entries; war and died occur
         # twice and take one entry each in reply order, so the third war entry
         # is dropped and the second died keeps no arguments.
@@ -585,7 +589,7 @@ class TestParseArgumentReply:
             return raw, triggers
 
         def parse(case):
-            return parse_argument_reply(case[0], case[1], ontology)
+            return _parse_argument_reply(case[0], case[1], ontology)
 
         small, large = reply_and_triggers(2_000), reply_and_triggers(8_000)
         assert all(len(e["arguments"]) == 1 for e in parse(large))
@@ -598,7 +602,7 @@ class TestParseArgumentReply:
             {"trigger": "met", "type": "Meet"},
         ]
         raw = '[{"trigger": "war", "type": "Attack", "arguments": []}]'
-        events = parse_argument_reply(raw, triggers, ontology)
+        events = _parse_argument_reply(raw, triggers, ontology)
         assert [(e["trigger"], len(e["arguments"])) for e in events] == [("war", 0), ("met", 0)]
 
 

@@ -15,8 +15,6 @@ from eventpipe.llm import (
     ScriptedMockLlm,
     StageModel,
     cache_key,
-    cached_complete,
-    complete_with_retry,
 )
 from eventpipe.prompts import PromptBundle, PromptMessage
 
@@ -27,6 +25,21 @@ def _bundle(text="extract the events", stage="trigger", segment_id="s1"):
         stage,
         segment_id,
     )
+
+
+def _good(text: str) -> str | None:
+    """A parse function: "good" is the only reply it accepts."""
+    return text if text == "good" else None
+
+
+def _accept(text: str) -> str:
+    """A parse function that accepts every reply."""
+    return text
+
+
+def _ask(provider, bundle, parse, **policy) -> CompletionResult:
+    """Ask once through a template-less StageModel with the given retry policy."""
+    return StageModel(provider, (), **policy).ask(bundle, parse)
 
 
 class TestScriptedMock:
@@ -103,17 +116,38 @@ class TestResponseCache:
     def test_hit_skips_provider(self, tmp_path):
         cache = ResponseCache(tmp_path / "c.jsonl")
         mock = ScriptedMockLlm({"s1/trigger": "fresh"})
+        model = StageModel(mock, (), cache=cache)
         bundle = _bundle()
-        assert cached_complete(mock, cache, bundle) == "fresh"
-        assert cached_complete(mock, cache, bundle) == "fresh"
+        assert model.ask(bundle, _accept).text == "fresh"
+        assert model.ask(bundle, _accept).text == "fresh"
         assert mock.call_count == 1
 
     def test_no_cache_calls_provider_every_time(self):
         mock = ScriptedMockLlm({"s1/trigger": "fresh"})
+        model = StageModel(mock, ())
         bundle = _bundle()
-        cached_complete(mock, None, bundle)
-        cached_complete(mock, None, bundle)
+        model.ask(bundle, _accept)
+        model.ask(bundle, _accept)
         assert mock.call_count == 2
+
+    def test_a_cached_empty_reply_is_a_hit(self, tmp_path):
+        cache = ResponseCache(tmp_path / "c.jsonl")
+        cache.put(cache_key("mock", _bundle(), 1), "")
+        mock = ScriptedMockLlm({"s1/trigger": "fresh"})
+        model = StageModel(mock, (), cache=cache)
+        result = model.ask(_bundle(), _accept)
+        assert (result.value, result.text, result.attempts) == ("", "", 1)
+        assert (model.calls, mock.call_count) == (0, 0)
+
+    def test_a_new_cache_file_gets_one_line_per_miss(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]})
+        model = StageModel(mock, (), cache=ResponseCache(path))
+        assert model.ask(_bundle(), _good).attempts == 2
+        assert len(path.read_text().splitlines()) == 2
+        assert model.ask(_bundle(), _good).attempts == 2
+        assert len(path.read_text().splitlines()) == 2
+        assert model.calls == 2
 
     def test_malformed_line_rejected_at_open(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -158,15 +192,10 @@ class TestResponseCache:
         assert ResponseCache(tmp_path / "c.jsonl").get("k") == weird
 
 
-def _good(text: str) -> str | None:
-    """A parse function: "good" is the only reply it accepts."""
-    return text if text == "good" else None
-
-
-class TestCompleteWithRetry:
+class TestAsk:
     def test_first_acceptable_reply_wins(self):
         mock = ScriptedMockLlm({"s1/trigger": "good"})
-        result = complete_with_retry(mock, _bundle(), _good)
+        result = _ask(mock, _bundle(), _good)
         assert isinstance(result, CompletionResult)
         assert result.value == "good"
         assert result.text == "good"
@@ -174,12 +203,12 @@ class TestCompleteWithRetry:
 
     def test_retry_until_a_reply_parses(self):
         mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]})
-        result = complete_with_retry(mock, _bundle(), _good)
+        result = _ask(mock, _bundle(), _good)
         assert result.attempts == 2
 
     def test_exhaustion_returns_no_value_with_last_raw(self):
         mock = ScriptedMockLlm({"s1/trigger": ["bad1", "bad2", "bad3"]})
-        result = complete_with_retry(mock, _bundle(), lambda t: None, max_attempts=3)
+        result = _ask(mock, _bundle(), lambda t: None, max_attempts=3)
         assert result.value is None
         assert result.text == "bad3"
         assert result.attempts == 3
@@ -187,13 +216,13 @@ class TestCompleteWithRetry:
 
     def test_default_max_attempts_is_three(self):
         mock = ScriptedMockLlm({"s1/trigger": "bad"})
-        result = complete_with_retry(mock, _bundle(), lambda t: None)
+        result = _ask(mock, _bundle(), lambda t: None)
         assert result.value is None
         assert mock.call_count == 3
 
     def test_a_false_value_is_accepted(self):
         mock = ScriptedMockLlm({"s1/trigger": ["NO", "YES"]})
-        result = complete_with_retry(mock, _bundle(), lambda t: t == "YES")
+        result = _ask(mock, _bundle(), lambda t: t == "YES")
         assert (result.value, result.text, result.attempts) == (False, "NO", 1)
         assert mock.call_count == 1
 
@@ -208,7 +237,7 @@ class TestCompleteWithRetry:
         mock = Spy({"s1/trigger": ["bad", "good"]})
         bundle = _bundle()
         before = bundle.messages
-        complete_with_retry(mock, bundle, _good, corrective=True)
+        _ask(mock, bundle, _good, corrective=True)
         assert bundle.messages == before
         assert len(seen[0].messages) == len(before)
         assert len(seen[1].messages) == len(before) + 1
@@ -223,7 +252,7 @@ class TestCompleteWithRetry:
                 return super().complete(bundle)
 
         mock = Spy({"s1/trigger": ["first bad", "second bad", "good"]})
-        complete_with_retry(mock, _bundle(), _good, corrective=True)
+        _ask(mock, _bundle(), _good, corrective=True)
         assert [len(b.messages) for b in seen] == [2, 3, 3]
         assert "first bad" in seen[1].messages[-1].content
         assert "second bad" in seen[2].messages[-1].content
@@ -238,7 +267,7 @@ class TestCompleteWithRetry:
                 return super().complete(bundle)
 
         mock = Spy({"s1/trigger": ["bad", "good"]})
-        complete_with_retry(mock, _bundle(), _good)
+        _ask(mock, _bundle(), _good)
         assert seen[0] == seen[1]
 
     def test_cached_attempts_have_distinct_keys(self, tmp_path):
@@ -246,10 +275,10 @@ class TestCompleteWithRetry:
         # round 2 must replay both from the cache and still succeed.
         cache = ResponseCache(tmp_path / "c.jsonl")
         mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]})
-        first = complete_with_retry(mock, _bundle(), _good, cache=cache)
+        first = _ask(mock, _bundle(), _good, cache=cache)
         assert first.attempts == 2
         assert mock.call_count == 2
-        replay = complete_with_retry(mock, _bundle(), _good, cache=cache)
+        replay = _ask(mock, _bundle(), _good, cache=cache)
         assert replay.attempts == 2
         assert replay.text == "good"
         assert mock.call_count == 2
@@ -257,7 +286,7 @@ class TestCompleteWithRetry:
     def test_bad_max_attempts_rejected(self):
         mock = ScriptedMockLlm({"s1/trigger": "x"})
         with pytest.raises(ValueError):
-            complete_with_retry(mock, _bundle(), lambda t: t, max_attempts=0)
+            StageModel(mock, (), max_attempts=0)
 
 
 class TestStageModel:
@@ -280,7 +309,7 @@ class TestStageModel:
         cache = ResponseCache(tmp_path / "c.jsonl")
         mock = ScriptedMockLlm({"s1/trigger": ["garbage", "good"]}, provider_name="named")
         model = StageModel(mock, None, cache=cache)
-        assert model.provider_id == "named"
+        assert model.provider.provider_id == "named"
         assert model.ask(_bundle(), _good).attempts == 2
         assert (model.calls, mock.call_count) == (2, 2)
         assert cache.get(cache_key("named", _bundle(), 2)) == "good"

@@ -39,10 +39,6 @@ class TestMessageAndBundle:
         with pytest.raises((TemplateError, ValueError)):
             PromptMessage("assistant", "z")
 
-    def test_message_content_nonempty(self):
-        with pytest.raises((TemplateError, ValueError)):
-            PromptMessage("user", "")
-
     def test_bundle_requires_single_leading_system_message(self):
         msgs = (PromptMessage("system", "a"), PromptMessage("user", "b"))
         PromptBundle(msgs, "trigger", "s1")
@@ -81,6 +77,27 @@ class TestLoadTemplate:
         (tmp_path / "presence.json").write_text(json.dumps(data))
         messages = load_template("presence", tmp_path)
         assert messages[0].content == "custom judge"
+
+    def test_message_content_nonempty(self, tmp_path):
+        data = {
+            "stage": "presence",
+            "messages": [{"role": "system", "content": "judge"}, {"role": "user", "content": ""}],
+        }
+        path = tmp_path / "presence.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TemplateError) as info:
+            load_template("presence", tmp_path)
+        assert str(info.value) == f"template file {path}: message 2: message content must be nonempty"
+
+    def test_a_bare_placeholder_may_fill_in_empty(self, tmp_path, ontology):
+        data = {
+            "stage": "presence",
+            "messages": [{"role": "system", "content": "judge"}, {"role": "user", "content": "{TEXT}"}],
+        }
+        (tmp_path / "presence.json").write_text(json.dumps(data))
+        template = load_template("presence", tmp_path)
+        bundle = build_presence_prompt(_segment(""), ontology, template=template)
+        assert bundle.messages[1].content == ""
 
     def test_override_with_wrong_declared_stage_rejected(self, tmp_path):
         data = {"stage": "trigger", "messages": [{"role": "system", "content": "x"}]}
