@@ -688,6 +688,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(_StubHandler):
+    # HTTP/1.1 keeps each connection open for the next request. As in any
+    # http.server handler, a reply's head and body leave in two sends.
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # a connection idle this long is closed
+
+
 class StubServer(ThreadingHTTPServer):
     """Scriptable POST endpoint: answer by request content or from a queue, read requests.
 
@@ -695,11 +702,15 @@ class StubServer(ThreadingHTTPServer):
     ``responder(body) -> (status, payload)``, called on the request's own
     thread, so concurrent requests can be answered in any order. Otherwise
     queued (status, payload) pairs are served in arrival order, then
-    ``default_response``.
+    ``default_response``. A keep_alive server answers in HTTP/1.1, so a
+    client may send many requests on one connection; ``connections`` counts
+    the connections accepted and ``open_connections`` those not yet closed.
     """
 
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _StubHandler)
+    def __init__(self, keep_alive: bool = False):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler if keep_alive else _StubHandler)
+        self.connections = 0
+        self.open_connections = 0
         self.requests: list[dict] = []
         self.queue: deque = deque()
         self.default_response = (200, {})
@@ -709,6 +720,16 @@ class StubServer(ThreadingHTTPServer):
     @property
     def url(self) -> str:
         return f"http://127.0.0.1:{self.server_address[1]}"
+
+    def finish_request(self, request, client_address) -> None:
+        with self._lock:
+            self.connections += 1
+            self.open_connections += 1
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            with self._lock:
+                self.open_connections -= 1
 
     def record(self, path: str, headers: dict, body: dict) -> None:
         with self._lock:
@@ -727,14 +748,22 @@ class StubServer(ThreadingHTTPServer):
             self.queue.append((status, payload))
 
 
-@pytest.fixture
-def http_server():
-    server = StubServer()
+def _serve(server: StubServer):
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def http_server():
+    yield from _serve(StubServer())
+
+
+@pytest.fixture
+def keep_alive_server():
+    yield from _serve(StubServer(keep_alive=True))
 
 
 # ---------------------------------------------------------------------------
