@@ -14,10 +14,11 @@ import io
 import json
 import os
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable
 
 from ._http import Endpoint, ProviderError
 from .model import DatasetError, Lines, _decode_line, parse_json
@@ -85,7 +86,9 @@ class ResponseCache:
     """Append-only JSONL store of completion responses, keyed by request hash.
 
     Each line is {"key": <sha256 hex>, "response": <string>}. Entries are
-    loaded once at open; writes append and flush under a lock. A crash
+    loaded once at open; writes append and flush under a lock, through one
+    handle opened at the first put. ``close`` closes it, as does collecting
+    the cache or exit; a put after ``close`` opens it again. A crash
     mid-append leaves a torn last line, which the next open cuts off; a
     malformed complete line raises CacheError.
     """
@@ -94,6 +97,7 @@ class ResponseCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
+        self._file: BinaryIO | None = None
         if self.path.exists():
             try:
                 data = self.path.read_bytes()
@@ -107,12 +111,15 @@ class ResponseCache:
             for lineno, line in enumerate(io.BytesIO(data[:end]), start=1):
                 if not line.strip():
                     continue
-                try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                # UnicodeDecodeError, JSONDecodeError and an integer past int's
+                # digit limit are ValueErrors; a value nested too deep raises
+                # RecursionError.
+                try:
                     rec = _decode_line(line.decode("utf-8"))
                     key, response = rec["key"], rec["response"]
                     if not (isinstance(key, str) and isinstance(response, str)):
                         raise TypeError("key and response must be strings")
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise CacheError(f"{self.path}:{lineno}: malformed cache entry") from exc
                 self._entries[key] = response
 
@@ -124,15 +131,24 @@ class ResponseCache:
             return self._entries.get(key)
 
     def put(self, key: str, response: str) -> None:
-        line = json.dumps({"key": key, "response": response}, ensure_ascii=True)
+        line = json.dumps({"key": key, "response": response}, ensure_ascii=True) + "\n"
         with self._lock:
             self._entries[key] = response
             try:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-                    fh.flush()
+                if self._file is None:
+                    self._file = self.path.open("ab")
+                    weakref.finalize(self, self._file.close)
+                self._file.write(line.encode("ascii"))
+                self._file.flush()
             except OSError as exc:
                 raise CacheError(f"cannot append to cache file {self.path}: {exc}") from exc
+
+    def close(self) -> None:
+        """Close the append handle, if a put opened one."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 class ScriptedMockLlm(LlmProvider):

@@ -69,7 +69,12 @@ Lines = Iterable[bytes]
 
 
 def parse_json(data: bytes, where: str, error: type[ValueError] = DatasetError) -> Any:
-    """The JSON document in data; invalid UTF-8 or JSON raises error naming where."""
+    """The JSON document in data; invalid UTF-8 or JSON raises error naming where.
+
+    A value nested too deep for json's recursion, or an integer longer than
+    int's digit limit, is invalid JSON too. json gives neither a position,
+    so its message names the fault in place of a line.
+    """
     try:
         text = data.decode("utf-8")
         del data  # freed before the document's objects are built, unless the caller holds it
@@ -78,6 +83,10 @@ def parse_json(data: bytes, where: str, error: type[ValueError] = DatasetError) 
         raise error(f"{where}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise error(f"{where}: invalid JSON (nested too deep)") from exc
+    except ValueError as exc:  # int's digit limit
+        raise error(f"{where}: invalid JSON (integer too long)") from exc
 
 
 def _decode_line(line: str) -> Any:
@@ -252,7 +261,9 @@ def iter_json_records(path: str | Path, data: Lines | None = None) -> Iterator[t
         for lineno, line in itertools.chain([first], lines):
             try:
                 yield lineno, _decode_line(line)
-            except json.JSONDecodeError as exc:
+            # A ValueError that is not a JSONDecodeError is an integer past
+            # int's digit limit; a RecursionError is a value nested too deep.
+            except (ValueError, RecursionError) as exc:
                 raise DatasetError(f"{path}: invalid JSON at line {lineno}") from exc
 
 

@@ -612,15 +612,19 @@ class Pipeline:
         # resources before it maps: a cached_property locks its first access
         # only on Python <= 3.11, so resolving one in pool threads could build
         # it twice.
-        with ThreadPoolExecutor(max_workers=cfg.workers) if threaded else nullcontext() as pool:
-            if "gate" in computed:
-                verdicts = self._gate(segments, pool, models)
-                for record, row in zip(records, verdicts):
-                    record.rows["gate"] = row
-            if computed - {"gate"}:
-                found = self._queries(segments, records, computed)
-                process = self._extraction_task(computed, found, models)
-                list((map if pool is None else pool.map)(process, segments, records))
+        try:
+            with ThreadPoolExecutor(max_workers=cfg.workers) if threaded else nullcontext() as pool:
+                if "gate" in computed:
+                    verdicts = self._gate(segments, pool, models)
+                    for record, row in zip(records, verdicts):
+                        record.rows["gate"] = row
+                if computed - {"gate"}:
+                    found = self._queries(segments, records, computed)
+                    process = self._extraction_task(computed, found, models)
+                    list((map if pool is None else pool.map)(process, segments, records))
+        finally:
+            if models and self.cache is not None:
+                self.cache.close()  # every ask is done: no put comes after this
         self._unparsed.clear()  # inputs of stages that were replayed
         artifacts = result.rows = {
             s.name: [rec.rows[s.name] for rec in records if rec.rows.get(s.name)] for s in stages

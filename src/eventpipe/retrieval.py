@@ -661,7 +661,7 @@ def load_index(path: str | Path, examples: LabeledRows, *, embedding: dict) -> S
             raise DatasetError(f"{path}: empty index file")
         try:
             header = json.loads(line)
-        except ValueError:  # invalid JSON or UTF-8
+        except (ValueError, RecursionError):  # invalid JSON or UTF-8, or nested too deep
             header = None
         if not isinstance(header, dict) or header.get("format") != _INDEX_FORMAT:
             raise DatasetError(

@@ -796,6 +796,22 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {path}: invalid UTF-8 at line {lineno}\n"
 
+    @pytest.mark.parametrize("name", ["transcripts", "gold"])
+    @pytest.mark.parametrize(
+        "value", [b"[" * 100_000, b"1" * 5000], ids=["nested-too-deep", "integer-too-long"]
+    )
+    def test_a_row_json_cannot_build_is_an_input_error(self, tmp_path, capsys, name, value):
+        # json raises RecursionError for the first and int's digit-limit
+        # ValueError for the second, neither a JSONDecodeError.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        path = {"transcripts": corpus.transcripts_path, "gold": corpus.gold_path}[name]
+        lineno = len(path.read_bytes().splitlines()) + 1
+        with path.open("ab") as fh:
+            fh.write(value + b"\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        assert code == 3
+        assert err == f"error: {path}: invalid JSON at line {lineno}\n"
+
     def test_invalid_utf8_in_the_config_file_is_a_config_error(self, tmp_path, capsys):
         corpus = build_golden_corpus(tmp_path / "corpus")
         with corpus.config_path.open("ab") as fh:
@@ -805,7 +821,13 @@ class TestExitCodes:
         assert err == f"error: {corpus.config_path}: invalid UTF-8\n"
 
     @pytest.mark.parametrize(
-        "line", [b'{"key": "a", "response": "\xff"}', b'{"key": "a", "response": 5}']
+        "line",
+        [
+            b'{"key": "a", "response": "\xff"}',
+            b'{"key": "a", "response": 5}',
+            b'{"key": "a", "response": ' + b"[" * 100_000,
+            b'{"key": "a", "response": ' + b"1" * 5000 + b"}",
+        ],
     )
     def test_malformed_cache_line_is_a_provider_error(self, golden_corpus, capsys, line):
         golden_corpus.cache_path.write_bytes(line + b"\n")
@@ -834,8 +856,11 @@ class TestExitCodes:
             (b'{"seg-001/presence": [1]}', "entry 'seg-001/presence' must be a string"),
             (b'{"seg-001/presence": []}', "entry 'seg-001/presence' must be a string"),
             (b'{"seg-001/presence": {"YES": 1}}', "entry 'seg-001/presence' must be a string"),
+            (b'{"seg-001/presence": ' + b"[" * 100_000, ": invalid JSON (nested too deep)"),
+            (b'{"seg-001/presence": ' + b"1" * 5000 + b"}", ": invalid JSON (integer too long)"),
         ],
-        ids=["utf-8", "json", "not-an-object", "int-entry", "int-in-list", "empty-list", "object"],
+        ids=["utf-8", "json", "not-an-object", "int-entry", "int-in-list", "empty-list", "object",
+             "nested-too-deep", "integer-too-long"],
     )
     def test_bad_mock_script_is_an_input_error(self, tmp_path, capsys, content, message):
         corpus = build_golden_corpus(tmp_path / "corpus")

@@ -146,8 +146,12 @@ def test_refused_port_is_a_transport_error():
         b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"text\": ",
         b"garbage\r\n\r\n",
         b"",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\n{\"text\": ",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n",
     ],
-    ids=["closed-mid-body", "garbage-status-line", "closed-before-reply"],
+    ids=["closed-mid-body", "garbage-status-line", "closed-before-reply", "closed-mid-chunk",
+         "chunk-size-not-hex", "negative-chunk-size"],
 )
 def test_broken_reply_is_retried_then_a_provider_error(raw_server, reply):
     server = raw_server(lambda conn: conn.sendall(reply))
@@ -419,6 +423,124 @@ def test_a_plain_http_proxy_gets_the_absolute_url_and_the_key_only_in_its_header
         assert [line for line in lines if b"sekret" in line] == [
             b"Authorization: Bearer sekret-value"
         ]
+
+
+def _kept(reply: bytes):
+    """A RawServer reply function that sends reply and reads the next request on the connection."""
+
+    def send(conn) -> bool:
+        conn.sendall(reply)
+        return True
+
+    return send
+
+
+def test_a_chunked_reply_with_a_trailer_is_decoded_and_keeps_its_connection(raw_server):
+    server = raw_server(_kept(
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b'4;name=value\r\n{"a"\r\n5\r\n: [1]\r\n1\r\n}\r\n0\r\nX-Trailer: t\r\n\r\n'
+    ))
+    endpoint = _endpoint(server.url)
+    assert endpoint.post({}) == {"a": [1]}
+    assert endpoint.post({}) == {"a": [1]}
+    assert server.connections == 1
+
+
+def test_a_reply_without_a_length_is_read_to_the_close_and_not_kept(raw_server):
+    def reply(conn) -> None:
+        conn.sendall(b'HTTP/1.1 200 OK\r\n\r\n{"a": ')
+        time.sleep(0.1)  # the rest comes later: only the close ends the body
+        conn.sendall(b"1}")
+
+    server = raw_server(reply)
+    endpoint = _endpoint(server.url)
+    assert endpoint.post({}) == {"a": 1}
+    assert endpoint._pool.idle == []  # closed, not kept: its reply ended with the connection
+    assert endpoint.post({}) == {"a": 1}
+    assert server.connections == 2
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+    ],
+    ids=["http-1.0", "connection-close"],
+)
+def test_a_reply_that_closes_its_connection_is_not_kept(raw_server, reply):
+    # The server would read another request, but the client sends each on a new connection.
+    server = raw_server(_kept(reply))
+    endpoint = _endpoint(server.url)
+    assert endpoint.post({}) == {}
+    assert endpoint.post({}) == {}
+    assert server.connections == 2
+
+
+def test_informational_replies_before_the_200_are_skipped(raw_server):
+    server = raw_server(_kept(
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+        + _KEPT_REPLY
+    ))
+    endpoint = _endpoint(server.url)
+    assert endpoint.post({}) == {}
+    assert endpoint.post({}) == {}
+    assert server.connections == 1
+
+
+# http.client's caps: 65,536 bytes per line, CRLF included, and 100 header lines.
+_LONG_LINE = b"X-Long: " + b"a" * (65536 - 10) + b"\r\n"
+
+
+@pytest.mark.parametrize(
+    "headers,error",
+    [
+        (_LONG_LINE, None),
+        (b"X-Long: a" + _LONG_LINE[8:], "got more than 65536 bytes when reading header line"),
+        (b"X-Many: 1\r\n" * 99, None),  # with Content-Length, 100 header lines
+        (b"X-Many: 1\r\n" * 100, "got more than 100 headers"),
+    ],
+    ids=["65536-byte-line", "65537-byte-line", "100-header-lines", "101-header-lines"],
+)
+def test_a_head_over_http_client_caps_is_a_transport_error_that_closes_it(
+    raw_server, headers, error
+):
+    server = raw_server(
+        _kept(b"HTTP/1.1 200 OK\r\n" + headers + b"Content-Length: 2\r\n\r\n{}")
+    )
+    endpoint = _endpoint(server.url, max_retries=2)
+    if error is None:
+        assert endpoint.post({}) == {}
+        assert endpoint.post({}) == {}
+        assert server.connections == 1
+        return
+    with pytest.raises(ProviderError) as info:
+        endpoint.post({})
+    assert str(info.value) == f"test endpoint failed after 2 attempts (transport error: {error})"
+    server.join_connections()  # returns once the client has closed both connections
+    assert server.connections == 2
+    assert endpoint._pool.idle == []
+
+
+def test_a_control_character_in_the_url_or_a_header_is_refused_before_any_byte(raw_server):
+    server = raw_server(_kept(_KEPT_REPLY))
+    for url in (server.url + "v1\r\nX-Injected: 1", server.url + "v1 x", server.url + "\x00"):
+        with pytest.raises(ProviderError, match="^test endpoint URL holds a control character$"):
+            post(url, {}, max_retries=3)
+    for value in ("1\r\nX-Injected: 1", "1\n", "1\r"):
+        with pytest.raises(ValueError, match="^invalid header 'X-Extra'$"):
+            post(server.url, {}, headers={"X-Extra": value})
+    assert server.connections == 0
+    assert post(server.url, {}, headers={"X-Extra": "1"}) == {}
+
+
+def test_a_reply_nested_too_deep_is_not_json(raw_server):
+    body = b"[" * 100_000
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)
+    server = raw_server(lambda conn: conn.sendall(head + body))
+    with pytest.raises(ProviderError, match="^test endpoint returned non-JSON response: max"):
+        post(server.url, {}, max_retries=3)
+    assert server.connections == 1
 
 
 # ---------------------------------------------------------------------------

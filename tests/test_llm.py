@@ -1,7 +1,9 @@
 """LLM provider layer: scripted mock, response cache, retry, HTTP client."""
 from __future__ import annotations
 
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,14 +165,44 @@ class TestResponseCache:
             b'{"key": "a", "response": null}',
             b'{"key": 5, "response": "b"}',
             b'["a", "b"]',
+            b'{"key": "a", "response": ' + b"[" * 100_000,
+            b'{"key": "a", "response": ' + b"1" * 5000 + b"}",
         ],
-        ids=["invalid-utf-8", "int-response", "null-response", "int-key", "not-an-object"],
+        ids=["invalid-utf-8", "int-response", "null-response", "int-key", "not-an-object",
+             "nested-too-deep", "integer-too-long"],
     )
     def test_entry_that_is_not_a_string_pair_is_rejected_at_open(self, tmp_path, line):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"key": "k", "response": "v"}\n' + line + b"\n")
         with pytest.raises(CacheError, match=f"^{path}:2: malformed cache entry$"):
             ResponseCache(path)
+
+    def test_puts_append_through_one_handle_until_close(self, tmp_path, monkeypatch):
+        appends = []
+        real_open = Path.open
+
+        def recorded(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if "a" in mode:
+                appends.append(fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", recorded)
+        path = tmp_path / "c.jsonl"
+        cache = ResponseCache(path)
+        cache.put("k1", "v1")
+        cache.put("k2", "v2")
+        assert len(appends) == 1 and not appends[0].closed
+        # Each line is flushed as it is put.
+        assert [json.loads(line)["key"] for line in path.read_text().splitlines()] == ["k1", "k2"]
+        cache.close()
+        assert appends[0].closed
+        cache.put("k3", "v3")  # a put after close opens the file again
+        assert len(appends) == 2
+        del cache
+        gc.collect()
+        assert appends[1].closed
+        assert ResponseCache(path).get("k3") == "v3"
 
     def test_torn_last_line_is_dropped_at_open(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -529,6 +529,26 @@ class TestRowCodec:
             load(path)
         assert str(excinfo.value) == f"{path}: invalid JSON at line 2"
 
+    @pytest.mark.parametrize(
+        "value,fault",
+        [(b"[" * 100_000, "nested too deep"), (b"1" * 5000, "integer too long")],
+        ids=["nested-too-deep", "integer-too-long"],
+    )
+    @pytest.mark.parametrize("kind", sorted(ROW_LOADERS))
+    def test_a_value_json_cannot_build_is_invalid_json(self, tmp_path, kind, value, fault):
+        # json raises RecursionError for the first and int's digit-limit
+        # ValueError for the second: a line names its number, an array the fault.
+        rows, load = ROW_LOADERS[kind]
+        path = tmp_path / "rows.json"
+        path.write_bytes(json.dumps(rows[0]).encode() + b"\n" + value + b"\n")
+        with pytest.raises(DatasetError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}: invalid JSON at line 2"
+        path.write_bytes(b"[" + json.dumps(rows[0]).encode() + b", " + value + b"]")
+        with pytest.raises(DatasetError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}: invalid JSON ({fault})"
+
     @pytest.mark.parametrize("kind", sorted(ROW_LOADERS))
     def test_every_loader_names_a_bad_field_in_one_form(self, tmp_path, kind):
         # Each fault of a row is reported as "<path>: line <n>: ...": a bad

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -542,6 +543,30 @@ class TestDeterminismAndResume:
         lines = corpus.cache_path.read_text(encoding="utf-8").splitlines()
         assert len({json.loads(line)["key"] for line in lines}) == len(lines) == 58
         assert digests(corpus.output_dir) == GOLDEN_DIGESTS
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/self/fd")
+    @pytest.mark.usefixtures("waiting_mock")
+    def test_the_cache_file_closes_at_the_end_of_a_run_or_with_its_pipeline(self, golden_corpus):
+        def open_files() -> set[str]:
+            paths = set()
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    paths.add(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:  # the descriptor that listed the directory
+                    pass
+            return paths
+
+        cache_path = os.path.realpath(golden_corpus.cache_path)
+        pipeline = Pipeline(golden_corpus.config)
+        pipeline.run()
+        assert len(golden_corpus.cache_path.read_bytes().splitlines()) == 58
+        assert cache_path not in open_files()  # while the pipeline lives
+        dropped = Pipeline(golden_corpus.config)
+        dropped.cache.put("k", "v")
+        assert cache_path in open_files()
+        del dropped
+        gc.collect()
+        assert cache_path not in open_files()
 
     @pytest.mark.usefixtures("waiting_mock")
     def test_cache_is_opened_once_per_run(self, golden_corpus, monkeypatch):

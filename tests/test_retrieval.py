@@ -1260,6 +1260,7 @@ class TestPersistence:
             "{",
             "\n",
             "\xff",
+            pytest.param("[" * 100_000, id="nested-too-deep"),
         ],
     )
     def test_malformed_header_is_an_input_error(self, tmp_path, header):
