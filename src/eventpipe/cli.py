@@ -62,11 +62,14 @@ def cmd_score(args) -> int:
     ontology = load_ontology(args.ontology)
     gold = load_gold(args.gold, ontology)
     predictions = load_gold(args.predictions, ontology)
-    report = score(
-        events_by_id(predictions),
-        events_by_id(gold),
-        set_semantics=args.set_semantics,
-    )
+    try:
+        report = score(
+            events_by_id(predictions),
+            events_by_id(gold),
+            set_semantics=args.set_semantics,
+        )
+    except EvaluationError as exc:
+        raise EvaluationError(f"{args.predictions} against {args.gold}: {exc}") from exc
     print(report.render())
     if args.out:
         write_json(args.out, report.to_dict())

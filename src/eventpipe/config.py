@@ -245,7 +245,10 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         out: dict = {}

@@ -61,15 +61,37 @@ def _lookup(obj: dict, canonical: str):
 
 
 # An opener followed by what can start its first member: raw_decode fails at
-# every "[" or "{" this does not match.
-_VALUE_START = re.compile(
-    r'\[[ \t\n\r]*(?:[\]"\[{0-9-]|true|false|null|NaN|Infinity)|\{[ \t\n\r]*["}]'
+# every "[" or "{" these do not match. One pattern per opener, so that each
+# starts with a literal that re's search skips to; a union of the two has no
+# literal prefix and tests every position. Each lookahead, which the rest of
+# its pattern implies, rejects a stray opener such as "[word" in one set test.
+_VALUE_STARTS = (
+    re.compile(
+        r'\[(?=[ \t\n\r\]"\[{0-9tfnNI-])'
+        r'[ \t\n\r]*(?:[\]"\[{0-9-]|true|false|null|NaN|Infinity)'
+    ),
+    re.compile(r'\{(?=[ \t\n\r"}])[ \t\n\r]*["}]'),
 )
 _DECODE_WINDOW = 2048
 _LOOKAHEAD_MARGIN = 16
 _MAX_DEPTH = 256  # deepest nesting of a recovered value; an event list nests about 4 deep
 # A bracket, or a whole string (an unterminated one runs to the end of the scan).
 _STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
+
+
+def _next_value_start(text: str, resume: int, pending: list[int]) -> int:
+    """The first position at or after resume where a _VALUE_STARTS pattern matches, else len(text).
+
+    pending holds each pattern's last match position (-1 before the first
+    search) and is updated in place. A pattern is searched again only once
+    resume has passed its pending match, so over calls with a rising resume
+    each pattern tries every position of text at most once.
+    """
+    for k, start in enumerate(pending):
+        if start < resume:
+            match = _VALUE_STARTS[k].search(text, resume)
+            pending[k] = len(text) if match is None else match.start()
+    return min(pending)
 
 
 def _flag_too_deep(text: str, i: int, j: int, skip: set[int], failed: bool = False) -> None:
@@ -128,9 +150,11 @@ def _last_json_value(text: str):
     linear in len(text), however the text nests, while the result stays
     exactly that of json's raw_decode at every opener, under that cap:
 
-    - Value-start filter: only openers matched by _VALUE_START are decoded.
-      Its match is a necessary condition for raw_decode to succeed, so every
-      skipped opener would have failed.
+    - Value-start filter: only openers matched by a _VALUE_STARTS pattern
+      are decoded. A match is a necessary condition for raw_decode to
+      succeed, so every skipped opener would have failed. The next opener is
+      the earlier of the two patterns' pending matches at or after the resume
+      point (_next_value_start), so each pattern scans the text once.
     - Windowed decode: an opener at i is decoded in text[i:j] + NUL, with
       j = min(i + W, len(text)) and W starting at _DECODE_WINDOW. NUL ends
       every scanner state (it is not JSON, and strict decoding rejects it
@@ -162,9 +186,9 @@ def _last_json_value(text: str):
     best = None
     n = len(text)
     skip: set[int] = set()
-    match = _VALUE_START.search(text)
-    while match is not None:
-        i = match.start()
+    pending = [-1] * len(_VALUE_STARTS)
+    resume = 0
+    while (i := _next_value_start(text, resume, pending)) < n:
         resume = i + 1
         width = _DECODE_WINDOW
         while i not in skip:
@@ -185,7 +209,6 @@ def _last_json_value(text: str):
             except (ValueError, RecursionError):
                 pass
             break
-        match = _VALUE_START.search(text, resume)
     return best
 
 

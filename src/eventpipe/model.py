@@ -271,6 +271,8 @@ def iter_json_records(path: str | Path, data: Lines | None = None) -> Iterator[t
 # file, must hold. A field name maps to a test of its JSON value and the
 # value's description, as messages name it.
 FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    # An integer id is read as its string form.
+    "id": (lambda v: isinstance(v, str) or type(v) is int, "a string or an integer"),
     **dict.fromkeys(
         ("rule", "learned", "llm", "gated_in", "failed", "present"),
         (lambda v: isinstance(v, bool), "true or false"),
@@ -298,14 +300,15 @@ def check_rows(
 ) -> Iterator[tuple[int, dict]]:
     """Yield records that are objects holding every named field and an 'id' not seen before.
 
-    A field named in fields or optional that a record holds must pass its
-    FIELD_TYPES test. Each fault is a DatasetError in one form, "<path>:
-    line <n>: ...", that names the record where it has an id: a missing
-    field, a repeated id, or a field that fails its test. A name without a
-    FIELD_TYPES entry is a KeyError, raised before the first record is read.
+    The id, and a field named in fields or optional that a record holds,
+    must pass its FIELD_TYPES test. Each fault is a DatasetError in one
+    form, "<path>: line <n>: ...", that names the record where it has an id:
+    a missing field, a repeated id, or a field that fails its test. A name
+    without a FIELD_TYPES entry is a KeyError, raised before the first record
+    is read.
     """
     required = tuple(dict.fromkeys(("id", *fields)))
-    named = dict.fromkeys((*required[1:], *optional))
+    named = dict.fromkeys((*required, *optional))
     checks = [(name, *FIELD_TYPES[name]) for name in named]
     required_set = frozenset(required)
     seen: set[str] = set()

@@ -262,6 +262,16 @@ def _has_triggers(rows: dict[str, dict | None]) -> bool:
     return bool(row and not row["failed"] and row["predictions"])
 
 
+# Whether a segment reaches each stage, by its rows of the stages before: the
+# stage then writes a row for it.
+_REACHES = {
+    "gate": lambda rows: True,
+    "triggers": _gated_in,
+    "arguments": _has_triggers,
+    "final": lambda rows: True,
+}
+
+
 class Pipeline:
     """One configured run over one corpus, with stage-level resume.
 
@@ -562,7 +572,7 @@ class Pipeline:
         gold_ids = set(gold.ids)
         stray = sorted(s.id for s in transcripts if s.id not in gold_ids)
         if stray:
-            raise DatasetError(f"transcript ids missing from gold: {stray[:5]}")
+            raise DatasetError(f"{cfg.transcripts}: ids missing from gold {cfg.gold}: {stray[:5]}")
         segments = sorted(transcripts, key=lambda s: s.id)
         # The other inputs are parsed only by the stages that compute, from
         # the bytes this reads for the digest.
@@ -592,11 +602,16 @@ class Pipeline:
             for stage in stages
             if stage.name in computed and not (stage.name == "gate" and cfg.gate_llm_file)
         ]
-        # A segment missing from a replayed artifact never reached that stage.
+        # A segment missing from a replayed artifact never reached that stage,
+        # so one that its rows of the stages before say reached it was cut out.
         records = [
             SegmentRecord({stage: by_id.get(seg.id) for stage, by_id in replayed.items()})
             for seg in segments
         ]
+        for seg, record in zip(segments, records):
+            for stage in replayed:
+                if record.rows[stage] is None and _REACHES[stage](record.rows):
+                    raise DatasetError(f"{self._artifact(stage)}: no row for segment {seg.id!r}")
         # Every model is built here, so a provider that cannot be built fails
         # before any call. A pool only overlaps provider waits: a run opens
         # one when it has more than one worker and a model's chat provider

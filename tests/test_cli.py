@@ -1,18 +1,26 @@
 """Command-line interface: subcommands, rendered output, and exit codes."""
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eventpipe
 from conftest import build_golden_corpus
-from eventpipe.cli import main
+from eventpipe.cli import _build_parser, main
 from eventpipe.llm import ScriptedMockLlm
+from eventpipe.model import default_ontology_path
 from eventpipe.pipeline import STAGES, Pipeline
 from eventpipe.retrieval import HashedBagEmbedder, build_index
 from test_pipeline import GOLDEN_DIGESTS, digests
@@ -583,6 +591,62 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: {gate}: invalid JSON at line 4\n"
 
+    @pytest.mark.parametrize("name", ["transcripts", "gold"])
+    @pytest.mark.parametrize("value", [None, 2.5, True, ["seg-001"]], ids=repr)
+    def test_a_row_id_that_is_not_a_string_or_an_integer_is_an_input_error(
+        self, tmp_path, capsys, name, value
+    ):
+        # Read as str(id), such an id named a segment no other file knows.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        path = {"transcripts": corpus.transcripts_path, "gold": corpus.gold_path}[name]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "id": value}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        message = f"line 1: record {str(value)!r}: 'id' must be a string or an integer"
+        assert (code, err) == (3, f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("value", [["seg-005"], None], ids=repr)
+    def test_replayed_row_whose_id_is_not_a_string_is_an_input_error(self, tmp_path, capsys, value):
+        # A list id made the replay raise TypeError; a null one left seg-005
+        # without a triggers row.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, "run", "--config", str(corpus.config_path))[0] == 0
+        path, lineno = damage_replayed_row(corpus.output_dir, "triggers", lambda row: row.update(id=value))
+        code, _, err = run_cli(capsys, "format", "--config", str(corpus.config_path), "--resume")
+        message = f"line {lineno}: record {str(value)!r}: 'id' must be a string or an integer"
+        assert (code, err) == (3, f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, stage",
+        [("run", "gate"), ("ablate", "gate"), ("run", "triggers"), ("run", "arguments"),
+         ("run", "final")],
+    )
+    def test_a_replayed_artifact_without_a_row_of_a_segment_that_reached_it_is_an_input_error(
+        self, tmp_path, capsys, command, stage
+    ):
+        # The ablation exited 5 without naming a file, and a resumed run took
+        # the segment for one that never reached the stage: with its triggers
+        # row cut out, seg-001 lost its events.
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        assert run_cli(capsys, command, "--config", str(corpus.config_path))[0] == 0
+        path = corpus.output_dir / ("ablation" if command == "ablate" else "") / f"{stage}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(lines[2:]), encoding="utf-8")
+        resume = ["--resume"] if command == "run" else []
+        code, _, err = run_cli(capsys, command, "--config", str(corpus.config_path), *resume)
+        missing = json.loads(lines[1])["id"]
+        assert (code, err) == (3, f"error: {path}: no row for segment {missing!r}\n")
+
+    def test_a_transcript_missing_from_gold_names_both_files(self, tmp_path, capsys):
+        corpus = build_golden_corpus(tmp_path / "corpus")
+        lines = corpus.gold_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus.gold_path.write_text("".join(lines[:-1]), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
+        missing = json.loads(lines[-1])["id"]
+        message = f"{corpus.transcripts_path}: ids missing from gold {corpus.gold_path}"
+        assert (code, err) == (3, f"error: {message}: [{missing!r}]\n")
+
     @pytest.mark.parametrize(
         "stage, field",
         [("gate", "gated_in"), ("triggers", "failed"), ("arguments", "raw"), ("final", "event")],
@@ -956,7 +1020,7 @@ class TestExitCodes:
         corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
         assert code == 2
-        assert err.startswith(f"error: config.{section}.{key} must be ")
+        assert err.startswith(f"error: {corpus.config_path}: config.{section}.{key} must be ")
         assert repr(value) in err
 
     @pytest.mark.parametrize(
@@ -972,7 +1036,8 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
         assert code == 2
         assert err == (
-            f"error: config.gate.learned: provider {name} must be an integer >= 1, got {value}\n"
+            f"error: {corpus.config_path}: "
+            f"config.gate.learned: provider {name} must be an integer >= 1, got {value}\n"
         )
         assert http_server.requests == []
 
@@ -991,7 +1056,9 @@ class TestExitCodes:
         corpus.config_path.write_text(json.dumps(config), encoding="utf-8")
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
         assert code == 2
-        assert err.startswith(f"error: config.retrieval.embedding: provider {name} must be ")
+        assert err.startswith(
+            f"error: {corpus.config_path}: config.retrieval.embedding: provider {name} must be "
+        )
         assert repr(value) in err
 
     def test_sampling_that_sets_the_messages_is_a_config_error(self, tmp_path, capsys):
@@ -1005,7 +1072,8 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "--config", str(corpus.config_path))
         assert code == 2
         assert err == (
-            "error: config.llm.presence: provider sampling must not set 'messages': "
+            f"error: {corpus.config_path}: config.llm.presence: provider sampling must not set "
+            "'messages': "
             "the request sets it\n"
         )
 
@@ -1062,7 +1130,8 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "gate", "--config", str(corpus.config_path))
         assert code == 2
         assert err == (
-            "error: config.gate.learned: provider endpoint must be an http or https URL,"
+            f"error: {corpus.config_path}: "
+            "config.gate.learned: provider endpoint must be an http or https URL,"
             f" got {endpoint!r}\n"
         )
 
@@ -1086,7 +1155,194 @@ class TestExitCodes:
         pred.write_text(json.dumps({"id": "s2", "event": []}) + "\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "score", "--predictions", str(pred), "--gold", str(gold))
         assert code == 5
-        assert "s2" in err
+        assert err == f"error: {pred} against {gold}: prediction ids not present in gold: ['s2']\n"
+
+
+# --- malformed-input oracle ---------------------------------------------------
+
+# The files under the oracle's corpus that a config-driven command reads.
+_CONFIG_INPUTS = (
+    "config.json", "transcripts.jsonl", "gold.jsonl", "support.jsonl", "learned.jsonl",
+    "mock_script.json", "cache.jsonl", "ontology.json", "index.bin",
+)
+_ARTIFACTS = tuple(f"out/{stage.name}.jsonl" for stage in STAGES)
+_CONFIG = ("--config", Path("config.json"))
+
+# Each subcommand's argument lists, each with the files it reads. A Path
+# argument names a file under the corpus.
+_ORACLE_COMMANDS = {
+    **{
+        name: [(_CONFIG, _CONFIG_INPUTS), ((*_CONFIG, "--resume"), _CONFIG_INPUTS + _ARTIFACTS)]
+        for name in ("run", "gate", "extract-triggers", "extract-args", "format")
+    },
+    "ablate": [
+        (_CONFIG, _CONFIG_INPUTS + tuple(a.replace("out/", "out/ablation/") for a in _ARTIFACTS))
+    ],
+    "build-index": [((*_CONFIG, "--out", Path("out/index.bin")), _CONFIG_INPUTS)],
+    "score": [
+        (
+            ("--predictions", Path("out/predictions.jsonl"), "--gold", Path("gold.jsonl"),
+             "--ontology", Path("ontology.json")),
+            ("out/predictions.jsonl", "gold.jsonl", "ontology.json"),
+        )
+    ],
+    "agreement": [((Path("out/gate.jsonl"),), ("out/gate.jsonl",))],
+}
+_ORACLE_COMMANDS["format"].append(
+    ((*_CONFIG, "--raw-file", Path("raws.jsonl")), _CONFIG_INPUTS + ("raws.jsonl",))
+)
+
+
+def _run_main(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr; an exception it raises propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _oracle_argv(work: Path, name: str, args) -> list:
+    return [name, *(work / a if isinstance(a, Path) else a for a in args)]
+
+
+def _json_units(data: bytes) -> list[tuple[int, int, object]]:
+    """(start, end, value) of each JSON document in data: the whole file, else each line."""
+    try:
+        return [(0, len(data), json.loads(data))]
+    except (ValueError, RecursionError):
+        pass
+    units, start = [], 0
+    for line in data.splitlines(keepends=True):
+        try:
+            units.append((start, start + len(line), json.loads(line)))
+        except (ValueError, RecursionError):
+            pass
+        start += len(line)
+    return units
+
+
+def _value_start(data: bytes, draw) -> int:
+    """Where a member's value starts in data: after a '": ' outside a string."""
+    return draw(st.sampled_from([m.end() for m in re.finditer(rb'(?<!\\)": ', data)] or [0]))
+
+
+def _deep_nesting(data: bytes, draw) -> bytes:
+    at = _value_start(data, draw)
+    return data[:at] + b"[" * draw(st.sampled_from([1_000, 100_000])) + data[at:]
+
+
+def _long_integer(data: bytes, draw) -> bytes:
+    at = _value_start(data, draw)
+    return data[:at] + b"1" * 5000 + data[at:]
+
+
+def _invalid_utf8(data: bytes, draw) -> bytes:
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+
+
+def _wrong_kind(data: bytes, draw) -> bytes:
+    """One JSON value, at any depth of one document, replaced by a value of another kind."""
+    units = _json_units(data)
+    if not units:
+        return data
+    start, end, root = draw(st.sampled_from(units))
+    parent, key, node = None, None, root
+    while isinstance(node, (list, dict)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    kinds = [k for k in (None, True, 7, 2.5, "x", [], {}) if type(k) is not type(node)]
+    other = draw(st.sampled_from(kinds))
+    if parent is None:
+        root = other
+    else:
+        parent[key] = other
+    whole = start == 0 and end == len(data)
+    text = json.dumps(root, indent=1) if whole else json.dumps(root) + "\n"
+    return data[:start] + text.encode() + data[end:]
+
+
+def _repeated_line(data: bytes, draw) -> bytes:
+    lines = data.splitlines(keepends=True) or [b""]
+    k = draw(st.integers(0, len(lines) - 1))
+    copy = lines[k] if lines[k].endswith(b"\n") else lines[k] + b"\n"
+    return b"".join(lines[:k] + [copy] + lines[k:])
+
+
+# Each mutation of a file's bytes; None puts a directory in place of the file.
+_MUTATIONS = {
+    "deep nesting": _deep_nesting,
+    "long integer": _long_integer,
+    "truncation": lambda data, draw: data[: draw(st.integers(0, max(len(data) - 1, 0)))],
+    "invalid UTF-8": _invalid_utf8,
+    "BOM": lambda data, draw: b"\xef\xbb\xbf" + data,
+    "wrong field kind": _wrong_kind,
+    "repeated id": _repeated_line,
+    "directory": None,
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(tmp_path_factory):
+    """(work, pristine): the golden corpus after a run and an ablation, and a copy of it.
+
+    Its config also sets an ontology file and an index file, and raws.jsonl
+    holds the arguments artifact's replies for `format --raw-file`.
+    """
+    base = tmp_path_factory.mktemp("oracle")
+    work = base / "work"
+    corpus = build_golden_corpus(work, workers=1)
+    shutil.copyfile(default_ontology_path(), work / "ontology.json")
+    config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+    config["paths"].update(ontology=str(work / "ontology.json"), index=str(work / "index.bin"))
+    corpus.config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    for name in ("run", "ablate"):
+        assert _run_main([name, "--config", corpus.config_path]) == (0, "")
+    rows = [json.loads(line) for line in (work / "out/arguments.jsonl").read_text().splitlines()]
+    raws = [{"id": row["id"], "raw": row["raw"]} for row in rows[1:] if not row["failed"]]
+    (work / "raws.jsonl").write_text("".join(json.dumps(r) + "\n" for r in raws), encoding="utf-8")
+    shutil.copytree(work, base / "pristine")
+    return work, base / "pristine"
+
+
+class TestMalformedInputOracle:
+    def test_every_subcommand_is_drawn_and_passes_on_the_unchanged_corpus(self, oracle_corpus):
+        (commands,) = [
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) == set(_ORACLE_COMMANDS)
+        work, pristine = oracle_corpus
+        for name, variants in _ORACLE_COMMANDS.items():
+            for args, _ in variants:
+                shutil.rmtree(work)
+                shutil.copytree(pristine, work)
+                argv = _oracle_argv(work, name, args)
+                assert _run_main(argv) == (0, ""), argv
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_changed_input_file_exits_with_a_documented_code(self, oracle_corpus, data):
+        work, pristine = oracle_corpus
+        shutil.rmtree(work)
+        shutil.copytree(pristine, work)
+        name = data.draw(st.sampled_from(sorted(_ORACLE_COMMANDS)), label="command")
+        args, inputs = data.draw(st.sampled_from(_ORACLE_COMMANDS[name]), label="arguments")
+        path = work / data.draw(st.sampled_from(inputs), label="file")
+        mutation = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="mutation")
+        if _MUTATIONS[mutation] is None:
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(_MUTATIONS[mutation](path.read_bytes(), data.draw))
+        code, err = _run_main(_oracle_argv(work, name, args))
+        assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err
+        if code:
+            # A changed config that still loads hashes differently from the
+            # artifacts a resume reads: that documented abort names the artifact.
+            resumed = path.name == "config.json" and "artifact config hash" in err
+            assert str(path) in err or resumed
 
 
 class TestEntryPoint:

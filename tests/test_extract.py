@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -207,17 +209,30 @@ def _reference_last_json_value(text: str):
     return best
 
 
+# The single pattern that _VALUE_STARTS splits by opener: the specification
+# of where the next value can start.
+_UNION_VALUE_START = re.compile(
+    r'\[[ \t\n\r]*(?:[\]"\[{0-9-]|true|false|null|NaN|Infinity)|\{[ \t\n\r]*["}]'
+)
+
+
 def _reference_recovery(raw: str):
     with mock.patch.object(extract, "_last_json_value", _reference_last_json_value):
         return recover_json_tail(raw)
 
 
-def _best_time(fn, arg, repeats=3):
-    best = float("inf")
+def _best_times(fn, *args, repeats=3):
+    """The best of repeats process-CPU timings of fn(arg), for each arg.
+
+    Each repeat times every arg in turn, so a stretch of slow CPU that one
+    repeat lands on slows every input alike, not one input's timings only.
+    """
+    best = [float("inf")] * len(args)
     for _ in range(repeats):
-        start = time.process_time()
-        fn(arg)
-        best = min(best, time.process_time() - start)
+        for k, arg in enumerate(args):
+            start = time.process_time()
+            fn(arg)
+            best[k] = min(best[k], time.process_time() - start)
     return best
 
 
@@ -256,20 +271,40 @@ _recovery_texts = st.lists(
 ).map("".join)
 
 
+def _stray_bracket_reply() -> str:
+    """About 45 kB of prose with 3,000 stray, never nested, [word and {word, then an answer."""
+    words = [f"{'[{'[k % 2]}note{k} filler" for k in range(3000)]
+    prose = "\n".join(" ".join(words[k : k + 6]) for k in range(0, len(words), 6))
+    return prose + '\nAnswer: [{"trigger": "met", "type": "Meet"}]'
+
+
 def _nested_unclosed_reply(opener: str, blocks: int, length: int = 100_000) -> str:
     """About length characters of blocks nested in one another, none closed."""
     block = opener + "[0]," * ((length // blocks - len(opener)) // 4)
     return block * blocks
 
 
-def _characters_read(text: str) -> tuple[int, int]:
+def _characters_read(text: str, searched: list[int] | None = None) -> tuple[int, int]:
     """The characters _last_json_value(text) bracket-scans, and those raw_decode reads.
 
     A scan counts up to the last token it consumed; a decode, up to where it
-    ended or failed, not the window it was handed.
+    ended or failed, not the window it was handed. With searched, searched[k]
+    also gains the positions that searches of extract._VALUE_STARTS[k] try as
+    a match start: up to and including the match, or to the end of the text.
     """
     counts = [0, 0]
     structure, raw_decode = extract._STRUCTURE, extract._raw_decode
+    if searched is None:
+        searched = [0] * len(extract._VALUE_STARTS)
+
+    class Searcher:
+        def __init__(self, k, pattern):
+            self.k, self.pattern = k, pattern
+
+        def search(self, string, pos):
+            match = self.pattern.search(string, pos)
+            searched[self.k] += (len(string) if match is None else match.start() + 1) - pos
+            return match
 
     class Scanner:
         def finditer(self, string, start, stop):
@@ -290,9 +325,10 @@ def _characters_read(text: str) -> tuple[int, int]:
         counts[1] += end
         return value, end
 
+    searchers = tuple(Searcher(k, p) for k, p in enumerate(extract._VALUE_STARTS))
     with mock.patch.object(extract, "_STRUCTURE", Scanner()), mock.patch.object(
         extract, "_raw_decode", decode
-    ):
+    ), mock.patch.object(extract, "_VALUE_STARTS", searchers):
         extract._last_json_value(text)
     return counts[0], counts[1]
 
@@ -339,8 +375,8 @@ class TestRecoverJsonTail:
         raw = "[" * 20_000 + ' answer: [{"trigger": "met", "type": "Meet"}]'
         assert recover_json_tail(raw) == [{"trigger": "met", "type": "Meet", "arguments": []}]
         # Decoding each opener down to the recursion limit took seconds.
-        assert _best_time(recover_json_tail, raw) < 0.5
-        assert _best_time(extract._last_json_value, "[" * 20_000) < 0.5
+        assert _best_times(recover_json_tail, raw)[0] < 0.5
+        assert _best_times(extract._last_json_value, "[" * 20_000)[0] < 0.5
 
     @settings(max_examples=300, deadline=None)
     @given(text=_recovery_texts, window=st.integers(1, 64))
@@ -372,7 +408,8 @@ class TestRecoverJsonTail:
         small, large = opener * 16_000 + answer, opener * 64_000 + answer
         assert recover_json_tail(large) == [{"trigger": "met", "type": "Meet", "arguments": []}]
         # Linear growth gives a ratio of 4; a scan quadratic in openers gives 16.
-        assert _best_time(recover_json_tail, large) <= 8 * _best_time(recover_json_tail, small)
+        small_s, large_s = _best_times(recover_json_tail, small, large)
+        assert large_s <= 8 * small_s
 
     @pytest.mark.parametrize("opener", ["[", '{"a":['], ids=["array", "object"])
     def test_cost_does_not_grow_with_nested_unclosed_blocks(self, opener):
@@ -381,7 +418,8 @@ class TestRecoverJsonTail:
         assert recover_json_tail(many) == [{"trigger": "met", "type": "Meet", "arguments": []}]
         # A decode from each block's opener reads to the end of the reply; one
         # scan per block made 128 blocks cost 7.5 to 13 times 8 blocks.
-        assert _best_time(recover_json_tail, many) <= 3 * _best_time(recover_json_tail, few)
+        few_s, many_s = _best_times(recover_json_tail, few, many)
+        assert many_s <= 3 * few_s
 
     # At 393 blocks of about 254 characters, nesting passes _MAX_DEPTH just
     # inside a doubled decode window: openers flagged one window at a time
@@ -394,10 +432,43 @@ class TestRecoverJsonTail:
         assert scanned <= 8 * len(text)
         assert read <= 8 * len(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _stray_bracket_reply(),
+            "[1 " * 20_000 + ' [{"trigger": "met", "type": "Meet"}]',
+            _nested_unclosed_reply("[", 128),
+            _nested_unclosed_reply('{"a":[', 128),
+        ],
+        ids=["stray-prose", "stray-numbers", "nested-array", "nested-object"],
+    )
+    def test_each_start_pattern_scans_the_text_once(self, text):
+        searched = [0] * len(extract._VALUE_STARTS)
+        _characters_read(text, searched)
+        # Searching every pattern again from each resume point rescans the
+        # text once per opener.
+        assert all(0 < count <= len(text) for count in searched)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_recovery_texts)
+    def test_next_value_start_matches_the_union_pattern(self, text):
+        pending = [-1] * len(extract._VALUE_STARTS)
+        for pos in range(len(text) + 1):
+            match = _UNION_VALUE_START.search(text, pos)
+            expected = len(text) if match is None else match.start()
+            assert extract._next_value_start(text, pos, pending) == expected
+
+    def test_next_value_start_matches_the_union_pattern_after_each_opener(self):
+        # Every piece after each opener, so that no first member goes undrawn.
+        patterns = len(extract._VALUE_STARTS)
+        for opener, space, piece in itertools.product("[{", ["", " \t\n\r"], _RECOVERY_TOKENS):
+            text = opener + space + piece
+            match = _UNION_VALUE_START.search(text)
+            expected = len(text) if match is None else match.start()
+            assert extract._next_value_start(text, 0, [-1] * patterns) == expected, text
+
     def test_long_stray_bracket_reply_keeps_its_answer(self, ontology):
-        words = [f"{'[{'[k % 2]}note{k} filler" for k in range(3000)]
-        prose = "\n".join(" ".join(words[k : k + 6]) for k in range(0, len(words), 6))
-        raw = prose + '\nAnswer: [{"trigger": "met", "type": "Meet"}]'
+        raw = _stray_bracket_reply()
         assert len(raw) > 45_000
         assert parse_trigger_reply(raw, ontology) == [{"trigger": "met", "type": "Meet"}]
 
@@ -594,7 +665,8 @@ class TestParseArgumentReply:
         small, large = reply_and_triggers(2_000), reply_and_triggers(8_000)
         assert all(len(e["arguments"]) == 1 for e in parse(large))
         # Linear growth gives a ratio of 4; a quadratic match gives 16.
-        assert _best_time(parse, large) <= 8 * _best_time(parse, small)
+        small_s, large_s = _best_times(parse, small, large)
+        assert large_s <= 8 * small_s
 
     def test_trigger_with_no_entry_keeps_empty_arguments(self, ontology):
         triggers = [
